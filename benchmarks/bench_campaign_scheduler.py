@@ -7,9 +7,9 @@ run three ways:
 * **serial** — the scenario-by-scenario loop: total wall-clock is the sum
   of all scenarios;
 * **scheduler, budget 2 / 4** — all scenarios share one worker budget;
-  the round-robin task queue keeps every scenario in flight and the
-  adaptive allotment folds workers freed by the short scenarios into the
-  long ones, so wall-clock approaches the longest scenario, not the sum.
+  the round-robin task queue keeps every scenario in flight and a worker
+  freed by a short scenario takes the next value of a long one, so
+  wall-clock approaches the longest scenario, not the sum.
 
 The per-value work is a sleep (duration keyed to the scenario), which
 makes the benchmark meaningful on any machine: scenario concurrency is
@@ -159,8 +159,8 @@ def test_campaign_scheduler_scaling(benchmark, tmp_path):
         },
     )
 
-    # Freed workers rebalance into still-running scenarios: budget 4 must
-    # beat the serial scenario loop decisively.
+    # Freed workers take the values of still-running scenarios: budget 4
+    # must beat the serial scenario loop decisively.
     speedup = serial_seconds / timings[4]
     assert speedup >= 1.5, (
         f"scheduler at budget 4 only {speedup:.2f}x over the serial loop "

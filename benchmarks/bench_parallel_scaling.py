@@ -1,103 +1,30 @@
-"""Benchmarks of the parallel runner and the vectorized frame reduction.
+"""Benchmark of the vectorized frame reduction.
 
-Two questions are answered mechanically here:
+How much faster is the batched MST-sweep frame reduction
+(:func:`repro.simulation.engine.frame_statistics_columns`) than the seed's
+dense per-edge sweep (:func:`repro.simulation.engine.
+component_growth_curve_reference`), and are the curves identical?
 
-* how does ``SimulationConfig.workers`` scale the wall-clock time of
-  ``run_fixed_range`` / ``collect_frame_statistics`` (and is the parallel
-  result still bit-identical to the serial one);
-* how much faster is the batched MST-sweep frame reduction
-  (:func:`repro.simulation.engine.frame_statistics_batch`) than the seed's
-  dense per-edge sweep (:func:`repro.simulation.engine.
-  component_growth_curve_reference`).
-
-The workload size follows ``REPRO_BENCH_SCALE`` (``smoke`` by default; the
-``default``/``paper`` presets use the acceptance-size workload of n=128,
-steps=200, iterations=8).  Speedup assertions only engage when the machine
-actually has multiple cores — on a single-core box the parallel backend
-still runs (and must still be bit-identical), it just cannot be faster.
+The workload size follows ``REPRO_BENCH_SCALE`` (``smoke`` by default: 64
+frames of n=32; the ``default``/``paper`` presets use n=128).
 """
 
-import os
 import time
 
 import numpy as np
-import pytest
 
-from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.simulation.engine import (
     component_growth_curve_reference,
-    frame_statistics_batch,
+    frame_statistics_columns,
 )
-from repro.simulation.runner import collect_frame_statistics, run_fixed_range
 
-from _helpers import bench_scale_name, write_bench_summary
-
-try:
-    # Respect cgroup/affinity limits (CI quotas), not just the host size.
-    CPU_COUNT = len(os.sched_getaffinity(0))
-except AttributeError:  # platforms without sched_getaffinity
-    CPU_COUNT = os.cpu_count() or 1
-#: Worker counts whose wall-clock times are reported.
-WORKER_COUNTS = (1, 2, 4)
-
-
-def _scaling_config() -> SimulationConfig:
-    """The acceptance-criteria workload (shrunk at smoke scale)."""
-    if bench_scale_name() == "smoke":
-        node_count, steps, iterations = 32, 40, 8
-    else:
-        node_count, steps, iterations = 128, 200, 8
-    side = float(node_count * node_count)  # the paper's n = sqrt(l) scaling
-    return SimulationConfig(
-        network=NetworkConfig(node_count=node_count, side=side, dimension=2),
-        mobility=MobilitySpec.paper_drunkard(side),
-        steps=steps,
-        iterations=iterations,
-        seed=20020623,
-        transmitting_range=0.18 * side,
-    )
+from _helpers import bench_scale_name
 
 
 def _timed(function):
     start = time.perf_counter()
     result = function()
     return result, time.perf_counter() - start
-
-
-@pytest.mark.parametrize("runner", [run_fixed_range, collect_frame_statistics])
-def test_parallel_scaling(benchmark, runner):
-    """Wall-clock speedup of workers=2/4 over the serial runner."""
-    config = _scaling_config()
-    serial, serial_seconds = _timed(lambda: runner(config))
-    rows = [("1", serial_seconds, 1.0)]
-    for workers in WORKER_COUNTS[1:]:
-        parallel, seconds = _timed(lambda: runner(config.with_workers(workers)))
-        assert parallel == serial, f"workers={workers} changed the results"
-        rows.append((str(workers), seconds, serial_seconds / seconds))
-    print(f"\n{runner.__name__} scaling (n={config.network.node_count}, "
-          f"steps={config.steps}, iterations={config.iterations}, "
-          f"{CPU_COUNT} cores):")
-    for workers, seconds, speedup in rows:
-        print(f"  workers={workers:>2}: {seconds:8.3f}s  speedup {speedup:4.2f}x")
-    write_bench_summary(
-        f"parallel_scaling_{runner.__name__}",
-        {
-            "node_count": config.network.node_count,
-            "steps": config.steps,
-            "iterations": config.iterations,
-            "cpu_count": CPU_COUNT,
-            "seconds_by_workers": {
-                workers: seconds for workers, seconds, _ in rows
-            },
-            "best_speedup": max(speedup for _, _, speedup in rows),
-            "speedup_bar_enforced": CPU_COUNT >= 4,
-        },
-    )
-    if CPU_COUNT >= 4:
-        best = max(speedup for _, _, speedup in rows)
-        assert best >= 2.0, f"expected >= 2x speedup on {CPU_COUNT} cores, got {best:.2f}x"
-    # Report the serial run under pytest-benchmark for history tracking.
-    benchmark.pedantic(runner, args=(config,), rounds=1, iterations=1, warmup_rounds=0)
 
 
 def test_vectorized_frame_statistics_micro(benchmark):
@@ -111,7 +38,7 @@ def test_vectorized_frame_statistics_micro(benchmark):
         return [component_growth_curve_reference(frame) for frame in frames]
 
     reference, reference_seconds = _timed(seed_reduction)
-    batched = benchmark(lambda: frame_statistics_batch(frames))
+    batched = benchmark(lambda: list(frame_statistics_columns(frames)))
     assert [statistics.component_curve for statistics in batched] == reference
     batched_seconds = benchmark.stats.stats.mean
     print(f"\nframe reduction (n={node_count}, {len(frames)} frames): "

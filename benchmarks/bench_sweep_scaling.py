@@ -8,8 +8,8 @@ Two questions are answered mechanically here:
 * how much smaller do the columnar result containers
   (:class:`repro.simulation.results.StepColumns` /
   :class:`~repro.simulation.results.FrameStatisticsColumns`) pickle than
-  the per-step object lists they replaced — this is the payload that
-  crosses the worker-process boundary on every parallel run.
+  the per-step object lists they replaced — the payload that crosses
+  the worker-process boundary and the store codecs.
 
 The workload size follows ``REPRO_BENCH_SCALE`` (``smoke`` by default).
 Speedup assertions only engage when the machine actually has multiple
@@ -28,7 +28,7 @@ from repro.experiments.registry import ExperimentScale
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.simulation.results import FrameStatistics, StepRecord
 from repro.simulation.runner import collect_frame_statistics, run_fixed_range
-from repro.simulation.sweep import split_worker_budget, sweep_parameter
+from repro.simulation.sweep import sweep_parameter
 
 from _helpers import bench_scale_name, write_bench_summary
 
@@ -108,18 +108,6 @@ def test_sweep_scaling(benchmark):
         sweep_parameter, args=("l", sides, measure),
         rounds=1, iterations=1, warmup_rounds=0,
     )
-
-
-def test_worker_budget_split_equivalence():
-    """A split total budget produces exactly the serial sweep result."""
-    sides, measure = _sweep_workload()
-    sweep_workers, iteration_workers = split_worker_budget(4, len(sides))
-    serial = sweep_parameter("l", sides, measure)
-    budgeted = sweep_parameter(
-        "l", sides, measure,
-        workers=sweep_workers, iteration_workers=iteration_workers,
-    )
-    assert budgeted.rows == serial.rows
 
 
 def _payload_config() -> SimulationConfig:

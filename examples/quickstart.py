@@ -66,16 +66,14 @@ def mobile_demo(rstationary: float) -> None:
     print("=" * 72)
 
     side = 1000.0
-    # ``workers`` fans the independent iterations out over processes; the
-    # results are bit-identical to a serial run for the same seed, so feel
-    # free to set it to your core count for the heavy paper-scale runs.
+    # Iterations run serially; to use several cores, run several parameter
+    # values at once (``repro run <figure> --total-workers N``).
     config = repro.SimulationConfig(
         network=repro.NetworkConfig(node_count=50, side=side, dimension=2),
         mobility=repro.MobilitySpec.paper_waypoint(side),
         steps=300,
         iterations=3,
         seed=11,
-        workers=2,
     )
     statistics = repro.collect_frame_statistics(config)
 

@@ -6,43 +6,40 @@
 # 1. The full tier-1 suite must collect and pass from a clean checkout
 #    (guards against the pytest basename-collision regression this repo
 #    shipped with).
-# 2. The parallel/vectorized perf smoke benchmark must pass at smoke
-#    scale: parallel results bit-identical to serial, vectorized frame
-#    reduction faster than the dense reference sweep.
-# 3. The sweep fan-out / columnar payload smoke benchmark must pass at
+# 2. The benchmark's own tests (perfbench/, outside tier-1 testpaths):
+#    every entry point the benchmark traces must still resolve and its
+#    spans must reach the per-layer report, so a refactor that breaks a
+#    traced entry point fails here.
+# 3. The vectorized frame-reduction smoke benchmark must pass at smoke
+#    scale: the batched MST sweep faster than the dense reference sweep,
+#    with identical curves.
+# 4. The sweep fan-out / columnar payload smoke benchmark must pass at
 #    smoke scale: parallel sweeps exactly equal to serial, fixed-range
 #    result payload >= 10x smaller than the object-list containers.
-# 4. The campaign cache benchmark must pass at smoke scale: a warm
+# 5. The campaign cache benchmark must pass at smoke scale: a warm
 #    re-run is a pure cache hit (zero computed values, >= 5x faster) and
 #    a checkpoint-only store reassembles every sweep without recomputing.
-# 5. A campaign smoke run through the real CLI: cold run, warm re-run
+# 6. A campaign smoke run through the real CLI: cold run, warm re-run
 #    (which must report zero computed values), status, clean.
-# 6. The campaign scheduler benchmark must pass at smoke scale: four
+# 7. The campaign scheduler benchmark must pass at smoke scale: four
 #    heterogeneous scenarios under one total worker budget, scheduler at
 #    budget 4 >= 1.5x faster than the serial scenario loop, results
 #    bit-identical at every budget.
-# 7. A scheduler smoke through the real CLI (--total-workers): cold
+# 8. A scheduler smoke through the real CLI (--total-workers): cold
 #    concurrent run, then a warm re-run that must report zero computed
 #    values (scheduler and serial paths address identical store entries).
-# 8. An iteration-resume smoke: a multi-iteration value killed partway
+# 9. An iteration-resume smoke: a multi-iteration value killed partway
 #    resumes at the first unfinished iteration, recomputes nothing, and
 #    matches the uninterrupted run bit for bit.
-# 9. The shared-memory transport benchmark must pass at smoke scale:
-#    worker->parent hand-off of a paper-scale frame-statistics payload
-#    >= 2x faster through shared memory than through pickle, delivery
-#    bit-identical (serialization-bound, so enforced on any host).
-# 10. The iteration-sharding benchmark must pass at smoke scale: a
-#    sharded single-iteration run bit-identical to serial on any host,
-#    and >= 1.5x faster at 4 workers on hosts with >= 4 cores.
-# 11. A campaign gc smoke through the real CLI: a tight --max-bytes
+# 10. A campaign gc smoke through the real CLI: a tight --max-bytes
 #    budget evicts entries, a second run under the same budget is stable.
-# 12. The backend lane: the kernel-parity tests run explicitly (every
+# 11. The backend lane: the kernel-parity tests run explicitly (every
 #    host backend — numpy and the numpy-strict verification backend —
 #    must produce bit-identical kernel outputs), and the backend
 #    dispatch benchmark must pass at smoke scale: the seam's default
 #    NumPy path < 2% over hand-inlined pre-seam NumPy; GPU bars are
 #    timed only on hosts that can resolve a device backend.
-# 13. The fault-tolerance lane: the supervision-overhead benchmark must
+# 12. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL
 #    <= 1.5x the clean run, results bit-identical), and a chaos smoke
@@ -51,33 +48,33 @@
 #    re-run must report zero computed values (the recovered run addressed
 #    the same store entries a healthy one would), and no stale staging
 #    directories may survive.
-# 14. Every benchmark above writes a BENCH_<name>.json summary into
+# 13. Every benchmark above writes a BENCH_<name>.json summary into
 #    $REPRO_BENCH_OUT; they are collected and printed at the end, so the
 #    perf trajectory is tracked as structured data across PRs.
-# 15. The telemetry-overhead benchmark must pass at smoke scale: tracing
+# 14. The telemetry-overhead benchmark must pass at smoke scale: tracing
 #    a scheduled campaign costs < 2% wall clock over --no-telemetry, and
 #    the traced run's sink must actually contain the campaign's task
 #    spans (cheap because tracing is cheap, not because it didn't run).
-# 16. A telemetry smoke through the real CLI: a traced campaign run,
+# 15. A telemetry smoke through the real CLI: a traced campaign run,
 #    then `campaign report` (text summary and --chrome-trace export);
 #    every line of the per-run trace.jsonl must parse as JSON, the
 #    report must aggregate the run's spans, and the Chrome export must
 #    be loadable trace_event JSON.
-# 17. The distributed fan-out benchmark must pass at smoke scale: two
+# 16. The distributed fan-out benchmark must pass at smoke scale: two
 #    loopback HTTP workers bit-identical to one, and >= 1.4x faster on
 #    hosts with >= 4 cores (serve + two workers need room to overlap).
-# 18. A distributed smoke through the real CLI: `campaign serve` on a
+# 17. A distributed smoke through the real CLI: `campaign serve` on a
 #    loopback port (--url-file announces the picked port), two
 #    `campaign work` processes drain the example grid, all three exit 0,
 #    and a warm re-serve must report zero computed values (the
 #    distributed run addressed the same store entries a local one
 #    would).
-# 19. The query-service benchmark must pass at smoke scale: hot answers
+# 18. The query-service benchmark must pass at smoke scale: hot answers
 #    sub-millisecond p50 / single-digit-millisecond p99 and cold misses
 #    under 100 ms p99 on any host, a zipfian stream mostly served from
 #    the LRU, and the event loop never blocked by store IO (1 ms
 #    heartbeat lag stays bounded while cold queries decode cells).
-# 20. A query smoke through the real CLI, both halves of the contract:
+# 19. A query smoke through the real CLI, both halves of the contract:
 #    against a store warmed by `campaign run examples/query_smoke.toml`,
 #    `query serve` + `query ask` answer an in-grid question with
 #    refine=false from exact stored rows; against an EMPTY store the
@@ -88,7 +85,7 @@
 #    serve runs at --confidence-floor 0.5: one refined side of the
 #    two-side cell clears the floor (the default floor of 1.0 keeps
 #    flagging a half-complete cell, by design).
-# 21. The perf-regression gate: the fresh BENCH_*.json summaries are
+# 20. The perf-regression gate: the fresh BENCH_*.json summaries are
 #    graded against benchmarks/baseline.json (host-normalized metrics
 #    only, core-count-gated, noise-banded); a regression beyond the band
 #    or a missing baselined summary fails the script.  Finally
@@ -102,6 +99,8 @@ REPRO_BENCH_OUT="${REPRO_BENCH_OUT:-$(mktemp -d)}"
 export REPRO_BENCH_OUT
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
+
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -m pytest perfbench -q
 
 REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_parallel_scaling.py -q
@@ -136,12 +135,6 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign run examples/campaign_smoke.toml --store "$SCHEDULER_STORE" \
     --total-workers 2 --quiet \
     | grep -q "0 value(s) computed"
-
-REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest benchmarks/bench_shm_transport.py -q
-
-REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest benchmarks/bench_iteration_sharding.py -q
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest tests/backend -q
 

@@ -12,9 +12,9 @@ ResultStore`:
   kill-safe execution (``run``), per-scenario progress (``status``) and
   store hygiene (``clean``);
 * :mod:`repro.campaigns.scheduler` — :class:`CampaignScheduler`: the
-  concurrent execution path behind ``run(total_workers=W)``, running
-  independent scenarios together under one worker budget and rebalancing
-  freed workers into the scenarios still running;
+  concurrent execution path behind ``run(total_workers=W)``, running the
+  parameter values of every scenario as tasks in one pool of ``W``
+  workers;
 * :mod:`repro.campaigns.progress` — the structured progress events both
   execution paths emit at their ``progress`` callback (cache hits,
   finished tasks, finished scenarios), plus the text renderer the CLI

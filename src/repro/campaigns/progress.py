@@ -4,7 +4,7 @@ The runner and scheduler used to push preformatted strings at their
 ``progress`` callback, which welded every consumer — CLI, tests, any
 monitoring hook — to one hard-coded text layout.  They now emit typed
 event objects carrying the underlying facts (scenario id, parameter
-value, coverage counts, worker shape), and rendering becomes the
+value, coverage counts), and rendering becomes the
 consumer's concern: :func:`render` reproduces the established one-line
 text form, and :func:`as_text` adapts any ``str`` sink (``print``, a log
 handle) into an event consumer — the CLI's default.  A consumer that
@@ -66,7 +66,6 @@ class TaskCompleted:
         value: the parameter value measured, ``None`` for atomic tasks.
         values_done: rows of the scenario's sweep present so far.
         values_total: rows the complete sweep needs.
-        workers: the worker allotment the task ran with.
         iterations: the experiment's declared iterations per value, when
             it checkpoints at iteration granularity (``None`` otherwise).
         atomic: ``True`` when the whole sweep ran as one task.
@@ -76,23 +75,16 @@ class TaskCompleted:
     value: Optional[float]
     values_done: int
     values_total: int
-    workers: int
     iterations: Optional[int] = None
     atomic: bool = False
 
     def render(self) -> str:
         if self.atomic:
-            return (
-                f"{self.scenario_id}: task done "
-                f"(atomic, workers={self.workers})"
-            )
-        detail = f"workers={self.workers}"
+            return f"{self.scenario_id}: task done (atomic)"
+        detail = f"{self.values_done}/{self.values_total} values"
         if self.iterations:
-            detail = f"{self.iterations} iteration(s), {detail}"
-        return (
-            f"{self.scenario_id}: value {self.value:g} done "
-            f"({self.values_done}/{self.values_total} values; {detail})"
-        )
+            detail += f"; {self.iterations} iteration(s)"
+        return f"{self.scenario_id}: value {self.value:g} done ({detail})"
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ sweep (experiment cache payload + schema version) and
   them and recomputes instead of returning damaged results.
 
 Execution has two shapes.  Without ``total_workers`` the grid runs
-serially, one scenario after another, each scenario using its own
-``workers`` / ``sweep_workers`` knobs.  With ``total_workers`` the
-:class:`~repro.campaigns.scheduler.CampaignScheduler` replaces the serial
-loop: independent scenarios run concurrently under the one budget, and
-workers freed by short scenarios rebalance into the scenarios still
-running.  Worker knobs of either shape never enter cache keys.
+serially in-process, one scenario after another.  With ``total_workers``
+the :class:`~repro.campaigns.scheduler.CampaignScheduler` replaces the
+serial loop: the parameter values of every scenario run as independent
+tasks in one pool of that many workers.  The budget never enters cache
+keys.
 
 Because every measure call is deterministic given the scenario
 description, a resumed, cache-served or scheduled campaign is
@@ -180,16 +179,11 @@ class CampaignRunner:
     Args:
         spec: the campaign to run.
         store: destination/source of cached results.
-        workers: iteration-level processes per parameter value (serial
-            scenario loop).
-        sweep_workers: parameter values measured concurrently per scenario
-            (serial scenario loop).
         total_workers: one total worker budget for the whole campaign.
             Setting it replaces the serial scenario loop with the
             :class:`~repro.campaigns.scheduler.CampaignScheduler`:
-            independent scenarios run concurrently, sharing the budget,
-            with freed workers rebalanced into still-running scenarios
-            (wins over the two per-scenario knobs, like the CLI flag).
+            the parameter values of all scenarios run concurrently as
+            one-worker tasks sharing the budget.
         max_retries: failed attempts a task may accumulate beyond its
             first before it is quarantined as a poison task (0/``None``
             = legacy fail-fast).  Under the scheduler, retries apply per
@@ -206,7 +200,7 @@ class CampaignRunner:
             to on; pass ``False`` to opt out.  Tracing never affects
             results, and a failing trace sink never fails the campaign.
 
-    Worker and supervision knobs only change wall-clock behaviour; they
+    The budget and supervision knobs only change wall-clock behaviour; they
     never enter cache keys, and results are bit-identical for every
     setting — a retried task reproduces exactly the result it would have
     had, because every measure call is a pure function of its value.
@@ -216,8 +210,6 @@ class CampaignRunner:
         self,
         spec: CampaignSpec,
         store: ResultStore,
-        workers: Optional[int] = None,
-        sweep_workers: Optional[int] = None,
         total_workers: Optional[int] = None,
         max_retries: Optional[int] = None,
         task_timeout: Optional[float] = None,
@@ -226,8 +218,6 @@ class CampaignRunner:
     ) -> None:
         self.spec = spec
         self.store = store
-        self.workers = workers
-        self.sweep_workers = sweep_workers
         self.total_workers = total_workers
         self.max_retries = max_retries
         self.task_timeout = task_timeout
@@ -244,20 +234,6 @@ class CampaignRunner:
         )
 
     # ------------------------------------------------------------------ #
-    def _execution_scale(
-        self, experiment: Experiment, scale: ExperimentScale
-    ) -> ExperimentScale:
-        """Apply the serial loop's worker knobs to a scenario's scale.
-
-        (``total_workers`` never reaches this path — it selects the
-        scheduler, which allots workers per task instead.)
-        """
-        if self.workers is not None:
-            scale = scale.with_workers(self.workers)
-        if self.sweep_workers is not None:
-            scale = scale.with_sweep_workers(self.sweep_workers)
-        return scale
-
     def _checkpoint_for(
         self,
         experiment: Experiment,
@@ -466,7 +442,6 @@ class CampaignRunner:
             return ScenarioOutcome(scenario=scenario, sweep=sweep, cache_hit=True)
 
         checkpoint = self._checkpoint_for(experiment, scenario)
-        execution_scale = self._execution_scale(experiment, scenario.scale)
         # The serial loop supervises at scenario granularity: each
         # retry runs with a fresh checkpoint object, so it resumes
         # from whatever rows and iterations the failed attempt had
@@ -480,13 +455,13 @@ class CampaignRunner:
             try:
                 if experiment.supports_checkpoint:
                     sweep = experiment.run_with_checkpoint(
-                        execution_scale, checkpoint
+                        scenario.scale, checkpoint
                     )
                 else:
                     # Experiments with cross-value state (e.g. a shared
                     # sequential random stream) cache at sweep
                     # granularity only.
-                    sweep = experiment.run(execution_scale)
+                    sweep = experiment.run(scenario.scale)
                 break
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -657,8 +632,6 @@ def run_campaign(
     spec: CampaignSpec,
     store: ResultStore,
     resume: bool = True,
-    workers: Optional[int] = None,
-    sweep_workers: Optional[int] = None,
     total_workers: Optional[int] = None,
     max_retries: Optional[int] = None,
     task_timeout: Optional[float] = None,
@@ -670,8 +643,6 @@ def run_campaign(
     runner = CampaignRunner(
         spec,
         store,
-        workers=workers,
-        sweep_workers=sweep_workers,
         total_workers=total_workers,
         max_retries=max_retries,
         task_timeout=task_timeout,

@@ -1,11 +1,9 @@
 """Campaign-level scenario scheduling under one total worker budget.
 
 The serial :class:`~repro.campaigns.runner.CampaignRunner` loop walks the
-scenario grid one scenario at a time: parallelism exists only *inside* a
-scenario, so a campaign of many small heterogeneous scenarios leaves most
-of a large worker budget idle, and the last long scenario always runs
-alone.  The scheduler here replaces that loop whenever the campaign is
-given one total budget ``W`` (``campaign run --total-workers``):
+scenario grid one scenario and one parameter value at a time, in-process.
+The scheduler here replaces that loop whenever the campaign is given one
+total budget ``W`` (``campaign run --total-workers``):
 
 * every *unique* sweep computation of the grid — scenarios sharing a
   cache payload collapse onto one job, exactly as they share one store
@@ -15,26 +13,19 @@ given one total budget ``W`` (``campaign run --total-workers``):
   task otherwise;
 * tasks from *all* scenarios run concurrently in one shared process pool
   holding at most ``W`` workers, interleaved round-robin across jobs so
-  independent scenarios genuinely progress together;
-* each task is granted a worker allotment by :func:`repro.simulation.
-  sweep.adaptive_worker_allotment` at the moment it is submitted: with a
-  full queue every task gets one worker (scenario-level breadth); as
-  scenarios finish and return their workers, the tasks still waiting are
-  granted larger allotments that their measures turn into bigger nested
-  iteration pools (depth) — the freed workers of short scenarios are
-  rebalanced into the scenarios still running, closing the tail.
+  independent scenarios genuinely progress together.  Each task occupies
+  one worker and runs its value's simulation iterations serially, so the
+  pool never starts nested pools.
 
 Determinism
 -----------
 Every value task computes exactly what the serial path computes — the
-same registered measure applied to the same value — in a worker process
-whose allotment only resizes nested pools (bit-identical by the PR 1/2
-worker guarantees).  Rows are assembled in sweep order, value rows are
-checkpointed in completion order and iteration sub-checkpoints are
-written inside the task, all through the same store checkpoints the
-serial path uses.  A scheduled campaign is therefore bit-identical to a
-cold serial run at every budget, and a killed one resumes at the first
-unfinished iteration.
+same registered measure applied to the same value.  Rows are assembled in
+sweep order, value rows are checkpointed in completion order and
+iteration sub-checkpoints are written inside the task, all through the
+same store checkpoints the serial path uses.  A scheduled campaign is
+therefore bit-identical to a cold serial run at every budget, and a
+killed one resumes at the first unfinished iteration.
 """
 
 from __future__ import annotations
@@ -59,12 +50,7 @@ from repro.experiments.registry import (
     ExperimentScale,
     get_experiment,
 )
-from repro.simulation.sharding import max_useful_shards
-from repro.simulation.sweep import (
-    SweepResult,
-    adaptive_worker_allotment,
-    measure_row,
-)
+from repro.simulation.sweep import SweepResult, measure_row
 from repro.store.checkpoints import StoreSweepCheckpoint
 from repro.supervision import run_supervised
 
@@ -107,7 +93,6 @@ class _SweepJob:
     cache_hit: bool = False
     checkpoint: Optional[StoreSweepCheckpoint] = None
     atomic: bool = False
-    width: int = 1
     values: List[float] = field(default_factory=list)
     measure: Any = None
     rows: Dict[int, Dict[str, float]] = field(default_factory=dict)
@@ -245,7 +230,6 @@ class CampaignScheduler:
         job.checkpoint = self.runner._checkpoint_for(experiment, job.scenario)
         if not experiment.supports_scheduling:
             job.atomic = True
-            job.width = max(1, experiment.sweep_width(scale))
             return
         job.values = [float(value) for value in experiment.sweep_values(scale)]
         for index, value in enumerate(job.values):
@@ -261,22 +245,6 @@ class CampaignScheduler:
         if rebind is not None:
             measure = rebind(job.checkpoint)
         job.measure = measure
-        # A task's useful width is its inner parallelism: the simulation
-        # iteration count times the intra-iteration shard capacity when
-        # the experiment declares iterations (workers granted beyond the
-        # iteration count fold into trajectory shards — see
-        # :func:`repro.simulation.sharding.resolve_shard_plan` — instead
-        # of idling), otherwise the whole budget for any measure that can
-        # resize its nested pools (e.g. the stationary sweep parallelises
-        # its placement draws), and 1 for measures that cannot use extra
-        # workers at all.
-        iterations = experiment.checkpoint_iterations(scale)
-        if iterations is not None:
-            job.width = max(1, iterations) * max_useful_shards(scale.steps)
-        elif getattr(measure, "with_iteration_workers", None) is not None:
-            job.width = self.total_workers
-        else:
-            job.width = 1
         if not job.pending:
             # Every row was checkpointed: the sweep reassembles for free.
             self._finish(job, say)
@@ -355,49 +323,37 @@ class CampaignScheduler:
                 return queue
             depth += 1
 
-    def _submit(self, pool: ProcessPoolExecutor, job: _SweepJob, index: int, allotment: int):
-        """Submit one task with ``allotment`` workers; returns its future.
+    def _submit(self, pool: ProcessPoolExecutor, job: _SweepJob, index: int):
+        """Submit one task to ``pool``; returns its future.
 
         The submitted callable is wrapped with the job's scenario span
         context (:func:`repro.telemetry.propagate`): the worker-side task
         span then parents under this scenario across the process
         boundary.  With telemetry inactive the wrap is identity.
         """
-        telemetry.metrics.histogram("scheduler.allotment").observe(allotment)
         parent = self._spans.get(job.key)
         if job.atomic:
-            scale = job.scenario.scale
-            if allotment > 1:
-                scale = job.experiment.with_worker_budget(scale, allotment)
             checkpoint = (
                 job.checkpoint if job.experiment.supports_checkpoint else None
             )
             return pool.submit(
                 telemetry.propagate(_run_experiment_task, parent=parent),
                 job.experiment,
-                scale,
+                job.scenario.scale,
                 checkpoint,
             )
-        measure = job.measure
-        if allotment > 1:
-            rebind = getattr(measure, "with_iteration_workers", None)
-            if rebind is not None:
-                measure = rebind(allotment)
         return pool.submit(
             telemetry.propagate(measure_row, parent=parent),
             job.experiment.parameter_name,
-            measure,
+            job.measure,
             job.values[index],
         )
 
-    def _task_event(
-        self, job: _SweepJob, index: int, allotment: int
-    ) -> TaskCompleted:
+    def _task_event(self, job: _SweepJob, index: int) -> TaskCompleted:
         """One per-task completion event for the progress stream.
 
-        Scenario, parameter value, value coverage and the worker shape the
-        task ran with (its allotment, and how that decomposes into
-        iterations when the experiment declares them) — so a long campaign
+        Scenario, parameter value, value coverage and the iterations per
+        value when the experiment declares them — so a long campaign
         reports progress at task completion rate instead of one event per
         finished scenario.
         """
@@ -408,7 +364,6 @@ class CampaignScheduler:
                 value=None,
                 values_done=len(job.sweep.rows) if job.sweep else 0,
                 values_total=len(job.sweep.rows) if job.sweep else 0,
-                workers=allotment,
                 atomic=True,
             )
         return TaskCompleted(
@@ -416,7 +371,6 @@ class CampaignScheduler:
             value=job.values[index],
             values_done=len(job.rows),
             values_total=len(job.values),
-            workers=allotment,
             iterations=job.experiment.checkpoint_iterations(job.scenario.scale),
         )
 
@@ -435,7 +389,6 @@ class CampaignScheduler:
         self,
         task: Tuple[_SweepJob, int],
         result: Any,
-        allotment: int,
         say: Callable[[ProgressEvent], None],
     ) -> None:
         """Land one finished task: save its row, finish jobs that fill."""
@@ -449,14 +402,14 @@ class CampaignScheduler:
                 if job.experiment.supports_checkpoint
                 else len(sweep.rows)
             )
-            say(self._task_event(job, index, allotment))
+            say(self._task_event(job, index))
             self._store_sweep(job, say)
         else:
             job.checkpoint.save(job.values[index], result)
             self._note_degradation(job, say)
             job.rows[index] = result
             job.computed_values += 1
-            say(self._task_event(job, index, allotment))
+            say(self._task_event(job, index))
             if len(job.rows) == len(job.values):
                 self._finish(job, say)
 
@@ -533,7 +486,7 @@ class CampaignScheduler:
     def _execute(
         self, jobs: List[_SweepJob], say: Callable[[ProgressEvent], None]
     ) -> None:
-        """The scheduling loop: submit within budget, collect, rebalance.
+        """The scheduling loop: submit within budget, collect results.
 
         Runs through :func:`repro.supervision.run_supervised`: with the
         runner's default policy the behaviour is the legacy fail-fast
@@ -554,17 +507,13 @@ class CampaignScheduler:
             return
         policy = self.runner.retry_policy
         store = self.runner.store
-        from repro.simulation.shm import ensure_shared_memory_tracker
 
-        ensure_shared_memory_tracker()
-
-        def submit(pool: ProcessPoolExecutor, task, available: int, ready: int):
+        def submit(pool: ProcessPoolExecutor, task):
             job, index = task
-            allotment = adaptive_worker_allotment(available, ready, job.width)
-            return self._submit(pool, job, index, allotment), allotment
+            return self._submit(pool, job, index)
 
-        def on_result(task, result, allotment: int) -> None:
-            self._handle_result(task, result, allotment, say)
+        def on_result(task, result) -> None:
+            self._handle_result(task, result, say)
 
         def on_retry(task, error, attempt: int, delay: float) -> None:
             self._handle_retry(task, error, attempt, delay, say)

@@ -21,9 +21,9 @@ Specs load from TOML or JSON files::
     iterations = [2, 4]
 
 enumerates ``3 experiments x 3 seeds x 2 iteration counts = 18``
-scenarios.  Execution knobs (``workers``, ``sweep_workers``) are
-deliberately rejected: they belong to the invocation (CLI flags), not to
-the campaign's identity, and must never influence cache keys.
+scenarios.  The execution knob ``sweep_workers`` is deliberately
+rejected: the worker budget belongs to the invocation (a CLI flag), not
+to the campaign's identity, and must never influence cache keys.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ PathLike = Union[str, Path]
 
 #: ``ExperimentScale`` fields a spec may override or sweep.  Execution
 #: knobs are derived from the single source of truth the cache keys use
-#: (:data:`repro.store.keys.EXECUTION_FIELDS`), so a knob added there —
-#: e.g. PR 5's ``shard_steps``/``transport`` — is automatically rejected
-#: here too: two matrix cells differing only in an execution knob would
-#: collide on one cache key while pretending to be distinct scenarios.
+#: (:data:`repro.store.keys.EXECUTION_FIELDS`), so a knob added there is
+#: automatically rejected here too: two matrix cells differing only in an
+#: execution knob would collide on one cache key while pretending to be
+#: distinct scenarios.
 #: Environment fields (:data:`repro.store.keys.ENVIRONMENT_FIELDS`,
 #: i.e. ``backend``) are rejected for the opposite reason: they *do*
 #: change cache keys, but describe where a campaign runs rather than what
@@ -63,10 +63,9 @@ def _check_scale_fields(assignments: Mapping[str, Any], context: str) -> None:
     if unknown:
         raise ConfigurationError(
             f"unknown scale field(s) {sorted(unknown)} in campaign {context}; "
-            f"allowed: {sorted(_SCALE_FIELDS)} (execution knobs such as "
-            "workers/sweep_workers/shard_steps/transport are per-invocation "
-            "CLI flags, not spec fields, and the backend environment field "
-            "is the --backend flag)"
+            f"allowed: {sorted(_SCALE_FIELDS)} (the worker budget is the "
+            "per-invocation --total-workers flag, not a spec field, and the "
+            "backend environment field is the --backend flag)"
         )
 
 

@@ -6,12 +6,8 @@ experiments::
     adhoc-connectivity list
     adhoc-connectivity run fig2 --scale smoke
     adhoc-connectivity run fig7 --scale default --output fig7.json
-    adhoc-connectivity run fig2 --scale paper --workers 8
-    adhoc-connectivity run fig2 --scale paper --sweep-workers 4 --workers 2
-    adhoc-connectivity run fig2 --scale paper --total-workers 8
-    adhoc-connectivity run fig2 --scale paper --workers 8 --shard-steps 2500
-    adhoc-connectivity run fig2 --scale paper --transport shm
-    adhoc-connectivity stationary --side 1024 --nodes 32 --workers 4
+    adhoc-connectivity run fig2 --scale paper --total-workers 4
+    adhoc-connectivity stationary --side 1024 --nodes 32
     adhoc-connectivity campaign run grid.toml --store .repro-store
     adhoc-connectivity campaign run grid.toml --total-workers 8
     adhoc-connectivity campaign status grid.toml --store .repro-store
@@ -25,11 +21,12 @@ experiments::
     adhoc-connectivity query ask --url http://127.0.0.1:8800 \\
         --nodes 32 --probability 0.9
 
-``campaign run --total-workers W`` is the single budget knob: the whole
-campaign shares one pool of ``W`` workers, independent scenarios run
-concurrently under it (the campaign scheduler), and workers freed by
-short scenarios rebalance into the scenarios still running.  Results are
-bit-identical to a serial run for every ``W``.
+``--total-workers W`` is the one width flag of ``run`` and ``campaign
+run``: parameter values run as tasks in one pool of ``W`` worker
+processes, each value's iterations serially inside its worker.  Under
+``campaign run`` the pool is shared by every scenario of the grid (the
+campaign scheduler).  Results are bit-identical to a serial run for
+every ``W``.
 
 ``campaign serve`` + ``campaign work`` are the distributed variant of
 the same grid: the serving process exposes its result store and a
@@ -103,52 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional path (.json or .csv) to save the sweep result",
     )
     run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for the simulation iterations within one "
-            "parameter value (results are bit-identical for every value)"
-        ),
-    )
-    run_parser.add_argument(
-        "--sweep-workers",
-        type=int,
-        default=None,
-        help=(
-            "parameter values of the sweep measured concurrently, each in "
-            "its own process; the total budget is sweep-workers x workers"
-        ),
-    )
-    run_parser.add_argument(
         "--total-workers",
         type=int,
         default=None,
         help=(
-            "split one total process budget between the sweep and "
-            "iteration levels automatically (overrides --workers and "
-            "--sweep-workers)"
-        ),
-    )
-    run_parser.add_argument(
-        "--shard-steps",
-        type=int,
-        default=None,
-        help=(
-            "split each iteration's trajectory into shards of this many "
-            "frames executed by different workers (default: automatic "
-            "when workers exceed the iteration count; bit-identical "
-            "either way)"
-        ),
-    )
-    run_parser.add_argument(
-        "--transport",
-        default=None,
-        choices=["auto", "pickle", "shm"],
-        help=(
-            "worker-to-parent result transport: shared memory (zero-copy "
-            "adoption), pickle, or auto (shared memory for large payloads "
-            "only; the default). Results are bit-identical for every choice"
+            "parameter values of the sweep measured concurrently, each in "
+            "its own worker process (results are bit-identical for every "
+            "value)"
         ),
     )
     run_parser.add_argument(
@@ -157,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(backend_names()),
         help=(
             "array backend for the connectivity kernels (default: numpy). "
-            "Unlike the worker/transport knobs this selects a different "
-            "execution environment and therefore different cache keys"
+            "Unlike --total-workers this selects a different execution "
+            "environment and therefore different cache keys"
         ),
     )
 
@@ -171,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     stationary_parser.add_argument("--iterations", type=int, default=200)
     stationary_parser.add_argument("--confidence", type=float, default=0.99)
     stationary_parser.add_argument("--seed", type=int, default=None)
-    stationary_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the placement draws",
-    )
     stationary_parser.add_argument(
         "--backend",
         default="numpy",
@@ -222,33 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the per-scenario tables"
     )
     campaign_run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "iteration-level worker processes per parameter value "
-            "(serial scenario loop)"
-        ),
-    )
-    campaign_run.add_argument(
-        "--sweep-workers",
-        type=int,
-        default=None,
-        help=(
-            "parameter values of each scenario measured concurrently "
-            "(serial scenario loop)"
-        ),
-    )
-    campaign_run.add_argument(
         "--total-workers",
         type=int,
         default=None,
         help=(
-            "one total worker budget for the whole campaign: scenarios "
-            "run concurrently under the campaign scheduler and freed "
-            "workers rebalance into still-running scenarios (overrides "
-            "--workers and --sweep-workers; results are bit-identical "
-            "for every budget)"
+            "one worker budget for the whole campaign: the parameter "
+            "values of every scenario run concurrently as tasks in one "
+            "pool of this many workers (default: a serial in-process loop; "
+            "results are bit-identical for every budget)"
         ),
     )
     campaign_run.add_argument(
@@ -873,8 +806,6 @@ def _campaign_main(arguments: argparse.Namespace) -> int:
     runner = CampaignRunner(
         spec,
         store,
-        workers=getattr(arguments, "workers", None),
-        sweep_workers=getattr(arguments, "sweep_workers", None),
         total_workers=getattr(arguments, "total_workers", None),
         max_retries=getattr(arguments, "max_retries", None),
         task_timeout=getattr(arguments, "task_timeout", None),
@@ -1079,18 +1010,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(experiment.description)
         scale = scale_by_name(arguments.scale)
         if arguments.total_workers is not None:
-            # Split for this experiment's actual sweep width (system sides
-            # for fig2-6, parameter points for fig7-9).
-            scale = experiment.with_worker_budget(scale, arguments.total_workers)
-        else:
-            if arguments.workers is not None:
-                scale = scale.with_workers(arguments.workers)
-            if arguments.sweep_workers is not None:
-                scale = scale.with_sweep_workers(arguments.sweep_workers)
-        if arguments.shard_steps is not None:
-            scale = scale.with_shard_steps(arguments.shard_steps)
-        if arguments.transport is not None:
-            scale = scale.with_transport(arguments.transport)
+            scale = scale.with_sweep_workers(arguments.total_workers)
         if arguments.backend is not None:
             scale = scale.with_backend(arguments.backend)
         sweep = experiment.run(scale)
@@ -1122,7 +1042,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             iterations=arguments.iterations,
             seed=arguments.seed,
             confidence=arguments.confidence,
-            workers=arguments.workers,
             backend=arguments.backend,
         )
         print(

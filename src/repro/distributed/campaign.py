@@ -11,9 +11,8 @@ run bit-identical to the single-host scheduler.
 Determinism and fault tolerance follow from three rules:
 
 * a task's payload is the pickled ``(function, args, kwargs)`` closure
-  the scheduler's ``_submit`` would give its pool (allotment 1 — remote
-  workers size their own nested pools), with measure checkpoints
-  rebound to the :class:`~repro.distributed.remote_store.
+  the scheduler's ``_submit`` would give its pool, with measure
+  checkpoints rebound to the :class:`~repro.distributed.remote_store.
   RemoteResultStore` so worker-side iteration sub-entries land in the
   server's store;
 * results are applied in the serving process by the scheduler's own
@@ -79,8 +78,8 @@ class DistributedCampaign(CampaignScheduler):
         work_queue: WorkQueue,
         remote_store: RemoteResultStore,
     ) -> None:
-        # total_workers=1: the budget knob sizes local pool allotments,
-        # which don't exist here — remote workers each count for one.
+        # total_workers=1: the budget sizes a local pool, which doesn't
+        # exist here — the attached workers set the width.
         super().__init__(runner, total_workers=1)
         self.work_queue = work_queue
         self.remote_store = remote_store
@@ -89,9 +88,8 @@ class DistributedCampaign(CampaignScheduler):
     def _task_payload(self, job: _SweepJob, index: int) -> bytes:
         """Pickle the closure a worker must run for ``(job, index)``.
 
-        Mirrors the scheduler's ``_submit`` with allotment 1, except
-        that checkpoints crossing the wire are rebound to the remote
-        store: a worker has no path to the server's disk, but the HTTP
+        Mirrors the scheduler's ``_submit``, except that checkpoints
+        crossing the wire are rebound to the remote store: a worker has no path to the server's disk, but the HTTP
         store addresses the very same entries.
         """
         parent = self._spans.get(job.key)
@@ -166,7 +164,7 @@ class DistributedCampaign(CampaignScheduler):
             return  # a queue this driver did not populate
         if kind == "result":
             result = pickle.loads(event[2])
-            self._handle_result(task, result, 1, say)
+            self._handle_result(task, result, say)
         elif kind == "retried":
             _, _, error, attempt, delay = event
             self._handle_retry(task, error, attempt, delay, say)

@@ -145,7 +145,7 @@ def run_worker(
         worker_id: lease owner name (default ``host:pid``).
         new_process_group: start a fresh process group first — lets a
             supervisor (or the chaos tests) SIGKILL this worker *and*
-            its nested iteration pools with one ``killpg``, modelling a
+            any process it started with one ``killpg``, modelling a
             whole silent host.
         say: optional ``print``-like progress sink.
         timeout: per-request HTTP timeout (default: the store client's);

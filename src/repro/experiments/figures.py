@@ -9,9 +9,7 @@ The per-value work is packaged in module-level measure dataclasses
 (:class:`SystemSizeMeasure`, :class:`ParameterStudyMeasure`) so sweeps can
 fan parameter values out over worker processes
 (``ExperimentScale.sweep_workers``) — a lambda closing over the scale
-would not pickle.  Each measure honours ``scale.workers`` for its nested
-iteration pool, so the total process budget is
-``sweep_workers * workers``.
+would not pickle.
 
 The experiments are registered in the global registry under the
 identifiers ``fig2`` … ``fig9``.
@@ -27,7 +25,6 @@ from typing import Dict, Optional, Sequence
 from repro.experiments.registry import (
     Experiment,
     ExperimentScale,
-    parameter_sweep_width,
     register_experiment,
 )
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
@@ -87,7 +84,6 @@ def measure_system_size(
         iterations=scale.stationary_iterations,
         seed=scale.seed,
         confidence=0.99,
-        workers=scale.workers,
         backend=scale.backend,
     )
     spec = _mobility_spec_for(model, side, **(mobility_overrides or {}))
@@ -97,9 +93,6 @@ def measure_system_size(
         steps=scale.steps,
         iterations=scale.iterations,
         seed=scale.seed,
-        workers=scale.workers,
-        shard_steps=scale.shard_steps,
-        transport=scale.transport,
         backend=scale.backend,
     )
     statistics = collect_frame_statistics(config, checkpoint=iteration_checkpoint)
@@ -150,9 +143,6 @@ class SystemSizeMeasure:
             self.mobility_overrides,
             iteration_checkpoint=iteration_checkpoint_for(self.checkpoint, side),
         )
-
-    def with_iteration_workers(self, count: int) -> "SystemSizeMeasure":
-        return replace(self, scale=self.scale.with_workers(count))
 
     def with_value_checkpoint(
         self, checkpoint: SweepCheckpoint
@@ -289,7 +279,6 @@ def _r100_ratio_row(
         iterations=scale.stationary_iterations,
         seed=scale.seed,
         confidence=0.99,
-        workers=scale.workers,
         backend=scale.backend,
     )
     spec = MobilitySpec.paper_waypoint(side, **mobility_overrides)
@@ -299,9 +288,6 @@ def _r100_ratio_row(
         steps=scale.steps,
         iterations=scale.iterations,
         seed=scale.seed,
-        workers=scale.workers,
-        shard_steps=scale.shard_steps,
-        transport=scale.transport,
         backend=scale.backend,
     )
     statistics = collect_frame_statistics(config, checkpoint=iteration_checkpoint)
@@ -344,9 +330,6 @@ class ParameterStudyMeasure:
             overrides,
             iteration_checkpoint=iteration_checkpoint_for(self.checkpoint, value),
         )
-
-    def with_iteration_workers(self, count: int) -> "ParameterStudyMeasure":
-        return replace(self, scale=self.scale.with_workers(count))
 
     def with_value_checkpoint(
         self, checkpoint: SweepCheckpoint
@@ -512,7 +495,6 @@ def _register_all() -> None:
         ),
         paper_reference="Figure 7",
         run=figure7,
-        sweep_width=parameter_sweep_width,
         sweep_values=partial(parameter_study_values, 'pstationary'),
         cache_payload=partial(parameter_study_payload, 'pstationary'),
         parameter_name='pstationary',
@@ -528,7 +510,6 @@ def _register_all() -> None:
         ),
         paper_reference="Figure 8",
         run=figure8,
-        sweep_width=parameter_sweep_width,
         sweep_values=partial(parameter_study_values, 'tpause'),
         cache_payload=partial(parameter_study_payload, 'tpause'),
         parameter_name='tpause',
@@ -544,7 +525,6 @@ def _register_all() -> None:
         ),
         paper_reference="Figure 9",
         run=figure9,
-        sweep_width=parameter_sweep_width,
         sweep_values=partial(parameter_study_values, 'vmax_fraction'),
         cache_payload=partial(parameter_study_payload, 'vmax_fraction'),
         parameter_name='vmax_fraction',

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.sweep import SweepCheckpoint, SweepResult, split_worker_budget
+from repro.simulation.sweep import SweepCheckpoint, SweepResult
 
 
 @dataclass(frozen=True)
@@ -31,26 +31,15 @@ class ExperimentScale:
         parameter_points: number of points in the parameter sweeps of
             Figures 7–9.
         seed: root random seed.
-        workers: worker processes for the simulation iterations *inside
-            one parameter value* (see :class:`repro.simulation.config.
-            SimulationConfig`; results are bit-identical for every value).
         sweep_workers: parameter values of a figure sweep measured
-            concurrently, each in its own worker process (see
-            :func:`repro.simulation.sweep.sweep_parameter`; bit-identical
-            for every value).  The two levels multiply — a run occupies up
-            to ``sweep_workers * workers`` processes, so split one total
-            budget with :meth:`with_worker_budget`.
-        shard_steps: trajectory frames per intra-iteration shard (see
-            :mod:`repro.simulation.sharding`); ``None`` shards
-            automatically when an iteration pool holds more workers than
-            iterations.  Execution-only, bit-identical for every value.
-        transport: worker→parent result transport (``"auto"``,
-            ``"pickle"`` or ``"shm"`` — see :mod:`repro.simulation.shm`).
-            Execution-only, bit-identical for every value.
+            concurrently, each in its own worker process that runs the
+            value's iterations serially (see :func:`repro.simulation.
+            sweep.sweep_parameter`).  The one execution field: results are
+            bit-identical for every value and it never enters cache keys.
         backend: array backend the connectivity kernels run under
             (:mod:`repro.backend`).  An *environment* field, not an
             execution knob: a non-NumPy backend is a declared different
-            execution environment, so — unlike ``workers`` and friends —
+            execution environment, so — unlike ``sweep_workers`` —
             ``backend`` participates in result-store cache keys and is
             rejected from campaign spec matrices.
     """
@@ -62,27 +51,12 @@ class ExperimentScale:
     stationary_iterations: int
     parameter_points: int
     seed: Optional[int] = 20020623  # DSN 2002 conference date.
-    workers: int = 1
     sweep_workers: int = 1
-    shard_steps: Optional[int] = None
-    transport: str = "auto"
     backend: str = "numpy"
-
-    def with_workers(self, workers: int) -> "ExperimentScale":
-        """Copy of this scale with ``workers`` iteration-level processes."""
-        return replace(self, workers=workers)
 
     def with_sweep_workers(self, sweep_workers: int) -> "ExperimentScale":
         """Copy of this scale with ``sweep_workers`` value-level processes."""
         return replace(self, sweep_workers=sweep_workers)
-
-    def with_shard_steps(self, shard_steps: Optional[int]) -> "ExperimentScale":
-        """Copy of this scale with an explicit trajectory shard size."""
-        return replace(self, shard_steps=shard_steps)
-
-    def with_transport(self, transport: str) -> "ExperimentScale":
-        """Copy of this scale with a different result transport."""
-        return replace(self, transport=transport)
 
     def with_backend(self, backend: str) -> "ExperimentScale":
         """Copy of this scale with a different array backend.
@@ -91,26 +65,6 @@ class ExperimentScale:
         backend results are cached per environment, never mixed.
         """
         return replace(self, backend=backend)
-
-    def with_worker_budget(
-        self, total: int, value_count: Optional[int] = None
-    ) -> "ExperimentScale":
-        """Copy of this scale splitting ``total`` processes between levels.
-
-        The sweep level gets up to one process per swept value and the
-        iteration pools share the rest, so
-        ``sweep_workers * workers <= total`` (see
-        :func:`repro.simulation.sweep.split_worker_budget`).
-
-        ``value_count`` is the width of the sweep the experiment will run;
-        it defaults to ``len(sides)`` (the Figure 2–6 system-size sweeps).
-        Pass ``parameter_points`` when tuning a Figure 7–9 parameter study,
-        whose sweeps are that wide instead.
-        """
-        sweep_workers, iteration_workers = split_worker_budget(
-            total, value_count if value_count is not None else len(self.sides)
-        )
-        return replace(self, workers=iteration_workers, sweep_workers=sweep_workers)
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -130,21 +84,10 @@ class ExperimentScale:
             )
         if not self.sides:
             raise ConfigurationError("sides must contain at least one system size")
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be at least 1, got {self.workers}"
-            )
         if self.sweep_workers < 1:
             raise ConfigurationError(
                 f"sweep_workers must be at least 1, got {self.sweep_workers}"
             )
-        if self.shard_steps is not None and self.shard_steps < 1:
-            raise ConfigurationError(
-                f"shard_steps must be at least 1, got {self.shard_steps}"
-            )
-        from repro.simulation.shm import validate_transport
-
-        validate_transport(self.transport)
         from repro.backend import validate_backend
 
         validate_backend(self.backend)
@@ -189,16 +132,6 @@ def scale_by_name(name: str) -> ExperimentScale:
         ) from None
 
 
-def _side_sweep_width(scale: ExperimentScale) -> int:
-    """Sweep width of the system-size experiments (one value per side)."""
-    return len(scale.sides)
-
-
-def parameter_sweep_width(scale: ExperimentScale) -> int:
-    """Sweep width of the Figure 7–9 parameter studies."""
-    return scale.parameter_points
-
-
 def side_sweep_values(scale: ExperimentScale) -> Sequence[float]:
     """Swept values of the system-size experiments (the sides themselves)."""
     return tuple(float(side) for side in scale.sides)
@@ -207,12 +140,6 @@ def side_sweep_values(scale: ExperimentScale) -> Sequence[float]:
 @dataclass(frozen=True)
 class Experiment:
     """A registered, runnable reproduction of one paper figure/table.
-
-    ``sweep_width`` reports how many parameter values the experiment's
-    sweep runs at a given scale — what :meth:`ExperimentScale.
-    with_worker_budget` needs to split a total worker budget sensibly.
-    Defaults to one value per system side; the parameter studies register
-    :func:`parameter_sweep_width` instead.
 
     ``sweep_values`` reports the actual values that sweep visits, which is
     what the campaign layer needs to checkpoint per value and to report
@@ -252,9 +179,6 @@ class Experiment:
     description: str
     paper_reference: str
     run: Callable[[ExperimentScale], SweepResult] = field(repr=False)
-    sweep_width: Callable[[ExperimentScale], int] = field(
-        default=_side_sweep_width, repr=False
-    )
     sweep_values: Callable[[ExperimentScale], Sequence[float]] = field(
         default=side_sweep_values, repr=False
     )
@@ -272,12 +196,6 @@ class Experiment:
     def run_at(self, scale: str = "default") -> SweepResult:
         """Run the experiment at a named scale preset."""
         return self.run(scale_by_name(scale))
-
-    def with_worker_budget(
-        self, scale: ExperimentScale, total: int
-    ) -> ExperimentScale:
-        """Split ``total`` processes for *this* experiment's sweep width."""
-        return scale.with_worker_budget(total, self.sweep_width(scale))
 
     @property
     def supports_checkpoint(self) -> bool:

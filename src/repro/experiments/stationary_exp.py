@@ -54,7 +54,6 @@ class StationaryRangeMeasure:
             iterations=self.scale.stationary_iterations,
             seed=self.scale.seed,
             confidence=0.99,
-            workers=self.scale.workers,
         )
         return {
             "n": float(node_count),
@@ -64,9 +63,6 @@ class StationaryRangeMeasure:
             "worst_case": worst_case_range(side, dimension=2),
             "rstationary/l": simulated / side,
         }
-
-    def with_iteration_workers(self, count: int) -> "StationaryRangeMeasure":
-        return replace(self, scale=self.scale.with_workers(count))
 
 
 def stationary_experiment(
@@ -108,9 +104,6 @@ class EnergyTradeoffMeasure:
         for label, value in two_ray.items():
             result[f"savings_alpha4@{label}"] = value
         return result
-
-    def with_iteration_workers(self, count: int) -> "EnergyTradeoffMeasure":
-        return replace(self, scale=self.scale.with_workers(count))
 
     def with_value_checkpoint(
         self, checkpoint: SweepCheckpoint

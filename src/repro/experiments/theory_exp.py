@@ -73,11 +73,6 @@ def occupancy_domain_values(scale: ExperimentScale):
     return tuple(float(index) for index in range(GROWTH_DOMAIN_COUNT))
 
 
-def occupancy_domain_width(scale: ExperimentScale) -> int:
-    """Sweep width of ``occupancy-domains`` (one value per domain)."""
-    return GROWTH_DOMAIN_COUNT
-
-
 def occupancy_cell_count(scale: ExperimentScale) -> int:
     """Cells per row of the occupancy experiment (smoke runs shrink it)."""
     return 64 if scale.name == "smoke" else 256
@@ -262,7 +257,6 @@ register_experiment(Experiment(
     ),
     paper_reference="Theorems 1-2, Lemma 1",
     run=occupancy_experiment,
-    sweep_width=occupancy_domain_width,
     sweep_values=occupancy_domain_values,
     cache_payload=occupancy_payload,
     parameter_name="domain",

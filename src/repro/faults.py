@@ -7,8 +7,8 @@ of :class:`FaultSpec` entries ("kill the worker on the 2nd measure
 task", "fail every sweep-row write with ENOSPC", "corrupt the sweep
 entry after it lands"), serialised to JSON and activated through the
 ``REPRO_FAULTS`` environment variable so every process of a campaign —
-the parent, pool workers, nested iteration pools — sees the same plan
-without any code change.
+the parent and its pool or queue workers — sees the same plan without
+any code change.
 
 Instrumented sites call :func:`fire` with a site name and a context
 string.  The call is a near-free no-op while no plan is active (one

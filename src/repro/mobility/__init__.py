@@ -18,7 +18,7 @@ All models share the :class:`~repro.mobility.base.MobilityModel` interface:
 each returning the new ``(n, d)`` position array.
 """
 
-from repro.mobility.base import MobilityCheckpoint, MobilityModel, MobilityState
+from repro.mobility.base import MobilityModel, MobilityState
 from repro.mobility.boundary import BoundaryPolicy
 from repro.mobility.drunkard import DrunkardModel
 from repro.mobility.gauss_markov import GaussMarkovModel
@@ -32,7 +32,6 @@ __all__ = [
     "BoundaryPolicy",
     "DrunkardModel",
     "GaussMarkovModel",
-    "MobilityCheckpoint",
     "MobilityModel",
     "MobilityState",
     "MobilityTrace",

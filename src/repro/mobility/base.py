@@ -6,40 +6,20 @@ binds it to a region and an initial placement, and every subsequent call to
 returns the new ``(n, d)`` position array.  The simulator treats models as
 black boxes behind this interface, which is what makes the mobility-model
 ablation a one-line change.
-
-Snapshot / restore
-------------------
-A running model (plus the generator driving it) can be frozen into a
-picklable :class:`MobilityCheckpoint` with
-:meth:`MobilityModel.checkpoint_state` and resumed — in the same process
-or any other — with :meth:`MobilityModel.from_state`.  The checkpoint
-captures *everything* the future of the walk depends on: the shared
-:class:`MobilityState`, every per-node array of the concrete model
-(subclasses declare theirs via :meth:`MobilityModel._checkpoint_model_state`
-/ :meth:`MobilityModel._restore_model_state`) and the exact bit-generator
-position of the random stream.  A restored model therefore produces
-bit-identical frames and consumes bit-identical draws, which is what lets
-one long trajectory be split into contiguous chunks executed by different
-worker processes (see :mod:`repro.simulation.sharding`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.geometry.region import Region
-from repro.stats.rng import capture_rng_state, make_rng, restore_rng_state
+from repro.stats.rng import make_rng
 from repro.types import Positions, as_positions
-
-#: Upper bound on the floats the fallback :meth:`MobilityModel.advance`
-#: buffers per trajectory call (positions only — no per-frame distance
-#: matrices are built during a fast-forward).
-_ADVANCE_BATCH_ELEMENTS = 2_000_000
 
 
 @dataclass
@@ -63,27 +43,6 @@ class MobilityState:
     def node_count(self) -> int:
         """Number of nodes being moved."""
         return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
-class MobilityCheckpoint:
-    """A frozen, picklable snapshot of a model mid-run plus its RNG.
-
-    Attributes:
-        snapshot: the base :class:`MobilityState` fields (region, positions,
-            step index, stationary mask) and, under ``"model"``, whatever
-            per-node arrays the concrete model declared.
-        rng_state: the exact bit-generator state of the stream driving the
-            model, as captured by :func:`repro.stats.rng.capture_rng_state`.
-
-    Produced by :meth:`MobilityModel.checkpoint_state`, consumed by
-    :meth:`MobilityModel.from_state`.  All contained arrays are private
-    copies — neither further stepping of the source model nor mutation by
-    a restoring process can corrupt a checkpoint.
-    """
-
-    snapshot: Dict[str, Any]
-    rng_state: Dict[str, Any]
 
 
 class MobilityModel(abc.ABC):
@@ -225,38 +184,6 @@ class MobilityModel(abc.ABC):
             frames[index] = self._step_in_place(generator)
         return frames
 
-    def advance(
-        self, steps: int, rng: Optional[np.random.Generator] = None
-    ) -> None:
-        """Advance ``steps`` steps without materialising any frames.
-
-        Semantically identical to ``steps`` :meth:`step` calls — same
-        final state, same random draws consumed — but built for the
-        fast-forward path of :mod:`repro.simulation.sharding`, where the
-        intermediate positions are discarded anyway.  The built-in models
-        override this to skip allocating ``(steps, n, d)`` frame arrays
-        entirely; this base implementation falls back to bounded-size
-        :meth:`trajectory` batches, so any model whose ``trajectory`` is
-        bit-identical to per-step execution inherits a correct (if
-        allocation-heavier) fast-forward for free.
-        """
-        if steps < 0:
-            raise ConfigurationError(f"steps must be non-negative, got {steps}")
-        if steps == 0:
-            return
-        generator = make_rng(rng)
-        n, dimension = self.state.positions.shape
-        per_frame = max(1, n * dimension)
-        batch = max(1, _ADVANCE_BATCH_ELEMENTS // per_frame)
-        remaining = steps
-        while remaining > 0:
-            take = min(batch, remaining)
-            # Frame 0 of a trajectory is the current position array;
-            # request one extra frame so exactly ``take`` new frames are
-            # consumed.
-            self.trajectory(take + 1, generator)
-            remaining -= take
-
     def run(
         self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> Positions:
@@ -267,86 +194,6 @@ class MobilityModel(abc.ABC):
         for _ in range(steps):
             self._step_in_place(generator)
         return self.state.positions.copy()
-
-    # ------------------------------------------------------------------ #
-    # Snapshot / restore
-    # ------------------------------------------------------------------ #
-    def state_snapshot(self) -> Dict[str, Any]:
-        """The model's full mutable state as plain, picklable data.
-
-        Covers the shared :class:`MobilityState` plus the concrete model's
-        per-node arrays (``"model"`` sub-mapping).  Arrays are copied, so
-        the snapshot is immune to further stepping.
-        """
-        state = self.state
-        return {
-            "region_side": state.region.side,
-            "region_dimension": state.region.dimension,
-            "positions": state.positions.copy(),
-            "step_index": state.step_index,
-            "stationary_mask": state.stationary_mask.copy(),
-            "model": self._checkpoint_model_state(),
-        }
-
-    def restore_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Install a :meth:`state_snapshot` onto this instance.
-
-        The instance must have been constructed with the same parameters
-        as the snapshotted one; restoring replaces any prior state
-        (initialisation is not required first).
-        """
-        region = Region(
-            side=float(snapshot["region_side"]),
-            dimension=int(snapshot["region_dimension"]),
-        )
-        self._state = MobilityState(
-            region=region,
-            positions=np.array(snapshot["positions"], dtype=float),
-            step_index=int(snapshot["step_index"]),
-            stationary_mask=np.array(snapshot["stationary_mask"], dtype=bool),
-        )
-        self._restore_model_state(snapshot["model"])
-
-    def checkpoint_state(self, rng: np.random.Generator) -> MobilityCheckpoint:
-        """Freeze this model *and* its driving generator into a checkpoint.
-
-        A model restored from the result (:meth:`from_state`) continues
-        the walk bit-for-bit: same frames, same draws consumed, same
-        stream left behind — in this process or any other.
-        """
-        return MobilityCheckpoint(
-            snapshot=self.state_snapshot(),
-            rng_state=capture_rng_state(rng),
-        )
-
-    def from_state(self, checkpoint: MobilityCheckpoint) -> np.random.Generator:
-        """Restore a checkpoint onto this instance; returns the resumed RNG.
-
-        The instance must have been constructed with the same parameters
-        as the checkpointed model (e.g. via the same
-        :class:`~repro.simulation.config.MobilitySpec`).  The returned
-        generator sits at exactly the captured stream position.
-        """
-        self.restore_snapshot(checkpoint.snapshot)
-        return restore_rng_state(checkpoint.rng_state)
-
-    def _checkpoint_model_state(self) -> Dict[str, Any]:
-        """Picklable copies of the concrete model's mutable per-node state.
-
-        The base implementation returns an empty mapping — correct for
-        memoryless models (stationary, drunkard).  Models with per-node
-        arrays (legs, velocities, pause counters, nested models) override
-        this together with :meth:`_restore_model_state`.
-        """
-        return {}
-
-    def _restore_model_state(self, model_state: Dict[str, Any]) -> None:
-        """Install the mapping produced by :meth:`_checkpoint_model_state`."""
-        if model_state:
-            raise SimulationError(
-                f"{type(self).__name__} received model state to restore but "
-                "does not override _restore_model_state"
-            )
 
     # ------------------------------------------------------------------ #
     # Subclass hooks

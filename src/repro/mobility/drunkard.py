@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.geometry.region import Region
-from repro.mobility.base import _ADVANCE_BATCH_ELEMENTS, MobilityModel
+from repro.mobility.base import MobilityModel
 from repro.stats.rng import make_rng
 from repro.types import Positions
 
@@ -216,49 +216,6 @@ class DrunkardModel(MobilityModel):
         state.positions = positions.copy()
         state.step_index += steps - 1
         return frames
-
-    def advance(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        """Frame-free fast-forward: the :meth:`trajectory` loop minus frames.
-
-        Draws the same ``(steps, n, width)`` uniform blocks (in bounded
-        batches — a generator fills consecutive batch calls with exactly
-        the values one big call would produce) and walks the positions
-        through the same add-and-reflect loop, but never allocates a
-        ``(steps, n, d)`` frame array.  Bit-identical in state and random
-        stream to ``steps`` :meth:`step` calls.
-        """
-        if steps < 0:
-            raise ConfigurationError(f"steps must be non-negative, got {steps}")
-        if steps == 0:
-            return
-        state = self.state
-        generator = make_rng(rng)
-        n, dimension = state.positions.shape
-        if n == 0:
-            # An empty network still "takes" the steps (no draws either way).
-            state.step_index += steps
-            return
-        region = state.region
-        width = self._block_width(dimension)
-        batch = max(1, _ADVANCE_BATCH_ELEMENTS // max(1, n * width))
-        positions = state.positions.copy()
-        remaining = steps
-        while remaining > 0:
-            take = min(batch, remaining)
-            blocks = generator.random((take, n, width))
-            moving, offsets = self._decode_block(blocks)
-            active = moving & ~state.stationary_mask
-            masked_offsets = np.where(active[..., None], offsets, 0.0)
-            for index in range(take):
-                positions += masked_offsets[index]
-                self._reflect_escapees(region, positions)
-            remaining -= take
-        state.positions = positions
-        state.step_index += steps
 
     def describe(self) -> str:
         return (

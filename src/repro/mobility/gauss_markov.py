@@ -163,19 +163,6 @@ class GaussMarkovModel(MobilityModel):
         state.step_index += steps - 1
         return frames
 
-    # ------------------------------------------------------------------ #
-    def _checkpoint_model_state(self):
-        return {
-            "velocities": self._velocities.copy(),
-            "mean_velocities": self._mean_velocities.copy(),
-        }
-
-    def _restore_model_state(self, model_state) -> None:
-        self._velocities = np.array(model_state["velocities"], dtype=float)
-        self._mean_velocities = np.array(
-            model_state["mean_velocities"], dtype=float
-        )
-
     def describe(self) -> str:
         return (
             f"GaussMarkovModel(mean_speed={self.mean_speed}, alpha={self.alpha}, "

@@ -243,19 +243,6 @@ class ReferencePointGroupModel(MobilityModel):
         state.step_index += last
         return frames
 
-    # ------------------------------------------------------------------ #
-    def _checkpoint_model_state(self):
-        # The reference points move via a nested waypoint model; its full
-        # snapshot (base state + leg arrays) rides along with ours.
-        return {
-            "assignment": self._assignment.copy(),
-            "center": self._center_model.state_snapshot(),
-        }
-
-    def _restore_model_state(self, model_state) -> None:
-        self._assignment = np.array(model_state["assignment"], dtype=int)
-        self._center_model.restore_snapshot(model_state["center"])
-
     def group_of(self, node: int) -> int:
         """Group index of ``node`` (after initialisation)."""
         assert self._assignment is not None, "model not initialised"

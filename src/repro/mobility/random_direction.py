@@ -225,25 +225,6 @@ class RandomDirectionModel(MobilityModel):
         state.step_index += last
         return frames
 
-    # ------------------------------------------------------------------ #
-    def _checkpoint_model_state(self):
-        return {
-            "directions": self._directions.copy(),
-            "leg_origins": self._leg_origins.copy(),
-            "leg_steps": self._leg_steps.copy(),
-            "leg_totals": self._leg_totals.copy(),
-            "pause_remaining": self._pause_remaining.copy(),
-        }
-
-    def _restore_model_state(self, model_state) -> None:
-        self._directions = np.array(model_state["directions"], dtype=float)
-        self._leg_origins = np.array(model_state["leg_origins"], dtype=float)
-        self._leg_steps = np.array(model_state["leg_steps"], dtype=np.int64)
-        self._leg_totals = np.array(model_state["leg_totals"], dtype=np.int64)
-        self._pause_remaining = np.array(
-            model_state["pause_remaining"], dtype=np.int64
-        )
-
     @staticmethod
     def _random_directions(
         count: int, dimension: int, rng: np.random.Generator, xp=np

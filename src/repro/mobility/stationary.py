@@ -54,19 +54,5 @@ class StationaryModel(MobilityModel):
         state.step_index += steps - 1
         return frames
 
-    def advance(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        """Frame-free fast-forward: bump the step counter, nothing else.
-
-        Stationary stepping consumes no random draws and never changes a
-        position, so advancing is pure bookkeeping.
-        """
-        if steps < 0:
-            raise ConfigurationError(f"steps must be non-negative, got {steps}")
-        self.state.step_index += steps
-
     def describe(self) -> str:
         return "StationaryModel()"

@@ -340,126 +340,6 @@ class RandomWaypointModel(MobilityModel):
         state.step_index += last
         return frames
 
-    def advance(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        """Frame-free fast-forward: the :meth:`trajectory` event loop with
-        the per-frame fills replaced by closed-form leg arithmetic.
-
-        Runs the exact arrival schedule of ``steps`` sequential
-        :meth:`step` calls — destination/speed draws happen at the same
-        steps, for the same node sets, in the same order — but each
-        pause/cruise segment updates only the leg bookkeeping; the final
-        position of a segment is the same closed form
-        ``origin + unit * (speed * elapsed)`` the per-frame fill ends on,
-        so no ``(steps, n, d)`` frame array is ever allocated.
-        Bit-identical in state and random stream to per-step execution.
-        """
-        if steps < 0:
-            raise ConfigurationError(f"steps must be non-negative, got {steps}")
-        if steps == 0:
-            return
-        state = self.state
-        generator = make_rng(rng)
-        n, dimension = state.positions.shape
-        if n == 0:
-            # An empty network still "takes" the steps (no draws either way).
-            state.step_index += steps
-            return
-
-        region = state.region
-        last = steps
-        pause = self._pause_remaining
-        elapsed = self._leg_elapsed
-        # Next arrival step of every node, as an absolute frame index
-        # (frame 0 is the current position; frame ``last`` the final one).
-        next_arrival = pause + _steps_to_arrival(
-            self._speeds, elapsed, self._leg_lengths
-        )
-        filled = np.zeros(n, dtype=np.int64)
-        current = state.positions.copy()
-
-        def advance_node(node: int, until: int) -> None:
-            """Consume frames ``filled[node]+1 .. until`` (pause, cruise)."""
-            start = filled[node] + 1
-            if start > until:
-                return
-            span = until - start + 1
-            resting = min(int(pause[node]), span)
-            if resting:
-                pause[node] -= resting
-            cruise = span - resting
-            if cruise:
-                elapsed[node] += cruise
-                travelled = self._speeds[node] * elapsed[node]
-                current[node] = (
-                    self._leg_origins[node]
-                    + self._leg_units[node] * travelled
-                )
-            filled[node] = until
-
-        while True:
-            event_step = int(next_arrival.min())
-            if event_step > last:
-                break
-            arriving = np.nonzero(next_arrival == event_step)[0]
-            for node in arriving:
-                advance_node(int(node), event_step - 1)
-                current[node] = self._destinations[node]
-                filled[node] = event_step
-            pause[arriving] = self.tpause
-            count = arriving.size
-            new_destinations = region.sample_uniform(count, generator)
-            new_speeds = generator.uniform(self.vmin, self.vmax, size=count)
-            self._begin_leg(
-                arriving, self._destinations[arriving].copy(),
-                new_destinations, new_speeds,
-            )
-            next_arrival[arriving] = (
-                event_step
-                + self.tpause
-                + _steps_to_arrival(
-                    new_speeds, elapsed[arriving], self._leg_lengths[arriving]
-                )
-            )
-
-        for node in range(n):
-            advance_node(node, last)
-
-        # Stationary nodes are pinned to wherever they started (their leg
-        # state still evolves — and draws — exactly as in trajectory()).
-        mask = state.stationary_mask
-        if mask.any():
-            current[mask] = state.positions[mask]
-        self._clamp_frames_like_step(current[None])
-        state.positions = current
-        state.step_index += steps
-
-    # ------------------------------------------------------------------ #
-    def _checkpoint_model_state(self):
-        return {
-            "destinations": self._destinations.copy(),
-            "speeds": self._speeds.copy(),
-            "pause_remaining": self._pause_remaining.copy(),
-            "leg_origins": self._leg_origins.copy(),
-            "leg_units": self._leg_units.copy(),
-            "leg_lengths": self._leg_lengths.copy(),
-            "leg_elapsed": self._leg_elapsed.copy(),
-        }
-
-    def _restore_model_state(self, model_state) -> None:
-        self._destinations = np.array(model_state["destinations"], dtype=float)
-        self._speeds = np.array(model_state["speeds"], dtype=float)
-        self._pause_remaining = np.array(
-            model_state["pause_remaining"], dtype=np.int64
-        )
-        self._leg_origins = np.array(model_state["leg_origins"], dtype=float)
-        self._leg_units = np.array(model_state["leg_units"], dtype=float)
-        self._leg_lengths = np.array(model_state["leg_lengths"], dtype=float)
-        self._leg_elapsed = np.array(model_state["leg_elapsed"], dtype=np.int64)
-
     def _clamp_frames_like_step(self, frames: np.ndarray, xp=np) -> None:
         """Apply the per-step containment check of the base class per frame."""
         region = self.state.region

@@ -11,9 +11,9 @@ call chain the campaign runner uses
 (:func:`repro.campaigns.runner.scenario_payload` →
 :meth:`repro.store.checkpoints.StoreSweepCheckpoint.key_for`), so a
 query key is bitwise-equal to the key the runner computes for the same
-cell.  Execution knobs (worker counts, sharding, transport) are
-stripped by ``scale_payload``'s normalization exactly as they are for
-the runner, so they can never leak into a query key either.
+cell.  The execution knob (the sweep worker count) is stripped by
+``scale_payload``'s normalization exactly as it is for the runner, so it
+can never leak into a query key either.
 
 Out-of-grid queries are *flagged*, never silently clamped: the resolver
 still names the nearest edge cells (so the service can extrapolate a

@@ -24,28 +24,20 @@ Main entry points:
 * :func:`~repro.simulation.search.stationary_critical_range` — the
   ``rstationary`` denominator.
 
-Execution scales along three orthogonal axes, all bit-identical to a
-serial run for the same seed:
+Execution is bit-identical to a serial run for the same seed:
 
-* ``SimulationConfig.workers`` fans the independent iterations out over
-  worker processes (each iteration owns child stream ``i`` of the root
-  seed);
-* :func:`~repro.simulation.sweep.sweep_parameter` can additionally fan the
-  *parameter values* of a figure sweep out over processes (its ``workers``
-  argument); the two multiply, so callers split one worker budget between
-  them (see :func:`~repro.simulation.sweep.split_worker_budget`);
+* the parameter value is the unit of parallel work —
+  :func:`~repro.simulation.sweep.sweep_parameter` (its ``workers``
+  argument), the campaign scheduler and the distributed work queue each
+  run one value per task, and the value's iterations run serially inside
+  it (each iteration owns child stream ``i`` of the root seed);
 * the per-frame hot path is vectorized (batched mobility trajectories +
   batched MST reduction into columnar containers, see
   :func:`~repro.simulation.engine.frame_statistics_columns`), and results
   cross process boundaries as struct-of-arrays
   (:class:`~repro.simulation.results.StepColumns`,
   :class:`~repro.simulation.results.FrameStatisticsColumns`) instead of
-  per-step objects;
-* a *single* iteration can shard its trajectory across workers
-  (``SimulationConfig.shard_steps`` / automatic when workers outnumber
-  iterations, see :mod:`~repro.simulation.sharding`), and large results
-  hand off zero-copy through shared memory instead of the pickle pipe
-  (``SimulationConfig.transport``, see :mod:`~repro.simulation.shm`).
+  per-step objects.
 """
 
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
@@ -53,7 +45,6 @@ from repro.simulation.engine import (
     FrameStatistics,
     component_growth_curve,
     frame_statistics,
-    frame_statistics_batch,
     frame_statistics_columns,
     simulate_frame_statistics,
     simulate_iteration,
@@ -86,19 +77,7 @@ from repro.simulation.search import (
     estimate_component_thresholds,
     estimate_thresholds,
 )
-from repro.simulation.sharding import resolve_shard_plan, shard_plan
-from repro.simulation.shm import (
-    SharedColumnsHandle,
-    adopt_result,
-    share_columns,
-    shm_available,
-)
-from repro.simulation.sweep import (
-    Measure,
-    SweepResult,
-    split_worker_budget,
-    sweep_parameter,
-)
+from repro.simulation.sweep import Measure, SweepResult, sweep_parameter
 
 __all__ = [
     "ComponentThresholds",
@@ -110,12 +89,10 @@ __all__ = [
     "MobilitySpec",
     "MobilityThresholds",
     "NetworkConfig",
-    "SharedColumnsHandle",
     "SimulationConfig",
     "StepColumns",
     "StepRecord",
     "SweepResult",
-    "adopt_result",
     "average_largest_fraction_at",
     "collect_frame_statistics",
     "component_growth_curve",
@@ -123,7 +100,6 @@ __all__ = [
     "estimate_component_thresholds",
     "estimate_thresholds",
     "frame_statistics",
-    "frame_statistics_batch",
     "frame_statistics_columns",
     "largest_component_size_at",
     "minimum_largest_fraction_at",
@@ -131,14 +107,9 @@ __all__ = [
     "range_for_component_fraction",
     "range_for_connectivity_fraction",
     "range_for_no_connectivity",
-    "resolve_shard_plan",
     "run_fixed_range",
-    "share_columns",
-    "shard_plan",
-    "shm_available",
     "simulate_frame_statistics",
     "simulate_iteration",
-    "split_worker_budget",
     "stationary_critical_range",
     "sweep_parameter",
 ]

@@ -126,50 +126,18 @@ class MobilitySpec:
 class SimulationConfig:
     """Everything needed to reproduce a mobile-connectivity run.
 
-    ``workers`` selects the execution backend of the multi-iteration
-    runners: 1 (the default) runs iterations serially in-process, larger
-    values fan the iterations out over a pool of worker processes.  Because
-    every iteration owns an independent child random stream derived from
-    ``seed``, results are bit-identical for every ``workers`` value.
-
-    ``workers`` is the *iteration-level* half of the worker budget: when a
-    configuration runs inside a parallel parameter sweep
-    (:func:`repro.simulation.sweep.sweep_parameter` with ``workers > 1``),
-    each sweep worker process owns one iteration pool of this size, so the
-    run occupies up to ``sweep_workers * workers`` processes in total (see
-    :func:`repro.simulation.sweep.split_worker_budget`).
-
-    ``shard_steps`` and ``transport`` are further execution-only knobs
-    (results are bit-identical for every setting; neither enters cache
-    keys):
-
-    * ``shard_steps`` splits each iteration's trajectory into chunks of
-      that many frames executed by different workers (see
-      :mod:`repro.simulation.sharding`).  ``None`` (default) shards
-      automatically when ``workers`` exceeds the pending iteration count.
-    * ``transport`` selects how results cross the worker→parent process
-      boundary: ``"auto"`` (shared memory for large payloads, the compact
-      pickle transport otherwise), ``"pickle"``, or ``"shm"`` (see
-      :mod:`repro.simulation.shm`).
-
-    ``max_retries`` / ``retry_backoff`` / ``task_timeout`` configure the
-    fault supervision of the parallel iteration runners (see
-    :mod:`repro.supervision`).  With ``max_retries = 0`` (the default) a
-    failed iteration task fails the run, exactly as before supervision
-    existed.  With ``max_retries > 0`` a crashed worker
-    (``BrokenProcessPool``), a task exception or — when ``task_timeout``
-    is set — a hung task is retried on a respawned pool with capped
-    exponential backoff starting at ``retry_backoff`` seconds.  Because
-    every iteration is a pure function of the configuration and its seed,
-    a retried task reproduces the result bit-identically; all three knobs
-    are execution-only and never enter cache keys.
+    The iterations of a run execute serially, each on its own child random
+    stream derived from ``seed``; parallelism lives one level up, where
+    parameter values run as independent tasks (see
+    :func:`repro.simulation.sweep.sweep_parameter` and the campaign
+    scheduler).
 
     ``backend`` names the array backend the connectivity kernels run
-    under (:mod:`repro.backend`).  Unlike the execution knobs above it is
-    an *environment* field: the NumPy path is the reference, and a
-    non-NumPy backend is a declared different execution environment whose
-    results are not promised bit-identical — so ``backend`` *does* enter
-    result-store cache keys (see :mod:`repro.store.keys`).
+    under (:mod:`repro.backend`).  It is an *environment* field: the NumPy
+    path is the reference, and a non-NumPy backend is a declared different
+    execution environment whose results are not promised bit-identical —
+    so ``backend`` enters result-store cache keys (see
+    :mod:`repro.store.keys`).
     """
 
     network: NetworkConfig
@@ -178,13 +146,7 @@ class SimulationConfig:
     iterations: int = 1
     seed: Optional[int] = None
     transmitting_range: Optional[float] = None
-    workers: int = 1
-    shard_steps: Optional[int] = None
-    transport: str = "auto"
     backend: str = "numpy"
-    max_retries: int = 0
-    retry_backoff: float = 0.5
-    task_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -198,29 +160,6 @@ class SimulationConfig:
                 "transmitting_range must be non-negative, got "
                 f"{self.transmitting_range}"
             )
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be at least 1, got {self.workers}"
-            )
-        if self.shard_steps is not None and self.shard_steps < 1:
-            raise ConfigurationError(
-                f"shard_steps must be at least 1, got {self.shard_steps}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be non-negative, got {self.max_retries}"
-            )
-        if self.retry_backoff < 0:
-            raise ConfigurationError(
-                f"retry_backoff must be non-negative, got {self.retry_backoff}"
-            )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ConfigurationError(
-                f"task_timeout must be positive, got {self.task_timeout}"
-            )
-        from repro.simulation.shm import validate_transport
-
-        validate_transport(self.transport)
         from repro.backend import validate_backend
 
         validate_backend(self.backend)
@@ -234,50 +173,9 @@ class SimulationConfig:
         """Copy of this configuration with a different transmitting range."""
         return replace(self, transmitting_range=transmitting_range)
 
-    def with_workers(self, workers: int) -> "SimulationConfig":
-        """Copy of this configuration with a different worker count.
-
-        The copy produces bit-identical results for any ``workers`` value;
-        only the wall-clock execution strategy changes.
-        """
-        return replace(self, workers=workers)
-
-    def with_shard_steps(self, shard_steps: Optional[int]) -> "SimulationConfig":
-        """Copy with a different trajectory shard size (bit-identical)."""
-        return replace(self, shard_steps=shard_steps)
-
-    def with_transport(self, transport: str) -> "SimulationConfig":
-        """Copy with a different result transport (bit-identical)."""
-        return replace(self, transport=transport)
-
     def with_backend(self, backend: str) -> "SimulationConfig":
         """Copy with a different array backend (changes the cache key)."""
         return replace(self, backend=backend)
-
-    def with_supervision(
-        self,
-        max_retries: int,
-        retry_backoff: float = 0.5,
-        task_timeout: Optional[float] = None,
-    ) -> "SimulationConfig":
-        """Copy with fault supervision enabled (bit-identical results)."""
-        return replace(
-            self,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            task_timeout=task_timeout,
-        )
-
-    @property
-    def retry_policy(self) -> "RetryPolicy":
-        """The :class:`repro.supervision.RetryPolicy` these knobs select."""
-        from repro.supervision import RetryPolicy
-
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            backoff=self.retry_backoff,
-            task_timeout=self.task_timeout,
-        )
 
     # Paper presets ------------------------------------------------------ #
     @classmethod
@@ -288,7 +186,6 @@ class SimulationConfig:
         iterations: int = 50,
         seed: Optional[int] = None,
         pstationary: float = 0.0,
-        workers: int = 1,
     ) -> "SimulationConfig":
         """The Figure 2 configuration (scaled sizes can override steps/iterations)."""
         return cls(
@@ -297,7 +194,6 @@ class SimulationConfig:
             steps=steps,
             iterations=iterations,
             seed=seed,
-            workers=workers,
         )
 
     @classmethod
@@ -307,7 +203,6 @@ class SimulationConfig:
         steps: int = 10000,
         iterations: int = 50,
         seed: Optional[int] = None,
-        workers: int = 1,
     ) -> "SimulationConfig":
         """The Figure 3 configuration."""
         return cls(
@@ -316,5 +211,4 @@ class SimulationConfig:
             steps=steps,
             iterations=iterations,
             seed=seed,
-            workers=workers,
         )

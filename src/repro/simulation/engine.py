@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.backend import NUMPY_BACKEND, ArrayBackend, resolve_backend
 from repro.connectivity.critical_range import (
-    critical_range,
     minimum_spanning_edges,
     minimum_spanning_edges_batch,
     range_reaching,
@@ -61,14 +60,8 @@ __all__ = [
     "FrameStatisticsColumns",
     "component_growth_curve",
     "component_growth_curve_reference",
-    "exact_critical_range_of_placement",
     "frame_statistics",
-    "frame_statistics_batch",
     "frame_statistics_columns",
-    "reduce_fixed_range",
-    "reduce_frame_statistics",
-    "reduce_frames_fixed_range",
-    "reduce_frames_statistics",
     "simulate_frame_statistics",
     "simulate_iteration",
 ]
@@ -211,8 +204,8 @@ def frame_statistics_columns(
     (:mod:`repro.backend`).  Host frames are transferred to it once per
     batch, the edge arrays come back through one explicit
     :meth:`~repro.backend.ArrayBackend.to_host` sync, and the union-find
-    sweep plus the returned columns are always host NumPy — so transports,
-    codecs and the store never see device arrays.
+    sweep plus the returned columns are always host NumPy — so pickled
+    results, codecs and the store never see device arrays.
     """
     array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
     points = np.asarray(frames, dtype=float)
@@ -259,178 +252,34 @@ def frame_statistics_columns(
     )
 
 
-def frame_statistics_batch(
-    frames: np.ndarray,
-    *,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-) -> List[FrameStatistics]:
-    """Compute :class:`FrameStatistics` for a ``(B, n, d)`` batch of frames.
-
-    Object-list view of :func:`frame_statistics_columns`, bit-identical to
-    calling :func:`frame_statistics` on each frame.  The engine itself keeps
-    the columnar form; this helper serves callers that want per-frame
-    dataclasses.
-    """
-    return list(frame_statistics_columns(frames, backend=backend))
-
-
 def _iter_trajectory_batches(
     model: MobilityModel,
     steps: int,
     rng: np.random.Generator,
-    include_current: bool = True,
 ) -> Iterator[np.ndarray]:
     """Yield the run's ``steps`` frames as bounded ``(k, n, d)`` batches.
 
-    With ``include_current`` (the default) the first batch starts at the
-    model's current positions (step 0); later batches continue from
-    wherever the previous one left the model.  ``include_current=False``
-    yields only the *next* ``steps`` frames — what a trajectory shard that
-    resumes from a mid-run checkpoint needs, since its predecessor already
-    produced the current frame.  Batch sizes are capped so a 10 000-step
-    trajectory never buffers more than ``_TRAJECTORY_BATCH_ELEMENTS``
-    floats at once — counting the per-frame ``(n, n)`` squared distance
-    matrices the batched reduction stacks, not just the ``(n, d)``
-    positions.
+    The first batch starts at the model's current positions (step 0);
+    later batches continue from wherever the previous one left the model.
+    Batch sizes are capped so a 10 000-step trajectory never buffers more
+    than ``_TRAJECTORY_BATCH_ELEMENTS`` floats at once — counting the
+    per-frame ``(n, n)`` squared distance matrices the batched reduction
+    stacks, not just the ``(n, d)`` positions.
     """
     n, dimension = model.state.positions.shape
     per_frame = max(1, n * n, n * dimension)
     batch_size = max(1, _TRAJECTORY_BATCH_ELEMENTS // per_frame)
     produced = 0
-    first = include_current
     while produced < steps:
         count = min(batch_size, steps - produced)
-        if first:
+        if produced == 0:
             frames = model.trajectory(count, rng)
-            first = False
         else:
-            # Frame 0 of a trajectory is the current (already yielded or
-            # checkpoint-owned) position array, so request one extra frame
-            # and drop it.
+            # Frame 0 of a trajectory is the current (already yielded)
+            # position array, so request one extra frame and drop it.
             frames = model.trajectory(count + 1, rng)[1:]
         produced += frames.shape[0]
         yield frames
-
-
-def reduce_frame_statistics(
-    model: MobilityModel,
-    steps: int,
-    rng: np.random.Generator,
-    include_current: bool = True,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-) -> FrameStatisticsColumns:
-    """Reduce the next ``steps`` frames of a live model to columnar statistics.
-
-    The shared back half of :func:`simulate_frame_statistics` (placement
-    and model binding happen in the caller): trajectory batches are
-    produced and reduced through :func:`frame_statistics_columns`.  With
-    ``include_current=False`` the current positions are *not* part of the
-    output — the shard-execution mode, where the previous chunk already
-    reported that frame (see :mod:`repro.simulation.sharding`).
-
-    ``backend`` selects the array backend of the per-batch reduction; RNG
-    draws and trajectory production stay on host NumPy (the declared RNG
-    contract of :mod:`repro.backend`), each batch is shipped to the
-    backend once.
-    """
-    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
-    parts: List[FrameStatisticsColumns] = []
-    for batch in _iter_trajectory_batches(
-        model, steps, rng, include_current=include_current
-    ):
-        parts.append(frame_statistics_columns(batch, backend=array_backend))
-    return FrameStatisticsColumns.concatenate(parts)
-
-
-def _iter_frame_batches(frames: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield slices of a pre-generated ``(k, n, d)`` frame array.
-
-    Batch sizes follow exactly the :func:`_iter_trajectory_batches` cap —
-    the reduction stacks per-frame ``(n, n)`` distance matrices, so the
-    memory bound must hold whether the frames come from a live model or
-    arrive pre-generated (frame-handing shards) — and since
-    :func:`frame_statistics_columns` is per-frame independent, the
-    concatenated result is bit-identical for every batch split.
-    """
-    total = int(frames.shape[0])
-    if total == 0:
-        return
-    n, dimension = frames.shape[1], frames.shape[2]
-    per_frame = max(1, n * n, n * dimension)
-    batch_size = max(1, _TRAJECTORY_BATCH_ELEMENTS // per_frame)
-    for start in range(0, total, batch_size):
-        yield frames[start : start + batch_size]
-
-
-def reduce_frames_statistics(
-    frames: np.ndarray,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-) -> FrameStatisticsColumns:
-    """Reduce pre-generated frames to columnar statistics.
-
-    The frame-handing counterpart of :func:`reduce_frame_statistics`:
-    the trajectory was already materialised (by the sharding parent, or
-    a trace replay) and only the per-frame reduction remains.
-    Bit-identical to reducing the same frames through a live model.
-    """
-    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
-    parts: List[FrameStatisticsColumns] = []
-    for batch in _iter_frame_batches(frames):
-        parts.append(frame_statistics_columns(batch, backend=array_backend))
-    return FrameStatisticsColumns.concatenate(parts)
-
-
-def reduce_frames_fixed_range(
-    frames: np.ndarray,
-    transmitting_range: float,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-) -> StepColumns:
-    """Reduce pre-generated frames at a fixed range to step columns.
-
-    The frame-handing counterpart of :func:`reduce_fixed_range`,
-    batched and backend-threaded the same way.
-    """
-    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
-    connected_parts: List[np.ndarray] = [np.empty(0, dtype=bool)]
-    size_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    for batch in _iter_frame_batches(frames):
-        columns = frame_statistics_columns(batch, backend=array_backend)
-        connected_parts.append(columns.connected_at(transmitting_range))
-        size_parts.append(columns.largest_component_sizes_at(transmitting_range))
-    return StepColumns(
-        connected=np.concatenate(connected_parts),
-        largest_component=np.concatenate(size_parts),
-    )
-
-
-def reduce_fixed_range(
-    model: MobilityModel,
-    steps: int,
-    transmitting_range: float,
-    rng: np.random.Generator,
-    include_current: bool = True,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-) -> StepColumns:
-    """Reduce the next ``steps`` frames at a fixed range to step columns.
-
-    The shared back half of :func:`simulate_iteration`, chunk-capable the
-    same way as :func:`reduce_frame_statistics` and backend-threaded the
-    same way.
-    """
-    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
-    # Seeded with empties so a steps=0 call still concatenates cleanly.
-    connected_parts: List[np.ndarray] = [np.empty(0, dtype=bool)]
-    size_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    for batch in _iter_trajectory_batches(
-        model, steps, rng, include_current=include_current
-    ):
-        columns = frame_statistics_columns(batch, backend=array_backend)
-        connected_parts.append(columns.connected_at(transmitting_range))
-        size_parts.append(columns.largest_component_sizes_at(transmitting_range))
-    return StepColumns(
-        connected=np.concatenate(connected_parts),
-        largest_component=np.concatenate(size_parts),
-    )
 
 
 def simulate_iteration(
@@ -455,16 +304,25 @@ def simulate_iteration(
     :class:`~repro.simulation.results.StepColumns` (two arrays per
     iteration) rather than per-step objects.
     """
+    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
     region = network.region
     placement = network.placement_strategy(network.node_count, region, rng)
     model = mobility.create()
     model.initialize(placement, region, rng)
+    # Seeded with empties so concatenation never sees an empty list.
+    connected_parts: List[np.ndarray] = [np.empty(0, dtype=bool)]
+    size_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    for batch in _iter_trajectory_batches(model, steps, rng):
+        columns = frame_statistics_columns(batch, backend=array_backend)
+        connected_parts.append(columns.connected_at(transmitting_range))
+        size_parts.append(columns.largest_component_sizes_at(transmitting_range))
     return IterationResult(
         iteration=iteration,
         node_count=network.node_count,
         transmitting_range=transmitting_range,
-        records=reduce_fixed_range(
-            model, steps, transmitting_range, rng, backend=backend
+        records=StepColumns(
+            connected=np.concatenate(connected_parts),
+            largest_component=np.concatenate(size_parts),
         ),
     )
 
@@ -487,18 +345,12 @@ def simulate_frame_statistics(
     MobilityModel.trajectory` (the stationary, waypoint and drunkard models
     — every model the paper uses) skip the per-step Python overhead.
     """
+    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
     region = network.region
     placement = network.placement_strategy(network.node_count, region, rng)
     model = mobility.create()
     model.initialize(placement, region, rng)
-    return reduce_frame_statistics(model, steps, rng, backend=backend)
-
-
-def exact_critical_range_of_placement(positions: Positions) -> float:
-    """Thin wrapper over :func:`repro.connectivity.critical_range.critical_range`.
-
-    Exposed here so simulation code has a single import point for the
-    per-frame exact value (and so it can be monkeypatched in tests that
-    exercise the engine's control flow without the geometry cost).
-    """
-    return critical_range(positions)
+    return FrameStatisticsColumns.concatenate([
+        frame_statistics_columns(batch, backend=array_backend)
+        for batch in _iter_trajectory_batches(model, steps, rng)
+    ])

@@ -45,29 +45,6 @@ class StepRecord:
     largest_component_size: int
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryFrames:
-    """A ``(frames, nodes, dimension)`` batch of mobility positions.
-
-    The parent→worker payload of frame-handing trajectory sharding (see
-    :mod:`repro.simulation.sharding`): the parent generates each chunk's
-    frames once and ships them — through the shared-memory transport for
-    large chunks — to the worker that runs the expensive per-frame
-    reduction, instead of having the worker regenerate the mobility from
-    a checkpoint.
-    """
-
-    frames: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.frames.shape[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrajectoryFrames):
-            return NotImplemented
-        return bool(np.array_equal(self.frames, other.frames))
-
-
 def compact_ints(values: np.ndarray) -> np.ndarray:
     """Smallest unsigned copy of a non-negative int array (for pickling).
 
@@ -168,23 +145,6 @@ class StepColumns(Sequence[StepRecord]):
                 (record.largest_component_size for record in materialised),
                 dtype=np.int64,
                 count=len(materialised),
-            ),
-        )
-
-    @classmethod
-    def concatenate(cls, parts: Sequence["StepColumns"]) -> "StepColumns":
-        """Stitch several containers (e.g. the shards of one iteration).
-
-        Row numbering restarts from 0, exactly as if the parts' arrays had
-        been produced by one contiguous run — which is what makes a
-        sharded iteration's container bit-identical to the serial one.
-        """
-        if not parts:
-            return cls(np.empty(0, dtype=bool), np.empty(0, dtype=np.int64))
-        return cls(
-            connected=np.concatenate([part.connected for part in parts]),
-            largest_component=np.concatenate(
-                [part.largest_component for part in parts]
             ),
         )
 

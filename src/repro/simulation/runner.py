@@ -5,43 +5,21 @@ of 10 000 mobility steps each.  The runners here execute those iterations
 with independent, reproducible random streams derived from a single root
 seed (see :class:`repro.stats.rng.RandomSource`).
 
-Execution backend
------------------
-``SimulationConfig.workers`` selects how the iterations run:
+Execution
+---------
+Iteration ``i`` always consumes the stream ``RandomSource(seed).child(i)``,
+and the root entropy is resolved *once* per run (so even ``seed=None``
+runs hand every iteration the same root).  The iterations of one
+configuration run serially in the calling process: the parallel unit of
+work is the parameter value, which the sweep pool, the campaign scheduler
+and the distributed work queue each run as one task.
 
-* ``workers == 1`` (default) — a serial in-process loop;
-* ``workers > 1`` — the iterations fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.
-
-Iteration ``i`` always consumes the stream ``RandomSource(seed).child(i)``
-regardless of which process executes it, and the root entropy is resolved
-*once* in the parent (so even ``seed=None`` runs hand every worker the same
-root).  Parallel results are therefore bit-identical to serial results —
-only the wall-clock time changes.
-
-Results cross the process boundary in the columnar containers of
+Results come back in the columnar containers of
 :mod:`repro.simulation.results` (:class:`~repro.simulation.results.
 StepColumns` per fixed-range iteration, :class:`~repro.simulation.results.
 FrameStatisticsColumns` per trace-statistics iteration), so a 10 000-step
-iteration pickles as a handful of NumPy arrays instead of 10 000 per-step
-dataclasses.  ``SimulationConfig.transport`` upgrades that hand-off to
-zero-copy: workers park the arrays in :mod:`multiprocessing.shared_memory`
-segments and the parent adopts views instead of unpickling copies (see
-:mod:`repro.simulation.shm`; ``"auto"``, the default, does this only for
-payloads large enough to win).
-
-Intra-iteration sharding
-------------------------
-A single long iteration can itself be split across workers:
-``shard_steps`` (argument or ``SimulationConfig.shard_steps``) cuts each
-trajectory into contiguous chunks executed by different processes, each
-resumed from a :class:`~repro.mobility.base.MobilityCheckpoint` captured
-by the parent, and stitched back bit-identically (see
-:mod:`repro.simulation.sharding`).  When ``config.workers`` exceeds the
-number of pending iterations — one 10 000-step iteration on an 8-core
-box, or the tail of a campaign under PR 4's adaptive allotment — sharding
-engages automatically, so single-iteration runs scale with the worker
-budget too.
+iteration is a handful of NumPy arrays instead of 10 000 per-step
+dataclasses.
 
 Per-iteration checkpointing
 ---------------------------
@@ -49,9 +27,9 @@ Both runners accept a *checkpoint* implementing the
 :class:`IterationCheckpoint` protocol.  Iterations whose results
 ``load(index)`` returns are not simulated again, and every freshly
 simulated iteration is handed to ``save(index, result)`` the moment it
-exists — in completion order for parallel runs — so a killed paper-scale
-run (50 iterations of 10 000 steps) resumes at the first unfinished
-*iteration* instead of redoing the whole configuration.  Because
+exists, so a killed paper-scale run (50 iterations of 10 000 steps)
+resumes at the first unfinished *iteration* instead of redoing the whole
+configuration.  Because
 iteration ``i`` always consumes child stream ``i``, a resumed run is
 bit-identical to an uninterrupted one.  The store-backed implementation
 is :class:`repro.store.checkpoints.StoreIterationCheckpoint`; this module
@@ -60,14 +38,11 @@ only defines the protocol so the simulation layer stays storage-free.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from functools import partial
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Callable, List, Optional, TypeVar
 
 from repro import faults, telemetry
 from repro.exceptions import ConfigurationError
 from repro.simulation.config import SimulationConfig
-from repro.supervision import run_supervised
 from repro.simulation.engine import (
     FrameStatisticsColumns,
     simulate_frame_statistics,
@@ -76,19 +51,7 @@ from repro.simulation.engine import (
 from repro.simulation.results import (
     IterationResult,
     MobileRunResult,
-    StepColumns,
     pool_frame_statistics,
-)
-from repro.simulation.sharding import (
-    capture_iteration_frames,
-    resolve_shard_plan,
-    run_shard,
-)
-from repro.simulation.shm import (
-    adopt_result,
-    discard_shared,
-    ensure_shared_memory_tracker,
-    share_columns,
 )
 from repro.stats.rng import RandomSource
 
@@ -103,9 +66,8 @@ class IterationCheckpoint:
     fixed-range runs, a :class:`FrameStatisticsColumns` for
     trace-statistics runs — or ``None`` when the iteration must be
     (re)simulated; ``save`` persists one freshly simulated iteration.
-    Both are called in the process driving the iterations (the parent of
-    the iteration pool), in index order for ``load`` and in completion
-    order for ``save``.
+    Both are called in the process running the iterations, in index
+    order.
     """
 
     def load(self, index: int) -> Optional[object]:  # pragma: no cover
@@ -144,13 +106,13 @@ class _FixedRangeCheckpoint:
 
 
 def _fixed_range_iteration(
-    index: int, config: SimulationConfig, entropy: int, transport: str = "pickle"
+    index: int, config: SimulationConfig, entropy: int
 ) -> IterationResult:
     """Run fixed-range iteration ``index`` on its own child stream."""
     faults.fire("iteration", context=f"iteration={index}")
     with telemetry.span("iteration", index=index, mode="fixed"):
         rng = RandomSource.from_entropy(entropy).child(index)
-        result = simulate_iteration(
+        return simulate_iteration(
             network=config.network,
             mobility=config.mobility,
             steps=config.steps,
@@ -159,307 +121,54 @@ def _fixed_range_iteration(
             iteration=index,
             backend=config.backend,
         )
-        records = share_columns(result.records, transport)
-        if records is result.records:
-            return result
-        return replace(result, records=records)
 
 
 def _frame_statistics_iteration(
-    index: int, config: SimulationConfig, entropy: int, transport: str = "pickle"
+    index: int, config: SimulationConfig, entropy: int
 ) -> FrameStatisticsColumns:
     """Run trace-statistics iteration ``index`` on its own child stream."""
     faults.fire("iteration", context=f"iteration={index}")
     with telemetry.span("iteration", index=index, mode="stats"):
         rng = RandomSource.from_entropy(entropy).child(index)
-        return share_columns(
-            simulate_frame_statistics(
-                network=config.network,
-                mobility=config.mobility,
-                steps=config.steps,
-                rng=rng,
-                backend=config.backend,
-            ),
-            transport,
+        return simulate_frame_statistics(
+            network=config.network,
+            mobility=config.mobility,
+            steps=config.steps,
+            rng=rng,
+            backend=config.backend,
         )
-
-
-def _adopt_iteration(result):
-    """Parent-side transport adoption of one iteration result.
-
-    Shared-memory handles become containers backed by zero-copy views;
-    plain (pickle-transported) results pass through untouched.
-    """
-    if isinstance(result, IterationResult):
-        records = adopt_result(result.records)
-        if records is result.records:
-            return result
-        return replace(result, records=records)
-    return adopt_result(result)
-
-
-def _release_unadopted(futures) -> None:
-    """Adopt-and-drop the results of futures a failed gather abandoned.
-
-    When one task of a parallel run raises, tasks that already finished
-    may have parked shared-memory segments that no one will ever adopt;
-    adopting them here (the views die immediately) unlinks the segments
-    now instead of leaving them mapped in ``/dev/shm`` until interpreter
-    exit.  Called after the pool has shut down, so every future is
-    settled.  Every failure is swallowed — this runs on an exception
-    path and must not mask the original error.
-
-    Since PR 7 the gathers run through :func:`repro.supervision.
-    run_supervised`, whose fatal path applies the same adopt-and-drop via
-    its ``release`` hook; this helper remains the shared implementation
-    idiom for direct callers (tests, ad-hoc gathers).
-    """
-    for future in futures:
-        try:
-            if future.done() and not future.cancelled():
-                _adopt_iteration(future.result())
-        except Exception:
-            pass
-
-
-def _staging_sweeper(checkpoint) -> Optional[Callable[[], None]]:
-    """An ``on_respawn`` hook sweeping dead writers' staging directories.
-
-    After a pool death every killed worker may have left a half-written
-    staging directory in the checkpoint's store; sweeping them before the
-    replacement pool spawns keeps retried campaigns from accumulating
-    orphans.  Duck-typed through the checkpoint (and the fixed-range
-    adapter) to its ``store.sweep_dead_staging`` — storage-free runs get
-    no hook.
-    """
-    target = getattr(checkpoint, "_checkpoint", checkpoint)
-    store = getattr(target, "store", None)
-    sweep = getattr(store, "sweep_dead_staging", None)
-    if sweep is None:
-        return None
-
-    def respawn() -> None:
-        try:
-            sweep()
-        except Exception:
-            pass  # best-effort hygiene; never mask the recovery
-
-    return respawn
 
 
 def _map_iterations(
-    task: Callable[..., ResultT],
-    mode: str,
+    task: Callable[[int, SimulationConfig, int], ResultT],
     config: SimulationConfig,
     checkpoint: Optional[IterationCheckpoint] = None,
-    shard_steps: Optional[int] = None,
 ) -> List[ResultT]:
-    """Run every iteration index, serially, in a process pool, or sharded.
-
-    ``task`` must be a module-level callable (it is pickled to worker
-    processes); ``mode`` (``"fixed"`` / ``"stats"``) names the same
-    computation for the shard path.  Results are returned in iteration
-    order and are bit-identical for every ``config.workers``,
-    ``shard_steps`` and ``config.transport`` value.
+    """Run every iteration index in order and return the results.
 
     With a ``checkpoint``, previously saved iterations are loaded instead
     of simulated and fresh ones are saved as soon as they complete, so a
-    killed run loses at most the iterations still in flight.
+    killed run loses at most the iteration in progress.
     """
     entropy = RandomSource(config.seed).entropy
-    results: Dict[int, ResultT] = {}
-    if checkpoint is None:
-        pending = list(range(config.iterations))
-    else:
-        pending = []
-        for index in range(config.iterations):
-            loaded = checkpoint.load(index)
-            if loaded is None:
-                pending.append(index)
-            else:
-                results[index] = loaded
-    chunks = resolve_shard_plan(config, len(pending), shard_steps)
-    if chunks is not None:
-        _run_sharded(mode, config, entropy, pending, results, checkpoint, chunks)
-        return [results[index] for index in range(config.iterations)]
-
-    worker_count = min(config.workers, len(pending))
-    transport = config.transport if worker_count > 1 else "pickle"
-    bound = partial(task, config=config, entropy=entropy, transport=transport)
-    if worker_count <= 1:
-        for index in pending:
-            result = bound(index)
+    results: List[ResultT] = []
+    for index in range(config.iterations):
+        result = checkpoint.load(index) if checkpoint is not None else None
+        if result is None:
+            result = task(index, config, entropy)
             if checkpoint is not None:
                 checkpoint.save(index, result)
-            results[index] = result
-    else:
-        # The parallel path gathers in completion order through the
-        # supervised loop: checkpointed runs save each iteration the
-        # moment it finishes, a fatal gather adopts and unlinks the
-        # shared-memory segments workers had already parked (no
-        # ``/dev/shm`` leak), and — when ``config.max_retries`` /
-        # ``task_timeout`` opt in — worker crashes, task exceptions and
-        # hangs are retried on a respawned pool with backoff instead of
-        # aborting the run.  The default policy reproduces the legacy
-        # fail-fast gather exactly.
-        ensure_shared_memory_tracker()
-
-        def submit_one(pool, index, available, ready):
-            # The ambient span (the task, inside a pool worker) rides
-            # along into the nested iteration pool; identity when
-            # telemetry is inactive.
-            return pool.submit(telemetry.propagate(bound), index), 1
-
-        def consume(index, result, cost):
-            adopted = _adopt_iteration(result)
-            if checkpoint is not None:
-                checkpoint.save(index, adopted)
-            results[index] = adopted
-
-        run_supervised(
-            pending,
-            budget=worker_count,
-            submit=submit_one,
-            on_result=consume,
-            policy=config.retry_policy,
-            on_respawn=_staging_sweeper(checkpoint),
-            release=_adopt_iteration,
-        )
-    return [results[index] for index in range(config.iterations)]
-
-
-def _stitch_shards(mode: str, config: SimulationConfig, index: int, parts):
-    """Reassemble one iteration from its chunk containers (bit-identical)."""
-    if mode == "fixed":
-        return IterationResult(
-            iteration=index,
-            node_count=config.network.node_count,
-            transmitting_range=config.transmitting_range,
-            records=StepColumns.concatenate(parts),
-        )
-    return FrameStatisticsColumns.concatenate(parts)
-
-
-def _run_sharded(
-    mode: str,
-    config: SimulationConfig,
-    entropy: int,
-    pending: List[int],
-    results: Dict[int, ResultT],
-    checkpoint: Optional[IterationCheckpoint],
-    chunks: List[int],
-) -> None:
-    """Execute the pending iterations as (iteration, chunk) shard tasks.
-
-    The parent generates each iteration's mobility frames exactly once
-    (cheap, vectorised) and parks each chunk in shared memory; the shard
-    pool runs the expensive frame reductions concurrently against those
-    borrowed segments, and every iteration is stitched — and
-    checkpointed — the moment its last shard lands.  The parent owns the
-    frame segments: a chunk's segment is discarded once its reduction
-    result arrived (a retried worker re-adopts the same handle until
-    then), and any survivors are swept when the pool winds down.
-    """
-    tasks = [
-        (index, shard)
-        for index in pending
-        for shard in range(len(chunks))
-    ]
-    worker_count = min(config.workers, len(tasks))
-    transport = config.transport if worker_count > 1 else "pickle"
-    frames = capture_iteration_frames(
-        config, entropy, pending, chunks, transport=transport
-    )
-    parts: Dict[int, List] = {
-        index: [None] * len(chunks) for index in pending
-    }
-
-    def finish(index: int) -> None:
-        stitched = _stitch_shards(mode, config, index, parts.pop(index))
-        if checkpoint is not None:
-            checkpoint.save(index, stitched)
-        results[index] = stitched
-
-    def discard_frames(index: int, shard: int) -> None:
-        discard_shared(frames[index][shard])
-        frames[index][shard] = None
-
-    try:
-        if worker_count <= 1:
-            for index, shard in tasks:
-                parts[index][shard] = adopt_result(
-                    run_shard(
-                        mode,
-                        None,
-                        None,
-                        chunks[shard],
-                        shard == 0,
-                        transmitting_range=config.transmitting_range,
-                        transport=transport,
-                        backend=config.backend,
-                        frames=frames[index][shard],
-                    )
-                )
-                discard_frames(index, shard)
-            for index in pending:
-                finish(index)
-            return
-        missing = {index: len(chunks) for index in pending}
-        ensure_shared_memory_tracker()
-
-        def submit_shard(pool, item, available, ready):
-            index, shard = item
-            return (
-                pool.submit(
-                    telemetry.propagate(run_shard),
-                    mode,
-                    None,
-                    None,
-                    chunks[shard],
-                    shard == 0,
-                    transmitting_range=config.transmitting_range,
-                    transport=transport,
-                    backend=config.backend,
-                    frames=frames[index][shard],
-                ),
-                1,
-            )
-
-        def consume(item, result, cost):
-            index, shard = item
-            parts[index][shard] = adopt_result(result)
-            discard_frames(index, shard)
-            missing[index] -= 1
-            if missing[index] == 0:
-                finish(index)
-
-        run_supervised(
-            tasks,
-            budget=worker_count,
-            submit=submit_shard,
-            on_result=consume,
-            policy=config.retry_policy,
-            on_respawn=_staging_sweeper(checkpoint),
-            release=adopt_result,
-        )
-    finally:
-        for handles in frames.values():
-            for handle in handles:
-                discard_shared(handle)
+        results.append(result)
+    return results
 
 
 def run_fixed_range(
     config: SimulationConfig,
     checkpoint: Optional[IterationCheckpoint] = None,
-    shard_steps: Optional[int] = None,
 ) -> MobileRunResult:
     """Run the paper's simulator: fixed range, all iterations.
 
-    Honours ``config.workers``, ``config.transport`` and intra-iteration
-    sharding (``shard_steps`` argument, ``config.shard_steps``, or
-    automatic when workers outnumber pending iterations) — every
-    execution shape is bit-identical to the serial run (see the module
-    docstring).  With a ``checkpoint``, each iteration's
+    With a ``checkpoint``, each iteration's
     :class:`~repro.simulation.results.StepColumns` is persisted as it
     completes and loaded instead of resimulated on the next run.
 
@@ -476,13 +185,7 @@ def run_fixed_range(
         if checkpoint is not None
         else None
     )
-    iterations = _map_iterations(
-        _fixed_range_iteration,
-        "fixed",
-        config,
-        checkpoint=adapter,
-        shard_steps=shard_steps,
-    )
+    iterations = _map_iterations(_fixed_range_iteration, config, checkpoint=adapter)
     return MobileRunResult(
         transmitting_range=config.transmitting_range,
         node_count=config.network.node_count,
@@ -493,7 +196,6 @@ def run_fixed_range(
 def collect_frame_statistics(
     config: SimulationConfig,
     checkpoint: Optional[IterationCheckpoint] = None,
-    shard_steps: Optional[int] = None,
 ) -> List[FrameStatisticsColumns]:
     """Run all iterations in trace-statistics mode.
 
@@ -501,21 +203,12 @@ def collect_frame_statistics(
     iteration.  The random
     streams are the same as :func:`run_fixed_range` uses for the same seed,
     so thresholds derived from these statistics are consistent with
-    fixed-range runs on the same configuration.  Honours ``config.workers``,
-    ``config.transport`` and intra-iteration sharding (``shard_steps``
-    argument, ``config.shard_steps``, or automatic when workers outnumber
-    pending iterations) — all bit-identical to serial — plus an optional
-    per-iteration ``checkpoint`` (each iteration's
-    :class:`FrameStatisticsColumns` is persisted as it completes; saved
-    iterations resume without resimulation).
+    fixed-range runs on the same configuration.  With a per-iteration
+    ``checkpoint``, each iteration's :class:`FrameStatisticsColumns` is
+    persisted as it completes and saved iterations resume without
+    resimulation.
     """
-    return _map_iterations(
-        _frame_statistics_iteration,
-        "stats",
-        config,
-        checkpoint=checkpoint,
-        shard_steps=shard_steps,
-    )
+    return _map_iterations(_frame_statistics_iteration, config, checkpoint=checkpoint)
 
 
 def stationary_critical_range(
@@ -526,7 +219,6 @@ def stationary_critical_range(
     seed: Optional[int] = None,
     confidence: float = 0.99,
     placement: str = "uniform",
-    workers: int = 1,
     backend: str = "numpy",
 ) -> float:
     """Estimate ``rstationary``: the range connecting random static placements.
@@ -548,8 +240,6 @@ def stationary_critical_range(
         confidence: the quantile of per-placement critical ranges returned;
             1.0 returns the maximum observed.
         placement: placement strategy name (default ``uniform``).
-        workers: process count for the placement draws (1 = serial;
-            results are bit-identical for every value).
         backend: array backend for the connectivity kernels
             (:mod:`repro.backend`).
     """
@@ -567,7 +257,6 @@ def stationary_critical_range(
         steps=1,
         iterations=iterations,
         seed=seed,
-        workers=workers,
         backend=backend,
     )
     statistics = collect_frame_statistics(config)

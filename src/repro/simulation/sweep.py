@@ -9,22 +9,13 @@ table.
 Sweep-level fan-out
 -------------------
 Parameter values are independent, so a sweep can run them concurrently in
-a :class:`concurrent.futures.ProcessPoolExecutor` (``workers > 1``).  That
-requires the measure to be *picklable*: a module-level callable such as the
-per-experiment measure dataclasses in :mod:`repro.experiments.figures` —
-see the :class:`Measure` protocol.  Processes (not threads) are essential
-because most measures fan their own simulation iterations out over a
-nested pool (``SimulationConfig.workers``); forking pools from threads is
-unsafe on POSIX, while a worker *process* can safely own one.
-
-The two levels multiply: a sweep with ``workers=w`` whose measure runs
-``iteration_workers=k`` simulation processes occupies up to ``w * k``
-cores.  Callers hold one total budget and split it with
-:func:`split_worker_budget`; :func:`sweep_parameter` accepts the per-level
-counts explicitly and rebinds the measure's iteration workers when it
-supports :meth:`Measure.with_iteration_workers`.  Results are bit-identical
-for every ``workers`` value — each measure call is deterministic given the
-seed it carries.
+a process pool (``workers > 1``).  That requires the measure to be
+*picklable*: a module-level callable such as the per-experiment measure
+dataclasses in :mod:`repro.experiments.figures` — see the :class:`Measure`
+protocol.  A value is the unit of parallel work: its measure runs its
+simulation iterations serially inside the worker, so no pool ever starts
+another pool.  Results are bit-identical for every ``workers`` value —
+each measure call is deterministic given the seed it carries.
 
 Checkpointing
 -------------
@@ -97,11 +88,6 @@ class Measure:
     (``workers > 1``) additionally need the measure to be picklable, i.e.
     defined at module level — the experiment layer uses frozen dataclasses.
 
-    A measure that runs nested simulations may implement
-    ``with_iteration_workers(count)`` returning a copy whose inner
-    simulations use ``count`` worker processes; :func:`sweep_parameter`
-    calls it when ``iteration_workers`` is given.
-
     A measure that supports iteration-granular checkpointing additionally
     implements ``with_value_checkpoint(checkpoint)`` returning a copy that
     asks ``checkpoint.iteration_checkpoint(value)`` for a per-iteration
@@ -111,9 +97,6 @@ class Measure:
     """
 
     def __call__(self, value: float) -> Dict[str, float]:  # pragma: no cover
-        raise NotImplementedError
-
-    def with_iteration_workers(self, count: int) -> "Measure":  # pragma: no cover
         raise NotImplementedError
 
     def with_value_checkpoint(
@@ -183,68 +166,6 @@ class SweepResult:
         return self.rows
 
 
-def split_worker_budget(total: int, value_count: int) -> Tuple[int, int]:
-    """Split one worker budget between sweep level and iteration level.
-
-    Returns ``(sweep_workers, iteration_workers)`` with
-    ``sweep_workers * iteration_workers <= max(total, 1)``: the sweep level
-    gets as many processes as there are parameter values (the outer level
-    parallelises the longer, heterogeneous tasks), and whatever budget
-    remains per value goes to the iteration pools inside each measure.
-    """
-    if total < 1:
-        raise ConfigurationError(f"total workers must be at least 1, got {total}")
-    if value_count < 1:
-        raise ConfigurationError(
-            f"value_count must be at least 1, got {value_count}"
-        )
-    sweep_workers = min(total, value_count)
-    iteration_workers = max(1, total // sweep_workers)
-    return sweep_workers, iteration_workers
-
-
-def adaptive_worker_allotment(
-    available: int, ready_tasks: int, task_width: int = 1
-) -> int:
-    """Workers granted to the *next* task under a shared campaign budget.
-
-    The campaign-scheduler extension of :func:`split_worker_budget`:
-    instead of one static ``values x iterations`` split for a single
-    sweep, a scheduler repeatedly asks how many workers the next ready
-    task should own, given how much of the budget is currently free and
-    how many tasks still compete for it.  With many ready tasks the
-    answer is 1 (breadth — as many scenarios in flight as the budget
-    allows); as queues drain and finished scenarios free their workers,
-    the remaining tasks are granted larger allotments (depth — bigger
-    iteration pools), which is what closes the tail of a heterogeneous
-    campaign.
-
-    Args:
-        available: workers currently free out of the total budget.
-        ready_tasks: tasks ready to run, *including* the one being
-            allotted.
-        task_width: the task's own useful parallelism (e.g. its iteration
-            count); the allotment never exceeds it.
-
-    Returns:
-        An allotment in ``[1, min(available, task_width)]``; allotments of
-        concurrently granted tasks never sum past the budget because the
-        fair share is ``available // ready_tasks``, floored at 1 only when
-        the share would be fractional (the scheduler then simply runs
-        fewer tasks at once).
-    """
-    if available < 1:
-        raise ConfigurationError(
-            f"available workers must be at least 1, got {available}"
-        )
-    if ready_tasks < 1:
-        raise ConfigurationError(
-            f"ready_tasks must be at least 1, got {ready_tasks}"
-        )
-    fair_share = max(1, available // ready_tasks)
-    return max(1, min(fair_share, task_width, available))
-
-
 def measure_row(
     parameter_name: str,
     measure: Callable[[float], Dict[str, float]],
@@ -289,7 +210,6 @@ def sweep_parameter(
     parameter_values: Sequence[float],
     measure: Callable[[float], Dict[str, float]],
     workers: int = 1,
-    iteration_workers: Optional[int] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> SweepResult:
@@ -305,11 +225,6 @@ def sweep_parameter(
             the sweep serially in-process; larger values fan the sweep out
             over a process pool.  Results are bit-identical either way and
             rows always come back in ``parameter_values`` order.
-        iteration_workers: if given, the measure is rebound with
-            ``measure.with_iteration_workers(iteration_workers)`` before
-            the sweep runs, capping the *nested* simulation pools so the
-            total process count stays within ``workers *
-            iteration_workers`` (see :func:`split_worker_budget`).
         checkpoint: optional :class:`SweepCheckpoint`.  Values whose rows
             ``checkpoint.load`` returns are not measured again; every
             freshly measured row is passed to ``checkpoint.save`` the
@@ -327,14 +242,6 @@ def sweep_parameter(
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
-    if iteration_workers is not None:
-        if iteration_workers < 1:
-            raise ConfigurationError(
-                f"iteration_workers must be at least 1, got {iteration_workers}"
-            )
-        rebind = getattr(measure, "with_iteration_workers", None)
-        if rebind is not None:
-            measure = rebind(iteration_workers)
     if checkpoint is not None:
         # Measures that support iteration-granular checkpoints capture the
         # sweep checkpoint so each value's inner simulation can persist
@@ -362,33 +269,20 @@ def sweep_parameter(
                 checkpoint.save(value, row)
             rows[index] = row
     else:
-        # Parameter values run in worker *processes* (never pools inside
-        # threads): each worker may itself own an iteration-level pool.
         # Rows are checkpointed in completion order — as soon as they
         # exist — and reordered when the sweep is assembled below.  The
-        # supervised gather with the default policy reproduces the legacy
-        # fail-fast pool exactly; a supervising ``retry_policy`` survives
-        # worker crashes, task exceptions and hangs.
-        from repro.simulation.shm import ensure_shared_memory_tracker
-
-        ensure_shared_memory_tracker()
-
-        def submit_value(pool, item, available, ready):
+        # supervised gather with the default policy fails fast; a
+        # supervising ``retry_policy`` survives worker crashes, task
+        # exceptions and hangs.
+        def submit_value(pool, item):
             index, value = item
-            # Carry the ambient span context (the scenario, under the
-            # serial campaign loop) into the worker; identity when
-            # telemetry is inactive.
-            return (
-                pool.submit(
-                    telemetry.propagate(measure_row),
-                    parameter_name,
-                    measure,
-                    value,
-                ),
-                1,
+            # Carry the ambient span context into the worker; identity
+            # when telemetry is inactive.
+            return pool.submit(
+                telemetry.propagate(measure_row), parameter_name, measure, value
             )
 
-        def consume(item, row, cost):
+        def consume(item, row):
             index, value = item
             if checkpoint is not None:
                 checkpoint.save(value, row)

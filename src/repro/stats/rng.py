@@ -16,42 +16,17 @@ generators (cuRAND, ``torch.Generator``) use different algorithms and
 stream layouts, so a non-NumPy backend is a *declared* different
 execution environment — it is never silently stream-compatible with the
 host path, which is why the backend name participates in result-store
-cache keys while worker counts and transports do not.
+cache keys while worker counts do not.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
-from typing import Any, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
 SeedLike = Union[int, np.random.Generator, None]
-
-
-def capture_rng_state(rng: np.random.Generator) -> Dict[str, Any]:
-    """A frozen, picklable snapshot of a generator's exact stream position.
-
-    The returned mapping is NumPy's own bit-generator state dictionary
-    (deep-copied, so later draws from ``rng`` cannot mutate it).  Feeding
-    it to :func:`restore_rng_state` yields a generator that continues the
-    stream bit-for-bit from this point — the primitive that lets a
-    trajectory be split across processes without perturbing a single draw
-    (see :meth:`repro.mobility.base.MobilityModel.checkpoint_state`).
-    """
-    return copy.deepcopy(rng.bit_generator.state)
-
-
-def restore_rng_state(state: Dict[str, Any]) -> np.random.Generator:
-    """A fresh generator positioned exactly at a captured stream state.
-
-    The bit-generator class is recovered from the snapshot itself, so any
-    NumPy bit generator (PCG64, Philox, ...) round-trips.
-    """
-    bit_generator = getattr(np.random, state["bit_generator"])()
-    bit_generator.state = copy.deepcopy(state)
-    return np.random.Generator(bit_generator)
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:

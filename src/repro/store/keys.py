@@ -21,27 +21,10 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-#: ``ExperimentScale`` / ``SimulationConfig`` fields that select the
-#: execution backend without affecting results (results are bit-identical
-#: for every value, see the simulation runner); they never enter a key.
-#: ``shard_steps`` (intra-iteration trajectory sharding) and ``transport``
-#: (pickle vs shared-memory result hand-off) joined in PR 5; the
-#: supervision knobs (``max_retries`` / ``retry_backoff`` /
-#: ``task_timeout``) joined in PR 7 — retrying a deterministic task can
-#: only reproduce the result it would have had, so fault-tolerance
-#: settings never change what is computed, only whether a failure is
-#: survived.
-EXECUTION_FIELDS = frozenset(
-    {
-        "workers",
-        "sweep_workers",
-        "shard_steps",
-        "transport",
-        "max_retries",
-        "retry_backoff",
-        "task_timeout",
-    }
-)
+#: ``ExperimentScale`` fields that select the process layout without
+#: affecting results (results are bit-identical for every value); they
+#: never enter a key.
+EXECUTION_FIELDS = frozenset({"sweep_workers"})
 
 #: Fields that select the *execution environment* rather than the logical
 #: computation or the process layout.  ``backend`` (the array namespace of

@@ -11,8 +11,8 @@ failures *recoverable*:
 * a broken pool is respawned: results of tasks that finished before the
   break are **harvested** first (handed to ``on_result`` exactly as if
   they had been gathered normally — checkpoint saves included, so no
-  finished work is lost and no shared-memory segment leaks), the
-  in-flight tasks are re-enqueued, and a fresh pool takes over;
+  finished work is lost), the in-flight tasks are re-enqueued, and a
+  fresh pool takes over;
 * a task exceeding ``task_timeout`` has its (presumed wedged) pool
   terminated with SIGKILL — a hung worker cannot be cancelled through
   ``concurrent.futures`` — and is re-enqueued like a crash; tasks that
@@ -24,11 +24,9 @@ failures *recoverable*:
   fail-fast contract — the **default** policy retries nothing, so
   un-opted-in callers see byte-for-byte the old behaviour.
 
-The loop is budget-aware: ``submit`` returns each task's worker *cost*
-(the campaign scheduler's adaptive allotments), and in-flight cost never
-exceeds ``budget`` — which also means every submitted task holds real
-workers immediately, so timeout deadlines measure execution, not queue
-wait.  On a clean run with no timeout the loop performs exactly one
+Every task occupies one worker, and at most ``budget`` tasks are in
+flight — so every submitted task holds a real worker immediately and
+timeout deadlines measure execution, not queue wait.  On a clean run with no timeout the loop performs exactly one
 ``wait`` per completion batch, same as the unsupervised gathers it
 replaced — supervision costs nothing until something fails.
 """
@@ -154,30 +152,21 @@ class _Flight:
     """Book-keeping of one in-flight future."""
 
     task: Hashable
-    cost: int
     deadline: Optional[float]
 
 
-def _drain_and_release(
-    pool: ProcessPoolExecutor,
-    futures: Dict[Future, "_Flight"],
-    release: Optional[Callable[[Any], Any]],
-    kill: bool = False,
-) -> None:
-    """Failure-path cleanup: settle stragglers, release their payloads.
+def _drain(pool: ProcessPoolExecutor, kill: bool = False) -> None:
+    """Failure-path cleanup: settle the pool before the error propagates.
 
-    Mirrors the PR 5/6 ``_release_unadopted`` contract: the pool shuts
-    down exactly as the legacy ``with`` blocks did (in-flight and queued
-    tasks run to completion, so their worker-side checkpoint writes still
-    land), after which every future is settled and adopting-and-dropping
-    the finished results unlinks any shared-memory segments their workers
-    parked.  With ``kill`` (a timeout policy is active, so a worker may
-    be wedged) the workers are SIGKILLed instead of awaited.  Results are
-    *not* handed to ``on_result`` here — this path runs when the gather
-    is already failing, and replaying side effects (checkpoint saves)
-    during teardown would change observable state on an error path.
-    Every failure is swallowed; the original error is being propagated by
-    the caller.
+    The pool shuts down exactly as the legacy ``with`` blocks did
+    (in-flight and queued tasks run to completion, so their worker-side
+    checkpoint writes still land).  With ``kill`` (a timeout policy is
+    active, so a worker may be wedged) the workers are SIGKILLed instead
+    of awaited.  Finished results are *not* handed to ``on_result`` here —
+    this path runs when the gather is already failing, and replaying side
+    effects (checkpoint saves) during teardown would change observable
+    state on an error path.  Every failure is swallowed; the original
+    error is being propagated by the caller.
     """
     try:
         if kill:
@@ -186,42 +175,29 @@ def _drain_and_release(
             pool.shutdown(wait=True)
     except Exception:
         pass
-    if release is None:
-        return
-    for future in futures:
-        try:
-            if future.done() and not future.cancelled():
-                release(future.result())
-        except Exception:
-            pass
 
 
 def run_supervised(
     tasks: Sequence[Hashable],
     *,
     budget: int,
-    submit: Callable[[ProcessPoolExecutor, Any, int, int], Tuple[Future, int]],
-    on_result: Callable[[Any, Any, int], None],
+    submit: Callable[[ProcessPoolExecutor, Any], Future],
+    on_result: Callable[[Any, Any], None],
     policy: Optional[RetryPolicy] = None,
     on_retry: Optional[Callable[[Any, BaseException, int, float], None]] = None,
     on_giveup: Optional[Callable[[Any, BaseException, int], bool]] = None,
     on_respawn: Optional[Callable[[], None]] = None,
-    release: Optional[Callable[[Any], Any]] = None,
 ) -> None:
     """Run ``tasks`` through a supervised process pool until all resolve.
 
     Args:
         tasks: hashable task descriptors, in submission order.
-        budget: total worker cost that may be in flight at once; also the
-            pool's ``max_workers``.
-        submit: ``(pool, task, available, ready_count) -> (future, cost)``
-            — submits one task, deciding its worker cost from the free
-            budget and the number of tasks still competing for it (the
-            scheduler's adaptive allotment hook; plain gathers return
-            cost 1).
-        on_result: ``(task, result, cost)`` — consumes one successful
-            result (adoption, checkpoint save, assembly).  An exception
-            here is a *parent-side* failure and always propagates.
+        budget: tasks that may be in flight at once; also the pool's
+            ``max_workers``.
+        submit: ``(pool, task) -> future`` — submits one task.
+        on_result: ``(task, result)`` — consumes one successful result
+            (checkpoint save, assembly).  An exception here is a
+            *parent-side* failure and always propagates.
         policy: the :class:`RetryPolicy`; ``None`` means fail fast.
         on_retry: notified ``(task, error, attempt, delay)`` before each
             re-enqueue.
@@ -232,9 +208,6 @@ def run_supervised(
         on_respawn: called after a pool is condemned and its survivors
             harvested, before the replacement pool spawns (the store
             layer sweeps dead writers' staging directories here).
-        release: adopt-and-drop hook for results abandoned on the fatal
-            error path (shared-memory adoption; see
-            :func:`_drain_and_release`).
 
     Raises:
         Whatever the first unrecoverable failure raised: the task's own
@@ -252,7 +225,6 @@ def run_supervised(
         return
     attempts: Dict[Hashable, int] = {}
     futures: Dict[Future, _Flight] = {}
-    available = budget
     # Pool breaks observed since the last successfully delivered result.
     # A freshly respawned executor is occasionally condemned by a CPython
     # teardown race (the manager thread sees a worker sentinel ready while
@@ -293,14 +265,12 @@ def run_supervised(
         spurious-break grace, when an immediate re-break with no result
         delivered since the previous break re-enqueues without charging.
         Tasks whose futures settled successfully before the death are
-        harvested through ``on_result`` — their work, including parked
-        shared-memory segments and pending checkpoint saves, survives the
-        crash.
+        harvested through ``on_result`` — their work, including pending
+        checkpoint saves, survives the crash.
         """
-        nonlocal pool, available, breaks_since_progress
+        nonlocal pool, breaks_since_progress
         survivors: list = []
         requeue: list = []
-        stragglers: list = []
         for future, flight in futures.items():
             result = None
             harvested = False
@@ -314,11 +284,8 @@ def run_supervised(
                 survivors.append((flight, result))
             else:
                 requeue.append(flight.task)
-                stragglers.append(future)
-        # Harvest before clearing the book-keeping: if a parent-side
-        # consumer raises, the fatal path can still release everything.
         for flight, result in survivors:
-            on_result(flight.task, result, flight.cost)
+            on_result(flight.task, result)
         if survivors:
             breaks_since_progress = 0
         breaks_since_progress += 1
@@ -328,21 +295,9 @@ def run_supervised(
             and breaks_since_progress <= 1 + _BREAK_GRACE
         )
         futures.clear()
-        available = budget
+        # A straggler that slipped its result in between the harvest pass
+        # and the kill is re-enqueued anyway; its checkpoint save never ran.
         terminate_workers(pool)
-        # The executor is dead now, so no further results can arrive — but
-        # a straggler may have slipped its result in *between* the harvest
-        # pass and the kill.  Its task was re-enqueued anyway (its
-        # checkpoint save never ran); adopt-and-drop the orphan payload so
-        # a parked shared-memory segment unlinks here instead of leaking
-        # until process exit.
-        if release is not None:
-            for future in stragglers:
-                try:
-                    if future.done() and not future.cancelled():
-                        release(future.result())
-                except BaseException:
-                    pass
         telemetry.metrics.counter("supervision.respawns").add(1)
         if on_respawn is not None:
             on_respawn()
@@ -358,16 +313,15 @@ def run_supervised(
     try:
         while pending or futures:
             now = time.monotonic()
-            while pending and available >= 1 and pending[0][1] <= now:
+            while pending and len(futures) < budget and pending[0][1] <= now:
                 task, _ = pending.popleft()
                 try:
-                    future, cost = submit(pool, task, available, len(pending) + 1)
+                    future = submit(pool, task)
                 except BrokenExecutor as error:
                     pending.appendleft((task, now))
                     recover(error, charged=None)
                     break
-                futures[future] = _Flight(task, cost, None if policy.task_timeout is None else now + policy.task_timeout)
-                available -= cost
+                futures[future] = _Flight(task, None if policy.task_timeout is None else now + policy.task_timeout)
             if not futures:
                 if pending:
                     # Everything runnable is backing off; sleep to the
@@ -381,7 +335,7 @@ def run_supervised(
                 for flight in futures.values()
                 if flight.deadline is not None
             ]
-            if pending and available >= 1:
+            if pending and len(futures) < budget:
                 bounds.append(min(ready for _, ready in pending))
             if bounds:
                 timeout = max(0.0, min(bounds) - time.monotonic())
@@ -398,12 +352,10 @@ def run_supervised(
                         broken = error
                         break
                     futures.pop(future)
-                    available += flight.cost
                     charge(flight.task, error)
                     continue
                 futures.pop(future)
-                available += flight.cost
-                on_result(flight.task, result, flight.cost)
+                on_result(flight.task, result)
                 breaks_since_progress = 0
             if broken is not None:
                 recover(broken, charged=None)
@@ -426,9 +378,7 @@ def run_supervised(
                         charged=overdue,
                     )
     except BaseException:
-        _drain_and_release(
-            pool, futures, release, kill=policy.task_timeout is not None
-        )
+        _drain(pool, kill=policy.task_timeout is not None)
         raise
     finally:
         pool.shutdown(wait=True)

@@ -3,11 +3,11 @@
 The observability spine of the reproduction.  Four pieces:
 
 * :mod:`repro.telemetry.tracing` — context-propagating spans over the
-  campaign → scenario → task → iteration → shard hierarchy, flushed to
+  campaign → scenario → task → iteration hierarchy, flushed to
   a crash-tolerant per-run JSONL sink.
 * :mod:`repro.telemetry.metrics` — counters/gauges/histograms for the
-  signals the system already computes (cache hits, retries, shm bytes,
-  store latency), drained into the same sink.
+  signals the system already computes (cache hits, retries, store
+  latency), drained into the same sink.
 * :mod:`repro.telemetry.report` — folds a run's trace into
   ``run_report.json`` and exports Chrome ``trace_event`` flame views.
 * :mod:`repro.telemetry.regression` — grades fresh ``BENCH_*.json``

@@ -1,7 +1,7 @@
 """Process-local metric instruments drained into the trace sink.
 
 The system already computes the numbers worth watching — cache hits,
-retries, respawns, shm bytes, store latencies — and drops them on the
+retries, respawns, store latencies — and drops them on the
 floor.  These instruments give them somewhere to land: ``counter``,
 ``gauge`` and ``histogram`` are module-level accessors onto one
 per-process registry, cheap enough (a dict lookup and an add) to sit in

@@ -1,8 +1,8 @@
 """Cross-process tracing: spans, context propagation, JSONL trace sinks.
 
-A campaign is a tree of work — campaign → scenario → task → iteration →
-shard — executed across a parent process, shared pool workers and nested
-iteration pools.  This module records that tree as *spans*: each span
+A campaign is a tree of work — campaign → scenario → task → iteration —
+executed across a parent process and its pool or queue workers.  This
+module records that tree as *spans*: each span
 carries a ``trace_id`` (one per campaign run), its own ``span_id``, its
 parent's ``span_id``, wall and CPU durations, and structured attributes.
 Reassembling the parent/child links reconstructs the full execution

@@ -687,20 +687,20 @@ class TestSpuriousBreakGrace:
         calls = []
         retried = []
 
-        def submit(pool, task, available, ready):
+        def submit(pool, task):
             calls.append(task)
             if len(calls) <= 4:
-                return self._broken_future(), 1
+                return self._broken_future()
             future = Future()
             future.set_result(task * 10)
-            return future, 1
+            return future
 
         results = []
         run_supervised(
             [1],
             budget=1,
             submit=submit,
-            on_result=lambda task, result, cost: results.append(result),
+            on_result=lambda task, result: results.append(result),
             policy=RetryPolicy(max_retries=1, backoff=0.01),
             on_retry=lambda task, error, attempt, delay: retried.append(attempt),
         )
@@ -717,16 +717,16 @@ class TestSpuriousBreakGrace:
 
         calls = []
 
-        def submit(pool, task, available, ready):
+        def submit(pool, task):
             calls.append(task)
-            return self._broken_future(), 1
+            return self._broken_future()
 
         with pytest.raises(BrokenProcessPool):
             run_supervised(
                 [1],
                 budget=1,
                 submit=submit,
-                on_result=lambda task, result, cost: None,
+                on_result=lambda task, result: None,
                 policy=RetryPolicy(max_retries=1, backoff=0.01),
             )
         # Charge, three free respawns, charge-and-give-up: a pool that is
@@ -738,7 +738,7 @@ class TestSpuriousBreakGrace:
         calls = []
         retried = []
 
-        def submit(pool, task, available, ready):
+        def submit(pool, task):
             calls.append(task)
             # Breaks at calls 1, 2 and 4: break 1 opens an epoch and is
             # charged, break 2 is an immediate re-break (free), call 3
@@ -746,17 +746,17 @@ class TestSpuriousBreakGrace:
             # open a fresh epoch and be charged again, not ride the
             # previous epoch's grace.
             if len(calls) in (1, 2, 4):
-                return self._broken_future(), 1
+                return self._broken_future()
             future = Future()
             future.set_result(task * 10)
-            return future, 1
+            return future
 
         results = []
         run_supervised(
             [1, 2, 3],
             budget=1,
             submit=submit,
-            on_result=lambda task, result, cost: results.append(result),
+            on_result=lambda task, result: results.append(result),
             policy=RetryPolicy(max_retries=2, backoff=0.01),
             on_retry=lambda task, error, attempt, delay: retried.append((task, attempt)),
         )

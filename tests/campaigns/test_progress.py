@@ -38,9 +38,8 @@ GOLDEN = [
             value=256.0,
             values_done=2,
             values_total=5,
-            workers=3,
         ),
-        "fig2/s=1: value 256 done (2/5 values; workers=3)",
+        "fig2/s=1: value 256 done (2/5 values)",
     ),
     (
         TaskCompleted(
@@ -48,10 +47,9 @@ GOLDEN = [
             value=0.5,
             values_done=1,
             values_total=4,
-            workers=2,
             iterations=30,
         ),
-        "fig2/s=1: value 0.5 done (1/4 values; 30 iteration(s), workers=2)",
+        "fig2/s=1: value 0.5 done (1/4 values; 30 iteration(s))",
     ),
     (
         TaskCompleted(
@@ -59,10 +57,9 @@ GOLDEN = [
             value=None,
             values_done=1,
             values_total=1,
-            workers=4,
             atomic=True,
         ),
-        "fig2/s=1: task done (atomic, workers=4)",
+        "fig2/s=1: task done (atomic)",
     ),
     (
         ScenarioCompleted(

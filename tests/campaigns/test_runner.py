@@ -367,7 +367,6 @@ class MatrixMeasure:
             steps=1,
             iterations=self.scale.iterations,
             seed=seed,
-            workers=self.scale.workers,
         )
         sub = iteration_checkpoint_for(self.checkpoint, side)
         fail_after = (
@@ -385,9 +384,6 @@ class MatrixMeasure:
         pooled = np.concatenate([s.critical_ranges for s in statistics])
         return {"mean_critical": float(pooled.mean()),
                 "max_critical": float(pooled.max())}
-
-    def with_iteration_workers(self, count: int) -> "MatrixMeasure":
-        return replace(self, scale=self.scale.with_workers(count))
 
     def with_value_checkpoint(self, checkpoint) -> "MatrixMeasure":
         return replace(self, checkpoint=checkpoint)
@@ -411,7 +407,6 @@ def run_matrix_experiment(
         scale.sides,
         _matrix_measure(scale),
         workers=scale.sweep_workers,
-        iteration_workers=scale.workers,
         checkpoint=checkpoint,
     )
 
@@ -466,8 +461,6 @@ def runner_for(mode, budget, store):
     spec = matrix_spec()
     if mode == "serial":
         return CampaignRunner(spec, store)
-    if mode == "sweep-workers":
-        return CampaignRunner(spec, store, sweep_workers=budget)
     if mode == "scheduler":
         return CampaignRunner(spec, store, total_workers=budget)
     raise AssertionError(mode)
@@ -508,11 +501,11 @@ def matrix_reference(tmp_path_factory):
 
 
 class TestDeterminismMatrix:
-    """{serial, sweep-workers, scheduler} x {budget 1, 2, 4} all produce
-    results bit-identical to a cold serial run."""
+    """{serial, scheduler} x {budget 1, 2, 4} all produce results
+    bit-identical to a cold serial run."""
 
     @pytest.mark.parametrize("budget", [1, 2, 4])
-    @pytest.mark.parametrize("mode", ["serial", "sweep-workers", "scheduler"])
+    @pytest.mark.parametrize("mode", ["serial", "scheduler"])
     def test_bit_identical_to_cold_serial_run(
         self, matrix_experiment, matrix_reference, tmp_path, mode, budget
     ):
@@ -528,7 +521,7 @@ class TestDeterminismMatrix:
         # Exactly one simulation per iteration, never more.
         assert _count(calls_dir, "iter") == reference_iterations
 
-    @pytest.mark.parametrize("mode", ["serial", "sweep-workers", "scheduler"])
+    @pytest.mark.parametrize("mode", ["serial", "scheduler"])
     def test_warm_rerun_is_pure_cache_hit(
         self, matrix_experiment, matrix_reference, tmp_path, mode
     ):
@@ -567,7 +560,7 @@ class TestKillAndResumeMatrix:
     }
 
     @pytest.mark.parametrize("granularity", ["scenario", "value", "iteration"])
-    @pytest.mark.parametrize("mode", ["serial", "sweep-workers", "scheduler"])
+    @pytest.mark.parametrize("mode", ["serial", "scheduler"])
     def test_resume_matches_uninterrupted(
         self, matrix_experiment, matrix_reference, tmp_path, mode, granularity
     ):
@@ -666,86 +659,6 @@ class TestSchedulerSemantics:
             CampaignRunner(make_spec(), store, total_workers=0).run()
 
 
-class TestSchedulerTaskWidth:
-    def test_width_reflects_measure_inner_parallelism(
-        self, matrix_experiment, store
-    ):
-        """Tasks are capped at their real inner parallelism: the declared
-        iteration count when present, the whole budget for measures that
-        can resize nested pools, and 1 for measures that cannot use extra
-        workers (regression: measures with resizable pools but no
-        iterations_per_value used to be pinned at width 1 and never
-        received rebalanced workers)."""
-        import dataclasses
-
-        from repro.campaigns.scheduler import CampaignScheduler, _SweepJob
-
-        experiment, _ = matrix_experiment
-        spec = matrix_spec()
-        scenario = spec.scenarios()[0]
-        scheduler = CampaignScheduler(
-            CampaignRunner(spec, store, total_workers=8), 8
-        )
-
-        def prepared(candidate):
-            job = _SweepJob(
-                key=scenario_sweep_key(candidate, scenario.scale),
-                experiment=candidate,
-                scenario=scenario,
-            )
-            scheduler._prepare(job, lambda message: None)
-            return job
-
-        # iterations_per_value declared: width = iteration count.
-        assert prepared(experiment).width == 3
-
-        # No declared iterations, but the measure resizes its nested
-        # pools (with_iteration_workers): width opens to the budget.
-        unbounded = dataclasses.replace(experiment, iterations_per_value=None)
-        assert prepared(unbounded).width == 8
-
-        # A measure with no way to use extra workers stays at width 1.
-        fixed = dataclasses.replace(
-            experiment,
-            iterations_per_value=None,
-            sweep_measure=lambda scale: (lambda value: {"metric": value}),
-        )
-        assert prepared(fixed).width == 1
-
-    def test_width_folds_shard_capacity_for_long_trajectories(
-        self, matrix_experiment, store
-    ):
-        """With iterations declared AND a long trajectory, spare workers
-        fold into intra-iteration shards: width = iterations x shards."""
-        from repro.campaigns.scheduler import CampaignScheduler, _SweepJob
-        from repro.simulation.sharding import MIN_SHARD_STEPS, max_useful_shards
-
-        experiment, _ = matrix_experiment
-        spec = CampaignSpec.from_dict({
-            "name": "matrix-long",
-            "experiments": [MATRIX_ID],
-            "scale": "smoke",
-            "overrides": {
-                "sides": [40.0],
-                "steps": 4 * MIN_SHARD_STEPS,
-                "iterations": 3,
-                "stationary_iterations": 1,
-            },
-        })
-        scenario = spec.scenarios()[0]
-        scheduler = CampaignScheduler(
-            CampaignRunner(spec, store, total_workers=8), 8
-        )
-        job = _SweepJob(
-            key=scenario_sweep_key(experiment, scenario.scale),
-            experiment=experiment,
-            scenario=scenario,
-        )
-        scheduler._prepare(job, lambda message: None)
-        assert max_useful_shards(scenario.scale.steps) == 4
-        assert job.width == 3 * 4
-
-
 class TestSchedulerProgress:
     def test_per_task_completion_events_stream(self, matrix_experiment, store):
         """The scheduler reports every finished task as a structured event
@@ -768,11 +681,10 @@ class TestSchedulerProgress:
             # One completion event per parameter value of the scenario.
             assert len(tasks) == len(values), events
             assert sorted(task.value for task in tasks) == values
-            # Events carry coverage counts and the task's worker shape as
-            # typed fields — no text parsing required.
+            # Events carry coverage counts as typed fields — no text
+            # parsing required.
             assert {task.values_total for task in tasks} == {len(values)}
             assert any(task.values_done == len(values) for task in tasks)
-            assert all(task.workers >= 1 for task in tasks)
             assert all(task.iterations == 3 for task in tasks)
             assert not any(task.atomic for task in tasks)
             # The scenario summary event still follows the stream.
@@ -807,9 +719,7 @@ class TestSchedulerProgress:
         ]
         assert any("value 40 done" in line for line in task_lines)
         assert any("3/3 values" in line for line in task_lines)
-        assert all(
-            "iteration(s)" in line and "workers=" in line for line in task_lines
-        )
+        assert all("iteration(s)" in line for line in task_lines)
         summary_lines = [
             render(event)
             for event in events

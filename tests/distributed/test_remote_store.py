@@ -9,7 +9,9 @@ exercised for real, not mocked.
 import hashlib
 import json
 import socket
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +161,22 @@ class TestRoundTrips:
             thread.join(timeout=5.0)
         finally:
             listener.close()
+
+
+class TestServerLifecycle:
+    def test_stop_does_not_wait_out_the_stdlib_poll(self, tmp_path):
+        """A serving server stops promptly: ``stop()`` waits for the next
+        shutdown check of ``serve_forever``, which must not be the stdlib's
+        0.5 s poll (it sat inside every ``campaign serve`` wall)."""
+        store = ResultStore(tmp_path / "store")
+        cycles = []
+        for _ in range(5):
+            started = time.perf_counter()
+            server = ResultServer(store).start()
+            assert RemoteResultStore(server.url).health()
+            server.stop()
+            cycles.append(time.perf_counter() - started)
+        assert statistics.median(cycles) < 0.2, cycles
 
 
 class TestIntegrity:

@@ -110,10 +110,3 @@ class TestSweepWorkerEquivalence:
         serial = experiment.run(self.SCALE)
         parallel = experiment.run(self.SCALE.with_sweep_workers(2))
         assert serial.rows == parallel.rows
-
-    def test_worker_budget_split_equals_serial(self):
-        experiment = get_experiment("fig2")
-        serial = experiment.run(self.SCALE)
-        budgeted = self.SCALE.with_worker_budget(4)
-        assert budgeted.sweep_workers == 2 and budgeted.workers == 2
-        assert experiment.run(budgeted).rows == serial.rows

@@ -329,12 +329,22 @@ def test_group_trajectory_matches_nested_center_state():
     (model_a, rng_a), (model_b, rng_b) = build_pair("group", 100.0, 15, 2, 17)
     sequential_frames(model_a, rng_a, 45)
     model_b.trajectory(45, rng_b)
-    center_a = model_a.state_snapshot()["model"]["center"]
-    center_b = model_b.state_snapshot()["model"]["center"]
-    assert np.array_equal(center_a["positions"], center_b["positions"])
-    assert center_a["step_index"] == center_b["step_index"]
-    for key, value in center_a["model"].items():
-        assert np.array_equal(value, center_b["model"][key]), key
+    center_a = model_a._center_model
+    center_b = model_b._center_model
+    assert np.array_equal(center_a.state.positions, center_b.state.positions)
+    assert center_a.state.step_index == center_b.state.step_index
+    for name in (
+        "_destinations",
+        "_speeds",
+        "_pause_remaining",
+        "_leg_origins",
+        "_leg_units",
+        "_leg_lengths",
+        "_leg_elapsed",
+    ):
+        assert np.array_equal(
+            getattr(center_a, name), getattr(center_b, name)
+        ), name
 
 
 def test_waypoint_stationary_nodes_pinned_in_trajectory():

@@ -1,31 +1,27 @@
-"""Tests for the parallel execution backend and the vectorized engine.
+"""Tests for the iteration runner's random streams and checkpoints, and
+the vectorized engine.
 
-The contract under test: ``SimulationConfig.workers`` changes only the
-wall-clock execution strategy — results are bit-identical to the serial
-run for the same seed — and the vectorized per-frame reduction matches the
+The contract under test: every iteration owns a reproducible child stream
+of the root seed, a checkpointed or resumed run is bit-identical to an
+uninterrupted one, and the vectorized per-frame reduction matches the
 pre-vectorization reference implementation.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.simulation.engine import (
     component_growth_curve,
     component_growth_curve_reference,
     frame_statistics,
-    frame_statistics_batch,
+    frame_statistics_columns,
 )
-from repro.simulation.runner import (
-    collect_frame_statistics,
-    run_fixed_range,
-    stationary_critical_range,
-)
+from repro.simulation.runner import collect_frame_statistics, run_fixed_range
 from repro.stats.rng import RandomSource
 
 
-def parallel_config(workers=1, mobility_name="drunkard", seed=99):
+def parallel_config(mobility_name="drunkard", seed=99):
     mobility = (
         MobilitySpec.paper_drunkard(200.0)
         if mobility_name == "drunkard"
@@ -38,67 +34,7 @@ def parallel_config(workers=1, mobility_name="drunkard", seed=99):
         iterations=5,
         seed=seed,
         transmitting_range=60.0,
-        workers=workers,
     )
-
-
-class TestWorkersField:
-    def test_default_is_serial(self):
-        assert parallel_config().workers == 1
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ConfigurationError):
-            parallel_config(workers=0)
-        with pytest.raises(ConfigurationError):
-            parallel_config(workers=-2)
-
-    def test_with_workers_preserves_everything_else(self):
-        config = parallel_config()
-        copy = config.with_workers(4)
-        assert copy.workers == 4
-        assert copy.with_workers(1) == config
-
-    def test_with_range_preserves_workers(self):
-        config = parallel_config(workers=3)
-        assert config.with_range(10.0).workers == 3
-
-
-class TestBitIdenticalParallelism:
-    @pytest.mark.parametrize("mobility_name", ["drunkard", "waypoint"])
-    def test_run_fixed_range(self, mobility_name):
-        serial = run_fixed_range(parallel_config(1, mobility_name))
-        parallel = run_fixed_range(parallel_config(3, mobility_name))
-        assert serial == parallel
-
-    def test_collect_frame_statistics(self):
-        serial = collect_frame_statistics(parallel_config(1))
-        parallel = collect_frame_statistics(parallel_config(3))
-        assert serial == parallel
-
-    def test_stationary_critical_range(self):
-        serial = stationary_critical_range(15, 150.0, iterations=12, seed=7, workers=1)
-        parallel = stationary_critical_range(15, 150.0, iterations=12, seed=7, workers=4)
-        assert serial == parallel
-
-    def test_more_workers_than_iterations(self):
-        config = parallel_config(workers=32)
-        assert run_fixed_range(config) == run_fixed_range(config.with_workers(1))
-
-    def test_entropy_seeded_parallel_run_completes(self):
-        # seed=None cannot be compared against a separate serial run (each
-        # run resolves fresh OS entropy), but it must execute and produce
-        # the right shape.
-        config = SimulationConfig(
-            network=NetworkConfig(node_count=8, side=100.0),
-            mobility=MobilitySpec.paper_drunkard(100.0),
-            steps=3,
-            iterations=4,
-            seed=None,
-            transmitting_range=40.0,
-            workers=2,
-        )
-        result = run_fixed_range(config)
-        assert result.iteration_count == 4
 
 
 class TestRandomSourceEntropy:
@@ -111,6 +47,21 @@ class TestRandomSourceEntropy:
         for index in (0, 1, 7):
             expected = source.child(index).random(5)
             assert np.array_equal(clone.child(index).random(5), expected)
+
+    def test_entropy_seeded_run_completes(self):
+        # seed=None cannot be compared against a separate run (each run
+        # resolves fresh OS entropy), but it must execute and produce the
+        # right shape.
+        config = SimulationConfig(
+            network=NetworkConfig(node_count=8, side=100.0),
+            mobility=MobilitySpec.paper_drunkard(100.0),
+            steps=3,
+            iterations=4,
+            seed=None,
+            transmitting_range=40.0,
+        )
+        result = run_fixed_range(config)
+        assert result.iteration_count == 4
 
 
 class TestVectorizedEngineMatchesReference:
@@ -133,12 +84,12 @@ class TestVectorizedEngineMatchesReference:
 
     def test_batch_matches_single_frames(self, rng):
         frames = rng.uniform(0, 100, size=(20, 15, 2))
-        batched = frame_statistics_batch(frames)
+        batched = list(frame_statistics_columns(frames))
         assert batched == [frame_statistics(frame) for frame in frames]
 
     def test_batch_trivial_node_counts(self):
-        assert frame_statistics_batch(np.empty((3, 1, 2)))[0].critical_range == 0.0
-        assert len(frame_statistics_batch(np.empty((4, 0, 2)))) == 4
+        assert frame_statistics_columns(np.empty((3, 1, 2)))[0].critical_range == 0.0
+        assert len(frame_statistics_columns(np.empty((4, 0, 2)))) == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -167,37 +118,35 @@ class RecordingIterationCheckpoint:
 
 
 class TestIterationCheckpoint:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_checkpointed_run_is_bit_identical(self, workers):
-        config = parallel_config(workers)
-        reference = collect_frame_statistics(parallel_config(1))
+    def test_checkpointed_run_is_bit_identical(self):
+        config = parallel_config()
+        reference = collect_frame_statistics(parallel_config())
         checkpoint = RecordingIterationCheckpoint()
         result = collect_frame_statistics(config, checkpoint=checkpoint)
         assert result == reference
         assert checkpoint.saves == config.iterations
         assert checkpoint.loads == 0
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_kill_and_resume_simulates_each_iteration_once(self, workers):
+    def test_kill_and_resume_simulates_each_iteration_once(self):
         """Interrupt after 2 of 5 iterations; the resumed run loads the
         finished iterations, simulates only the missing ones and matches
         the uninterrupted run bit for bit."""
-        reference = collect_frame_statistics(parallel_config(1))
+        reference = collect_frame_statistics(parallel_config())
 
         killed = RecordingIterationCheckpoint(fail_after=2)
         with pytest.raises(RuntimeError, match="simulated kill"):
-            collect_frame_statistics(parallel_config(1), checkpoint=killed)
+            collect_frame_statistics(parallel_config(), checkpoint=killed)
         assert len(killed.entries) == 2
 
         resumed = RecordingIterationCheckpoint(entries=killed.entries)
-        config = parallel_config(workers)
+        config = parallel_config()
         result = collect_frame_statistics(config, checkpoint=resumed)
         assert result == reference
         assert resumed.loads == 2
         assert resumed.saves == config.iterations - 2  # zero re-simulation
 
     def test_fully_checkpointed_run_simulates_nothing(self):
-        config = parallel_config(1)
+        config = parallel_config()
         checkpoint = RecordingIterationCheckpoint()
         collect_frame_statistics(config, checkpoint=checkpoint)
         warm = RecordingIterationCheckpoint(entries=checkpoint.entries)
@@ -206,53 +155,21 @@ class TestIterationCheckpoint:
         assert warm.loads == config.iterations
         assert result == collect_frame_statistics(config)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_run_fixed_range_checkpoints_step_columns(self, workers):
+    def test_run_fixed_range_checkpoints_step_columns(self):
         """The fixed-range runner persists bare StepColumns and rebuilds
         the IterationResult wrappers from the config on load."""
         from repro.simulation.results import StepColumns
 
-        reference = run_fixed_range(parallel_config(1))
+        reference = run_fixed_range(parallel_config())
         checkpoint = RecordingIterationCheckpoint()
-        result = run_fixed_range(parallel_config(workers), checkpoint=checkpoint)
+        result = run_fixed_range(parallel_config(), checkpoint=checkpoint)
         assert result == reference
-        assert checkpoint.saves == parallel_config(1).iterations
+        assert checkpoint.saves == parallel_config().iterations
         assert all(
             isinstance(entry, StepColumns) for entry in checkpoint.entries.values()
         )
 
         warm = RecordingIterationCheckpoint(entries=checkpoint.entries)
-        resumed = run_fixed_range(parallel_config(1), checkpoint=warm)
+        resumed = run_fixed_range(parallel_config(), checkpoint=warm)
         assert warm.saves == 0
         assert resumed == reference
-
-
-class TestAdaptiveWorkerAllotment:
-    def test_breadth_with_full_queue(self):
-        from repro.simulation.sweep import adaptive_worker_allotment
-
-        # Many ready tasks: everyone gets one worker.
-        assert adaptive_worker_allotment(4, 8, task_width=16) == 1
-        assert adaptive_worker_allotment(4, 4, task_width=16) == 1
-
-    def test_depth_as_queue_drains(self):
-        from repro.simulation.sweep import adaptive_worker_allotment
-
-        # Freed workers concentrate on the remaining tasks.
-        assert adaptive_worker_allotment(4, 2, task_width=16) == 2
-        assert adaptive_worker_allotment(4, 1, task_width=16) == 4
-
-    def test_capped_by_task_width_and_budget(self):
-        from repro.simulation.sweep import adaptive_worker_allotment
-
-        assert adaptive_worker_allotment(8, 1, task_width=3) == 3
-        assert adaptive_worker_allotment(2, 1, task_width=16) == 2
-        assert adaptive_worker_allotment(1, 1, task_width=16) == 1
-
-    def test_rejects_bad_arguments(self):
-        from repro.simulation.sweep import adaptive_worker_allotment
-
-        with pytest.raises(ConfigurationError):
-            adaptive_worker_allotment(0, 1)
-        with pytest.raises(ConfigurationError):
-            adaptive_worker_allotment(1, 0)

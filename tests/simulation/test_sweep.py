@@ -1,11 +1,9 @@
 """Tests for repro.simulation.sweep."""
 
-from dataclasses import dataclass, replace
-
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.sweep import SweepResult, split_worker_budget, sweep_parameter
+from repro.simulation.sweep import SweepResult, sweep_parameter
 
 
 class TestSweepParameter:
@@ -41,10 +39,6 @@ class TestSweepParameter:
     def test_rejects_bad_worker_counts(self):
         with pytest.raises(ConfigurationError):
             sweep_parameter("x", [1.0], lambda x: {"y": x}, workers=0)
-        with pytest.raises(ConfigurationError):
-            sweep_parameter(
-                "x", [1.0], lambda x: {"y": x}, iteration_workers=0
-            )
 
 
 class TestSweepResult:
@@ -66,46 +60,11 @@ class TestSweepResult:
         assert sweep.series_names() == ["always", "late", "later"]
 
 
-class TestSplitWorkerBudget:
-    def test_budget_product_bounded(self):
-        for total in (1, 2, 3, 4, 6, 8, 16):
-            for values in (1, 2, 4, 5, 11):
-                sweep_workers, iteration_workers = split_worker_budget(total, values)
-                assert sweep_workers * iteration_workers <= max(total, 1)
-                assert sweep_workers >= 1 and iteration_workers >= 1
-                assert sweep_workers <= values
-
-    def test_exact_splits(self):
-        assert split_worker_budget(8, 4) == (4, 2)
-        assert split_worker_budget(4, 8) == (4, 1)
-        assert split_worker_budget(1, 4) == (1, 1)
-        assert split_worker_budget(6, 2) == (2, 3)
-
-    def test_rejects_invalid(self):
-        with pytest.raises(ConfigurationError):
-            split_worker_budget(0, 3)
-        with pytest.raises(ConfigurationError):
-            split_worker_budget(4, 0)
-
-
 # --------------------------------------------------------------------------- #
 # Parallel sweep execution: measures must live at module level so they pickle.
 # --------------------------------------------------------------------------- #
 def _square_measure(value):
     return {"square": value * value, "negated": -value}
-
-
-@dataclass(frozen=True)
-class RecordingMeasure:
-    """Measure that reports which iteration-worker budget it carries."""
-
-    iteration_workers: int = 1
-
-    def __call__(self, value):
-        return {"value": float(value), "workers": float(self.iteration_workers)}
-
-    def with_iteration_workers(self, count):
-        return replace(self, iteration_workers=count)
 
 
 class TestParallelSweep:
@@ -120,18 +79,6 @@ class TestParallelSweep:
         values = [1.0, 2.0]
         parallel = sweep_parameter("x", values, _square_measure, workers=16)
         assert parallel.rows == sweep_parameter("x", values, _square_measure).rows
-
-    def test_iteration_workers_rebinds_measure(self):
-        sweep = sweep_parameter(
-            "x", [1.0, 2.0], RecordingMeasure(), workers=2, iteration_workers=3
-        )
-        assert [row["workers"] for row in sweep.rows] == [3.0, 3.0]
-
-    def test_iteration_workers_ignored_without_support(self):
-        sweep = sweep_parameter(
-            "x", [2.0], _square_measure, iteration_workers=4
-        )
-        assert sweep.rows[0]["square"] == 4.0
 
 
 class DictCheckpoint:

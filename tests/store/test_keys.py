@@ -67,10 +67,10 @@ class TestCacheKey:
 
 class TestScalePayload:
     def test_drops_name_and_execution_fields(self):
-        a = make_scale(name="smoke", workers=1, sweep_workers=1)
-        b = make_scale(name="custom", workers=8, sweep_workers=4)
+        a = make_scale(name="smoke", sweep_workers=1)
+        b = make_scale(name="custom", sweep_workers=4)
         assert scale_payload(a) == scale_payload(b)
-        assert "workers" not in scale_payload(a)
+        assert "sweep_workers" not in scale_payload(a)
         assert "name" not in scale_payload(a)
 
     def test_sensitive_to_logical_fields(self):
@@ -80,7 +80,7 @@ class TestScalePayload:
         )
 
     def test_backend_is_an_environment_field_not_an_execution_knob(self):
-        """Unlike workers, the backend stays in the payload: results from
+        """Unlike sweep_workers, the backend stays in the payload: results from
         different array backends must never answer each other's keys."""
         numpy_scale = make_scale(backend="numpy")
         strict_scale = make_scale(backend="numpy-strict")
@@ -96,13 +96,11 @@ class TestConfigPayload:
             steps=10,
             iterations=2,
             seed=3,
-            workers=1,
         )
         payload = config_payload(config)
         assert payload["mobility"]["name"] == "waypoint"
         assert payload["network"]["side"] == 256.0
         assert "workers" not in payload
-        assert config_payload(config.with_workers(8)) == payload
         faster = SimulationConfig(
             network=config.network,
             mobility=MobilitySpec.paper_waypoint(256.0, tpause=1),
@@ -178,18 +176,14 @@ class TestKeyProperties:
     @given(
         st.integers(min_value=1, max_value=64),
         st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=64),
         st.text(min_size=1, max_size=10),
     )
     @settings(max_examples=60, deadline=None)
-    def test_execution_knobs_never_change_a_key(
-        self, workers_a, sweep_a, workers_b, sweep_b, name
-    ):
+    def test_execution_knobs_never_change_a_key(self, sweep_a, sweep_b, name):
         """However a scale is named or parallelised, its payload — and
         therefore every key derived from it — is unchanged."""
-        a = make_scale(name="smoke", workers=workers_a, sweep_workers=sweep_a)
-        b = make_scale(name=name, workers=workers_b, sweep_workers=sweep_b)
+        a = make_scale(name="smoke", sweep_workers=sweep_a)
+        b = make_scale(name=name, sweep_workers=sweep_b)
         assert scale_payload(a) == scale_payload(b)
         assert cache_key("sweep", scale_payload(a)) == cache_key(
             "sweep", scale_payload(b)
@@ -208,8 +202,8 @@ class TestKeyProperties:
         """Two scales that differ only in backend (an environment field)
         derive different keys; equal backends keep keys equal however the
         execution knobs vary."""
-        a = make_scale(backend=backend_a, workers=workers_a)
-        b = make_scale(backend=backend_b, workers=workers_b)
+        a = make_scale(backend=backend_a, sweep_workers=workers_a)
+        b = make_scale(backend=backend_b, sweep_workers=workers_b)
         key_a = cache_key("sweep", scale_payload(a))
         key_b = cache_key("sweep", scale_payload(b))
         if backend_a == backend_b:
@@ -279,3 +273,186 @@ class TestKeyProperties:
     def test_key_kinds_are_distinct_strings(self):
         assert KEY_KINDS == {SWEEP_KIND, ROW_KIND, ITERATION_KIND}
         assert len(KEY_KINDS) == 3
+
+
+# --------------------------------------------------------------------------- #
+# Golden keys: the store's addresses must not move across versions
+# --------------------------------------------------------------------------- #
+import repro.experiments  # noqa: E402,F401  (registers fig2 and fig3)
+from repro.campaigns import CampaignSpec  # noqa: E402
+from repro.campaigns.runner import scenario_payload, scenario_sweep_key  # noqa: E402
+from repro.experiments.registry import get_experiment, scale_by_name  # noqa: E402
+from repro.store import ResultStore, StoreSweepCheckpoint  # noqa: E402
+
+#: ``(scale, experiment) -> (sweep key, {side: (row key, first iteration
+#: key)})``.  "grid" is the perfbench grid-cold scale (``perfbench/
+#: workloads.py:grid_spec(1, FULL)``); "default" and "paper" are presets.
+GOLDEN_KEYS = {
+    ("grid", "fig2"): (
+        "2812108e1a740b9b0e08811830cdcc701bcc7974cf23fc6c67236b5bf8f8db6c",
+        {
+            256.0: (
+                "4c0114b2675c3b05f5ea67ed7ed90270705dff42f45e12a01e336a070e26a92f",
+                "7c2931cface150a40dd5162cec8dcd5738ade428d6392d0e64150519b64667af",
+            ),
+            1024.0: (
+                "3ba7d232e68b4390953b8b96a7661f0684273f6aad71eac7428e89780c9dabe0",
+                "4df7d542d55fedc9501b1f2a7bea95f2ae7576452bafe4666a8ba5c8df547edf",
+            ),
+            4096.0: (
+                "e93ae5816f208bdd200b4258c9431bd796bd9087aad62e14c3a58b1e234f81fd",
+                "173d6d13b2752d363e3aa9d350241be00ca4707b0353cc011523077ece93d3ec",
+            ),
+            16384.0: (
+                "7fc8ea4898a07a9453f90a3a37d710872c207a750ee2ccacbc47bc7fd0a4848f",
+                "dab1e9a0af069b99f6d0de711f4594f7db0e9fd475c665519eca3d24607390a1",
+            ),
+        },
+    ),
+    ("grid", "fig3"): (
+        "62d50d9e51bd848ca80c06db4f4df7fae9986c68cc9b1b40893a3143d25d2df3",
+        {
+            256.0: (
+                "de4e1071a9376f7cd0e498084343d3a55a0744d4ebd8b1e774bf0613adf94678",
+                "3227e84e91e6ad0eab93cc8e97145be7539b4cd852dddefbe6fb1aada17b2560",
+            ),
+            1024.0: (
+                "5ff0e9c2b8feb00c57fb4129f501b1a665bc424c526112d850a865a7d47692bf",
+                "b5af60c39b35bb829e78fca065709efc63ede4e0d4b4d11d8f43bddca444616f",
+            ),
+            4096.0: (
+                "8a08bccdc1b26e096c6f1b4b8eec51c90a10f6102fe7728c84650879d3ebd39c",
+                "06857dcb6739e7bfe01056bd4e440d246c435660251512fab6e80de0bc8968d3",
+            ),
+            16384.0: (
+                "62dbab1a70b12370535595e8def584fea3adf58db61f32d7d0a80a56e99ac1bd",
+                "da0f84346da285a0d91dd5ac54e2155295feb326b4db0c3375f879f85a6bf86c",
+            ),
+        },
+    ),
+    ("default", "fig2"): (
+        "49d8e212abf45a0a5eaffc64d154838371a21f41aa5774f4a84ef0cb3d76d560",
+        {
+            256.0: (
+                "c3f78f70e1aea2b7067a73abcea95a56a3362230d19ccd0a84ed2932073aa9aa",
+                "dc4cfdb3fea50049a827e07b4500e3d99708300173877de89bf304b5a01d1078",
+            ),
+            1024.0: (
+                "f902a3965a1a67c718a704e279297bbe6d835497b1bb7a7c5b570f48f8f29b33",
+                "5ad1510f49996bbd6b7320ea6a384d8d8568d88eb61ae42d7bd84838cf17f06c",
+            ),
+            4096.0: (
+                "f6b389be8c608f7b4d36ae5f675c19d61fff087938c8991700d39846e599716c",
+                "c714a66e24d800831d31ebf7a226860c092c7f74bee1c21e8a4632ec4d80cad4",
+            ),
+            16384.0: (
+                "dfeae48d262db375876d690d643a31a41b4fb1bacf1af349cd391cdf28975e12",
+                "2a7af9dcb3000d8549eb626a395682bd3a2201d946b22e1e38cb2a580b7934f1",
+            ),
+        },
+    ),
+    ("default", "fig3"): (
+        "16c401cc65e8cddfcb70e227cd3a41eb2c13c643cab5f2d1b90d6b6736fdfb82",
+        {
+            256.0: (
+                "201578e2bad0c551ea4c72ca2daf880f9a59123686b82b1e0a5f144f83c656c5",
+                "9c5c238ffab1fa7c1d8cbe1b8fedda058315db36fdf3233abd0b396ed2c1afa8",
+            ),
+            1024.0: (
+                "5ee8378dcf2630239b4a82d0f98deb453a1e0d32208cbf13289c757e60dacb80",
+                "4dd77001a40185b7f92dbfc6c6ac8c94f06be5a11b3ff95abb3d5cea2605656b",
+            ),
+            4096.0: (
+                "cfb96515d416cf9d5a1e6233dd81310fcdb108a98e2f988c6ede830e7b05f20b",
+                "e169515a61efa098b303697539bc61259e39910a377f4309eaaba94f95d1d271",
+            ),
+            16384.0: (
+                "b2f10a88738a558eb89ca93aee67631d3e020189b0d7d0b5129f3adb0d4e9058",
+                "62c4ad8c1eb591d4aeb49467d9fa0ba86274fb0ee1da37e9b7e839aed1c974a0",
+            ),
+        },
+    ),
+    ("paper", "fig2"): (
+        "3d085fb24bd14a7f7f905c8f027d8b709053fe4013d2e16b940d96b25552abe2",
+        {
+            256.0: (
+                "e0ff2ad71d49d9585ef4b04bcff952c5c461bc47fa1b29779161832aa0115782",
+                "578362fc03e035dd6fa3e4c41971a79a4fa52425b19da8c86164c23333a21ff6",
+            ),
+            1024.0: (
+                "26a09b441720236c92249ebd2ff7ff5638851df10e2e42d18bb36bb33eec8d6f",
+                "6131a1cf2f3d2f0b47202aec0770557f980bfb649b47de4b05740319b1cbc44d",
+            ),
+            4096.0: (
+                "eef374002bb3e15cf3a519cc32cf81cc12b5f4f223b9c15f9df520f84a4b2924",
+                "ffb5cba6b92acacb79f300328393860cb87e378e4825e41c3a2cd4c09dfa23fb",
+            ),
+            16384.0: (
+                "89cecbd8a9ddf80ad08c2f7e6a1b9d092026a40fa07175d4a6d9c4349c44bdd5",
+                "c9dcd47db331f8ae41b620c4f3583ecd657eb786a4162b96aebde11993e3ee50",
+            ),
+        },
+    ),
+    ("paper", "fig3"): (
+        "40825a2a95f47b9df62d5b1e3c7bdf463999133503ae5e63ba272f66ea196277",
+        {
+            256.0: (
+                "0097f91fefca2b17665f3bf00d575e0f612f21d80a46e90419f75f7c9a1c18cc",
+                "8b575c8254487a9148f2d9f834ded572855875d112a44dee40dc42c04ca0c043",
+            ),
+            1024.0: (
+                "467e694721a33b2ed84c9c19c2cff3784b5e879ff2cadeab9a18f4e73977cd8c",
+                "c299e7bc6a6064af82c7a5aacd8bfa59a1033ef69a8c2da4284db8cd3387b4f3",
+            ),
+            4096.0: (
+                "608a3965854973916ea994f7da964d79ff89ad117a7d9ff6fb60482eb614dd76",
+                "8ec4b2b3ea1094ee195cafe58a604c8e1b00a8e7283631676be26b9c6540fb24",
+            ),
+            16384.0: (
+                "e507842572d2f7641b6d244d3deefc15cd3e970108bdd37adfca0c1696c29dca",
+                "8ceb64db21cc47250d77256e482df16958e4143cec7cbcb29e385ad8f23daaa8",
+            ),
+        },
+    ),
+}
+
+
+def golden_scales():
+    grid = CampaignSpec(
+        name="perfbench-grid",
+        experiments=("fig2", "fig3"),
+        scale="default",
+        overrides=(
+            ("steps", 1000),
+            ("iterations", 4),
+            ("stationary_iterations", 8),
+            ("seed", 1),
+        ),
+    )
+    scales = {("grid", s.experiment_id): s.scale for s in grid.scenarios()}
+    for preset in ("default", "paper"):
+        for experiment_id in ("fig2", "fig3"):
+            scales[(preset, experiment_id)] = scale_by_name(preset)
+    return scales
+
+
+class TestGoldenKeys:
+    """Sweep, row and iteration keys equal the ones earlier versions wrote,
+    so execution fields removed from the scale never reached a key and
+    stores written before stay warm."""
+
+    @pytest.mark.parametrize("cell", sorted(GOLDEN_KEYS))
+    def test_keys_match_the_pinned_values(self, cell, tmp_path):
+        experiment = get_experiment(cell[1])
+        scale = golden_scales()[cell]
+        sweep_key, rows = GOLDEN_KEYS[cell]
+        assert scenario_sweep_key(experiment, scale) == sweep_key
+        checkpoint = StoreSweepCheckpoint(
+            ResultStore(tmp_path / "store"),
+            scenario_payload(experiment, scale),
+            iterations=experiment.checkpoint_iterations(scale),
+        )
+        assert tuple(experiment.sweep_values(scale)) == tuple(rows)
+        for value, (row_key, iteration_key) in rows.items():
+            assert checkpoint.key_for(value) == row_key
+            assert checkpoint.iteration_checkpoint(value).key_for(0) == iteration_key

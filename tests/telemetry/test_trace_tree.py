@@ -32,8 +32,7 @@ from repro.telemetry.tracing import TRACE_FILE
 
 
 def tree_spec():
-    """One fig2 scenario sized so iterations outnumber workers but no
-    shard spans appear (steps stay under the sharding threshold)."""
+    """One fig2 scenario sized so iterations outnumber workers."""
     return CampaignSpec.from_dict(
         {
             "name": "tree",

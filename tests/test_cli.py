@@ -254,24 +254,3 @@ class TestBackendFlag:
              "--seed", "3", "--backend", "numpy-strict"]
         ) == 0
         assert "rstationary" in capsys.readouterr().out
-
-
-class TestExecutionFlags:
-    def test_shard_steps_and_transport_flags_parse(self):
-        arguments = build_parser().parse_args(
-            ["run", "fig2", "--scale", "smoke", "--shard-steps", "4",
-             "--transport", "shm"]
-        )
-        assert arguments.shard_steps == 4
-        assert arguments.transport == "shm"
-
-    def test_run_with_shard_steps_matches_default(self, capsys):
-        baseline = main(["run", "fig2", "--scale", "smoke"])
-        base_output = capsys.readouterr().out
-        assert baseline == 0
-        assert main(["run", "fig2", "--scale", "smoke", "--shard-steps", "7",
-                     "--transport", "pickle"]) == 0
-        sharded_output = capsys.readouterr().out
-        # The rendered table (all measured numbers) must be identical.
-        table = lambda text: text[text.index("fig2 (smoke scale)"):]
-        assert table(sharded_output) == table(base_output)
