@@ -23,6 +23,7 @@ the fault-injection primitives themselves.
 import glob
 import json
 import os
+import time
 import uuid
 import warnings
 from concurrent.futures import Future
@@ -765,3 +766,36 @@ class TestSpuriousBreakGrace:
         # Task 1 was charged for break 1 (epoch 1) and break 4 (epoch 2,
         # opened by task 3's result); task 2's break rode the grace.
         assert retried == [(1, 1), (1, 2)]
+
+
+def _pause_and_echo(task):
+    time.sleep(0.02)
+    return task
+
+
+class TestInFlightBudget:
+    """Every task occupies one worker: ``submit(pool, task)`` returns a
+    plain future, and at most ``budget`` of them are in flight at once."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_in_flight_tasks_never_exceed_the_budget(self, budget):
+        in_flight = []
+        peaks = []
+        results = {}
+
+        def submit(pool, task):
+            in_flight.append(task)
+            peaks.append(len(in_flight))
+            return pool.submit(_pause_and_echo, task)
+
+        def on_result(task, result):
+            in_flight.remove(task)
+            results[task] = result
+
+        run_supervised(
+            list(range(7)), budget=budget, submit=submit, on_result=on_result
+        )
+        assert results == {task: task for task in range(7)}
+        # The first wave fills the budget exactly; later waves refill it.
+        assert max(peaks) == budget
+        assert not in_flight

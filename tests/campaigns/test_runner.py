@@ -659,6 +659,74 @@ class TestSchedulerSemantics:
             CampaignRunner(make_spec(), store, total_workers=0).run()
 
 
+def _queue_job(name, pending):
+    """A bare scheduler job: ``pending`` value indices, or ``None`` for an
+    atomic (non-decomposable) job."""
+    from repro.campaigns.scheduler import _SweepJob
+
+    return _SweepJob(
+        key=name,
+        experiment=None,
+        scenario=None,
+        atomic=pending is None,
+        pending=list(pending or ()),
+    )
+
+
+class TestSchedulerQueueOrder:
+    """Tasks interleave round-robin across jobs — the first pending value
+    of every job, then the second of every job, and so on — so independent
+    scenarios progress together under small budgets."""
+
+    @pytest.mark.parametrize(
+        "lanes,expected",
+        [
+            (
+                {"a": [0, 1, 2], "b": [0, 1, 2]},
+                [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)],
+            ),
+            (
+                {"a": [0, 1, 2, 3], "b": [1], "c": [0, 2]},
+                [("a", 0), ("b", 1), ("c", 0), ("a", 1), ("c", 2), ("a", 2),
+                 ("a", 3)],
+            ),
+            (
+                {"a": [0, 1], "b": None, "c": [3]},
+                [("a", 0), ("b", -1), ("c", 3), ("a", 1)],
+            ),
+            ({"a": [], "b": []}, []),
+        ],
+        ids=["even", "ragged", "atomic", "empty"],
+    )
+    def test_queue_interleaves_jobs_round_robin(self, lanes, expected):
+        from repro.campaigns.scheduler import CampaignScheduler
+
+        jobs = [_queue_job(name, pending) for name, pending in lanes.items()]
+        queue = CampaignScheduler(None, 1)._queue(jobs)
+        assert [(job.key, index) for job, index in queue] == expected
+
+    def test_submission_order_across_scenarios_is_round_robin(
+        self, matrix_experiment, store, monkeypatch
+    ):
+        from repro.campaigns.scheduler import CampaignScheduler
+
+        submitted = []
+        original = CampaignScheduler._submit
+
+        def spy(self, pool, job, index):
+            submitted.append((job.scenario.scenario_id, job.values[index]))
+            return original(self, pool, job, index)
+
+        monkeypatch.setattr(CampaignScheduler, "_submit", spy)
+        CampaignRunner(matrix_spec(), store, total_workers=1).run()
+        scenario_ids = [scenario.scenario_id for scenario in matrix_spec().scenarios()]
+        assert submitted == [
+            (scenario_id, side)
+            for side in (40.0, 80.0, 120.0)
+            for scenario_id in scenario_ids
+        ]
+
+
 class TestSchedulerProgress:
     def test_per_task_completion_events_stream(self, matrix_experiment, store):
         """The scheduler reports every finished task as a structured event

@@ -49,6 +49,51 @@ class TestExperimentScale:
             )
 
 
+class TestSweepWorkersField:
+    """``sweep_workers`` is the scale's one execution field."""
+
+    def test_default_is_serial(self):
+        for name in SCALES:
+            assert scale_by_name(name).sweep_workers == 1
+
+    def test_rejects_non_positive(self):
+        smoke = scale_by_name("smoke")
+        for count in (0, -2):
+            with pytest.raises(ConfigurationError):
+                smoke.with_sweep_workers(count)
+
+    def test_with_sweep_workers_preserves_everything_else(self):
+        smoke = scale_by_name("smoke")
+        copy = smoke.with_sweep_workers(4)
+        assert copy.sweep_workers == 4
+        assert copy.with_sweep_workers(1) == smoke
+
+    def test_with_backend_preserves_sweep_workers(self):
+        scale = scale_by_name("smoke").with_sweep_workers(3)
+        assert scale.with_backend("numpy-strict").sweep_workers == 3
+
+    def test_execution_fields_name_only_existing_fields(self):
+        from dataclasses import fields
+
+        from repro.store.keys import EXECUTION_FIELDS
+
+        assert EXECUTION_FIELDS == {"sweep_workers"}
+        assert EXECUTION_FIELDS <= {field.name for field in fields(ExperimentScale)}
+
+    def test_sweep_workers_never_enters_cache_keys(self):
+        from repro.campaigns.runner import scenario_payload, scenario_sweep_key
+
+        experiment = get_experiment("fig3")
+        scale = scale_by_name("smoke")
+        wide = scale.with_sweep_workers(8)
+        assert scenario_sweep_key(experiment, wide) == scenario_sweep_key(
+            experiment, scale
+        )
+        assert scenario_payload(experiment, wide) == scenario_payload(
+            experiment, scale
+        )
+
+
 class TestRegistry:
     def test_all_figures_registered(self):
         identifiers = {experiment.identifier for experiment in list_experiments()}

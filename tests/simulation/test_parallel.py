@@ -1,11 +1,18 @@
-"""Tests for the iteration runner's random streams and checkpoints, and
-the vectorized engine.
+"""Tests for the iteration runner's random streams and checkpoints, the
+value-level parallelism built on it, and the vectorized engine.
 
 The contract under test: every iteration owns a reproducible child stream
 of the root seed, a checkpointed or resumed run is bit-identical to an
-uninterrupted one, and the vectorized per-frame reduction matches the
-pre-vectorization reference implementation.
+uninterrupted one, a sweep measuring its parameter values in worker
+processes is bit-identical to the serial sweep (each worker runs its
+value's iterations serially, starting no pool of its own), and the
+vectorized per-frame reduction matches the pre-vectorization reference
+implementation.
 """
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,24 +24,112 @@ from repro.simulation.engine import (
     frame_statistics,
     frame_statistics_columns,
 )
-from repro.simulation.runner import collect_frame_statistics, run_fixed_range
+from repro.simulation.runner import (
+    collect_frame_statistics,
+    run_fixed_range,
+    stationary_critical_range,
+)
+from repro.simulation.sweep import sweep_parameter
 from repro.stats.rng import RandomSource
 
 
-def parallel_config(mobility_name="drunkard", seed=99):
+def parallel_config(mobility_name="drunkard", seed=99, side=200.0):
     mobility = (
-        MobilitySpec.paper_drunkard(200.0)
+        MobilitySpec.paper_drunkard(side)
         if mobility_name == "drunkard"
-        else MobilitySpec.paper_waypoint(200.0)
+        else MobilitySpec.paper_waypoint(side)
     )
     return SimulationConfig(
-        network=NetworkConfig(node_count=12, side=200.0, dimension=2),
+        network=NetworkConfig(node_count=12, side=side, dimension=2),
         mobility=mobility,
         steps=6,
         iterations=5,
         seed=seed,
-        transmitting_range=60.0,
+        transmitting_range=0.3 * side,
     )
+
+
+# --------------------------------------------------------------------------- #
+# Value-level parallelism: measures live at module level so they pickle.
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class RunnerMeasure:
+    """Measures one region side through one of the iteration runners."""
+
+    runner: str
+
+    def __call__(self, side):
+        if self.runner == "stationary":
+            critical = stationary_critical_range(
+                15, side, iterations=12, seed=7, confidence=0.9
+            )
+            return {"rstationary": critical}
+        if self.runner.startswith("fixed"):
+            result = run_fixed_range(
+                parallel_config(self.runner.split("-")[1], side=side)
+            )
+            connected = np.concatenate(
+                [item.records.connected for item in result.iterations]
+            )
+            largest = np.concatenate(
+                [item.records.largest_component for item in result.iterations]
+            )
+            return {
+                "connected_fraction": float(connected.mean()),
+                "mean_largest": float(largest.mean()),
+            }
+        statistics = collect_frame_statistics(parallel_config(side=side))
+        pooled = np.concatenate([item.critical_ranges for item in statistics])
+        return {"mean_critical": float(pooled.mean()),
+                "max_critical": float(pooled.max())}
+
+
+def _nested_pools(side):
+    """Process pools one value task starts while running every runner."""
+    started = []
+    original = ProcessPoolExecutor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        started.append(kwargs.get("max_workers"))
+        original(self, *args, **kwargs)
+
+    ProcessPoolExecutor.__init__ = recording_init
+    try:
+        RunnerMeasure("fixed-waypoint")(side)
+        RunnerMeasure("stats")(side)
+        RunnerMeasure("stationary")(side)
+    finally:
+        ProcessPoolExecutor.__init__ = original
+    return {
+        "pools": float(len(started)),
+        "children": float(len(multiprocessing.active_children())),
+    }
+
+
+SIDES = (150.0, 200.0, 250.0, 300.0)
+
+
+class TestValueLevelParallelism:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "runner", ["fixed-drunkard", "fixed-waypoint", "stats", "stationary"]
+    )
+    def test_parallel_sweep_is_bit_identical_to_serial(self, runner, workers):
+        measure = RunnerMeasure(runner)
+        serial = sweep_parameter("l", SIDES, measure)
+        parallel = sweep_parameter("l", SIDES, measure, workers=workers)
+        assert parallel.rows == serial.rows
+        assert parallel.parameter_values == list(SIDES)
+
+    def test_more_workers_than_values(self):
+        measure = RunnerMeasure("fixed-drunkard")
+        serial = sweep_parameter("l", SIDES[:2], measure)
+        assert sweep_parameter("l", SIDES[:2], measure, workers=32).rows == serial.rows
+
+    def test_value_tasks_start_no_nested_pool(self):
+        sweep = sweep_parameter("l", SIDES, _nested_pools, workers=2)
+        assert sweep.series("pools") == [0.0] * len(SIDES)
+        assert sweep.series("children") == [0.0] * len(SIDES)
 
 
 class TestRandomSourceEntropy:

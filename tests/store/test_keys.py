@@ -1,5 +1,8 @@
 """Tests for repro.store.keys: canonical, versioned cache keys."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -456,3 +459,190 @@ class TestGoldenKeys:
         for value, (row_key, iteration_key) in rows.items():
             assert checkpoint.key_for(value) == row_key
             assert checkpoint.iteration_checkpoint(value).key_for(0) == iteration_key
+
+
+#: ``(preset, experiment) -> (sweep key, rows digest)`` for every registered
+#: experiment at every preset not pinned key by key above.  The digest is
+#: the SHA-256 of the JSON list ``[[value, row key, first iteration key or
+#: null], ...]`` in sweep order, so one line pins every row address.
+GOLDEN_PRESET_DIGESTS = {
+    ("smoke", "energy-tradeoff"): (
+        "dfde00026de28d0fe64cf43fa9914eaa1d3c334e9b8f53f0c6ed2c0dffbce0eb",
+        "5e616b4230b9f8e9d00592d8885dece95c0bd9943f49cceb04414f63c2abca31",
+    ),
+    ("smoke", "fig2"): (
+        "86e5bbfb27340003e2068b36ba67ae85f94dd0cd7d1082fb7cd7f4aae628de98",
+        "c5f227088854e0cfa94871cc1605ac165addb24249fd221726ee54e725237e0d",
+    ),
+    ("smoke", "fig3"): (
+        "02d8eba2727bbf7860ac3e5611e8f6ccd197dcf96ed747a572e76fdbe1b79737",
+        "70fb3e3b9964ab0bfc1c0ba9e04e20c373260b47853dca9adb11f1665cc87147",
+    ),
+    ("smoke", "fig4"): (
+        "86e5bbfb27340003e2068b36ba67ae85f94dd0cd7d1082fb7cd7f4aae628de98",
+        "c5f227088854e0cfa94871cc1605ac165addb24249fd221726ee54e725237e0d",
+    ),
+    ("smoke", "fig5"): (
+        "02d8eba2727bbf7860ac3e5611e8f6ccd197dcf96ed747a572e76fdbe1b79737",
+        "70fb3e3b9964ab0bfc1c0ba9e04e20c373260b47853dca9adb11f1665cc87147",
+    ),
+    ("smoke", "fig6"): (
+        "86e5bbfb27340003e2068b36ba67ae85f94dd0cd7d1082fb7cd7f4aae628de98",
+        "c5f227088854e0cfa94871cc1605ac165addb24249fd221726ee54e725237e0d",
+    ),
+    ("smoke", "fig7"): (
+        "62abf8cad786c505dffc876a259a1b6850792c15a646b4ab8cac431c919d4e71",
+        "0112be27196a2aed0c349dba25913dd221e2f655e9e4ac4351d83ab79142f06f",
+    ),
+    ("smoke", "fig8"): (
+        "2095cf982181a5c01bfe1286bec341ea6d5c66d8811181e96b5c7acfa3e6bc1b",
+        "6bf1e3dc6ca074a2bff0ceef980185259a5f70962c543f62702267f5126b26bd",
+    ),
+    ("smoke", "fig9"): (
+        "3c4348f92166d4eb4fd90753732d6337cfe71f6e8bbbbc1a6c3cea331f280e13",
+        "0cd553132ccc5999c66032a657dd266d317a358b131cd2ac2314b976bbf20603",
+    ),
+    ("smoke", "occupancy-domains"): (
+        "f2ce482ea3869d8d1ba298f13193359e22ffc98d4682fa9baf9a044b1eecc3ef",
+        "a1b9161b8f1cdc453332429eeb6a3215c203883231f568118ec02dd476766a29",
+    ),
+    ("smoke", "stationary-critical-range"): (
+        "de37edbb5c866592ceebdf622c86bc06bcb3f744fa62e2cdd192501309d84583",
+        "146feed0396cd7ad54259d6fdfb328475b71255b525b13fa9797a048943c830f",
+    ),
+    ("smoke", "theorem5-1d"): (
+        "b7df97e0d51785f8c5c4e57e12a8063e573e1b89990106e954d338eac85e260f",
+        "714c5ae615d7e09cc5e65766e96f771409a709ed5361e70671ba405e93db6f8e",
+    ),
+    ("default", "energy-tradeoff"): (
+        "cd91f78315c8907b228226597e217abefd8cbfff01f2334d9ce44750c4de9a27",
+        "6e53c44ebf06ec71d2fd573a71b87e1f8c5a03b67151c76c7aec669264c6bf29",
+    ),
+    ("default", "fig4"): (
+        "49d8e212abf45a0a5eaffc64d154838371a21f41aa5774f4a84ef0cb3d76d560",
+        "7f888f7ed8a473f6e96cd6f9d27f7808505cde8f2c4c21aa969d80cef1307d78",
+    ),
+    ("default", "fig5"): (
+        "16c401cc65e8cddfcb70e227cd3a41eb2c13c643cab5f2d1b90d6b6736fdfb82",
+        "36f346c35c51c3cbaffc51efd98a75d5c656b08f64ccc2e074dc8c4d246b9957",
+    ),
+    ("default", "fig6"): (
+        "49d8e212abf45a0a5eaffc64d154838371a21f41aa5774f4a84ef0cb3d76d560",
+        "7f888f7ed8a473f6e96cd6f9d27f7808505cde8f2c4c21aa969d80cef1307d78",
+    ),
+    ("default", "fig7"): (
+        "1cfec5935f01ce58b892ca6eb4acff1c30850c56d591bea60ebb59905b0731a5",
+        "71f275f64868423ba4e790e6992903ca321a08b32ebe281c289b7e7ca7db7758",
+    ),
+    ("default", "fig8"): (
+        "8d7ce0b66ec61848ac3fd7f7e760d99f816cf767feef0e5d2aceae20461390b1",
+        "c6d5874ebb7969abff3bb6fdef0558f7f5cde8ea3b58cdcafa1e0f3de957f9d7",
+    ),
+    ("default", "fig9"): (
+        "0ae5b9bf822518ce9c4d2440ab5db6e900c734a1c25f3cbe45600b5e30c9f68b",
+        "26f320a81d151a2a42c5a67c9f2de3e69a09889e5872e71c00568f1c0c9fa6ae",
+    ),
+    ("default", "occupancy-domains"): (
+        "d20ab4ebb156e3ec60f1819806055327a67e93440b2c9bb7884699274c96eac0",
+        "a3ab9b73e3263064acf0e722ac5a4c1ff1a081254dfb50f363d0782bd5d8167e",
+    ),
+    ("default", "stationary-critical-range"): (
+        "e02045d13b4ca39a9390879fd63cd25e53cae05f187ccb6377806fb9b517581c",
+        "263ab6a5b05afaa704196bdbfcab126f5650b7ac72b99c6040edbb1fd85ac00e",
+    ),
+    ("default", "theorem5-1d"): (
+        "b6e28a6561055764f47b4c9faaa3cca18cd96d823592c65722e93443f85b113e",
+        "a1ef91d43b43a665b03d686668cd7aae71fc1a8aa555b2cfe9560c36108f7e79",
+    ),
+    ("paper", "energy-tradeoff"): (
+        "265206a7e5f154c969de44160e9093e58bb25655149120d2cb9bd4c97cad208b",
+        "b13d59e5ad1d7c0322ac62fb620a63a8ffda577488ec73933a6af4ea4f7a8f43",
+    ),
+    ("paper", "fig4"): (
+        "3d085fb24bd14a7f7f905c8f027d8b709053fe4013d2e16b940d96b25552abe2",
+        "54bb1759a2bee5b82331e1849bbbaa5636a609aed858772a6cfa8a80605a1722",
+    ),
+    ("paper", "fig5"): (
+        "40825a2a95f47b9df62d5b1e3c7bdf463999133503ae5e63ba272f66ea196277",
+        "21b5c1e763e2ab0fe33ff0fc0ff98db3347075a5a45b0538c9964b06f91bf7d9",
+    ),
+    ("paper", "fig6"): (
+        "3d085fb24bd14a7f7f905c8f027d8b709053fe4013d2e16b940d96b25552abe2",
+        "54bb1759a2bee5b82331e1849bbbaa5636a609aed858772a6cfa8a80605a1722",
+    ),
+    ("paper", "fig7"): (
+        "af1528b4ae489cca390385f8a4f4df37979d7109aea4fab916ea9311093e6129",
+        "54c0d442910ebdd22e147d523622a6627122a81f36faf9c1b922114ddb5d75ec",
+    ),
+    ("paper", "fig8"): (
+        "ccd89b7d08a4b167e8de98ea4fbe6e0ac031fa11150f78aca269f25667a4aeab",
+        "5a957dd69999decca12efa2857bd7fb4b5444eafd4e80107dd6282d1b258285c",
+    ),
+    ("paper", "fig9"): (
+        "17c021ec46bb0de86e22fb142eab65b2910da17ee5f0f85ac84eb17f11406f98",
+        "f711cfba85050de41bc742b26586c89cb8d6a4681535a80264e44fab66fb8923",
+    ),
+    ("paper", "occupancy-domains"): (
+        "6304c45bf1000a467a3650e6dede852110eb76c1be6afc5e6c110668b4185970",
+        "a814a8b949dbd652241ff48954aaa2d321d3b95df63e34cb0c72f90fc2e9bd92",
+    ),
+    ("paper", "stationary-critical-range"): (
+        "6bf2597857476b2af07a548b5620742a35c7b84c987bc582a3cd2309a6479fb7",
+        "fa94db8129b9120bd0d5791848e83f5e983d4c2d93d652c544b6cdcf6514b8e8",
+    ),
+    ("paper", "theorem5-1d"): (
+        "3f58c91691e08b2567725627c63feabd49538b27f194272ec59a5e6eb61c38e2",
+        "fed6703c6fe3ea1c1373faa504882d550961db1d6e3d098b1a07f533497e59e6",
+    ),
+}
+
+
+def rows_digest(experiment, scale, checkpoint):
+    rows = []
+    for value in experiment.sweep_values(scale):
+        iteration = checkpoint.iteration_checkpoint(value)
+        rows.append([
+            float(value),
+            checkpoint.key_for(value),
+            None if iteration is None else iteration.key_for(0),
+        ])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestGoldenKeysEveryExperiment:
+    """Every registered experiment keeps its store addresses at every
+    preset, so no execution field ever reached any experiment's key."""
+
+    def test_every_registered_experiment_is_pinned(self):
+        from repro.experiments.registry import SCALES, list_experiments
+
+        pinned = set(GOLDEN_PRESET_DIGESTS) | {
+            cell for cell in GOLDEN_KEYS if cell[0] != "grid"
+        }
+        # Experiments other test modules register on the fly are not the
+        # package's own and carry no stored results worth pinning.
+        built_in = [
+            experiment
+            for experiment in list_experiments()
+            if experiment.run.__module__.startswith("repro.")
+        ]
+        assert pinned == {
+            (preset, experiment.identifier)
+            for preset in SCALES
+            for experiment in built_in
+        }
+
+    @pytest.mark.parametrize(
+        "cell", sorted(GOLDEN_PRESET_DIGESTS), ids="{0[0]}-{0[1]}".format
+    )
+    def test_keys_match_the_pinned_digest(self, cell, tmp_path):
+        experiment = get_experiment(cell[1])
+        scale = scale_by_name(cell[0])
+        sweep_key, digest = GOLDEN_PRESET_DIGESTS[cell]
+        assert scenario_sweep_key(experiment, scale) == sweep_key
+        checkpoint = StoreSweepCheckpoint(
+            ResultStore(tmp_path / "store"),
+            scenario_payload(experiment, scale),
+            iterations=experiment.checkpoint_iterations(scale),
+        )
+        assert rows_digest(experiment, scale, checkpoint) == digest

@@ -254,3 +254,96 @@ class TestBackendFlag:
              "--seed", "3", "--backend", "numpy-strict"]
         ) == 0
         assert "rstationary" in capsys.readouterr().out
+
+
+def _tiny_smoke(monkeypatch):
+    """Shrink the smoke preset so a CLI run takes well under a second."""
+    from repro.experiments import registry
+
+    tiny = registry.ExperimentScale(
+        name="smoke",
+        sides=(256.0, 324.0),
+        steps=8,
+        iterations=1,
+        stationary_iterations=15,
+        parameter_points=2,
+        seed=5,
+    )
+    monkeypatch.setitem(registry.SCALES, "smoke", tiny)
+
+
+class TestExecutionFlags:
+    """``--total-workers`` is the one width flag of ``run`` and ``campaign
+    run``; the removed per-level flags no longer parse."""
+
+    def test_total_workers_flag_parses(self):
+        parser = build_parser()
+        assert parser.parse_args(["run", "fig2"]).total_workers is None
+        assert parser.parse_args(
+            ["run", "fig2", "--total-workers", "3"]
+        ).total_workers == 3
+        assert parser.parse_args(
+            ["campaign", "run", "spec.toml", "--total-workers", "5"]
+        ).total_workers == 5
+
+    @pytest.mark.parametrize("flag,expected", [(None, 1), ("1", 1), ("3", 3)])
+    def test_total_workers_sets_sweep_workers(
+        self, flag, expected, capsys, monkeypatch
+    ):
+        from repro.experiments import registry
+        from repro.simulation.sweep import SweepResult
+
+        seen = []
+
+        def run(scale):
+            seen.append(scale)
+            return SweepResult(parameter_name="l", rows=[{"l": 1.0, "y": 2.0}])
+
+        probe = registry.Experiment(
+            identifier="cli-scale-probe",
+            title="probe",
+            description="records the scale the CLI hands it",
+            paper_reference="-",
+            run=run,
+        )
+        monkeypatch.setitem(registry._REGISTRY, probe.identifier, probe)
+        arguments = ["run", probe.identifier, "--scale", "smoke"]
+        if flag is not None:
+            arguments += ["--total-workers", flag]
+        assert main(arguments) == 0
+        capsys.readouterr()
+        assert [scale.sweep_workers for scale in seen] == [expected]
+        assert seen[0].with_sweep_workers(1) == registry.scale_by_name("smoke")
+
+    @pytest.mark.parametrize("identifier", ["fig2", "fig7"])
+    def test_run_with_total_workers_matches_default(
+        self, identifier, capsys, monkeypatch
+    ):
+        _tiny_smoke(monkeypatch)
+        assert main(["run", identifier, "--scale", "smoke"]) == 0
+        base_output = capsys.readouterr().out
+        assert main(["run", identifier, "--scale", "smoke",
+                     "--total-workers", "2"]) == 0
+        wide_output = capsys.readouterr().out
+        # The rendered table (all measured numbers) must be identical.
+        title = f"{identifier} (smoke scale)"
+        table = lambda text: text[text.index(title):]
+        assert table(wide_output) == table(base_output)
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            ["run", "fig2", "--workers", "2"],
+            ["run", "fig2", "--sweep-workers", "2"],
+            ["run", "fig2", "--shard-steps", "4"],
+            ["run", "fig2", "--transport", "shm"],
+            ["campaign", "run", "spec.toml", "--workers", "2"],
+            ["campaign", "run", "spec.toml", "--sweep-workers", "2"],
+            ["stationary", "--side", "100", "--nodes", "20", "--workers", "2"],
+        ],
+        ids=lambda arguments: f"{arguments[0]}{arguments[-2]}",
+    )
+    def test_removed_width_flags_are_rejected(self, arguments, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(arguments)
+        assert "unrecognized arguments" in capsys.readouterr().err
