@@ -35,10 +35,13 @@
 #    budget evicts entries, a second run under the same budget is stable.
 # 11. The backend lane: the kernel-parity tests run explicitly (every
 #    host backend — numpy and the numpy-strict verification backend —
-#    must produce bit-identical kernel outputs), and the backend
-#    dispatch benchmark must pass at smoke scale: the seam's default
-#    NumPy path < 2% over hand-inlined pre-seam NumPy; GPU bars are
-#    timed only on hosts that can resolve a device backend.
+#    must produce bit-identical kernel outputs, and the matrix-free
+#    batched MST must equal the single-frame MST of every frame), and
+#    the backend dispatch benchmark must pass at smoke scale: the seam's
+#    default NumPy path < 2% over the same kernel with NumPy inlined.
+#    It also reports matrix_free_speedup over the old stacked-matrix
+#    kernel, which the perf-regression gate (step 20) grades; GPU bars
+#    are timed only on hosts that can resolve a device backend.
 # 12. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL

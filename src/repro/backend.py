@@ -1,8 +1,9 @@
 """Array-namespace backend seam for the columnar hot path.
 
 The contraction-heavy kernels — batched ``(steps, n, d)`` trajectories,
-squared-distance matrices, batched Prim MST — are written against an
-array namespace handle ``xp`` instead of the module-level ``numpy``.
+squared-distance matrices, the matrix-free batched Prim MST — are written
+against an array namespace handle ``xp`` instead of the module-level
+``numpy``.
 :func:`resolve_backend` turns a backend name into an :class:`ArrayBackend`
 that bundles that namespace with explicit device/dtype helpers:
 
@@ -30,10 +31,10 @@ that bundles that namespace with explicit device/dtype helpers:
     can never alias one store entry.
 
 Idioms outside the array-API standard (fancy 2-D gather/scatter, masked
-fill, in-place minimum) live as *methods on the backend object* rather
-than in the kernels — the NumPy implementations keep their fast in-place
-forms, and a new backend overrides the handful of methods instead of
-forking the kernels.
+fill and assignment, in-place minimum) live as *methods on the backend
+object* rather than in the kernels — the NumPy implementations keep their
+fast in-place forms, and a new backend overrides the handful of methods
+instead of forking the kernels.
 """
 
 from __future__ import annotations
@@ -118,9 +119,14 @@ class ArrayBackend:
         array[rows, cols] = value
         return array
 
-    def take_rows(self, array: Any, rows: Any, cols: Any) -> Any:
-        """Row gather ``array[rows, cols, :]`` from a ``(B, n, n)`` stack."""
-        return array[rows, cols, :]
+    def masked_assign(self, array: Any, mask: Any, values: Any) -> Any:
+        """Return ``array`` with ``values`` stored wherever ``mask`` holds.
+
+        ``values`` broadcasts against ``array``.  Same in-place-on-NumPy /
+        functional-elsewhere contract as :meth:`fill_mask`.
+        """
+        np.copyto(array, values, where=mask)
+        return array
 
     def minimum_update(self, accumulator: Any, update: Any) -> Any:
         """Return ``elementwise_min(accumulator, update)``.
@@ -257,11 +263,8 @@ class _StrictBackend(ArrayBackend):
         hit = self.xp.reshape(cols, (-1, 1)) == self.xp.arange(width)
         return self.xp.where(hit, self.xp.asarray(value, dtype=array.dtype), array)
 
-    def take_rows(self, array: Any, rows: Any, cols: Any) -> Any:
-        taken = self.xp.take_along_axis(
-            array, self.xp.reshape(cols, (-1, 1, 1)), axis=1
-        )
-        return self.xp.squeeze(taken, axis=1)
+    def masked_assign(self, array: Any, mask: Any, values: Any) -> Any:
+        return self.xp.where(mask, values, array)
 
     def minimum_update(self, accumulator: Any, update: Any) -> Any:
         return self.xp.minimum(accumulator, update)
@@ -332,6 +335,9 @@ class _TorchBackend(ArrayBackend):
 
     def copy(self, array: Any) -> Any:
         return array.clone()
+
+    def masked_assign(self, array: Any, mask: Any, values: Any) -> Any:
+        return self.xp.where(mask, values, array)
 
     def stable_argsort(self, values: Any, axis: int = -1) -> Any:
         return self.xp.argsort(values, dim=axis, stable=True)

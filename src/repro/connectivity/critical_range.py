@@ -3,11 +3,12 @@
 For a *given* placement the MTR problem of Section 2 has an exact answer:
 the minimum range making the point graph connected equals the longest edge
 of a Euclidean minimum spanning tree of the points (the "bottleneck" edge).
-This module computes that value directly — via Prim's algorithm on the
-dense distance matrix — as well as the analogous thresholds for partial
-connectivity (smallest range whose largest component reaches a target
-fraction of ``n``) and for k-connectivity (by bisection on candidate
-ranges).
+This module computes that value directly — via Prim's algorithm over
+squared distances: a dense ``(n, n)`` matrix for one placement, rows
+computed on the fly for a batch of mobility frames — as well as the
+analogous thresholds for partial connectivity (smallest range whose
+largest component reaches a target fraction of ``n``) and for
+k-connectivity (by bisection on candidate ranges).
 
 These exact per-placement values are the building blocks of the
 ``rstationary`` estimates used as the denominator throughout Figures 2–9.
@@ -132,10 +133,13 @@ def minimum_spanning_edges_batch(
     overhead of the ``n - 1`` loop iterations is amortised across the whole
     batch — this is what makes reducing a 10 000-step trajectory cheap.
 
-    Per-frame squared distance matrices are computed with
-    :func:`repro.geometry.distance.squared_distance_matrix`, so every edge
-    length (and therefore every derived threshold) is bit-identical to the
-    single-frame code path.
+    No distance matrix is materialised: each Prim step computes the
+    chosen node's row of every frame's squared distances from the
+    coordinates, accumulating ``(p_c,k - p_j,k)**2`` over ascending ``k``
+    exactly as :func:`repro.geometry.distance.squared_distance_matrix`
+    does.  Every edge length (and therefore every derived threshold) is
+    bit-identical to the single-frame code path, and the working set is a
+    few ``(B, n)`` arrays instead of a ``(B, n, n)`` stack.
 
     ``backend`` selects the array namespace (:mod:`repro.backend`).  The
     frames must already live on that backend and the returned arrays stay
@@ -150,20 +154,34 @@ def minimum_spanning_edges_batch(
         raise AnalysisError(
             f"expected a (B, n, d) batch of frames, got shape {points.shape}"
         )
-    batch, n, _ = points.shape
+    batch, n, dimension = points.shape
     if n <= 1 or batch == 0:
         return (
             xp.empty((batch, 0), dtype=xp.int64),
             xp.empty((batch, 0), dtype=xp.int64),
             xp.empty((batch, 0), dtype=xp.float64),
         )
-    squared = xp.stack(
-        [squared_distance_matrix(points[index, ...], xp=xp) for index in range(batch)]
-    )
     batch_index = xp.arange(batch)
-    in_tree = xp.zeros((batch, n), dtype=xp.bool)
-    in_tree[:, 0] = True
-    best = backend.copy(squared[:, 0, :])
+    # One contiguous (B, n) array per coordinate axis.
+    columns = [backend.copy(points[:, :, axis]) for axis in range(dimension)]
+
+    def squared_row(node):
+        """Row ``node[b]`` of frame ``b``'s squared distances, as ``(B, n)``."""
+        if not columns:
+            return xp.zeros((batch, n), dtype=xp.float64)
+        row = None
+        for column in columns:
+            delta = backend.take_pairs(column, batch_index, node)[:, None] - column
+            delta *= delta
+            if row is None:
+                row = delta
+            else:
+                row += delta
+        return row
+
+    outside = xp.ones((batch, n), dtype=xp.bool)
+    outside[:, 0] = False
+    best = squared_row(xp.zeros(batch, dtype=xp.int64))
     best[:, 0] = math.inf
     parent = xp.zeros((batch, n), dtype=xp.int64)
     us = xp.empty((batch, n - 1), dtype=xp.int64)
@@ -174,12 +192,14 @@ def minimum_spanning_edges_batch(
         us[:, index] = backend.take_pairs(parent, batch_index, candidate)
         vs[:, index] = candidate
         lengths[:, index] = backend.take_pairs(best, batch_index, candidate)
-        in_tree = backend.put_pairs(in_tree, batch_index, candidate, True)
+        outside = backend.put_pairs(outside, batch_index, candidate, False)
         best = backend.put_pairs(best, batch_index, candidate, math.inf)
-        row = xp.where(in_tree, math.inf, backend.take_rows(squared, batch_index, candidate))
+        row = squared_row(candidate)
+        # Tree nodes hold best = inf, so only the mask keeps them out.
         closer = row < best
-        parent = xp.where(closer, candidate[:, None], parent)
-        best = xp.where(closer, row, best)
+        closer &= outside
+        parent = backend.masked_assign(parent, closer, candidate[:, None])
+        best = backend.masked_assign(best, closer, row)
     order = backend.stable_argsort(lengths, axis=1)
     return (
         backend.take_along(us, order, axis=1),

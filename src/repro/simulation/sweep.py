@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults, telemetry
 from repro.exceptions import ConfigurationError
-from repro.supervision import RetryPolicy, run_supervised
+from repro.supervision import run_supervised
 
 
 class SweepCheckpoint:
@@ -211,7 +211,6 @@ def sweep_parameter(
     measure: Callable[[float], Dict[str, float]],
     workers: int = 1,
     checkpoint: Optional[SweepCheckpoint] = None,
-    retry_policy: Optional[RetryPolicy] = None,
 ) -> SweepResult:
     """Run ``measure`` at every parameter value and tabulate the results.
 
@@ -232,13 +231,11 @@ def sweep_parameter(
             it stopped.  Because each measure call is deterministic given
             the value, a resumed or fully checkpointed sweep is
             bit-identical to an uninterrupted one.
-        retry_policy: optional :class:`repro.supervision.RetryPolicy` for
-            the parallel path.  ``None`` (default) fails fast exactly as
-            before supervision existed; a supervising policy retries
-            crashed workers, task exceptions and (with ``task_timeout``)
-            hung values on a respawned pool — bit-identical when the
-            retries eventually succeed, since each measure call is a pure
-            function of its value.
+
+    The parallel path fails fast: the first task exception or worker
+    crash propagates.  A crash first sweeps dead writers' staging
+    directories out of the checkpoint's store.  Retries belong to
+    :mod:`repro.campaigns`, whose runners carry a retry policy.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
@@ -270,10 +267,7 @@ def sweep_parameter(
             rows[index] = row
     else:
         # Rows are checkpointed in completion order — as soon as they
-        # exist — and reordered when the sweep is assembled below.  The
-        # supervised gather with the default policy fails fast; a
-        # supervising ``retry_policy`` survives worker crashes, task
-        # exceptions and hangs.
+        # exist — and reordered when the sweep is assembled below.
         def submit_value(pool, item):
             index, value = item
             # Carry the ambient span context into the worker; identity
@@ -293,7 +287,6 @@ def sweep_parameter(
             budget=worker_count,
             submit=submit_value,
             on_result=consume,
-            policy=retry_policy,
             on_respawn=_sweep_staging(checkpoint),
         )
 

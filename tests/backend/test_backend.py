@@ -164,14 +164,19 @@ class TestStrictNamespaceGuard:
             observed = portable.minimum_update(portable.copy(accumulator), update)
             assert np.array_equal(expected, observed)
 
-            matrix = rng.random((3, 5, 5))
-            batch_rows = np.arange(3)
-            cols = rng.integers(0, 5, size=3)
+            mask = rng.random((3, 6)) < 0.4
+            expected = fast.masked_assign(accumulator.copy(), mask, update)
+            observed = portable.masked_assign(portable.copy(accumulator), mask, update)
+            assert np.array_equal(expected, observed)
+            assert np.array_equal(expected, np.where(mask, update, accumulator))
+            labels = rng.integers(0, 9, size=(3, 6))
+            chosen = rng.integers(0, 9, size=3)
             assert np.array_equal(
-                fast.take_rows(matrix, batch_rows, cols),
-                portable.take_rows(matrix, batch_rows, cols),
+                fast.masked_assign(labels.copy(), mask, chosen[:, None]),
+                portable.masked_assign(portable.copy(labels), mask, chosen[:, None]),
             )
 
+            batch_rows = np.arange(3)
             flat = rng.random((3, 25))
             pairs = rng.integers(0, 25, size=3)
             assert np.array_equal(

@@ -14,7 +14,7 @@ spans many batches:
   included);
 * the batches stitch back into ``model.trajectory(steps)`` and consume
   exactly its draws;
-* batch sizes respect the element cap;
+* batch sizes follow the ``(B, n)`` element cap;
 * per-batch reductions concatenate to the whole-trajectory reduction;
 * batched runs save and resume the same per-iteration checkpoints.
 """
@@ -63,10 +63,9 @@ def make_config(mobility_name, steps=31, iterations=2):
     )
 
 
-def cap_batches(monkeypatch, frames, node_count=NODES, dimension=2):
+def cap_batches(monkeypatch, frames):
     """Shrink the engine's element cap to ``frames`` frames per batch."""
-    per_frame = max(1, node_count * node_count, node_count * dimension)
-    monkeypatch.setattr(engine, "_TRAJECTORY_BATCH_ELEMENTS", frames * per_frame)
+    monkeypatch.setattr(engine, "_TRAJECTORY_BATCH_ELEMENTS", frames * NODES)
 
 
 def initialized_model(config, seed):
@@ -140,19 +139,20 @@ class TestBatchStream:
     def test_batch_sizes_respect_the_element_cap(
         self, node_count, dimension, monkeypatch
     ):
-        monkeypatch.setattr(engine, "_TRAJECTORY_BATCH_ELEMENTS", 500)
+        monkeypatch.setattr(engine, "_TRAJECTORY_BATCH_ELEMENTS", 30)
         region = Region(side=SIDE, dimension=dimension)
         rng = np.random.default_rng(4)
         model = MOBILITY_SPECS["drunkard"].create()
         model.initialize(region.sample_uniform(node_count, rng), region, rng)
         steps = 37
         batches = list(engine._iter_trajectory_batches(model, steps, rng))
-        per_frame = max(1, node_count * node_count, node_count * dimension)
         assert sum(batch.shape[0] for batch in batches) == steps
         assert all(batch.shape[1:] == (node_count, dimension) for batch in batches)
-        # At least one frame per batch, even when one frame exceeds the cap.
-        allowed = max(1, 500 // per_frame)
+        # The cap counts (B, n) kernel elements, whatever the dimension;
+        # at least one frame per batch, even when one frame exceeds it.
+        allowed = max(1, 30 // node_count)
         assert all(1 <= batch.shape[0] <= allowed for batch in batches)
+        assert all(batch.shape[0] == allowed for batch in batches[:-1])
 
     def test_statistics_of_batches_concatenate_to_the_whole(self):
         config = make_config("waypoint", steps=40)
