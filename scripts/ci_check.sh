@@ -69,9 +69,11 @@
 # 17. A distributed smoke through the real CLI: `campaign serve` on a
 #    loopback port (--url-file announces the picked port), two
 #    `campaign work` processes drain the example grid, all three exit 0,
-#    and a warm re-serve must report zero computed values (the
-#    distributed run addressed the same store entries a local one
-#    would).
+#    the serve log holds no `Traceback` (workers leaving their
+#    keep-alive connections, or giving up on a long-polled lease, are
+#    routine and must stay quiet), and a warm re-serve must report zero
+#    computed values (the distributed run addressed the same store
+#    entries a local one would).
 # 18. The query-service benchmark must pass at smoke scale: hot answers
 #    sub-millisecond p50 / single-digit-millisecond p99 and cold misses
 #    under 100 ms p99 on any host, a zipfian stream mostly served from
@@ -301,6 +303,11 @@ wait "$DIST_W1_PID"
 wait "$DIST_W2_PID"
 wait "$DIST_SERVE_PID"
 grep -q "value(s) computed" "$DIST_DIR/serve.log"
+if grep -q "Traceback" "$DIST_DIR/serve.log"; then
+    echo "campaign serve printed a traceback:" >&2
+    cat "$DIST_DIR/serve.log" >&2
+    exit 1
+fi
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign serve examples/campaign_smoke.toml --store "$DIST_STORE" \
     --port 0 --quiet \

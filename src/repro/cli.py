@@ -328,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         metavar="SECONDS",
-        help="sleep between polls while no task is ready (default: 0.5)",
+        help=(
+            "sleep between connection attempts while the server is not "
+            "up yet (default: 0.5); idle waits are the server's long poll"
+        ),
     )
     campaign_work.add_argument(
         "--worker-id",

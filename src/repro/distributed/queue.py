@@ -7,6 +7,16 @@ published result each charge or complete the task before the call
 returns, so ``done()`` can never report completion while a charge is
 still in flight.
 
+Leases long-poll: ``lease(worker, wait=s)`` decides and, while nothing
+can be granted, waits on a :class:`threading.Condition` sharing that
+lock for up to ``s`` seconds.  Every transition that can make a task
+grantable or finish the queue — ``add``, ``seal``, a published result
+and every charge (published error or expired lease) — notifies the
+waiters, so a held lease answers within a thread wake-up of the change
+and no wake-up is lost between deciding and waiting.  ``wait=0`` (the
+default) never blocks, which keeps the ``now=``-driven unit semantics
+deterministic.
+
 Failure semantics are the campaign's existing ones, not new ones: a
 failed attempt (published error or expired lease) is charged against the
 task exactly like :func:`repro.supervision.run_supervised` charges a
@@ -43,6 +53,11 @@ __all__ = ["QueueEvent", "WorkQueue"]
 #: ``("retried", task_id, error, attempt, delay)`` or
 #: ``("giveup", task_id, error, attempts)``.
 QueueEvent = Tuple[Any, ...]
+
+#: Seconds between an idle worker's lease polls: the ``retry_after`` a
+#: non-blocking lease answers while nothing is pending, and the longest
+#: the result server holds one lease request open.
+IDLE_POLL_SECONDS = 0.5
 
 
 @dataclass
@@ -86,6 +101,7 @@ class WorkQueue:
         self.lease_seconds = float(lease_seconds)
         self.events: Queue = Queue() if events is None else events
         self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
         self._tasks: Dict[str, _Task] = {}
         self._order = 0
         self._sealed = False
@@ -98,6 +114,7 @@ class WorkQueue:
             self._tasks[task_id] = _Task(
                 task_id=task_id, payload=payload, enqueued_at=self._order
             )
+            self._changed.notify_all()
 
     def seal(self) -> None:
         """Mark the task set complete.
@@ -108,55 +125,82 @@ class WorkQueue:
         """
         with self._lock:
             self._sealed = True
+            self._changed.notify_all()
 
     # ------------------------------------------------------------------ #
-    def lease(self, worker: str, now: Optional[float] = None) -> Dict[str, Any]:
+    def lease(
+        self, worker: str, now: Optional[float] = None, wait: float = 0.0
+    ) -> Dict[str, Any]:
         """Grant the next ready task to ``worker``.
 
         Returns ``{"status": "ok", "task": id, "payload": bytes,
         "lease_seconds": s}`` on a grant, ``{"status": "wait",
         "retry_after": s}`` while nothing is ready, and
         ``{"status": "done"}`` once every task reached a terminal state.
+
+        ``wait`` > 0 holds a would-be ``wait`` answer for up to that many
+        seconds, re-deciding whenever the queue changes and when the
+        earliest backoff ends.  A ``wait`` answer after a hold says
+        ``retry_after: 0``: the caller already waited.
         """
-        moment = time.time() if now is None else now
-        with self._lock:
-            self._expire_locked(moment)
-            ready: List[_Task] = [
-                task
-                for task in self._tasks.values()
-                if task.state == "pending" and task.not_before <= moment
-            ]
-            if ready:
-                task = min(ready, key=lambda item: item.enqueued_at)
-                task.state = "leased"
-                task.worker = worker
-                task.granted_at = moment
-                task.deadline = moment + self.lease_seconds
-                telemetry.metrics.counter("queue.leases").add(1)
-                return {
-                    "status": "ok",
-                    "task": task.task_id,
-                    "payload": task.payload,
-                    "lease_seconds": self.lease_seconds,
-                }
-            if self._done_locked():
-                return {"status": "done"}
-            backoffs = [
-                task.not_before - moment
-                for task in self._tasks.values()
-                if task.state == "pending"
-            ]
-            # With nothing pending (everything leased elsewhere, or the
-            # driver still enqueueing) the next change is a publish, an
-            # expiry or a new task — any moment now — so keep the worker
-            # polling briskly rather than parking it a whole lease.
-            retry_after = (
-                min(backoffs) if backoffs else min(self.lease_seconds, 0.5)
-            )
+        hold_until = time.monotonic() + wait
+        with self._changed:
+            while True:
+                moment = time.time() if now is None else now
+                self._expire_locked(moment)
+                answer = self._grant_locked(worker, moment)
+                if answer is not None:
+                    return answer
+                backoffs = [
+                    task.not_before - moment
+                    for task in self._tasks.values()
+                    if task.state == "pending"
+                ]
+                remaining = hold_until - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(min([remaining, *backoffs]))
+        if wait > 0:
+            return {"status": "wait", "retry_after": 0.0}
+        # With nothing pending (everything leased elsewhere, or the
+        # campaign still enqueueing) the next change is a publish, an
+        # expiry or a new task — any moment now — so keep the worker
+        # polling briskly rather than parking it a whole lease.
+        retry_after = (
+            min(backoffs)
+            if backoffs
+            else min(self.lease_seconds, IDLE_POLL_SECONDS)
+        )
+        return {
+            "status": "wait",
+            "retry_after": max(0.05, min(retry_after, self.lease_seconds)),
+        }
+
+    def _grant_locked(
+        self, worker: str, moment: float
+    ) -> Optional[Dict[str, Any]]:
+        """A grant or ``done`` answer, or ``None`` when the caller must wait."""
+        ready: List[_Task] = [
+            task
+            for task in self._tasks.values()
+            if task.state == "pending" and task.not_before <= moment
+        ]
+        if ready:
+            task = min(ready, key=lambda item: item.enqueued_at)
+            task.state = "leased"
+            task.worker = worker
+            task.granted_at = moment
+            task.deadline = moment + self.lease_seconds
+            telemetry.metrics.counter("queue.leases").add(1)
             return {
-                "status": "wait",
-                "retry_after": max(0.05, min(retry_after, self.lease_seconds)),
+                "status": "ok",
+                "task": task.task_id,
+                "payload": task.payload,
+                "lease_seconds": self.lease_seconds,
             }
+        if self._done_locked():
+            return {"status": "done"}
+        return None
 
     def heartbeat(
         self, task_id: str, worker: str, now: Optional[float] = None
@@ -196,6 +240,7 @@ class WorkQueue:
             task.state = "done"
             task.worker = worker
             self.events.put(("result", task_id, payload))
+            self._changed.notify_all()
             return True
 
     def publish_error(
@@ -253,6 +298,7 @@ class WorkQueue:
         else:
             task.state = "poisoned"
             self.events.put(("giveup", task.task_id, error, task.attempts))
+        self._changed.notify_all()
 
     def _done_locked(self) -> bool:
         return self._sealed and all(

@@ -2,7 +2,7 @@
 
 Satisfies the full store surface (``get`` / ``put`` / ``contains`` /
 poison records / quarantine / gc / staging hygiene) over
-:mod:`urllib`, so campaign runners, :class:`~repro.store.checkpoints.
+:mod:`http.client`, so campaign runners, :class:`~repro.store.checkpoints.
 StoreSweepCheckpoint` writers and the codecs work unchanged against a
 URL.  Payloads cross the wire in their codec encoding with a sha256
 sideband, verified on *both* ends: the server recomputes the digest of
@@ -10,6 +10,16 @@ every PUT before accepting it, and :meth:`get` recomputes the digest of
 every downloaded payload before decoding — a corrupted transfer
 surfaces as the same :class:`StoreIntegrityError` a corrupted disk
 entry would, and callers evict-and-recompute identically.
+
+Requests travel on keep-alive connections: each thread of each process
+holds at most one open connection per server, shared by every client
+instance in that thread (a worker's queue client and the checkpoints
+unpickled inside its tasks), and each request applies its own client's
+timeout.  A *reused* connection that turns out closed — the server's
+idle timeout or a restart — is retried once on a fresh connection; the
+retry is safe for every verb, because object verbs are idempotent on a
+content-addressed store, a lost lease expires and a repeated publish of
+a finished task is acknowledged and dropped.
 
 Transport failures (refused connection, reset, timeout) raise
 :class:`RemoteStoreError`; they are *not* degradable store errors — a
@@ -28,9 +38,11 @@ import gzip
 import hashlib
 import http.client
 import json
-import urllib.error
-import urllib.request
+import os
+import threading
+from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.store.codecs import decode_payload, encode_payload
@@ -54,9 +66,75 @@ __all__ = ["RemoteResultStore", "RemoteStoreError"]
 #: Seconds one store request may take before the client gives up on it.
 REQUEST_TIMEOUT = 60.0
 
+#: Keep-alive connections one thread holds open at most; beyond it the
+#: least recently used one is closed, so a process meeting many servers
+#: over its life holds a bounded number of sockets.
+MAX_POOLED_CONNECTIONS = 8
+
+#: How a reused keep-alive connection that the server already closed
+#: fails (``http.client.RemoteDisconnected`` is a ConnectionResetError).
+_STALE = (ConnectionResetError, BrokenPipeError)
+
 
 class RemoteStoreError(ReproError):
     """The result server could not be reached or answered nonsense."""
+
+
+class _Connections(OrderedDict):
+    """One thread's connections by ``(scheme, netloc)``, least recent first.
+
+    Closes them when dropped — a thread's pool state is dropped when the
+    thread ends (a worker's per-task heartbeat thread, say).
+    """
+
+    def __del__(self) -> None:
+        for connection in self.values():
+            connection.close()
+
+
+class _ConnectionPool(threading.local):
+    """The calling thread's keep-alive connections, keyed by server.
+
+    Thread-local, so a heartbeat thread never interleaves requests with
+    its worker's main thread on one socket.  Stamped with the pid that
+    opened the connections, so a forked child opens its own instead of
+    writing into its parent's; closing its copies leaves the parent's
+    sockets open.
+    """
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self.connections = _Connections()
+
+    def connection(self, scheme: str, netloc: str) -> http.client.HTTPConnection:
+        if self.pid != os.getpid():
+            # Forked: dropping the inherited copies closes them.
+            self.connections = _Connections()
+            self.pid = os.getpid()
+        key = (scheme, netloc)
+        connection = self.connections.get(key)
+        if connection is None:
+            factory = (
+                http.client.HTTPSConnection
+                if scheme == "https"
+                else http.client.HTTPConnection
+            )
+            connection = self.connections[key] = factory(netloc)
+            while len(self.connections) > MAX_POOLED_CONNECTIONS:
+                self.connections.popitem(last=False)[1].close()
+        self.connections.move_to_end(key)
+        return connection
+
+    def discard(self, scheme: str, netloc: str) -> None:
+        connection = self.connections.pop((scheme, netloc), None)
+        if connection is not None:
+            connection.close()
+
+
+#: Shared by every client in the process: the checkpoints unpickled
+#: inside each task are fresh clients that must still reuse the worker's
+#: connection.
+_POOL = _ConnectionPool()
 
 
 class RemoteResultStore:
@@ -76,15 +154,10 @@ class RemoteResultStore:
         self.timeout = timeout
         self.root = None  # no local directory behind a remote store
         self.object_cache = object_cache
-        self._opener: Optional[urllib.request.OpenerDirector] = None
-
-    # The opener is a per-process convenience cache; checkpoints bound to
-    # this store are pickled into worker tasks, so drop it from state and
-    # rebuild lazily on first use in the adopting process.
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_opener"] = None
-        return state
+        parts = urlsplit(self.url)
+        self._scheme = parts.scheme
+        self._netloc = parts.netloc
+        self._prefix = parts.path  # prepended to every request path
 
     def _cache(self) -> Optional[LocalObjectCache]:
         """The engaged object cache: explicit instance, else environment.
@@ -98,15 +171,6 @@ class RemoteResultStore:
             return self.object_cache
         return cache_from_environment()
 
-    def _open(self) -> urllib.request.OpenerDirector:
-        if self._opener is None:
-            # An explicit empty ProxyHandler: loopback campaign traffic
-            # must never detour through an environment's http_proxy.
-            self._opener = urllib.request.build_opener(
-                urllib.request.ProxyHandler({})
-            )
-        return self._opener
-
     def _request(
         self,
         method: str,
@@ -114,30 +178,44 @@ class RemoteResultStore:
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
-        request = urllib.request.Request(
-            f"{self.url}{path}",
-            data=body,
-            method=method,
-            headers=headers or {},
-        )
         try:
-            with self._open().open(request, timeout=self.timeout) as response:
-                return (
-                    response.status,
-                    {k: v for k, v in response.headers.items()},
-                    response.read(),
-                )
-        except urllib.error.HTTPError as error:
-            payload = error.read()
-            return error.code, {k: v for k, v in error.headers.items()}, payload
-        except urllib.error.URLError as error:
-            raise RemoteStoreError(
-                f"result server {self.url} unreachable: {error.reason}"
-            ) from error
+            return self._exchange(method, path, body, headers)
+        except _STALE:
+            # A reused connection the server closed while it sat idle
+            # (its idle timeout, or a restart): once more, on a fresh one.
+            return self._exchange(method, path, body, headers)
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Optional[Dict[str, str]],
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One request and response on this thread's pooled connection.
+
+        Raises the raw stale-connection error only when the connection
+        was reused; every other failure is a :class:`RemoteStoreError`.
+        """
+        connection = _POOL.connection(self._scheme, self._netloc)
+        reused = connection.sock is not None
+        connection.timeout = self.timeout  # applied on (re)connect
+        if reused:
+            connection.sock.settimeout(self.timeout)
+        try:
+            connection.request(
+                method, self._prefix + path, body=body, headers=headers or {}
+            )
+            response = connection.getresponse()
+            return (
+                response.status,
+                {k: v for k, v in response.headers.items()},
+                response.read(),
+            )
         except (OSError, http.client.HTTPException) as error:
-            # urllib only wraps connection-establishment failures in
-            # URLError; a reset or truncated response mid-read (e.g. the
-            # server shutting down while answering) propagates raw.
+            _POOL.discard(self._scheme, self._netloc)
+            if reused and isinstance(error, _STALE):
+                raise
             raise RemoteStoreError(
                 f"result server {self.url} connection failed: {error!r}"
             ) from error

@@ -34,6 +34,21 @@ key/arguments → 400.  The :class:`~repro.distributed.remote_store.
 RemoteResultStore` client translates these back into ``KeyError`` /
 ``StoreIntegrityError`` / ``ConfigurationError`` so store callers cannot
 tell the transports apart.
+
+Connections are HTTP/1.1 keep-alive, one server thread each:
+
+* every request body is read before routing, so each reply ends at a
+  request boundary even when the route never looks at the body; a body
+  whose length is unknown gets a 400 and a closed connection;
+* replies go out with Nagle off — headers and body are two writes, and
+  the second would otherwise wait out the client's delayed ACK;
+* a connection silent for :data:`IDLE_TIMEOUT` seconds is closed, and a
+  peer that resets or times out ends its thread without a traceback;
+* ``POST /queue/lease`` long-polls: when nothing can be granted the
+  request is held for up to :data:`~repro.distributed.queue.
+  IDLE_POLL_SECONDS` and answered the moment the queue changes;
+* :meth:`ResultServer.stop` shuts the listening socket and every live
+  connection, so a waiting client sees "server left" at once.
 """
 
 from __future__ import annotations
@@ -42,16 +57,18 @@ import base64
 import gzip
 import hashlib
 import json
+import socket
+import sys
 import threading
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.store.codecs import decode_payload, encode_payload
 from repro.store.result_store import ResultStore, StoreIntegrityError
 
-from repro.distributed.queue import WorkQueue
+from repro.distributed.queue import IDLE_POLL_SECONDS, WorkQueue
 
 __all__ = ["ResultServer"]
 
@@ -73,6 +90,12 @@ GZIP_LEVEL = 1
 #: second to every :meth:`ResultServer.stop`.
 POLL_INTERVAL = 0.05
 
+#: Seconds a keep-alive connection may sit silent before its server
+#: thread closes it.  Well above a worker's heartbeat period (a third of
+#: the lease), so only an abandoned or wedged client hits it; a client
+#: whose pooled connection was closed retries once on a fresh one.
+IDLE_TIMEOUT = 60.0
+
 
 class _HttpFailure(Exception):
     """Internal: abort the current request with (status, message)."""
@@ -85,17 +108,27 @@ class _HttpFailure(Exception):
 class _Handler(BaseHTTPRequestHandler):
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     def log_message(self, format: str, *args: Any) -> None:
         pass  # campaign progress is the user-facing channel, not access logs
 
-    def _body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> bytes:
+        """Consume this request's whole body from the connection."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or "Transfer-Encoding" in self.headers:
+            # No way to find where the next request starts.
+            self.close_connection = True
+            raise _HttpFailure(400, "request body needs a Content-Length")
         return self.rfile.read(length) if length else b""
 
     def _json_body(self) -> Dict[str, Any]:
-        raw = self._body()
+        raw = self._request_body
         if not raw:
             return {}
         try:
@@ -117,6 +150,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -138,6 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     def _route(self, method: str) -> None:
         try:
+            self._request_body = self._read_body()
             handled = self._dispatch(method)
         except _HttpFailure as failure:
             self._fail(failure.status, str(failure), head_only=method == "HEAD")
@@ -151,7 +187,9 @@ class _Handler(BaseHTTPRequestHandler):
         except StoreIntegrityError as error:
             self._fail(422, str(error), head_only=method == "HEAD")
             return
-        except BrokenPipeError:  # client went away mid-reply
+        except (ConnectionError, TimeoutError):
+            # The client went away mid-request or fell silent mid-body.
+            self.close_connection = True
             return
         except Exception as error:  # never kill the serving thread
             self._fail(500, f"{type(error).__name__}: {error}")
@@ -263,7 +301,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return True
         if method == "PUT":
-            payload = self._body()
+            payload = self._request_body
             encoding = (self.headers.get("Content-Encoding") or "").lower()
             if encoding == "gzip":
                 try:
@@ -377,7 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
         arguments = self._json_body()
         worker = str(arguments.get("worker", ""))
         if parts[1] == "lease":
-            grant = queue.lease(worker)
+            grant = queue.lease(worker, wait=IDLE_POLL_SECONDS)
             if grant["status"] == "ok":
                 grant = dict(grant)
                 grant["payload"] = base64.b64encode(grant["payload"]).decode(
@@ -420,6 +458,41 @@ class _Server(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.store = store
         self.queue = queue
+        self._live: Set[socket.socket] = set()
+        self._live_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._live_lock:
+            self._live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._live_lock:
+            self._live.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A peer that resets or falls silent is routine on keep-alive
+        # connections (a worker exiting, a client timing out a long
+        # poll); only a genuine server fault deserves a traceback.
+        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        """Refuse new connections and end the live keep-alive ones.
+
+        The listening socket is shut down, not just closed: a process
+        forked after the bind holds a copy of it, which would otherwise
+        keep accepting connections into a backlog nobody serves.
+        """
+        with self._live_lock:
+            sockets = [self.socket, *self._live]
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by the peer, or not supported
+        super().server_close()
 
 
 class ResultServer:
@@ -464,6 +537,7 @@ class ResultServer:
         return self
 
     def stop(self) -> None:
+        """Stop serving; clients see refused or closed connections at once."""
         self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:

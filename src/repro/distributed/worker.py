@@ -3,7 +3,10 @@
 A worker is a loop: lease one task, heartbeat while computing it,
 publish the result (or the error), repeat until the server says the
 queue is drained — or stops answering, which after a first successful
-contact means the campaign finished and the server left.
+contact means the campaign finished and the server left.  While no task
+is ready the server holds the lease request open (a long poll) and
+answers the moment one is, so an idle worker never sleeps past new
+work; every request of a thread reuses one keep-alive connection.
 
 Tasks arrive as pickled ``(function, args, kwargs)`` closures — exactly
 the callables the in-process campaign scheduler would submit to its
@@ -141,7 +144,9 @@ def run_worker(
 
     Args:
         server: the ``campaign serve`` base URL.
-        poll_interval: sleep between polls while no task is ready.
+        poll_interval: sleep between attempts at the *first* contact,
+            while the server may still be binding; once connected,
+            waiting for work is the server's long poll.
         worker_id: lease owner name (default ``host:pid``).
         new_process_group: start a fresh process group first — lets a
             supervisor (or the chaos tests) SIGKILL this worker *and*

@@ -144,10 +144,11 @@ def assert_bit_identical(result, reference):
 def _worker_main(url, environment, new_process_group):
     if environment:
         os.environ.update(environment)
-    # A short HTTP timeout: a worker forked from the serving test process
-    # inherits the server's listening socket, so after the serve ends its
-    # polls hang in the dead backlog instead of being refused — the
-    # timeout turns that artifact into a prompt "server left" exit.
+    # A worker forked from the serving test process inherits the server's
+    # listening socket.  The serve's stop() shuts that socket down and
+    # every live keep-alive connection with it, so a worker still polling
+    # sees "server left" at once; the short HTTP timeout only bounds how
+    # long a regression of that would hang a test.
     run_worker(
         url,
         poll_interval=0.05,
@@ -165,12 +166,20 @@ def start_worker(url, environment=None, new_process_group=False):
 
 
 def reap(workers, timeout=60.0):
+    """Join every worker within ``timeout`` seconds of the call in total."""
+    deadline = time.monotonic() + timeout
     for process in workers:
-        process.join(timeout=timeout)
+        process.join(timeout=max(0.0, deadline - time.monotonic()))
         if process.is_alive():
             process.kill()
             process.join(timeout=5.0)
             raise AssertionError("worker did not exit after the campaign")
+
+
+#: Seconds within which workers exit once ``serve_campaign`` returns: the
+#: queue's final publish answers a held lease with "done", and the
+#: server's stop refuses whatever polls after that.
+PROMPT_EXIT = 1.0
 
 
 # --------------------------------------------------------------------------- #
@@ -196,7 +205,7 @@ class TestLoopbackFanOut:
                 start_worker(url) for _ in range(2)
             ),
         )
-        reap(workers)
+        reap(workers, timeout=PROMPT_EXIT)
 
         assert_bit_identical(result, local_result)
         # Same store keys, same entry bytes: the distributed transport
@@ -219,7 +228,7 @@ class TestLoopbackFanOut:
             telemetry_enabled=False,
             on_ready=lambda url: workers.append(start_worker(url)),
         )
-        reap(workers)
+        reap(workers, timeout=PROMPT_EXIT)
         assert first.computed_values == 6
         markers = _count(calls_dir)
 
@@ -370,7 +379,7 @@ class TestFailureDispositions:
                     start_worker(url, environment={"REPRO_FAULTS": str(plan)})
                 ),
             )
-        reap(workers)
+        reap(workers, timeout=PROMPT_EXIT)
 
     def test_exhausted_retries_quarantine_with_poison_records(
         self, dist_experiment, tmp_path
@@ -400,7 +409,7 @@ class TestFailureDispositions:
                 start_worker(url, environment={"REPRO_FAULTS": str(plan)})
             ),
         )
-        reap(workers)
+        reap(workers, timeout=PROMPT_EXIT)
         quarantined = [e for e in events if isinstance(e, TaskQuarantined)]
         assert len(quarantined) == 2  # side=10 in both seed scenarios
         assert result.quarantined_tasks == 2

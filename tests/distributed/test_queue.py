@@ -1,11 +1,15 @@
 """Unit semantics of the lease/heartbeat/publish work queue.
 
-Every test injects explicit ``now`` timestamps — the queue's clock is a
-parameter precisely so expiry, backoff and harvest ordering can be
-pinned deterministically, with no sleeps.
+Every test but the long-poll ones injects explicit ``now`` timestamps —
+the queue's clock is a parameter precisely so expiry, backoff and
+harvest ordering can be pinned deterministically, with no sleeps.  The
+long-poll tests hold a real lease in a thread and time how soon it
+answers after the change that should wake it.
 """
 
 import queue as queue_module
+import threading
+import time
 
 import pytest
 
@@ -182,3 +186,103 @@ class TestPublishing:
             "total": 2,
             "sealed": 1,
         }
+
+
+# --------------------------------------------------------------------------- #
+#: How soon a held lease must answer after the change that wakes it.
+PROMPT = 0.05
+
+#: A hold long enough that a missed wake-up fails the timing assertions.
+HOLD = 2.0
+
+
+def held_lease(work_queue, worker="waiter", wait=HOLD):
+    """Start ``lease(worker, wait=wait)`` in a thread, once it is waiting.
+
+    Returns ``(thread, outcome)``; ``outcome`` gains the answer and the
+    monotonic time it returned.
+    """
+    outcome = {}
+
+    def run():
+        outcome["answer"] = work_queue.lease(worker, wait=wait)
+        outcome["at"] = time.monotonic()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    time.sleep(0.1)  # let it reach the condition wait
+    assert thread.is_alive(), outcome
+    return thread, outcome
+
+
+def answered(thread, outcome, since):
+    """The held lease's answer, asserting it came within PROMPT of ``since``."""
+    thread.join(timeout=HOLD + 1.0)
+    assert not thread.is_alive()
+    assert outcome["at"] - since < PROMPT, outcome["at"] - since
+    return outcome["answer"]
+
+
+class TestLongPoll:
+    def test_add_wakes_a_held_lease(self):
+        work_queue = make_queue()
+        thread, outcome = held_lease(work_queue)
+        work_queue.add("t", b"x")
+        answer = answered(thread, outcome, time.monotonic())
+        assert answer["status"] == "ok" and answer["task"] == "t"
+
+    def test_seal_wakes_a_held_lease_with_done(self):
+        work_queue = make_queue()
+        thread, outcome = held_lease(work_queue)
+        work_queue.seal()
+        assert answered(thread, outcome, time.monotonic()) == {"status": "done"}
+
+    def test_final_publish_wakes_a_held_lease_with_done(self):
+        # The campaign-end case: one worker holds the last task, the
+        # other waits; the last publish must release the waiter at once.
+        work_queue = make_queue()
+        work_queue.add("t", b"x")
+        work_queue.seal()
+        assert work_queue.lease("busy")["status"] == "ok"
+        thread, outcome = held_lease(work_queue)
+        assert work_queue.publish_result("t", "busy", b"answer")
+        assert answered(thread, outcome, time.monotonic()) == {"status": "done"}
+
+    def test_expiry_charge_wakes_a_held_lease_with_the_task(self):
+        work_queue = make_queue(backoff=0.0, lease_seconds=0.2)
+        work_queue.add("t", b"x")
+        work_queue.seal()
+        assert work_queue.lease("silent")["status"] == "ok"
+        thread, outcome = held_lease(work_queue)
+        time.sleep(0.2)  # past the silent worker's deadline
+        assert work_queue.expire() == 1
+        answer = answered(thread, outcome, time.monotonic())
+        assert answer["status"] == "ok" and answer["task"] == "t"
+
+    def test_hold_ends_at_the_earliest_backoff(self):
+        work_queue = make_queue(backoff=0.2)
+        work_queue.add("t", b"x")
+        work_queue.seal()
+        work_queue.lease("w")
+        work_queue.publish_error("t", "w", "boom")  # pending until +0.2 s
+        ready_at = time.monotonic() + 0.2
+        thread, outcome = held_lease(work_queue)
+        assert answered(thread, outcome, ready_at)["status"] == "ok"
+
+    def test_unanswered_hold_lasts_wait_and_says_retry_now(self):
+        work_queue = make_queue()
+        started = time.monotonic()
+        answer = work_queue.lease("w", wait=0.2)
+        elapsed = time.monotonic() - started
+        assert answer == {"status": "wait", "retry_after": 0.0}
+        assert 0.2 <= elapsed < 0.2 + PROMPT * 2, elapsed
+
+    def test_wait_zero_never_blocks(self):
+        work_queue = make_queue()
+        started = time.monotonic()
+        for now in (0.0, 1.0, 2.0):
+            assert work_queue.lease("w", now=now)["status"] == "wait"
+        work_queue.add("t", b"x")
+        work_queue.lease("w1", now=3.0)
+        assert work_queue.lease("w2", now=3.0)["retry_after"] >= 0.05
+        assert time.monotonic() - started < PROMPT
