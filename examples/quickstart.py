@@ -113,21 +113,18 @@ def mobile_demo(rstationary: float) -> None:
     ]
     print(format_table(rows, precision=3))
 
-    from repro.availability.estimator import availability_from_frames
+    from repro.simulation import FrameStatisticsColumns
 
-    pooled = [frame for frames in statistics for frame in frames]
-    report = availability_from_frames(pooled, thresholds.r90)
-    print(
-        f"\nAvailability at r90: {report.availability:.1%} of steps connected, "
-        f"longest outage {report.longest_down_length} steps"
-    )
+    pooled = FrameStatisticsColumns.concatenate(statistics)
+    connected = pooled.connected_at(thresholds.r90).mean()
+    print(f"\nAt r90 the network is connected in {connected:.1%} of steps")
 
 
 def main() -> None:
     rstationary = stationary_demo()
     mobile_demo(rstationary)
     print("\nDone.  See examples/freeway_1d.py and examples/sensor_energy_tradeoff.py")
-    print("for the 1-D theory and the full energy study, and `adhoc-connectivity list`")
+    print("for the 1-D theory and the full energy study, and `python -m repro list`")
     print("for the figure-by-figure reproductions.")
 
 

@@ -11,8 +11,8 @@ This example reproduces that argument end to end on a mid-sized network:
 
 1. estimate all the thresholds of Figures 2-6 for one system size,
 2. convert them into energy savings and battery-lifetime multipliers,
-3. report what the network still delivers at each threshold — availability,
-   largest-component size, and pair reachability.
+3. report what the network still delivers at each threshold: the share of
+   time it is connected and the size of its largest component.
 
 Run with::
 
@@ -22,12 +22,9 @@ Run with::
 from __future__ import annotations
 
 import repro
-from repro.availability.estimator import (
-    availability_from_frames,
-    partial_availability_from_frames,
-)
 from repro.energy.savings import equivalent_lifetime_factor
 from repro.experiments.report import format_table
+from repro.simulation import FrameStatisticsColumns
 from repro.simulation.search import (
     average_component_fraction_at_range,
     estimate_component_thresholds_from_statistics,
@@ -53,7 +50,7 @@ def main() -> None:
         seed=SEED,
     )
     statistics = repro.collect_frame_statistics(config)
-    pooled = [frame for frames in statistics for frame in frames]
+    pooled = FrameStatisticsColumns.concatenate(statistics)
 
     thresholds = estimate_thresholds_from_statistics(statistics)
     components = estimate_component_thresholds_from_statistics(statistics)
@@ -75,8 +72,6 @@ def main() -> None:
 
     rows = []
     for label, radius in named_ranges.items():
-        availability = availability_from_frames(pooled, radius)
-        partial = partial_availability_from_frames(pooled, radius, 0.75)
         rows.append(
             {
                 "operating point": label,
@@ -91,8 +86,7 @@ def main() -> None:
                 "lifetime x (a=2)": equivalent_lifetime_factor(
                     radius, thresholds.r100, free_space
                 ),
-                "fully connected time": availability.availability,
-                ">=75% nodes connected time": partial.availability,
+                "fully connected time": pooled.connected_at(radius).mean(),
                 "avg largest component": average_component_fraction_at_range(
                     statistics, radius
                 ),
@@ -105,8 +99,7 @@ def main() -> None:
         columns=[
             "operating point", "range", "range/rstationary",
             "energy saved vs r100 (a=2)", "energy saved vs r100 (a=4)",
-            "lifetime x (a=2)", "fully connected time",
-            ">=75% nodes connected time", "avg largest component",
+            "lifetime x (a=2)", "fully connected time", "avg largest component",
         ],
         precision=3,
     ))
@@ -122,35 +115,6 @@ def main() -> None:
     print(" * the rl-thresholds show the same trade-off when the requirement is")
     print("   'keep a fraction of the nodes connected' rather than 'be connected")
     print("   some fraction of the time'.")
-
-    print()
-    print("Per-node topology control comparison (the protocols the paper cites):")
-    rng = repro.make_rng(SEED)
-    region = repro.Region.square(SIDE)
-    placement = repro.uniform_placement(NODE_COUNT, region, rng)
-    mst = repro.mst_range_assignment(placement)
-    knn = repro.knn_topology(placement, k=min(6, NODE_COUNT - 1))
-    uniform_energy = NODE_COUNT * free_space.node_power(repro.critical_range(placement))
-    print(format_table(
-        [
-            {
-                "scheme": "common range (MTR)",
-                "max range": repro.critical_range(placement),
-                "total energy (a=2)": uniform_energy,
-            },
-            {
-                "scheme": "per-node MST assignment",
-                "max range": mst.max_range(),
-                "total energy (a=2)": mst.total_energy(free_space),
-            },
-            {
-                "scheme": "k-nearest-neighbours (k=6)",
-                "max range": knn.max_range(),
-                "total energy (a=2)": knn.total_energy(free_space),
-            },
-        ],
-        precision=4,
-    ))
 
 
 if __name__ == "__main__":

@@ -33,15 +33,13 @@
 #    matches the uninterrupted run bit for bit.
 # 10. A campaign gc smoke through the real CLI: a tight --max-bytes
 #    budget evicts entries, a second run under the same budget is stable.
-# 11. The backend lane: the kernel-parity tests run explicitly (every
-#    host backend — numpy and the numpy-strict verification backend —
-#    must produce bit-identical kernel outputs, and the matrix-free
-#    batched MST must equal the single-frame MST of every frame), and
-#    the backend dispatch benchmark must pass at smoke scale: the seam's
-#    default NumPy path < 2% over the same kernel with NumPy inlined.
-#    It also reports matrix_free_speedup over the old stacked-matrix
-#    kernel, which the perf-regression gate (step 20) grades; GPU bars
-#    are timed only on hosts that can resolve a device backend.
+# 11. The kernel lane: the kernel reference tests run explicitly (every
+#    row of the matrix-free batched MST must equal the single-frame MST
+#    of its frame, its memory must stay linear in B * n, and the batched
+#    frame statistics must equal the per-frame ones), and the MST kernel
+#    benchmark must pass at smoke scale: the kernel's edges equal the old
+#    stacked-matrix kernel's bit for bit, and its matrix_free_speedup over
+#    that kernel is graded by the perf-regression gate (step 20).
 # 12. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL
@@ -141,10 +139,11 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     --total-workers 2 --quiet \
     | grep -q "0 value(s) computed"
 
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest tests/backend -q
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
+    tests/connectivity/test_mst_batch.py tests/simulation/test_engine.py -q
 
 REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest benchmarks/bench_backend_dispatch.py -q
+    python -m pytest benchmarks/bench_mst_kernel.py -q
 
 GC_STORE="$(mktemp -d)"
 trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE"' EXIT

@@ -39,21 +39,12 @@ from repro.analysis.bounds_1d import (
     range_for_connectivity_1d,
 )
 from repro.analysis.mtr import MTRInstance, MTRMInstance
-from repro.availability import (
-    AvailabilityReport,
-    availability_from_frames,
-    partial_availability_from_frames,
-)
 from repro.connectivity import (
     critical_range,
     critical_range_for_component_fraction,
     is_placement_connected,
     largest_component_fraction_of_placement,
     observe_placement,
-)
-from repro.dissemination import (
-    DisseminationResult,
-    simulate_epidemic_dissemination,
 )
 from repro.energy import EnergyModel, energy_savings_fraction, savings_table
 from repro.exceptions import (
@@ -65,7 +56,7 @@ from repro.exceptions import (
 )
 from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.experiments import get_experiment, list_experiments
-from repro.geometry import GridIndex, KDTree, Region
+from repro.geometry import GridIndex, Region
 from repro.graph import (
     CommunicationGraph,
     build_communication_graph,
@@ -95,11 +86,6 @@ from repro.placement import (
     grid_placement,
     uniform_placement,
 )
-from repro.propagation import (
-    LogDistancePathLoss,
-    LogNormalShadowing,
-    build_probabilistic_graph,
-)
 from repro.simulation import (
     ComponentThresholds,
     MobilitySpec,
@@ -114,26 +100,20 @@ from repro.simulation import (
 )
 from repro.stats import make_rng
 from repro.store import ResultStore
-from repro.topology import knn_topology, mst_range_assignment
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AnalysisError",
-    "AvailabilityReport",
     "CampaignRunner",
     "CampaignSpec",
     "CommunicationGraph",
     "ComponentThresholds",
     "ConfigurationError",
-    "DisseminationResult",
     "DrunkardModel",
     "EnergyModel",
     "GaussMarkovModel",
     "GridIndex",
-    "KDTree",
-    "LogDistancePathLoss",
-    "LogNormalShadowing",
     "MTRInstance",
     "MTRMInstance",
     "MobilitySpec",
@@ -150,9 +130,7 @@ __all__ = [
     "SimulationError",
     "StationaryModel",
     "__version__",
-    "availability_from_frames",
     "build_communication_graph",
-    "build_probabilistic_graph",
     "classify_domain",
     "clustered_placement",
     "collect_frame_statistics",
@@ -173,20 +151,16 @@ __all__ = [
     "has_gap_pattern",
     "is_connected",
     "is_placement_connected",
-    "knn_topology",
     "largest_component_fraction",
     "largest_component_fraction_of_placement",
     "list_experiments",
     "make_rng",
-    "mst_range_assignment",
     "nodes_for_connectivity_1d",
     "observe_placement",
-    "partial_availability_from_frames",
     "range_for_connectivity_1d",
     "record_trace",
     "run_fixed_range",
     "savings_table",
-    "simulate_epidemic_dissemination",
     "stationary_critical_range",
     "uniform_placement",
 ]

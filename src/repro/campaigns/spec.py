@@ -38,7 +38,7 @@ from typing import Any, List, Mapping, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.registry import ExperimentScale, scale_by_name
-from repro.store.keys import ENVIRONMENT_FIELDS, EXECUTION_FIELDS
+from repro.store.keys import EXECUTION_FIELDS
 
 PathLike = Union[str, Path]
 
@@ -48,14 +48,9 @@ PathLike = Union[str, Path]
 #: automatically rejected here too: two matrix cells differing only in an
 #: execution knob would collide on one cache key while pretending to be
 #: distinct scenarios.
-#: Environment fields (:data:`repro.store.keys.ENVIRONMENT_FIELDS`,
-#: i.e. ``backend``) are rejected for the opposite reason: they *do*
-#: change cache keys, but describe where a campaign runs rather than what
-#: it computes — select them per invocation (CLI ``--backend``), not in
-#: the campaign's identity.
 _SCALE_FIELDS = frozenset(
     f.name for f in dataclasses.fields(ExperimentScale)
-) - ({"name"} | EXECUTION_FIELDS | ENVIRONMENT_FIELDS)
+) - ({"name"} | EXECUTION_FIELDS)
 
 
 def _check_scale_fields(assignments: Mapping[str, Any], context: str) -> None:
@@ -64,8 +59,7 @@ def _check_scale_fields(assignments: Mapping[str, Any], context: str) -> None:
         raise ConfigurationError(
             f"unknown scale field(s) {sorted(unknown)} in campaign {context}; "
             f"allowed: {sorted(_SCALE_FIELDS)} (the worker budget is the "
-            "per-invocation --total-workers flag, not a spec field, and the "
-            "backend environment field is the --backend flag)"
+            "per-invocation --total-workers flag, not a spec field)"
         )
 
 

@@ -1,24 +1,23 @@
 """Command line interface.
 
-``adhoc-connectivity`` (or ``python -m repro``) exposes the registered
-experiments::
+``python -m repro`` exposes the registered experiments::
 
-    adhoc-connectivity list
-    adhoc-connectivity run fig2 --scale smoke
-    adhoc-connectivity run fig7 --scale default --output fig7.json
-    adhoc-connectivity run fig2 --scale paper --total-workers 4
-    adhoc-connectivity stationary --side 1024 --nodes 32
-    adhoc-connectivity campaign run grid.toml --store .repro-store
-    adhoc-connectivity campaign run grid.toml --total-workers 8
-    adhoc-connectivity campaign status grid.toml --store .repro-store
-    adhoc-connectivity campaign report --store .repro-store
-    adhoc-connectivity campaign report --store .repro-store --chrome-trace out.json
-    adhoc-connectivity campaign clean grid.toml --store .repro-store
-    adhoc-connectivity campaign gc --store .repro-store --max-bytes 500000000
-    adhoc-connectivity campaign serve grid.toml --port 8750 --max-retries 2
-    adhoc-connectivity campaign work --server http://127.0.0.1:8750
-    adhoc-connectivity query serve grid.toml --store .repro-store --port 8800
-    adhoc-connectivity query ask --url http://127.0.0.1:8800 \\
+    python -m repro list
+    python -m repro run fig2 --scale smoke
+    python -m repro run fig7 --scale default --output fig7.json
+    python -m repro run fig2 --scale paper --total-workers 4
+    python -m repro stationary --side 1024 --nodes 32
+    python -m repro campaign run grid.toml --store .repro-store
+    python -m repro campaign run grid.toml --total-workers 8
+    python -m repro campaign status grid.toml --store .repro-store
+    python -m repro campaign report --store .repro-store
+    python -m repro campaign report --store .repro-store --chrome-trace out.json
+    python -m repro campaign clean grid.toml --store .repro-store
+    python -m repro campaign gc --store .repro-store --max-bytes 500000000
+    python -m repro campaign serve grid.toml --port 8750 --max-retries 2
+    python -m repro campaign work --server http://127.0.0.1:8750
+    python -m repro query serve grid.toml --store .repro-store --port 8800
+    python -m repro query ask --url http://127.0.0.1:8800 \\
         --nodes 32 --probability 0.9
 
 ``--total-workers W`` is the one width flag of ``run`` and ``campaign
@@ -55,7 +54,6 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.backend import backend_names
 from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.campaigns.progress import as_text as progress_as_text
 from repro.telemetry import report as telemetry_report
@@ -76,7 +74,7 @@ DEFAULT_STORE = ".repro-store"
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the CLI."""
     parser = argparse.ArgumentParser(
-        prog="adhoc-connectivity",
+        prog="python -m repro",
         description=(
             "Reproduction of 'An Evaluation of Connectivity in Mobile "
             "Wireless Ad Hoc Networks' (Santi & Blough, DSN 2002)."
@@ -109,16 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
             "value)"
         ),
     )
-    run_parser.add_argument(
-        "--backend",
-        default=None,
-        choices=list(backend_names()),
-        help=(
-            "array backend for the connectivity kernels (default: numpy). "
-            "Unlike --total-workers this selects a different execution "
-            "environment and therefore different cache keys"
-        ),
-    )
 
     stationary_parser = subparsers.add_parser(
         "stationary", help="estimate the stationary critical range"
@@ -129,12 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     stationary_parser.add_argument("--iterations", type=int, default=200)
     stationary_parser.add_argument("--confidence", type=float, default=0.99)
     stationary_parser.add_argument("--seed", type=int, default=None)
-    stationary_parser.add_argument(
-        "--backend",
-        default="numpy",
-        choices=list(backend_names()),
-        help="array backend for the connectivity kernels",
-    )
 
     campaign_parser = subparsers.add_parser(
         "campaign",
@@ -1014,8 +996,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         scale = scale_by_name(arguments.scale)
         if arguments.total_workers is not None:
             scale = scale.with_sweep_workers(arguments.total_workers)
-        if arguments.backend is not None:
-            scale = scale.with_backend(arguments.backend)
         sweep = experiment.run(scale)
         print()
         print(render_sweep(sweep, title=f"{experiment.identifier} ({arguments.scale} scale)"))
@@ -1045,7 +1025,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             iterations=arguments.iterations,
             seed=arguments.seed,
             confidence=arguments.confidence,
-            backend=arguments.backend,
         )
         print(
             f"rstationary(n={arguments.nodes}, l={arguments.side}, "

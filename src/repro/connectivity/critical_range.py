@@ -21,7 +21,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import NUMPY_BACKEND, ArrayBackend, resolve_backend
 from repro.exceptions import AnalysisError
 from repro.geometry.distance import pairwise_distances, squared_distance_matrix
 from repro.graph.builder import build_communication_graph
@@ -74,22 +73,13 @@ def minimum_spanning_edges(
 
 def minimum_spanning_edges_from_squared(
     squared: np.ndarray,
-    *,
-    backend: Optional[ArrayBackend] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`minimum_spanning_edges` over a precomputed squared-distance matrix.
 
     This is the reusable Prim core: metrics other than plain Euclidean
     (e.g. toroidal wrap-around) pass their own ``(n, n)`` squared-distance
     matrix and get the same sorted MST edges back.
-
-    ``backend`` selects the array namespace the ``(n,)`` inner scans run
-    under (:mod:`repro.backend`); the matrix must live on that backend.
-    The returned edge arrays are always *host* NumPy — single-placement
-    MSTs feed host-side threshold extraction directly.
     """
-    backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
-    xp = backend.xp
     n = squared.shape[0]
     empty = (
         np.empty(0, dtype=np.intp),
@@ -98,32 +88,30 @@ def minimum_spanning_edges_from_squared(
     )
     if n <= 1:
         return empty
-    in_tree = xp.zeros(n, dtype=xp.bool)
+    in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best = backend.copy(squared[0, :])
+    best = squared[0, :].copy()
     best[0] = math.inf
-    parent = xp.zeros(n, dtype=xp.int64)
+    parent = np.zeros(n, dtype=np.int64)
     us = np.empty(n - 1, dtype=np.intp)
     vs = np.empty(n - 1, dtype=np.intp)
     lengths = np.empty(n - 1, dtype=float)
     for index in range(n - 1):
-        candidate = int(backend.to_host(xp.argmin(xp.where(in_tree, math.inf, best))))
-        us[index] = int(backend.to_host(parent[candidate]))
+        candidate = int(np.argmin(np.where(in_tree, math.inf, best)))
+        us[index] = int(parent[candidate])
         vs[index] = candidate
-        lengths[index] = float(backend.to_host(best[candidate]))
+        lengths[index] = float(best[candidate])
         in_tree[candidate] = True
         closer = squared[candidate, :] < best
-        parent = backend.fill_mask(parent, closer, candidate)
-        best = backend.minimum_update(best, squared[candidate, :])
-        best = backend.fill_mask(best, in_tree, math.inf)
+        parent[closer] = candidate
+        np.minimum(best, squared[candidate, :], out=best)
+        best[in_tree] = math.inf
     order = np.argsort(lengths, kind="stable")
     return us[order], vs[order], lengths[order]
 
 
 def minimum_spanning_edges_batch(
     frames: np.ndarray,
-    *,
-    backend: Optional[ArrayBackend] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched :func:`minimum_spanning_edges` over ``(B, n, d)`` frames.
 
@@ -140,16 +128,8 @@ def minimum_spanning_edges_batch(
     does.  Every edge length (and therefore every derived threshold) is
     bit-identical to the single-frame code path, and the working set is a
     few ``(B, n)`` arrays instead of a ``(B, n, n)`` stack.
-
-    ``backend`` selects the array namespace (:mod:`repro.backend`).  The
-    frames must already live on that backend and the returned arrays stay
-    on it — callers that feed host-side consumers (the union-find sweep in
-    :mod:`repro.simulation.engine`) perform the device→host sync with
-    :meth:`~repro.backend.ArrayBackend.to_host` explicitly.
     """
-    backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
-    xp = backend.xp
-    points = xp.asarray(frames, dtype=xp.float64)
+    points = np.asarray(frames, dtype=np.float64)
     if points.ndim != 3:
         raise AnalysisError(
             f"expected a (B, n, d) batch of frames, got shape {points.shape}"
@@ -157,21 +137,21 @@ def minimum_spanning_edges_batch(
     batch, n, dimension = points.shape
     if n <= 1 or batch == 0:
         return (
-            xp.empty((batch, 0), dtype=xp.int64),
-            xp.empty((batch, 0), dtype=xp.int64),
-            xp.empty((batch, 0), dtype=xp.float64),
+            np.empty((batch, 0), dtype=np.int64),
+            np.empty((batch, 0), dtype=np.int64),
+            np.empty((batch, 0), dtype=np.float64),
         )
-    batch_index = xp.arange(batch)
+    batch_index = np.arange(batch)
     # One contiguous (B, n) array per coordinate axis.
-    columns = [backend.copy(points[:, :, axis]) for axis in range(dimension)]
+    columns = [points[:, :, axis].copy() for axis in range(dimension)]
 
     def squared_row(node):
         """Row ``node[b]`` of frame ``b``'s squared distances, as ``(B, n)``."""
         if not columns:
-            return xp.zeros((batch, n), dtype=xp.float64)
+            return np.zeros((batch, n), dtype=np.float64)
         row = None
         for column in columns:
-            delta = backend.take_pairs(column, batch_index, node)[:, None] - column
+            delta = column[batch_index, node][:, None] - column
             delta *= delta
             if row is None:
                 row = delta
@@ -179,32 +159,32 @@ def minimum_spanning_edges_batch(
                 row += delta
         return row
 
-    outside = xp.ones((batch, n), dtype=xp.bool)
+    outside = np.ones((batch, n), dtype=bool)
     outside[:, 0] = False
-    best = squared_row(xp.zeros(batch, dtype=xp.int64))
+    best = squared_row(np.zeros(batch, dtype=np.int64))
     best[:, 0] = math.inf
-    parent = xp.zeros((batch, n), dtype=xp.int64)
-    us = xp.empty((batch, n - 1), dtype=xp.int64)
-    vs = xp.empty((batch, n - 1), dtype=xp.int64)
-    lengths = xp.empty((batch, n - 1), dtype=xp.float64)
+    parent = np.zeros((batch, n), dtype=np.int64)
+    us = np.empty((batch, n - 1), dtype=np.int64)
+    vs = np.empty((batch, n - 1), dtype=np.int64)
+    lengths = np.empty((batch, n - 1), dtype=np.float64)
     for index in range(n - 1):
-        candidate = xp.argmin(best, axis=1)
-        us[:, index] = backend.take_pairs(parent, batch_index, candidate)
+        candidate = np.argmin(best, axis=1)
+        us[:, index] = parent[batch_index, candidate]
         vs[:, index] = candidate
-        lengths[:, index] = backend.take_pairs(best, batch_index, candidate)
-        outside = backend.put_pairs(outside, batch_index, candidate, False)
-        best = backend.put_pairs(best, batch_index, candidate, math.inf)
+        lengths[:, index] = best[batch_index, candidate]
+        outside[batch_index, candidate] = False
+        best[batch_index, candidate] = math.inf
         row = squared_row(candidate)
         # Tree nodes hold best = inf, so only the mask keeps them out.
         closer = row < best
         closer &= outside
-        parent = backend.masked_assign(parent, closer, candidate[:, None])
-        best = backend.masked_assign(best, closer, row)
-    order = backend.stable_argsort(lengths, axis=1)
+        np.copyto(parent, candidate[:, None], where=closer)
+        np.copyto(best, row, where=closer)
+    order = np.argsort(lengths, axis=1, kind="stable")
     return (
-        backend.take_along(us, order, axis=1),
-        backend.take_along(vs, order, axis=1),
-        backend.take_along(lengths, order, axis=1),
+        np.take_along_axis(us, order, axis=1),
+        np.take_along_axis(vs, order, axis=1),
+        np.take_along_axis(lengths, order, axis=1),
     )
 
 

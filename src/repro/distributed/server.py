@@ -39,7 +39,8 @@ Connections are HTTP/1.1 keep-alive, one server thread each:
 
 * every request body is read before routing, so each reply ends at a
   request boundary even when the route never looks at the body; a body
-  whose length is unknown gets a 400 and a closed connection;
+  whose length is unknown gets a 400 and a closed connection, and one
+  longer than :data:`MAX_BODY_BYTES` a 413 and a closed connection;
 * replies go out with Nagle off — headers and body are two writes, and
   the second would otherwise wait out the client's delayed ACK;
 * a connection silent for :data:`IDLE_TIMEOUT` seconds is closed, and a
@@ -96,6 +97,12 @@ POLL_INTERVAL = 0.05
 #: whose pooled connection was closed retries once on a fresh one.
 IDLE_TIMEOUT = 60.0
 
+#: Largest request body the server reads.  The largest body a campaign
+#: sends is one paper-scale frame-statistics iteration, about 2 MB, so
+#: this leaves a 30x margin while refusing a body that would be buffered
+#: whole before routing.
+MAX_BODY_BYTES = 64 * 2**20
+
 
 class _HttpFailure(Exception):
     """Internal: abort the current request with (status, message)."""
@@ -125,6 +132,12 @@ class _Handler(BaseHTTPRequestHandler):
             # No way to find where the next request starts.
             self.close_connection = True
             raise _HttpFailure(400, "request body needs a Content-Length")
+        if length > MAX_BODY_BYTES:
+            # Refuse before reading; the unread body ends the connection.
+            self.close_connection = True
+            raise _HttpFailure(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         return self.rfile.read(length) if length else b""
 
     def _json_body(self) -> Dict[str, Any]:

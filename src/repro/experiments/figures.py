@@ -84,7 +84,6 @@ def measure_system_size(
         iterations=scale.stationary_iterations,
         seed=scale.seed,
         confidence=0.99,
-        backend=scale.backend,
     )
     spec = _mobility_spec_for(model, side, **(mobility_overrides or {}))
     config = SimulationConfig(
@@ -93,7 +92,6 @@ def measure_system_size(
         steps=scale.steps,
         iterations=scale.iterations,
         seed=scale.seed,
-        backend=scale.backend,
     )
     statistics = collect_frame_statistics(config, checkpoint=iteration_checkpoint)
     thresholds = estimate_thresholds_from_statistics(statistics)
@@ -279,7 +277,6 @@ def _r100_ratio_row(
         iterations=scale.stationary_iterations,
         seed=scale.seed,
         confidence=0.99,
-        backend=scale.backend,
     )
     spec = MobilitySpec.paper_waypoint(side, **mobility_overrides)
     config = SimulationConfig(
@@ -288,7 +285,6 @@ def _r100_ratio_row(
         steps=scale.steps,
         iterations=scale.iterations,
         seed=scale.seed,
-        backend=scale.backend,
     )
     statistics = collect_frame_statistics(config, checkpoint=iteration_checkpoint)
     thresholds = estimate_thresholds_from_statistics(statistics)

@@ -36,12 +36,6 @@ class ExperimentScale:
             value's iterations serially (see :func:`repro.simulation.
             sweep.sweep_parameter`).  The one execution field: results are
             bit-identical for every value and it never enters cache keys.
-        backend: array backend the connectivity kernels run under
-            (:mod:`repro.backend`).  An *environment* field, not an
-            execution knob: a non-NumPy backend is a declared different
-            execution environment, so — unlike ``sweep_workers`` —
-            ``backend`` participates in result-store cache keys and is
-            rejected from campaign spec matrices.
     """
 
     name: str
@@ -52,19 +46,10 @@ class ExperimentScale:
     parameter_points: int
     seed: Optional[int] = 20020623  # DSN 2002 conference date.
     sweep_workers: int = 1
-    backend: str = "numpy"
 
     def with_sweep_workers(self, sweep_workers: int) -> "ExperimentScale":
         """Copy of this scale with ``sweep_workers`` value-level processes."""
         return replace(self, sweep_workers=sweep_workers)
-
-    def with_backend(self, backend: str) -> "ExperimentScale":
-        """Copy of this scale with a different array backend.
-
-        Changes the cache keys of every experiment run at this scale —
-        backend results are cached per environment, never mixed.
-        """
-        return replace(self, backend=backend)
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -88,9 +73,6 @@ class ExperimentScale:
             raise ConfigurationError(
                 f"sweep_workers must be at least 1, got {self.sweep_workers}"
             )
-        from repro.backend import validate_backend
-
-        validate_backend(self.backend)
 
 
 #: The three built-in scale presets.

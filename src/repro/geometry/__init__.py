@@ -3,10 +3,8 @@
 The paper places ``n`` nodes inside the ``d``-dimensional cube ``[0, l]^d``.
 This package models that region (:class:`~repro.geometry.region.Region`),
 provides the distance computations used to decide which nodes can hear each
-other, and offers two neighbour-query accelerators — a uniform grid
-(:class:`~repro.geometry.spatial_index.GridIndex`) used by the graph builder
-and a from-scratch KD-tree (:class:`~repro.geometry.kdtree.KDTree`) used for
-nearest-neighbour style topology control.
+other, and offers a uniform-grid neighbour index
+(:class:`~repro.geometry.spatial_index.GridIndex`) used by the graph builder.
 """
 
 from repro.geometry.distance import (
@@ -15,13 +13,11 @@ from repro.geometry.distance import (
     toroidal_distance,
     toroidal_distance_matrix,
 )
-from repro.geometry.kdtree import KDTree
 from repro.geometry.region import Region
 from repro.geometry.spatial_index import GridIndex
 
 __all__ = [
     "GridIndex",
-    "KDTree",
     "Region",
     "pairwise_distances",
     "squared_distance_matrix",

@@ -18,7 +18,7 @@ import numpy as np
 from repro.types import Positions, as_positions
 
 
-def squared_distance_matrix(positions: Positions, *, xp=None) -> np.ndarray:
+def squared_distance_matrix(positions: Positions) -> np.ndarray:
     """All-pairs squared Euclidean distances as an ``(n, n)`` matrix.
 
     Working with squared distances avoids ``sqrt`` in the hot path; callers
@@ -33,19 +33,11 @@ def squared_distance_matrix(positions: Positions, *, xp=None) -> np.ndarray:
     the BLAS-friendly ``||a||^2 + ||b||^2 - 2 a.b``) that rounds one ulp
     differently can make a graph builder disagree with the MST bottleneck
     at exactly the critical range.
-
-    ``xp`` selects the array namespace (:mod:`repro.backend`); the default
-    is host NumPy with full input validation.  Under another namespace the
-    positions must already live on that backend.
     """
-    if xp is None or xp is np:
-        xp = np
-        points = as_positions(positions)
-    else:
-        points = xp.asarray(positions, dtype=xp.float64)
+    points = as_positions(positions)
     count, dimension = points.shape
     if dimension == 0:
-        return xp.zeros((count, count), dtype=xp.float64)
+        return np.zeros((count, count), dtype=np.float64)
     # One (n, n) pass per coordinate — same ascending-k rounding as
     # _accumulate_squared without materialising an (n, n, d) temporary on
     # the per-frame hot path.
@@ -55,8 +47,6 @@ def squared_distance_matrix(positions: Positions, *, xp=None) -> np.ndarray:
     for axis in range(1, dimension):
         column = points[:, axis]
         delta = column[:, None] - column[None, :]
-        # In-place operators are part of the array-API standard, so the
-        # accumulation stays allocation-free on every backend.
         squared += delta * delta
     return squared
 

@@ -3,8 +3,7 @@
 The paper's lower bound analysis (Section 3) is built on the distinction
 between "graphs containing an isolated node" and "disconnected graphs";
 this module provides isolation checks as well as the richer properties
-(degrees, articulation points, a simple k-connectivity test) that the
-topology-control and extension experiments use.
+(degrees, articulation points, a simple k-connectivity test).
 """
 
 from __future__ import annotations

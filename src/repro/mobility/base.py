@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -147,11 +147,7 @@ class MobilityModel(abc.ABC):
         return new_positions
 
     def trajectory(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        xp: Any = None,
+        self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """The next ``steps`` frames as one ``(steps, n, d)`` array.
 
@@ -164,15 +160,6 @@ class MobilityModel(abc.ABC):
         implementation; the simulation engine consumes trajectories in
         bounded-size batches, so such models skip the per-step Python
         overhead entirely.
-
-        ``xp`` names the array namespace the vectorized overrides run
-        their closed-form batch arithmetic under (:mod:`repro.backend`);
-        it must be host-compatible (NumPy or the strict verification
-        namespace) because random draws stay on the host ``Generator`` —
-        the declared RNG contract.  This base implementation is the
-        per-step *reference* path and is deliberately NumPy-only: it pins
-        bit-identical seed behaviour, so the parameter is accepted for
-        interface uniformity and ignored.
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")

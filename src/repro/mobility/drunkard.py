@@ -92,48 +92,43 @@ class DrunkardModel(MobilityModel):
             return 3
         return 2 + 2 * ((dimension + 1) // 2)
 
-    def _decode_block(
-        self, block: np.ndarray, xp=np
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _decode_block(self, block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Turn a ``(..., n, width)`` uniform block into moves and offsets.
 
         Returns the moving mask ``(..., n)`` and the in-disk offsets
         ``(..., n, d)``: a uniform direction scaled by ``m * U^(1/d)``.
         Identical arithmetic for a single step and for a whole batch of
         steps, which is what makes :meth:`trajectory` bit-identical to
-        per-step execution.  The decode is pure closed-form array math, so
-        it takes its namespace ``xp`` from the backend seam
-        (:mod:`repro.backend`); the per-step path keeps the NumPy default.
+        per-step execution.
         """
         dimension = self.state.positions.shape[1]
         moving = block[..., 0] >= self.ppause
         if dimension == 1:
             radii = self.step_radius * block[..., 1]
-            signs = xp.where(block[..., 2] < 0.5, -1.0, 1.0)
+            signs = np.where(block[..., 2] < 0.5, -1.0, 1.0)
             return moving, (signs * radii)[..., None]
         if dimension == 2:
-            radii = self.step_radius * xp.sqrt(block[..., 1])
-            angle = (2.0 * xp.pi) * block[..., 2]
-            offsets = xp.empty(block.shape[:-1] + (2,), dtype=xp.float64)
-            offsets[..., 0] = xp.cos(angle) * radii
-            offsets[..., 1] = xp.sin(angle) * radii
+            radii = self.step_radius * np.sqrt(block[..., 1])
+            angle = (2.0 * np.pi) * block[..., 2]
+            offsets = np.empty(block.shape[:-1] + (2,), dtype=np.float64)
+            offsets[..., 0] = np.cos(angle) * radii
+            offsets[..., 1] = np.sin(angle) * radii
             return moving, offsets
         radii = self.step_radius * block[..., 1] ** (1.0 / dimension)
         # Box–Muller: each uniform pair yields two standard normals.
-        first = xp.maximum(block[..., 2::2], xp.finfo(xp.float64).smallest_normal)
+        first = np.maximum(block[..., 2::2], np.finfo(np.float64).smallest_normal)
         second = block[..., 3::2]
-        magnitude = xp.sqrt(-2.0 * xp.log(first))
-        angle = (2.0 * xp.pi) * second
-        normals = xp.empty(
-            block.shape[:-1] + (magnitude.shape[-1] * 2,), dtype=xp.float64
+        magnitude = np.sqrt(-2.0 * np.log(first))
+        angle = (2.0 * np.pi) * second
+        normals = np.empty(
+            block.shape[:-1] + (magnitude.shape[-1] * 2,), dtype=np.float64
         )
-        normals[..., 0::2] = magnitude * xp.cos(angle)
-        normals[..., 1::2] = magnitude * xp.sin(angle)
+        normals[..., 0::2] = magnitude * np.cos(angle)
+        normals[..., 1::2] = magnitude * np.sin(angle)
         directions = normals[..., :dimension]
-        # sqrt-of-sum-of-squares is bit-identical to np.linalg.norm here
-        # and, unlike the linalg sub-namespace, array-API portable.
-        norms = xp.sqrt(xp.sum(directions * directions, axis=-1, keepdims=True))
-        norms = xp.where(norms == 0.0, 1.0, norms)
+        # sqrt-of-sum-of-squares is bit-identical to np.linalg.norm here.
+        norms = np.sqrt(np.sum(directions * directions, axis=-1, keepdims=True))
+        norms = np.where(norms == 0.0, 1.0, norms)
         return moving, directions / norms * radii[..., None]
 
     @staticmethod
@@ -172,11 +167,7 @@ class DrunkardModel(MobilityModel):
 
     # ------------------------------------------------------------------ #
     def trajectory(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        xp=None,
+        self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Vectorized batch: one uniform draw and one Box–Muller transform
         for the whole block of steps.
@@ -185,14 +176,9 @@ class DrunkardModel(MobilityModel):
         per-step Python work left is a position add and boundary reflection
         (the walk is sequential through the boundary), with all random draws
         and the direction/radius arithmetic done once for the whole batch.
-        The batched decode arithmetic runs under ``xp``
-        (:mod:`repro.backend`; host NumPy by default — draws always come
-        from the host generator per the RNG contract).
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")
-        if xp is None:
-            xp = np
         state = self.state
         generator = make_rng(rng)
         n, dimension = state.positions.shape
@@ -205,9 +191,9 @@ class DrunkardModel(MobilityModel):
 
         region = state.region
         blocks = generator.random((steps - 1, n, self._block_width(dimension)))
-        moving, offsets = self._decode_block(xp.asarray(blocks), xp)
+        moving, offsets = self._decode_block(blocks)
         active = moving & ~state.stationary_mask
-        masked_offsets = np.asarray(xp.where(active[..., None], offsets, 0.0))
+        masked_offsets = np.where(active[..., None], offsets, 0.0)
         positions = state.positions.copy()
         for index in range(steps - 1):
             positions += masked_offsets[index]

@@ -103,11 +103,7 @@ class GaussMarkovModel(MobilityModel):
 
     # ------------------------------------------------------------------ #
     def trajectory(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        xp=None,
+        self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Vectorized batch: one Gaussian draw for the whole block of steps.
 
@@ -115,11 +111,7 @@ class GaussMarkovModel(MobilityModel):
         the AR(1) velocity update, boundary reflection with velocity
         flipping, stationary-node pinning and the base class's containment
         clamp are evaluated with exactly the per-step expressions, while
-        all random draws happen in a single ``rng.normal`` call.  The
-        recurrence is operator-only array arithmetic plus host-side
-        region/``isclose`` bookkeeping, so it is array-API portable by
-        construction; ``xp`` (:mod:`repro.backend`) is accepted for
-        interface uniformity and unused.
+        all random draws happen in a single ``rng.normal`` call.
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")

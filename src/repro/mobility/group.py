@@ -123,52 +123,44 @@ class ReferencePointGroupModel(MobilityModel):
             return 2
         return 1 + 2 * ((dimension + 1) // 2)
 
-    def _decode_member_block(self, block: np.ndarray, xp=np) -> np.ndarray:
+    def _decode_member_block(self, block: np.ndarray) -> np.ndarray:
         """Turn a ``(..., n, width)`` uniform block into in-disk offsets.
 
         A uniform direction scaled by ``member_radius * U^(1/d)`` — uniform
         in the member disk.  Identical arithmetic for a single step and
         for a whole batch of steps, which is what makes :meth:`trajectory`
-        bit-identical to per-step execution.  The decode is pure
-        closed-form array math, so it takes its namespace ``xp`` from the
-        backend seam (:mod:`repro.backend`); the per-step path keeps the
-        NumPy default.
+        bit-identical to per-step execution.
         """
         dimension = self.state.positions.shape[1]
         radii = self.member_radius * block[..., 0] ** (1.0 / dimension)
         if dimension == 1:
-            signs = xp.where(block[..., 1] < 0.5, -1.0, 1.0)
+            signs = np.where(block[..., 1] < 0.5, -1.0, 1.0)
             return (signs * radii)[..., None]
         if dimension == 2:
-            angle = (2.0 * xp.pi) * block[..., 1]
-            offsets = xp.empty(block.shape[:-1] + (2,), dtype=xp.float64)
-            offsets[..., 0] = xp.cos(angle) * radii
-            offsets[..., 1] = xp.sin(angle) * radii
+            angle = (2.0 * np.pi) * block[..., 1]
+            offsets = np.empty(block.shape[:-1] + (2,), dtype=np.float64)
+            offsets[..., 0] = np.cos(angle) * radii
+            offsets[..., 1] = np.sin(angle) * radii
             return offsets
         # Box–Muller: each uniform pair yields two standard normals.
-        first = xp.maximum(block[..., 1::2], xp.finfo(xp.float64).smallest_normal)
+        first = np.maximum(block[..., 1::2], np.finfo(np.float64).smallest_normal)
         second = block[..., 2::2]
-        magnitude = xp.sqrt(-2.0 * xp.log(first))
-        angle = (2.0 * xp.pi) * second
-        normals = xp.empty(
-            block.shape[:-1] + (magnitude.shape[-1] * 2,), dtype=xp.float64
+        magnitude = np.sqrt(-2.0 * np.log(first))
+        angle = (2.0 * np.pi) * second
+        normals = np.empty(
+            block.shape[:-1] + (magnitude.shape[-1] * 2,), dtype=np.float64
         )
-        normals[..., 0::2] = magnitude * xp.cos(angle)
-        normals[..., 1::2] = magnitude * xp.sin(angle)
+        normals[..., 0::2] = magnitude * np.cos(angle)
+        normals[..., 1::2] = magnitude * np.sin(angle)
         directions = normals[..., :dimension]
-        # sqrt-of-sum-of-squares is bit-identical to np.linalg.norm here
-        # and, unlike the linalg sub-namespace, array-API portable.
-        norms = xp.sqrt(xp.sum(directions * directions, axis=-1, keepdims=True))
-        norms = xp.where(norms == 0.0, 1.0, norms)
+        # sqrt-of-sum-of-squares is bit-identical to np.linalg.norm here.
+        norms = np.sqrt(np.sum(directions * directions, axis=-1, keepdims=True))
+        norms = np.where(norms == 0.0, 1.0, norms)
         return directions / norms * radii[..., None]
 
     # ------------------------------------------------------------------ #
     def trajectory(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        xp=None,
+        self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Vectorized batch: whole draw-free segments at a time.
 
@@ -182,14 +174,10 @@ class ReferencePointGroupModel(MobilityModel):
         execution would — followed by that step's member block.  The
         result is bit-identical to ``steps - 1`` sequential :meth:`step`
         calls: frames, final state (nested centre model included) and the
-        random stream left behind.  The batched decode arithmetic runs
-        under ``xp`` (:mod:`repro.backend`; host NumPy by default — draws
-        always come from the host generator per the RNG contract).
+        random stream left behind.
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")
-        if xp is None:
-            xp = np
         state = self.state
         generator = make_rng(rng)
         n, dimension = state.positions.shape
@@ -217,9 +205,9 @@ class ReferencePointGroupModel(MobilityModel):
                 # draws — the member blocks below are the stream's next.
                 centers = self._center_model.trajectory(quiet + 1, generator)[1:]
                 block = generator.random((quiet, n, width))
-                offsets = self._decode_member_block(block, xp)
+                offsets = self._decode_member_block(block)
                 batch = centers[:, assignment, :] + offsets
-                frames[filled + 1 : filled + quiet + 1] = xp.clip(
+                frames[filled + 1 : filled + quiet + 1] = np.clip(
                     batch, 0.0, region.side
                 )
                 filled += quiet
@@ -229,8 +217,8 @@ class ReferencePointGroupModel(MobilityModel):
             # and speeds here, in exactly the sequential stream position.
             centers_now = self._center_model.step(generator)
             block = generator.random((n, width))
-            offsets = self._decode_member_block(block, xp)
-            frames[filled + 1] = xp.clip(
+            offsets = self._decode_member_block(block)
+            frames[filled + 1] = np.clip(
                 centers_now[assignment] + offsets, 0.0, region.side
             )
             filled += 1

@@ -142,11 +142,7 @@ class RandomDirectionModel(MobilityModel):
 
     # ------------------------------------------------------------------ #
     def trajectory(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        xp=None,
+        self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Vectorized batch: whole legs at a time, draws batched per renewal.
 
@@ -156,15 +152,10 @@ class RandomDirectionModel(MobilityModel):
         happen at exactly the leg-finish steps the sequential execution
         would hit, for the same node sets in the same order.  The Python
         loop runs per *renewal event* — every pause/cruise segment in
-        between is filled with one reflected slice assignment.  The
-        closed-form segment arithmetic runs under ``xp``
-        (:mod:`repro.backend`; host NumPy by default); renewal draws stay
-        on the host generator per the RNG contract.
+        between is filled with one reflected slice assignment.
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")
-        if xp is None:
-            xp = np
         state = self.state
         generator = make_rng(rng)
         n, dimension = state.positions.shape
@@ -195,11 +186,11 @@ class RandomDirectionModel(MobilityModel):
                 pause[node] -= resting
             cruise = span - resting
             if cruise:
-                counts = xp.arange(
+                counts = np.arange(
                     leg_steps[node] + 1, leg_steps[node] + cruise + 1
                 )
                 frames[start + resting:until + 1, node] = self._cruise_positions(
-                    xp.full(cruise, node), counts
+                    np.full(cruise, node), counts
                 )
                 leg_steps[node] += cruise
             filled[node] = until
@@ -227,13 +218,12 @@ class RandomDirectionModel(MobilityModel):
 
     @staticmethod
     def _random_directions(
-        count: int, dimension: int, rng: np.random.Generator, xp=np
+        count: int, dimension: int, rng: np.random.Generator
     ) -> np.ndarray:
         vectors = rng.normal(size=(count, dimension))
-        # sqrt-of-sum-of-squares is bit-identical to np.linalg.norm here
-        # and, unlike the linalg sub-namespace, array-API portable.
-        norms = xp.sqrt(xp.sum(vectors * vectors, axis=1, keepdims=True))
-        norms = xp.where(norms == 0.0, 1.0, norms)
+        # sqrt-of-sum-of-squares is bit-identical to np.linalg.norm here.
+        norms = np.sqrt(np.sum(vectors * vectors, axis=1, keepdims=True))
+        norms = np.where(norms == 0.0, 1.0, norms)
         return vectors / norms
 
     def describe(self) -> str:

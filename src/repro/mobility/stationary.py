@@ -33,11 +33,7 @@ class StationaryModel(MobilityModel):
         return self.state.positions.copy()
 
     def trajectory(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        xp=None,
+        self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Vectorized batch: every frame repeats the current positions.
 
@@ -47,10 +43,8 @@ class StationaryModel(MobilityModel):
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")
-        if xp is None:
-            xp = np
         state = self.state
-        frames = xp.repeat(xp.asarray(state.positions[None, :, :]), steps, axis=0)
+        frames = np.repeat(state.positions[None, :, :], steps, axis=0)
         state.step_index += steps - 1
         return frames
 

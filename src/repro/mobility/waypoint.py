@@ -48,7 +48,7 @@ _DISTANT_ARRIVAL = 2**60
 
 
 def _steps_to_arrival(
-    speeds: np.ndarray, elapsed: np.ndarray, lengths: np.ndarray, xp=np
+    speeds: np.ndarray, elapsed: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """Number of further cruise attempts until each leg arrives.
 
@@ -62,10 +62,10 @@ def _steps_to_arrival(
     and skipped by the exact correction, since only "later than the
     trajectory horizon" matters for them.
     """
-    estimate = xp.ceil(lengths / speeds) - elapsed
+    estimate = np.ceil(lengths / speeds) - elapsed
     near = estimate < _DISTANT_ARRIVAL
-    attempts = xp.where(near, xp.maximum(estimate, 1.0), _DISTANT_ARRIVAL)
-    attempts = xp.astype(attempts, xp.int64)
+    attempts = np.where(near, np.maximum(estimate, 1.0), _DISTANT_ARRIVAL)
+    attempts = attempts.astype(np.int64)
     # Correct the estimate against the exact per-step predicate.
     while True:
         overshoot = (
@@ -152,18 +152,16 @@ class RandomWaypointModel(MobilityModel):
         origins: np.ndarray,
         destinations: np.ndarray,
         speeds: np.ndarray,
-        xp=np,
     ) -> None:
         """Start a fresh leg for ``indices``: origin, unit direction, length."""
         self._destinations[indices] = destinations
         self._speeds[indices] = speeds
         self._leg_origins[indices] = origins
         deltas = destinations - origins
-        # sqrt-of-sum-of-squares is bit-identical to np.linalg.norm here
-        # and, unlike the linalg sub-namespace, array-API portable.
-        lengths = xp.sqrt(xp.sum(deltas * deltas, axis=1))
+        # sqrt-of-sum-of-squares is bit-identical to np.linalg.norm here.
+        lengths = np.sqrt(np.sum(deltas * deltas, axis=1))
         self._leg_lengths[indices] = lengths
-        safe = xp.where(lengths > 0.0, lengths, 1.0)
+        safe = np.where(lengths > 0.0, lengths, 1.0)
         self._leg_units[indices] = deltas / safe[:, None]
         self._leg_elapsed[indices] = 0
 
@@ -237,11 +235,7 @@ class RandomWaypointModel(MobilityModel):
 
     # ------------------------------------------------------------------ #
     def trajectory(
-        self,
-        steps: int,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        xp=None,
+        self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """Vectorized batch: whole legs at a time, draws batched per arrival.
 
@@ -252,15 +246,9 @@ class RandomWaypointModel(MobilityModel):
         the same node sets in the same order.  The Python loop runs per
         *arrival event* — a handful of times per node per run — while every
         pause/cruise segment in between is filled with one slice assignment.
-        The closed-form cruise/arrival arithmetic runs under ``xp``
-        (:mod:`repro.backend`; host NumPy by default — destination and
-        speed draws always come from the host generator per the RNG
-        contract).
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")
-        if xp is None:
-            xp = np
         state = self.state
         generator = make_rng(rng)
         n, dimension = state.positions.shape
@@ -277,7 +265,7 @@ class RandomWaypointModel(MobilityModel):
         elapsed = self._leg_elapsed
         # Next arrival step of every node, as an absolute frame index.
         next_arrival = pause + _steps_to_arrival(
-            self._speeds, elapsed, self._leg_lengths, xp
+            self._speeds, elapsed, self._leg_lengths
         )
         filled = np.zeros(n, dtype=np.int64)
 
@@ -293,7 +281,7 @@ class RandomWaypointModel(MobilityModel):
                 pause[node] -= resting
             cruise = span - resting
             if cruise:
-                travelled = self._speeds[node] * xp.arange(
+                travelled = self._speeds[node] * np.arange(
                     elapsed[node] + 1, elapsed[node] + cruise + 1
                 )
                 frames[start + resting:until + 1, node] = (
@@ -318,13 +306,13 @@ class RandomWaypointModel(MobilityModel):
             new_speeds = generator.uniform(self.vmin, self.vmax, size=count)
             self._begin_leg(
                 arriving, self._destinations[arriving].copy(),
-                new_destinations, new_speeds, xp,
+                new_destinations, new_speeds,
             )
             next_arrival[arriving] = (
                 event_step
                 + self.tpause
                 + _steps_to_arrival(
-                    new_speeds, elapsed[arriving], self._leg_lengths[arriving], xp
+                    new_speeds, elapsed[arriving], self._leg_lengths[arriving]
                 )
             )
 
@@ -335,21 +323,21 @@ class RandomWaypointModel(MobilityModel):
         mask = state.stationary_mask
         if mask.any():
             frames[:, mask] = state.positions[mask]
-        self._clamp_frames_like_step(frames, xp)
+        self._clamp_frames_like_step(frames)
         state.positions = frames[last].copy()
         state.step_index += last
         return frames
 
-    def _clamp_frames_like_step(self, frames: np.ndarray, xp=np) -> None:
+    def _clamp_frames_like_step(self, frames: np.ndarray) -> None:
         """Apply the per-step containment check of the base class per frame."""
         region = self.state.region
         tolerance = 1e-9
-        outside = ~xp.all(
+        outside = ~np.all(
             (frames >= -tolerance) & (frames <= region.side + tolerance),
             axis=(1, 2),
         )
         if outside.any():
-            frames[outside] = xp.clip(frames[outside], 0.0, region.side)
+            frames[outside] = np.clip(frames[outside], 0.0, region.side)
 
     def describe(self) -> str:
         return (

@@ -62,6 +62,37 @@ def parse_query_document(document: Dict[str, Any]) -> Query:
     return Query(**fields)
 
 
+async def _read_request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
+    """Read one request as ``(method, target, body)``.
+
+    Raises ``ValueError`` for malformed framing, including a line past
+    the stream limit (``readline`` raises it), and
+    ``asyncio.IncompleteReadError`` for a body shorter than its length.
+    """
+    request_line = await reader.readline()
+    parts = request_line.decode("latin-1").split()
+    if len(parts) < 2:
+        raise ValueError("malformed request line")
+    headers: Dict[str, str] = {}
+    total = len(request_line)
+    while True:
+        line = await reader.readline()
+        total += len(line)
+        if total > _MAX_REQUEST_BYTES:
+            raise ValueError("request too large")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length") or 0)
+    if length < 0:
+        raise ValueError(f"negative Content-Length {length}")
+    if total + length > _MAX_REQUEST_BYTES:
+        raise ValueError("request too large")
+    body = await reader.readexactly(length) if length else b""
+    return parts[0].upper(), parts[1], body
+
+
 class QueryHTTPServer:
     """One service bound to one listening socket."""
 
@@ -123,30 +154,9 @@ class QueryHTTPServer:
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Dict[str, Any]]:
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            return 400, {"error": "unreadable request"}
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, {"error": "malformed request line"}
-        method, target = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        total = len(request_line)
-        while True:
-            line = await reader.readline()
-            total += len(line)
-            if total > _MAX_REQUEST_BYTES:
-                return 400, {"error": "request too large"}
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length") or 0)
-        if length:
-            if length > _MAX_REQUEST_BYTES:
-                return 400, {"error": "request too large"}
-            body = await reader.readexactly(length)
+            method, target, body = await _read_request(reader)
+        except (ConnectionError, ValueError, asyncio.IncompleteReadError) as error:
+            return 400, {"error": f"unreadable request: {error}"}
         split = urlsplit(target)
         route = split.path.rstrip("/") or "/"
         started = time.perf_counter()

@@ -131,13 +131,6 @@ class SimulationConfig:
     parameter values run as independent tasks (see
     :func:`repro.simulation.sweep.sweep_parameter` and the campaign
     scheduler).
-
-    ``backend`` names the array backend the connectivity kernels run
-    under (:mod:`repro.backend`).  It is an *environment* field: the NumPy
-    path is the reference, and a non-NumPy backend is a declared different
-    execution environment whose results are not promised bit-identical —
-    so ``backend`` enters result-store cache keys (see
-    :mod:`repro.store.keys`).
     """
 
     network: NetworkConfig
@@ -146,7 +139,6 @@ class SimulationConfig:
     iterations: int = 1
     seed: Optional[int] = None
     transmitting_range: Optional[float] = None
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -160,9 +152,6 @@ class SimulationConfig:
                 "transmitting_range must be non-negative, got "
                 f"{self.transmitting_range}"
             )
-        from repro.backend import validate_backend
-
-        validate_backend(self.backend)
 
     @property
     def is_stationary(self) -> bool:
@@ -172,10 +161,6 @@ class SimulationConfig:
     def with_range(self, transmitting_range: float) -> "SimulationConfig":
         """Copy of this configuration with a different transmitting range."""
         return replace(self, transmitting_range=transmitting_range)
-
-    def with_backend(self, backend: str) -> "SimulationConfig":
-        """Copy with a different array backend (changes the cache key)."""
-        return replace(self, backend=backend)
 
     # Paper presets ------------------------------------------------------ #
     @classmethod

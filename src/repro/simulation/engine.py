@@ -32,11 +32,10 @@ micro-benchmark in ``benchmarks/bench_parallel_scaling.py``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from repro.backend import NUMPY_BACKEND, ArrayBackend, resolve_backend
 from repro.connectivity.critical_range import (
     minimum_spanning_edges,
     minimum_spanning_edges_batch,
@@ -188,11 +187,7 @@ def frame_statistics(positions: Positions) -> FrameStatistics:
     )
 
 
-def frame_statistics_columns(
-    frames: np.ndarray,
-    *,
-    backend: Optional[Union[str, ArrayBackend]] = None,
-) -> FrameStatisticsColumns:
+def frame_statistics_columns(frames: np.ndarray) -> FrameStatisticsColumns:
     """Reduce a ``(B, n, d)`` batch of frames to columnar statistics.
 
     Bit-identical to calling :func:`frame_statistics` on each frame, but the
@@ -203,15 +198,7 @@ def frame_statistics_columns(
     columns of :class:`~repro.simulation.results.FrameStatisticsColumns`
     (no per-step objects are materialised).  This is the per-frame hot path
     of both simulation modes.
-
-    ``backend`` names the array backend the batched MST runs on
-    (:mod:`repro.backend`).  Host frames are transferred to it once per
-    batch, the edge arrays come back through one explicit
-    :meth:`~repro.backend.ArrayBackend.to_host` sync, and the union-find
-    sweep plus the returned columns are always host NumPy — so pickled
-    results, codecs and the store never see device arrays.
     """
-    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
     points = np.asarray(frames, dtype=float)
     if points.ndim != 3:
         raise SimulationError(
@@ -226,13 +213,7 @@ def frame_statistics_columns(
             curve_ranges=np.empty(0),
             curve_sizes=np.empty(0, dtype=np.int64),
         )
-    device_us, device_vs, device_lengths = minimum_spanning_edges_batch(
-        array_backend.from_host(points), backend=array_backend
-    )
-    array_backend.synchronize()
-    all_us = array_backend.to_host(device_us)
-    all_vs = array_backend.to_host(device_vs)
-    all_lengths = array_backend.to_host(device_lengths)
+    all_us, all_vs, all_lengths = minimum_spanning_edges_batch(points)
     critical_ranges = np.empty(batch)
     offsets = np.empty(batch + 1, dtype=np.int64)
     offsets[0] = 0
@@ -292,7 +273,6 @@ def simulate_iteration(
     transmitting_range: float,
     rng: np.random.Generator,
     iteration: int = 0,
-    backend: Optional[Union[str, ArrayBackend]] = None,
 ) -> IterationResult:
     """Run one iteration of the paper's fixed-range simulator.
 
@@ -307,7 +287,6 @@ def simulate_iteration(
     :class:`~repro.simulation.results.StepColumns` (two arrays per
     iteration) rather than per-step objects.
     """
-    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
     region = network.region
     placement = network.placement_strategy(network.node_count, region, rng)
     model = mobility.create()
@@ -316,7 +295,7 @@ def simulate_iteration(
     connected_parts: List[np.ndarray] = [np.empty(0, dtype=bool)]
     size_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
     for batch in _iter_trajectory_batches(model, steps, rng):
-        columns = frame_statistics_columns(batch, backend=array_backend)
+        columns = frame_statistics_columns(batch)
         connected_parts.append(columns.connected_at(transmitting_range))
         size_parts.append(columns.largest_component_sizes_at(transmitting_range))
     return IterationResult(
@@ -335,7 +314,6 @@ def simulate_frame_statistics(
     mobility: MobilitySpec,
     steps: int,
     rng: np.random.Generator,
-    backend: Optional[Union[str, ArrayBackend]] = None,
 ) -> FrameStatisticsColumns:
     """Run one mobility iteration and reduce every frame to its statistics.
 
@@ -348,12 +326,11 @@ def simulate_frame_statistics(
     MobilityModel.trajectory` (the stationary, waypoint and drunkard models
     — every model the paper uses) skip the per-step Python overhead.
     """
-    array_backend = NUMPY_BACKEND if backend is None else resolve_backend(backend)
     region = network.region
     placement = network.placement_strategy(network.node_count, region, rng)
     model = mobility.create()
     model.initialize(placement, region, rng)
     return FrameStatisticsColumns.concatenate([
-        frame_statistics_columns(batch, backend=array_backend)
+        frame_statistics_columns(batch)
         for batch in _iter_trajectory_batches(model, steps, rng)
     ])

@@ -26,12 +26,6 @@ handed the columnar :class:`repro.simulation.results.
 FrameStatisticsColumns` the engine produces, the per-frame Python loops are
 replaced by array reductions over the flattened bottleneck-range and
 component-curve columns.
-
-Whatever array backend the engine reduced the frames on
-(:mod:`repro.backend`), the columns handed to these functions are always
-*host* NumPy — the engine syncs device results back before building them —
-so threshold extraction itself is backend-agnostic and never needs an
-``xp`` parameter.
 """
 
 from __future__ import annotations

@@ -119,7 +119,6 @@ def _fixed_range_iteration(
             transmitting_range=config.transmitting_range,
             rng=rng,
             iteration=index,
-            backend=config.backend,
         )
 
 
@@ -135,7 +134,6 @@ def _frame_statistics_iteration(
             mobility=config.mobility,
             steps=config.steps,
             rng=rng,
-            backend=config.backend,
         )
 
 
@@ -219,7 +217,6 @@ def stationary_critical_range(
     seed: Optional[int] = None,
     confidence: float = 0.99,
     placement: str = "uniform",
-    backend: str = "numpy",
 ) -> float:
     """Estimate ``rstationary``: the range connecting random static placements.
 
@@ -240,8 +237,6 @@ def stationary_critical_range(
         confidence: the quantile of per-placement critical ranges returned;
             1.0 returns the maximum observed.
         placement: placement strategy name (default ``uniform``).
-        backend: array backend for the connectivity kernels
-            (:mod:`repro.backend`).
     """
     from repro.simulation.config import MobilitySpec, NetworkConfig
     from repro.simulation.metrics import range_for_connectivity_fraction
@@ -257,7 +252,6 @@ def stationary_critical_range(
         steps=1,
         iterations=iterations,
         seed=seed,
-        backend=backend,
     )
     statistics = collect_frame_statistics(config)
     # Each iteration contributes exactly one frame (steps == 1); pool them.

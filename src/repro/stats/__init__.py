@@ -8,8 +8,6 @@ The sub-modules are intentionally small and dependency free:
   for the Monte-Carlo estimates produced by the simulator.
 * :mod:`repro.stats.distributions` — normal and Poisson distribution
   helpers used by the occupancy-theory limit laws (Theorem 2 of the paper).
-* :mod:`repro.stats.series` — helpers for boolean/scalar time series such
-  as "was the network connected at step t".
 """
 
 from repro.stats.distributions import (
@@ -19,12 +17,6 @@ from repro.stats.distributions import (
     poisson_pmf,
 )
 from repro.stats.rng import RandomSource, make_rng, spawn_rngs, value_rng
-from repro.stats.series import (
-    fraction_true,
-    longest_run,
-    runs_of,
-    sliding_window_fraction,
-)
 from repro.stats.summary import (
     SummaryStatistics,
     confidence_interval,
@@ -35,15 +27,11 @@ __all__ = [
     "RandomSource",
     "SummaryStatistics",
     "confidence_interval",
-    "fraction_true",
-    "longest_run",
     "make_rng",
     "normal_cdf",
     "normal_pdf",
     "poisson_cdf",
     "poisson_pmf",
-    "runs_of",
-    "sliding_window_fraction",
     "spawn_rngs",
     "summarize",
     "value_rng",

@@ -5,18 +5,6 @@ runner) accepts a ``seed`` argument that may be ``None``, an integer, or an
 already-constructed :class:`numpy.random.Generator`.  The helpers here
 normalise those inputs so the rest of the code never touches global random
 state, which keeps every experiment reproducible from a single integer.
-
-RNG/backend contract
---------------------
-All random draws come from host NumPy :class:`~numpy.random.Generator`
-streams, regardless of the array backend (:mod:`repro.backend`) the
-kernels run under: kernels receive draw *blocks* produced here and
-transfer them to the backend device once per batch.  Device-side
-generators (cuRAND, ``torch.Generator``) use different algorithms and
-stream layouts, so a non-NumPy backend is a *declared* different
-execution environment — it is never silently stream-compatible with the
-host path, which is why the backend name participates in result-store
-cache keys while worker counts do not.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ version).  This package turns that purity into a cache:
 
 from repro.store.codecs import SCHEMA_VERSION, decode_payload, detect_kind, encode_payload
 from repro.store.checkpoints import StoreIterationCheckpoint, StoreSweepCheckpoint
-from repro.store.keys import cache_key, canonical_json, config_payload, scale_payload
+from repro.store.keys import cache_key, canonical_json, scale_payload
 from repro.store.result_store import (
     DEGRADABLE_ERRNOS,
     GcReport,
@@ -46,7 +46,6 @@ __all__ = [
     "TRANSIENT_ERRNOS",
     "cache_key",
     "canonical_json",
-    "config_payload",
     "decode_payload",
     "detect_kind",
     "encode_payload",

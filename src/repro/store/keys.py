@@ -26,16 +26,6 @@ from repro.exceptions import ConfigurationError
 #: never enter a key.
 EXECUTION_FIELDS = frozenset({"sweep_workers"})
 
-#: Fields that select the *execution environment* rather than the logical
-#: computation or the process layout.  ``backend`` (the array namespace of
-#: :mod:`repro.backend`) is the only member: a non-NumPy backend is a
-#: declared different environment whose results are not promised
-#: bit-identical to the NumPy reference, so — unlike ``EXECUTION_FIELDS`` —
-#: environment fields *stay in* cache keys (results are cached per
-#: environment, never mixed).  Campaign spec matrices reject them for the
-#: same reason: a campaign is one environment's worth of results.
-ENVIRONMENT_FIELDS = frozenset({"backend"})
-
 #: The artifact kinds of the store's key space, one per granularity.
 #: ``cache_key`` hashes the kind together with the payload, so the three
 #: granularities of the same sweep — the complete sweep, one parameter
@@ -136,13 +126,6 @@ def scale_payload(scale: Any) -> Dict[str, Any]:
     """
     payload = normalize(scale)
     payload.pop("name", None)
+    # Scales no longer name a backend; the constant keeps stored keys fixed.
+    payload["backend"] = "numpy"
     return payload
-
-
-def config_payload(config: Any) -> Dict[str, Any]:
-    """The key payload of a :class:`~repro.simulation.config.
-    SimulationConfig`: network, region, mobility model + parameters, steps,
-    iterations and the root seed — the full description of one simulation
-    run, minus the execution fields.
-    """
-    return normalize(config)

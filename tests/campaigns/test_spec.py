@@ -96,22 +96,15 @@ class TestValidation:
                     name="x", experiments=("fig2",), matrix=((knob, (2,)),)
                 )
 
-    def test_rejects_backend_environment_field(self):
-        """``backend`` is an environment field, not a sweepable parameter:
-        it stays in cache keys (unlike execution knobs), but a campaign
-        must not matrix over it — backend selection belongs to the
-        ``--backend`` flag of the machine running the campaign."""
-        from repro.store.keys import ENVIRONMENT_FIELDS
-
-        assert "backend" in ENVIRONMENT_FIELDS
-        with pytest.raises(ConfigurationError) as error:
+    def test_rejects_backend_as_unknown_scale_field(self):
+        """Scales no longer name an array backend, so a spec naming one
+        is rejected like any other unknown scale field."""
+        with pytest.raises(ConfigurationError, match="unknown scale field") as error:
             CampaignSpec(
-                name="x",
-                experiments=("fig2",),
-                matrix=(("backend", ("numpy", "numpy-strict")),),
+                name="x", experiments=("fig2",), matrix=(("backend", ("numpy",)),)
             )
         assert "backend" in str(error.value)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown scale field"):
             CampaignSpec(
                 name="x", experiments=("fig2",), overrides=(("backend", "numpy"),)
             )

@@ -3,7 +3,7 @@
 :func:`~repro.connectivity.critical_range.minimum_spanning_edges_batch`
 computes each Prim row from the coordinates instead of reading it from a
 stacked ``(B, n, n)`` squared-distance matrix.  Two properties are pinned
-here, under every host backend where it applies:
+here:
 
 * every row of a batch equals :func:`~repro.connectivity.critical_range.
   minimum_spanning_edges` of that frame bit for bit — same edges, same
@@ -18,22 +18,15 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import available_backends, resolve_backend
 from repro.connectivity.critical_range import (
     minimum_spanning_edges,
     minimum_spanning_edges_batch,
 )
 
-HOST_BACKENDS = [
-    name for name in available_backends() if resolve_backend(name).is_host
-]
 
-
-@pytest.mark.parametrize("backend_name", HOST_BACKENDS)
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=40),
@@ -42,21 +35,13 @@ HOST_BACKENDS = [
     grid_side=st.sampled_from([None, 2, 4]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_rows_equal_the_single_frame_mst(
-    backend_name, n, dimension, batch, grid_side, seed
-):
+def test_rows_equal_the_single_frame_mst(n, dimension, batch, grid_side, seed):
     rng = np.random.default_rng(seed)
     if grid_side is None:
         frames = rng.random((batch, n, dimension)) * 100.0
     else:  # coincident nodes and tied edge lengths
         frames = rng.integers(0, grid_side, size=(batch, n, dimension)).astype(float)
-    backend = resolve_backend(backend_name)
-    us, vs, lengths = (
-        backend.to_host(column)
-        for column in minimum_spanning_edges_batch(
-            backend.from_host(frames), backend=backend
-        )
-    )
+    us, vs, lengths = minimum_spanning_edges_batch(frames)
     for index, frame in enumerate(frames):
         expected_us, expected_vs, expected_lengths = minimum_spanning_edges(frame)
         assert np.array_equal(us[index], expected_us)

@@ -266,6 +266,33 @@ class TestServerHygiene:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("length", [2**40, 2**30])
+    def test_oversized_body_is_refused_unread_and_closed(
+        self, server, accepted, length
+    ):
+        with socket.create_connection(address_of(server), timeout=5.0) as raw:
+            started = time.monotonic()
+            raw.sendall(
+                f"PUT /entries/{key_of('huge')} HTTP/1.1\r\n"
+                f"Host: x\r\nContent-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            raw.settimeout(1.0)
+            reply = b""
+            while True:
+                chunk = raw.recv(4096)
+                if not chunk:
+                    break  # the server closed the connection
+                reply += chunk
+            assert time.monotonic() - started < 1.0
+        head = reply.split(b"\r\n\r\n", 1)[0].decode("ascii")
+        assert head.startswith("HTTP/1.1 413")
+        assert "Connection: close" in head
+        # A normal PUT on a new connection still succeeds.
+        remote = RemoteResultStore(server.url)
+        remote.put(key_of("small"), {"l": 1.0})
+        assert remote.get(key_of("small")) == {"l": 1.0}
+        assert len(accepted) == 2
+
     def test_idle_limit_is_above_the_heartbeat_period(self):
         assert server_module._Handler.timeout == server_module.IDLE_TIMEOUT
         default_lease = WorkQueue(RetryPolicy()).lease_seconds
@@ -293,3 +320,4 @@ class TestServerHygiene:
         time.sleep(IDLE_POLL_SECONDS + 0.2)  # the held reply hits a closed socket
         queue_server.stop()
         assert "Traceback" not in capsys.readouterr().err
+

@@ -68,10 +68,6 @@ class TestSweepWorkersField:
         assert copy.sweep_workers == 4
         assert copy.with_sweep_workers(1) == smoke
 
-    def test_with_backend_preserves_sweep_workers(self):
-        scale = scale_by_name("smoke").with_sweep_workers(3)
-        assert scale.with_backend("numpy-strict").sweep_workers == 3
-
     def test_execution_fields_name_only_existing_fields(self):
         from dataclasses import fields
 

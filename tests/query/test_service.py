@@ -384,3 +384,47 @@ class TestHTTPFrontEnd:
             assert status == 404
 
         self.serve(tmp_path, body)
+
+
+def respond_to(tmp_path, raw):
+    """Status :meth:`QueryHTTPServer._respond` gives the raw request bytes."""
+    spec = make_spec()
+    server = QueryHTTPServer(QueryService(warm_store(tmp_path, spec), spec))
+
+    async def main():
+        reader = asyncio.StreamReader()  # start_server's default 64 KiB limit
+        reader.feed_data(raw)
+        reader.feed_eof()
+        status, _ = await server._respond(reader)
+        return status
+
+    return run(main())
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /ask HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+            b"POST /ask HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+            b'POST /ask HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"side": 256',
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 40_000
+            + b"\r\nContent-Length: 40000\r\n\r\n" + b" " * 40_000,
+        ],
+        ids=[
+            "non-integer-length",
+            "negative-length",
+            "request-line-over-limit",
+            "header-line-over-limit",
+            "body-shorter-than-length",
+            "body-counts-toward-limit",
+        ],
+    )
+    def test_malformed_framing_is_a_400(self, tmp_path, raw):
+        assert respond_to(tmp_path, raw) == 400
+
+    def test_well_formed_health_request_is_a_200(self, tmp_path):
+        raw = b"GET /health HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+        assert respond_to(tmp_path, raw) == 200

@@ -10,6 +10,7 @@ from repro.simulation.engine import (
     FrameStatistics,
     component_growth_curve,
     frame_statistics,
+    frame_statistics_columns,
     simulate_frame_statistics,
     simulate_iteration,
 )
@@ -63,6 +64,14 @@ class TestFrameStatistics:
         stats = frame_statistics(np.array([0.0, 1.0, 5.0]))
         assert stats.node_count == 3
         assert stats.critical_range == pytest.approx(4.0)
+
+
+class TestFrameStatisticsColumns:
+    def test_matches_per_frame_reference(self):
+        frames = np.random.default_rng(41).random((4, 12, 2)) * 100.0
+        columns = frame_statistics_columns(frames)
+        for frame, statistics in zip(frames, columns):
+            assert statistics == frame_statistics(frame)
 
 
 class TestSimulateIteration:

@@ -6,15 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.backend import backend_names
 from repro.exceptions import ConfigurationError
 from repro.experiments.registry import ExperimentScale
-from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.store.codecs import SCHEMA_VERSION
 from repro.store.keys import (
     cache_key,
     canonical_json,
-    config_payload,
     normalize,
     scale_payload,
 )
@@ -82,50 +79,8 @@ class TestScalePayload:
             make_scale(steps=26)
         )
 
-    def test_backend_is_an_environment_field_not_an_execution_knob(self):
-        """Unlike sweep_workers, the backend stays in the payload: results from
-        different array backends must never answer each other's keys."""
-        numpy_scale = make_scale(backend="numpy")
-        strict_scale = make_scale(backend="numpy-strict")
-        assert scale_payload(numpy_scale)["backend"] == "numpy"
-        assert scale_payload(numpy_scale) != scale_payload(strict_scale)
-
-
-class TestConfigPayload:
-    def test_full_description_without_workers(self):
-        config = SimulationConfig(
-            network=NetworkConfig(node_count=16, side=256.0, dimension=2),
-            mobility=MobilitySpec.paper_waypoint(256.0),
-            steps=10,
-            iterations=2,
-            seed=3,
-        )
-        payload = config_payload(config)
-        assert payload["mobility"]["name"] == "waypoint"
-        assert payload["network"]["side"] == 256.0
-        assert "workers" not in payload
-        faster = SimulationConfig(
-            network=config.network,
-            mobility=MobilitySpec.paper_waypoint(256.0, tpause=1),
-            steps=10,
-            iterations=2,
-            seed=3,
-        )
-        assert config_payload(faster) != payload
-
-    def test_backend_stays_in_config_payload(self):
-        config = SimulationConfig(
-            network=NetworkConfig(node_count=16, side=256.0, dimension=2),
-            mobility=MobilitySpec.paper_waypoint(256.0),
-            steps=10,
-            iterations=2,
-            seed=3,
-        )
-        payload = config_payload(config)
-        assert payload["backend"] == "numpy"
-        strict = config_payload(config.with_backend("numpy-strict"))
-        assert strict["backend"] == "numpy-strict"
-        assert strict != payload
+    def test_backend_is_pinned_to_numpy(self):
+        assert scale_payload(make_scale())["backend"] == "numpy"
 
 
 # --------------------------------------------------------------------------- #
@@ -191,28 +146,6 @@ class TestKeyProperties:
         assert cache_key("sweep", scale_payload(a)) == cache_key(
             "sweep", scale_payload(b)
         )
-
-    @given(
-        st.sampled_from(sorted(backend_names())),
-        st.sampled_from(sorted(backend_names())),
-        st.integers(min_value=1, max_value=64),
-        st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_backend_always_separates_keys(
-        self, backend_a, backend_b, workers_a, workers_b
-    ):
-        """Two scales that differ only in backend (an environment field)
-        derive different keys; equal backends keep keys equal however the
-        execution knobs vary."""
-        a = make_scale(backend=backend_a, sweep_workers=workers_a)
-        b = make_scale(backend=backend_b, sweep_workers=workers_b)
-        key_a = cache_key("sweep", scale_payload(a))
-        key_b = cache_key("sweep", scale_payload(b))
-        if backend_a == backend_b:
-            assert key_a == key_b
-        else:
-            assert key_a != key_b
 
     @given(payloads, st.integers(min_value=0, max_value=100))
     @settings(max_examples=60, deadline=None)

@@ -212,50 +212,6 @@ class TestCampaignCli:
         assert "0/1 scenario(s) complete" in capsys.readouterr().out
 
 
-class TestBackendFlag:
-    def test_backend_flag_parses(self):
-        arguments = build_parser().parse_args(
-            ["run", "fig2", "--scale", "smoke", "--backend", "numpy-strict"]
-        )
-        assert arguments.backend == "numpy-strict"
-        arguments = build_parser().parse_args(["run", "fig2", "--scale", "smoke"])
-        assert arguments.backend is None
-
-    def test_unknown_backend_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig2", "--backend", "fortran"])
-
-    def test_run_under_strict_backend_matches_numpy(self, capsys, monkeypatch):
-        """The strict verification backend must reproduce the NumPy run's
-        rendered table exactly — same kernels, same numbers."""
-        from repro.experiments import registry
-
-        tiny = registry.ExperimentScale(
-            name="smoke",
-            sides=(256.0,),
-            steps=8,
-            iterations=1,
-            stationary_iterations=15,
-            parameter_points=2,
-            seed=5,
-        )
-        monkeypatch.setitem(registry.SCALES, "smoke", tiny)
-        assert main(["run", "fig2", "--scale", "smoke"]) == 0
-        base_output = capsys.readouterr().out
-        assert main(["run", "fig2", "--scale", "smoke",
-                     "--backend", "numpy-strict"]) == 0
-        strict_output = capsys.readouterr().out
-        table = lambda text: text[text.index("fig2 (smoke scale)"):]
-        assert table(strict_output) == table(base_output)
-
-    def test_stationary_backend_flag(self, capsys):
-        assert main(
-            ["stationary", "--side", "200", "--nodes", "15", "--iterations", "20",
-             "--seed", "3", "--backend", "numpy-strict"]
-        ) == 0
-        assert "rstationary" in capsys.readouterr().out
-
-
 def _tiny_smoke(monkeypatch):
     """Shrink the smoke preset so a CLI run takes well under a second."""
     from repro.experiments import registry

@@ -28,7 +28,6 @@ class TestPublicApi:
             "estimate_thresholds",
             "stationary_critical_range",
             "uniform_placement",
-            "simulate_epidemic_dissemination",
         ):
             assert callable(getattr(repro, name))
         for name in ("Region", "SimulationConfig", "RandomWaypointModel", "EnergyModel"):
