@@ -293,6 +293,60 @@ class TestServerHygiene:
         assert remote.get(key_of("small")) == {"l": 1.0}
         assert len(accepted) == 2
 
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("PUT", f"/objects/{key_of('huge')}"),
+            ("PUT", f"/poison/{key_of('huge')}"),
+            ("POST", f"/quarantine/{key_of('huge')}"),
+            ("POST", "/gc"),
+            ("POST", "/staging/clear"),
+            ("POST", "/queue/lease"),
+            ("POST", "/no/such/route"),
+        ],
+        ids=["object", "poison", "quarantine", "gc", "staging", "lease", "unrouted"],
+    )
+    def test_oversized_body_is_refused_before_routing(self, server, method, path):
+        # The length check precedes routing: no route, not even an unknown
+        # one, gets to look at (or wait for) an oversized body.
+        length = server_module.MAX_BODY_BYTES + 1
+        with socket.create_connection(address_of(server), timeout=5.0) as raw:
+            raw.sendall(
+                f"{method} {path} HTTP/1.1\r\n"
+                f"Host: x\r\nContent-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            raw.settimeout(1.0)
+            reply = b""
+            while True:
+                chunk = raw.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413")
+        assert str(server_module.MAX_BODY_BYTES) in json.loads(body)["error"]
+
+    @pytest.mark.parametrize(
+        "extra, status", [(-1, 200), (0, 200), (1, 413)], ids=["below", "at", "above"]
+    )
+    def test_cap_is_inclusive(self, server, monkeypatch, extra, status):
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 1024)
+        connection = http.client.HTTPConnection(*address_of(server), timeout=5.0)
+        try:
+            connection.request("GET", "/health", body=b" " * (1024 + extra))
+            response = connection.getresponse()
+            response.read()
+            assert response.status == status
+            assert response.will_close == (status == 413)
+            if status == 200:
+                # The whole body was consumed: the connection serves on.
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"status": "ok"}
+        finally:
+            connection.close()
+
     def test_idle_limit_is_above_the_heartbeat_period(self):
         assert server_module._Handler.timeout == server_module.IDLE_TIMEOUT
         default_lease = WorkQueue(RetryPolicy()).lease_seconds
@@ -320,4 +374,3 @@ class TestServerHygiene:
         time.sleep(IDLE_POLL_SECONDS + 0.2)  # the held reply hits a closed socket
         queue_server.stop()
         assert "Traceback" not in capsys.readouterr().err
-

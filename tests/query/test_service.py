@@ -18,7 +18,11 @@ import pytest
 from repro.campaigns import CampaignSpec
 from repro.distributed import WorkQueue
 from repro.query import GridIndex, Query, QueryService
-from repro.query.http import QueryHTTPServer, parse_query_document
+from repro.query.http import (
+    _MAX_REQUEST_BYTES,
+    QueryHTTPServer,
+    parse_query_document,
+)
 from repro.query.normalize import QueryError
 from repro.store import ResultStore
 from repro.supervision import RetryPolicy
@@ -412,6 +416,14 @@ class TestRequestFraming:
             b'POST /ask HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"side": 256',
             b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 40_000
             + b"\r\nContent-Length: 40000\r\n\r\n" + b" " * 40_000,
+            b"",
+            b"GET\r\n\r\n",
+            b"GET /health HTTP/1.1\r\n"
+            + (b"X-Pad: " + b"a" * 1_000 + b"\r\n") * 70 + b"\r\n",
+            b"POST /ask HTTP/1.1\r\nContent-Length: 0x10\r\n\r\n" + b" " * 16,
+            # A valid /ask document, padded past the limit.
+            b"POST /ask HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
+            + b'{"side": 256.0, "probability": 0.9}'.ljust(100_000),
         ],
         ids=[
             "non-integer-length",
@@ -420,6 +432,11 @@ class TestRequestFraming:
             "header-line-over-limit",
             "body-shorter-than-length",
             "body-counts-toward-limit",
+            "empty-request",
+            "request-line-without-target",
+            "headers-over-limit",
+            "hexadecimal-length",
+            "length-over-limit",
         ],
     )
     def test_malformed_framing_is_a_400(self, tmp_path, raw):
@@ -427,4 +444,20 @@ class TestRequestFraming:
 
     def test_well_formed_health_request_is_a_200(self, tmp_path):
         raw = b"GET /health HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+        assert respond_to(tmp_path, raw) == 200
+
+    @pytest.mark.parametrize("extra, status", [(0, 200), (1, 400)], ids=["at", "above"])
+    def test_limit_covers_line_headers_and_body_inclusively(
+        self, tmp_path, extra, status
+    ):
+        head = b"GET /health HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        # The length has five digits either way, so the head's size is fixed.
+        length = _MAX_REQUEST_BYTES - len(head % 10_000) + extra
+        raw = head % length + b" " * length
+        assert len(raw) == _MAX_REQUEST_BYTES + extra
+        assert respond_to(tmp_path, raw) == status
+
+    def test_well_formed_ask_with_a_body_is_answered(self, tmp_path):
+        body = json.dumps({"side": 256.0, "probability": 0.9}).encode("utf-8")
+        raw = b"POST /ask HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
         assert respond_to(tmp_path, raw) == 200

@@ -29,6 +29,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig2", "--backend", "numpy"],
+            ["stationary", "--side", "100", "--nodes", "20", "--backend", "numpy"],
+        ],
+        ids=["run", "stationary"],
+    )
+    def test_there_is_no_backend_flag(self, argv, capsys):
+        # The kernels always run on NumPy; the flag is not kept as a no-op.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
 
 class TestMain:
     def test_list_prints_experiments(self, capsys):

@@ -1,10 +1,29 @@
 """Tests of the top-level public API (`import repro`)."""
 
+import ast
+import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SOURCE = Path(repro.__file__).resolve().parent
+
+#: Modules deleted with the array-backend seam and the extension packages
+#: nothing reached; their names must not come back as stale shims.
+REMOVED_MODULES = [
+    "repro.availability",
+    "repro.backend",
+    "repro.dissemination",
+    "repro.geometry.kdtree",
+    "repro.propagation",
+    "repro.stats.series",
+    "repro.topology",
+    "repro.visualization",
+]
 
 
 class TestPublicApi:
@@ -65,3 +84,34 @@ class TestPublicApi:
         identifiers = {e.identifier for e in repro.list_experiments()}
         assert {"fig2", "fig9", "theorem5-1d"} <= identifiers
         assert repro.get_experiment("fig2").paper_reference == "Figure 2"
+
+
+@pytest.mark.parametrize("name", REMOVED_MODULES)
+def test_removed_modules_are_gone(name):
+    assert importlib.util.find_spec(name) is None
+
+
+def test_every_repro_import_in_the_package_resolves():
+    """Imports inside functions too: a lazy import of a deleted module
+    would otherwise only fail when its function first runs."""
+    problems = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level != 0:
+                continue
+            if (node.module or "").split(".")[0] != "repro":
+                continue
+            try:
+                owner = importlib.import_module(node.module)
+            except ModuleNotFoundError:
+                problems.append(f"{path.relative_to(SOURCE)}: {node.module}")
+                continue
+            for alias in node.names:
+                qualified = f"{node.module}.{alias.name}"
+                if not (
+                    hasattr(owner, alias.name)
+                    or importlib.util.find_spec(qualified) is not None
+                ):
+                    problems.append(f"{path.relative_to(SOURCE)}: {qualified}")
+    assert problems == []
