@@ -30,7 +30,14 @@
 #    values (scheduler and serial paths address identical store entries).
 # 9. An iteration-resume smoke: a multi-iteration value killed partway
 #    resumes at the first unfinished iteration, recomputes nothing, and
-#    matches the uninterrupted run bit for bit.
+#    matches the uninterrupted run bit for bit.  Then the same through the
+#    figure path and the real CLI, at the shipped checkpoint threshold: a
+#    fig2 value (side 256, n = 16, 3 iterations) with just enough steps to
+#    reach CHECKPOINT_MIN_NODE_FRAMES is failed by a fault at its 3rd
+#    iteration; `campaign status` must report 2 of 3 iterations stored,
+#    the resumed run's trace must hold exactly one iteration span (the
+#    third), and its row must equal an uninterrupted run's in a fresh
+#    store.
 # 10. A campaign gc smoke through the real CLI: a tight --max-bytes
 #    budget evicts entries, a second run under the same budget is stable.
 # 11. The kernel lane: the kernel reference tests run explicitly (every
@@ -204,12 +211,74 @@ with tempfile.TemporaryDirectory() as root:
 print("iteration-resume smoke: OK")
 RESUME_SMOKE
 
+FIGURE_RESUME_DIR="$(mktemp -d)"
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR"' EXIT
+FIGURE_RESUME_DIR="$FIGURE_RESUME_DIR" \
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'FIGURE_RESUME_SPEC'
+import json
+import math
+import os
+from pathlib import Path
+
+from repro.experiments.figures import CHECKPOINT_MIN_NODE_FRAMES, paper_node_count
+
+root = Path(os.environ["FIGURE_RESUME_DIR"])
+side, iterations = 256.0, 3
+# The fewest steps that put the value at or above the threshold.
+steps = math.ceil(CHECKPOINT_MIN_NODE_FRAMES / (paper_node_count(side) * iterations))
+(root / "fig2.json").write_text(json.dumps({
+    "name": "figure-resume",
+    "experiments": ["fig2"],
+    "scale": "smoke",
+    "overrides": {
+        "sides": [side],
+        "steps": steps,
+        "iterations": iterations,
+        "stationary_iterations": 30,
+    },
+}))
+(root / "faults").mkdir()
+(root / "faults" / "plan.json").write_text(json.dumps(
+    {"faults": [{"site": "iteration", "action": "raise", "at": 3}]}
+))
+FIGURE_RESUME_SPEC
+if REPRO_FAULTS="$FIGURE_RESUME_DIR/faults/plan.json" \
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign run "$FIGURE_RESUME_DIR/fig2.json" --store "$FIGURE_RESUME_DIR/store" \
+    --quiet > "$FIGURE_RESUME_DIR/killed.log" 2>&1; then
+    echo "the iteration fault did not stop the figure campaign" >&2
+    exit 1
+fi
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign status "$FIGURE_RESUME_DIR/fig2.json" --store "$FIGURE_RESUME_DIR/store" \
+    | grep -q "partial (0/1 values, 2/3 iterations)"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign run "$FIGURE_RESUME_DIR/fig2.json" --store "$FIGURE_RESUME_DIR/store" \
+    --quiet --output-dir "$FIGURE_RESUME_DIR/resumed" > /dev/null
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign run "$FIGURE_RESUME_DIR/fig2.json" --store "$FIGURE_RESUME_DIR/fresh" \
+    --quiet --output-dir "$FIGURE_RESUME_DIR/uninterrupted" > /dev/null
+cmp "$FIGURE_RESUME_DIR/resumed/fig2.json" "$FIGURE_RESUME_DIR/uninterrupted/fig2.json"
+FIGURE_RESUME_DIR="$FIGURE_RESUME_DIR" \
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'FIGURE_RESUME_TRACE'
+import os
+from pathlib import Path
+
+from repro.telemetry import report
+
+run_dir = report.latest_run_dir(Path(os.environ["FIGURE_RESUME_DIR"]) / "store" / "telemetry")
+spans = report.read_trace(run_dir)["spans"]
+simulated = [s["attrs"]["index"] for s in spans if s["name"] == "iteration"]
+assert simulated == [2], f"the resume simulated iterations {simulated}"
+print("figure iteration-resume smoke: OK")
+FIGURE_RESUME_TRACE
+
 REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_fault_overhead.py -q
 
 CHAOS_DIR="$(mktemp -d)"
 CHAOS_STORE="$CHAOS_DIR/store"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$CHAOS_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR"' EXIT
 cat > "$CHAOS_DIR/faultplan.json" <<'PLAN'
 {"faults": [{"site": "measure", "action": "kill", "at": 1}], "state_dir": ""}
 PLAN
@@ -232,7 +301,7 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 
 TELEMETRY_DIR="$(mktemp -d)"
 TELEMETRY_STORE="$TELEMETRY_DIR/store"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$CHAOS_DIR" "$TELEMETRY_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR"' EXIT
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign run examples/campaign_smoke.toml --store "$TELEMETRY_STORE" \
     --total-workers 2 --quiet
@@ -274,7 +343,7 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 
 DIST_DIR="$(mktemp -d)"
 DIST_STORE="$DIST_DIR/store"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR"' EXIT
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign serve examples/campaign_smoke.toml --store "$DIST_STORE" \
     --port 0 --url-file "$DIST_DIR/url" --max-retries 2 --quiet \
@@ -317,7 +386,7 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_query_service.py -q
 
 QUERY_DIR="$(mktemp -d)"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$QUERY_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$QUERY_DIR"' EXIT
 
 # Warm half: a served warm store answers in-grid questions exactly.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \

@@ -11,7 +11,10 @@ sweep (experiment cache payload + schema version) and
   per-*iteration* sub-checkpoints for experiments that register an
   ``iterations_per_value`` — so each finished value *and* each finished
   iteration inside an unfinished value is durable the moment it exists,
-  and a killed campaign resumes at the first unfinished iteration;
+  and a killed campaign resumes at the first unfinished iteration (the
+  figure measures use iteration sub-checkpoints only for values of at
+  least :data:`repro.experiments.figures.CHECKPOINT_MIN_NODE_FRAMES`
+  node-frames; a smaller value resumes from its start);
 * detects corrupt entries (failed sha256 / undecodable payloads), evicts
   them and recomputes instead of returning damaged results.
 

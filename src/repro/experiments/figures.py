@@ -44,9 +44,41 @@ from repro.simulation.sweep import (
 from repro.store.keys import scale_payload
 
 
+#: Node-frames (``n x steps x iterations``) a value must simulate before
+#: its iterations are checkpointed one store entry each.  Below it a value
+#: runs with no iteration checkpoint: a kill loses at most the value's own
+#: work (about 1 s of one core at n = 16, 2 s at n = 128, since kernel plus
+#: sweep cost about 0.9-1.7 us per node-frame), while the per-iteration
+#: entries would cost more than they save.  Every value of the ``smoke``
+#: and ``default`` presets sits below it and every ``paper`` value
+#: (>= 8 000 000) above it.
+CHECKPOINT_MIN_NODE_FRAMES = 1_000_000
+
+
 def paper_node_count(side: float) -> int:
     """The paper's system-size scaling ``n = sqrt(l)``."""
     return max(2, int(round(math.sqrt(side))))
+
+
+def value_iteration_checkpoint(
+    checkpoint: Optional[SweepCheckpoint],
+    value: float,
+    node_count: int,
+    scale: ExperimentScale,
+) -> Optional[IterationCheckpoint]:
+    """The per-iteration checkpoint of one value, if its work warrants one.
+
+    A value simulating ``node_count * scale.steps * scale.iterations``
+    node-frames below :data:`CHECKPOINT_MIN_NODE_FRAMES` gets ``None``;
+    a larger one gets ``checkpoint``'s iteration checkpoint for ``value``
+    (see :func:`repro.simulation.sweep.iteration_checkpoint_for`).  The
+    decision depends only on the scale and ``n``, so which entries a run
+    writes is deterministic.
+    """
+    node_frames = node_count * scale.steps * scale.iterations
+    if node_frames < CHECKPOINT_MIN_NODE_FRAMES:
+        return None
+    return iteration_checkpoint_for(checkpoint, value)
 
 
 def _mobility_spec_for(model: str, side: float, **overrides) -> MobilitySpec:
@@ -71,10 +103,11 @@ def measure_system_size(
     and the average largest-component fractions at ``r90``, ``r10``, ``r0``.
 
     ``iteration_checkpoint`` (if given) persists each iteration of the
-    expensive mobile simulation as it completes and resumes saved ones;
-    the cheap single-step stationary placements that produce
-    ``rstationary`` stay unchecked — one store entry per placement draw
-    would dwarf the work it saves.
+    mobile simulation as it completes and resumes saved ones; the measures
+    pass one only for values at or above :data:`CHECKPOINT_MIN_NODE_FRAMES`
+    (see :func:`value_iteration_checkpoint`).  The single-frame stationary
+    placements that produce ``rstationary`` are never checkpointed: they
+    are reduced together in a few batched kernel calls.
     """
     node_count = paper_node_count(side)
     rstationary = stationary_critical_range(
@@ -124,8 +157,9 @@ class SystemSizeMeasure:
     Implements the :class:`repro.simulation.sweep.Measure` protocol so the
     system-size sweep can run its sides in parallel worker processes —
     including ``with_value_checkpoint``: when a sweep checkpoint with
-    iteration granularity is bound, each side's mobile simulation persists
-    its iterations as they finish and resumes saved ones.
+    iteration granularity is bound, each side large enough for
+    :func:`value_iteration_checkpoint` persists its mobile iterations as
+    they finish and resumes saved ones.
     """
 
     model: str
@@ -139,7 +173,9 @@ class SystemSizeMeasure:
             self.model,
             self.scale,
             self.mobility_overrides,
-            iteration_checkpoint=iteration_checkpoint_for(self.checkpoint, side),
+            iteration_checkpoint=value_iteration_checkpoint(
+                self.checkpoint, side, paper_node_count(side), self.scale
+            ),
         )
 
     def with_value_checkpoint(
@@ -303,7 +339,8 @@ class ParameterStudyMeasure:
     Maps one swept value to the waypoint mobility override it controls
     (``pstationary`` → probability, ``tpause`` → integer pause time,
     ``vmax_fraction`` → ``vmax = fraction * l``) and measures
-    ``r100 / rstationary`` at the Section 4.3 geometry.
+    ``r100 / rstationary`` at the Section 4.3 geometry, with an iteration
+    checkpoint only when :func:`value_iteration_checkpoint` grants one.
     """
 
     scale: ExperimentScale
@@ -321,10 +358,13 @@ class ParameterStudyMeasure:
             raise ValueError(
                 f"unsupported parameter study parameter: {self.parameter!r}"
             )
+        node_count = paper_node_count(_parameter_study_side(self.scale))
         return _r100_ratio_row(
             self.scale,
             overrides,
-            iteration_checkpoint=iteration_checkpoint_for(self.checkpoint, value),
+            iteration_checkpoint=value_iteration_checkpoint(
+                self.checkpoint, value, node_count, self.scale
+            ),
         )
 
     def with_value_checkpoint(

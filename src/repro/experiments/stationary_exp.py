@@ -24,6 +24,7 @@ from repro.experiments.figures import (
     measure_system_size,
     paper_node_count,
     scale_iterations,
+    value_iteration_checkpoint,
 )
 from repro.experiments.registry import (
     Experiment,
@@ -31,12 +32,7 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.simulation.runner import stationary_critical_range
-from repro.simulation.sweep import (
-    SweepCheckpoint,
-    SweepResult,
-    iteration_checkpoint_for,
-    sweep_parameter,
-)
+from repro.simulation.sweep import SweepCheckpoint, SweepResult, sweep_parameter
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,9 @@ class EnergyTradeoffMeasure:
             side,
             "waypoint",
             self.scale,
-            iteration_checkpoint=iteration_checkpoint_for(self.checkpoint, side),
+            iteration_checkpoint=value_iteration_checkpoint(
+                self.checkpoint, side, paper_node_count(side), self.scale
+            ),
         )
         ratios = {
             label: row[label] / row["r100"] if row["r100"] > 0 else 0.0

@@ -30,7 +30,8 @@ Sites instrumented today:
 ====================  =====================================================
 ``measure``           entry of :func:`repro.simulation.sweep.measure_row`
                       (one sweep/scheduler task); context ``"name=value"``.
-``iteration``         entry of one simulation iteration in a runner worker;
+``iteration``         entry of one mobile simulation iteration in a runner
+                      worker (stationary placements do not fire it);
                       context ``"iteration=<index>"``.
 ``store.put``         one :class:`~repro.store.result_store.ResultStore`
                       write; context ``"<kind>:<key>"`` (``corrupt``

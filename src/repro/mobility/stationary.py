@@ -4,8 +4,10 @@ Setting ``#steps = 1`` in the paper's simulator corresponds to the
 stationary case; in this library the same effect is obtained either by
 running a single step or by using :class:`StationaryModel`, which never
 moves any node.  Having it as an explicit model keeps the simulator code
-free of special cases and lets the stationary critical range be computed by
-exactly the same machinery as the mobile thresholds.
+free of special cases.  The stationary critical range binds every
+placement to this model, then reduces the placements with the same
+batched frame kernel as the mobile thresholds (see
+:func:`repro.simulation.runner.stationary_critical_range`).
 """
 
 from __future__ import annotations

@@ -13,8 +13,11 @@ convention.  Three endpoints:
 
 Connections are one-shot (``Connection: close``): the serving cost is
 dominated by the answer path, and one-shot connections keep the reader
-loop trivial.  Per-endpoint latency lands in ``query.http.<endpoint>_
-seconds`` histograms next to the service's own ``query.*`` metrics.
+loop trivial.  A client must send its whole request within
+:data:`_READ_DEADLINE_SECONDS`; one that stalls is answered ``408`` and
+closed, so a silent connection cannot hold a descriptor until shutdown.
+Per-endpoint latency lands in ``query.http.<endpoint>_seconds``
+histograms next to the service's own ``query.*`` metrics.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ __all__ = ["QueryHTTPServer", "parse_query_document", "serve_queries"]
 
 #: Bytes one request may total (line + headers + body); queries are tiny.
 _MAX_REQUEST_BYTES = 64 * 1024
+
+#: Seconds a client has to send its request line, headers and body.
+_READ_DEADLINE_SECONDS = 10.0
 
 _NUMBER_FIELDS = ("side", "probability", "range")
 
@@ -131,7 +137,8 @@ class QueryHTTPServer:
             status, payload = 500, {"error": f"internal error: {error!r}"}
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 500: "Internal Server Error"}
+                  405: "Method Not Allowed", 408: "Request Timeout",
+                  500: "Internal Server Error"}
         head = (
             f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
             f"Content-Type: application/json\r\n"
@@ -154,7 +161,12 @@ class QueryHTTPServer:
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, Dict[str, Any]]:
         try:
-            method, target, body = await _read_request(reader)
+            async with asyncio.timeout(_READ_DEADLINE_SECONDS):
+                method, target, body = await _read_request(reader)
+        except TimeoutError:
+            return 408, {
+                "error": f"request not received within {_READ_DEADLINE_SECONDS} s"
+            }
         except (ConnectionError, ValueError, asyncio.IncompleteReadError) as error:
             return 400, {"error": f"unreadable request: {error}"}
         split = urlsplit(target)

@@ -21,7 +21,7 @@ Main entry points:
   run, per-frame critical ranges and component curves.
 * :func:`~repro.simulation.search.estimate_thresholds` — the ``r_x`` and
   ``rl_x`` values plotted in Figures 2–9.
-* :func:`~repro.simulation.search.stationary_critical_range` — the
+* :func:`~repro.simulation.runner.stationary_critical_range` — the
   ``rstationary`` denominator.
 
 Execution is bit-identical to a serial run for the same seed:

@@ -61,6 +61,7 @@ __all__ = [
     "component_growth_curve_reference",
     "frame_statistics",
     "frame_statistics_columns",
+    "frames_per_batch",
     "simulate_frame_statistics",
     "simulate_iteration",
 ]
@@ -71,6 +72,17 @@ __all__ = [
 #: 2 MiB per-core L2 cache.  At n = 128 on a 2-core Xeon host, the kernel
 #: took 242 us/frame at B = 256, against 278 at B = 1024 and 351 at B = 32.
 _TRAJECTORY_BATCH_ELEMENTS = 32_768
+
+
+def frames_per_batch(node_count: int) -> int:
+    """Frames one batched kernel call reduces at ``node_count`` nodes.
+
+    ``_TRAJECTORY_BATCH_ELEMENTS // n`` (at least one), so every ``(B, n)``
+    working array of :func:`repro.connectivity.critical_range.
+    minimum_spanning_edges_batch` has about ``_TRAJECTORY_BATCH_ELEMENTS``
+    elements.
+    """
+    return max(1, _TRAJECTORY_BATCH_ELEMENTS // max(1, node_count))
 
 
 def component_growth_curve(positions: Positions) -> Tuple[Tuple[float, int], ...]:
@@ -246,13 +258,9 @@ def _iter_trajectory_batches(
 
     The first batch starts at the model's current positions (step 0);
     later batches continue from wherever the previous one left the model.
-    Each batch holds ``_TRAJECTORY_BATCH_ELEMENTS // n`` frames (at least
-    one), so every ``(B, n)`` working array of the batched MST kernel
-    (:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`)
-    has about ``_TRAJECTORY_BATCH_ELEMENTS`` elements.
+    Each batch holds :func:`frames_per_batch` frames.
     """
-    n = model.state.positions.shape[0]
-    batch_size = max(1, _TRAJECTORY_BATCH_ELEMENTS // max(1, n))
+    batch_size = frames_per_batch(model.state.positions.shape[0])
     produced = 0
     while produced < steps:
         count = min(batch_size, steps - produced)

@@ -34,25 +34,38 @@ iteration ``i`` always consumes child stream ``i``, a resumed run is
 bit-identical to an uninterrupted one.  The store-backed implementation
 is :class:`repro.store.checkpoints.StoreIterationCheckpoint`; this module
 only defines the protocol so the simulation layer stays storage-free.
+Whether a value passes a checkpoint at all is the experiment layer's
+choice (see :func:`repro.experiments.figures.value_iteration_checkpoint`).
+
+Stationary placements
+---------------------
+:func:`stationary_critical_range` draws placement ``i`` on child stream
+``i`` too, but a placement is a single frame, far too little work to be
+an iteration of its own: it is never checkpointed, and the placements are
+reduced together in batches of
+:func:`~repro.simulation.engine.frames_per_batch` frames, like the frames
+of one mobile trajectory.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, TypeVar
 
+import numpy as np
+
 from repro import faults, telemetry
 from repro.exceptions import ConfigurationError
-from repro.simulation.config import SimulationConfig
+from repro.mobility.stationary import StationaryModel
+from repro.simulation.config import NetworkConfig, SimulationConfig
 from repro.simulation.engine import (
     FrameStatisticsColumns,
+    frame_statistics_columns,
+    frames_per_batch,
     simulate_frame_statistics,
     simulate_iteration,
 )
-from repro.simulation.results import (
-    IterationResult,
-    MobileRunResult,
-    pool_frame_statistics,
-)
+from repro.simulation.metrics import range_for_connectivity_fraction
+from repro.simulation.results import IterationResult, MobileRunResult
 from repro.stats.rng import RandomSource
 
 ResultT = TypeVar("ResultT")
@@ -228,6 +241,16 @@ def stationary_critical_range(
     those values — i.e. the range at which a fraction ``confidence`` of
     random placements is connected.
 
+    Placement ``i`` is drawn on child stream ``i`` of ``seed`` and bound
+    to a :class:`~repro.mobility.stationary.StationaryModel` (which checks
+    its dimension and that it lies in the region), as a one-step
+    simulation would; the placements are then reduced by
+    :func:`~repro.simulation.engine.frame_statistics_columns` in batches
+    of :func:`~repro.simulation.engine.frames_per_batch` frames
+    (``_TRAJECTORY_BATCH_ELEMENTS // n``).  The batched kernel treats
+    every frame independently, so the result is bit-identical to reducing
+    each placement on its own.
+
     Args:
         node_count: number of nodes ``n``.
         side: region side ``l``.
@@ -238,22 +261,24 @@ def stationary_critical_range(
             1.0 returns the maximum observed.
         placement: placement strategy name (default ``uniform``).
     """
-    from repro.simulation.config import MobilitySpec, NetworkConfig
-    from repro.simulation.metrics import range_for_connectivity_fraction
-
     if not 0.0 < confidence <= 1.0:
         raise ConfigurationError(f"confidence must be in (0, 1], got {confidence}")
+    if iterations < 1:
+        raise ConfigurationError(f"iterations must be at least 1, got {iterations}")
     network = NetworkConfig(
         node_count=node_count, side=side, dimension=dimension, placement=placement
     )
-    config = SimulationConfig(
-        network=network,
-        mobility=MobilitySpec.stationary(),
-        steps=1,
-        iterations=iterations,
-        seed=seed,
-    )
-    statistics = collect_frame_statistics(config)
-    # Each iteration contributes exactly one frame (steps == 1); pool them.
-    pooled = pool_frame_statistics(statistics)
+    region = network.region
+    source = RandomSource(seed)
+    batch_size = frames_per_batch(node_count)
+    parts: List[FrameStatisticsColumns] = []
+    with telemetry.span("stationary", placements=iterations):
+        for start in range(0, iterations, batch_size):
+            frames = []
+            for index in range(start, min(start + batch_size, iterations)):
+                rng = source.child(index)
+                positions = network.placement_strategy(node_count, region, rng)
+                frames.append(StationaryModel().initialize(positions, region, rng))
+            parts.append(frame_statistics_columns(np.stack(frames)))
+    pooled = FrameStatisticsColumns.concatenate(parts)
     return range_for_connectivity_fraction(pooled, confidence)

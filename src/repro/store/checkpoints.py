@@ -19,6 +19,13 @@ iteration ``k`` of 50 therefore resumes at iteration ``k``, not at the
 start of the value.  Once a value's row lands, its iteration entries are
 subsumed (the row is what every future resume reads) and are evicted to
 keep the store's steady-state size unchanged.
+
+The figure measures only use the iteration checkpoint for values that
+simulate at least :data:`repro.experiments.figures.
+CHECKPOINT_MIN_NODE_FRAMES` node-frames; a smaller value writes no
+iteration entries and a kill loses at most its own work.  Iteration
+entries an older run left for such a value are never read: the value
+recomputes them bit-identically, and the row's save evicts them.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ import pytest
 from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.campaigns.progress import TaskQuarantined, TaskRetried
 from repro.distributed import serve_campaign
+from repro.distributed import server as server_module
 from repro.distributed.campaign import RemoteTaskError
 from repro.distributed.worker import QueueClient, run_worker
 from repro.experiments.registry import (
@@ -242,6 +243,50 @@ class TestLoopbackFanOut:
         assert second.cache_hits == len(first.outcomes) == 2
         assert _count(calls_dir) == markers
         assert_bit_identical(second, first)
+
+
+class TestRequestsPerTask:
+    def test_small_figure_values_make_no_iteration_requests(
+        self, tmp_path, monkeypatch
+    ):
+        """A small Figs 7-9 grid: each task is one lease and one publish.
+
+        Its values sit far below the iteration-checkpoint threshold, so
+        the worker never asks the server for an iteration entry (``HEAD``)
+        nor writes one (``PUT``).  Requests are counted where the server
+        routes them; the workers are forked after the patch but only the
+        serving process routes.
+        """
+        requests = []
+        dispatch = server_module._Handler._dispatch
+
+        def counting(handler, method):
+            requests.append((method, handler.path.split("?", 1)[0]))
+            return dispatch(handler, method)
+
+        monkeypatch.setattr(server_module._Handler, "_dispatch", counting)
+        spec = CampaignSpec.from_dict({
+            "name": "small-figs",
+            "experiments": ["fig7", "fig8", "fig9"],
+            "scale": "smoke",
+            "overrides": {
+                "steps": 5,
+                "iterations": 2,
+                "stationary_iterations": 2,
+                "parameter_points": 2,
+            },
+        })
+        workers = []
+        result = serve_campaign(
+            spec,
+            ResultStore(tmp_path / "store"),
+            telemetry_enabled=False,
+            on_ready=lambda url: workers.append(start_worker(url)),
+        )
+        reap(workers, timeout=PROMPT_EXIT)
+        assert result.computed_values == 6
+        assert [r for r in requests if r[1].startswith("/objects/")] == []
+        assert requests.count(("POST", "/queue/publish")) == 6
 
 
 class TestLeaseRecovery:

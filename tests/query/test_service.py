@@ -12,12 +12,15 @@ result into the store and the hot cache; the re-asked query is a hot
 import asyncio
 import json
 import pickle
+import time
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.campaigns import CampaignSpec
 from repro.distributed import WorkQueue
 from repro.query import GridIndex, Query, QueryService
+from repro.query import http as query_http
 from repro.query.http import (
     _MAX_REQUEST_BYTES,
     QueryHTTPServer,
@@ -386,6 +389,35 @@ class TestHTTPFrontEnd:
             assert status == 400
             status, _ = await http_request(url, "GET", "/nowhere")
             assert status == 404
+
+        self.serve(tmp_path, body)
+
+    def test_stalled_request_is_answered_408_and_closed(
+        self, tmp_path, monkeypatch
+    ):
+        deadline = 0.2
+        monkeypatch.setattr(query_http, "_READ_DEADLINE_SECONDS", deadline)
+
+        async def body(url):
+            parts = urlsplit(url)
+            reader, writer = await asyncio.open_connection(
+                parts.hostname, parts.port
+            )
+            writer.write(b"GET /health HT")  # ... and then nothing more
+            await writer.drain()
+            started = time.monotonic()
+            try:
+                # read() returns only once the server closes the connection.
+                raw = await asyncio.wait_for(reader.read(), deadline + 1.0)
+            finally:
+                writer.close()
+            assert time.monotonic() - started <= deadline + 1.0
+            head = raw.partition(b"\r\n\r\n")[0]
+            assert head.split()[1] == b"408"
+            assert b"Connection: close" in head
+            # A request that arrives in time is still answered.
+            status, document = await http_request(url, "GET", "/health")
+            assert (status, document) == (200, {"status": "ok"})
 
         self.serve(tmp_path, body)
 

@@ -1,9 +1,14 @@
 """Tests for repro.simulation.runner."""
 
+import math
+
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.simulation import engine
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
+from repro.simulation.metrics import range_for_connectivity_fraction
+from repro.simulation.results import pool_frame_statistics
 from repro.simulation.runner import (
     collect_frame_statistics,
     run_fixed_range,
@@ -104,3 +109,70 @@ class TestStationaryCriticalRange:
     def test_invalid_confidence(self):
         with pytest.raises(ConfigurationError):
             stationary_critical_range(10, 100.0, iterations=10, confidence=0.0)
+
+    def test_invalid_iterations(self):
+        with pytest.raises(ConfigurationError):
+            stationary_critical_range(10, 100.0, iterations=0)
+
+
+class TestStationaryBatching:
+    """The placements reach the kernel in batches of at most
+    ``_TRAJECTORY_BATCH_ELEMENTS // n`` frames, with unchanged results."""
+
+    @staticmethod
+    def kernel_batches(monkeypatch, nodes, cap):
+        """Cap the batches at ``cap`` frames; returns each call's size."""
+        monkeypatch.setattr(engine, "_TRAJECTORY_BATCH_ELEMENTS", nodes * cap)
+        batches = []
+        kernel = engine.minimum_spanning_edges_batch
+
+        def spy(frames):
+            batches.append(len(frames))
+            return kernel(frames)
+
+        monkeypatch.setattr(engine, "minimum_spanning_edges_batch", spy)
+        return batches
+
+    @pytest.mark.parametrize(
+        "nodes, placements, cap",
+        [(16, 30, 2048), (16, 30, 7), (128, 600, 256), (40, 9, 4)],
+        ids=["one-batch", "five-batches", "three-batches", "short-last-batch"],
+    )
+    def test_one_kernel_call_per_batch(self, monkeypatch, nodes, placements, cap):
+        batches = self.kernel_batches(monkeypatch, nodes, cap)
+        stationary_critical_range(nodes, 4.0 * nodes**2, iterations=placements, seed=9)
+        assert len(batches) == math.ceil(placements / cap)
+        assert sum(batches) == placements
+        assert max(batches) <= cap
+
+    @pytest.mark.parametrize(
+        "nodes, placements, dimension, confidence, cap",
+        [
+            (16, 30, 2, 0.99, 7),
+            (20, 41, 1, 0.5, 8),
+            (10, 25, 3, 1.0, 4),
+            (128, 300, 2, 0.99, 100),
+            (12, 5, 2, 0.9, 64),
+        ],
+    )
+    def test_bit_identical_to_pooled_single_step_iterations(
+        self, monkeypatch, nodes, placements, dimension, confidence, cap
+    ):
+        side = 4.0 * nodes**2
+        config = SimulationConfig(
+            network=NetworkConfig(node_count=nodes, side=side, dimension=dimension),
+            mobility=MobilitySpec.stationary(),
+            steps=1,
+            iterations=placements,
+            seed=21,
+        )
+        expected = range_for_connectivity_fraction(
+            pool_frame_statistics(collect_frame_statistics(config)), confidence
+        )
+        batches = self.kernel_batches(monkeypatch, nodes, cap)
+        value = stationary_critical_range(
+            nodes, side, dimension=dimension, iterations=placements, seed=21,
+            confidence=confidence,
+        )
+        assert len(batches) == math.ceil(placements / cap)
+        assert value.hex() == expected.hex()

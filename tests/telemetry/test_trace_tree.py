@@ -94,7 +94,9 @@ class TestSpanTree:
         names = {}
         for record in spans:
             names.setdefault(record["name"], []).append(record)
-        assert set(names) >= {"campaign", "scenario", "task", "iteration"}
+        assert set(names) >= {
+            "campaign", "scenario", "task", "iteration", "stationary"
+        }
 
         (campaign,) = names["campaign"]
         assert campaign["parent"] is None
@@ -103,8 +105,11 @@ class TestSpanTree:
         for task in names["task"]:
             assert parent_name(task) == "scenario"
         iterations = names["iteration"]
-        assert len(iterations) == 32  # 2 connectivity + 30 stationary
-        for iteration in iterations:
+        # 2 mobile iterations; the 30 stationary placements share 1 span.
+        assert len(iterations) == 2
+        (stationary,) = names["stationary"]
+        assert stationary["attrs"]["placements"] == 30
+        for iteration in iterations + [stationary]:
             assert parent_name(iteration) == "task"
 
         # Spans genuinely crossed process boundaries: the scheduler's
