@@ -30,7 +30,6 @@ from repro.experiments.registry import (
     ExperimentScale,
     register_experiment,
 )
-from repro.simulation.sweep import SweepResult, sweep_parameter
 from repro.store import ResultStore
 
 from _helpers import bench_scale_name, write_bench_summary
@@ -57,23 +56,12 @@ def _fanout_measure(scale: ExperimentScale) -> FanoutMeasure:
     return FanoutMeasure(seed=scale.seed or 0)
 
 
-def run_fanout_experiment(scale: ExperimentScale, checkpoint=None) -> SweepResult:
-    return sweep_parameter(
-        "side",
-        scale.sides,
-        _fanout_measure(scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 register_experiment(
     Experiment(
         identifier=BENCH_ID,
         title="Synthetic fan-out experiment",
         description="Uniform-duration tasks for the distributed benchmark.",
         paper_reference="(benchmark only)",
-        run=run_fanout_experiment,
         parameter_name="side",
         sweep_measure=_fanout_measure,
     )

@@ -38,7 +38,6 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.faults import FaultSpec
-from repro.simulation.sweep import SweepResult, sweep_parameter
 from repro.store import ResultStore
 
 from _helpers import bench_scale_name, write_bench_summary
@@ -68,23 +67,12 @@ def _fixed_sleep_measure(scale: ExperimentScale) -> FixedSleepMeasure:
     return FixedSleepMeasure(seed=scale.seed or 0)
 
 
-def run_fixed_sleep_experiment(scale: ExperimentScale, checkpoint=None) -> SweepResult:
-    return sweep_parameter(
-        "side",
-        scale.sides,
-        _fixed_sleep_measure(scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 register_experiment(
     Experiment(
         identifier=BENCH_ID,
         title="Synthetic fixed-sleep experiment",
         description="Constant-duration tasks for the fault-overhead benchmark.",
         paper_reference="(benchmark only)",
-        run=run_fixed_sleep_experiment,
         parameter_name="side",
         sweep_measure=_fixed_sleep_measure,
     )

@@ -34,7 +34,6 @@ from repro.experiments.registry import (
     ExperimentScale,
     register_experiment,
 )
-from repro.simulation.sweep import SweepResult, sweep_parameter
 from repro.store import ResultStore
 from repro.telemetry import report as telemetry_report
 
@@ -65,23 +64,12 @@ def _fixed_sleep_measure(scale: ExperimentScale) -> FixedSleepMeasure:
     return FixedSleepMeasure(seed=scale.seed or 0)
 
 
-def run_fixed_sleep_experiment(scale: ExperimentScale, checkpoint=None) -> SweepResult:
-    return sweep_parameter(
-        "side",
-        scale.sides,
-        _fixed_sleep_measure(scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 register_experiment(
     Experiment(
         identifier=BENCH_ID,
         title="Synthetic fixed-sleep experiment",
         description="Constant-duration tasks for the telemetry-overhead benchmark.",
         paper_reference="(benchmark only)",
-        run=run_fixed_sleep_experiment,
         parameter_name="side",
         sweep_measure=_fixed_sleep_measure,
     )

@@ -19,15 +19,17 @@
 # 5. The campaign cache benchmark must pass at smoke scale: a warm
 #    re-run is a pure cache hit (zero computed values, >= 5x faster) and
 #    a checkpoint-only store reassembles every sweep without recomputing.
-# 6. A campaign smoke run through the real CLI: cold run, warm re-run
-#    (which must report zero computed values), status, clean.
+# 6. A campaign smoke run through the real CLI at the default budget:
+#    cold run (fig4 shares fig2's sweep, so it must report a cache hit
+#    for fig4@seed=20020623), warm re-run (which must report zero
+#    computed values), status, clean.
 # 7. The campaign scheduler benchmark must pass at smoke scale: four
-#    heterogeneous scenarios under one total worker budget, scheduler at
-#    budget 4 >= 1.5x faster than the serial scenario loop, results
-#    bit-identical at every budget.
-# 8. A scheduler smoke through the real CLI (--total-workers): cold
+#    heterogeneous scenarios under one total worker budget, budget 4
+#    >= 1.5x faster than the default budget of 1, results bit-identical
+#    at every budget.
+# 8. A wider smoke through the real CLI (--total-workers 2): cold
 #    concurrent run, then a warm re-run that must report zero computed
-#    values (scheduler and serial paths address identical store entries).
+#    values (every budget addresses identical store entries).
 # 9. An iteration-resume smoke: a multi-iteration value killed partway
 #    resumes at the first unfinished iteration, recomputes nothing, and
 #    matches the uninterrupted run bit for bit.  Then the same through the
@@ -52,9 +54,10 @@
 #    gather on a clean run; recovering from one injected worker SIGKILL
 #    <= 1.5x the clean run, results bit-identical), and a chaos smoke
 #    through the real CLI: a campaign with a worker-kill fault plan armed
-#    (REPRO_FAULTS) and --max-retries 2 must complete with exit 0, a warm
-#    re-run must report zero computed values (the recovered run addressed
-#    the same store entries a healthy one would), and no stale staging
+#    (REPRO_FAULTS) and --max-retries 2 must complete with exit 0 (the
+#    killed value task is retried on a respawned pool), a warm re-run
+#    must report zero computed values (the recovered run addressed the
+#    same store entries a healthy one would), and no stale staging
 #    directories may survive.
 # 13. Every benchmark above writes a BENCH_<name>.json summary into
 #    $REPRO_BENCH_OUT; they are collected and printed at the end, so the
@@ -124,7 +127,8 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 CAMPAIGN_STORE="$(mktemp -d)"
 trap 'rm -rf "$CAMPAIGN_STORE"' EXIT
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
-    campaign run examples/campaign_smoke.toml --store "$CAMPAIGN_STORE" --quiet
+    campaign run examples/campaign_smoke.toml --store "$CAMPAIGN_STORE" --quiet \
+    | grep "fig4@seed=20020623: cache hit" > /dev/null
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign run examples/campaign_smoke.toml --store "$CAMPAIGN_STORE" --quiet \
     | grep -q "0 value(s) computed"

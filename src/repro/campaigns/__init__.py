@@ -12,16 +12,16 @@ ResultStore`:
   kill-safe execution (``run``), per-scenario progress (``status``) and
   store hygiene (``clean``);
 * :mod:`repro.campaigns.scheduler` — :class:`CampaignScheduler`: the
-  concurrent execution path behind ``run(total_workers=W)``, running the
+  execution behind ``run(total_workers=W)`` (default 1), running the
   parameter values of every scenario as tasks in one pool of ``W``
   workers;
-* :mod:`repro.campaigns.progress` — the structured progress events both
-  execution paths emit at their ``progress`` callback (cache hits,
-  finished tasks, finished scenarios), plus the text renderer the CLI
-  consumes them with.
+* :mod:`repro.campaigns.progress` — the structured progress events the
+  scheduler emits at its ``progress`` callback (cache hits, finished
+  tasks, finished scenarios), plus the text renderer the CLI consumes
+  them with.
 
 A campaign re-run with an identical spec against a warm store is a pure
-cache hit, bit-identical to a cold serial run; a campaign killed mid-grid
+cache hit, bit-identical to a cold run; a campaign killed mid-grid
 resumes exactly where it stopped — at the first unfinished iteration for
 experiments that checkpoint per iteration.
 """

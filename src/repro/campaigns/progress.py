@@ -1,11 +1,10 @@
 """Structured campaign progress events.
 
-The runner and scheduler used to push preformatted strings at their
-``progress`` callback, which welded every consumer — CLI, tests, any
-monitoring hook — to one hard-coded text layout.  They now emit typed
-event objects carrying the underlying facts (scenario id, parameter
-value, coverage counts), and rendering becomes the
-consumer's concern: :func:`render` reproduces the established one-line
+The campaign scheduler (and its distributed variant) reports at its
+``progress`` callback one typed event per fact: a cache hit, a finished
+or failed value task, a finished scenario.  Events carry the underlying
+facts (scenario id, parameter value, coverage counts), and rendering is
+the consumer's concern: :func:`render` gives the established one-line
 text form, and :func:`as_text` adapts any ``str`` sink (``print``, a log
 handle) into an event consumer — the CLI's default.  A consumer that
 wants the numbers (a progress bar, a dashboard, a structured log) reads
@@ -59,28 +58,24 @@ class EntryEvicted:
 
 @dataclass(frozen=True)
 class TaskCompleted:
-    """One scheduler task finished (a parameter value, or an atomic sweep).
+    """One scheduler task finished: a parameter value was measured.
 
     Attributes:
         scenario_id: the scenario the task belongs to.
-        value: the parameter value measured, ``None`` for atomic tasks.
+        value: the parameter value measured.
         values_done: rows of the scenario's sweep present so far.
         values_total: rows the complete sweep needs.
         iterations: the experiment's declared iterations per value, when
             it checkpoints at iteration granularity (``None`` otherwise).
-        atomic: ``True`` when the whole sweep ran as one task.
     """
 
     scenario_id: str
-    value: Optional[float]
+    value: float
     values_done: int
     values_total: int
     iterations: Optional[int] = None
-    atomic: bool = False
 
     def render(self) -> str:
-        if self.atomic:
-            return f"{self.scenario_id}: task done (atomic)"
         detail = f"{self.values_done}/{self.values_total} values"
         if self.iterations:
             detail += f"; {self.iterations} iteration(s)"
@@ -112,22 +107,20 @@ class TaskFailed:
 
     Attributes:
         scenario_id: the scenario the task belongs to.
-        value: the parameter value the task measured, ``None`` for
-            atomic tasks.
+        value: the parameter value the task measured.
         attempt: 1-based attempt number that failed.
         error: the failure, rendered (``BrokenProcessPool``, the task's
             exception, or a :class:`repro.supervision.TaskTimeoutError`).
     """
 
     scenario_id: str
-    value: Optional[float]
+    value: float
     attempt: int
     error: str
 
     def render(self) -> str:
-        where = "atomic task" if self.value is None else f"value {self.value:g}"
         return (
-            f"{self.scenario_id}: {where} failed "
+            f"{self.scenario_id}: value {self.value:g} failed "
             f"(attempt {self.attempt}): {self.error}"
         )
 
@@ -138,7 +131,7 @@ class TaskRetried:
 
     Attributes:
         scenario_id: the scenario the task belongs to.
-        value: the parameter value, ``None`` for atomic tasks.
+        value: the parameter value of the task.
         attempt: 1-based attempt number that failed (the retry will be
             ``attempt + 1``).
         max_retries: the configured retry budget.
@@ -147,16 +140,15 @@ class TaskRetried:
     """
 
     scenario_id: str
-    value: Optional[float]
+    value: float
     attempt: int
     max_retries: int
     delay: float
     error: str
 
     def render(self) -> str:
-        where = "atomic task" if self.value is None else f"value {self.value:g}"
         return (
-            f"{self.scenario_id}: retrying {where} "
+            f"{self.scenario_id}: retrying value {self.value:g} "
             f"(attempt {self.attempt}/{self.max_retries + 1} failed, "
             f"backoff {self.delay:g}s)"
         )
@@ -173,20 +165,19 @@ class TaskQuarantined:
 
     Attributes:
         scenario_id: the scenario the task belongs to.
-        value: the parameter value, ``None`` for atomic tasks.
+        value: the parameter value of the task.
         attempts: total attempts made before giving up.
         error: the final failure, rendered.
     """
 
     scenario_id: str
-    value: Optional[float]
+    value: float
     attempts: int
     error: str
 
     def render(self) -> str:
-        where = "atomic task" if self.value is None else f"value {self.value:g}"
         return (
-            f"{self.scenario_id}: {where} quarantined after "
+            f"{self.scenario_id}: value {self.value:g} quarantined after "
             f"{self.attempts} attempt(s): {self.error}"
         )
 

@@ -6,7 +6,7 @@ sweep (experiment cache payload + schema version) and
 
 * returns the stored sweep when the address is already present and intact
   (*zero* simulation work — a warm re-run performs no measure calls);
-* otherwise runs the experiment with a per-parameter-value
+* otherwise measures the missing values through a per-parameter-value
   :class:`~repro.store.checkpoints.StoreSweepCheckpoint` — carrying
   per-*iteration* sub-checkpoints for experiments that register an
   ``iterations_per_value`` — so each finished value *and* each finished
@@ -18,21 +18,19 @@ sweep (experiment cache payload + schema version) and
 * detects corrupt entries (failed sha256 / undecodable payloads), evicts
   them and recomputes instead of returning damaged results.
 
-Execution has two shapes.  Without ``total_workers`` the grid runs
-serially in-process, one scenario after another.  With ``total_workers``
-the :class:`~repro.campaigns.scheduler.CampaignScheduler` replaces the
-serial loop: the parameter values of every scenario run as independent
-tasks in one pool of that many workers.  The budget never enters cache
-keys.
+Execution has one shape: the :class:`~repro.campaigns.scheduler.
+CampaignScheduler` runs the parameter values of every scenario as
+independent tasks in one pool of ``total_workers`` workers (default 1),
+supervised per value under the runner's retry policy.  The budget never
+enters cache keys.
 
 Because every measure call is deterministic given the scenario
-description, a resumed, cache-served or scheduled campaign is
-bit-identical to an uninterrupted cold serial run.
+description, a resumed, cache-served or wider campaign is bit-identical
+to :meth:`~repro.experiments.registry.Experiment.run` of each scenario.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
@@ -42,13 +40,10 @@ from repro.campaigns.progress import (
     CacheHit,
     EntryEvicted,
     ProgressEvent,
-    ScenarioCompleted,
     StoreDegraded,
-    TaskFailed,
-    TaskQuarantined,
-    TaskRetried,
 )
 from repro.campaigns.completeness import cell_completeness
+from repro.campaigns.scheduler import CampaignScheduler
 from repro.campaigns.spec import CampaignSpec, Scenario
 from repro.experiments.registry import Experiment, ExperimentScale, get_experiment
 from repro.simulation.sweep import SweepResult
@@ -182,19 +177,14 @@ class CampaignRunner:
     Args:
         spec: the campaign to run.
         store: destination/source of cached results.
-        total_workers: one total worker budget for the whole campaign.
-            Setting it replaces the serial scenario loop with the
-            :class:`~repro.campaigns.scheduler.CampaignScheduler`:
-            the parameter values of all scenarios run concurrently as
-            one-worker tasks sharing the budget.
-        max_retries: failed attempts a task may accumulate beyond its
-            first before it is quarantined as a poison task (0/``None``
-            = legacy fail-fast).  Under the scheduler, retries apply per
-            value task; under the serial loop, per scenario (each retry
-            resumes from the rows the failed attempt checkpointed).
-        task_timeout: seconds one scheduled task may run before its pool
-            is presumed wedged and SIGKILLed (scheduler path only — the
-            serial loop runs tasks in-process and cannot preempt them).
+        total_workers: one total worker budget for the whole campaign
+            (default 1): the parameter values of all scenarios run as
+            one-worker tasks sharing it.
+        max_retries: failed attempts a value task may accumulate beyond
+            its first before it is quarantined as a poison task
+            (0/``None`` = fail fast).
+        task_timeout: seconds one value task may run before its pool is
+            presumed wedged and SIGKILLed.
         retry_backoff: base of the capped exponential backoff between
             attempts (seconds; default 0.5).
         telemetry: record the run's spans/metrics under
@@ -213,7 +203,7 @@ class CampaignRunner:
         self,
         spec: CampaignSpec,
         store: ResultStore,
-        total_workers: Optional[int] = None,
+        total_workers: int = 1,
         max_retries: Optional[int] = None,
         task_timeout: Optional[float] = None,
         retry_backoff: Optional[float] = None,
@@ -283,12 +273,10 @@ class CampaignRunner:
     ) -> Optional[SweepResult]:
         """The stored sweep under ``key``, or ``None`` to (re)compute.
 
-        Shared by the serial loop and the scheduler so both paths treat
-        cache hits and unusable entries identically: a corrupt entry, or
-        one evicted by a concurrent writer between ``contains()`` and
-        ``get()``, is quarantined — moved aside with provenance for
-        post-mortem diagnosis instead of silently deleted — and reported
-        as a miss, so the sweep recomputes.
+        A corrupt entry, or one evicted by a concurrent writer between
+        ``contains()`` and ``get()``, is quarantined — moved aside with
+        provenance for post-mortem diagnosis instead of silently deleted
+        — and reported as a miss, so the sweep recomputes.
         """
         if not self.store.contains(key):
             telemetry.metrics.counter("campaign.cache.misses").add(1)
@@ -345,11 +333,8 @@ class CampaignRunner:
     ) -> CampaignResult:
         """Run every scenario of the grid, reusing the store where possible.
 
-        With ``total_workers`` set, execution is handed to the
-        :class:`~repro.campaigns.scheduler.CampaignScheduler` (scenarios
-        concurrent under one budget); the serial loop below runs
-        otherwise.  Both paths address identical store entries and return
-        bit-identical results.
+        Execution is handed to the :class:`~repro.campaigns.scheduler.
+        CampaignScheduler` (scenarios concurrent under one budget).
 
         Args:
             resume: when ``True`` (default), existing store entries are
@@ -380,14 +365,9 @@ class CampaignRunner:
                 scenarios=self.spec.scenario_count(),
                 total_workers=self.total_workers,
             ):
-                if self.total_workers is not None:
-                    from repro.campaigns.scheduler import CampaignScheduler
-
-                    result = CampaignScheduler(self, self.total_workers).run(
-                        resume=resume, progress=say
-                    )
-                else:
-                    result = self._run_serial(resume, say)
+                result = CampaignScheduler(self, self.total_workers).run(
+                    resume=resume, progress=say
+                )
             return result
         finally:
             if run_handle is not None:
@@ -410,148 +390,6 @@ class CampaignRunner:
             raise
         except BaseException:
             return None
-
-    def _run_serial(
-        self, resume: bool, say: Callable[[ProgressEvent], None]
-    ) -> CampaignResult:
-        """The serial scenario loop (no ``total_workers`` budget)."""
-        policy = self.retry_policy
-        if not resume:
-            for scenario in self.spec.scenarios():
-                self.evict_scenario(
-                    get_experiment(scenario.experiment_id), scenario
-                )
-        outcomes: List[ScenarioOutcome] = []
-        for scenario in self.spec.scenarios():
-            with telemetry.span(
-                "scenario",
-                scenario=scenario.scenario_id,
-                experiment=scenario.experiment_id,
-            ):
-                outcomes.append(self._run_scenario(scenario, policy, say))
-        return CampaignResult(spec=self.spec, outcomes=outcomes)
-
-    def _run_scenario(
-        self,
-        scenario: Scenario,
-        policy: RetryPolicy,
-        say: Callable[[ProgressEvent], None],
-    ) -> ScenarioOutcome:
-        """Run (or serve from cache) one scenario of the serial loop."""
-        experiment = get_experiment(scenario.experiment_id)
-        key = scenario_sweep_key(experiment, scenario.scale)
-        sweep = self.probe_sweep(scenario, key, say)
-        if sweep is not None:
-            return ScenarioOutcome(scenario=scenario, sweep=sweep, cache_hit=True)
-
-        checkpoint = self._checkpoint_for(experiment, scenario)
-        # The serial loop supervises at scenario granularity: each
-        # retry runs with a fresh checkpoint object, so it resumes
-        # from whatever rows and iterations the failed attempt had
-        # already persisted — retries re-simulate only the work in
-        # flight when the failure hit, and the final result is
-        # bit-identical to a fault-free run.  The default policy
-        # (no retries) re-raises the first failure, as ever.
-        attempt = 0
-        sweep = None
-        while True:
-            try:
-                if experiment.supports_checkpoint:
-                    sweep = experiment.run_with_checkpoint(
-                        scenario.scale, checkpoint
-                    )
-                else:
-                    # Experiments with cross-value state (e.g. a shared
-                    # sequential random stream) cache at sweep
-                    # granularity only.
-                    sweep = experiment.run(scenario.scale)
-                break
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as error:
-                attempt += 1
-                if not policy.supervised:
-                    raise
-                say(
-                    TaskFailed(
-                        scenario_id=scenario.scenario_id,
-                        value=None,
-                        attempt=attempt,
-                        error=str(error),
-                    )
-                )
-                if attempt > policy.max_retries:
-                    self.store.record_poison(
-                        key,
-                        {
-                            "campaign": self.spec.name,
-                            "scenario": scenario.scenario_id,
-                            "value": None,
-                            "error": str(error),
-                            "attempts": attempt,
-                        },
-                    )
-                    say(
-                        TaskQuarantined(
-                            scenario_id=scenario.scenario_id,
-                            value=None,
-                            attempts=attempt,
-                            error=str(error),
-                        )
-                    )
-                    break
-                delay = policy.delay_for(attempt)
-                say(
-                    TaskRetried(
-                        scenario_id=scenario.scenario_id,
-                        value=None,
-                        attempt=attempt,
-                        max_retries=policy.max_retries,
-                        delay=delay,
-                        error=str(error),
-                    )
-                )
-                time.sleep(delay)
-                checkpoint = self._checkpoint_for(experiment, scenario)
-        if sweep is None:
-            return ScenarioOutcome(
-                scenario=scenario,
-                sweep=None,
-                cache_hit=False,
-                loaded_values=checkpoint.loaded,
-                computed_values=(
-                    checkpoint.saved if experiment.supports_checkpoint else 0
-                ),
-                quarantined_values=1,
-            )
-        if checkpoint.degraded:
-            say(
-                StoreDegraded(
-                    scenario_id=scenario.scenario_id,
-                    scope="row",
-                    reason=checkpoint.degraded,
-                )
-            )
-        self._put_sweep(key, sweep, scenario.scenario_id, say)
-        outcome = ScenarioOutcome(
-            scenario=scenario,
-            sweep=sweep,
-            cache_hit=False,
-            loaded_values=checkpoint.loaded,
-            computed_values=(
-                checkpoint.saved
-                if experiment.supports_checkpoint
-                else len(sweep.rows)
-            ),
-        )
-        say(
-            ScenarioCompleted(
-                scenario_id=scenario.scenario_id,
-                computed_values=outcome.computed_values,
-                loaded_values=outcome.loaded_values,
-            )
-        )
-        return outcome
 
     # ------------------------------------------------------------------ #
     def status(self) -> List[ScenarioStatus]:
@@ -635,7 +473,7 @@ def run_campaign(
     spec: CampaignSpec,
     store: ResultStore,
     resume: bool = True,
-    total_workers: Optional[int] = None,
+    total_workers: int = 1,
     max_retries: Optional[int] = None,
     task_timeout: Optional[float] = None,
     retry_backoff: Optional[float] = None,

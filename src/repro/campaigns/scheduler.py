@@ -1,31 +1,32 @@
-"""Campaign-level scenario scheduling under one total worker budget.
+"""Campaign execution: every scenario's values as tasks under one budget.
 
-The serial :class:`~repro.campaigns.runner.CampaignRunner` loop walks the
-scenario grid one scenario and one parameter value at a time, in-process.
-The scheduler here replaces that loop whenever the campaign is given one
-total budget ``W`` (``campaign run --total-workers``):
+:meth:`repro.campaigns.runner.CampaignRunner.run` hands every campaign to
+the scheduler here, with one total worker budget ``W`` (``campaign run
+--total-workers``, default 1):
 
 * every *unique* sweep computation of the grid — scenarios sharing a
   cache payload collapse onto one job, exactly as they share one store
-  entry — is decomposed into its per-parameter-value tasks when the
-  experiment registers a picklable ``sweep_measure`` (see
-  :class:`repro.experiments.registry.Experiment`), or into one atomic
-  task otherwise;
+  entry — is decomposed into its per-parameter-value tasks, each running
+  the experiment's registered measure (see :class:`repro.experiments.
+  registry.Experiment`);
 * tasks from *all* scenarios run concurrently in one shared process pool
   holding at most ``W`` workers, interleaved round-robin across jobs so
   independent scenarios genuinely progress together.  Each task occupies
   one worker and runs its value's simulation iterations serially, so the
-  pool never starts nested pools.
+  pool never starts nested pools;
+* failures are supervised per value task under the runner's
+  :class:`~repro.supervision.RetryPolicy` (retries, task timeout,
+  quarantine).
 
 Determinism
 -----------
-Every value task computes exactly what the serial path computes — the
-same registered measure applied to the same value.  Rows are assembled in
-sweep order, value rows are checkpointed in completion order and
-iteration sub-checkpoints are written inside the task, all through the
-same store checkpoints the serial path uses.  A scheduled campaign is
-therefore bit-identical to a cold serial run at every budget, and a
-killed one resumes at the first unfinished iteration.
+Every value task computes exactly what :meth:`Experiment.run` computes
+for that value — the same registered measure applied to the same value.
+Rows are assembled in sweep order, value rows are checkpointed in
+completion order and iteration sub-checkpoints are written inside the
+task.  A scheduled campaign is therefore bit-identical to
+``Experiment.run`` at every budget, and a killed one resumes at the
+first unfinished iteration.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.campaigns.progress import (
+    CacheHit,
     ProgressEvent,
     ScenarioCompleted,
     StoreDegraded,
@@ -45,37 +47,12 @@ from repro.campaigns.progress import (
     TaskRetried,
 )
 from repro.campaigns.spec import Scenario
-from repro.experiments.registry import (
-    Experiment,
-    ExperimentScale,
-    get_experiment,
-)
+from repro.experiments.registry import Experiment, get_experiment
 from repro.simulation.sweep import SweepResult, measure_row
 from repro.store.checkpoints import StoreSweepCheckpoint
 from repro.supervision import run_supervised
 
 __all__ = ["CampaignScheduler"]
-
-
-def _run_experiment_task(
-    experiment: Experiment,
-    scale: ExperimentScale,
-    checkpoint: Optional[StoreSweepCheckpoint],
-) -> Tuple[SweepResult, int, int]:
-    """Worker-process body of one atomic (non-decomposable) scenario.
-
-    The :class:`Experiment` itself crosses the boundary: its callables
-    pickle *by reference*, which forces the defining module to import in
-    the worker — the same mechanism that ships decomposed measures — so
-    dynamically registered experiments work under every start method,
-    not just fork.  Returns the sweep plus the checkpoint's (loaded,
-    saved) counters, which live in this process.
-    """
-    with telemetry.span("task", experiment=experiment.identifier, atomic=True):
-        sweep = experiment.run_with_checkpoint(scale, checkpoint)
-    loaded = getattr(checkpoint, "loaded", 0) if checkpoint is not None else 0
-    saved = getattr(checkpoint, "saved", 0) if checkpoint is not None else 0
-    return sweep, loaded, saved
 
 
 @dataclass(eq=False)
@@ -92,7 +69,6 @@ class _SweepJob:
     aliases: List[Scenario] = field(default_factory=list)
     cache_hit: bool = False
     checkpoint: Optional[StoreSweepCheckpoint] = None
-    atomic: bool = False
     values: List[float] = field(default_factory=list)
     measure: Any = None
     rows: Dict[int, Dict[str, float]] = field(default_factory=dict)
@@ -111,10 +87,9 @@ class _SweepJob:
 class CampaignScheduler:
     """Run a campaign's scenario grid concurrently under one budget.
 
-    Constructed by :meth:`repro.campaigns.runner.CampaignRunner.run` when
-    ``total_workers`` is set; shares the runner's spec, store, checkpoint
-    construction and eviction helpers so both execution paths address
-    exactly the same entries.
+    Constructed by :meth:`repro.campaigns.runner.CampaignRunner.run`;
+    uses the runner's spec, store, retry policy, checkpoint construction
+    and eviction helpers.
     """
 
     def __init__(self, runner, total_workers: int) -> None:
@@ -137,10 +112,9 @@ class CampaignScheduler:
         resume: bool = True,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
     ):
-        """Scheduler counterpart of :meth:`CampaignRunner.run` (same
-        semantics, same return type, scenarios concurrent).  ``progress``
-        receives structured :data:`~repro.campaigns.progress.ProgressEvent`
-        objects (see :meth:`CampaignRunner.run`)."""
+        """The body of :meth:`CampaignRunner.run` (same arguments, same
+        return type).  ``progress`` receives structured
+        :data:`~repro.campaigns.progress.ProgressEvent` objects."""
         from repro.campaigns.runner import (
             CampaignResult,
             ScenarioOutcome,
@@ -162,7 +136,10 @@ class CampaignScheduler:
             key = scenario_sweep_key(experiment, scenario.scale)
             order.append((scenario, key))
             if key in jobs:
-                jobs[key].aliases.append(scenario)
+                alias_of = jobs[key]
+                alias_of.aliases.append(scenario)
+                if alias_of.done:
+                    self._serve_alias(scenario, key, say)
                 continue
             job = _SweepJob(key=key, experiment=experiment, scenario=scenario)
             jobs[key] = job
@@ -181,7 +158,7 @@ class CampaignScheduler:
         try:
             self._execute([job for job in jobs.values() if not job.done], say)
         finally:
-            # Quarantined jobs never reach _store_sweep; close their
+            # Quarantined jobs never reach _finish; close their
             # spans (and any left by an exception) so the trace balances.
             for key, span in list(self._spans.items()):
                 job = jobs.get(key)
@@ -199,8 +176,8 @@ class CampaignScheduler:
             primary = key not in primaries
             primaries.add(key)
             if job.cache_hit or (not primary and job.sweep is not None):
-                # Aliases of a computed job see exactly what the serial
-                # loop would: a store entry that already exists.
+                # Aliases of a finished job are served the entry it
+                # stored, as a cache hit.
                 outcomes.append(
                     ScenarioOutcome(scenario=scenario, sweep=job.sweep, cache_hit=True)
                 )
@@ -224,13 +201,10 @@ class CampaignScheduler:
 
     # ------------------------------------------------------------------ #
     def _prepare(self, job: _SweepJob, say: Callable[[ProgressEvent], None]) -> None:
-        """Decompose one job into value tasks (or mark it atomic)."""
+        """Decompose one job into value tasks, loading checkpointed rows."""
         experiment = job.experiment
         scale = job.scenario.scale
         job.checkpoint = self.runner._checkpoint_for(experiment, job.scenario)
-        if not experiment.supports_scheduling:
-            job.atomic = True
-            return
         job.values = [float(value) for value in experiment.sweep_values(scale)]
         for index, value in enumerate(job.values):
             row = job.checkpoint.load(value)
@@ -240,26 +214,17 @@ class CampaignScheduler:
         job.pending = [
             index for index in range(len(job.values)) if index not in job.rows
         ]
-        measure = experiment.sweep_measure(scale)
-        rebind = getattr(measure, "with_value_checkpoint", None)
-        if rebind is not None:
-            measure = rebind(job.checkpoint)
-        job.measure = measure
+        job.measure = experiment.measure_for(scale, job.checkpoint)
         if not job.pending:
             # Every row was checkpointed: the sweep reassembles for free.
             self._finish(job, say)
 
     def _finish(self, job: _SweepJob, say: Callable[[ProgressEvent], None]) -> None:
-        """Assemble a completed decomposed job and persist its sweep."""
+        """Assemble a completed job, persist its sweep, serve its aliases."""
         job.sweep = SweepResult(
             parameter_name=job.experiment.parameter_name,
             rows=[job.rows[index] for index in range(len(job.values))],
         )
-        self._store_sweep(job, say)
-
-    def _store_sweep(
-        self, job: _SweepJob, say: Callable[[ProgressEvent], None]
-    ) -> None:
         self.runner._put_sweep(
             job.key, job.sweep, job.scenario.scenario_id, say
         )
@@ -277,23 +242,28 @@ class CampaignScheduler:
                 loaded_values=job.loaded_values,
             )
         )
+        for alias in job.aliases:
+            self._serve_alias(alias, job.key, say)
+
+    @staticmethod
+    def _serve_alias(
+        scenario: Scenario, key: str, say: Callable[[ProgressEvent], None]
+    ) -> None:
+        """Report a scenario served by the sweep its alias job stored."""
+        telemetry.metrics.counter("campaign.cache.hits").add(1)
+        say(CacheHit(scenario_id=scenario.scenario_id, key=key))
 
     def _note_degradation(
         self, job: _SweepJob, say: Callable[[ProgressEvent], None]
     ) -> None:
         """Surface a checkpoint's first degradation as a progress event."""
-        checkpoint = job.checkpoint
-        if (
-            checkpoint is not None
-            and checkpoint.degraded
-            and not job.degradation_reported
-        ):
+        if job.checkpoint.degraded and not job.degradation_reported:
             job.degradation_reported = True
             say(
                 StoreDegraded(
                     scenario_id=job.scenario.scenario_id,
                     scope="row",
-                    reason=checkpoint.degraded,
+                    reason=job.checkpoint.degraded,
                 )
             )
 
@@ -305,12 +275,7 @@ class CampaignScheduler:
         ...) is what makes independent scenarios run *concurrently* under
         small budgets instead of draining one scenario at a time.
         """
-        lanes: List[List[Tuple[_SweepJob, int]]] = []
-        for job in jobs:
-            if job.atomic:
-                lanes.append([(job, -1)])
-            else:
-                lanes.append([(job, index) for index in job.pending])
+        lanes = [[(job, index) for index in job.pending] for job in jobs]
         queue: List[Tuple[_SweepJob, int]] = []
         depth = 0
         while True:
@@ -324,26 +289,15 @@ class CampaignScheduler:
             depth += 1
 
     def _submit(self, pool: ProcessPoolExecutor, job: _SweepJob, index: int):
-        """Submit one task to ``pool``; returns its future.
+        """Submit one value task to ``pool``; returns its future.
 
         The submitted callable is wrapped with the job's scenario span
         context (:func:`repro.telemetry.propagate`): the worker-side task
         span then parents under this scenario across the process
         boundary.  With telemetry inactive the wrap is identity.
         """
-        parent = self._spans.get(job.key)
-        if job.atomic:
-            checkpoint = (
-                job.checkpoint if job.experiment.supports_checkpoint else None
-            )
-            return pool.submit(
-                telemetry.propagate(_run_experiment_task, parent=parent),
-                job.experiment,
-                job.scenario.scale,
-                checkpoint,
-            )
         return pool.submit(
-            telemetry.propagate(measure_row, parent=parent),
+            telemetry.propagate(measure_row, parent=self._spans.get(job.key)),
             job.experiment.parameter_name,
             job.measure,
             job.values[index],
@@ -357,17 +311,8 @@ class CampaignScheduler:
         reports progress at task completion rate instead of one event per
         finished scenario.
         """
-        scenario = job.scenario.scenario_id
-        if job.atomic:
-            return TaskCompleted(
-                scenario_id=scenario,
-                value=None,
-                values_done=len(job.sweep.rows) if job.sweep else 0,
-                values_total=len(job.sweep.rows) if job.sweep else 0,
-                atomic=True,
-            )
         return TaskCompleted(
-            scenario_id=scenario,
+            scenario_id=job.scenario.scenario_id,
             value=job.values[index],
             values_done=len(job.rows),
             values_total=len(job.values),
@@ -381,10 +326,6 @@ class CampaignScheduler:
     # pool — apply the *same* row saving, poison recording and progress
     # reporting to results however they arrive.
 
-    def _task_value(self, task: Tuple[_SweepJob, int]) -> Optional[float]:
-        job, index = task
-        return None if job.atomic else job.values[index]
-
     def _handle_result(
         self,
         task: Tuple[_SweepJob, int],
@@ -393,25 +334,13 @@ class CampaignScheduler:
     ) -> None:
         """Land one finished task: save its row, finish jobs that fill."""
         job, index = task
-        if job.atomic:
-            sweep, loaded, saved = result
-            job.sweep = sweep
-            job.loaded_values = loaded
-            job.computed_values = (
-                saved
-                if job.experiment.supports_checkpoint
-                else len(sweep.rows)
-            )
-            say(self._task_event(job, index))
-            self._store_sweep(job, say)
-        else:
-            job.checkpoint.save(job.values[index], result)
-            self._note_degradation(job, say)
-            job.rows[index] = result
-            job.computed_values += 1
-            say(self._task_event(job, index))
-            if len(job.rows) == len(job.values):
-                self._finish(job, say)
+        job.checkpoint.save(job.values[index], result)
+        self._note_degradation(job, say)
+        job.rows[index] = result
+        job.computed_values += 1
+        say(self._task_event(job, index))
+        if len(job.rows) == len(job.values):
+            self._finish(job, say)
 
     def _handle_retry(
         self,
@@ -421,11 +350,11 @@ class CampaignScheduler:
         delay: float,
         say: Callable[[ProgressEvent], None],
     ) -> None:
-        job, _ = task
+        job, index = task
         say(
             TaskFailed(
                 scenario_id=job.scenario.scenario_id,
-                value=self._task_value(task),
+                value=job.values[index],
                 attempt=attempt,
                 error=str(error),
             )
@@ -433,7 +362,7 @@ class CampaignScheduler:
         say(
             TaskRetried(
                 scenario_id=job.scenario.scenario_id,
-                value=self._task_value(task),
+                value=job.values[index],
                 attempt=attempt,
                 max_retries=self.runner.retry_policy.max_retries,
                 delay=delay,
@@ -450,7 +379,7 @@ class CampaignScheduler:
     ) -> bool:
         """Quarantine an exhausted task: poison record + progress events."""
         job, index = task
-        value = self._task_value(task)
+        value = job.values[index]
         say(
             TaskFailed(
                 scenario_id=job.scenario.scenario_id,
@@ -459,11 +388,8 @@ class CampaignScheduler:
                 error=str(error),
             )
         )
-        key = job.key if job.atomic else job.checkpoint.key_for(
-            job.values[index]
-        )
         self.runner.store.record_poison(
-            key,
+            job.checkpoint.key_for(value),
             {
                 "campaign": self.runner.spec.name,
                 "scenario": job.scenario.scenario_id,
@@ -489,9 +415,9 @@ class CampaignScheduler:
         """The scheduling loop: submit within budget, collect results.
 
         Runs through :func:`repro.supervision.run_supervised`: with the
-        runner's default policy the behaviour is the legacy fail-fast
-        loop, and with ``max_retries`` / ``task_timeout`` opted in a
-        crashed worker, task exception or hung task is retried with
+        runner's default policy the first failure aborts the run, and
+        with ``max_retries`` / ``task_timeout`` opted in a crashed
+        worker, task exception or hung task is retried with
         backoff on a respawned pool (dead writers' staging directories
         swept in between) and quarantined as a poison task once its
         retries are exhausted — the campaign finishes around it.

@@ -158,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument(
         "--total-workers",
         type=int,
-        default=None,
+        default=1,
         help=(
             "one worker budget for the whole campaign: the parameter "
             "values of every scenario run concurrently as tasks in one "
-            "pool of this many workers (default: a serial in-process loop; "
-            "results are bit-identical for every budget)"
+            "pool of this many workers (default: 1; results are "
+            "bit-identical for every budget)"
         ),
     )
     campaign_run.add_argument(
@@ -171,12 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "failed attempts a task may accumulate beyond its first before "
-            "it is quarantined as a poison task and the campaign continues "
-            "without it (default: 0 — the first failure aborts the run); "
-            "crashed workers, task exceptions and timed-out tasks are "
-            "retried with backoff on a respawned pool, bit-identically "
-            "when the retry succeeds"
+            "failed attempts a value task may accumulate beyond its first "
+            "before it is quarantined as a poison task and the campaign "
+            "continues without it (default: 0 — the first failure aborts "
+            "the run); crashed workers, task exceptions and timed-out "
+            "tasks are retried per value with backoff on a respawned "
+            "pool, bit-identically when the retry succeeds"
         ),
     )
     campaign_run.add_argument(
@@ -185,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "seconds one scheduled task may run before its pool is presumed "
-            "hung and terminated (needs --total-workers; default: no limit)"
+            "seconds one value task may run before its pool is presumed "
+            "hung and terminated (default: no limit)"
         ),
     )
     campaign_run.add_argument(
@@ -791,7 +791,7 @@ def _campaign_main(arguments: argparse.Namespace) -> int:
     runner = CampaignRunner(
         spec,
         store,
-        total_workers=getattr(arguments, "total_workers", None),
+        total_workers=getattr(arguments, "total_workers", 1),
         max_retries=getattr(arguments, "max_retries", None),
         task_timeout=getattr(arguments, "task_timeout", None),
         retry_backoff=getattr(arguments, "retry_backoff", None),

@@ -3,7 +3,7 @@
 One machine runs ``campaign serve``: an HTTP *result server* fronting the
 campaign's :class:`~repro.store.result_store.ResultStore` plus a
 pull-based *work queue* holding the campaign scheduler's picklable value
-and atomic tasks.  Any number of machines run ``campaign work --server
+tasks.  Any number of machines run ``campaign work --server
 URL``: each worker leases one task at a time, heartbeats while it
 computes, writes its iteration sub-checkpoints through the
 :class:`~repro.distributed.remote_store.RemoteResultStore` client, and

@@ -10,11 +10,11 @@ run bit-identical to the single-host scheduler.
 
 Determinism and fault tolerance follow from three rules:
 
-* a task's payload is the pickled ``(function, args, kwargs)`` closure
-  the scheduler's ``_submit`` would give its pool, with measure
-  checkpoints rebound to the :class:`~repro.distributed.remote_store.
-  RemoteResultStore` so worker-side iteration sub-entries land in the
-  server's store;
+* a task's payload is the pickled ``(measure_row, args, kwargs)``
+  closure the scheduler's ``_submit`` would give its pool, with the
+  measure bound to a checkpoint on the :class:`~repro.distributed.
+  remote_store.RemoteResultStore` so worker-side iteration sub-entries
+  land in the server's store;
 * results are applied in the serving process by the scheduler's own
   ``_handle_result`` — rows are saved through the *local* checkpoint,
   so the store keys and row bytes are exactly the scheduler's;
@@ -23,7 +23,7 @@ Determinism and fault tolerance follow from three rules:
   here as ``retried``/``giveup`` events, feeding the scheduler's own
   ``_handle_retry`` / ``_handle_giveup`` — including the verbatim
   store poison records.  With an unsupervised policy (no retries), the
-  first give-up aborts the campaign, like the fail-fast local loop.
+  first give-up aborts the campaign, like the local scheduler.
 """
 
 from __future__ import annotations
@@ -36,11 +36,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro import telemetry
 from repro.campaigns.progress import ProgressEvent
 from repro.campaigns.runner import CampaignResult, CampaignRunner
-from repro.campaigns.scheduler import (
-    CampaignScheduler,
-    _run_experiment_task,
-    _SweepJob,
-)
+from repro.campaigns.scheduler import CampaignScheduler, _SweepJob
 from repro.campaigns.spec import CampaignSpec
 from repro.exceptions import ReproError
 from repro.simulation.sweep import measure_row
@@ -88,39 +84,23 @@ class DistributedCampaign(CampaignScheduler):
     def _task_payload(self, job: _SweepJob, index: int) -> bytes:
         """Pickle the closure a worker must run for ``(job, index)``.
 
-        Mirrors the scheduler's ``_submit``, except that checkpoints
-        crossing the wire are rebound to the remote store: a worker has no path to the server's disk, but the HTTP
-        store addresses the very same entries.
+        Mirrors the scheduler's ``_submit``, except that the measure's
+        checkpoint is bound to the remote store: a worker has no path to
+        the server's disk, but the HTTP store addresses the very same
+        entries.
         """
-        parent = self._spans.get(job.key)
-        remote_checkpoint = self.runner._checkpoint_for(
+        checkpoint = self.runner._checkpoint_for(
             job.experiment, job.scenario, store=self.remote_store
         )
-        if job.atomic:
-            checkpoint = (
-                remote_checkpoint
-                if job.experiment.supports_checkpoint
-                else None
-            )
-            closure = (
-                telemetry.propagate(_run_experiment_task, parent=parent),
-                (job.experiment, job.scenario.scale, checkpoint),
-                {},
-            )
-        else:
-            measure = job.experiment.sweep_measure(job.scenario.scale)
-            rebind = getattr(measure, "with_value_checkpoint", None)
-            if rebind is not None:
-                measure = rebind(remote_checkpoint)
-            closure = (
-                telemetry.propagate(measure_row, parent=parent),
-                (
-                    job.experiment.parameter_name,
-                    measure,
-                    job.values[index],
-                ),
-                {},
-            )
+        closure = (
+            telemetry.propagate(measure_row, parent=self._spans.get(job.key)),
+            (
+                job.experiment.parameter_name,
+                job.experiment.measure_for(job.scenario.scale, checkpoint),
+                job.values[index],
+            ),
+            {},
+        )
         return pickle.dumps(closure)
 
     def _execute(

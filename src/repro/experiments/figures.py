@@ -1,15 +1,13 @@
 """Reproductions of Figures 2–9.
 
-Every function here measures exactly what the corresponding paper figure
-plots; the shared helper :func:`mobile_threshold_rows` runs the expensive
-part (one trace-statistics simulation per system size and mobility model)
-once and derives all the Figure 2–6 series from it.
+Every experiment here measures exactly what the corresponding paper
+figure plots.  Figures 2–6 share one measure, :class:`SystemSizeMeasure`,
+which runs the expensive part (one trace-statistics simulation per system
+size and mobility model) once and derives all their series from it;
+Figures 7–9 share :class:`ParameterStudyMeasure`.
 
-The per-value work is packaged in module-level measure dataclasses
-(:class:`SystemSizeMeasure`, :class:`ParameterStudyMeasure`) so sweeps can
-fan parameter values out over worker processes
-(``ExperimentScale.sweep_workers``) — a lambda closing over the scale
-would not pickle.
+The measures are module-level dataclasses so parameter values can run in
+worker processes — a lambda closing over the scale would not pickle.
 
 The experiments are registered in the global registry under the
 identifiers ``fig2`` … ``fig9``.
@@ -35,12 +33,7 @@ from repro.simulation.search import (
     estimate_thresholds_from_statistics,
 )
 from repro.simulation.runner import IterationCheckpoint
-from repro.simulation.sweep import (
-    SweepCheckpoint,
-    SweepResult,
-    iteration_checkpoint_for,
-    sweep_parameter,
-)
+from repro.simulation.sweep import SweepCheckpoint, iteration_checkpoint_for
 from repro.store.keys import scale_payload
 
 
@@ -81,12 +74,12 @@ def value_iteration_checkpoint(
     return iteration_checkpoint_for(checkpoint, value)
 
 
-def _mobility_spec_for(model: str, side: float, **overrides) -> MobilitySpec:
+def _mobility_spec_for(model: str, side: float) -> MobilitySpec:
     """Build the Section 4.2 mobility specification for ``model``."""
     if model == "waypoint":
-        return MobilitySpec.paper_waypoint(side, **overrides)
+        return MobilitySpec.paper_waypoint(side)
     if model == "drunkard":
-        return MobilitySpec.paper_drunkard(side, **overrides)
+        return MobilitySpec.paper_drunkard(side)
     raise ValueError(f"unsupported mobility model for the figures: {model!r}")
 
 
@@ -94,7 +87,6 @@ def measure_system_size(
     side: float,
     model: str,
     scale: ExperimentScale,
-    mobility_overrides: Dict | None = None,
     iteration_checkpoint: Optional[IterationCheckpoint] = None,
 ) -> Dict[str, float]:
     """All Figure 2–6 quantities for one system size and mobility model.
@@ -118,7 +110,7 @@ def measure_system_size(
         seed=scale.seed,
         confidence=0.99,
     )
-    spec = _mobility_spec_for(model, side, **(mobility_overrides or {}))
+    spec = _mobility_spec_for(model, side)
     config = SimulationConfig(
         network=NetworkConfig(node_count=node_count, side=side, dimension=2),
         mobility=spec,
@@ -164,7 +156,6 @@ class SystemSizeMeasure:
 
     model: str
     scale: ExperimentScale
-    mobility_overrides: Optional[Dict] = None
     checkpoint: Optional[SweepCheckpoint] = None
 
     def __call__(self, side: float) -> Dict[str, float]:
@@ -172,7 +163,6 @@ class SystemSizeMeasure:
             side,
             self.model,
             self.scale,
-            self.mobility_overrides,
             iteration_checkpoint=value_iteration_checkpoint(
                 self.checkpoint, side, paper_node_count(side), self.scale
             ),
@@ -182,22 +172,6 @@ class SystemSizeMeasure:
         self, checkpoint: SweepCheckpoint
     ) -> "SystemSizeMeasure":
         return replace(self, checkpoint=checkpoint)
-
-
-def mobile_threshold_rows(
-    model: str,
-    scale: ExperimentScale,
-    mobility_overrides: Dict | None = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
-) -> SweepResult:
-    """The full system-size sweep shared by Figures 2–6."""
-    return sweep_parameter(
-        "l",
-        scale.sides,
-        SystemSizeMeasure(model=model, scale=scale, mobility_overrides=mobility_overrides),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
 
 
 def system_size_sweep_payload(model: str, scale: ExperimentScale) -> Dict:
@@ -220,50 +194,6 @@ def _waypoint_sweep_payload(scale: ExperimentScale) -> Dict:
 
 def _drunkard_sweep_payload(scale: ExperimentScale) -> Dict:
     return system_size_sweep_payload("drunkard", scale)
-
-
-# --------------------------------------------------------------------------- #
-# Figures 2 and 3 — r_x / rstationary vs l
-# --------------------------------------------------------------------------- #
-def figure2(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Figure 2: ratios r100/r90/r10/r0 to rstationary, random waypoint."""
-    return mobile_threshold_rows("waypoint", scale, checkpoint=checkpoint)
-
-
-def figure3(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Figure 3: the same ratios under the drunkard model."""
-    return mobile_threshold_rows("drunkard", scale, checkpoint=checkpoint)
-
-
-# --------------------------------------------------------------------------- #
-# Figures 4 and 5 — largest component fraction at r90 / r10 / r0 vs l
-# --------------------------------------------------------------------------- #
-def figure4(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Figure 4: average largest-component fraction at r90/r10/r0, waypoint."""
-    return mobile_threshold_rows("waypoint", scale, checkpoint=checkpoint)
-
-
-def figure5(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Figure 5: average largest-component fraction at r90/r10/r0, drunkard."""
-    return mobile_threshold_rows("drunkard", scale, checkpoint=checkpoint)
-
-
-# --------------------------------------------------------------------------- #
-# Figure 6 — rl90 / rl75 / rl50 over rstationary vs l (waypoint)
-# --------------------------------------------------------------------------- #
-def figure6(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Figure 6: ratios rl90/rl75/rl50 to rstationary, random waypoint."""
-    return mobile_threshold_rows("waypoint", scale, checkpoint=checkpoint)
 
 
 # --------------------------------------------------------------------------- #
@@ -394,41 +324,6 @@ def parameter_study_payload(parameter: str, scale: ExperimentScale) -> Dict:
     }
 
 
-def _parameter_study(
-    parameter: str,
-    scale: ExperimentScale,
-    checkpoint: Optional[SweepCheckpoint] = None,
-) -> SweepResult:
-    return sweep_parameter(
-        parameter,
-        parameter_study_values(parameter, scale),
-        ParameterStudyMeasure(scale=scale, parameter=parameter),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
-def figure7(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Figure 7: r100/rstationary as pstationary sweeps 0 → 1."""
-    return _parameter_study("pstationary", scale, checkpoint)
-
-
-def figure8(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Figure 8: r100/rstationary as tpause sweeps 0 → 10000."""
-    return _parameter_study("tpause", scale, checkpoint)
-
-
-def figure9(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Figure 9: r100/rstationary as vmax sweeps 0.01l → 0.5l."""
-    return _parameter_study("vmax_fraction", scale, checkpoint)
-
-
 # --------------------------------------------------------------------------- #
 # Registration
 # --------------------------------------------------------------------------- #
@@ -464,7 +359,6 @@ def _register_all() -> None:
             "waypoint model with the Section 4.2 parameters."
         ),
         paper_reference="Figure 2",
-        run=figure2,
         cache_payload=_waypoint_sweep_payload,
         sweep_measure=partial(_system_size_measure, 'waypoint'),
         iterations_per_value=scale_iterations,
@@ -477,7 +371,6 @@ def _register_all() -> None:
             "under the drunkard model (pstationary=0.1, ppause=0.3, m=0.01l)."
         ),
         paper_reference="Figure 3",
-        run=figure3,
         cache_payload=_drunkard_sweep_payload,
         sweep_measure=partial(_system_size_measure, 'drunkard'),
         iterations_per_value=scale_iterations,
@@ -490,7 +383,6 @@ def _register_all() -> None:
             "of n, when the range is set to r90, r10 and r0 (waypoint model)."
         ),
         paper_reference="Figure 4",
-        run=figure4,
         cache_payload=_waypoint_sweep_payload,
         sweep_measure=partial(_system_size_measure, 'waypoint'),
         iterations_per_value=scale_iterations,
@@ -503,7 +395,6 @@ def _register_all() -> None:
             "of n, when the range is set to r90, r10 and r0 (drunkard model)."
         ),
         paper_reference="Figure 5",
-        run=figure5,
         cache_payload=_drunkard_sweep_payload,
         sweep_measure=partial(_system_size_measure, 'drunkard'),
         iterations_per_value=scale_iterations,
@@ -517,7 +408,6 @@ def _register_all() -> None:
             "(random waypoint model)."
         ),
         paper_reference="Figure 6",
-        run=figure6,
         cache_payload=_waypoint_sweep_payload,
         sweep_measure=partial(_system_size_measure, 'waypoint'),
         iterations_per_value=scale_iterations,
@@ -530,7 +420,6 @@ def _register_all() -> None:
             "for permanent connectivity (random waypoint, l=4096, n=64)."
         ),
         paper_reference="Figure 7",
-        run=figure7,
         sweep_values=partial(parameter_study_values, 'pstationary'),
         cache_payload=partial(parameter_study_payload, 'pstationary'),
         parameter_name='pstationary',
@@ -545,7 +434,6 @@ def _register_all() -> None:
             "connectivity (random waypoint, l=4096, n=64)."
         ),
         paper_reference="Figure 8",
-        run=figure8,
         sweep_values=partial(parameter_study_values, 'tpause'),
         cache_payload=partial(parameter_study_payload, 'tpause'),
         parameter_name='tpause',
@@ -560,7 +448,6 @@ def _register_all() -> None:
             "permanent connectivity (random waypoint, l=4096, n=64)."
         ),
         paper_reference="Figure 9",
-        run=figure9,
         sweep_values=partial(parameter_study_values, 'vmax_fraction'),
         cache_payload=partial(parameter_study_payload, 'vmax_fraction'),
         parameter_name='vmax_fraction',

@@ -1,20 +1,21 @@
 """Experiment registry and scale presets.
 
 An :class:`Experiment` couples an identifier (``"fig2"``), a human readable
-description, and a ``run`` callable taking an :class:`ExperimentScale` and
-returning a :class:`repro.simulation.sweep.SweepResult`.  Experiments are
-registered at import time by the figure modules and looked up by the CLI
-and the benchmarks.
+description, and the per-value measure of its parameter sweep.  Every
+experiment is a sweep of independent parameter values, so the measure is
+the whole experiment: :meth:`Experiment.run` sweeps it in-process (or over
+``scale.sweep_workers`` processes), and the campaign scheduler runs the
+same measure one value per task.  Experiments are registered at import
+time by the figure modules and looked up by the CLI and the benchmarks.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.sweep import SweepCheckpoint, SweepResult
+from repro.simulation.sweep import SweepCheckpoint, SweepResult, sweep_parameter
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,17 @@ def side_sweep_values(scale: ExperimentScale) -> Sequence[float]:
 class Experiment:
     """A registered, runnable reproduction of one paper figure/table.
 
-    ``sweep_values`` reports the actual values that sweep visits, which is
-    what the campaign layer needs to checkpoint per value and to report
-    partial progress.  Defaults to the system sides.
+    ``sweep_measure`` maps a scale to the *picklable* per-value measure
+    of the experiment's sweep (see :class:`repro.simulation.sweep.
+    Measure`).  Every value is measured independently, with no
+    cross-value state, so a value is the unit of work everywhere:
+    :meth:`run` sweeps the measure over ``sweep_values(scale)``, and the
+    campaign scheduler runs one value per task, interleaved with other
+    scenarios under one worker budget.
+
+    ``sweep_values`` reports the values the sweep visits, which is what
+    the campaign layer checkpoints per value and reports progress
+    against.  Defaults to the system sides.
 
     ``cache_payload`` maps a scale to the canonical content-address
     payload of the experiment's sweep.  Experiments that run the *same*
@@ -134,20 +143,8 @@ class Experiment:
     share result-store entries.  ``None`` (the default) falls back to
     ``{"experiment": identifier, "scale": <scale fields>}``.
 
-    ``parameter_name`` is the column name of the swept parameter — what
-    the experiment's ``run`` passes to :func:`repro.simulation.sweep.
-    sweep_parameter` ("l" for the system-size sweeps, the studied
-    parameter for Figures 7–9).
-
-    ``sweep_measure`` maps a scale to the *picklable* per-value measure
-    the experiment's sweep runs.  Registering it asserts that
-    ``run(scale)`` is exactly ``sweep_parameter(parameter_name,
-    sweep_values(scale), sweep_measure(scale))`` — i.e. every value is
-    measured independently, with no cross-value state — which is what
-    lets the campaign scheduler decompose the experiment into value
-    tasks and interleave them with other scenarios under one worker
-    budget.  Experiments that cannot make that promise leave it ``None``
-    and are scheduled as one atomic task.
+    ``parameter_name`` is the column name of the swept parameter ("l"
+    for the system-size sweeps, the studied parameter for Figures 7–9).
 
     ``iterations_per_value`` reports how many simulation iterations one
     value's measure runs at a given scale, for experiments whose measures
@@ -160,7 +157,7 @@ class Experiment:
     title: str
     description: str
     paper_reference: str
-    run: Callable[[ExperimentScale], SweepResult] = field(repr=False)
+    sweep_measure: Callable[[ExperimentScale], Any] = field(repr=False)
     sweep_values: Callable[[ExperimentScale], Sequence[float]] = field(
         default=side_sweep_values, repr=False
     )
@@ -168,49 +165,29 @@ class Experiment:
         default=None, repr=False
     )
     parameter_name: str = "l"
-    sweep_measure: Optional[Callable[[ExperimentScale], Any]] = field(
-        default=None, repr=False
-    )
     iterations_per_value: Optional[Callable[[ExperimentScale], int]] = field(
         default=None, repr=False
     )
 
-    def run_at(self, scale: str = "default") -> SweepResult:
-        """Run the experiment at a named scale preset."""
-        return self.run(scale_by_name(scale))
+    def run(self, scale: ExperimentScale) -> SweepResult:
+        """Sweep the measure over every value, ``scale.sweep_workers`` at once."""
+        return sweep_parameter(
+            self.parameter_name,
+            self.sweep_values(scale),
+            self.sweep_measure(scale),
+            workers=scale.sweep_workers,
+        )
 
-    @property
-    def supports_checkpoint(self) -> bool:
-        """``True`` if ``run`` accepts a ``checkpoint`` keyword.
+    def measure_for(self, scale: ExperimentScale, checkpoint: SweepCheckpoint):
+        """The measure at ``scale``, bound to ``checkpoint`` if it can use one.
 
-        Experiments whose measures are independent per parameter value
-        thread the checkpoint into :func:`repro.simulation.sweep.
-        sweep_parameter`; experiments with cross-value state (e.g. a
-        shared sequential random stream) simply never declare the keyword
-        and are cached at whole-sweep granularity only.
+        A measure implementing ``with_value_checkpoint`` is rebound so
+        each value it measures can persist and resume its iterations; any
+        other measure comes back unchanged.
         """
-        try:
-            parameters = inspect.signature(self.run).parameters
-        except (TypeError, ValueError):  # pragma: no cover - builtins only
-            return False
-        return "checkpoint" in parameters
-
-    def run_with_checkpoint(
-        self,
-        scale: ExperimentScale,
-        checkpoint: Optional[SweepCheckpoint] = None,
-    ) -> SweepResult:
-        """Run the experiment, threading ``checkpoint`` through if supported."""
-        if checkpoint is not None and self.supports_checkpoint:
-            return self.run(scale, checkpoint=checkpoint)
-        return self.run(scale)
-
-    @property
-    def supports_scheduling(self) -> bool:
-        """``True`` if the campaign scheduler may decompose this experiment
-        into independent per-value tasks (a picklable measure factory is
-        registered — see ``sweep_measure``)."""
-        return self.sweep_measure is not None
+        measure = self.sweep_measure(scale)
+        rebind = getattr(measure, "with_value_checkpoint", None)
+        return measure if rebind is None else rebind(checkpoint)
 
     def checkpoint_iterations(self, scale: ExperimentScale) -> Optional[int]:
         """Iterations one value's simulation checkpoints, or ``None``."""

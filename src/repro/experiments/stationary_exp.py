@@ -32,7 +32,7 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.simulation.runner import stationary_critical_range
-from repro.simulation.sweep import SweepCheckpoint, SweepResult, sweep_parameter
+from repro.simulation.sweep import SweepCheckpoint
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,15 @@ class StationaryRangeMeasure:
         }
 
 
-def stationary_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """``rstationary`` per system size, with analytical comparators."""
-    return sweep_parameter(
-        "l", scale.sides, StationaryRangeMeasure(scale=scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 @dataclass(frozen=True)
 class EnergyTradeoffMeasure:
-    """Picklable sweep measure: energy savings of relaxed thresholds."""
+    """Picklable sweep measure: energy savings of relaxed thresholds.
+
+    For each system size the waypoint thresholds are measured and the
+    transmission-energy saving of each relaxed threshold relative to
+    ``r100`` is reported for the free-space (``alpha = 2``) and two-ray
+    (``alpha = 4``) path-loss models.
+    """
 
     scale: ExperimentScale
     checkpoint: Optional[SweepCheckpoint] = None
@@ -109,23 +104,6 @@ class EnergyTradeoffMeasure:
         return replace(self, checkpoint=checkpoint)
 
 
-def energy_tradeoff_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Energy savings of the relaxed connectivity requirements.
-
-    For each system size the waypoint thresholds are measured and the
-    transmission-energy saving of each relaxed threshold relative to
-    ``r100`` is reported for the free-space (``alpha = 2``) and two-ray
-    (``alpha = 4``) path-loss models.
-    """
-    return sweep_parameter(
-        "l", scale.sides, EnergyTradeoffMeasure(scale=scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 def _stationary_measure(scale: ExperimentScale) -> StationaryRangeMeasure:
     """Measure factory of the stationary-critical-range sweep.
 
@@ -151,7 +129,6 @@ register_experiment(Experiment(
         "placements."
     ),
     paper_reference="Section 4.2 (denominator of Figures 2-6)",
-    run=stationary_experiment,
     sweep_measure=_stationary_measure,
 ))
 
@@ -163,7 +140,6 @@ register_experiment(Experiment(
         "rl90, rl75 or rl50 instead of r100, for path-loss exponents 2 and 4."
     ),
     paper_reference="Section 4.2 discussion",
-    run=energy_tradeoff_experiment,
     sweep_measure=_energy_tradeoff_measure,
     iterations_per_value=scale_iterations,
 ))

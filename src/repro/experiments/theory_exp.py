@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from repro.occupancy.asymptotic import (
 from repro.occupancy.cells import simulate_empty_cells
 from repro.occupancy.domains import classify_domain
 from repro.occupancy.exact import empty_cells_mean, empty_cells_variance
-from repro.simulation.sweep import SweepCheckpoint, SweepResult, sweep_parameter
 from repro.stats.rng import value_rng
 from repro.store.keys import scale_payload
 
@@ -166,32 +165,6 @@ class OccupancyDomainMeasure:
         }
 
 
-def theorem5_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Empirical critical product ``r n`` vs the ``l log l`` threshold."""
-    return sweep_parameter(
-        "l",
-        scale.sides,
-        Theorem5Measure(scale=scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
-def occupancy_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    """Exact vs asymptotic vs Monte-Carlo moments of ``mu(n, C)``."""
-    return sweep_parameter(
-        "domain",
-        list(range(GROWTH_DOMAIN_COUNT)),
-        OccupancyDomainMeasure(scale=scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 def _theorem5_measure(scale: ExperimentScale) -> Theorem5Measure:
     return Theorem5Measure(scale=scale)
 
@@ -242,7 +215,6 @@ register_experiment(Experiment(
         "the Theorem 5 threshold product l log l."
     ),
     paper_reference="Theorems 3-5",
-    run=theorem5_experiment,
     cache_payload=theorem5_payload,
     sweep_measure=_theorem5_measure,
 ))
@@ -256,7 +228,6 @@ register_experiment(Experiment(
         "plus the occupancy-based estimate of the {10*1} gap event."
     ),
     paper_reference="Theorems 1-2, Lemma 1",
-    run=occupancy_experiment,
     sweep_values=occupancy_domain_values,
     cache_payload=occupancy_payload,
     parameter_name="domain",

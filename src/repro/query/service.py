@@ -49,7 +49,6 @@ from repro.campaigns.spec import CampaignSpec
 from repro.experiments.figures import paper_node_count
 from repro.experiments.registry import get_experiment
 from repro.simulation.sweep import measure_row
-from repro.store.checkpoints import StoreSweepCheckpoint
 from repro.store.result_store import StoreIntegrityError
 from repro.telemetry import metrics
 from repro.query.normalize import GridIndex, Query, ResolvedQuery, resolve
@@ -261,28 +260,25 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # The cache-fill path
     # ------------------------------------------------------------------ #
-    def _refine_payload(self, resolved: ResolvedQuery) -> Optional[bytes]:
+    def _refine_payload(self, resolved: ResolvedQuery) -> bytes:
         """The pickled closure a ``campaign work`` worker runs, verbatim.
 
-        Mirrors ``DistributedCampaign._task_payload``'s non-atomic
-        branch: ``measure_row`` over the experiment's sweep measure with
-        the checkpoint rebound to the fill store, at the query's own
-        side — so completing the task materializes exactly the row the
-        re-asked query needs.
+        Mirrors ``DistributedCampaign._task_payload``: ``measure_row``
+        over the experiment's measure bound to a checkpoint on the fill
+        store, at the query's own side — so completing the task
+        materializes exactly the row the re-asked query needs.
         """
         experiment = get_experiment(resolved.scenario.experiment_id)
-        if experiment.sweep_measure is None:
-            return None
-        measure = experiment.sweep_measure(resolved.scenario.scale)
         checkpoint = self.grid.checkpoint_for(
             resolved.scenario, store=self.fill_store
         )
-        rebind = getattr(measure, "with_value_checkpoint", None)
-        if rebind is not None:
-            measure = rebind(checkpoint)
         closure = (
             measure_row,
-            (experiment.parameter_name, measure, resolved.side),
+            (
+                experiment.parameter_name,
+                experiment.measure_for(resolved.scenario.scale, checkpoint),
+                resolved.side,
+            ),
             {},
         )
         return pickle.dumps(closure)
@@ -296,12 +292,9 @@ class QueryService:
         existing = self._refines.get(side_key)
         if existing is not None:
             return existing
-        payload = self._refine_payload(resolved)
-        if payload is None:
-            return None
         self._refine_serial += 1
         task_id = f"refine.{side_key[:12]}.{self._refine_serial}"
-        self.queue.add(task_id, payload)
+        self.queue.add(task_id, self._refine_payload(resolved))
         self._refines[side_key] = task_id
         self._pending[task_id] = (resolved, side_key)
         metrics.counter("query.refines_enqueued").add()

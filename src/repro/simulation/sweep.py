@@ -19,31 +19,23 @@ each measure call is deterministic given the seed it carries.
 
 Checkpointing
 -------------
-A sweep can also carry a *checkpoint* — an object with ``load(value)`` /
-``save(value, row)`` hooks (see :class:`SweepCheckpoint`).  Rows found by
-``load`` are not measured again, and every freshly measured row is handed
-to ``save`` as soon as it exists (in the parent process, even for parallel
-sweeps), so a sweep killed at any point loses at most the rows still in
-flight.  The store-backed implementation lives in
-:mod:`repro.store.checkpoints`; this module only defines the protocol so
-the simulation layer stays free of storage dependencies.
-
-A checkpoint may additionally offer *iteration granularity*: its optional
-``iteration_checkpoint(value)`` hook returns a per-iteration checkpoint
-(the :class:`repro.simulation.runner.IterationCheckpoint` protocol) for
-one parameter value, or ``None``.  Measures that run multi-iteration
-simulations and implement :meth:`Measure.with_value_checkpoint` are
-rebound with the sweep checkpoint before the sweep starts, and thread the
-per-value iteration checkpoint into their inner
-:func:`repro.simulation.runner.collect_frame_statistics` call — so a
-killed paper-scale parameter value resumes at the first unfinished
-*iteration*, not at the first unfinished value.
+A sweep keeps no checkpoint of its own: value rows are loaded and saved
+by the campaign scheduler (:mod:`repro.campaigns.scheduler`), which runs
+one value per task.  A measure that runs multi-iteration simulations may
+instead be bound to a :class:`SweepCheckpoint` (see
+:meth:`Measure.with_value_checkpoint` and :meth:`repro.experiments.
+registry.Experiment.measure_for`) and thread its per-value iteration
+checkpoint into its inner :func:`repro.simulation.runner.
+collect_frame_statistics` call, so a killed paper-scale value resumes
+at the first unfinished *iteration*.  The store-backed implementation
+lives in :mod:`repro.store.checkpoints`; this module only defines the
+protocol so the simulation layer stays free of storage dependencies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from repro import faults, telemetry
 from repro.exceptions import ConfigurationError
@@ -51,30 +43,21 @@ from repro.supervision import run_supervised
 
 
 class SweepCheckpoint:
-    """Protocol of a per-parameter-value checkpoint (duck-typed).
+    """Protocol of the checkpoint a measure is bound with (duck-typed).
 
-    ``load`` returns the previously measured row for a value, or ``None``
-    when the value must be (re)measured; ``save`` persists one freshly
-    measured row.  Both are called in the parent process only, in sweep
-    order for ``load`` and in completion order for ``save``.
+    Measures only ask it for per-iteration checkpoints.  The store-backed
+    implementation (:class:`repro.store.checkpoints.StoreSweepCheckpoint`)
+    also loads and saves whole value rows for the campaign scheduler.
     """
-
-    def load(self, value: float) -> Optional[Dict[str, float]]:  # pragma: no cover
-        raise NotImplementedError
-
-    def save(self, value: float, row: Dict[str, float]) -> None:  # pragma: no cover
-        raise NotImplementedError
 
     def iteration_checkpoint(self, value: float):
         """Per-iteration checkpoint of one parameter value, or ``None``.
 
-        Checkpoints that only track whole rows (the default) return
-        ``None``; the store-backed implementation returns an object
-        implementing the :class:`repro.simulation.runner.
-        IterationCheckpoint` protocol, keyed disjointly from the value
-        rows.  Called in whichever process runs the measure — the returned
-        object (and ``self``, which measures capture when rebound) must be
-        picklable for parallel sweeps.
+        The store-backed implementation returns an object implementing
+        the :class:`repro.simulation.runner.IterationCheckpoint`
+        protocol, keyed disjointly from the value rows.  Called in
+        whichever process runs the measure — the returned object (and
+        ``self``, which measures capture when rebound) must be picklable.
         """
         return None
 
@@ -92,8 +75,8 @@ class Measure:
     implements ``with_value_checkpoint(checkpoint)`` returning a copy that
     asks ``checkpoint.iteration_checkpoint(value)`` for a per-iteration
     checkpoint when measuring ``value`` and threads it into its inner
-    simulation runs; :func:`sweep_parameter` rebinds the measure with the
-    sweep checkpoint automatically.
+    simulation runs (see :meth:`repro.experiments.registry.Experiment.
+    measure_for`).
     """
 
     def __call__(self, value: float) -> Dict[str, float]:  # pragma: no cover
@@ -184,33 +167,11 @@ def measure_row(
         return row
 
 
-def _sweep_staging(checkpoint) -> Optional[Callable[[], None]]:
-    """An ``on_respawn`` hook sweeping dead writers' staging directories.
-
-    Duck-typed through the sweep checkpoint to its store's
-    ``sweep_dead_staging`` (see :meth:`repro.store.result_store.
-    ResultStore.sweep_dead_staging`); storage-free sweeps get no hook.
-    """
-    store = getattr(checkpoint, "store", None)
-    sweep = getattr(store, "sweep_dead_staging", None)
-    if sweep is None:
-        return None
-
-    def respawn() -> None:
-        try:
-            sweep()
-        except Exception:
-            pass  # best-effort hygiene; never mask the recovery
-
-    return respawn
-
-
 def sweep_parameter(
     parameter_name: str,
     parameter_values: Sequence[float],
     measure: Callable[[float], Dict[str, float]],
     workers: int = 1,
-    checkpoint: Optional[SweepCheckpoint] = None,
 ) -> SweepResult:
     """Run ``measure`` at every parameter value and tabulate the results.
 
@@ -224,71 +185,38 @@ def sweep_parameter(
             the sweep serially in-process; larger values fan the sweep out
             over a process pool.  Results are bit-identical either way and
             rows always come back in ``parameter_values`` order.
-        checkpoint: optional :class:`SweepCheckpoint`.  Values whose rows
-            ``checkpoint.load`` returns are not measured again; every
-            freshly measured row is passed to ``checkpoint.save`` the
-            moment it is available, so an interrupted sweep resumes where
-            it stopped.  Because each measure call is deterministic given
-            the value, a resumed or fully checkpointed sweep is
-            bit-identical to an uninterrupted one.
 
     The parallel path fails fast: the first task exception or worker
-    crash propagates.  A crash first sweeps dead writers' staging
-    directories out of the checkpoint's store.  Retries belong to
-    :mod:`repro.campaigns`, whose runners carry a retry policy.
+    crash propagates.  Retries belong to :mod:`repro.campaigns`, whose
+    scheduler carries a retry policy.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
-    if checkpoint is not None:
-        # Measures that support iteration-granular checkpoints capture the
-        # sweep checkpoint so each value's inner simulation can persist
-        # (and resume) individual iterations.
-        rebind_checkpoint = getattr(measure, "with_value_checkpoint", None)
-        if rebind_checkpoint is not None:
-            measure = rebind_checkpoint(checkpoint)
-
-    result = SweepResult(parameter_name=parameter_name)
     values = list(parameter_values)
-    rows: Dict[int, Dict[str, float]] = {}
-    pending: List[Tuple[int, float]] = []
-    for index, value in enumerate(values):
-        row = checkpoint.load(value) if checkpoint is not None else None
-        if row is not None:
-            rows[index] = dict(row)
-        else:
-            pending.append((index, value))
-
-    worker_count = min(workers, len(pending)) if pending else 1
+    worker_count = min(workers, len(values)) if values else 1
     if worker_count <= 1:
-        for index, value in pending:
-            row = measure_row(parameter_name, measure, value)
-            if checkpoint is not None:
-                checkpoint.save(value, row)
-            rows[index] = row
+        rows = [measure_row(parameter_name, measure, value) for value in values]
     else:
-        # Rows are checkpointed in completion order — as soon as they
-        # exist — and reordered when the sweep is assembled below.
-        def submit_value(pool, item):
-            index, value = item
+        by_index: Dict[int, Dict[str, float]] = {}
+
+        def submit_value(pool, index):
             # Carry the ambient span context into the worker; identity
             # when telemetry is inactive.
             return pool.submit(
-                telemetry.propagate(measure_row), parameter_name, measure, value
+                telemetry.propagate(measure_row),
+                parameter_name,
+                measure,
+                values[index],
             )
 
-        def consume(item, row):
-            index, value = item
-            if checkpoint is not None:
-                checkpoint.save(value, row)
-            rows[index] = row
+        def consume(index, row):
+            by_index[index] = row
 
         run_supervised(
-            pending,
+            range(len(values)),
             budget=worker_count,
             submit=submit_value,
             on_result=consume,
-            on_respawn=_sweep_staging(checkpoint),
         )
-
-    result.rows.extend(rows[index] for index in range(len(values)))
-    return result
+        rows = [by_index[index] for index in range(len(values))]
+    return SweepResult(parameter_name=parameter_name, rows=rows)

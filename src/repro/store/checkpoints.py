@@ -1,11 +1,11 @@
 """Store-backed sweep checkpoints, at value and iteration granularity.
 
-:func:`repro.simulation.sweep.sweep_parameter` accepts a checkpoint object
-with ``load(value)`` / ``save(value, row)`` hooks.  The implementation
-here keys every measured row by the sweep's logical description plus the
-parameter value, so a killed sweep resumes exactly at the first value it
-had not finished, and two sweeps with identical descriptions — however
-they are named or parallelised — share their rows.
+The campaign scheduler loads and saves every value row through a
+:class:`StoreSweepCheckpoint`, which keys the row by the sweep's logical
+description plus the parameter value, so a killed sweep resumes exactly
+at the first value it had not finished, and two sweeps with identical
+descriptions — however they are named or parallelised — share their
+rows.
 
 Below the value rows sits a second granularity:
 :class:`StoreIterationCheckpoint` persists the individual simulation

@@ -28,7 +28,7 @@ import uuid
 import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 
@@ -50,7 +50,6 @@ from repro.experiments.registry import (
     ExperimentScale,
     register_experiment,
 )
-from repro.simulation.sweep import SweepCheckpoint, SweepResult, sweep_parameter
 from repro.store import ResultStore, StoreDegradedWarning
 from repro.supervision import RetryPolicy, run_supervised
 
@@ -95,18 +94,6 @@ def _chaos_measure(scale: ExperimentScale) -> ChaosMeasure:
     return ChaosMeasure(seed=scale.seed or 0, calls_dir=CHAOS["calls_dir"])
 
 
-def run_chaos_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    return sweep_parameter(
-        "side",
-        scale.sides,
-        _chaos_measure(scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 @pytest.fixture
 def chaos_experiment(tmp_path):
     calls_dir = tmp_path / "calls"
@@ -118,7 +105,6 @@ def chaos_experiment(tmp_path):
             title="Chaos experiment",
             description="Counts successful measures for the fault matrix.",
             paper_reference="(test only)",
-            run=run_chaos_experiment,
             parameter_name="side",
             sweep_measure=_chaos_measure,
         )
@@ -144,7 +130,8 @@ def chaos_spec():
 
 @pytest.fixture(scope="module")
 def chaos_reference(tmp_path_factory):
-    """Fault-free serial reference: rows per scenario + measure count."""
+    """Fault-free ``Experiment.run`` reference: rows per scenario + measure
+    count."""
     calls_dir = tmp_path_factory.mktemp("reference-calls")
     CHAOS["calls_dir"] = str(calls_dir)
     experiment = register_experiment(
@@ -153,7 +140,6 @@ def chaos_reference(tmp_path_factory):
             title="Chaos experiment",
             description="reference",
             paper_reference="(test only)",
-            run=run_chaos_experiment,
             parameter_name="side",
             sweep_measure=_chaos_measure,
         )
@@ -362,12 +348,12 @@ class TestQuarantine:
             for status in CampaignRunner(chaos_spec(), store).status()
         )
 
-    def test_serial_loop_quarantines_scenario(
+    def test_default_budget_quarantines_values(
         self, chaos_experiment, tmp_path
     ):
-        """The serial path supervises at scenario granularity: retries
-        resume from checkpointed rows, then the scenario is quarantined
-        and the campaign continues."""
+        """Without --total-workers the campaign is supervised per value
+        too: the poison value of each scenario is quarantined after its
+        retries and every other value lands."""
         _, calls_dir = chaos_experiment
         store = ResultStore(tmp_path / "store")
         events = []
@@ -376,21 +362,40 @@ class TestQuarantine:
                 chaos_spec(), store, max_retries=1, retry_backoff=0.05
             ).run(progress=events.append)
         assert result.quarantined_tasks == 2
-        assert any(isinstance(event, TaskRetried) for event in events)
-        assert sum(1 for e in events if isinstance(e, TaskQuarantined)) == 2
-        # side=10 measured once per scenario (the retry loads it from the
-        # checkpoint); side=20 failed every attempt; side=30 never ran
-        # (the serial sweep stops at the failing value).
-        assert _count(calls_dir) == 2
+        assert sum(1 for e in events if isinstance(e, TaskRetried)) == 2
+        quarantines = [e for e in events if isinstance(e, TaskQuarantined)]
+        assert [event.value for event in quarantines] == [20.0, 20.0]
+        # Sides 10 and 30 measured once per scenario; side 20 failed
+        # every attempt.
+        assert _count(calls_dir) == 4
         statuses = CampaignRunner(chaos_spec(), store).status()
         assert all(
-            status.state == "partial (1/3, 1 quarantined)"
+            status.state == "partial (2/3, 1 quarantined)"
             for status in statuses
         )
 
+    def test_task_timeout_works_at_default_budget(
+        self, chaos_experiment, chaos_reference, tmp_path
+    ):
+        """--task-timeout needs no --total-workers: a hung value task at
+        the default budget is killed, retried once and lands
+        bit-identically."""
+        reference, reference_calls = chaos_reference
+        _, calls_dir = chaos_experiment
+        specs, kwargs = FAULT_KINDS["hang"]
+        events = []
+        with faults.active(specs, tmp_path / "faultstate"):
+            result = CampaignRunner(
+                chaos_spec(), ResultStore(tmp_path / "store"), **kwargs
+            ).run(progress=events.append)
+        assert sum(1 for e in events if isinstance(e, TaskRetried)) == 1
+        assert result.quarantined_tasks == 0
+        assert_bit_identical(result, reference)
+        assert _count(calls_dir) == reference_calls
+
     def test_default_policy_still_fails_fast(self, chaos_experiment, tmp_path):
-        """Without --max-retries the first failure aborts the campaign,
-        exactly as before supervision existed — for both paths."""
+        """Without --max-retries the first failure aborts the campaign, at
+        the default budget and at budget 2."""
         store = ResultStore(tmp_path / "store")
         with faults.active(PERSISTENT_FAILURE, tmp_path / "fs1"):
             with pytest.raises(InjectedFault):

@@ -52,16 +52,6 @@ GOLDEN = [
         "fig2/s=1: value 0.5 done (1/4 values; 30 iteration(s))",
     ),
     (
-        TaskCompleted(
-            scenario_id="fig2/s=1",
-            value=None,
-            values_done=1,
-            values_total=1,
-            atomic=True,
-        ),
-        "fig2/s=1: task done (atomic)",
-    ),
-    (
         ScenarioCompleted(
             scenario_id="fig2/s=1", computed_values=3, loaded_values=2
         ),
@@ -77,15 +67,6 @@ GOLDEN = [
         "fig2/s=1: value 20 failed (attempt 1): ValueError('boom')",
     ),
     (
-        TaskFailed(
-            scenario_id="fig2/s=1",
-            value=None,
-            attempt=2,
-            error="BrokenProcessPool",
-        ),
-        "fig2/s=1: atomic task failed (attempt 2): BrokenProcessPool",
-    ),
-    (
         TaskRetried(
             scenario_id="fig2/s=1",
             value=20.0,
@@ -97,17 +78,6 @@ GOLDEN = [
         "fig2/s=1: retrying value 20 (attempt 1/3 failed, backoff 0.25s)",
     ),
     (
-        TaskRetried(
-            scenario_id="fig2/s=1",
-            value=None,
-            attempt=2,
-            max_retries=3,
-            delay=1.0,
-            error="timeout",
-        ),
-        "fig2/s=1: retrying atomic task (attempt 2/4 failed, backoff 1s)",
-    ),
-    (
         TaskQuarantined(
             scenario_id="fig2/s=1",
             value=20.0,
@@ -116,15 +86,6 @@ GOLDEN = [
         ),
         "fig2/s=1: value 20 quarantined after 3 attempt(s): "
         "ValueError('boom')",
-    ),
-    (
-        TaskQuarantined(
-            scenario_id="fig2/s=1",
-            value=None,
-            attempts=2,
-            error="timeout",
-        ),
-        "fig2/s=1: atomic task quarantined after 2 attempt(s): timeout",
     ),
     (
         StoreDegraded(

@@ -4,14 +4,16 @@ A synthetic experiment with an instrumented measure is registered for the
 duration of each test, so the tests can assert *exactly* how many measure
 calls a campaign performed — the acceptance criteria are "zero new
 simulation calls on a warm re-run" and "a killed campaign resumes where
-it stopped with results equal to an uninterrupted run".
+it stopped with results equal to an uninterrupted run".  Measures run in
+the scheduler's worker processes, so every call leaves a marker file and
+the tests count markers.
 
 The determinism matrix at the bottom runs a real multi-iteration
-simulation experiment through every execution shape x budget x kill
-granularity the campaign layer offers and asserts bit-identical results
-against a cold serial run — with filesystem markers (visible across
-worker processes) counting every measure call and every simulated
-iteration, so "zero recomputation" is asserted literally.
+simulation experiment through every budget x kill granularity the
+campaign layer offers and asserts bit-identical results against
+``Experiment.run`` — with filesystem markers counting every measure call
+and every simulated iteration, so "zero recomputation" is asserted
+literally.
 """
 
 import glob
@@ -34,12 +36,7 @@ from repro.experiments.registry import (
 )
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.simulation.runner import collect_frame_statistics
-from repro.simulation.sweep import (
-    SweepCheckpoint,
-    SweepResult,
-    iteration_checkpoint_for,
-    sweep_parameter,
-)
+from repro.simulation.sweep import SweepCheckpoint, iteration_checkpoint_for
 from repro.store import ResultStore
 
 EXPERIMENT_ID = "campaign-test-exp"
@@ -52,50 +49,83 @@ def shared_payload(scale: ExperimentScale):
 
     return {"computation": "counting-shared", "scale": scale_payload(scale)}
 
-#: Module-level instrumentation so the (serial, in-process) measures can
-#: count calls and simulate a mid-campaign kill.
-CALLS = {"count": 0}
+
+def _mark(calls_dir, prefix):
+    with open(os.path.join(calls_dir, f"{prefix}-{uuid.uuid4().hex}"), "w"):
+        pass
+
+
+def _count(calls_dir, prefix):
+    return len(glob.glob(os.path.join(calls_dir, f"{prefix}-*")))
+
+
+#: Mutable module config read when the counting measure is *built* (in
+#: the parent; the built measure is pickled to the workers), so a test
+#: can arm a simulated kill at any value under any start method.
+COUNTING = {"calls_dir": None}
 FAIL_AT = {"value": None}
 
 
 @dataclass(frozen=True)
 class CountingMeasure:
+    """Leaves one ``count-*`` marker per successful call."""
+
     seed: int
+    calls_dir: str
+    fail_at: Optional[float] = None
 
     def __call__(self, value: float) -> Dict[str, float]:
-        if FAIL_AT["value"] is not None and value >= FAIL_AT["value"]:
+        if self.fail_at is not None and value >= self.fail_at:
             raise RuntimeError(f"simulated kill at value {value}")
-        CALLS["count"] += 1
+        _mark(self.calls_dir, "count")
         return {"metric": value * 2.0 + self.seed, "seed": float(self.seed)}
 
 
-def run_counting_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    return sweep_parameter(
-        "side",
-        scale.sides,
-        CountingMeasure(seed=scale.seed or 0),
-        checkpoint=checkpoint,
+def _counting_measure(scale: ExperimentScale) -> CountingMeasure:
+    return CountingMeasure(
+        seed=scale.seed or 0,
+        calls_dir=COUNTING["calls_dir"],
+        fail_at=FAIL_AT["value"],
+    )
+
+
+def calls() -> int:
+    """Counting-measure calls so far, across every process."""
+    return _count(COUNTING["calls_dir"], "count")
+
+
+def counting(identifier, **fields) -> Experiment:
+    return Experiment(
+        identifier=identifier,
+        title="Synthetic counting experiment",
+        description="Counts measure calls for campaign-semantics tests.",
+        paper_reference="(test only)",
+        sweep_measure=_counting_measure,
+        parameter_name="side",
+        **fields,
     )
 
 
 @pytest.fixture
-def counting_experiment():
-    CALLS["count"] = 0
+def counting_experiment(tmp_path):
+    calls_dir = tmp_path / "counting-calls"
+    calls_dir.mkdir()
+    COUNTING["calls_dir"] = str(calls_dir)
     FAIL_AT["value"] = None
-    experiment = register_experiment(
-        Experiment(
-            identifier=EXPERIMENT_ID,
-            title="Synthetic counting experiment",
-            description="Counts measure calls for campaign-semantics tests.",
-            paper_reference="(test only)",
-            run=run_counting_experiment,
-        )
-    )
+    experiment = register_experiment(counting(EXPERIMENT_ID))
     yield experiment
     _REGISTRY.pop(EXPERIMENT_ID, None)
     FAIL_AT["value"] = None
+
+
+def share_payload(monkeypatch):
+    """Make the counting experiment and a sibling share one computation."""
+    for identifier in (EXPERIMENT_ID, SIBLING_ID):
+        monkeypatch.setitem(
+            _REGISTRY,
+            identifier,
+            counting(identifier, cache_payload=shared_payload),
+        )
 
 
 def make_spec(**overrides):
@@ -124,12 +154,12 @@ class TestWarmRerun:
     def test_identical_spec_rerun_is_pure_cache_hit(self, counting_experiment, store):
         spec = make_spec()
         cold = CampaignRunner(spec, store).run()
-        cold_calls = CALLS["count"]
+        cold_calls = calls()
         assert cold_calls == 2 * 3  # two seeds x three sides
         assert cold.cache_hits == 0
 
         warm = CampaignRunner(spec, store).run()
-        assert CALLS["count"] == cold_calls  # zero new measure calls
+        assert calls() == cold_calls  # zero new measure calls
         assert warm.cache_hits == len(spec.scenarios())
         assert warm.computed_values == 0
         # Bit-identical to the cold run, scenario by scenario, row by row.
@@ -141,47 +171,27 @@ class TestWarmRerun:
     def test_no_resume_forces_recompute(self, counting_experiment, store):
         spec = make_spec()
         CampaignRunner(spec, store).run()
-        baseline = CALLS["count"]
+        baseline = calls()
         CampaignRunner(spec, store).run(resume=False)
-        assert CALLS["count"] == baseline * 2
+        assert calls() == baseline * 2
 
     def test_shared_computation_cached_within_one_run(
-        self, counting_experiment, store
+        self, counting_experiment, store, monkeypatch
     ):
         """Experiments registering the same cache_payload share one sweep —
         including on a --no-resume run, which must recompute shared sweeps
         once per run, not once per scenario."""
-        sibling = register_experiment(
-            Experiment(
-                identifier=SIBLING_ID,
-                title="Synthetic sibling experiment",
-                description="Shares the counting experiment's computation.",
-                paper_reference="(test only)",
-                run=run_counting_experiment,
-                cache_payload=shared_payload,
-            )
+        share_payload(monkeypatch)
+        spec = make_spec(
+            experiments=[EXPERIMENT_ID, SIBLING_ID], matrix={"seed": [1]}
         )
-        try:
-            _REGISTRY[EXPERIMENT_ID] = Experiment(
-                identifier=EXPERIMENT_ID,
-                title=counting_experiment.title,
-                description=counting_experiment.description,
-                paper_reference=counting_experiment.paper_reference,
-                run=run_counting_experiment,
-                cache_payload=shared_payload,
-            )
-            spec = make_spec(
-                experiments=[EXPERIMENT_ID, SIBLING_ID], matrix={"seed": [1]}
-            )
-            cold = CampaignRunner(spec, store).run()
-            assert CALLS["count"] == 3  # one shared sweep, not two
-            assert cold.cache_hits == 1
+        cold = CampaignRunner(spec, store).run()
+        assert calls() == 3  # one shared sweep, not two
+        assert cold.cache_hits == 1
 
-            fresh = CampaignRunner(spec, store).run(resume=False)
-            assert CALLS["count"] == 6  # recomputed once, served twice
-            assert fresh.cache_hits == 1
-        finally:
-            _REGISTRY.pop(SIBLING_ID, None)
+        fresh = CampaignRunner(spec, store).run(resume=False)
+        assert calls() == 6  # recomputed once, served twice
+        assert fresh.cache_hits == 1
 
 
 class TestKillAndResume:
@@ -191,15 +201,15 @@ class TestKillAndResume:
         spec = make_spec()
         # Uninterrupted reference run against its own store.
         reference = CampaignRunner(spec, ResultStore(tmp_path / "ref")).run()
-        reference_calls = CALLS["count"]
+        reference_calls = calls()
 
         # "Kill" the campaign while measuring value 20.0 of the first
-        # scenario: value 10.0 has been checkpointed, the rest has not.
-        CALLS["count"] = 0
+        # scenario.  Tasks run round-robin across scenarios, so value
+        # 10.0 of both scenarios has been checkpointed, the rest has not.
         FAIL_AT["value"] = 20.0
         with pytest.raises(RuntimeError):
             CampaignRunner(spec, store).run()
-        assert CALLS["count"] == 1
+        assert calls() == reference_calls + 2
 
         statuses = CampaignRunner(spec, store).status()
         assert statuses[0].state == "partial (1/3)"
@@ -208,7 +218,7 @@ class TestKillAndResume:
         # Resume: only the unfinished values are measured.
         FAIL_AT["value"] = None
         resumed = CampaignRunner(spec, store).run()
-        assert CALLS["count"] == reference_calls  # 1 killed-run call + the rest
+        assert calls() == 2 * reference_calls  # 2 killed-run calls + the rest
         resumed_outcome = resumed.outcomes[0]
         assert resumed_outcome.loaded_values == 1
         assert resumed_outcome.computed_values == 2
@@ -219,9 +229,9 @@ class TestKillAndResume:
             assert sweep.rows == reference.sweeps[scenario_id].rows
 
         # And a final re-run over the healed store is a pure cache hit.
-        before = CALLS["count"]
+        before = calls()
         final = CampaignRunner(spec, store).run()
-        assert CALLS["count"] == before
+        assert calls() == before
         assert final.cache_hits == len(spec.scenarios())
 
 
@@ -238,7 +248,7 @@ class TestCorruption:
     def test_corrupt_entry_recomputed_not_returned(self, counting_experiment, store):
         spec = make_spec()
         cold = CampaignRunner(spec, store).run()
-        baseline = CALLS["count"]
+        baseline = calls()
         key = self.corrupt_scenario_entry(spec, store)
 
         rerun = CampaignRunner(spec, store).run()
@@ -246,7 +256,7 @@ class TestCorruption:
         # checkpoints: no new measure calls, but no tampered data either.
         assert rerun.outcomes[0].cache_hit is False
         assert rerun.outcomes[0].loaded_values == 3
-        assert CALLS["count"] == baseline
+        assert calls() == baseline
         assert rerun.sweeps.keys() == cold.sweeps.keys()
         for scenario_id, sweep in rerun.sweeps.items():
             assert sweep.rows == cold.sweeps[scenario_id].rows
@@ -258,7 +268,7 @@ class TestCorruption:
     ):
         spec = make_spec()
         cold = CampaignRunner(spec, store).run()
-        baseline = CALLS["count"]
+        baseline = calls()
         self.corrupt_scenario_entry(spec, store)
         # Wipe the first scenario's checkpoints too: full recompute needed.
         runner = CampaignRunner(spec, store)
@@ -268,7 +278,7 @@ class TestCorruption:
             store.evict(row_key)
 
         rerun = runner.run()
-        assert CALLS["count"] == baseline + 3
+        assert calls() == baseline + 3
         assert rerun.sweeps[scenario.scenario_id].rows == cold.sweeps[
             scenario.scenario_id
         ].rows
@@ -296,15 +306,6 @@ MATRIX_ID = "campaign-matrix-exp"
 #: (in the parent; the constructed measure is pickled to workers).
 MATRIX = {"calls_dir": None, "fail_seed": None, "fail_value": None,
           "fail_after_iterations": None}
-
-
-def _mark(calls_dir, prefix):
-    with open(os.path.join(calls_dir, f"{prefix}-{uuid.uuid4().hex}"), "w"):
-        pass
-
-
-def _count(calls_dir, prefix):
-    return len(glob.glob(os.path.join(calls_dir, f"{prefix}-*")))
 
 
 class _RecordingIterationCheckpoint:
@@ -399,18 +400,6 @@ def _matrix_measure(scale: ExperimentScale) -> MatrixMeasure:
     )
 
 
-def run_matrix_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    return sweep_parameter(
-        "side",
-        scale.sides,
-        _matrix_measure(scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 def _matrix_iterations(scale: ExperimentScale) -> int:
     return scale.iterations
 
@@ -431,7 +420,6 @@ def matrix_experiment(tmp_path):
             title="Matrix experiment",
             description="Real multi-iteration simulation for the matrix.",
             paper_reference="(test only)",
-            run=run_matrix_experiment,
             parameter_name="side",
             sweep_measure=_matrix_measure,
             iterations_per_value=_matrix_iterations,
@@ -457,7 +445,8 @@ def matrix_spec():
 
 
 def runner_for(mode, budget, store):
-    """One cell of the execution-shape x budget matrix."""
+    """One cell of the matrix: ``serial`` is the runner at its default
+    budget (one worker, one value at a time); ``scheduler`` sets it."""
     spec = matrix_spec()
     if mode == "serial":
         return CampaignRunner(spec, store)
@@ -468,7 +457,7 @@ def runner_for(mode, budget, store):
 
 @pytest.fixture(scope="module")
 def matrix_reference(tmp_path_factory):
-    """Cold serial reference run (no store, no checkpoints)."""
+    """Cold ``Experiment.run`` reference (no store, no checkpoints)."""
     calls_dir = tmp_path_factory.mktemp("reference-calls")
     MATRIX.update(
         calls_dir=str(calls_dir),
@@ -482,7 +471,6 @@ def matrix_reference(tmp_path_factory):
             title="Matrix experiment",
             description="reference",
             paper_reference="(test only)",
-            run=run_matrix_experiment,
             parameter_name="side",
             sweep_measure=_matrix_measure,
             iterations_per_value=_matrix_iterations,
@@ -501,8 +489,8 @@ def matrix_reference(tmp_path_factory):
 
 
 class TestDeterminismMatrix:
-    """{serial, scheduler} x {budget 1, 2, 4} all produce results
-    bit-identical to a cold serial run."""
+    """{default budget, budget 1, 2, 4} all produce results bit-identical
+    to a cold ``Experiment.run``."""
 
     @pytest.mark.parametrize("budget", [1, 2, 4])
     @pytest.mark.parametrize("mode", ["serial", "scheduler"])
@@ -511,7 +499,7 @@ class TestDeterminismMatrix:
     ):
         reference, _, reference_iterations = matrix_reference
         if mode == "serial" and budget > 1:
-            pytest.skip("the serial shape has no budget knob")
+            pytest.skip("the default budget has no budget knob")
         _, calls_dir = matrix_experiment
         result = runner_for(mode, budget, ResultStore(tmp_path / "store")).run()
         assert result.sweeps.keys() == reference.keys()
@@ -539,9 +527,9 @@ class TestDeterminismMatrix:
 
 
 class TestKillAndResumeMatrix:
-    """Kill at scenario / value / iteration granularity, resume under
-    every execution shape, and end bit-identical with zero recomputation
-    of finished work."""
+    """Kill at scenario / value / iteration granularity, resume at the
+    default budget and at budget 2, and end bit-identical with zero
+    recomputation of finished work."""
 
     GRANULARITIES = {
         # seed 2 dies on its first value: scenario 1 is complete, scenario
@@ -605,52 +593,66 @@ class TestKillAndResumeMatrix:
 
         before = _count(calls_dir, "iter")
         CampaignRunner(matrix_spec(), store).run()
-        # Only the 4 missing iterations of seed 1 (1 of value 80, 3 of
-        # value 120) and all 9 of seed 2 were simulated on resume.
-        assert _count(calls_dir, "iter") == before + 4 + 9
+        # Tasks run round-robin across scenarios, so seed 2 finished its
+        # value 40 before the kill.  Only the 4 missing iterations of
+        # seed 1 (1 of value 80, 3 of value 120) and the 6 of seed 2's
+        # values 80 and 120 were simulated on resume.
+        assert _count(calls_dir, "iter") == before + 4 + 6
 
 
 class TestSchedulerSemantics:
     def test_shared_payload_computed_once_under_scheduler(
-        self, counting_experiment, store
+        self, counting_experiment, store, monkeypatch
     ):
         """Two scenarios sharing a cache payload collapse onto one job."""
-        sibling = register_experiment(
-            Experiment(
-                identifier=SIBLING_ID,
-                title="Synthetic sibling experiment",
-                description="Shares the counting experiment's computation.",
-                paper_reference="(test only)",
-                run=run_counting_experiment,
-                cache_payload=shared_payload,
-            )
+        share_payload(monkeypatch)
+        spec = make_spec(
+            experiments=[EXPERIMENT_ID, SIBLING_ID], matrix={"seed": [1]}
         )
-        try:
-            _REGISTRY[EXPERIMENT_ID] = Experiment(
-                identifier=EXPERIMENT_ID,
-                title=counting_experiment.title,
-                description=counting_experiment.description,
-                paper_reference=counting_experiment.paper_reference,
-                run=run_counting_experiment,
-                cache_payload=shared_payload,
-            )
-            spec = make_spec(
-                experiments=[EXPERIMENT_ID, SIBLING_ID], matrix={"seed": [1]}
-            )
-            # Atomic jobs (no sweep_measure registered) run whole in one
-            # worker process; with budget 1 and fork they share the
-            # parent's CALLS dict copy-on-write, so count via the store.
-            result = CampaignRunner(spec, store, total_workers=1).run()
-            assert result.cache_hits == 1
-            assert [outcome.cache_hit for outcome in result.outcomes] == [
-                False,
-                True,
-            ]
-            assert (
-                result.outcomes[0].sweep.rows == result.outcomes[1].sweep.rows
-            )
-        finally:
-            _REGISTRY.pop(SIBLING_ID, None)
+        result = CampaignRunner(spec, store, total_workers=2).run()
+        assert calls() == 3
+        assert result.cache_hits == 1
+        assert [outcome.cache_hit for outcome in result.outcomes] == [
+            False,
+            True,
+        ]
+        assert result.outcomes[0].sweep.rows == result.outcomes[1].sweep.rows
+
+    @pytest.mark.parametrize("primary", ["computed", "cached", "reassembled"])
+    def test_every_alias_reports_a_cache_hit(
+        self, counting_experiment, store, monkeypatch, primary
+    ):
+        """A scenario served by another scenario's sweep emits one
+        ``CacheHit`` however that sweep came to exist: measured in this
+        run, served from the store, or reassembled from checkpointed
+        rows."""
+        from repro.campaigns.progress import CacheHit
+
+        share_payload(monkeypatch)
+        spec = make_spec(experiments=[EXPERIMENT_ID, SIBLING_ID])
+        aliases = [
+            scenario.scenario_id
+            for scenario in spec.scenarios()
+            if scenario.experiment_id == SIBLING_ID
+        ]
+        if primary != "computed":
+            CampaignRunner(spec, store).run()
+        if primary == "reassembled":
+            for scenario in spec.scenarios():
+                store.evict(
+                    scenario_sweep_key(
+                        get_experiment(scenario.experiment_id), scenario.scale
+                    )
+                )
+        events = []
+        CampaignRunner(spec, store, total_workers=2).run(
+            progress=events.append
+        )
+        hits = [event.scenario_id for event in events if isinstance(event, CacheHit)]
+        for alias in aliases:
+            assert hits.count(alias) == 1, events
+        expected = len(spec.scenarios()) if primary == "cached" else len(aliases)
+        assert len(hits) == expected
 
     def test_scheduler_rejects_non_positive_budget(self, counting_experiment, store):
         from repro.exceptions import ConfigurationError
@@ -660,16 +662,11 @@ class TestSchedulerSemantics:
 
 
 def _queue_job(name, pending):
-    """A bare scheduler job: ``pending`` value indices, or ``None`` for an
-    atomic (non-decomposable) job."""
+    """A bare scheduler job with ``pending`` value indices."""
     from repro.campaigns.scheduler import _SweepJob
 
     return _SweepJob(
-        key=name,
-        experiment=None,
-        scenario=None,
-        atomic=pending is None,
-        pending=list(pending or ()),
+        key=name, experiment=None, scenario=None, pending=list(pending)
     )
 
 
@@ -690,13 +687,9 @@ class TestSchedulerQueueOrder:
                 [("a", 0), ("b", 1), ("c", 0), ("a", 1), ("c", 2), ("a", 2),
                  ("a", 3)],
             ),
-            (
-                {"a": [0, 1], "b": None, "c": [3]},
-                [("a", 0), ("b", -1), ("c", 3), ("a", 1)],
-            ),
             ({"a": [], "b": []}, []),
         ],
-        ids=["even", "ragged", "atomic", "empty"],
+        ids=["even", "ragged", "empty"],
     )
     def test_queue_interleaves_jobs_round_robin(self, lanes, expected):
         from repro.campaigns.scheduler import CampaignScheduler
@@ -754,7 +747,6 @@ class TestSchedulerProgress:
             assert {task.values_total for task in tasks} == {len(values)}
             assert any(task.values_done == len(values) for task in tasks)
             assert all(task.iterations == 3 for task in tasks)
-            assert not any(task.atomic for task in tasks)
             # The scenario summary event still follows the stream.
             assert any(
                 isinstance(event, ScenarioCompleted)

@@ -18,7 +18,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 
@@ -35,7 +35,6 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.faults import FaultSpec, write_plan
-from repro.simulation.sweep import SweepCheckpoint, SweepResult, sweep_parameter
 from repro.store import ResultStore
 
 DIST_ID = "dist-test-exp"
@@ -81,18 +80,6 @@ def _dist_measure(scale: ExperimentScale) -> DistMeasure:
     return DistMeasure(seed=scale.seed or 0, calls_dir=DIST["calls_dir"])
 
 
-def run_dist_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    return sweep_parameter(
-        "side",
-        scale.sides,
-        _dist_measure(scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 @pytest.fixture
 def dist_experiment(tmp_path):
     calls_dir = tmp_path / "calls"
@@ -104,7 +91,6 @@ def dist_experiment(tmp_path):
             title="Distributed test experiment",
             description="Counts successful measures for the loopback tests.",
             paper_reference="(test only)",
-            run=run_dist_experiment,
             parameter_name="side",
             sweep_measure=_dist_measure,
         )

@@ -1,18 +1,23 @@
 """Tests for repro.experiments.registry."""
 
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
+
 import pytest
 
+from repro.campaigns import CampaignRunner, CampaignSpec
+from repro.campaigns.progress import TaskCompleted
 from repro.exceptions import ConfigurationError
 from repro.experiments.registry import (
+    _REGISTRY,
     Experiment,
     ExperimentScale,
     get_experiment,
     list_experiments,
-    register_experiment,
     scale_by_name,
     SCALES,
 )
-from repro.simulation.sweep import SweepResult
+from repro.store import ResultStore
 
 
 class TestExperimentScale:
@@ -108,20 +113,107 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             get_experiment("fig99")
 
-    def test_register_custom_experiment(self):
-        def run(scale):
-            return SweepResult(parameter_name="x", rows=[{"x": 1.0}])
-
+    def test_register_custom_experiment(self, monkeypatch):
         custom = Experiment(
             identifier="custom-test-exp",
             title="Custom",
             description="test only",
             paper_reference="none",
-            run=run,
+            sweep_measure=lambda scale: _double,
         )
-        register_experiment(custom)
+        monkeypatch.setitem(_REGISTRY, custom.identifier, custom)
         assert get_experiment("custom-test-exp").title == "Custom"
+
+    def test_experiment_requires_a_sweep_measure(self):
+        with pytest.raises(TypeError, match="sweep_measure"):
+            Experiment(
+                identifier="no-measure",
+                title="No measure",
+                description="test only",
+                paper_reference="none",
+            )
 
     def test_list_is_sorted(self):
         identifiers = [experiment.identifier for experiment in list_experiments()]
         assert identifiers == sorted(identifiers)
+
+
+def _double(value: float) -> Dict[str, float]:
+    return {"double": 2.0 * value}
+
+
+@dataclass(frozen=True)
+class _BindableMeasure:
+    checkpoint: Optional[object] = None
+
+    def __call__(self, value: float) -> Dict[str, float]:
+        return {"bound": float(self.checkpoint is not None)}
+
+    def with_value_checkpoint(self, checkpoint) -> "_BindableMeasure":
+        return replace(self, checkpoint=checkpoint)
+
+
+def _experiment_measuring(measure) -> Experiment:
+    return Experiment(
+        identifier="measure-for-probe",
+        title="probe",
+        description="test only",
+        paper_reference="none",
+        sweep_measure=lambda scale: measure,
+    )
+
+
+class TestMeasureFor:
+    def test_rebinds_a_checkpointable_measure(self):
+        checkpoint = object()
+        experiment = _experiment_measuring(_BindableMeasure())
+        bound = experiment.measure_for(scale_by_name("smoke"), checkpoint)
+        assert bound == _BindableMeasure(checkpoint=checkpoint)
+
+    def test_returns_any_other_measure_unchanged(self):
+        experiment = _experiment_measuring(_double)
+        assert experiment.measure_for(scale_by_name("smoke"), object()) is _double
+
+
+def _built_in_identifiers():
+    """The package's own experiments, by the module of their measure."""
+    return sorted(
+        experiment.identifier
+        for experiment in list_experiments()
+        if getattr(
+            experiment.sweep_measure, "func", experiment.sweep_measure
+        ).__module__.startswith("repro.")
+    )
+
+
+class TestCampaignEqualsRun:
+    """A campaign measures each value of an experiment as one task of the
+    registered measure, so its rows are ``Experiment.run``'s bit for bit."""
+
+    @pytest.mark.parametrize("identifier", _built_in_identifiers())
+    def test_default_budget_campaign_equals_run(self, identifier, tmp_path):
+        spec = CampaignSpec.from_dict({
+            "name": "campaign-equals-run",
+            "experiments": [identifier],
+            "scale": "smoke",
+            "overrides": {
+                "sides": [16.0, 36.0],
+                "steps": 3,
+                "iterations": 2,
+                "stationary_iterations": 5,
+                "parameter_points": 2,
+            },
+        })
+        (scenario,) = spec.scenarios()
+        events = []
+        result = CampaignRunner(spec, ResultStore(tmp_path / "store")).run(
+            progress=events.append
+        )
+        sweep = result.sweeps[scenario.scenario_id]
+        reference = get_experiment(identifier).run(scenario.scale)
+        assert sweep.parameter_name == reference.parameter_name
+        assert sweep.rows == reference.rows
+        # One value task per row, in sweep order at the default budget.
+        assert [
+            event.value for event in events if isinstance(event, TaskCompleted)
+        ] == reference.parameter_values

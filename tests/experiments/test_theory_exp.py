@@ -58,30 +58,6 @@ class TestPerValueStreams:
             clone = pickle.loads(pickle.dumps(measure))
             assert clone(value) == measure(value)
 
-    def test_experiments_are_now_value_checkpointable(self):
-        assert get_experiment("theorem5-1d").supports_checkpoint
-        assert get_experiment("occupancy-domains").supports_checkpoint
-        assert get_experiment("theorem5-1d").supports_scheduling
-        assert get_experiment("occupancy-domains").supports_scheduling
-
-    @pytest.mark.parametrize("identifier", ["theorem5-1d", "occupancy-domains"])
-    def test_decomposed_sweep_equals_run(self, identifier):
-        """The registered (parameter_name, sweep_values, sweep_measure)
-        triple reassembles exactly what run() produces — the contract the
-        campaign scheduler relies on."""
-        experiment = get_experiment(identifier)
-        sweep = experiment.run(TINY)
-        measure = experiment.sweep_measure(TINY)
-        values = list(experiment.sweep_values(TINY))
-        assert sweep.parameter_name == experiment.parameter_name
-        assert [row[experiment.parameter_name] for row in sweep.rows] == [
-            float(value) for value in values
-        ]
-        for row, value in zip(sweep.rows, values):
-            rebuilt = {experiment.parameter_name: float(value)}
-            rebuilt.update(measure(value))
-            assert row == rebuilt
-
     def test_value_rng_is_label_and_value_sensitive(self):
         base = value_rng(7, 64.0, label="a").random(4).tolist()
         assert value_rng(7, 64.0, label="a").random(4).tolist() == base

@@ -553,11 +553,15 @@ class TestGoldenKeysEveryExperiment:
             cell for cell in GOLDEN_KEYS if cell[0] != "grid"
         }
         # Experiments other test modules register on the fly are not the
-        # package's own and carry no stored results worth pinning.
+        # package's own and carry no stored results worth pinning.  A
+        # measure factory may be a ``functools.partial``: look through it
+        # to the function that defines it.
         built_in = [
             experiment
             for experiment in list_experiments()
-            if experiment.run.__module__.startswith("repro.")
+            if getattr(
+                experiment.sweep_measure, "func", experiment.sweep_measure
+            ).__module__.startswith("repro.")
         ]
         assert pinned == {
             (preset, experiment.identifier)

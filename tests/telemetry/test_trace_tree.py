@@ -12,7 +12,7 @@ Finally the Chrome ``trace_event`` export loads as schema-valid JSON.
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 
@@ -25,7 +25,6 @@ from repro.experiments.registry import (
     ExperimentScale,
     register_experiment,
 )
-from repro.simulation.sweep import SweepCheckpoint, SweepResult, sweep_parameter
 from repro.store import ResultStore
 from repro.telemetry import report
 from repro.telemetry.tracing import TRACE_FILE
@@ -164,18 +163,6 @@ def _crash_measure(scale: ExperimentScale) -> CrashMeasure:
     return CrashMeasure(seed=scale.seed or 0)
 
 
-def run_crash_experiment(
-    scale: ExperimentScale, checkpoint: Optional[SweepCheckpoint] = None
-) -> SweepResult:
-    return sweep_parameter(
-        "side",
-        scale.sides,
-        _crash_measure(scale),
-        workers=scale.sweep_workers,
-        checkpoint=checkpoint,
-    )
-
-
 @pytest.fixture
 def crash_experiment():
     experiment = register_experiment(
@@ -184,7 +171,6 @@ def crash_experiment():
             title="Crash experiment",
             description="Cheap sweep for the SIGKILL trace test.",
             paper_reference="(test only)",
-            run=run_crash_experiment,
             parameter_name="side",
             sweep_measure=_crash_measure,
         )

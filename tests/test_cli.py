@@ -227,6 +227,11 @@ class TestCampaignCli:
         assert "0/1 scenario(s) complete" in capsys.readouterr().out
 
 
+def _probe_measure(value):
+    """Module-level, so a ``--total-workers`` sweep can pickle it."""
+    return {"y": 2.0}
+
+
 def _tiny_smoke(monkeypatch):
     """Shrink the smoke preset so a CLI run takes well under a second."""
     from repro.experiments import registry
@@ -262,20 +267,19 @@ class TestExecutionFlags:
         self, flag, expected, capsys, monkeypatch
     ):
         from repro.experiments import registry
-        from repro.simulation.sweep import SweepResult
 
         seen = []
 
-        def run(scale):
+        def measure_factory(scale):
             seen.append(scale)
-            return SweepResult(parameter_name="l", rows=[{"l": 1.0, "y": 2.0}])
+            return _probe_measure
 
         probe = registry.Experiment(
             identifier="cli-scale-probe",
             title="probe",
             description="records the scale the CLI hands it",
             paper_reference="-",
-            run=run,
+            sweep_measure=measure_factory,
         )
         monkeypatch.setitem(registry._REGISTRY, probe.identifier, probe)
         arguments = ["run", probe.identifier, "--scale", "smoke"]
