@@ -20,9 +20,9 @@
 #    re-run is a pure cache hit (zero computed values, >= 5x faster) and
 #    a checkpoint-only store reassembles every sweep without recomputing.
 # 6. A campaign smoke run through the real CLI at the default budget:
-#    cold run (fig4 shares fig2's sweep, so it must report a cache hit
-#    for fig4@seed=20020623), warm re-run (which must report zero
-#    computed values), status, clean.
+#    cold run (it must exit 0 and, since fig4 shares fig2's sweep, report
+#    a cache hit for fig4@seed=20020623), warm re-run (which must report
+#    zero computed values), status, clean.
 # 7. The campaign scheduler benchmark must pass at smoke scale: four
 #    heterogeneous scenarios under one total worker budget, budget 4
 #    >= 1.5x faster than the default budget of 1, results bit-identical
@@ -126,9 +126,9 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 
 CAMPAIGN_STORE="$(mktemp -d)"
 trap 'rm -rf "$CAMPAIGN_STORE"' EXIT
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
-    campaign run examples/campaign_smoke.toml --store "$CAMPAIGN_STORE" --quiet \
-    | grep "fig4@seed=20020623: cache hit" > /dev/null
+COLD_OUT="$(PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign run examples/campaign_smoke.toml --store "$CAMPAIGN_STORE" --quiet)"
+printf '%s\n' "$COLD_OUT" | grep -q "fig4@seed=20020623: cache hit"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign run examples/campaign_smoke.toml --store "$CAMPAIGN_STORE" --quiet \
     | grep -q "0 value(s) computed"

@@ -201,8 +201,6 @@ class StoreSweepCheckpoint(_DegradationState):
         self.payload = payload
         self.metadata = metadata or {}
         self.iterations = iterations
-        self.loaded = 0
-        self.saved = 0
 
     def key_for(self, value: float) -> str:
         """The content address of the row at one parameter value."""
@@ -216,18 +214,15 @@ class StoreSweepCheckpoint(_DegradationState):
         recomputes the damaged rows instead of returning them.
         """
         if float(value) in self._memory:
-            self.loaded += 1
             return self._memory[float(value)]
         key = self.key_for(value)
         if not self.store.contains(key):
             return None
         try:
-            row = self.store.get(key)
+            return self.store.get(key)
         except (KeyError, StoreIntegrityError) as error:
             self.store.quarantine_entry(key, reason=str(error))
             return None
-        self.loaded += 1
-        return row
 
     def save(self, value: float, row: Dict[str, float]) -> None:
         """Persist the freshly measured row at ``value``.
@@ -248,7 +243,6 @@ class StoreSweepCheckpoint(_DegradationState):
             )
         except OSError as error:
             self._absorb_write_failure(error, float(value), dict(row), "row")
-        self.saved += 1
         self.discard_iterations(value)
 
     # ------------------------------------------------------------------ #

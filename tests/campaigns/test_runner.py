@@ -444,15 +444,12 @@ def matrix_spec():
     })
 
 
-def runner_for(mode, budget, store):
-    """One cell of the matrix: ``serial`` is the runner at its default
-    budget (one worker, one value at a time); ``scheduler`` sets it."""
-    spec = matrix_spec()
-    if mode == "serial":
-        return CampaignRunner(spec, store)
-    if mode == "scheduler":
-        return CampaignRunner(spec, store, total_workers=budget)
-    raise AssertionError(mode)
+def runner_for(budget, store):
+    """One cell of the matrix; budget 1 is left to the runner's default
+    (one worker, one value at a time)."""
+    if budget == 1:
+        return CampaignRunner(matrix_spec(), store)
+    return CampaignRunner(matrix_spec(), store, total_workers=budget)
 
 
 @pytest.fixture(scope="module")
@@ -489,19 +486,16 @@ def matrix_reference(tmp_path_factory):
 
 
 class TestDeterminismMatrix:
-    """{default budget, budget 1, 2, 4} all produce results bit-identical
-    to a cold ``Experiment.run``."""
+    """The default budget (1), budget 2 and budget 4 all produce results
+    bit-identical to a cold ``Experiment.run``."""
 
     @pytest.mark.parametrize("budget", [1, 2, 4])
-    @pytest.mark.parametrize("mode", ["serial", "scheduler"])
-    def test_bit_identical_to_cold_serial_run(
-        self, matrix_experiment, matrix_reference, tmp_path, mode, budget
+    def test_bit_identical_to_experiment_run(
+        self, matrix_experiment, matrix_reference, tmp_path, budget
     ):
         reference, _, reference_iterations = matrix_reference
-        if mode == "serial" and budget > 1:
-            pytest.skip("the default budget has no budget knob")
         _, calls_dir = matrix_experiment
-        result = runner_for(mode, budget, ResultStore(tmp_path / "store")).run()
+        result = runner_for(budget, ResultStore(tmp_path / "store")).run()
         assert result.sweeps.keys() == reference.keys()
         for scenario_id, sweep in result.sweeps.items():
             assert sweep.parameter_name == reference[scenario_id].parameter_name
@@ -509,16 +503,16 @@ class TestDeterminismMatrix:
         # Exactly one simulation per iteration, never more.
         assert _count(calls_dir, "iter") == reference_iterations
 
-    @pytest.mark.parametrize("mode", ["serial", "scheduler"])
+    @pytest.mark.parametrize("budget", [1, 2])
     def test_warm_rerun_is_pure_cache_hit(
-        self, matrix_experiment, matrix_reference, tmp_path, mode
+        self, matrix_experiment, matrix_reference, tmp_path, budget
     ):
         reference, _, _ = matrix_reference
         _, calls_dir = matrix_experiment
         store = ResultStore(tmp_path / "store")
-        runner_for(mode, 2, store).run()
+        runner_for(budget, store).run()
         baseline = _count(calls_dir, "measure")
-        warm = runner_for(mode, 2, store).run()
+        warm = runner_for(budget, store).run()
         assert _count(calls_dir, "measure") == baseline
         assert warm.computed_values == 0
         assert warm.cache_hits == len(matrix_spec().scenarios())
@@ -548,9 +542,9 @@ class TestKillAndResumeMatrix:
     }
 
     @pytest.mark.parametrize("granularity", ["scenario", "value", "iteration"])
-    @pytest.mark.parametrize("mode", ["serial", "scheduler"])
+    @pytest.mark.parametrize("budget", [1, 2])
     def test_resume_matches_uninterrupted(
-        self, matrix_experiment, matrix_reference, tmp_path, mode, granularity
+        self, matrix_experiment, matrix_reference, tmp_path, budget, granularity
     ):
         reference, _, reference_iterations = matrix_reference
         _, calls_dir = matrix_experiment
@@ -558,11 +552,11 @@ class TestKillAndResumeMatrix:
 
         MATRIX.update(self.GRANULARITIES[granularity])
         with pytest.raises(RuntimeError, match="simulated kill"):
-            runner_for(mode, 2, store).run()
+            runner_for(budget, store).run()
 
         # Resume with the failure cleared.
         MATRIX.update(fail_seed=None, fail_value=None, fail_after_iterations=None)
-        resumed = runner_for(mode, 2, store).run()
+        resumed = runner_for(budget, store).run()
 
         assert resumed.sweeps.keys() == reference.keys()
         for scenario_id, sweep in resumed.sweeps.items():

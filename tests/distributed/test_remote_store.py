@@ -271,7 +271,6 @@ class TestStoreSurface:
         remote_checkpoint = StoreSweepCheckpoint(remote, payload)
         row = {"l": 256.0, "r100": 1.2000000000000002}
         remote_checkpoint.save(256.0, row)
-        assert remote_checkpoint.saved == 1
 
         local_checkpoint = StoreSweepCheckpoint(local, payload)
         assert local_checkpoint.load(256.0) == row

@@ -274,8 +274,6 @@ class TestStoreSweepCheckpoint:
         row = {"l": 256.0, "r100": 1.5}
         checkpoint.save(256.0, row)
         assert checkpoint.load(256.0) == row
-        assert checkpoint.saved == 1
-        assert checkpoint.loaded == 1
 
     def test_keys_differ_per_value_and_payload(self, store):
         checkpoint = StoreSweepCheckpoint(store, {"experiment": "fig2"})
