@@ -48,7 +48,7 @@
 #    frame statistics must equal the per-frame ones), and the MST kernel
 #    benchmark must pass at smoke scale: the kernel's edges equal the old
 #    stacked-matrix kernel's bit for bit, and its matrix_free_speedup over
-#    that kernel is graded by the perf-regression gate (step 20).
+#    that kernel is graded by the perf-regression gate (step 21).
 # 12. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL
@@ -82,12 +82,23 @@
 #    routine and must stay quiet), and a warm re-serve must report zero
 #    computed values (the distributed run addressed the same store
 #    entries a local one would).
-# 18. The query-service benchmark must pass at smoke scale: hot answers
+# 18. A store object over HTTP at iteration granularity, through the real
+#    CLI: step 9's fig2 value (just above the checkpoint threshold) is
+#    served with --max-retries 0 to one `campaign work` armed with a
+#    fresh copy of step 9's fault plan (raise at the 3rd iteration), and
+#    the serve must fail; `campaign status` must then report 2 of 3
+#    iterations stored, which only the worker's two iteration PUTs can
+#    have written.  A second serve is drained by a worker armed to fail
+#    at its 2nd iteration and must exit 0: the resume read iterations 1-2
+#    over HTTP and simulated only the third.  A local warm `campaign run`
+#    must compute nothing, and its fig2.json must equal step 9's
+#    uninterrupted output byte for byte.
+# 19. The query-service benchmark must pass at smoke scale: hot answers
 #    sub-millisecond p50 / single-digit-millisecond p99 and cold misses
 #    under 100 ms p99 on any host, a zipfian stream mostly served from
 #    the LRU, and the event loop never blocked by store IO (1 ms
 #    heartbeat lag stays bounded while cold queries decode cells).
-# 19. A query smoke through the real CLI, both halves of the contract:
+# 20. A query smoke through the real CLI, both halves of the contract:
 #    against a store warmed by `campaign run examples/query_smoke.toml`,
 #    `query serve` + `query ask` answer an in-grid question with
 #    refine=false from exact stored rows; against an EMPTY store the
@@ -98,7 +109,7 @@
 #    serve runs at --confidence-floor 0.5: one refined side of the
 #    two-side cell clears the floor (the default floor of 1.0 keeps
 #    flagging a half-complete cell, by design).
-# 20. The perf-regression gate: the fresh BENCH_*.json summaries are
+# 21. The perf-regression gate: the fresh BENCH_*.json summaries are
 #    graded against benchmarks/baseline.json (host-normalized metrics
 #    only, core-count-gated, noise-banded); a regression beyond the band
 #    or a missing baselined summary fails the script.  Finally
@@ -386,11 +397,70 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     | grep -q "0 value(s) computed"
 echo "distributed smoke: OK"
 
+WIRE_DIR="$(mktemp -d)"
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$WIRE_DIR"' EXIT
+mkdir "$WIRE_DIR/kill-faults" "$WIRE_DIR/resume-faults"
+cp "$FIGURE_RESUME_DIR/faults/plan.json" "$WIRE_DIR/kill-faults/plan.json"
+cat > "$WIRE_DIR/resume-faults/plan.json" <<'PLAN'
+{"faults": [{"site": "iteration", "action": "raise", "at": 2}]}
+PLAN
+# Serve step 9's fig2 spec from $WIRE_DIR/store with --max-retries 0 to
+# one worker armed with the fault plan $1; returns the serve's exit code.
+wire_serve() {
+    rm -f "$WIRE_DIR/url"
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+        campaign serve "$FIGURE_RESUME_DIR/fig2.json" --store "$WIRE_DIR/store" \
+        --port 0 --url-file "$WIRE_DIR/url" --max-retries 0 --quiet \
+        > "$WIRE_DIR/serve.log" 2>&1 &
+    WIRE_SERVE_PID=$!
+    WIRE_TRIES=0
+    while [ ! -s "$WIRE_DIR/url" ]; do
+        WIRE_TRIES=$((WIRE_TRIES + 1))
+        if [ "$WIRE_TRIES" -gt 30 ]; then
+            echo "campaign serve never published its URL" >&2
+            cat "$WIRE_DIR/serve.log" >&2 || true
+            kill "$WIRE_SERVE_PID" 2>/dev/null || true
+            exit 1
+        fi
+        sleep 1
+    done
+    REPRO_FAULTS="$1" PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+        campaign work --server "$(cat "$WIRE_DIR/url")" --quiet \
+        > "$WIRE_DIR/work.log" 2>&1 &
+    WIRE_WORK_PID=$!
+    WIRE_STATUS=0
+    wait "$WIRE_SERVE_PID" || WIRE_STATUS=$?
+    if ! wait "$WIRE_WORK_PID"; then
+        echo "campaign work failed:" >&2
+        cat "$WIRE_DIR/work.log" >&2
+        exit 1
+    fi
+    return "$WIRE_STATUS"
+}
+if wire_serve "$WIRE_DIR/kill-faults/plan.json"; then
+    echo "the iteration fault did not stop the served figure value" >&2
+    exit 1
+fi
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign status "$FIGURE_RESUME_DIR/fig2.json" --store "$WIRE_DIR/store" \
+    | grep -q "partial (0/1 values, 2/3 iterations)"
+if ! wire_serve "$WIRE_DIR/resume-faults/plan.json"; then
+    echo "the served resume simulated a stored iteration again:" >&2
+    cat "$WIRE_DIR/serve.log" >&2
+    exit 1
+fi
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign run "$FIGURE_RESUME_DIR/fig2.json" --store "$WIRE_DIR/store" \
+    --quiet --output-dir "$WIRE_DIR/warm" > "$WIRE_DIR/warm.log"
+grep -q "0 value(s) computed" "$WIRE_DIR/warm.log"
+cmp "$WIRE_DIR/warm/fig2.json" "$FIGURE_RESUME_DIR/uninterrupted/fig2.json"
+echo "wire resume smoke: OK"
+
 REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_query_service.py -q
 
 QUERY_DIR="$(mktemp -d)"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$QUERY_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$WIRE_DIR" "$QUERY_DIR"' EXIT
 
 # Warm half: a served warm store answers in-grid questions exactly.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \

@@ -295,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         "work",
         help=(
             "pull-based campaign worker: lease tasks from a 'campaign "
-            "serve' URL, heartbeat while computing, publish results back "
-            "(needs no spec and no local store)"
+            "serve' URL, heartbeat while computing, publish results back; "
+            "a paper-scale value reads and writes its iteration "
+            "checkpoints in the server's store (needs no spec and no "
+            "local store)"
         ),
     )
     campaign_work.add_argument(
@@ -319,27 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id",
         default=None,
         help="lease owner name reported to the server (default: host:pid)",
-    )
-    campaign_work.add_argument(
-        "--object-cache",
-        default=None,
-        metavar="DIR",
-        help=(
-            "content-addressed local payload cache: sha256-verified "
-            "copies of downloaded store entries are kept here so "
-            "repeated checkpoint reads don't re-download (sets "
-            "REPRO_OBJECT_CACHE for the worker and its tasks)"
-        ),
-    )
-    campaign_work.add_argument(
-        "--object-cache-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "byte budget of --object-cache (LRU eviction; default 256 MiB, "
-            "0 = unbounded)"
-        ),
     )
     campaign_work.add_argument(
         "--quiet",
@@ -704,23 +685,6 @@ def _campaign_main(arguments: argparse.Namespace) -> int:
         # A worker needs neither spec nor store: everything it runs
         # arrives over the wire from the serving process.
         from repro.distributed import run_worker
-
-        if arguments.object_cache:
-            # Environment, not arguments: the store clients that read
-            # through the cache are unpickled inside task closures, far
-            # from this call frame.
-            import os
-
-            from repro.distributed.object_cache import (
-                CACHE_BYTES_ENV,
-                CACHE_DIR_ENV,
-            )
-
-            os.environ[CACHE_DIR_ENV] = arguments.object_cache
-            if arguments.object_cache_bytes is not None:
-                os.environ[CACHE_BYTES_ENV] = str(
-                    arguments.object_cache_bytes
-                )
 
         say = (lambda message: None) if arguments.quiet else print
         completed = run_worker(

@@ -1,15 +1,19 @@
-"""A :class:`ResultStore`-shaped client for the HTTP result server.
+"""The client of one leased task's iteration checkpoint on the result server.
 
-Satisfies the full store surface (``get`` / ``put`` / ``contains`` /
-poison records / quarantine / gc / staging hygiene) over
-:mod:`http.client`, so campaign runners, :class:`~repro.store.checkpoints.
-StoreSweepCheckpoint` writers and the codecs work unchanged against a
-URL.  Payloads cross the wire in their codec encoding with a sha256
-sideband, verified on *both* ends: the server recomputes the digest of
-every PUT before accepting it, and :meth:`get` recomputes the digest of
-every downloaded payload before decoding — a corrupted transfer
-surfaces as the same :class:`StoreIntegrityError` a corrupted disk
-entry would, and callers evict-and-recompute identically.
+A :class:`~repro.store.checkpoints.StoreIterationCheckpoint` inside a
+leased task calls four store verbs — ``contains``, ``get``, ``put`` and,
+for a corrupt entry, ``quarantine_entry`` — and :class:`RemoteResultStore`
+offers exactly those over :mod:`http.client`, plus ``health``.  Bound to
+a :class:`~repro.store.checkpoints.StoreSweepCheckpoint`, it serves that
+checkpoint's :meth:`~repro.store.checkpoints.StoreSweepCheckpoint.
+iteration_checkpoint`; rows are loaded and saved by the serving process
+through its local store.  Payloads cross the wire in their codec
+encoding with a sha256 sideband, required and verified on *both* ends:
+the server recomputes the digest of every PUT before accepting it, and
+:meth:`get` recomputes the digest of every downloaded payload before
+decoding — a corrupted transfer surfaces as the same
+:class:`StoreIntegrityError` a corrupted disk entry would, and the
+checkpoint quarantines and recomputes identically.
 
 Requests travel on keep-alive connections: each thread of each process
 holds at most one open connection per server, shared by every client
@@ -26,35 +30,27 @@ Transport failures (refused connection, reset, timeout) raise
 worker whose server vanished should fail its task (and be charged by
 the lease machinery), not silently degrade to in-memory results.
 
-``root`` is ``None``: a remote store has no local directory, and the
-one caller that probes it (:meth:`CampaignRunner._start_telemetry`)
-treats the resulting failure as "telemetry unavailable", which is
-correct — traces belong to the serving process.
+There is no ``root`` and no maintenance verb: gc, eviction, poison
+records, quarantine listings and staging hygiene run on the serving
+host's local store (``campaign gc|status|clean``), never over the wire.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import http.client
 import json
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.exceptions import ConfigurationError, ReproError
 from repro.store.codecs import decode_payload, encode_payload
-from repro.store.result_store import GcReport, StoreIntegrityError
+from repro.store.result_store import StoreIntegrityError
 
-from repro.distributed.object_cache import (
-    LocalObjectCache,
-    cache_from_environment,
-)
 from repro.distributed.server import (
-    GZIP_LEVEL,
-    GZIP_MIN_BYTES,
     KIND_HEADER,
     LABEL_HEADER,
     METADATA_HEADER,
@@ -138,38 +134,19 @@ _POOL = _ConnectionPool()
 
 
 class RemoteResultStore:
-    """Store client bound to a ``http://host:port`` result server."""
+    """Iteration-checkpoint store client bound to a result server URL."""
 
-    def __init__(
-        self,
-        url: str,
-        timeout: float = REQUEST_TIMEOUT,
-        object_cache: Optional[LocalObjectCache] = None,
-    ) -> None:
+    def __init__(self, url: str, timeout: float = REQUEST_TIMEOUT) -> None:
         if not url.startswith(("http://", "https://")):
             raise ConfigurationError(
                 f"result-server URL must be http(s), got {url!r}"
             )
         self.url = url.rstrip("/")
         self.timeout = timeout
-        self.root = None  # no local directory behind a remote store
-        self.object_cache = object_cache
         parts = urlsplit(self.url)
         self._scheme = parts.scheme
         self._netloc = parts.netloc
         self._prefix = parts.path  # prepended to every request path
-
-    def _cache(self) -> Optional[LocalObjectCache]:
-        """The engaged object cache: explicit instance, else environment.
-
-        Environment resolution is per call (cheap — one ``os.environ``
-        probe) rather than memoized, so a client unpickled inside a
-        worker task adopts the *worker's* ``REPRO_OBJECT_CACHE``, not a
-        stale decision pickled on the serving side.
-        """
-        if self.object_cache is not None:
-            return self.object_cache
-        return cache_from_environment()
 
     def _request(
         self,
@@ -284,9 +261,6 @@ class RemoteResultStore:
         kind: Optional[str] = None,
     ) -> str:
         payload_kind, _, payload = encode_payload(value)
-        # The digest sideband always covers the identity bytes; gzip on
-        # the wire is a transfer detail the server strips before
-        # verifying, so integrity checks are unchanged by compression.
         headers = {
             "Content-Type": "application/octet-stream",
             KIND_HEADER: payload_kind,
@@ -296,169 +270,44 @@ class RemoteResultStore:
             headers[METADATA_HEADER] = json.dumps(metadata, sort_keys=True)
         if kind:
             headers[LABEL_HEADER] = kind
-        body = payload
-        if len(payload) >= GZIP_MIN_BYTES:
-            compressed = gzip.compress(payload, GZIP_LEVEL)
-            if len(compressed) < len(payload):
-                body = compressed
-                headers["Content-Encoding"] = "gzip"
         status, _, answer = self._request(
-            "PUT", f"/objects/{key}", body=body, headers=headers
+            "PUT", f"/objects/{key}", body=payload, headers=headers
         )
         if status != 200:
             self._raise_for(status, answer, key)
-        cache = self._cache()
-        if cache is not None:
-            cache.put(key, payload_kind, payload)
         return key
 
     def get(self, key: str) -> Any:
-        cache = self._cache()
-        if cache is not None:
-            cached = cache.get(key)  # sha256-verified, or a miss
-            if cached is not None:
-                kind, payload = cached
-                try:
-                    return decode_payload(kind, payload)
-                except Exception:
-                    cache.evict(key)  # undecodable copy: fall through
-        status, headers, payload = self._request(
-            "GET",
-            f"/objects/{key}",
-            headers={"Accept-Encoding": "gzip"},
-        )
+        status, headers, payload = self._request("GET", f"/objects/{key}")
         if status != 200:
             self._raise_for(status, payload, key)
-        if (headers.get("Content-Encoding") or "").lower() == "gzip":
-            try:
-                payload = gzip.decompress(payload)
-            except OSError as error:
-                raise StoreIntegrityError(
-                    f"store entry {key} failed transfer verification: "
-                    f"undecompressable gzip body ({error})"
-                ) from error
-        declared = headers.get(SHA_HEADER)
+        for header in (KIND_HEADER, SHA_HEADER):
+            if not headers.get(header):
+                raise RemoteStoreError(
+                    f"result server {self.url} sent no {header} for {key}"
+                )
+        declared = headers[SHA_HEADER]
         digest = hashlib.sha256(payload).hexdigest()
-        if declared and digest != declared:
+        if digest != declared:
             raise StoreIntegrityError(
                 f"store entry {key} failed transfer verification: payload "
                 f"sha256 {digest} != declared {declared}"
             )
-        kind = headers.get(KIND_HEADER)
-        if not kind:
-            raise RemoteStoreError(
-                f"result server {self.url} sent no {KIND_HEADER} for {key}"
-            )
         try:
-            value = decode_payload(kind, payload)
+            return decode_payload(headers[KIND_HEADER], payload)
         except ConfigurationError:
             raise
         except Exception as error:
             raise StoreIntegrityError(
                 f"store entry {key} could not be decoded: {error}"
             ) from error
-        if cache is not None:
-            cache.put(key, kind, payload)
-        return value
 
-    def entry(self, key: str) -> Dict[str, Any]:
-        return self._json("GET", f"/entry/{key}", key=key)
-
-    def evict(self, key: str) -> bool:
-        cache = self._cache()
-        if cache is not None:
-            cache.evict(key)  # a server-side eviction orphans local copies
-        return bool(
-            self._json("DELETE", f"/objects/{key}", key=key).get("removed")
-        )
-
-    # ------------------------------------------------------------------ #
     def quarantine_entry(self, key: str, reason: str) -> bool:
         return bool(
             self._json(
                 "POST", f"/quarantine/{key}", {"reason": reason}, key=key
             ).get("quarantined")
         )
-
-    def quarantined_entries(self) -> List[str]:
-        return list(self._json("GET", "/quarantine").get("keys", []))
-
-    def entry_provenance(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            return self._json("GET", f"/quarantine/{key}", key=key)
-        except KeyError:
-            return None
-
-    def drop_quarantined_entry(self, key: str) -> bool:
-        return bool(
-            self._json("DELETE", f"/quarantine/{key}", key=key).get("removed")
-        )
-
-    def record_poison(self, key: str, info: Dict[str, Any]) -> None:
-        self._json("PUT", f"/poison/{key}", dict(info), key=key)
-
-    def poison(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            return self._json("GET", f"/poison/{key}", key=key)
-        except KeyError:
-            return None
-
-    def poison_keys(self) -> List[str]:
-        return list(self._json("GET", "/poison").get("keys", []))
-
-    def clear_poison(self, key: str) -> bool:
-        return bool(
-            self._json("DELETE", f"/poison/{key}", key=key).get("removed")
-        )
-
-    def clear_quarantine(self) -> int:
-        return int(self._json("POST", "/quarantine-clear").get("removed", 0))
-
-    # ------------------------------------------------------------------ #
-    def gc(
-        self,
-        max_bytes: Optional[int] = None,
-        max_age: Optional[float] = None,
-        now: Optional[float] = None,
-        dry_run: bool = False,
-        campaign: Optional[str] = None,
-    ) -> GcReport:
-        report = self._json(
-            "POST",
-            "/gc",
-            {
-                "max_bytes": max_bytes,
-                "max_age": max_age,
-                "now": now,
-                "dry_run": dry_run,
-                "campaign": campaign,
-            },
-        )
-        return GcReport(
-            scanned=int(report.get("scanned", 0)),
-            evicted=int(report.get("evicted", 0)),
-            freed_bytes=int(report.get("freed_bytes", 0)),
-            remaining_bytes=int(report.get("remaining_bytes", 0)),
-        )
-
-    def keys(self) -> Iterator[str]:
-        yield from self._json("GET", "/keys").get("keys", [])
-
-    def __len__(self) -> int:
-        return int(self._json("GET", "/size").get("entries", 0))
-
-    def size_bytes(self) -> int:
-        return int(self._json("GET", "/size").get("size_bytes", 0))
-
-    def clear_staging(self, older_than: Optional[float] = None) -> int:
-        return int(
-            self._json(
-                "POST", "/staging/clear", {"older_than": older_than}
-            ).get("removed", 0)
-        )
-
-    def sweep_dead_staging(self) -> int:
-        return int(self._json("POST", "/staging/sweep").get("removed", 0))
 
     def health(self) -> bool:
         """``True`` when the server answers ``GET /health``."""

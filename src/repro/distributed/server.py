@@ -1,39 +1,42 @@
-"""The HTTP result server: a :class:`ResultStore` and a work queue on a URL.
+"""The HTTP result server: a work queue and one leased task's store verbs.
 
-Stdlib only (:class:`http.server.ThreadingHTTPServer`); every store
-verb a campaign needs crosses the wire as one request:
+Stdlib only (:class:`http.server.ThreadingHTTPServer`).  It routes the
+requests a campaign sends and nothing else:
 
-====================================  =================================
-``HEAD/GET/PUT/DELETE /objects/<k>``  contains / get / put / evict.  GET
-                                      and PUT carry the *encoded codec
-                                      payload* bytes plus ``X-Repro-Kind``
-                                      and ``X-Repro-Sha256`` headers; the
-                                      server recomputes the digest of
-                                      every PUT body before accepting it
-                                      (422 on mismatch), then decodes and
-                                      re-stores through the local
-                                      :class:`ResultStore`, which verifies
-                                      again on its own read path.
-``GET /entry/<k>``                    the entry header (kind, digest,
-                                      metadata).
-``GET /keys``, ``GET /size``          key listing / entry count + bytes.
-``POST /gc``                          a GC pass; JSON args, GcReport out.
-``/poison[/<k>]``                     poison records (GET/PUT/DELETE).
-``/quarantine[/<k>]``                 quarantined entry copies
-                                      (GET/POST/DELETE) +
-                                      ``POST /quarantine-clear``.
-``POST /staging/clear|sweep``         staging hygiene.
-``POST /queue/lease|heartbeat|publish``  the pull-based work queue
-                                      (absent → 404 when the server
-                                      fronts a store only).
-``GET /queue/stats``, ``GET /health``  observability.
-====================================  =================================
+=======================================  ================================
+``HEAD/GET/PUT /objects/<k>``            contains / get / put of one store
+                                         entry.  GET and PUT carry the
+                                         *encoded codec payload* bytes
+                                         plus ``X-Repro-Kind`` and
+                                         ``X-Repro-Sha256`` headers; a PUT
+                                         without either is a 400, and the
+                                         server recomputes the digest of
+                                         every PUT body before accepting
+                                         it (422 on mismatch), then
+                                         decodes and re-stores through the
+                                         local :class:`ResultStore`, which
+                                         verifies again on its own read
+                                         path.
+``POST /quarantine/<k>``                 quarantine a corrupt entry (JSON
+                                         ``{"reason": ...}``).
+``POST /queue/lease|heartbeat|publish``  the pull-based work queue (absent
+                                         → 404 when the server fronts a
+                                         store only).
+``GET /queue/stats``, ``GET /health``    observability.
+=======================================  ================================
+
+Every other request answers 404.  The object verbs are exactly what a
+leased task's iteration checkpoint calls (:class:`~repro.store.
+checkpoints.StoreIterationCheckpoint`); store maintenance — gc,
+eviction, poison records, quarantine listings, staging hygiene — runs
+only on the serving host's local store, through ``campaign
+gc|status|clean``.
 
 Error mapping: unknown key → 404, integrity failure → 422, malformed
 key/arguments → 400.  The :class:`~repro.distributed.remote_store.
 RemoteResultStore` client translates these back into ``KeyError`` /
-``StoreIntegrityError`` / ``ConfigurationError`` so store callers cannot
-tell the transports apart.
+``StoreIntegrityError`` / ``ConfigurationError``, the errors the local
+store raises.
 
 Connections are HTTP/1.1 keep-alive, one server thread each:
 
@@ -55,13 +58,11 @@ Connections are HTTP/1.1 keep-alive, one server thread each:
 from __future__ import annotations
 
 import base64
-import gzip
 import hashlib
 import json
 import socket
 import sys
 import threading
-from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Set, Tuple
 
@@ -77,14 +78,6 @@ KIND_HEADER = "X-Repro-Kind"
 SHA_HEADER = "X-Repro-Sha256"
 LABEL_HEADER = "X-Repro-Label"
 METADATA_HEADER = "X-Repro-Metadata"
-
-#: Payloads below this size are never compressed — the gzip frame and the
-#: compressor round trip cost more than the bytes they save.  Large npz
-#: payloads (the columnar iteration checkpoints) are the target.
-GZIP_MIN_BYTES = 1024
-
-#: Fast compression: the wire path trades ratio for latency.
-GZIP_LEVEL = 1
 
 #: Seconds between ``serve_forever``'s shutdown checks.  ``shutdown()``
 #: waits for the next check, so the stdlib's 0.5 s would add up to half a
@@ -223,6 +216,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._route("POST")
 
     def do_DELETE(self) -> None:
+        # No route takes DELETE; it still gets its body read and a 404.
         self._route("DELETE")
 
     # ------------------------------------------------------------------ #
@@ -231,49 +225,16 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         parts = [part for part in path.split("/") if part]
 
-        if parts == ["health"]:
+        if parts == ["health"] and method == "GET":
             self._reply_json({"status": "ok"})
             return True
-
-        if parts and parts[0] == "objects" and len(parts) == 2:
+        if len(parts) == 2 and parts[0] == "objects":
             return self._dispatch_object(method, store, parts[1])
-        if parts and parts[0] == "entry" and len(parts) == 2 and method == "GET":
-            self._reply_json(store.entry(parts[1]))
-            return True
-        if parts == ["keys"] and method == "GET":
-            self._reply_json({"keys": list(store.keys())})
-            return True
-        if parts == ["size"] and method == "GET":
+        if len(parts) == 2 and parts[0] == "quarantine" and method == "POST":
+            reason = str(self._json_body().get("reason", ""))
             self._reply_json(
-                {"size_bytes": store.size_bytes(), "entries": len(store)}
+                {"quarantined": store.quarantine_entry(parts[1], reason=reason)}
             )
-            return True
-        if parts == ["gc"] and method == "POST":
-            arguments = self._json_body()
-            report = store.gc(
-                max_bytes=arguments.get("max_bytes"),
-                max_age=arguments.get("max_age"),
-                now=arguments.get("now"),
-                dry_run=bool(arguments.get("dry_run", False)),
-                campaign=arguments.get("campaign"),
-            )
-            self._reply_json(asdict(report))
-            return True
-        if parts and parts[0] == "poison":
-            return self._dispatch_poison(method, store, parts)
-        if parts and parts[0] == "quarantine":
-            return self._dispatch_quarantine(method, store, parts)
-        if parts == ["quarantine-clear"] and method == "POST":
-            self._reply_json({"removed": store.clear_quarantine()})
-            return True
-        if parts == ["staging", "clear"] and method == "POST":
-            arguments = self._json_body()
-            self._reply_json(
-                {"removed": store.clear_staging(arguments.get("older_than"))}
-            )
-            return True
-        if parts == ["staging", "sweep"] and method == "POST":
-            self._reply_json({"removed": store.sweep_dead_staging()})
             return True
         if parts and parts[0] == "queue":
             return self._dispatch_queue(method, parts)
@@ -291,39 +252,20 @@ class _Handler(BaseHTTPRequestHandler):
         if method == "GET":
             value = store.get(key)  # verifies the on-disk digest
             kind, _, payload = encode_payload(value)
-            # The digest always covers the identity bytes; compression
-            # is a transparent transfer detail layered under it.
-            headers = {
-                KIND_HEADER: kind,
-                SHA_HEADER: hashlib.sha256(payload).hexdigest(),
-            }
-            accepts = self.headers.get("Accept-Encoding") or ""
-            if (
-                "gzip" in accepts.lower()
-                and len(payload) >= GZIP_MIN_BYTES
-            ):
-                compressed = gzip.compress(payload, GZIP_LEVEL)
-                if len(compressed) < len(payload):
-                    payload = compressed
-                    headers["Content-Encoding"] = "gzip"
             self._reply(
                 200,
                 payload,
                 content_type="application/octet-stream",
-                headers=headers,
+                headers={
+                    KIND_HEADER: kind,
+                    SHA_HEADER: hashlib.sha256(payload).hexdigest(),
+                },
             )
             return True
         if method == "PUT":
             payload = self._request_body
             encoding = (self.headers.get("Content-Encoding") or "").lower()
-            if encoding == "gzip":
-                try:
-                    payload = gzip.decompress(payload)
-                except OSError as error:
-                    raise _HttpFailure(
-                        400, f"undecompressable gzip body: {error}"
-                    )
-            elif encoding and encoding != "identity":
+            if encoding and encoding != "identity":
                 raise _HttpFailure(
                     400, f"unsupported Content-Encoding {encoding!r}"
                 )
@@ -331,22 +273,16 @@ class _Handler(BaseHTTPRequestHandler):
             if not kind:
                 raise _HttpFailure(400, f"PUT needs a {KIND_HEADER} header")
             declared = self.headers.get(SHA_HEADER)
+            if not declared:
+                raise _HttpFailure(400, f"PUT needs a {SHA_HEADER} header")
             digest = hashlib.sha256(payload).hexdigest()
-            if declared and declared != digest:
+            if declared != digest:
                 raise _HttpFailure(
                     422,
                     f"payload sha256 {digest} != declared {declared} "
                     f"(corrupted in transit)",
                 )
-            metadata_header = self.headers.get(METADATA_HEADER)
-            metadata = None
-            if metadata_header:
-                try:
-                    metadata = json.loads(metadata_header)
-                except json.JSONDecodeError as error:
-                    raise _HttpFailure(
-                        400, f"malformed {METADATA_HEADER}: {error}"
-                    )
+            metadata = self._metadata()
             try:
                 value = decode_payload(kind, payload)
             except ConfigurationError:
@@ -361,60 +297,24 @@ class _Handler(BaseHTTPRequestHandler):
             )
             self._reply_json({"key": key})
             return True
-        if method == "DELETE":
-            self._reply_json({"removed": store.evict(key)})
-            return True
         return False
 
-    def _dispatch_poison(
-        self, method: str, store: ResultStore, parts: list
-    ) -> bool:
-        if len(parts) == 1 and method == "GET":
-            self._reply_json({"keys": store.poison_keys()})
-            return True
-        if len(parts) != 2:
-            return False
-        key = parts[1]
-        if method == "GET":
-            record = store.poison(key)
-            if record is None:
-                raise _HttpFailure(404, f"no poison record for {key!r}")
-            self._reply_json(record)
-            return True
-        if method == "PUT":
-            store.record_poison(key, self._json_body())
-            self._reply_json({"key": key})
-            return True
-        if method == "DELETE":
-            self._reply_json({"removed": store.clear_poison(key)})
-            return True
-        return False
+    def _metadata(self) -> Optional[Dict[str, Any]]:
+        """The PUT's entry metadata: absent, or a JSON object.
 
-    def _dispatch_quarantine(
-        self, method: str, store: ResultStore, parts: list
-    ) -> bool:
-        if len(parts) == 1 and method == "GET":
-            self._reply_json({"keys": store.quarantined_entries()})
-            return True
-        if len(parts) != 2:
-            return False
-        key = parts[1]
-        if method == "GET":
-            provenance = store.entry_provenance(key)
-            if provenance is None:
-                raise _HttpFailure(404, f"no quarantined entry for {key!r}")
-            self._reply_json(provenance)
-            return True
-        if method == "POST":
-            reason = str(self._json_body().get("reason", ""))
-            self._reply_json(
-                {"quarantined": store.quarantine_entry(key, reason=reason)}
-            )
-            return True
-        if method == "DELETE":
-            self._reply_json({"removed": store.drop_quarantined_entry(key)})
-            return True
-        return False
+        The store keeps it verbatim in the entry header, where ``campaign
+        gc --campaign`` reads it as a mapping.
+        """
+        header = self.headers.get(METADATA_HEADER)
+        if not header:
+            return None
+        try:
+            metadata = json.loads(header)
+        except json.JSONDecodeError as error:
+            raise _HttpFailure(400, f"malformed {METADATA_HEADER}: {error}")
+        if not isinstance(metadata, dict):
+            raise _HttpFailure(400, f"{METADATA_HEADER} must be a JSON object")
+        return metadata
 
     def _dispatch_queue(self, method: str, parts: list) -> bool:
         queue = self.server.queue

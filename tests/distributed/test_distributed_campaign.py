@@ -24,18 +24,21 @@ import pytest
 
 from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.campaigns.progress import TaskQuarantined, TaskRetried
+from repro.campaigns.runner import scenario_payload
 from repro.distributed import serve_campaign
 from repro.distributed import server as server_module
 from repro.distributed.campaign import RemoteTaskError
 from repro.distributed.worker import QueueClient, run_worker
+from repro.experiments import figures
 from repro.experiments.registry import (
     _REGISTRY,
     Experiment,
     ExperimentScale,
+    get_experiment,
     register_experiment,
 )
 from repro.faults import FaultSpec, write_plan
-from repro.store import ResultStore
+from repro.store import ResultStore, StoreSweepCheckpoint
 
 DIST_ID = "dist-test-exp"
 
@@ -273,6 +276,123 @@ class TestRequestsPerTask:
         assert result.computed_values == 6
         assert [r for r in requests if r[1].startswith("/objects/")] == []
         assert requests.count(("POST", "/queue/publish")) == 6
+
+
+class TestRemoteIterationCheckpoints:
+    """A checkpointed value's iterations cross the wire as store objects.
+
+    The checkpoint threshold is lowered before the worker forks, so one
+    small fig2 value (3 iterations) writes an iteration entry per
+    iteration through the worker's :class:`RemoteResultStore`.  Replies
+    are recorded where the serving process sends them; only the
+    iteration checkpoint touches ``/objects/`` and ``/quarantine/``.
+    """
+
+    SIDE = 256.0
+
+    @pytest.fixture
+    def replies(self, monkeypatch):
+        monkeypatch.setattr(figures, "CHECKPOINT_MIN_NODE_FRAMES", 1)
+        sent = []
+        send_response = server_module._Handler.send_response
+
+        def recording(handler, code, message=None):
+            path = handler.path.split("?", 1)[0]
+            if path.startswith(("/objects/", "/quarantine/")):
+                sent.append((handler.command, path, int(code)))
+            send_response(handler, code, message)
+
+        monkeypatch.setattr(server_module._Handler, "send_response", recording)
+        return sent
+
+    def spec(self):
+        return CampaignSpec.from_dict({
+            "name": "remote-iterations",
+            "experiments": ["fig2"],
+            "scale": "smoke",
+            "overrides": {
+                "sides": [self.SIDE],
+                "steps": 20,
+                "iterations": 3,
+                "stationary_iterations": 5,
+            },
+        })
+
+    def iteration_paths(self, store, scenario):
+        experiment = get_experiment(scenario.experiment_id)
+        checkpoint = StoreSweepCheckpoint(
+            store, scenario_payload(experiment, scenario.scale), iterations=3
+        )
+        return [f"/objects/{key}" for key in checkpoint.iteration_keys_for(self.SIDE)]
+
+    def serve(self, store, tmp_path, max_retries, fault_at=None):
+        environment = None
+        if fault_at is not None:
+            plan_dir = tmp_path / f"faults-{uuid.uuid4().hex}"
+            plan_dir.mkdir()
+            plan = write_plan(
+                plan_dir / "plan.json",
+                [FaultSpec(site="iteration", action="raise", at=fault_at)],
+            )
+            environment = {"REPRO_FAULTS": str(plan)}
+        workers = []
+        try:
+            return serve_campaign(
+                self.spec(),
+                store,
+                max_retries=max_retries,
+                retry_backoff=0.05,
+                telemetry_enabled=False,
+                on_ready=lambda url: workers.append(
+                    start_worker(url, environment=environment)
+                ),
+            )
+        finally:
+            reap(workers, timeout=PROMPT_EXIT)
+
+    def assert_row_is_the_reference(self, result, scenario):
+        reference = get_experiment("fig2").run(scenario.scale)
+        assert result.sweeps[scenario.scenario_id].rows == reference.rows
+
+    def test_retry_reads_stored_iterations_over_http(self, replies, tmp_path):
+        (scenario,) = self.spec().scenarios()
+        store = ResultStore(tmp_path / "store")
+        first, second, third = self.iteration_paths(store, scenario)
+        result = self.serve(store, tmp_path, max_retries=1, fault_at=3)
+        assert replies == [
+            ("HEAD", first, 404), ("PUT", first, 200),
+            ("HEAD", second, 404), ("PUT", second, 200),
+            ("HEAD", third, 404),  # the fault fires before the 3rd iteration
+            ("HEAD", first, 200), ("GET", first, 200),
+            ("HEAD", second, 200), ("GET", second, 200),
+            ("HEAD", third, 404), ("PUT", third, 200),
+        ]
+        self.assert_row_is_the_reference(result, scenario)
+
+    def test_corrupt_iteration_entry_is_quarantined_and_recomputed(
+        self, replies, tmp_path
+    ):
+        (scenario,) = self.spec().scenarios()
+        store = ResultStore(tmp_path / "store")
+        first, second, third = self.iteration_paths(store, scenario)
+        with pytest.raises(RemoteTaskError):
+            self.serve(store, tmp_path, max_retries=0, fault_at=3)
+        damaged = first.rsplit("/", 1)[1]
+        payload_file = store.entry(damaged)["payload_file"]
+        (store.root / "objects" / damaged[:2] / damaged / payload_file).write_bytes(
+            b"garbage"
+        )
+        replies.clear()
+
+        result = self.serve(store, tmp_path, max_retries=0)
+        assert replies == [
+            ("HEAD", first, 200), ("GET", first, 422),
+            ("POST", f"/quarantine/{damaged}", 200), ("PUT", first, 200),
+            ("HEAD", second, 200), ("GET", second, 200),
+            ("HEAD", third, 404), ("PUT", third, 200),
+        ]
+        assert store.quarantined_entries() == [damaged]
+        self.assert_row_is_the_reference(result, scenario)
 
 
 class TestLeaseRecovery:

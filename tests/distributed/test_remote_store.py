@@ -1,11 +1,12 @@
-"""The HTTP result server and its store-shaped client, end to end.
+"""The HTTP result server and its iteration-checkpoint client, end to end.
 
 Every test runs against a real :class:`ResultServer` on a loopback
 socket — the same threaded server ``campaign serve`` starts — so the
-wire protocol, both-end sha256 verification and error mapping are
-exercised for real, not mocked.
+wire protocol, both-end sha256 verification, error mapping and the
+narrowness of the route table are exercised for real, not mocked.
 """
 
+import gzip
 import hashlib
 import json
 import socket
@@ -17,12 +18,14 @@ import numpy as np
 import pytest
 
 from repro.distributed import RemoteResultStore, ResultServer
+from repro.distributed import server as server_module
 from repro.distributed.remote_store import RemoteStoreError
-from repro.distributed.server import KIND_HEADER, LABEL_HEADER, SHA_HEADER
+from repro.distributed.server import KIND_HEADER, METADATA_HEADER, SHA_HEADER
 from repro.exceptions import ConfigurationError
 from repro.simulation.results import FrameStatisticsColumns, StepColumns
 from repro.simulation.sweep import SweepResult
 from repro.store import ResultStore, StoreIntegrityError, StoreSweepCheckpoint
+from repro.store.codecs import encode_payload
 
 
 def key_of(label):
@@ -79,14 +82,6 @@ class TestRoundTrips:
         else:
             assert fetched == value
 
-    def test_remote_entry_matches_local_entry(self, served):
-        local, remote = served
-        key = key_of("entry")
-        remote.put(key, {"l": 1.0}, metadata={"who": "remote"}, kind="sweep-row")
-        assert remote.entry(key) == local.entry(key)
-        assert remote.entry(key)["metadata"] == {"who": "remote"}
-        assert remote.entry(key)["kind"] == "sweep-row"
-
     def test_remote_put_is_bit_identical_to_local_put(self, served, tmp_path):
         # The acceptance bar: an entry written over HTTP must be the
         # entry a local put would have produced — same payload digest.
@@ -100,24 +95,12 @@ class TestRoundTrips:
             == reference.entry(key)["payload_sha256"]
         )
 
-    def test_keys_len_size_evict(self, served):
-        local, remote = served
-        first, second = key_of("one"), key_of("two")
-        remote.put(first, {"l": 1.0})
-        remote.put(second, {"l": 2.0})
-        assert sorted(remote.keys()) == sorted(local.keys())
-        assert len(remote) == 2
-        assert remote.size_bytes() == local.size_bytes() > 0
-        assert remote.evict(first)
-        assert not remote.evict(first)
-        assert len(remote) == 1
-
     def test_missing_key_raises_keyerror(self, served):
         _, remote = served
         with pytest.raises(KeyError):
             remote.get(key_of("missing"))
-        with pytest.raises(KeyError):
-            remote.entry(key_of("missing"))
+        assert not remote.contains(key_of("missing"))
+        assert not remote.quarantine_entry(key_of("missing"), reason="absent")
 
     def test_malformed_key_raises_configuration_error(self, served):
         _, remote = served
@@ -157,7 +140,7 @@ class TestRoundTrips:
         try:
             flaky = RemoteResultStore(f"http://127.0.0.1:{port}", timeout=5.0)
             with pytest.raises(RemoteStoreError):
-                len(flaky)
+                flaky.contains(key_of("slammed"))
             thread.join(timeout=5.0)
         finally:
             listener.close()
@@ -220,47 +203,78 @@ class TestIntegrity:
         )
         assert status == 400
 
+    def test_upload_without_digest_header_rejected(self, served):
+        local, remote = served
+        key = key_of("digestless")
+        kind, _, payload = encode_payload({"l": 1.0})
+        status, _, answer = remote._request(
+            "PUT", f"/objects/{key}", body=payload, headers={KIND_HEADER: kind}
+        )
+        assert status == 400
+        assert SHA_HEADER in json.loads(answer)["error"]
+        assert not local.contains(key)
+
+    def test_client_rejects_download_without_digest_header(
+        self, served, monkeypatch
+    ):
+        _, remote = served
+        key = key_of("unsigned-reply")
+        remote.put(key, {"l": 1.0})
+        reply = server_module._Handler._reply
+
+        def unsigned(handler, status, payload, content_type="application/json",
+                     headers=None, head_only=False):
+            headers = {
+                name: value
+                for name, value in (headers or {}).items()
+                if name != SHA_HEADER
+            }
+            reply(handler, status, payload, content_type, headers, head_only)
+
+        monkeypatch.setattr(server_module._Handler, "_reply", unsigned)
+        with pytest.raises(RemoteStoreError, match=SHA_HEADER):
+            remote.get(key)
+
+    @pytest.mark.parametrize(
+        "metadata", ["[1]", "3", '"c"', "null"],
+        ids=["list", "number", "string", "null"],
+    )
+    def test_metadata_must_be_a_json_object(self, served, metadata):
+        # The store keeps metadata verbatim; `campaign gc --campaign`
+        # reads it as a mapping, so one planted list would break gc for
+        # the whole store.
+        local, remote = served
+        key = key_of("planted-metadata")
+        kind, _, payload = encode_payload({"l": 1.0})
+        status, _, answer = remote._request(
+            "PUT",
+            f"/objects/{key}",
+            body=payload,
+            headers={
+                KIND_HEADER: kind,
+                SHA_HEADER: hashlib.sha256(payload).hexdigest(),
+                METADATA_HEADER: metadata,
+            },
+        )
+        assert status == 400
+        assert METADATA_HEADER in json.loads(answer)["error"]
+        assert not local.contains(key)
+        remote.put(key_of("stamped"), {"l": 2.0}, metadata={"campaign": "c"})
+        assert local.gc(campaign="c", dry_run=True).scanned == 1
+
 
 class TestStoreSurface:
-    def test_poison_records_round_trip(self, served):
-        local, remote = served
-        key = key_of("poison")
-        remote.record_poison(key, {"error": "boom", "attempts": 3})
-        assert remote.poison_keys() == [key]
-        record = remote.poison(key)
-        assert record["error"] == "boom" and record["attempts"] == 3
-        assert local.poison(key) == record  # verbatim server-side record
-        assert remote.clear_poison(key)
-        assert remote.poison(key) is None
-
     def test_quarantine_round_trip(self, served):
+        # The client only POSTs; the quarantine itself is read where it
+        # lives, on the serving host's local store.
         local, remote = served
         key = key_of("quarantine")
         remote.put(key, {"l": 1.0})
         assert remote.quarantine_entry(key, reason="checksum mismatch")
-        assert remote.quarantined_entries() == [key]
-        provenance = remote.entry_provenance(key)
-        assert provenance["reason"] == "checksum mismatch"
-        assert remote.entry_provenance(key_of("other")) is None
-        assert remote.clear_quarantine() == 1
-        assert remote.quarantined_entries() == []
-
-    def test_gc_round_trip(self, served):
-        local, remote = served
-        remote.put(key_of("gc-a"), {"l": 1.0})
-        remote.put(key_of("gc-b"), {"l": 2.0})
-        report = remote.gc(max_bytes=0, now=1e12)
-        assert report.scanned == 2
-        assert report.evicted == 2
-        assert report.remaining_bytes == 0
-        assert len(remote) == 0
-
-    def test_staging_hygiene_passthrough(self, served):
-        local, remote = served
-        staging = local.root / "staging" / "424242-deadbeef"
-        staging.mkdir(parents=True)
-        assert remote.sweep_dead_staging() == 1
-        assert remote.clear_staging(older_than=0.0) == 0
+        assert not remote.contains(key)
+        assert local.quarantined_entries() == [key]
+        assert local.entry_provenance(key)["reason"] == "checksum mismatch"
+        assert not remote.quarantine_entry(key_of("other"), reason="absent")
 
     def test_checkpoint_writes_through_remote_store(self, served, tmp_path):
         # The distributed worker path: a StoreSweepCheckpoint bound to
@@ -283,3 +297,107 @@ class TestStoreSurface:
             local.entry(key)["payload_sha256"]
             == reference_store.entry(key)["payload_sha256"]
         )
+
+
+#: Every store-maintenance route the server used to offer, with a body
+#: that would have done damage.  ``{entry}``, ``{poison}`` and
+#: ``{quarantined}`` name the seeded keys.
+REMOVED_ROUTES = {
+    "delete-object": ("DELETE", "/objects/{entry}", None),
+    "entry": ("GET", "/entry/{entry}", None),
+    "keys": ("GET", "/keys", None),
+    "size": ("GET", "/size", None),
+    "gc": ("POST", "/gc", {"max_bytes": 0}),
+    "poison-list": ("GET", "/poison", None),
+    "poison-get": ("GET", "/poison/{poison}", None),
+    "poison-put": ("PUT", "/poison/{entry}", {"error": "planted"}),
+    "poison-delete": ("DELETE", "/poison/{poison}", None),
+    "quarantine-list": ("GET", "/quarantine", None),
+    "quarantine-get": ("GET", "/quarantine/{quarantined}", None),
+    "quarantine-delete": ("DELETE", "/quarantine/{quarantined}", None),
+    "quarantine-clear": ("POST", "/quarantine-clear", None),
+    "staging-clear": ("POST", "/staging/clear", {"older_than": 0.0}),
+    "staging-sweep": ("POST", "/staging/sweep", None),
+}
+
+
+@pytest.fixture
+def seeded(served):
+    """A served store holding an entry, a poison record, a quarantined
+    copy and a dead writer's staging directory."""
+    local, remote = served
+    keys = {
+        "entry": key_of("live"),
+        "poison": key_of("poisoned"),
+        "quarantined": key_of("damaged"),
+    }
+    local.put(keys["entry"], {"l": 1.0}, metadata={"campaign": "c"})
+    local.record_poison(keys["poison"], {"error": "boom"})
+    local.put(keys["quarantined"], {"l": 2.0})
+    local.quarantine_entry(keys["quarantined"], reason="seeded")
+    (local.root / "staging" / "424242-deadbeef").mkdir(parents=True)
+    return local, remote, keys
+
+
+def store_snapshot(store):
+    """What a maintenance verb could change: entries, poison, quarantine,
+    staging."""
+    return (
+        {key: store.entry(key)["payload_sha256"] for key in store.keys()},
+        store.poison_keys(),
+        store.quarantined_entries(),
+        sorted(path.name for path in (store.root / "staging").iterdir()),
+    )
+
+
+class TestNarrowedWire:
+    @pytest.mark.parametrize("route", list(REMOVED_ROUTES))
+    def test_removed_route_answers_404_and_changes_nothing(self, seeded, route):
+        local, remote, keys = seeded
+        method, path, document = REMOVED_ROUTES[route]
+        before = store_snapshot(local)
+        status, _, answer = remote._request(
+            method,
+            path.format(**keys),
+            body=None if document is None else json.dumps(document).encode(),
+        )
+        assert status == 404
+        assert json.loads(answer)["error"].startswith("no route")
+        assert store_snapshot(local) == before
+
+    def test_gzip_upload_is_refused_unwritten(self, served):
+        local, remote = served
+        key = key_of("gzipped-upload")
+        kind, _, payload = encode_payload({"rows": [{"l": 256.0}] * 400})
+        status, _, answer = remote._request(
+            "PUT",
+            f"/objects/{key}",
+            body=gzip.compress(payload),
+            headers={
+                KIND_HEADER: kind,
+                SHA_HEADER: hashlib.sha256(payload).hexdigest(),
+                "Content-Encoding": "gzip",
+            },
+        )
+        assert status == 400
+        assert "Content-Encoding" in json.loads(answer)["error"]
+        assert not local.contains(key)
+
+    def test_download_is_identity_even_when_gzip_is_accepted(self, served):
+        _, remote = served
+        key = key_of("compressible")
+        value = {"rows": [{"l": 256.0, "r100": 1.25}] * 400}
+        kind, _, payload = encode_payload(value)
+        assert len(payload) >= 1024
+        remote.put(key, value)
+        status, headers, body = remote._request(
+            "GET", f"/objects/{key}", headers={"Accept-Encoding": "gzip"}
+        )
+        assert status == 200
+        assert "Content-Encoding" not in headers
+        assert body == payload
+        assert headers[SHA_HEADER] == hashlib.sha256(body).hexdigest()
+
+    def test_client_offers_only_the_checkpoint_verbs(self):
+        public = {name for name in dir(RemoteResultStore) if not name.startswith("_")}
+        assert public == {"contains", "get", "put", "quarantine_entry", "health"}

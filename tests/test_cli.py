@@ -322,3 +322,17 @@ class TestExecutionFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(arguments)
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            ["campaign", "work", "--server", "http://h:1", "--object-cache", "d"],
+            ["campaign", "work", "--server", "http://h:1",
+             "--object-cache-bytes", "1024"],
+        ],
+        ids=lambda arguments: arguments[-2],
+    )
+    def test_removed_object_cache_flags_are_rejected(self, arguments, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(arguments)
+        assert "unrecognized arguments" in capsys.readouterr().err

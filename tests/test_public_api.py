@@ -18,6 +18,7 @@ REMOVED_MODULES = [
     "repro.availability",
     "repro.backend",
     "repro.dissemination",
+    "repro.distributed.object_cache",
     "repro.geometry.kdtree",
     "repro.propagation",
     "repro.stats.series",
