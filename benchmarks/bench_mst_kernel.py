@@ -1,14 +1,21 @@
-"""Speed of the matrix-free batched MST kernel against the stacked one.
+"""Speed of the batched MST kernel's two lanes, each against its reference.
 
 :func:`~repro.connectivity.critical_range.minimum_spanning_edges_batch`
-computes each Prim step's distance row from the coordinates.  The kernel
-it replaced stacked one ``(n, n)`` squared-distance matrix per frame into
-``(B, n, n)`` and gathered the chosen node's row at each Prim step; it is
-kept here as the reference.  This benchmark checks that both return the
-same edges bit for bit and reports ``matrix_free_speedup`` = stacked ÷
-matrix-free.  Both run paired in one interpreter, so the ratio is
-host-normalized; ``benchmarks/baseline.json`` gates it, so a kernel that
-gets slower fails CI.  Timings land in ``BENCH_mst_kernel.json``.
+has a NumPy lane (``_minimum_spanning_edges_batch_numpy``, which computes
+each Prim step's distance row from the coordinates) and a native C lane
+(:mod:`repro.connectivity.native`) that runs whenever its library loads.
+Two host-normalized ratios are reported, each from paired trials in one
+interpreter, and ``benchmarks/baseline.json`` gates both:
+
+* ``matrix_free_speedup`` = the old stacked-matrix kernel ÷ the NumPy
+  lane, named explicitly, so a slower fallback still fails CI;
+* ``native_speedup`` = the NumPy lane ÷ the C lane for Prim plus the
+  growth-curve sweep (``engine._growth_curve_columns_numpy`` against the
+  library's sweep), the work one frame batch costs the engine.
+
+The benchmark fails outright when the C lane does not load, so CI cannot
+pass on a silent fallback, and it checks that every lane returns the same
+arrays bit for bit.  Timings land in ``BENCH_mst_kernel.json``.
 """
 
 import math
@@ -16,8 +23,10 @@ import time
 
 import numpy as np
 
-from repro.connectivity.critical_range import minimum_spanning_edges_batch
+from repro.connectivity import native
+from repro.connectivity.critical_range import _minimum_spanning_edges_batch_numpy
 from repro.geometry.distance import squared_distance_matrix
+from repro.simulation.engine import _growth_curve_columns_numpy
 
 from _helpers import bench_scale_name, write_bench_summary
 
@@ -31,8 +40,8 @@ _SIZES = {
     "paper": (1024, 128),
 }
 
-#: Paired trials behind ``matrix_free_speedup``.  Each trial runs both
-#: kernels back to back and the metric is the *median of the per-trial
+#: Paired trials behind each speedup.  Each trial runs both
+#: sides back to back and the metric is the *median of the per-trial
 #: ratios* of thread CPU time: on a shared host single runs vary by
 #: several percent in both directions, and wall time would add
 #: preemption on top.
@@ -107,29 +116,53 @@ def _paired_ratio(baseline, variant, trials: int):
     )
 
 
-def test_matrix_free_kernel_against_the_stacked_one():
+def test_kernel_lanes_against_their_references():
+    library = native.load()
+    assert library is not None, "the native lane did not load (is a C compiler on PATH?)"
     frames = _frames()
+    batch, n = frames.shape[0], frames.shape[1]
 
-    for kernel_column, stacked_column in zip(
-        minimum_spanning_edges_batch(frames), _stacked_mst_batch(frames)
+    numpy_edges = _minimum_spanning_edges_batch_numpy(frames)
+    for numpy_column, stacked_column, native_column in zip(
+        numpy_edges, _stacked_mst_batch(frames), library.mst_batch(frames)
     ):
-        assert np.array_equal(kernel_column, stacked_column)
+        assert np.array_equal(numpy_column, stacked_column)
+        assert native_column.dtype == numpy_column.dtype
+        assert native_column.tobytes() == numpy_column.tobytes()
+    for numpy_column, native_column in zip(
+        _growth_curve_columns_numpy(*numpy_edges, n),
+        library.growth_curves(*numpy_edges, n),
+    ):
+        assert native_column.dtype == numpy_column.dtype
+        assert native_column.tobytes() == numpy_column.tobytes()
 
-    def kernel():
-        return minimum_spanning_edges_batch(frames)
+    def numpy_kernel():
+        return _minimum_spanning_edges_batch_numpy(frames)
 
     def stacked():
         return _stacked_mst_batch(frames)
 
-    speedup, kernel_seconds, stacked_seconds = _paired_ratio(
-        kernel, stacked, _SPEEDUP_TRIALS
+    def numpy_lane():
+        return _growth_curve_columns_numpy(*_minimum_spanning_edges_batch_numpy(frames), n)
+
+    def native_lane():
+        return library.growth_curves(*library.mst_batch(frames), n)
+
+    matrix_free, kernel_seconds, stacked_seconds = _paired_ratio(
+        numpy_kernel, stacked, _SPEEDUP_TRIALS
+    )
+    native_speedup, native_lane_seconds, numpy_lane_seconds = _paired_ratio(
+        native_lane, numpy_lane, _SPEEDUP_TRIALS
     )
 
-    batch, n = frames.shape[0], frames.shape[1]
     print(f"\nbatched MST kernel (B={batch}, n={n}):")
-    print(f"  matrix-free  : {kernel_seconds * 1e3:8.2f} ms")
+    print(f"  NumPy lane   : {kernel_seconds * 1e3:8.2f} ms")
     print(f"  stacked      : {stacked_seconds * 1e3:8.2f} ms  "
-          f"(matrix-free speedup {speedup:.2f}x)")
+          f"(matrix-free speedup {matrix_free:.2f}x)")
+    print("kernel plus sweep:")
+    print(f"  NumPy lane   : {numpy_lane_seconds * 1e3:8.2f} ms")
+    print(f"  C lane       : {native_lane_seconds * 1e3:8.2f} ms  "
+          f"(native speedup {native_speedup:.2f}x)")
 
     write_bench_summary(
         "mst_kernel",
@@ -138,6 +171,9 @@ def test_matrix_free_kernel_against_the_stacked_one():
             "node_count": n,
             "kernel_seconds": kernel_seconds,
             "stacked_seconds": stacked_seconds,
-            "matrix_free_speedup": speedup,
+            "matrix_free_speedup": matrix_free,
+            "numpy_lane_seconds": numpy_lane_seconds,
+            "native_lane_seconds": native_lane_seconds,
+            "native_speedup": native_speedup,
         },
     )

@@ -42,13 +42,17 @@
 #    store.
 # 10. A campaign gc smoke through the real CLI: a tight --max-bytes
 #    budget evicts entries, a second run under the same budget is stable.
-# 11. The kernel lane: the kernel reference tests run explicitly (every
-#    row of the matrix-free batched MST must equal the single-frame MST
-#    of its frame, its memory must stay linear in B * n, and the batched
-#    frame statistics must equal the per-frame ones), and the MST kernel
-#    benchmark must pass at smoke scale: the kernel's edges equal the old
-#    stacked-matrix kernel's bit for bit, and its matrix_free_speedup over
-#    that kernel is graded by the perf-regression gate (step 21).
+# 11. The kernel lanes: the kernel reference tests run explicitly, each
+#    on both lanes, native C and NumPy (every row of the batched MST must
+#    equal the single-frame MST of its frame, its memory must stay linear
+#    in B * n, and the batched frame statistics must equal the per-frame
+#    ones), and the MST kernel benchmark must pass at smoke scale.  It
+#    fails when the C lane does not load; the NumPy lane's edges equal
+#    the old stacked-matrix kernel's, and the C lane's edges and sweep
+#    columns the NumPy lane's, bit for bit.  The perf-regression gate
+#    (step 21) grades matrix_free_speedup (stacked / NumPy lane, so a
+#    slower fallback still fails) and native_speedup (NumPy lane / C lane
+#    for Prim plus the growth-curve sweep).
 # 12. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL
@@ -77,7 +81,14 @@
 # 17. A distributed smoke through the real CLI: `campaign serve` on a
 #    loopback port (--url-file announces the picked port), two
 #    `campaign work` processes drain the example grid, all three exit 0,
-#    the serve log holds no `Traceback` (workers leaving their
+#    and each worker must report at least one completed task.  Both
+#    workers share one fault plan (REPRO_FAULTS, one counter): the first
+#    two results published in the run each wait 5 s, well under the
+#    30 s lease, so whichever worker leases first cannot drain the grid
+#    and stop the serve before the other's first contact (which would
+#    leave that worker retrying a refused connection and exiting 1);
+#    the later worker has about 10 s to arrive.  The serve log must
+#    hold no `Traceback` (workers leaving their
 #    keep-alive connections, or giving up on a long-polled lease, are
 #    routine and must stay quiet), and a warm re-serve must report zero
 #    computed values (the distributed run addressed the same store
@@ -376,15 +387,32 @@ while [ ! -s "$DIST_DIR/url" ]; do
     sleep 1
 done
 DIST_URL="$(cat "$DIST_DIR/url")"
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
-    campaign work --server "$DIST_URL" --quiet &
+mkdir "$DIST_DIR/faults"
+cat > "$DIST_DIR/faults/plan.json" <<'PLAN'
+{"faults": [{"site": "queue.publish", "action": "hang", "seconds": 5, "at": 1, "count": 2}]}
+PLAN
+REPRO_FAULTS="$DIST_DIR/faults/plan.json" \
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign work --server "$DIST_URL" --quiet > "$DIST_DIR/work1.log" 2>&1 &
 DIST_W1_PID=$!
-PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
-    campaign work --server "$DIST_URL" --quiet &
+REPRO_FAULTS="$DIST_DIR/faults/plan.json" \
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign work --server "$DIST_URL" --quiet > "$DIST_DIR/work2.log" 2>&1 &
 DIST_W2_PID=$!
-wait "$DIST_W1_PID"
-wait "$DIST_W2_PID"
-wait "$DIST_SERVE_PID"
+for DIST_PID in "$DIST_W1_PID" "$DIST_W2_PID" "$DIST_SERVE_PID"; do
+    if ! wait "$DIST_PID"; then
+        echo "a distributed smoke process failed:" >&2
+        cat "$DIST_DIR/work1.log" "$DIST_DIR/work2.log" "$DIST_DIR/serve.log" >&2
+        exit 1
+    fi
+done
+for DIST_LOG in "$DIST_DIR/work1.log" "$DIST_DIR/work2.log"; do
+    if ! grep -Eq "^Worker done: [1-9][0-9]* task\(s\) completed\.$" "$DIST_LOG"; then
+        echo "a campaign work process did not share the grid:" >&2
+        cat "$DIST_LOG" >&2
+        exit 1
+    fi
+done
 grep -q "value(s) computed" "$DIST_DIR/serve.log"
 if grep -q "Traceback" "$DIST_DIR/serve.log"; then
     echo "campaign serve printed a traceback:" >&2

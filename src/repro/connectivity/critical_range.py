@@ -10,6 +10,12 @@ analogous thresholds for partial connectivity (smallest range whose
 largest component reaches a target fraction of ``n``) and for
 k-connectivity (by bisection on candidate ranges).
 
+The batch kernel has two bit-identical lanes: the native C one of
+:mod:`repro.connectivity.native`, built on first use when a C compiler
+is available, and the NumPy one it falls back to.  The single-frame
+kernels stay NumPy only; they are the independent references the batch
+kernel is tested against.
+
 These exact per-placement values are the building blocks of the
 ``rstationary`` estimates used as the denominator throughout Figures 2–9.
 """
@@ -21,6 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.connectivity import native
 from repro.exceptions import AnalysisError
 from repro.geometry.distance import pairwise_distances, squared_distance_matrix
 from repro.graph.builder import build_communication_graph
@@ -116,31 +123,50 @@ def minimum_spanning_edges_batch(
     """Batched :func:`minimum_spanning_edges` over ``(B, n, d)`` frames.
 
     Returns ``(us, vs, squared_lengths)`` as ``(B, n - 1)`` arrays, each row
-    sorted by squared length.  One Prim iteration here advances *every*
-    frame at once with ``(B, n)`` array operations, so the per-call
-    overhead of the ``n - 1`` loop iterations is amortised across the whole
-    batch — this is what makes reducing a 10 000-step trajectory cheap.
+    sorted by squared length.  Every edge length (and therefore every
+    derived threshold) is bit-identical to the single-frame code path.
 
-    No distance matrix is materialised: each Prim step computes the
-    chosen node's row of every frame's squared distances from the
-    coordinates, accumulating ``(p_c,k - p_j,k)**2`` over ascending ``k``
-    exactly as :func:`repro.geometry.distance.squared_distance_matrix`
-    does.  Every edge length (and therefore every derived threshold) is
-    bit-identical to the single-frame code path, and the working set is a
-    few ``(B, n)`` arrays instead of a ``(B, n, n)`` stack.
+    Two lanes compute the same arrays.  The native one
+    (:mod:`repro.connectivity.native`: Prim and a stable sort in C, one
+    frame at a time) runs whenever its library loads and every coordinate
+    is finite and below ``native.COORDINATE_LIMIT``; otherwise
+    :func:`_minimum_spanning_edges_batch_numpy` does.
     """
     points = np.asarray(frames, dtype=np.float64)
     if points.ndim != 3:
         raise AnalysisError(
             f"expected a (B, n, d) batch of frames, got shape {points.shape}"
         )
-    batch, n, dimension = points.shape
+    batch, n, _ = points.shape
     if n <= 1 or batch == 0:
         return (
             np.empty((batch, 0), dtype=np.int64),
             np.empty((batch, 0), dtype=np.int64),
             np.empty((batch, 0), dtype=np.float64),
         )
+    library = native.load()
+    if library is not None and native.takes(points):
+        return library.mst_batch(points)
+    return _minimum_spanning_edges_batch_numpy(points)
+
+
+def _minimum_spanning_edges_batch_numpy(
+    points: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The NumPy lane of :func:`minimum_spanning_edges_batch`.
+
+    ``points`` is a float64 ``(B, n, d)`` batch with ``B >= 1`` and
+    ``n >= 2``.  One Prim iteration advances *every* frame at once with ``(B, n)``
+    array operations, so the per-call overhead of the ``n - 1`` loop
+    iterations is amortised across the whole batch.  No distance matrix is
+    materialised: each Prim step computes the chosen node's row of every
+    frame's squared distances from the coordinates, accumulating
+    ``(p_c,k - p_j,k)**2`` over ascending ``k`` exactly as
+    :func:`repro.geometry.distance.squared_distance_matrix` does, so the
+    working set is a few ``(B, n)`` arrays instead of a ``(B, n, n)``
+    stack.  It is the fallback of the native lane and its parity reference.
+    """
+    batch, n, dimension = points.shape
     batch_index = np.arange(batch)
     # One contiguous (B, n) array per coordinate axis.
     columns = [points[:, :, axis].copy() for axis in range(dimension)]

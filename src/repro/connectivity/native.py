@@ -1,0 +1,236 @@
+"""Optional native lane of the batched MST kernel and the growth-curve sweep.
+
+``native.c`` beside this module holds two entry points that are
+bit-identical to the NumPy code they stand in for: Prim plus the stable
+sort of the MST edges of a ``(B, n, d)`` batch
+(:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`)
+and the union-find growth-curve sweep
+(:func:`repro.simulation.engine.frame_statistics_columns`).  Both public
+functions dispatch here; nothing else changes, so no cache key, golden
+key or row digest depends on which lane ran.
+
+On the first :func:`load` in a process, unless a library built from the
+same source is cached already, the system C compiler builds it into
+``$XDG_CACHE_HOME/repro/native/`` (``~/.cache/repro/native/`` when the
+variable is unset), under a file name carrying a sha256 of the source,
+the compiler command and its flags, and the machine type; stdlib
+:mod:`ctypes` loads it.  Concurrent first uses (forked pool workers
+on a cold cache) each compile to a temporary name and ``os.replace`` it
+into place.  The loader runs the code it finds there, so it refuses a
+cache directory that is group- or world-writable or owned by another
+user.  With no compiler, a failed build or a failed load, the process
+warns once (:class:`RuntimeWarning`), adds 1 to the ``native.fallbacks``
+telemetry counter and keeps the NumPy lane: only speed is lost.
+
+Nothing here runs at import time; :mod:`ctypes` itself is imported on
+first use.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import warnings
+from pathlib import Path
+from typing import Any, Optional, Tuple
+
+import numpy as np
+
+__all__ = ["NativeLibrary", "compiler", "library_path", "load", "takes"]
+
+SOURCE = Path(__file__).with_name("native.c")
+#: Compilers tried in order; the first one on ``PATH`` builds the library.
+COMPILERS = ("cc", "gcc", "clang")
+#: Bit-identical IEEE arithmetic: no fused multiply-adds, no -ffast-math,
+#: no -march=native.
+FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: The C lane takes only coordinates of smaller magnitude, so that every
+#: squared distance is finite (NumPy's argmin returns the first NaN, and a
+#: distance that overflows to inf ties with the tree nodes' inf).
+COORDINATE_LIMIT = 1e150
+
+_UNSET: Any = object()
+#: The loaded library, ``None`` after a failed load, or unset.
+_LIBRARY: Any = _UNSET
+
+
+def _pointer(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+class NativeLibrary:
+    """The loaded shared library, with NumPy-shaped calls."""
+
+    def __init__(self, path: Path) -> None:
+        import ctypes
+
+        library = ctypes.CDLL(str(path))
+        pointer, size = ctypes.c_void_p, ctypes.c_int64
+        self._mst_batch = library.repro_mst_batch
+        self._mst_batch.argtypes = [pointer, size, size, size, pointer, pointer, pointer]
+        self._mst_batch.restype = ctypes.c_int
+        self._growth_curves = library.repro_growth_curves
+        self._growth_curves.argtypes = [
+            pointer, pointer, pointer, size, size, pointer, pointer, pointer, pointer,
+        ]
+        self._growth_curves.restype = ctypes.c_int
+
+    def mst_batch(
+        self, points: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted MST edges ``(us, vs, squared_lengths)``, ``(B, n - 1)`` each.
+
+        ``points`` is a ``(B, n, d)`` batch with ``B >= 1`` and ``n >= 2``
+        whose coordinates :func:`takes` accepted.
+        """
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        batch, n, dimension = points.shape
+        if n < 2:
+            raise ValueError(f"a frame needs at least two nodes, got {n}")
+        us = np.empty((batch, n - 1), dtype=np.int64)
+        vs = np.empty((batch, n - 1), dtype=np.int64)
+        lengths = np.empty((batch, n - 1), dtype=np.float64)
+        status = self._mst_batch(
+            _pointer(points), batch, n, dimension,
+            _pointer(us), _pointer(vs), _pointer(lengths),
+        )
+        if status:
+            raise MemoryError("native MST kernel could not allocate its scratch")
+        return us, vs, lengths
+
+    def growth_curves(
+        self, us: np.ndarray, vs: np.ndarray, lengths: np.ndarray, n: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The sweep over ``(B, n - 1)`` sorted MST edges, ``n >= 2``.
+
+        Returns ``(critical_ranges, curve_offsets, curve_ranges,
+        curve_sizes)`` with the dtypes of
+        :class:`~repro.simulation.results.FrameStatisticsColumns`.
+        """
+        us = np.ascontiguousarray(us, dtype=np.int64)
+        vs = np.ascontiguousarray(vs, dtype=np.int64)
+        lengths = np.ascontiguousarray(lengths, dtype=np.float64)
+        batch = us.shape[0]
+        if n < 2 or not us.shape == vs.shape == lengths.shape == (batch, n - 1):
+            raise ValueError(
+                f"expected (B, {n - 1}) edge arrays, got {us.shape}, "
+                f"{vs.shape} and {lengths.shape}"
+            )
+        critical = np.empty(batch, dtype=np.float64)
+        offsets = np.empty(batch + 1, dtype=np.int64)
+        ranges = np.empty(batch * (n - 1), dtype=np.float64)
+        sizes = np.empty(batch * (n - 1), dtype=np.int64)
+        status = self._growth_curves(
+            _pointer(us), _pointer(vs), _pointer(lengths), batch, n,
+            _pointer(critical), _pointer(offsets), _pointer(ranges), _pointer(sizes),
+        )
+        if status == 2:
+            raise ValueError(f"an MST edge endpoint lies outside [0, {n})")
+        if status:
+            raise MemoryError("native growth-curve sweep could not allocate its scratch")
+        total = int(offsets[-1])
+        return critical, offsets, ranges[:total].copy(), sizes[:total].copy()
+
+
+def takes(points: np.ndarray) -> bool:
+    """``True`` when every coordinate is finite and below :data:`COORDINATE_LIMIT`.
+
+    One reduction over the batch; NaN fails the comparison.
+    """
+    return points.size == 0 or bool(np.abs(points).max() < COORDINATE_LIMIT)
+
+
+def compiler() -> Optional[str]:
+    """The first of :data:`COMPILERS` on ``PATH``, or ``None``."""
+    for name in COMPILERS:
+        found = shutil.which(name)
+        if found:
+            return found
+    return None
+
+
+def library_path(command: str) -> Path:
+    """Where the library the compiler ``command`` builds from the source lives.
+
+    ``$XDG_CACHE_HOME/repro/native/``, or ``~/.cache/repro/native/``.
+    """
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    for part in (command, *FLAGS, platform.machine()):
+        digest.update(b"\0" + part.encode())
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return Path(cache) / "repro" / "native" / f"repro_native-{digest.hexdigest()}.so"
+
+
+def _safe_directory(directory: Path) -> None:
+    """Create ``directory`` (mode 0700) and refuse one others can write."""
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    status = directory.stat()
+    if status.st_uid != os.getuid():
+        raise OSError(f"{directory} is owned by another user")
+    if status.st_mode & 0o022:
+        raise OSError(f"{directory} is writable by group or others")
+
+
+def _build(command: str, target: Path) -> None:
+    """Compile the source into ``target`` through a temporary file."""
+    descriptor, temporary = tempfile.mkstemp(
+        prefix=".build-", suffix=".so", dir=target.parent
+    )
+    os.close(descriptor)
+    try:
+        completed = subprocess.run(
+            [command, *FLAGS, "-o", temporary, str(SOURCE), "-lm"],
+            capture_output=True, text=True, timeout=120,
+        )
+        if completed.returncode != 0:
+            raise OSError(
+                f"{command} exited {completed.returncode}: {completed.stderr.strip()}"
+            )
+        os.replace(temporary, target)
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+
+
+def _open() -> NativeLibrary:
+    command = compiler()
+    if command is None:
+        raise OSError(f"no C compiler on PATH (tried {', '.join(COMPILERS)})")
+    path = library_path(command)
+    _safe_directory(path.parent)
+    if not path.exists():
+        _build(command, path)
+    return NativeLibrary(path)
+
+
+def load() -> Optional[NativeLibrary]:
+    """The native library, built on first use; ``None`` means the NumPy lane.
+
+    The outcome is kept for the life of the process, and forked children
+    inherit it.  A failure warns once and counts one ``native.fallbacks``.
+    """
+    global _LIBRARY
+    if _LIBRARY is _UNSET:
+        _LIBRARY = _try_open()
+    return _LIBRARY
+
+
+def _try_open() -> Optional[NativeLibrary]:
+    try:
+        return _open()
+    except (OSError, subprocess.SubprocessError, AttributeError) as error:
+        from repro import telemetry
+
+        warnings.warn(
+            f"native kernel unavailable, using the NumPy lane: {error}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        telemetry.metrics.counter("native.fallbacks").add(1)
+        return None

@@ -17,15 +17,19 @@ Both modes are vectorized end to end: mobility trajectories are produced as
 batched ``(steps, n, d)`` arrays (see :meth:`repro.mobility.base.
 MobilityModel.trajectory` — the paper's waypoint and drunkard models both
 override it, so no paper configuration falls back to the per-step Python
-loop), each frame is reduced through the sorted MST edges of
-:func:`repro.connectivity.critical_range.minimum_spanning_edges`, so only
-``n - 1`` union-find operations — not one per ``O(n^2)`` candidate edge —
-run in Python per frame, and the per-frame outputs are accumulated into the
-columnar containers of :mod:`repro.simulation.results`
+loop), each batch of frames is reduced through its sorted MST edges
+(:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`),
+so only ``n - 1`` union-find operations — not one per ``O(n^2)``
+candidate edge — run per frame, and the per-frame outputs are
+accumulated into the columnar containers of :mod:`repro.simulation.results`
 (:class:`~repro.simulation.results.StepColumns` /
 :class:`~repro.simulation.results.FrameStatisticsColumns`), which ship
 between worker processes as a handful of arrays instead of one pickled
-dataclass per step.  The pre-vectorization reduction is kept as
+dataclass per step.  The MST kernel and the union-find sweep each run
+in C when :mod:`repro.connectivity.native` loads, and in NumPy and
+Python otherwise, with bit-identical results.  The single-frame
+:func:`component_growth_curve` stays Python only, and the
+pre-vectorization reduction is kept as
 :func:`component_growth_curve_reference` for property tests and the
 micro-benchmark in ``benchmarks/bench_parallel_scaling.py``.
 """
@@ -36,6 +40,7 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from repro.connectivity import native
 from repro.connectivity.critical_range import (
     minimum_spanning_edges,
     minimum_spanning_edges_batch,
@@ -114,9 +119,10 @@ def _curve_from_sorted_mst_edges(
 ) -> Tuple[Tuple[float, int], ...]:
     """Union-find sweep over sorted MST edges, emitting growth breakpoints.
 
-    This runs once per simulated frame over plain Python lists, so the
-    union-find is inlined (path halving, union by size) rather than paying
-    a method call per edge.
+    This runs once per frame over plain Python lists, so the union-find is
+    inlined (path halving, union by size) rather than paying a method call
+    per edge.  ``repro_growth_curves`` in ``connectivity/native.c`` ports
+    it rule for rule; change both together.
     """
     parent = list(range(n))
     size = [1] * n
@@ -204,12 +210,18 @@ def frame_statistics_columns(frames: np.ndarray) -> FrameStatisticsColumns:
 
     Bit-identical to calling :func:`frame_statistics` on each frame, but the
     MST construction runs batched across all frames
-    (:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`),
-    so the per-frame Python cost is one ``n - 1``-edge sweep instead of a
-    full Prim loop, and the breakpoints land directly in the flattened
-    columns of :class:`~repro.simulation.results.FrameStatisticsColumns`
-    (no per-step objects are materialised).  This is the per-frame hot path
+    (:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`)
+    and the union-find sweep over each frame's ``n - 1`` sorted edges
+    writes its breakpoints straight into the flattened columns of
+    :class:`~repro.simulation.results.FrameStatisticsColumns` (no
+    per-step objects are materialised).  This is the per-frame hot path
     of both simulation modes.
+
+    The sweep has two lanes with the same output, as the kernel does: the
+    native one (:mod:`repro.connectivity.native`) whenever its library
+    loads and the coordinates are finite and below
+    ``native.COORDINATE_LIMIT``, otherwise
+    :func:`_growth_curve_columns_numpy`.
     """
     points = np.asarray(frames, dtype=float)
     if points.ndim != 3:
@@ -226,6 +238,32 @@ def frame_statistics_columns(frames: np.ndarray) -> FrameStatisticsColumns:
             curve_sizes=np.empty(0, dtype=np.int64),
         )
     all_us, all_vs, all_lengths = minimum_spanning_edges_batch(points)
+    library = native.load()
+    if library is not None and batch and native.takes(points):
+        columns = library.growth_curves(all_us, all_vs, all_lengths, n)
+    else:
+        columns = _growth_curve_columns_numpy(all_us, all_vs, all_lengths, n)
+    critical_ranges, offsets, curve_ranges, curve_sizes = columns
+    return FrameStatisticsColumns(
+        node_count=n,
+        critical_ranges=critical_ranges,
+        curve_offsets=offsets,
+        curve_ranges=curve_ranges,
+        curve_sizes=curve_sizes,
+    )
+
+
+def _growth_curve_columns_numpy(
+    all_us: np.ndarray, all_vs: np.ndarray, all_lengths: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The NumPy lane's sweep (plain Python) over ``(B, n - 1)`` sorted MST edges.
+
+    Returns ``(critical_ranges, curve_offsets, curve_ranges,
+    curve_sizes)``: :func:`_curve_from_sorted_mst_edges` per frame, each
+    frame's critical range its last breakpoint.  It is the fallback of the
+    native lane and its parity reference.
+    """
+    batch = all_us.shape[0]
     critical_ranges = np.empty(batch)
     offsets = np.empty(batch + 1, dtype=np.int64)
     offsets[0] = 0
@@ -240,12 +278,11 @@ def frame_statistics_columns(frames: np.ndarray) -> FrameStatisticsColumns:
             flat_sizes.append(breakpoint_size)
         offsets[index + 1] = len(flat_ranges)
         critical_ranges[index] = curve[-1][0] if curve else 0.0
-    return FrameStatisticsColumns(
-        node_count=n,
-        critical_ranges=critical_ranges,
-        curve_offsets=offsets,
-        curve_ranges=np.array(flat_ranges),
-        curve_sizes=np.array(flat_sizes, dtype=np.int64),
+    return (
+        critical_ranges,
+        offsets,
+        np.array(flat_ranges),
+        np.array(flat_sizes, dtype=np.int64),
     )
 
 

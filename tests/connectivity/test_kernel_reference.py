@@ -12,6 +12,9 @@ here against an independent computation:
 * the critical ranges against a Kruskal sweep over every pair;
 * the batched reduction against the single-frame one, and its readings
   at a range against the communication graph built at that range.
+
+Every test runs on both lanes of the batched kernel and sweep (the
+``kernel_lane`` fixture): the native C one and the NumPy fallback.
 """
 
 import math
@@ -36,6 +39,8 @@ from repro.geometry.distance import (
 )
 from repro.graph.union_find import UnionFind
 from repro.simulation.engine import frame_statistics, frame_statistics_columns
+
+pytestmark = pytest.mark.usefixtures("kernel_lane")
 
 DIMENSIONS = [1, 2, 3, 4]
 

@@ -11,6 +11,9 @@ here:
   tied and zero distances;
 * the kernel's memory is ``O(B * n)``: one paper-scale batch peaks well
   below what a single ``(B, n, n)`` stack would take.
+
+Every test runs on both lanes of the kernel (the ``kernel_lane``
+fixture): the native C one and the NumPy fallback.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +29,8 @@ from repro.connectivity.critical_range import (
     minimum_spanning_edges,
     minimum_spanning_edges_batch,
 )
+
+pytestmark = pytest.mark.usefixtures("kernel_lane")
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,0 +1,325 @@
+"""The native lane of the batched MST kernel and growth-curve sweep.
+
+:mod:`repro.connectivity.native` must be an execution detail:
+
+* each entry point returns exactly the NumPy lane's arrays, bit for bit
+  and dtype for dtype, on uniform and tie-heavy integer-grid frames,
+  float32, integer and non-contiguous inputs;
+* a batch with a coordinate that is not finite, or of magnitude at least
+  ``COORDINATE_LIMIT``, never reaches the C code and gives exactly the
+  NumPy lane's output;
+* without a compiler, or with a cache that fails to build, load or pass
+  the ownership check, the process warns once, counts one
+  ``native.fallbacks`` (which reaches ``campaign report``) and keeps the
+  NumPy lane's results.
+
+The build tests point ``XDG_CACHE_HOME`` at a temporary directory.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import telemetry
+from repro.cli import main
+from repro.connectivity import native
+from repro.connectivity.critical_range import (
+    _minimum_spanning_edges_batch_numpy,
+    minimum_spanning_edges_batch,
+)
+from repro.simulation.engine import (
+    _growth_curve_columns_numpy,
+    frame_statistics_columns,
+)
+from repro.telemetry import report
+
+requires_compiler = pytest.mark.skipif(
+    native.compiler() is None, reason="no C compiler on PATH"
+)
+
+TINY_CAMPAIGN = """
+name = "native-fallback"
+experiments = ["fig2"]
+scale = "smoke"
+
+[overrides]
+sides = [256.0]
+steps = 8
+iterations = 1
+stationary_iterations = 15
+seed = 5
+"""
+
+
+@st.composite
+def frame_batches(draw):
+    """``(B, n, d)`` frames of every shape, dtype and layout the lanes take."""
+    n = draw(st.integers(min_value=2, max_value=128))
+    dimension = draw(st.integers(min_value=0, max_value=3))
+    batch = draw(st.sampled_from([1, 2, 5, 16]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = (batch, n, dimension)
+    grid_side = draw(st.sampled_from([None, 2, 3, 6]))
+    if grid_side is None:
+        frames = rng.random(shape) * 100.0
+    else:  # coincident nodes and tied edge lengths
+        frames = rng.integers(0, grid_side, size=shape).astype(float)
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    frames = frames.astype(dtype)
+    layout = draw(st.sampled_from(["contiguous", "reversed", "fortran"]))
+    if layout == "reversed":
+        frames = frames[:, ::-1]
+    elif layout == "fortran":
+        frames = np.asfortranarray(frames)
+    return frames
+
+
+def assert_same_arrays(observed, expected):
+    assert len(observed) == len(expected)
+    for observed_array, expected_array in zip(observed, expected):
+        assert observed_array.dtype == expected_array.dtype
+        assert observed_array.shape == expected_array.shape
+        assert observed_array.tobytes() == expected_array.tobytes()
+
+
+def column_arrays(columns):
+    return (
+        columns.critical_ranges,
+        columns.curve_offsets,
+        columns.curve_ranges,
+        columns.curve_sizes,
+    )
+
+
+def numpy_lane_columns(frames):
+    with mock.patch.object(native, "load", return_value=None):
+        return frame_statistics_columns(frames)
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    """A loader that has not run yet, over an empty cache in ``tmp_path``.
+
+    Returns the library's cache directory (not created yet).
+    """
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_LIBRARY", native._UNSET)
+    telemetry.metrics.drain()
+    return tmp_path / "cache" / "repro" / "native"
+
+
+def fallbacks() -> float:
+    return telemetry.metrics.drain().get("native.fallbacks", {}).get("value", 0)
+
+
+class TestParity:
+    @settings(max_examples=60, deadline=None)
+    @given(frames=frame_batches())
+    def test_the_kernel_lanes_agree_bit_for_bit(self, native_library, frames):
+        expected = _minimum_spanning_edges_batch_numpy(np.asarray(frames, dtype=np.float64))
+        assert_same_arrays(native_library.mst_batch(frames), expected)
+        assert_same_arrays(minimum_spanning_edges_batch(frames), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frames=frame_batches())
+    def test_the_sweep_lanes_agree_bit_for_bit(self, native_library, frames):
+        n = frames.shape[1]
+        edges = _minimum_spanning_edges_batch_numpy(np.asarray(frames, dtype=np.float64))
+        expected = _growth_curve_columns_numpy(*edges, n)
+        assert_same_arrays(native_library.growth_curves(*edges, n), expected)
+        observed = frame_statistics_columns(frames)
+        assert observed.node_count == n
+        assert_same_arrays(column_arrays(observed), expected)
+
+    def test_the_public_functions_take_the_native_lane(self, native_library):
+        frames = np.random.default_rng(7).random((4, 30, 2)) * 100.0
+        with mock.patch.object(
+            native.NativeLibrary, "mst_batch", autospec=True,
+            side_effect=native.NativeLibrary.mst_batch,
+        ) as kernel, mock.patch.object(
+            native.NativeLibrary, "growth_curves", autospec=True,
+            side_effect=native.NativeLibrary.growth_curves,
+        ) as sweep:
+            frame_statistics_columns(frames)
+        assert kernel.call_count == sweep.call_count == 1
+
+    @pytest.mark.parametrize("n", [2, 33, 128])
+    def test_an_empty_batch(self, native_library, n):
+        frames = np.zeros((0, n, 2))
+        assert_same_arrays(
+            column_arrays(frame_statistics_columns(frames)),
+            column_arrays(numpy_lane_columns(frames)),
+        )
+
+
+class TestLibraryChecks:
+    def test_a_frame_of_one_node_is_refused(self, native_library):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            native_library.mst_batch(np.zeros((3, 1, 2)))
+
+    def test_edge_arrays_of_the_wrong_shape_are_refused(self, native_library):
+        us, vs, lengths = native_library.mst_batch(np.random.default_rng(1).random((3, 6, 2)))
+        with pytest.raises(ValueError, match="edge arrays"):
+            native_library.growth_curves(us, vs, lengths[:, :-1], 6)
+        with pytest.raises(ValueError, match="edge arrays"):
+            native_library.growth_curves(us, vs, lengths, 7)
+
+    def test_a_failed_scratch_allocation_raises_memory_error(
+        self, native_library, monkeypatch
+    ):
+        frames = np.random.default_rng(1).random((3, 6, 2))
+        us, vs, lengths = native_library.mst_batch(frames)
+        monkeypatch.setattr(native_library, "_mst_batch", lambda *args: 1)
+        monkeypatch.setattr(native_library, "_growth_curves", lambda *args: 1)
+        with pytest.raises(MemoryError):
+            native_library.mst_batch(frames)
+        with pytest.raises(MemoryError):
+            native_library.growth_curves(us, vs, lengths, 6)
+
+    @pytest.mark.parametrize("endpoint", [-1, 6])
+    def test_an_edge_endpoint_out_of_range_is_refused(self, native_library, endpoint):
+        us, vs, lengths = native_library.mst_batch(np.random.default_rng(1).random((3, 6, 2)))
+        vs[2, 4] = endpoint
+        with pytest.raises(ValueError, match="outside"):
+            native_library.growth_curves(us, vs, lengths, 6)
+
+
+class TestInputsTheCLaneRefuses:
+    @pytest.mark.parametrize(
+        "value",
+        [np.nan, np.inf, -np.inf, 1e200, -1e200, native.COORDINATE_LIMIT],
+        ids=["nan", "inf", "-inf", "1e200", "-1e200", "limit"],
+    )
+    def test_they_run_the_numpy_lane_end_to_end(self, native_library, value):
+        frames = np.random.default_rng(3).random((5, 12, 2)) * 100.0
+        frames[2, 7, 1] = value
+        assert not native.takes(frames)
+        refuse = mock.Mock(side_effect=AssertionError("the C lane ran"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected_edges = _minimum_spanning_edges_batch_numpy(frames)
+            expected_columns = numpy_lane_columns(frames)
+            with mock.patch.object(native.NativeLibrary, "mst_batch", refuse), \
+                    mock.patch.object(native.NativeLibrary, "growth_curves", refuse):
+                edges = minimum_spanning_edges_batch(frames)
+                columns = frame_statistics_columns(frames)
+        assert_same_arrays(edges, expected_edges)
+        assert_same_arrays(column_arrays(columns), column_arrays(expected_columns))
+
+    def test_the_largest_coordinate_below_the_limit_is_taken(self):
+        frames = np.zeros((1, 3, 2))
+        frames[0, 1, 0] = -np.nextafter(native.COORDINATE_LIMIT, 0.0)
+        assert native.takes(frames)
+
+
+class TestBuildAndFallback:
+    def test_no_compiler_warns_once_and_counts_one_fallback(
+        self, fresh_loader, tmp_path, monkeypatch
+    ):
+        (tmp_path / "bin").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        frames = np.random.default_rng(11).integers(0, 4, size=(6, 20, 2)).astype(float)
+        with pytest.warns(RuntimeWarning, match="no C compiler") as caught:
+            columns = frame_statistics_columns(frames)
+            again = frame_statistics_columns(frames)
+        assert len(caught) == 1
+        assert fallbacks() == 1
+        edges = _minimum_spanning_edges_batch_numpy(frames)
+        expected = _growth_curve_columns_numpy(*edges, 20)
+        assert_same_arrays(column_arrays(columns), expected)
+        assert_same_arrays(column_arrays(again), expected)
+        assert not fresh_loader.exists()
+
+    @requires_compiler
+    def test_two_processes_building_at_once_leave_one_library(self, tmp_path):
+        source_root = Path(native.__file__).resolve().parents[2]
+        env = dict(
+            os.environ,
+            XDG_CACHE_HOME=str(tmp_path / "cache"),
+            PYTHONPATH=str(source_root),
+        )
+        code = (
+            "import warnings; warnings.simplefilter('error')\n"
+            "from repro.connectivity import native\n"
+            "assert native.load() is not None\n"
+        )
+        processes = [
+            subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(2)
+        ]
+        assert [process.wait(timeout=120) for process in processes] == [0, 0]
+        entries = os.listdir(tmp_path / "cache" / "repro" / "native")
+        assert len(entries) == 1
+        assert entries[0].startswith("repro_native-") and entries[0].endswith(".so")
+
+    @requires_compiler
+    def test_a_build_creates_a_private_directory(self, fresh_loader):
+        assert native.load() is not None
+        assert fresh_loader.stat().st_mode & 0o777 == 0o700
+        assert [path.name for path in fresh_loader.iterdir()] == [
+            native.library_path(native.compiler()).name
+        ]
+
+    @requires_compiler
+    @pytest.mark.parametrize("mode", [0o770, 0o707], ids=["group", "world"])
+    def test_a_directory_others_can_write_is_refused(self, fresh_loader, mode):
+        fresh_loader.mkdir(parents=True)
+        fresh_loader.chmod(mode)
+        with pytest.warns(RuntimeWarning, match="writable by group or others"):
+            assert native.load() is None
+        assert fallbacks() == 1
+        assert not list(fresh_loader.iterdir())
+
+    @requires_compiler
+    def test_a_directory_of_another_user_is_refused(self, fresh_loader, monkeypatch):
+        uid = os.getuid()
+        monkeypatch.setattr(native.os, "getuid", lambda: uid + 1)
+        with pytest.warns(RuntimeWarning, match="owned by another user"):
+            assert native.load() is None
+        assert not list(fresh_loader.iterdir())
+
+    @requires_compiler
+    def test_a_library_that_fails_to_load_falls_back(self, fresh_loader):
+        path = native.library_path(native.compiler())
+        fresh_loader.mkdir(mode=0o700, parents=True)
+        path.write_bytes(b"not a shared library")
+        with pytest.warns(RuntimeWarning, match="native kernel unavailable"):
+            assert native.load() is None
+        assert fallbacks() == 1
+
+    @requires_compiler
+    def test_a_failed_build_falls_back_and_leaves_no_temporary(
+        self, fresh_loader, tmp_path, monkeypatch
+    ):
+        broken = tmp_path / "native.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setattr(native, "SOURCE", broken)
+        with pytest.warns(RuntimeWarning, match="exited"):
+            assert native.load() is None
+        assert fallbacks() == 1
+        assert not list(fresh_loader.iterdir())
+
+    def test_fallbacks_reach_the_campaign_report(
+        self, fresh_loader, tmp_path, monkeypatch, capsys
+    ):
+        (tmp_path / "bin").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        spec = tmp_path / "spec.toml"
+        spec.write_text(TINY_CAMPAIGN)
+        store = tmp_path / "store"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["campaign", "run", str(spec), "--store", str(store), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report", "--store", str(store)]) == 0
+        assert "native.fallbacks" in capsys.readouterr().out
+        built = report.load_or_build_report(report.latest_run_dir(store / "telemetry"))
+        assert built["metrics"]["native.fallbacks"]["value"] >= 1

@@ -1,4 +1,5 @@
-"""Tests for repro.simulation.engine."""
+"""Tests for repro.simulation.engine, on both lanes of the batched MST
+kernel and growth-curve sweep (the ``kernel_lane`` fixture)."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from repro.simulation.engine import (
     simulate_frame_statistics,
     simulate_iteration,
 )
+
+pytestmark = pytest.mark.usefixtures("kernel_lane")
 
 
 class TestComponentGrowthCurve:
