@@ -5,11 +5,10 @@ Two questions are answered mechanically here:
 * how does ``sweep_parameter(..., workers=...)`` scale the wall-clock time
   of a real figure sweep (and is the parallel sweep still exactly equal to
   the serial one);
-* how much smaller do the columnar result containers
-  (:class:`repro.simulation.results.StepColumns` /
-  :class:`~repro.simulation.results.FrameStatisticsColumns`) pickle than
-  the per-step object lists they replaced — the payload that crosses
-  the worker-process boundary and the store codecs.
+* how much smaller does the columnar result container
+  (:class:`repro.simulation.results.FrameStatisticsColumns`) pickle than
+  the per-frame object list it replaced — the payload that crosses the
+  worker-process boundary and the store codecs.
 
 The workload size follows ``REPRO_BENCH_SCALE`` (``smoke`` by default).
 Speedup assertions only engage when the machine actually has multiple
@@ -26,8 +25,8 @@ import pytest
 from repro.experiments.figures import SystemSizeMeasure
 from repro.experiments.registry import ExperimentScale
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
-from repro.simulation.results import FrameStatistics, StepRecord
-from repro.simulation.runner import collect_frame_statistics, run_fixed_range
+from repro.simulation.results import FrameStatistics
+from repro.simulation.runner import collect_frame_statistics
 from repro.simulation.sweep import sweep_parameter
 
 from _helpers import bench_scale_name, write_bench_summary
@@ -119,37 +118,17 @@ def _payload_config() -> SimulationConfig:
         steps=steps,
         iterations=1,
         seed=20020623,
-        transmitting_range=0.18 * side,
     )
 
 
 def test_pickled_payload_sizes():
-    """Columnar containers must beat the object lists they replaced.
+    """The columnar container must beat the object list it replaced.
 
-    The fixed-range records (one bool + one component size per step) pack
-    >= 10x smaller than pickled ``StepRecord`` dataclasses.  The frame
-    statistics keep their float64 breakpoint ranges bit-exact, so their
-    payload shrinks by the per-object overhead only (the number of pickled
-    *objects* still drops from one per step to a handful of arrays).
+    The frame statistics keep their float64 breakpoint ranges bit-exact,
+    so their payload shrinks by the per-object overhead only (the number
+    of pickled *objects* drops from one per step to a handful of arrays).
     """
     config = _payload_config()
-
-    records = run_fixed_range(config).iterations[0].records
-    record_objects = tuple(
-        StepRecord(step, bool(connected), int(size))
-        for step, (connected, size) in enumerate(
-            zip(records.connected, records.largest_component)
-        )
-    )
-    columnar = len(pickle.dumps(records))
-    objects = len(pickle.dumps(record_objects))
-    step_ratio = objects / columnar
-    print(f"\nfixed-range payload ({config.steps} steps): "
-          f"objects {objects / 1024:.1f} KiB, columnar {columnar / 1024:.1f} KiB, "
-          f"{step_ratio:.1f}x smaller")
-    assert step_ratio >= 10.0, (
-        f"expected >= 10x smaller fixed-range payload, got {step_ratio:.1f}x"
-    )
 
     statistics = collect_frame_statistics(config)[0]
     frame_objects = [
@@ -159,7 +138,7 @@ def test_pickled_payload_sizes():
     columnar = len(pickle.dumps(statistics))
     objects = len(pickle.dumps(frame_objects))
     frame_ratio = objects / columnar
-    print(f"frame-statistics payload ({config.steps} steps): "
+    print(f"\nframe-statistics payload ({config.steps} steps): "
           f"objects {objects / 1024:.1f} KiB, columnar {columnar / 1024:.1f} KiB, "
           f"{frame_ratio:.1f}x smaller")
     assert frame_ratio >= 1.3, (

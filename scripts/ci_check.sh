@@ -14,8 +14,9 @@
 #    scale: the batched MST sweep faster than the dense reference sweep,
 #    with identical curves.
 # 4. The sweep fan-out / columnar payload smoke benchmark must pass at
-#    smoke scale: parallel sweeps exactly equal to serial, fixed-range
-#    result payload >= 10x smaller than the object-list containers.
+#    smoke scale: parallel sweeps exactly equal to serial, and the
+#    frame-statistics payload >= 1.3x smaller pickled than the list of
+#    per-frame objects.
 # 5. The campaign cache benchmark must pass at smoke scale: a warm
 #    re-run is a pure cache hit (zero computed values, >= 5x faster) and
 #    a checkpoint-only store reassembles every sweep without recomputing.
@@ -246,7 +247,8 @@ import math
 import os
 from pathlib import Path
 
-from repro.experiments.figures import CHECKPOINT_MIN_NODE_FRAMES, paper_node_count
+from repro.experiments.figures import CHECKPOINT_MIN_NODE_FRAMES
+from repro.simulation.config import paper_node_count
 
 root = Path(os.environ["FIGURE_RESUME_DIR"])
 side, iterations = 256.0, 3

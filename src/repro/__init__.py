@@ -95,7 +95,6 @@ from repro.simulation import (
     collect_frame_statistics,
     estimate_component_thresholds,
     estimate_thresholds,
-    run_fixed_range,
     stationary_critical_range,
 )
 from repro.stats import make_rng
@@ -159,7 +158,6 @@ __all__ = [
     "observe_placement",
     "range_for_connectivity_1d",
     "record_trace",
-    "run_fixed_range",
     "savings_table",
     "stationary_critical_range",
     "uniform_placement",

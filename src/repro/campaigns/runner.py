@@ -467,27 +467,3 @@ class CampaignRunner:
         # side effect but are not store entries; they don't count.
         self.store.clear_staging()
         return removed
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    store: ResultStore,
-    resume: bool = True,
-    total_workers: int = 1,
-    max_retries: Optional[int] = None,
-    task_timeout: Optional[float] = None,
-    retry_backoff: Optional[float] = None,
-    telemetry: Optional[bool] = None,
-    progress: Optional[Callable[[ProgressEvent], None]] = None,
-) -> CampaignResult:
-    """One-call convenience wrapper around :class:`CampaignRunner`."""
-    runner = CampaignRunner(
-        spec,
-        store,
-        total_workers=total_workers,
-        max_retries=max_retries,
-        task_timeout=task_timeout,
-        retry_backoff=retry_backoff,
-        telemetry=telemetry,
-    )
-    return runner.run(resume=resume, progress=progress)

@@ -16,11 +16,14 @@ variable is unset), under a file name carrying a sha256 of the source,
 the compiler command and its flags, and the machine type; stdlib
 :mod:`ctypes` loads it.  Concurrent first uses (forked pool workers
 on a cold cache) each compile to a temporary name and ``os.replace`` it
-into place.  The loader runs the code it finds there, so it refuses a
-cache directory that is group- or world-writable or owned by another
-user.  With no compiler, a failed build or a failed load, the process
-warns once (:class:`RuntimeWarning`), adds 1 to the ``native.fallbacks``
-telemetry counter and keeps the NumPy lane: only speed is lost.
+into place.  After a build, the cache keeps the :data:`KEEP_LIBRARIES`
+newest libraries by mtime (several checkouts may share it) and drops
+build temporaries a killed compiler left behind.  The loader runs the
+code it finds there, so it refuses a cache directory that is group- or
+world-writable or owned by another user.  With no compiler, a failed
+build or a failed load, the process warns once
+(:class:`RuntimeWarning`), adds 1 to the ``native.fallbacks`` telemetry
+counter and keeps the NumPy lane: only speed is lost.
 
 Nothing here runs at import time; :mod:`ctypes` itself is imported on
 first use.
@@ -34,6 +37,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from typing import Any, Optional, Tuple
@@ -52,6 +56,13 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 #: squared distance is finite (NumPy's argmin returns the first NaN, and a
 #: distance that overflows to inf ties with the tree nodes' inf).
 COORDINATE_LIMIT = 1e150
+#: Libraries the cache keeps after a build, the new one included: the
+#: newest by mtime, so checkouts of other source revisions sharing the
+#: cache keep theirs for a while.
+KEEP_LIBRARIES = 4
+#: Seconds a build may take; a build temporary older than this was left
+#: by a compiler that was killed before its cleanup ran.
+BUILD_TIMEOUT = 120
 
 _UNSET: Any = object()
 #: The loaded library, ``None`` after a failed load, or unset.
@@ -186,7 +197,7 @@ def _build(command: str, target: Path) -> None:
     try:
         completed = subprocess.run(
             [command, *FLAGS, "-o", temporary, str(SOURCE), "-lm"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=BUILD_TIMEOUT,
         )
         if completed.returncode != 0:
             raise OSError(
@@ -206,7 +217,45 @@ def _open() -> NativeLibrary:
     _safe_directory(path.parent)
     if not path.exists():
         _build(command, path)
+        _prune(path)
     return NativeLibrary(path)
+
+
+def _prune(library: Path) -> None:
+    """Remove stale files beside the freshly built ``library``.
+
+    Keeps ``library`` and the ``KEEP_LIBRARIES - 1`` newest other
+    ``repro_native-*.so`` files by mtime, and removes ``.build-*.so``
+    temporaries older than :data:`BUILD_TIMEOUT`.  Only regular files
+    matching those names are touched.  Best effort: an ``OSError`` here
+    must not turn a loadable library into a NumPy-lane fallback.
+    """
+    try:
+        files = [
+            (entry.stat(follow_symlinks=False).st_mtime, entry)
+            for entry in os.scandir(library.parent)
+            if entry.is_file(follow_symlinks=False) and entry.name.endswith(".so")
+        ]
+    except OSError:
+        return
+    others = sorted(
+        (
+            (mtime, entry) for mtime, entry in files
+            if entry.name.startswith("repro_native-") and entry.name != library.name
+        ),
+        key=lambda pair: pair[0],
+        reverse=True,
+    )
+    deadline = time.time() - BUILD_TIMEOUT
+    stale = [entry for _, entry in others[KEEP_LIBRARIES - 1:]] + [
+        entry for mtime, entry in files
+        if entry.name.startswith(".build-") and mtime < deadline
+    ]
+    for entry in stale:
+        try:
+            os.unlink(entry.path)
+        except OSError:
+            pass
 
 
 def load() -> Optional[NativeLibrary]:

@@ -2,8 +2,8 @@
 
 Every experiment here measures exactly what the corresponding paper
 figure plots.  Figures 2–6 share one measure, :class:`SystemSizeMeasure`,
-which runs the expensive part (one trace-statistics simulation per system
-size and mobility model) once and derives all their series from it;
+which runs the expensive part (one frame-statistics simulation per
+system size and mobility model) once and derives all their series from it;
 Figures 7–9 share :class:`ParameterStudyMeasure`.
 
 The measures are module-level dataclasses so parameter values can run in
@@ -15,7 +15,6 @@ identifiers ``fig2`` … ``fig9``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, Optional, Sequence
@@ -25,7 +24,12 @@ from repro.experiments.registry import (
     ExperimentScale,
     register_experiment,
 )
-from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
+from repro.simulation.config import (
+    MobilitySpec,
+    NetworkConfig,
+    SimulationConfig,
+    paper_node_count,
+)
 from repro.simulation.runner import collect_frame_statistics, stationary_critical_range
 from repro.simulation.search import (
     average_component_fraction_at_range,
@@ -46,11 +50,6 @@ from repro.store.keys import scale_payload
 #: and ``default`` presets sits below it and every ``paper`` value
 #: (>= 8 000 000) above it.
 CHECKPOINT_MIN_NODE_FRAMES = 1_000_000
-
-
-def paper_node_count(side: float) -> int:
-    """The paper's system-size scaling ``n = sqrt(l)``."""
-    return max(2, int(round(math.sqrt(side))))
 
 
 def value_iteration_checkpoint(

@@ -22,7 +22,6 @@ from repro.energy.model import EnergyModel
 from repro.energy.savings import savings_table
 from repro.experiments.figures import (
     measure_system_size,
-    paper_node_count,
     scale_iterations,
     value_iteration_checkpoint,
 )
@@ -31,6 +30,7 @@ from repro.experiments.registry import (
     ExperimentScale,
     register_experiment,
 )
+from repro.simulation.config import paper_node_count
 from repro.simulation.runner import stationary_critical_range
 from repro.simulation.sweep import SweepCheckpoint
 

@@ -46,8 +46,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.campaigns.completeness import cell_completeness
 from repro.campaigns.spec import CampaignSpec
-from repro.experiments.figures import paper_node_count
 from repro.experiments.registry import get_experiment
+from repro.simulation.config import paper_node_count
 from repro.simulation.sweep import measure_row
 from repro.store.result_store import StoreIntegrityError
 from repro.telemetry import metrics

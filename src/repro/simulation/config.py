@@ -9,13 +9,14 @@ A run is described by three pieces:
   steps, iterations and the root seed.
 
 The paper's experiment of Section 4.2 corresponds to
-``SimulationConfig.paper_waypoint(side)`` and ``.paper_drunkard(side)``.
+``SimulationConfig.paper_waypoint(side)`` and ``.paper_drunkard(side)``,
+whose node count follows the paper's scaling :func:`paper_node_count`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ConfigurationError
@@ -23,6 +24,11 @@ from repro.geometry.region import Region
 from repro.mobility import model_by_name
 from repro.mobility.base import MobilityModel
 from repro.placement.strategies import PlacementStrategy, placement_by_name
+
+
+def paper_node_count(side: float) -> int:
+    """The paper's system-size scaling ``n = sqrt(l)`` (Section 4.2), at least 2."""
+    return max(2, int(round(math.sqrt(side))))
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,7 @@ class NetworkConfig:
     @classmethod
     def paper_scaling(cls, side: float, dimension: int = 2) -> "NetworkConfig":
         """The paper's system-size scaling ``n = sqrt(l)`` (Section 4.2)."""
-        node_count = max(2, int(round(math.sqrt(side))))
-        return cls(node_count=node_count, side=side, dimension=dimension)
+        return cls(node_count=paper_node_count(side), side=side, dimension=dimension)
 
 
 @dataclass(frozen=True)
@@ -126,11 +131,13 @@ class MobilitySpec:
 class SimulationConfig:
     """Everything needed to reproduce a mobile-connectivity run.
 
-    The iterations of a run execute serially, each on its own child random
-    stream derived from ``seed``; parallelism lives one level up, where
-    parameter values run as independent tasks (see
-    :func:`repro.simulation.sweep.sweep_parameter` and the campaign
-    scheduler).
+    A run fixes no transmitting range: it produces per-frame statistics,
+    and the answer at any range is a query on them (see
+    :mod:`repro.simulation.results`).  The iterations of a run execute
+    serially, each on its own child random stream derived from ``seed``;
+    parallelism lives one level up, where parameter values run as
+    independent tasks (see :func:`repro.simulation.sweep.sweep_parameter`
+    and the campaign scheduler).
     """
 
     network: NetworkConfig
@@ -138,7 +145,6 @@ class SimulationConfig:
     steps: int = 1
     iterations: int = 1
     seed: Optional[int] = None
-    transmitting_range: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -147,20 +153,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"iterations must be at least 1, got {self.iterations}"
             )
-        if self.transmitting_range is not None and self.transmitting_range < 0:
-            raise ConfigurationError(
-                "transmitting_range must be non-negative, got "
-                f"{self.transmitting_range}"
-            )
-
-    @property
-    def is_stationary(self) -> bool:
-        """``True`` when the run has a single step or a stationary model."""
-        return self.steps == 1 or self.mobility.name == "stationary"
-
-    def with_range(self, transmitting_range: float) -> "SimulationConfig":
-        """Copy of this configuration with a different transmitting range."""
-        return replace(self, transmitting_range=transmitting_range)
 
     # Paper presets ------------------------------------------------------ #
     @classmethod

@@ -1,31 +1,27 @@
 """The simulation engine.
 
-Two modes are provided:
+:func:`simulate_frame_statistics` runs one iteration of the Section 4
+simulator: a placement is drawn, a mobility model moves it, and every
+frame is reduced to its exact critical range (the longest MST edge) and
+its component-growth curve (largest component size as a non-decreasing
+step function of the range).  No range is fixed: from those two pieces
+every threshold the paper studies, and the connectivity and
+largest-component size of every frame *at any range*, are recovered
+without re-running mobility, which is how the Figure 2–9 measures stay
+affordable.
 
-* :func:`simulate_iteration` — the paper's simulator: a fixed transmitting
-  range is given, and the engine records at every mobility step whether the
-  communication graph is connected and how large its largest component is.
-* :func:`simulate_frame_statistics` — the trace-statistics mode: no range is
-  fixed; instead every frame is reduced to its exact critical range (the
-  longest MST edge) and its component-growth curve (largest component size
-  as a non-decreasing step function of the range).  From those two pieces
-  every threshold the paper studies can be recovered *for any range*
-  without re-running mobility, which is how the Figure 2–9 benchmarks stay
-  affordable.
-
-Both modes are vectorized end to end: mobility trajectories are produced as
-batched ``(steps, n, d)`` arrays (see :meth:`repro.mobility.base.
+The engine is vectorized end to end: mobility trajectories are produced
+as batched ``(steps, n, d)`` arrays (see :meth:`repro.mobility.base.
 MobilityModel.trajectory` — the paper's waypoint and drunkard models both
 override it, so no paper configuration falls back to the per-step Python
 loop), each batch of frames is reduced through its sorted MST edges
 (:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`),
 so only ``n - 1`` union-find operations — not one per ``O(n^2)``
 candidate edge — run per frame, and the per-frame outputs are
-accumulated into the columnar containers of :mod:`repro.simulation.results`
-(:class:`~repro.simulation.results.StepColumns` /
-:class:`~repro.simulation.results.FrameStatisticsColumns`), which ship
+accumulated into the columnar
+:class:`~repro.simulation.results.FrameStatisticsColumns`, which ships
 between worker processes as a handful of arrays instead of one pickled
-dataclass per step.  The MST kernel and the union-find sweep each run
+object per step.  The MST kernel and the union-find sweep each run
 in C when :mod:`repro.connectivity.native` loads, and in NumPy and
 Python otherwise, with bit-identical results.  The single-frame
 :func:`component_growth_curve` stays Python only, and the
@@ -51,12 +47,7 @@ from repro.geometry.distance import squared_distance_matrix
 from repro.graph.union_find import UnionFind
 from repro.mobility.base import MobilityModel
 from repro.simulation.config import MobilitySpec, NetworkConfig
-from repro.simulation.results import (
-    FrameStatistics,
-    FrameStatisticsColumns,
-    IterationResult,
-    StepColumns,
-)
+from repro.simulation.results import FrameStatistics, FrameStatisticsColumns
 from repro.types import Positions
 
 __all__ = [
@@ -68,7 +59,6 @@ __all__ = [
     "frame_statistics_columns",
     "frames_per_batch",
     "simulate_frame_statistics",
-    "simulate_iteration",
 ]
 
 #: Elements of one ``(B, n)`` working array of the batched MST kernel,
@@ -214,8 +204,8 @@ def frame_statistics_columns(frames: np.ndarray) -> FrameStatisticsColumns:
     and the union-find sweep over each frame's ``n - 1`` sorted edges
     writes its breakpoints straight into the flattened columns of
     :class:`~repro.simulation.results.FrameStatisticsColumns` (no
-    per-step objects are materialised).  This is the per-frame hot path
-    of both simulation modes.
+    per-step objects are materialised).  This is the simulator's
+    per-frame hot path.
 
     The sweep has two lanes with the same output, as the kernel does: the
     native one (:mod:`repro.connectivity.native`) whenever its library
@@ -311,49 +301,6 @@ def _iter_trajectory_batches(
         yield frames
 
 
-def simulate_iteration(
-    network: NetworkConfig,
-    mobility: MobilitySpec,
-    steps: int,
-    transmitting_range: float,
-    rng: np.random.Generator,
-    iteration: int = 0,
-) -> IterationResult:
-    """Run one iteration of the paper's fixed-range simulator.
-
-    A fresh placement is drawn, a fresh mobility model instance is bound to
-    it, and for each of ``steps`` mobility steps (the initial placement
-    counts as step 0, matching the paper's ``#steps = 1`` = stationary
-    convention) the connectivity of the induced graph is recorded.  Each
-    frame is reduced through its MST edges (:func:`frame_statistics`),
-    which answers both "connected?" and "largest component size?" at the
-    fixed range exactly — a graph is connected at ``r`` iff ``r`` reaches
-    its bottleneck MST edge.  The records come back as columnar
-    :class:`~repro.simulation.results.StepColumns` (two arrays per
-    iteration) rather than per-step objects.
-    """
-    region = network.region
-    placement = network.placement_strategy(network.node_count, region, rng)
-    model = mobility.create()
-    model.initialize(placement, region, rng)
-    # Seeded with empties so concatenation never sees an empty list.
-    connected_parts: List[np.ndarray] = [np.empty(0, dtype=bool)]
-    size_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    for batch in _iter_trajectory_batches(model, steps, rng):
-        columns = frame_statistics_columns(batch)
-        connected_parts.append(columns.connected_at(transmitting_range))
-        size_parts.append(columns.largest_component_sizes_at(transmitting_range))
-    return IterationResult(
-        iteration=iteration,
-        node_count=network.node_count,
-        transmitting_range=transmitting_range,
-        records=StepColumns(
-            connected=np.concatenate(connected_parts),
-            largest_component=np.concatenate(size_parts),
-        ),
-    )
-
-
 def simulate_frame_statistics(
     network: NetworkConfig,
     mobility: MobilitySpec,
@@ -363,10 +310,13 @@ def simulate_frame_statistics(
     """Run one mobility iteration and reduce every frame to its statistics.
 
     The returned :class:`~repro.simulation.results.FrameStatisticsColumns`
-    holds one entry per step (step 0 is the initial placement) and behaves
-    as a sequence of :class:`FrameStatistics`.  All range thresholds of the
+    holds one entry per step (step 0 is the initial placement, matching
+    the paper's ``#steps = 1`` = stationary convention) and behaves as a
+    sequence of :class:`FrameStatistics`.  All range thresholds of the
     paper can then be derived with :mod:`repro.simulation.metrics` without
-    re-simulating.  Frames are produced as batched ``(k, n, d)`` trajectory
+    re-simulating, and the paper's fixed-range records at a range ``r``
+    are ``connected_at(r)`` and ``largest_component_sizes_at(r)`` of the
+    result.  Frames are produced as batched ``(k, n, d)`` trajectory
     arrays, so models with a vectorized :meth:`~repro.mobility.base.
     MobilityModel.trajectory` (the stationary, waypoint and drunkard models
     — every model the paper uses) skip the per-step Python overhead.

@@ -14,16 +14,18 @@ configuration run serially in the calling process: the parallel unit of
 work is the parameter value, which the sweep pool, the campaign scheduler
 and the distributed work queue each run as one task.
 
-Results come back in the columnar containers of
-:mod:`repro.simulation.results` (:class:`~repro.simulation.results.
-StepColumns` per fixed-range iteration, :class:`~repro.simulation.results.
-FrameStatisticsColumns` per trace-statistics iteration), so a 10 000-step
-iteration is a handful of NumPy arrays instead of 10 000 per-step
-dataclasses.
+Each iteration comes back as one columnar
+:class:`~repro.simulation.results.FrameStatisticsColumns`, so a
+10 000-step iteration is a handful of NumPy arrays instead of 10 000
+per-step objects.  A fixed-range question (is step ``i`` connected at
+``r``, how large is its largest component) is a query on those columns:
+:meth:`~repro.simulation.results.FrameStatisticsColumns.connected_at` and
+:meth:`~repro.simulation.results.FrameStatisticsColumns.
+largest_component_sizes_at`.
 
 Per-iteration checkpointing
 ---------------------------
-Both runners accept a *checkpoint* implementing the
+:func:`collect_frame_statistics` accepts a *checkpoint* implementing the
 :class:`IterationCheckpoint` protocol.  Iterations whose results
 ``load(index)`` returns are not simulated again, and every freshly
 simulated iteration is handed to ``save(index, result)`` the moment it
@@ -49,7 +51,7 @@ of one mobile trajectory.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TypeVar
+from typing import List, Optional
 
 import numpy as np
 
@@ -62,85 +64,34 @@ from repro.simulation.engine import (
     frame_statistics_columns,
     frames_per_batch,
     simulate_frame_statistics,
-    simulate_iteration,
 )
 from repro.simulation.metrics import range_for_connectivity_fraction
-from repro.simulation.results import IterationResult, MobileRunResult
 from repro.stats.rng import RandomSource
-
-ResultT = TypeVar("ResultT")
 
 
 class IterationCheckpoint:
     """Protocol of a per-iteration checkpoint (duck-typed).
 
-    ``load`` returns the previously simulated result of iteration
-    ``index`` — a :class:`~repro.simulation.results.StepColumns` for
-    fixed-range runs, a :class:`FrameStatisticsColumns` for
-    trace-statistics runs — or ``None`` when the iteration must be
-    (re)simulated; ``save`` persists one freshly simulated iteration.
-    Both are called in the process running the iterations, in index
-    order.
+    ``load`` returns the previously simulated
+    :class:`FrameStatisticsColumns` of iteration ``index``, or ``None``
+    when the iteration must be (re)simulated; ``save`` persists one
+    freshly simulated iteration.  Both are called in the process running
+    the iterations, in index order.
     """
 
-    def load(self, index: int) -> Optional[object]:  # pragma: no cover
-        raise NotImplementedError
+    def load(self, index: int) -> Optional[FrameStatisticsColumns]:
+        raise NotImplementedError  # pragma: no cover
 
-    def save(self, index: int, result: object) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
-class _FixedRangeCheckpoint:
-    """Adapter persisting only each iteration's :class:`StepColumns`.
-
-    The surrounding :class:`~repro.simulation.results.IterationResult` is
-    pure configuration (index, node count, range) and is rebuilt from the
-    config on load, so the store only ever holds the columnar containers
-    the codecs already understand.
-    """
-
-    def __init__(self, checkpoint: IterationCheckpoint, config: SimulationConfig) -> None:
-        self._checkpoint = checkpoint
-        self._config = config
-
-    def load(self, index: int) -> Optional[IterationResult]:
-        records = self._checkpoint.load(index)
-        if records is None:
-            return None
-        return IterationResult(
-            iteration=index,
-            node_count=self._config.network.node_count,
-            transmitting_range=self._config.transmitting_range,
-            records=records,
-        )
-
-    def save(self, index: int, result: IterationResult) -> None:
-        self._checkpoint.save(index, result.records)
-
-
-def _fixed_range_iteration(
-    index: int, config: SimulationConfig, entropy: int
-) -> IterationResult:
-    """Run fixed-range iteration ``index`` on its own child stream."""
-    faults.fire("iteration", context=f"iteration={index}")
-    with telemetry.span("iteration", index=index, mode="fixed"):
-        rng = RandomSource.from_entropy(entropy).child(index)
-        return simulate_iteration(
-            network=config.network,
-            mobility=config.mobility,
-            steps=config.steps,
-            transmitting_range=config.transmitting_range,
-            rng=rng,
-            iteration=index,
-        )
+    def save(self, index: int, result: FrameStatisticsColumns) -> None:
+        raise NotImplementedError  # pragma: no cover
 
 
 def _frame_statistics_iteration(
     index: int, config: SimulationConfig, entropy: int
 ) -> FrameStatisticsColumns:
-    """Run trace-statistics iteration ``index`` on its own child stream."""
+    """Run iteration ``index`` on its own child stream."""
     faults.fire("iteration", context=f"iteration={index}")
-    with telemetry.span("iteration", index=index, mode="stats"):
+    with telemetry.span("iteration", index=index):
         rng = RandomSource.from_entropy(entropy).child(index)
         return simulate_frame_statistics(
             network=config.network,
@@ -150,76 +101,27 @@ def _frame_statistics_iteration(
         )
 
 
-def _map_iterations(
-    task: Callable[[int, SimulationConfig, int], ResultT],
-    config: SimulationConfig,
-    checkpoint: Optional[IterationCheckpoint] = None,
-) -> List[ResultT]:
-    """Run every iteration index in order and return the results.
-
-    With a ``checkpoint``, previously saved iterations are loaded instead
-    of simulated and fresh ones are saved as soon as they complete, so a
-    killed run loses at most the iteration in progress.
-    """
-    entropy = RandomSource(config.seed).entropy
-    results: List[ResultT] = []
-    for index in range(config.iterations):
-        result = checkpoint.load(index) if checkpoint is not None else None
-        if result is None:
-            result = task(index, config, entropy)
-            if checkpoint is not None:
-                checkpoint.save(index, result)
-        results.append(result)
-    return results
-
-
-def run_fixed_range(
-    config: SimulationConfig,
-    checkpoint: Optional[IterationCheckpoint] = None,
-) -> MobileRunResult:
-    """Run the paper's simulator: fixed range, all iterations.
-
-    With a ``checkpoint``, each iteration's
-    :class:`~repro.simulation.results.StepColumns` is persisted as it
-    completes and loaded instead of resimulated on the next run.
-
-    Raises:
-        ConfigurationError: if ``config.transmitting_range`` is not set.
-    """
-    if config.transmitting_range is None:
-        raise ConfigurationError(
-            "run_fixed_range requires config.transmitting_range to be set; "
-            "use collect_frame_statistics / estimate_thresholds to derive ranges"
-        )
-    adapter = (
-        _FixedRangeCheckpoint(checkpoint, config)
-        if checkpoint is not None
-        else None
-    )
-    iterations = _map_iterations(_fixed_range_iteration, config, checkpoint=adapter)
-    return MobileRunResult(
-        transmitting_range=config.transmitting_range,
-        node_count=config.network.node_count,
-        iterations=tuple(iterations),
-    )
-
-
 def collect_frame_statistics(
     config: SimulationConfig,
     checkpoint: Optional[IterationCheckpoint] = None,
 ) -> List[FrameStatisticsColumns]:
-    """Run all iterations in trace-statistics mode.
+    """Run every iteration and return one :class:`FrameStatisticsColumns` each.
 
-    Returns one columnar sequence of :class:`FrameStatistics` per
-    iteration.  The random
-    streams are the same as :func:`run_fixed_range` uses for the same seed,
-    so thresholds derived from these statistics are consistent with
-    fixed-range runs on the same configuration.  With a per-iteration
-    ``checkpoint``, each iteration's :class:`FrameStatisticsColumns` is
-    persisted as it completes and saved iterations resume without
-    resimulation.
+    Iterations run in index order.  With a ``checkpoint``, previously
+    saved iterations are loaded instead of simulated and fresh ones are
+    saved as soon as they complete, so a killed run loses at most the
+    iteration in progress.
     """
-    return _map_iterations(_frame_statistics_iteration, config, checkpoint=checkpoint)
+    entropy = RandomSource(config.seed).entropy
+    results: List[FrameStatisticsColumns] = []
+    for index in range(config.iterations):
+        result = checkpoint.load(index) if checkpoint is not None else None
+        if result is None:
+            result = _frame_statistics_iteration(index, config, entropy)
+            if checkpoint is not None:
+                checkpoint.save(index, result)
+        results.append(result)
+    return results
 
 
 def stationary_critical_range(

@@ -8,25 +8,27 @@ fraction 0.9, 0.75, 0.5), each averaged over the simulation iterations.
 
 :func:`estimate_thresholds` and :func:`estimate_component_thresholds`
 compute exactly those averages from per-iteration frame statistics; the
-companion ``*_from_statistics`` variants accept pre-computed statistics so
-one expensive mobility run can feed every figure.
+companion ``*_from_statistics`` variants accept pre-computed statistics
+(one :class:`~repro.simulation.results.FrameStatisticsColumns` per
+iteration) so one expensive mobility run can feed every figure.  The
+Figures 7–9 parameter studies run through
+:class:`repro.experiments.figures.ParameterStudyMeasure`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.exceptions import SearchError
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import FrameStatistics
-from repro.simulation.results import pool_frame_statistics
 from repro.simulation.metrics import (
     average_largest_fraction_at,
     range_for_component_fraction,
     range_for_connectivity_fraction,
     range_for_no_connectivity,
 )
+from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.runner import collect_frame_statistics
 
 
@@ -79,7 +81,7 @@ def _average(values: Sequence[float]) -> float:
 
 
 def estimate_thresholds_from_statistics(
-    per_iteration: Sequence[Sequence[FrameStatistics]],
+    per_iteration: Sequence[FrameStatisticsColumns],
     fractions: Sequence[float] = (1.0, 0.9, 0.1),
 ) -> MobilityThresholds:
     """Compute connectivity-time thresholds from pre-computed statistics.
@@ -115,7 +117,7 @@ def estimate_thresholds(config: SimulationConfig) -> MobilityThresholds:
 
 
 def estimate_component_thresholds_from_statistics(
-    per_iteration: Sequence[Sequence[FrameStatistics]],
+    per_iteration: Sequence[FrameStatisticsColumns],
     fractions: Sequence[float] = (0.9, 0.75, 0.5),
 ) -> ComponentThresholds:
     """Compute ``rl90``, ``rl75``, ``rl50`` from pre-computed statistics."""
@@ -141,7 +143,7 @@ def estimate_component_thresholds(config: SimulationConfig) -> ComponentThreshol
 
 
 def average_component_fraction_at_range(
-    per_iteration: Sequence[Sequence[FrameStatistics]], transmitting_range: float
+    per_iteration: Sequence[FrameStatisticsColumns], transmitting_range: float
 ) -> float:
     """Average largest-component fraction at a range, across all iterations.
 
@@ -150,38 +152,5 @@ def average_component_fraction_at_range(
     ranges ``r90``, ``r10`` and ``r0``.
     """
     return average_largest_fraction_at(
-        pool_frame_statistics(per_iteration), transmitting_range
+        FrameStatisticsColumns.concatenate(per_iteration), transmitting_range
     )
-
-
-def r100_for_parameter(
-    make_config,
-    parameter_values: Sequence[float],
-    reference_range: Optional[float] = None,
-):
-    """Helper for Figures 7–9: ``r100`` (optionally over a reference) as one
-    parameter varies.
-
-    Args:
-        make_config: callable mapping a parameter value to a
-            :class:`SimulationConfig`.
-        parameter_values: the values to sweep.
-        reference_range: if given, the returned values are ratios
-            ``r100 / reference_range``; otherwise raw ``r100`` values.
-
-    Returns:
-        A list of ``(parameter_value, r100_or_ratio)`` pairs.
-    """
-    results = []
-    for value in parameter_values:
-        config = make_config(value)
-        thresholds = estimate_thresholds(config)
-        r100 = thresholds.r100
-        if reference_range is not None:
-            if reference_range <= 0:
-                raise SearchError(
-                    f"reference range must be positive, got {reference_range}"
-                )
-            r100 = r100 / reference_range
-        results.append((value, r100))
-    return results

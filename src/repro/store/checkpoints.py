@@ -9,12 +9,11 @@ rows.
 
 Below the value rows sits a second granularity:
 :class:`StoreIterationCheckpoint` persists the individual simulation
-iterations *inside* one parameter value (the columnar
-:class:`~repro.simulation.results.FrameStatisticsColumns` /
-:class:`~repro.simulation.results.StepColumns` containers, through the
-codecs that already exist for them), keyed by the sweep payload + the
-value + the iteration index under their own artifact kind — disjoint from
-the value-row key space by construction.  A paper-scale value killed at
+iterations *inside* one parameter value (one columnar
+:class:`~repro.simulation.results.FrameStatisticsColumns` each, through
+its codec), keyed by the sweep payload + the value + the iteration index
+under their own artifact kind — disjoint from the value-row key space by
+construction.  A paper-scale value killed at
 iteration ``k`` of 50 therefore resumes at iteration ``k``, not at the
 start of the value.  Once a value's row lands, its iteration entries are
 subsumed (the row is what every future resume reads) and are evicted to
@@ -134,7 +133,9 @@ class StoreIterationCheckpoint(_DegradationState):
         """The checkpointed iteration result, or ``None`` to resimulate.
 
         Corrupt entries are quarantined with provenance and reported as
-        misses, like the value-row checkpoint.
+        misses, like the value-row checkpoint.  That covers a payload
+        whose arrays disagree with each other, which the codec refuses
+        to decode.
         """
         if index in self._memory:
             self.loaded += 1

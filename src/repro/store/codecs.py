@@ -4,10 +4,13 @@ Each supported result type has a *kind* string, an encoder producing the
 payload file name plus its bytes, and a decoder reconstructing an equal
 object.  Tabular artifacts (sweeps, per-value checkpoint rows) are stored
 as JSON — human-diffable and exact for Python floats, whose ``repr`` round-
-trips bit-identically.  The columnar containers reuse the compact packed
-transport PR 2 built for process boundaries (one bit per connectivity
-flag, minimal integer widths, float64 breakpoints untouched) inside a
-``.npz`` archive.
+trips bit-identically.  The one columnar artifact, a simulation
+iteration's :class:`~repro.simulation.results.FrameStatisticsColumns`,
+uses the compact transport of its pickle (minimal integer widths, float64
+breakpoints untouched) inside a ``.npz`` archive.  Its decoder checks that
+the arrays agree with each other before building the container, so a
+truncated or inconsistent payload fails to decode (and the store
+quarantines it) instead of loading as a value that breaks its readers.
 
 :data:`SCHEMA_VERSION` is the single on-disk format version shared by the
 store and the plain :func:`repro.experiments.io.save_sweep` artifacts; it
@@ -24,11 +27,7 @@ from typing import Any, Callable, Dict, NamedTuple, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.results import (
-    FrameStatisticsColumns,
-    StepColumns,
-    compact_ints,
-)
+from repro.simulation.results import FrameStatisticsColumns, compact_ints
 from repro.simulation.sweep import SweepResult
 
 #: On-disk schema version of every persisted artifact.  Version 0 is the
@@ -87,23 +86,6 @@ def _read_npz(payload: bytes) -> Dict[str, np.ndarray]:
         return {name: archive[name] for name in archive.files}
 
 
-def _encode_step_columns(columns: StepColumns) -> bytes:
-    return _npz_bytes(
-        count=np.int64(len(columns)),
-        connected_bits=np.packbits(columns.connected),
-        largest_component=compact_ints(columns.largest_component),
-    )
-
-
-def _decode_step_columns(payload: bytes) -> StepColumns:
-    arrays = _read_npz(payload)
-    count = int(arrays["count"])
-    return StepColumns(
-        connected=np.unpackbits(arrays["connected_bits"], count=count).astype(bool),
-        largest_component=arrays["largest_component"],
-    )
-
-
 def _encode_frame_columns(columns: FrameStatisticsColumns) -> bytes:
     return _npz_bytes(
         node_count=np.int64(columns.node_count),
@@ -116,13 +98,57 @@ def _encode_frame_columns(columns: FrameStatisticsColumns) -> bytes:
 
 def _decode_frame_columns(payload: bytes) -> FrameStatisticsColumns:
     arrays = _read_npz(payload)
+    node_count = int(arrays["node_count"])
+    _check_frame_columns(node_count, arrays)
     return FrameStatisticsColumns(
-        node_count=int(arrays["node_count"]),
+        node_count=node_count,
         critical_ranges=arrays["critical_ranges"],
         curve_offsets=arrays["curve_offsets"],
         curve_ranges=arrays["curve_ranges"],
         curve_sizes=arrays["curve_sizes"],
     )
+
+
+def _check_frame_columns(node_count: int, arrays: Dict[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` unless the decoded arrays form one container.
+
+    Every array is 1-D and the offsets and sizes are integers; the offsets
+    start at 0, never decrease, have one entry per frame plus one and end
+    at the shared length of the curve columns; every size lies in
+    ``[1, node_count]``.  The check runs here, once per stored iteration,
+    and not in the constructor, which the engine calls once per batch.
+    """
+    critical_ranges = arrays["critical_ranges"]
+    offsets = arrays["curve_offsets"]
+    ranges = arrays["curve_ranges"]
+    sizes = arrays["curve_sizes"]
+    if any(array.ndim != 1 for array in (critical_ranges, offsets, ranges, sizes)):
+        raise ValueError("every frame-statistics array must be 1-D")
+    if offsets.dtype.kind not in "iu" or sizes.dtype.kind not in "iu":
+        raise ValueError("curve_offsets and curve_sizes must hold integers")
+    if offsets.shape[0] != critical_ranges.shape[0] + 1:
+        raise ValueError(
+            f"{offsets.shape[0]} curve_offsets for "
+            f"{critical_ranges.shape[0]} frames; expected one more"
+        )
+    if ranges.shape != sizes.shape:
+        raise ValueError(
+            f"curve_ranges has {ranges.shape[0]} breakpoints but "
+            f"curve_sizes {sizes.shape[0]}"
+        )
+    offsets = offsets.astype(np.int64)
+    if offsets[0] != 0 or offsets[-1] != ranges.shape[0]:
+        raise ValueError(
+            f"curve_offsets run from {offsets[0]} to {offsets[-1]}, "
+            f"not from 0 to {ranges.shape[0]}"
+        )
+    if (np.diff(offsets) < 0).any():
+        raise ValueError("curve_offsets decrease")
+    if sizes.size and (sizes.min() < 1 or sizes.max() > node_count):
+        raise ValueError(
+            f"curve_sizes span [{sizes.min()}, {sizes.max()}], "
+            f"outside [1, {node_count}]"
+        )
 
 
 #: Kind -> codec.  Order matters for :func:`detect_kind` (dict rows would
@@ -139,12 +165,6 @@ CODECS: Dict[str, Codec] = {
         filename="data.npz",
         encode=_encode_frame_columns,
         decode=_decode_frame_columns,
-    ),
-    "step_columns": Codec(
-        matches=lambda value: isinstance(value, StepColumns),
-        filename="data.npz",
-        encode=_encode_step_columns,
-        decode=_decode_step_columns,
     ),
     "sweep-row": Codec(
         matches=lambda value: isinstance(value, dict),

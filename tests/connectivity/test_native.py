@@ -11,7 +11,10 @@
 * without a compiler, or with a cache that fails to build, load or pass
   the ownership check, the process warns once, counts one
   ``native.fallbacks`` (which reaches ``campaign report``) and keeps the
-  NumPy lane's results.
+  NumPy lane's results;
+* a build prunes the cache to the ``KEEP_LIBRARIES`` newest libraries
+  and drops build temporaries older than ``BUILD_TIMEOUT``, touching
+  nothing else, and a failed removal costs nothing but the removal.
 
 The build tests point ``XDG_CACHE_HOME`` at a temporary directory.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -323,3 +327,83 @@ class TestBuildAndFallback:
         assert "native.fallbacks" in capsys.readouterr().out
         built = report.load_or_build_report(report.latest_run_dir(store / "telemetry"))
         assert built["metrics"]["native.fallbacks"]["value"] >= 1
+
+
+@requires_compiler
+class TestCachePruning:
+    @staticmethod
+    def plant(directory, name, age):
+        """A file ``name`` last modified ``age`` seconds ago."""
+        path = directory / name
+        path.write_bytes(b"stale")
+        stamp = time.time() - age
+        os.utime(path, (stamp, stamp))
+        return path
+
+    def plant_libraries(self, directory, count):
+        """``count`` libraries of other source revisions, newest first."""
+        directory.mkdir(mode=0o700, parents=True)
+        return [
+            self.plant(
+                directory, f"repro_native-{index:064x}.so", 1000.0 * (index + 1)
+            )
+            for index in range(count)
+        ]
+
+    def test_a_build_keeps_the_newest_libraries_and_nothing_stale(
+        self, fresh_loader
+    ):
+        libraries = self.plant_libraries(fresh_loader, native.KEEP_LIBRARIES + 2)
+        killed = self.plant(
+            fresh_loader, ".build-killed.so", native.BUILD_TIMEOUT + 60.0
+        )
+        kept = [
+            self.plant(fresh_loader, name, 1e6)
+            for name in ("notes.txt", "other.so", "repro_native-old.so.bak")
+        ]
+        (fresh_loader / "repro_native-directory.so").mkdir()
+        (fresh_loader / "repro_native-link.so").symlink_to(libraries[-1])
+        assert native.load() is not None
+        built = native.library_path(native.compiler()).name
+        assert sorted(os.listdir(fresh_loader)) == sorted([
+            built,
+            *(path.name for path in libraries[:native.KEEP_LIBRARIES - 1]),
+            *(path.name for path in kept),
+            "repro_native-directory.so",
+            "repro_native-link.so",
+        ])
+        assert not killed.exists()
+
+    def test_a_fresh_build_temporary_is_kept(self, fresh_loader):
+        self.plant_libraries(fresh_loader, 0)
+        in_flight = self.plant(fresh_loader, ".build-in-flight.so", 5.0)
+        killed = self.plant(
+            fresh_loader, ".build-killed.so", native.BUILD_TIMEOUT + 1.0
+        )
+        assert native.load() is not None
+        assert in_flight.exists()
+        assert not killed.exists()
+
+    def test_an_unlink_failure_still_loads_the_c_lane(
+        self, fresh_loader, monkeypatch
+    ):
+        libraries = self.plant_libraries(fresh_loader, native.KEEP_LIBRARIES + 1)
+        unlink = os.unlink
+
+        def refuse_in_cache(path, *args, **kwargs):
+            if Path(path).parent == fresh_loader:
+                raise PermissionError(f"refused: {path}")
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(native.os, "unlink", refuse_in_cache)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            library = native.load()
+        assert library is not None
+        assert fallbacks() == 0
+        assert all(path.exists() for path in libraries)
+        frames = np.random.default_rng(5).random((3, 9, 2))
+        assert_same_arrays(
+            column_arrays(frame_statistics_columns(frames)),
+            column_arrays(numpy_lane_columns(frames)),
+        )

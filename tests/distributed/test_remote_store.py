@@ -8,6 +8,7 @@ narrowness of the route table are exercised for real, not mocked.
 
 import gzip
 import hashlib
+import io
 import json
 import socket
 import statistics
@@ -22,7 +23,7 @@ from repro.distributed import server as server_module
 from repro.distributed.remote_store import RemoteStoreError
 from repro.distributed.server import KIND_HEADER, METADATA_HEADER, SHA_HEADER
 from repro.exceptions import ConfigurationError
-from repro.simulation.results import FrameStatisticsColumns, StepColumns
+from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.sweep import SweepResult
 from repro.store import ResultStore, StoreIntegrityError, StoreSweepCheckpoint
 from repro.store.codecs import encode_payload
@@ -36,13 +37,6 @@ def make_sweep():
     return SweepResult(
         parameter_name="l",
         rows=[{"l": 256.0, "r100": 1.2000000000000002}, {"l": 1024.0, "r100": 1.25}],
-    )
-
-
-def make_step_columns():
-    return StepColumns(
-        connected=np.array([True, False, True]),
-        largest_component=np.array([9, 4, 9]),
     )
 
 
@@ -66,8 +60,8 @@ def served(tmp_path):
 class TestRoundTrips:
     @pytest.mark.parametrize(
         "value",
-        [make_sweep(), make_step_columns(), make_frame_columns(), {"l": 1.0, "r": 2.5}],
-        ids=["sweep", "steps", "frames", "row"],
+        [make_sweep(), make_frame_columns(), {"l": 1.0, "r": 2.5}],
+        ids=["sweep", "frames", "row"],
     )
     def test_all_codec_kinds_round_trip(self, served, value):
         _, remote = served
@@ -180,6 +174,55 @@ class TestIntegrity:
         )
         assert status == 422
         assert not local.contains(key)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"curve_sizes": np.array([4, 9])},
+            {"curve_sizes": np.array([4, 30, 9])},
+            {"curve_sizes": np.array([0, 9, 9])},
+            {"curve_offsets": np.array([1, 2, 3])},
+            {"curve_offsets": np.array([0, 3, 2])},
+            {"curve_offsets": np.array([0, 2, 2])},
+            {"curve_offsets": np.array([0.0, 2.0, 3.0])},
+            {"critical_ranges": np.array([[1.5], [2.25]])},
+        ],
+        ids=[
+            "sizes-cut-short", "size-above-node-count", "size-zero",
+            "offsets-not-from-zero", "offsets-decrease", "offsets-end-short",
+            "offsets-not-integers", "ranges-2d",
+        ],
+    )
+    def test_server_rejects_inconsistent_frame_statistics(self, served, edit):
+        # Intact bytes whose arrays disagree with each other: the server's
+        # decode refuses them with 422 and writes nothing.
+        local, remote = served
+        columns = make_frame_columns()
+        arrays = {
+            "node_count": np.int64(columns.node_count),
+            "critical_ranges": columns.critical_ranges,
+            "curve_offsets": columns.curve_offsets,
+            "curve_ranges": columns.curve_ranges,
+            "curve_sizes": columns.curve_sizes,
+            **edit,
+        }
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **arrays)
+        payload = buffer.getvalue()
+        key = key_of("inconsistent-iteration")
+        status, _, answer = remote._request(
+            "PUT",
+            f"/objects/{key}",
+            body=payload,
+            headers={
+                KIND_HEADER: "frame_statistics",
+                SHA_HEADER: hashlib.sha256(payload).hexdigest(),
+            },
+        )
+        assert status == 422
+        assert "undecodable" in json.loads(answer)["error"]
+        assert not local.contains(key)
+        assert len(local) == 0
 
     def test_client_verifies_downloaded_digest(self, served):
         # Corrupt the payload on disk *without* touching the header —

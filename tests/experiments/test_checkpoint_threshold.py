@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro import faults
+from repro.campaigns.runner import scenario_payload
 from repro.experiments import figures
 from repro.experiments.figures import (
     CHECKPOINT_MIN_NODE_FRAMES,
@@ -20,8 +21,11 @@ from repro.experiments.figures import (
     SystemSizeMeasure,
     parameter_study_values,
 )
-from repro.experiments.registry import scale_by_name
+from repro.experiments.registry import get_experiment, scale_by_name
 from repro.faults import FaultSpec, InjectedFault
+from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
+from repro.simulation.results import FrameStatisticsColumns
+from repro.simulation.runner import collect_frame_statistics
 from repro.store import ResultStore, StoreSweepCheckpoint
 
 PARAMETERS = ("pstationary", "tpause", "vmax_fraction")
@@ -194,3 +198,51 @@ class TestResumeAboveTheConstant:
         assert iterations.loaded == killed_after
         assert iterations.saved == self.ITERATIONS - killed_after
         assert resumed == reference
+
+    def test_an_inconsistent_iteration_entry_is_quarantined_and_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        """A stored iteration whose ``curve_sizes`` was cut short fails to
+        decode: the resumed value recomputes it, equals ``Experiment.run``
+        and leaves the entry quarantined."""
+        experiment = get_experiment("fig2")
+        scale = replace(
+            scale_by_name("smoke"),
+            sides=(256.0,),
+            steps=6,
+            iterations=self.ITERATIONS,
+            stationary_iterations=5,
+        )
+        reference = experiment.run(scale)
+        (value,) = experiment.sweep_values(scale)
+
+        monkeypatch.setattr(figures, "CHECKPOINT_MIN_NODE_FRAMES", 1)
+        store = ResultStore(tmp_path / "store")
+        checkpoint = StoreSweepCheckpoint(
+            store,
+            scenario_payload(experiment, scale),
+            iterations=experiment.checkpoint_iterations(scale),
+        )
+        (first,) = collect_frame_statistics(SimulationConfig(
+            network=NetworkConfig(node_count=16, side=value),
+            mobility=MobilitySpec.paper_waypoint(value),
+            steps=scale.steps,
+            iterations=1,
+            seed=scale.seed,
+        ))
+        key = checkpoint.iteration_checkpoint(value).key_for(0)
+        store.put(key, FrameStatisticsColumns(
+            node_count=first.node_count,
+            critical_ranges=first.critical_ranges,
+            curve_offsets=first.curve_offsets,
+            curve_ranges=first.curve_ranges,
+            curve_sizes=first.curve_sizes[:-1],
+        ))
+
+        recording = _Recording(checkpoint)
+        row = experiment.measure_for(scale, recording)(value)
+        (iterations,) = recording.handed
+        assert iterations.loaded == 0
+        assert iterations.saved == self.ITERATIONS
+        assert {experiment.parameter_name: value, **row} == reference.rows[0]
+        assert store.quarantined_entries() == [key]

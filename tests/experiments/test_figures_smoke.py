@@ -7,8 +7,9 @@ paper's claims live in tests/integration/ and in the benchmarks.
 
 import pytest
 
-from repro.experiments.figures import measure_system_size, paper_node_count
+from repro.experiments.figures import measure_system_size
 from repro.experiments.registry import ExperimentScale, get_experiment
+from repro.simulation.config import paper_node_count
 
 #: A scale even smaller than the "smoke" preset, for unit-test speed.
 TINY = ExperimentScale(

@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.bounds_1d import critical_product_1d
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.simulation.metrics import range_for_connectivity_fraction
+from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.runner import (
     collect_frame_statistics,
     stationary_critical_range,
@@ -173,7 +174,7 @@ class TestTheorem5Scaling:
                 seed=SEED,
             )
             statistics = collect_frame_statistics(config)
-            pooled = [frame for frames in statistics for frame in frames]
+            pooled = FrameStatisticsColumns.concatenate(statistics)
             r99 = range_for_connectivity_fraction(pooled, 0.99)
             ratios.append(r99 * n / critical_product_1d(side))
         # The ratio is bounded and does not blow up or vanish with l.

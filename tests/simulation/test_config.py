@@ -1,12 +1,19 @@
 """Tests for repro.simulation.config."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.mobility.drunkard import DrunkardModel
 from repro.mobility.stationary import StationaryModel
 from repro.mobility.waypoint import RandomWaypointModel
-from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
+from repro.simulation.config import (
+    MobilitySpec,
+    NetworkConfig,
+    SimulationConfig,
+    paper_node_count,
+)
 
 
 class TestNetworkConfig:
@@ -22,6 +29,13 @@ class TestNetworkConfig:
 
     def test_paper_scaling_small_side(self):
         assert NetworkConfig.paper_scaling(256.0).node_count == 16
+
+    @pytest.mark.parametrize("side", [1.0, 3.0, 256.0, 1000.0, 4096.0, 16384.0])
+    def test_paper_scaling_is_the_paper_node_count(self, side):
+        assert NetworkConfig.paper_scaling(side).node_count == paper_node_count(side)
+        assert SimulationConfig.paper_waypoint(
+            side, steps=1, iterations=1
+        ).network.node_count == paper_node_count(side)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -70,25 +84,18 @@ class TestSimulationConfig:
         config = SimulationConfig(network=NetworkConfig(node_count=5, side=10.0))
         assert config.steps == 1
         assert config.iterations == 1
-        assert config.is_stationary
+        assert config.mobility == MobilitySpec.stationary()
+        assert config.seed is None
 
-    def test_is_stationary_detection(self):
-        network = NetworkConfig(node_count=5, side=10.0)
-        mobile = SimulationConfig(
-            network=network, mobility=MobilitySpec.paper_drunkard(10.0), steps=10
-        )
-        assert not mobile.is_stationary
-        single_step = SimulationConfig(
-            network=network, mobility=MobilitySpec.paper_drunkard(10.0), steps=1
-        )
-        assert single_step.is_stationary
-
-    def test_with_range(self):
-        config = SimulationConfig(network=NetworkConfig(node_count=5, side=10.0))
-        updated = config.with_range(3.0)
-        assert updated.transmitting_range == 3.0
-        assert config.transmitting_range is None
-        assert updated.network is config.network
+    def test_fields_describe_the_run_and_fix_no_range(self):
+        assert [field.name for field in dataclasses.fields(SimulationConfig)] == [
+            "network", "mobility", "steps", "iterations", "seed",
+        ]
+        with pytest.raises(TypeError):
+            SimulationConfig(
+                network=NetworkConfig(node_count=5, side=10.0),
+                transmitting_range=3.0,
+            )
 
     def test_validation(self):
         network = NetworkConfig(node_count=5, side=10.0)
@@ -96,8 +103,6 @@ class TestSimulationConfig:
             SimulationConfig(network=network, steps=0)
         with pytest.raises(ConfigurationError):
             SimulationConfig(network=network, iterations=0)
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(network=network, transmitting_range=-1.0)
 
     def test_paper_presets(self):
         waypoint = SimulationConfig.paper_waypoint(1024.0, steps=50, iterations=2, seed=1)

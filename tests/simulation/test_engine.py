@@ -13,7 +13,6 @@ from repro.simulation.engine import (
     frame_statistics,
     frame_statistics_columns,
     simulate_frame_statistics,
-    simulate_iteration,
 )
 
 pytestmark = pytest.mark.usefixtures("kernel_lane")
@@ -77,52 +76,54 @@ class TestFrameStatisticsColumns:
             assert statistics == frame_statistics(frame)
 
 
-class TestSimulateIteration:
+class TestFixedRangeRecords:
+    """The paper's per-step records at a fixed range, read off the columns."""
+
     def _network(self):
         return NetworkConfig(node_count=12, side=100.0, dimension=2)
 
     def test_record_count(self, rng):
-        result = simulate_iteration(
-            self._network(), MobilitySpec.paper_drunkard(100.0), steps=15,
-            transmitting_range=30.0, rng=rng,
+        columns = simulate_frame_statistics(
+            self._network(), MobilitySpec.paper_drunkard(100.0), steps=15, rng=rng
         )
-        assert result.step_count == 15
-        assert result.node_count == 12
-        assert result.transmitting_range == 30.0
+        assert len(columns) == 15
+        assert columns.node_count == 12
+        assert columns.connected_at(30.0).shape == (15,)
+        assert columns.largest_component_sizes_at(30.0).shape == (15,)
 
     def test_stationary_records_identical(self, rng):
-        result = simulate_iteration(
-            self._network(), MobilitySpec.stationary(), steps=5,
-            transmitting_range=30.0, rng=rng,
+        columns = simulate_frame_statistics(
+            self._network(), MobilitySpec.stationary(), steps=5, rng=rng
         )
-        states = {
-            (record.connected, record.largest_component_size)
-            for record in result.records
-        }
+        states = set(
+            zip(
+                columns.connected_at(30.0).tolist(),
+                columns.largest_component_sizes_at(30.0).tolist(),
+            )
+        )
         assert len(states) == 1
 
     def test_huge_range_always_connected(self, rng):
-        result = simulate_iteration(
-            self._network(), MobilitySpec.paper_drunkard(100.0), steps=10,
-            transmitting_range=1000.0, rng=rng,
+        columns = simulate_frame_statistics(
+            self._network(), MobilitySpec.paper_drunkard(100.0), steps=10, rng=rng
         )
-        assert result.connected_fraction == 1.0
+        assert columns.connected_at(1000.0).all()
+        assert columns.largest_component_sizes_at(1000.0).tolist() == [12] * 10
 
     def test_zero_range_never_connected(self, rng):
-        result = simulate_iteration(
-            self._network(), MobilitySpec.paper_drunkard(100.0), steps=10,
-            transmitting_range=0.0, rng=rng,
+        columns = simulate_frame_statistics(
+            self._network(), MobilitySpec.paper_drunkard(100.0), steps=10, rng=rng
         )
-        assert result.connected_fraction == 0.0
-        assert result.minimum_largest_component == 1
+        assert not columns.connected_at(0.0).any()
+        assert columns.largest_component_sizes_at(0.0).min() == 1
 
     def test_zero_steps_yields_empty_records(self, rng):
-        result = simulate_iteration(
-            self._network(), MobilitySpec.paper_drunkard(100.0), steps=0,
-            transmitting_range=30.0, rng=rng,
+        columns = simulate_frame_statistics(
+            self._network(), MobilitySpec.paper_drunkard(100.0), steps=0, rng=rng
         )
-        assert result.step_count == 0
-        assert result.connected_fraction == 0.0
+        assert len(columns) == 0
+        assert columns.connected_at(30.0).size == 0
+        assert columns.largest_component_sizes_at(30.0).size == 0
 
 
 class TestSimulateFrameStatistics:
@@ -135,21 +136,17 @@ class TestSimulateFrameStatistics:
         assert all(s.node_count == 10 for s in stats)
 
     def test_consistent_with_fixed_range_run(self):
-        """Thresholds derived from frame statistics must agree with direct
-        fixed-range simulation on the same random stream."""
+        """The vectorized fixed-range queries agree with every frame's own
+        step function at that range."""
         network = NetworkConfig(node_count=10, side=100.0)
         mobility = MobilitySpec.paper_drunkard(100.0)
-        steps = 20
         stats = simulate_frame_statistics(
-            network, mobility, steps, np.random.default_rng(55)
+            network, mobility, 20, np.random.default_rng(55)
         )
-        radius = 40.0
-        fraction_from_stats = sum(
-            1 for s in stats if s.is_connected_at(radius)
-        ) / len(stats)
-        direct = simulate_iteration(
-            network, mobility, steps, radius, np.random.default_rng(55)
-        )
-        assert fraction_from_stats == pytest.approx(direct.connected_fraction)
-        sizes_from_stats = [s.largest_component_size_at(radius) for s in stats]
-        assert sizes_from_stats == [r.largest_component_size for r in direct.records]
+        for radius in (0.0, 20.0, 40.0, 200.0):
+            assert stats.connected_at(radius).tolist() == [
+                s.is_connected_at(radius) for s in stats
+            ]
+            assert stats.largest_component_sizes_at(radius).tolist() == [
+                s.largest_component_size_at(radius) for s in stats
+            ]

@@ -1,13 +1,14 @@
 """The engine's outputs for every mobility model against per-frame references.
 
-:func:`~repro.simulation.engine.simulate_frame_statistics` and
-:func:`~repro.simulation.engine.simulate_iteration` draw a placement, move
-it with a mobility model and reduce every frame through the batched MST
-kernel.  Here the same placement and trajectory are rebuilt by hand from
-the same seed and each frame is reduced on its own: by
-:func:`~repro.simulation.engine.frame_statistics` (the single-frame
-kernel) and by :func:`~repro.connectivity.metrics.observe_placement` (the
-communication graph built at the range).  Real trajectories bring what
+:func:`~repro.simulation.engine.simulate_frame_statistics` draws a
+placement, moves it with a mobility model and reduces every frame through
+the batched MST kernel.  Here the same placement and trajectory are
+rebuilt by hand from the same seed and each frame is reduced on its own:
+by :func:`~repro.simulation.engine.frame_statistics` (the single-frame
+kernel), and, for the fixed-range queries ``connected_at`` and
+``largest_component_sizes_at``, by
+:func:`~repro.connectivity.metrics.observe_placement` (the communication
+graph built at the range).  Real trajectories bring what
 random frames rarely do: paused and pinned nodes, repeated frames and
 nodes clamped onto the region's walls.
 
@@ -23,11 +24,7 @@ import pytest
 from repro.connectivity.critical_range import critical_range
 from repro.connectivity.metrics import observe_placement
 from repro.simulation.config import MobilitySpec, NetworkConfig
-from repro.simulation.engine import (
-    frame_statistics,
-    simulate_frame_statistics,
-    simulate_iteration,
-)
+from repro.simulation.engine import frame_statistics, simulate_frame_statistics
 from repro.simulation.runner import stationary_critical_range
 from repro.stats.rng import RandomSource
 
@@ -95,14 +92,13 @@ def test_fixed_range_records_equal_the_graph_at_that_range(name, quantile):
     # One frame's exact critical range, where rounding would show first.
     ranges = np.array([critical_range(frame) for frame in frames])
     radius = float(np.quantile(ranges, quantile, method="lower"))
-    result = simulate_iteration(
-        network, MOBILITY[name], STEPS, radius, np.random.default_rng(17)
+    columns = simulate_frame_statistics(
+        network, MOBILITY[name], STEPS, np.random.default_rng(17)
     )
-    records = result.records
-    assert len(records.connected) == len(records.largest_component) == STEPS
-    for frame, connected, largest in zip(
-        frames, records.connected, records.largest_component
-    ):
+    flags = columns.connected_at(radius)
+    sizes = columns.largest_component_sizes_at(radius)
+    assert len(flags) == len(sizes) == STEPS
+    for frame, connected, largest in zip(frames, flags, sizes):
         observation = observe_placement(frame, radius)
         assert connected == observation.connected
         assert largest == observation.largest_component_size

@@ -4,28 +4,42 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SearchError
-from repro.simulation.engine import frame_statistics
+from repro.simulation.engine import frame_statistics, frame_statistics_columns
 from repro.simulation.metrics import (
     average_largest_fraction_at,
-    connectivity_fraction_at,
-    largest_component_size_at,
-    minimum_largest_fraction_at,
     range_for_component_fraction,
     range_for_connectivity_fraction,
     range_for_no_connectivity,
 )
+from repro.simulation.results import FrameStatisticsColumns
+
+NO_FRAMES = FrameStatisticsColumns.concatenate([])
 
 
 @pytest.fixture
 def frames(rng):
-    """Frame statistics of 30 random placements of 15 nodes."""
+    """Frame statistics of 30 random placements of 15 nodes, as the engine
+    reduces them: one batched call, checked against the per-frame
+    references."""
     placements = [rng.uniform(0, 100, size=(15, 2)) for _ in range(30)]
-    return [frame_statistics(p) for p in placements]
+    columns = frame_statistics_columns(np.stack(placements))
+    assert columns == FrameStatisticsColumns.from_frames(
+        frame_statistics(p) for p in placements
+    )
+    return columns
+
+
+def connected_fraction(frames, radius):
+    return float(frames.connected_at(radius).mean())
+
+
+def minimum_fraction(frames, radius):
+    return float(frames.largest_component_sizes_at(radius).min()) / frames.node_count
 
 
 class TestPointwiseMetrics:
     def test_connectivity_fraction_monotone(self, frames):
-        fractions = [connectivity_fraction_at(frames, r) for r in (0, 20, 40, 80, 200)]
+        fractions = [connected_fraction(frames, r) for r in (0, 20, 40, 80, 200)]
         assert fractions == sorted(fractions)
         assert fractions[0] == 0.0
         assert fractions[-1] == 1.0
@@ -37,34 +51,30 @@ class TestPointwiseMetrics:
 
     def test_zero_range_values(self, frames):
         assert average_largest_fraction_at(frames, 0.0) == pytest.approx(1 / 15)
-        assert minimum_largest_fraction_at(frames, 0.0) == pytest.approx(1 / 15)
+        assert minimum_fraction(frames, 0.0) == pytest.approx(1 / 15)
 
     def test_minimum_below_average(self, frames):
         for r in (10.0, 30.0, 60.0):
-            assert minimum_largest_fraction_at(frames, r) <= average_largest_fraction_at(
+            assert minimum_fraction(frames, r) <= average_largest_fraction_at(
                 frames, r
             ) + 1e-12
 
     def test_largest_component_sizes(self, frames):
-        sizes = largest_component_size_at(frames, 50.0)
+        sizes = frames.largest_component_sizes_at(50.0)
         assert len(sizes) == len(frames)
         assert all(1 <= s <= 15 for s in sizes)
 
     def test_empty_frames(self):
-        assert connectivity_fraction_at([], 1.0) == 0.0
-        assert average_largest_fraction_at([], 1.0) == 0.0
-        assert minimum_largest_fraction_at([], 1.0) == 0.0
+        assert NO_FRAMES.connected_at(1.0).size == 0
+        assert NO_FRAMES.largest_component_sizes_at(1.0).size == 0
+        assert average_largest_fraction_at(NO_FRAMES, 1.0) == 0.0
 
-    def test_zero_node_frames_do_not_deflate_average(self, frames):
-        """Regression: empty frames must be excluded from the denominator
-        too, not just the numerator."""
-        empty = frame_statistics(np.empty((0, 2)))
+    def test_zero_node_frames_average_zero(self):
+        """Frames of zero nodes carry no component information."""
+        empty = frame_statistics_columns(np.empty((3, 0, 2)))
+        assert empty.node_count == 0
         for r in (0.0, 30.0, 200.0):
-            expected = average_largest_fraction_at(frames, r)
-            assert average_largest_fraction_at(
-                frames + [empty, empty], r
-            ) == pytest.approx(expected)
-        assert average_largest_fraction_at([empty], 10.0) == 0.0
+            assert average_largest_fraction_at(empty, r) == 0.0
 
 
 class TestConnectivityThresholds:
@@ -79,9 +89,9 @@ class TestConnectivityThresholds:
     def test_threshold_achieves_fraction(self, frames):
         for fraction in (1.0, 0.9, 0.5, 0.1):
             threshold = range_for_connectivity_fraction(frames, fraction)
-            assert connectivity_fraction_at(frames, threshold) >= fraction
+            assert connected_fraction(frames, threshold) >= fraction
             # Just below the threshold the fraction must drop below the target.
-            assert connectivity_fraction_at(frames, threshold - 1e-9) < fraction
+            assert connected_fraction(frames, threshold - 1e-9) < fraction
 
     def test_monotone_in_fraction(self, frames):
         thresholds = [
@@ -97,9 +107,9 @@ class TestConnectivityThresholds:
 
     def test_empty_frames_raise(self):
         with pytest.raises(SearchError):
-            range_for_connectivity_fraction([], 0.5)
+            range_for_connectivity_fraction(NO_FRAMES, 0.5)
         with pytest.raises(SearchError):
-            range_for_no_connectivity([])
+            range_for_no_connectivity(NO_FRAMES)
 
 
 class TestComponentFractionThresholds:
@@ -124,4 +134,4 @@ class TestComponentFractionThresholds:
         with pytest.raises(SearchError):
             range_for_component_fraction(frames, 0.0)
         with pytest.raises(SearchError):
-            range_for_component_fraction([], 0.5)
+            range_for_component_fraction(NO_FRAMES, 0.5)

@@ -24,9 +24,9 @@ from repro.simulation.engine import (
     frame_statistics,
     frame_statistics_columns,
 )
+from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.runner import (
     collect_frame_statistics,
-    run_fixed_range,
     stationary_critical_range,
 )
 from repro.simulation.sweep import sweep_parameter
@@ -45,7 +45,6 @@ def parallel_config(mobility_name="drunkard", seed=99, side=200.0):
         steps=6,
         iterations=5,
         seed=seed,
-        transmitting_range=0.3 * side,
     )
 
 
@@ -54,7 +53,12 @@ def parallel_config(mobility_name="drunkard", seed=99, side=200.0):
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class RunnerMeasure:
-    """Measures one region side through one of the iteration runners."""
+    """Measures one region side through one of the iteration runners.
+
+    ``stats-<model>`` collects the frame statistics of a mobile run and
+    reads critical-range summaries and the fixed-range answers at 0.3 l
+    off them; ``stationary`` estimates ``rstationary``.
+    """
 
     runner: str
 
@@ -64,24 +68,17 @@ class RunnerMeasure:
                 15, side, iterations=12, seed=7, confidence=0.9
             )
             return {"rstationary": critical}
-        if self.runner.startswith("fixed"):
-            result = run_fixed_range(
-                parallel_config(self.runner.split("-")[1], side=side)
-            )
-            connected = np.concatenate(
-                [item.records.connected for item in result.iterations]
-            )
-            largest = np.concatenate(
-                [item.records.largest_component for item in result.iterations]
-            )
-            return {
-                "connected_fraction": float(connected.mean()),
-                "mean_largest": float(largest.mean()),
-            }
-        statistics = collect_frame_statistics(parallel_config(side=side))
-        pooled = np.concatenate([item.critical_ranges for item in statistics])
-        return {"mean_critical": float(pooled.mean()),
-                "max_critical": float(pooled.max())}
+        statistics = collect_frame_statistics(
+            parallel_config(self.runner.split("-")[1], side=side)
+        )
+        pooled = FrameStatisticsColumns.concatenate(statistics)
+        radius = 0.3 * side
+        return {
+            "mean_critical": float(pooled.critical_ranges.mean()),
+            "max_critical": float(pooled.critical_ranges.max()),
+            "connected_fraction": float(pooled.connected_at(radius).mean()),
+            "mean_largest": float(pooled.largest_component_sizes_at(radius).mean()),
+        }
 
 
 def _nested_pools(side):
@@ -95,8 +92,7 @@ def _nested_pools(side):
 
     ProcessPoolExecutor.__init__ = recording_init
     try:
-        RunnerMeasure("fixed-waypoint")(side)
-        RunnerMeasure("stats")(side)
+        RunnerMeasure("stats-waypoint")(side)
         RunnerMeasure("stationary")(side)
     finally:
         ProcessPoolExecutor.__init__ = original
@@ -112,7 +108,7 @@ SIDES = (150.0, 200.0, 250.0, 300.0)
 class TestValueLevelParallelism:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
-        "runner", ["fixed-drunkard", "fixed-waypoint", "stats", "stationary"]
+        "runner", ["stats-drunkard", "stats-waypoint", "stationary"]
     )
     def test_parallel_sweep_is_bit_identical_to_serial(self, runner, workers):
         measure = RunnerMeasure(runner)
@@ -122,7 +118,7 @@ class TestValueLevelParallelism:
         assert parallel.parameter_values == list(SIDES)
 
     def test_more_workers_than_values(self):
-        measure = RunnerMeasure("fixed-drunkard")
+        measure = RunnerMeasure("stats-drunkard")
         serial = sweep_parameter("l", SIDES[:2], measure)
         assert sweep_parameter("l", SIDES[:2], measure, workers=32).rows == serial.rows
 
@@ -153,10 +149,10 @@ class TestRandomSourceEntropy:
             steps=3,
             iterations=4,
             seed=None,
-            transmitting_range=40.0,
         )
-        result = run_fixed_range(config)
-        assert result.iteration_count == 4
+        result = collect_frame_statistics(config)
+        assert len(result) == 4
+        assert all(len(frames) == 3 for frames in result)
 
 
 class TestVectorizedEngineMatchesReference:
@@ -249,22 +245,3 @@ class TestIterationCheckpoint:
         assert warm.saves == 0
         assert warm.loads == config.iterations
         assert result == collect_frame_statistics(config)
-
-    def test_run_fixed_range_checkpoints_step_columns(self):
-        """The fixed-range runner persists bare StepColumns and rebuilds
-        the IterationResult wrappers from the config on load."""
-        from repro.simulation.results import StepColumns
-
-        reference = run_fixed_range(parallel_config())
-        checkpoint = RecordingIterationCheckpoint()
-        result = run_fixed_range(parallel_config(), checkpoint=checkpoint)
-        assert result == reference
-        assert checkpoint.saves == parallel_config().iterations
-        assert all(
-            isinstance(entry, StepColumns) for entry in checkpoint.entries.values()
-        )
-
-        warm = RecordingIterationCheckpoint(entries=checkpoint.entries)
-        resumed = run_fixed_range(parallel_config(), checkpoint=warm)
-        assert warm.saves == 0
-        assert resumed == reference

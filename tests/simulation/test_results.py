@@ -5,181 +5,70 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.simulation.results import (
-    FrameStatistics,
-    FrameStatisticsColumns,
-    IterationResult,
-    MobileRunResult,
-    StepColumns,
-    StepRecord,
-    pool_frame_statistics,
-)
+from repro.simulation.results import FrameStatistics, FrameStatisticsColumns
+from repro.simulation.search import average_component_fraction_at_range
 
 
-def make_iteration(records, iteration=0, node_count=10, transmitting_range=5.0):
-    return IterationResult(
-        iteration=iteration,
-        node_count=node_count,
-        transmitting_range=transmitting_range,
-        records=tuple(records),
-    )
+class TestFixedRangeQueries:
+    """The paper's fixed-range outputs (Section 4.1) as queries on columns.
 
+    Two iterations of two 10-node frames each; at range 5.0 only the
+    first frame is connected, and the largest components hold 10, 5, 8
+    and 4 nodes.
+    """
 
-class TestIterationResult:
-    def test_connected_fraction(self):
-        records = [
-            StepRecord(0, True, 10),
-            StepRecord(1, False, 7),
-            StepRecord(2, True, 10),
-            StepRecord(3, True, 10),
-        ]
-        result = make_iteration(records)
-        assert result.connected_fraction == pytest.approx(0.75)
-        assert result.step_count == 4
+    RADIUS = 5.0
 
-    def test_average_largest_when_disconnected(self):
-        records = [
-            StepRecord(0, True, 10),
-            StepRecord(1, False, 6),
-            StepRecord(2, False, 8),
-        ]
-        result = make_iteration(records)
-        assert result.average_largest_component_when_disconnected == pytest.approx(7.0)
+    def _iterations(self):
+        first = FrameStatisticsColumns.from_frames([
+            FrameStatistics(4.0, ((1.0, 3), (2.0, 6), (4.0, 10)), 10),
+            FrameStatistics(8.0, ((3.0, 5), (8.0, 10)), 10),
+        ])
+        second = FrameStatisticsColumns.from_frames([
+            FrameStatistics(6.0, ((5.0, 8), (6.0, 10)), 10),
+            FrameStatistics(9.0, ((2.0, 4), (9.0, 10)), 10),
+        ])
+        return [first, second]
 
-    def test_average_when_never_disconnected(self):
-        result = make_iteration([StepRecord(0, True, 10)])
-        assert result.average_largest_component_when_disconnected is None
-
-    def test_minimum_largest_component(self):
-        records = [StepRecord(0, True, 10), StepRecord(1, False, 4)]
-        assert make_iteration(records).minimum_largest_component == 4
-
-    def test_empty_records(self):
-        result = make_iteration([])
-        assert result.connected_fraction == 0.0
-        assert result.minimum_largest_component == 0
-        assert result.average_largest_component == 0.0
-
-    def test_average_largest_component(self):
-        records = [StepRecord(0, True, 10), StepRecord(1, False, 5)]
-        assert make_iteration(records).average_largest_component == pytest.approx(7.5)
-
-
-class TestMobileRunResult:
-    def _run(self):
-        first = make_iteration(
-            [StepRecord(0, True, 10), StepRecord(1, False, 6)], iteration=0
-        )
-        second = make_iteration(
-            [StepRecord(0, False, 8), StepRecord(1, False, 4)], iteration=1
-        )
-        return MobileRunResult(transmitting_range=5.0, node_count=10, iterations=(first, second))
+    def _pooled(self):
+        return FrameStatisticsColumns.concatenate(self._iterations())
 
     def test_connected_fraction_pools_steps(self):
-        assert self._run().connected_fraction == pytest.approx(0.25)
+        assert self._pooled().connected_at(self.RADIUS).mean() == pytest.approx(0.25)
 
     def test_per_iteration_fractions(self):
-        assert self._run().per_iteration_connected_fraction == [0.5, 0.0]
+        assert [
+            float(frames.connected_at(self.RADIUS).mean())
+            for frames in self._iterations()
+        ] == [0.5, 0.0]
 
     def test_average_largest_when_disconnected(self):
-        assert self._run().average_largest_component_when_disconnected == pytest.approx(6.0)
+        pooled = self._pooled()
+        sizes = pooled.largest_component_sizes_at(self.RADIUS)
+        disconnected = ~pooled.connected_at(self.RADIUS)
+        assert sizes[disconnected].mean() == pytest.approx((5 + 8 + 4) / 3)
 
     def test_average_largest_fraction(self):
-        assert self._run().average_largest_component_fraction == pytest.approx(
-            (10 + 6 + 8 + 4) / 4 / 10
-        )
+        expected = (10 + 5 + 8 + 4) / 4 / 10
+        assert average_component_fraction_at_range(
+            self._iterations(), self.RADIUS
+        ) == pytest.approx(expected)
 
     def test_minimum_largest_component(self):
-        assert self._run().minimum_largest_component == 4
+        assert self._pooled().largest_component_sizes_at(self.RADIUS).min() == 4
+        assert self._pooled().largest_component_sizes_at(0.5).min() == 1
 
-    def test_flags(self):
-        run = self._run()
-        assert not run.always_connected
-        assert not run.never_connected
-        all_connected = MobileRunResult(
-            transmitting_range=5.0,
-            node_count=10,
-            iterations=(make_iteration([StepRecord(0, True, 10)]),),
-        )
-        assert all_connected.always_connected
-        never = MobileRunResult(
-            transmitting_range=5.0,
-            node_count=10,
-            iterations=(make_iteration([StepRecord(0, False, 3)]),),
-        )
-        assert never.never_connected
+    def test_always_and_never_connected(self):
+        pooled = self._pooled()
+        assert pooled.connected_at(9.0).all()
+        assert not pooled.connected_at(3.9).any()
+        assert pooled.largest_component_sizes_at(9.0).tolist() == [10] * 4
 
     def test_empty_run(self):
-        empty = MobileRunResult(transmitting_range=1.0, node_count=5, iterations=())
-        assert empty.connected_fraction == 0.0
-        assert empty.average_largest_component_when_disconnected is None
-        assert empty.minimum_largest_component == 0
-
-
-class TestStepColumns:
-    def _records(self):
-        return (
-            StepRecord(0, True, 10),
-            StepRecord(1, False, 7),
-            StepRecord(2, True, 10),
-        )
-
-    def test_sequence_interface(self):
-        columns = StepColumns.from_records(self._records())
-        assert len(columns) == 3
-        assert columns[1] == StepRecord(1, False, 7)
-        assert columns[-1] == StepRecord(2, True, 10)
-        assert list(columns) == list(self._records())
-        with pytest.raises(IndexError):
-            columns[3]
-
-    def test_equality_with_record_tuples(self):
-        columns = StepColumns.from_records(self._records())
-        assert columns == self._records()
-        assert self._records() == columns
-        assert columns == StepColumns.from_records(self._records())
-        assert columns != StepColumns.from_records(self._records()[:2])
-
-    def test_slices_keep_original_step_numbers(self):
-        columns = StepColumns.from_records(self._records())
-        assert columns[1:3] == self._records()[1:3]
-        assert columns[1:3][0].step == 1
-
-    def test_iteration_result_accepts_columns(self):
-        columnar = IterationResult(
-            iteration=0, node_count=10, transmitting_range=5.0,
-            records=StepColumns.from_records(self._records()),
-        )
-        object_list = IterationResult(
-            iteration=0, node_count=10, transmitting_range=5.0,
-            records=self._records(),
-        )
-        assert columnar == object_list
-        for name in (
-            "step_count", "connected_fraction", "largest_component_sizes",
-            "average_largest_component_when_disconnected",
-            "minimum_largest_component", "average_largest_component",
-        ):
-            assert getattr(columnar, name) == getattr(object_list, name), name
-
-    def test_pickles_small(self):
-        steps = 10_000
-        columns = StepColumns(
-            connected=np.ones(steps, dtype=bool),
-            largest_component=np.full(steps, 17, dtype=np.int64),
-        )
-        objects = tuple(columns)
-        assert len(pickle.dumps(columns)) * 10 < len(pickle.dumps(objects))
-        assert pickle.loads(pickle.dumps(columns)) == columns
-
-    def test_pickle_preserves_negative_sizes(self):
-        # Hand-built containers may carry sentinels; the compact transport
-        # must not wrap them through an unsigned cast.
-        columns = StepColumns(
-            connected=np.array([True, False]),
-            largest_component=np.array([-1, 5], dtype=np.int64),
-        )
-        assert pickle.loads(pickle.dumps(columns)) == columns
+        empty = FrameStatisticsColumns.concatenate([])
+        assert empty.connected_at(self.RADIUS).size == 0
+        assert empty.largest_component_sizes_at(self.RADIUS).size == 0
+        assert average_component_fraction_at_range([], self.RADIUS) == 0.0
 
 
 class TestFrameStatisticsColumns:
@@ -215,7 +104,6 @@ class TestFrameStatisticsColumns:
         second = FrameStatisticsColumns.from_frames(self._frames()[::-1])
         pooled = FrameStatisticsColumns.concatenate([first, second])
         assert list(pooled) == self._frames() + self._frames()[::-1]
-        assert pool_frame_statistics([first, second]) == pooled
 
     def test_concatenate_rejects_mixed_node_counts(self):
         first = FrameStatisticsColumns.from_frames(self._frames())
@@ -236,7 +124,7 @@ class TestFrameStatisticsColumns:
     def test_pickles_small(self):
         # The float64 breakpoint ranges are irreducible (they must stay
         # bit-exact), so the curve payload shrinks by the per-object
-        # overhead only; the big (>= 10x) win is on StepColumns above.
+        # overhead only.
         frames = [
             FrameStatistics(
                 float(n), tuple((float(j), j + 2) for j in range(8)), 10
@@ -245,4 +133,16 @@ class TestFrameStatisticsColumns:
         ]
         columns = FrameStatisticsColumns.from_frames(frames)
         assert int(len(pickle.dumps(columns)) * 1.3) < len(pickle.dumps(frames))
+        assert pickle.loads(pickle.dumps(columns)) == columns
+
+    def test_pickle_preserves_negative_sizes(self):
+        # Hand-built containers may carry sentinels; the compact transport
+        # must not wrap them through an unsigned cast.
+        columns = FrameStatisticsColumns(
+            node_count=4,
+            critical_ranges=np.array([1.0]),
+            curve_offsets=np.array([0, 2]),
+            curve_ranges=np.array([0.5, 1.0]),
+            curve_sizes=np.array([-1, 4], dtype=np.int64),
+        )
         assert pickle.loads(pickle.dumps(columns)) == columns

@@ -4,44 +4,45 @@ import math
 
 import pytest
 
+from repro.connectivity.metrics import observe_placement
 from repro.exceptions import ConfigurationError
 from repro.simulation import engine
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.simulation.metrics import range_for_connectivity_fraction
-from repro.simulation.results import pool_frame_statistics
+from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.runner import (
     collect_frame_statistics,
-    run_fixed_range,
     stationary_critical_range,
 )
+from repro.stats.rng import RandomSource
 
 
-def small_config(transmitting_range=None, steps=8, iterations=3, seed=17):
+def small_config(steps=8, iterations=3, seed=17):
     return SimulationConfig(
         network=NetworkConfig(node_count=10, side=100.0, dimension=2),
         mobility=MobilitySpec.paper_drunkard(100.0),
         steps=steps,
         iterations=iterations,
         seed=seed,
-        transmitting_range=transmitting_range,
     )
 
 
-class TestRunFixedRange:
-    def test_requires_range(self):
-        with pytest.raises(ConfigurationError):
-            run_fixed_range(small_config(transmitting_range=None))
+class TestFixedRangeQueries:
+    """A fixed range's answers are queries on the collected columns."""
 
     def test_iteration_and_step_counts(self):
-        result = run_fixed_range(small_config(transmitting_range=30.0))
-        assert result.iteration_count == 3
-        assert all(it.step_count == 8 for it in result.iterations)
-        assert result.node_count == 10
+        statistics = collect_frame_statistics(small_config())
+        assert len(statistics) == 3
+        assert all(len(frames.connected_at(30.0)) == 8 for frames in statistics)
+        assert all(frames.node_count == 10 for frames in statistics)
 
     def test_reproducible_with_seed(self):
-        a = run_fixed_range(small_config(transmitting_range=30.0, seed=5))
-        b = run_fixed_range(small_config(transmitting_range=30.0, seed=5))
-        assert a.per_iteration_connected_fraction == b.per_iteration_connected_fraction
+        a = collect_frame_statistics(small_config(seed=5))
+        b = collect_frame_statistics(small_config(seed=5))
+        assert a == b
+        assert [frames.connected_at(30.0).mean() for frames in a] == [
+            frames.connected_at(30.0).mean() for frames in b
+        ]
 
     def test_different_seeds_differ(self):
         a = collect_frame_statistics(small_config(seed=5, iterations=2))
@@ -51,9 +52,11 @@ class TestRunFixedRange:
         assert ranges_a != ranges_b
 
     def test_connectivity_monotone_in_range(self):
-        low = run_fixed_range(small_config(transmitting_range=15.0))
-        high = run_fixed_range(small_config(transmitting_range=60.0))
-        assert high.connected_fraction >= low.connected_fraction
+        pooled = FrameStatisticsColumns.concatenate(
+            collect_frame_statistics(small_config())
+        )
+        fractions = [pooled.connected_at(r).mean() for r in (15.0, 35.0, 60.0)]
+        assert fractions == sorted(fractions)
 
 
 class TestCollectFrameStatistics:
@@ -63,16 +66,30 @@ class TestCollectFrameStatistics:
         assert all(len(frames) == 8 for frames in statistics)
 
     def test_consistent_with_fixed_range(self):
-        """The same seed must yield identical conclusions in both modes."""
-        config = small_config(transmitting_range=35.0)
-        fixed = run_fixed_range(config)
+        """Every iteration's columns answer at 35.0 what the graph built at
+        35.0 answers, over the frames rebuilt from the iteration's child
+        stream."""
+        config = small_config()
         statistics = collect_frame_statistics(config)
-        from repro.simulation.metrics import connectivity_fraction_at
-
-        pooled = [frame for frames in statistics for frame in frames]
-        assert connectivity_fraction_at(pooled, 35.0) == pytest.approx(
-            fixed.connected_fraction
-        )
+        source = RandomSource(config.seed)
+        network = config.network
+        for index, frames in enumerate(statistics):
+            rng = source.child(index)
+            placement = network.placement_strategy(
+                network.node_count, network.region, rng
+            )
+            model = config.mobility.create()
+            model.initialize(placement, network.region, rng)
+            observations = [
+                observe_placement(frame, 35.0)
+                for frame in model.trajectory(config.steps, rng)
+            ]
+            assert frames.connected_at(35.0).tolist() == [
+                observation.connected for observation in observations
+            ]
+            assert frames.largest_component_sizes_at(35.0).tolist() == [
+                observation.largest_component_size for observation in observations
+            ]
 
 
 class TestStationaryCriticalRange:
@@ -167,7 +184,8 @@ class TestStationaryBatching:
             seed=21,
         )
         expected = range_for_connectivity_fraction(
-            pool_frame_statistics(collect_frame_statistics(config)), confidence
+            FrameStatisticsColumns.concatenate(collect_frame_statistics(config)),
+            confidence,
         )
         batches = self.kernel_batches(monkeypatch, nodes, cap)
         value = stationary_critical_range(

@@ -11,7 +11,6 @@ from repro.simulation.search import (
     estimate_component_thresholds_from_statistics,
     estimate_thresholds,
     estimate_thresholds_from_statistics,
-    r100_for_parameter,
 )
 
 
@@ -104,34 +103,3 @@ class TestAverageComponentFraction:
             average_component_fraction_at_range(statistics, r) for r in (0, 20, 50, 150)
         ]
         assert values == sorted(values)
-
-
-class TestR100ForParameter:
-    def test_sweep_shapes(self):
-        def make_config(p):
-            return SimulationConfig(
-                network=NetworkConfig(node_count=10, side=100.0),
-                mobility=MobilitySpec.paper_waypoint(100.0, pstationary=float(p)),
-                steps=6,
-                iterations=2,
-                seed=31,
-            )
-
-        results = r100_for_parameter(make_config, [0.0, 0.5, 1.0])
-        assert len(results) == 3
-        assert all(value > 0 for _, value in results)
-
-    def test_reference_normalisation(self):
-        def make_config(p):
-            return mobile_config(seed=41, steps=6, iterations=2)
-
-        raw = r100_for_parameter(make_config, [0.0])
-        normalised = r100_for_parameter(make_config, [0.0], reference_range=10.0)
-        assert normalised[0][1] == pytest.approx(raw[0][1] / 10.0)
-
-    def test_invalid_reference(self):
-        def make_config(p):
-            return mobile_config(seed=41, steps=4, iterations=1)
-
-        with pytest.raises(SearchError):
-            r100_for_parameter(make_config, [0.0], reference_range=0.0)

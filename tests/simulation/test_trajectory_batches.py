@@ -9,9 +9,9 @@ run that reduces it in one batch and leaves the random stream at the same
 position.  Checked here, with the cap forced down so a short trajectory
 spans many batches:
 
-* ``collect_frame_statistics`` / ``run_fixed_range`` equal the one-batch
-  run for every mobility model and batch size (hypothesis-driven sizes
-  included);
+* ``collect_frame_statistics`` equals the one-batch run for every
+  mobility model and batch size (hypothesis-driven sizes included), and
+  so do its fixed-range answers;
 * the batches stitch back into ``model.trajectory(steps)`` and consume
   exactly its draws;
 * batch sizes follow the ``(B, n)`` element cap;
@@ -28,11 +28,13 @@ import repro.simulation.engine as engine
 from repro.geometry.region import Region
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.simulation.engine import frame_statistics_columns
-from repro.simulation.results import FrameStatisticsColumns, StepColumns
-from repro.simulation.runner import collect_frame_statistics, run_fixed_range
+from repro.simulation.results import FrameStatisticsColumns
+from repro.simulation.runner import collect_frame_statistics
 
 SIDE = 90.0
 NODES = 11
+#: The fixed range the fixed-range answers are read at.
+RADIUS = 0.35 * SIDE
 
 MOBILITY_SPECS = {
     "stationary": MobilitySpec.stationary(),
@@ -59,7 +61,6 @@ def make_config(mobility_name, steps=31, iterations=2):
         steps=steps,
         iterations=iterations,
         seed=20020623,
-        transmitting_range=0.35 * SIDE,
     )
 
 
@@ -95,11 +96,20 @@ class TestBatchedEquality:
 
     @pytest.mark.parametrize("name", ["waypoint", "drunkard", "gauss-markov"])
     def test_fixed_range_matches_one_batch(self, name, monkeypatch):
+        def answers(statistics):
+            return [
+                (
+                    frames.connected_at(RADIUS).tolist(),
+                    frames.largest_component_sizes_at(RADIUS).tolist(),
+                )
+                for frames in statistics
+            ]
+
         config = make_config(name)
-        whole = run_fixed_range(config)
+        whole = answers(collect_frame_statistics(config))
         for batch_frames in (5, 12):
             cap_batches(monkeypatch, batch_frames)
-            assert run_fixed_range(config) == whole
+            assert answers(collect_frame_statistics(config)) == whole
 
     @settings(max_examples=12, deadline=None)
     @given(data=st.data(), name=st.sampled_from(sorted(MOBILITY_SPECS)))
@@ -168,21 +178,19 @@ class TestBatchStream:
         config = make_config("drunkard", steps=40)
         model, rng = initialized_model(config, 6)
         frames = model.trajectory(config.steps, rng)
-        radius = config.transmitting_range
 
-        def step_columns(batches):
+        def answers(batches):
             columns = [frame_statistics_columns(batch) for batch in batches]
-            return StepColumns(
-                connected=np.concatenate(
-                    [part.connected_at(radius) for part in columns]
-                ),
-                largest_component=np.concatenate(
-                    [part.largest_component_sizes_at(radius) for part in columns]
+            return (
+                np.concatenate([part.connected_at(RADIUS) for part in columns]),
+                np.concatenate(
+                    [part.largest_component_sizes_at(RADIUS) for part in columns]
                 ),
             )
 
         parts = [frames[start:start + 6] for start in range(0, config.steps, 6)]
-        assert step_columns(parts) == step_columns([frames])
+        for batched, whole in zip(answers(parts), answers([frames])):
+            assert np.array_equal(batched, whole)
 
 
 class TestBatchedCheckpoints:
@@ -219,14 +227,3 @@ class TestBatchedCheckpoints:
         resumed = collect_frame_statistics(config, checkpoint=checkpoint)
         assert sorted(checkpoint.saved) == [0, 2]
         assert all(a == b for a, b in zip(whole, resumed))
-
-    def test_fixed_range_batched_checkpoint_records(self, monkeypatch):
-        config = make_config("waypoint", iterations=2)
-        whole = run_fixed_range(config)
-        cap_batches(monkeypatch, 9)
-        recorder = self.RecordingCheckpoint()
-        batched = run_fixed_range(config, checkpoint=recorder)
-        assert batched == whole
-        assert sorted(recorder.saved) == [0, 1]
-        for index, records in recorder.saved.items():
-            assert records == whole.iterations[index].records

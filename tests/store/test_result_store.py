@@ -1,20 +1,26 @@
 """Tests for repro.store: codecs, the result store, and checkpoints."""
 
+import hashlib
+import io
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.results import FrameStatisticsColumns, StepColumns
+from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.sweep import SweepResult
 from repro.store import (
     ResultStore,
     StoreIntegrityError,
+    StoreIterationCheckpoint,
     StoreSweepCheckpoint,
     cache_key,
     decode_payload,
     detect_kind,
     encode_payload,
 )
+from repro.store.codecs import CODECS
 
 
 @pytest.fixture
@@ -32,13 +38,6 @@ def make_sweep():
     )
 
 
-def make_step_columns():
-    return StepColumns(
-        connected=np.array([True, False, True, True, False]),
-        largest_component=np.array([9, 4, 9, 9, 3]),
-    )
-
-
 def make_frame_columns():
     return FrameStatisticsColumns(
         node_count=9,
@@ -49,10 +48,47 @@ def make_frame_columns():
     )
 
 
+def npz_payload(**arrays):
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def frame_arrays():
+    """The arrays of ``make_frame_columns()`` as its codec stores them."""
+    columns = make_frame_columns()
+    return {
+        "node_count": np.int64(columns.node_count),
+        "critical_ranges": columns.critical_ranges,
+        "curve_offsets": columns.curve_offsets,
+        "curve_ranges": columns.curve_ranges,
+        "curve_sizes": columns.curve_sizes,
+    }
+
+
+#: Frame-statistics payloads whose arrays disagree with each other, each
+#: one edit away from ``make_frame_columns()`` (9 nodes, 3 frames, 5
+#: breakpoints).
+MALFORMED_FRAME_ARRAYS = {
+    "sizes-cut-short": {"curve_sizes": np.array([4, 9, 3, 9])},
+    "sizes-too-long": {"curve_sizes": np.array([4, 9, 3, 9, 9, 9])},
+    "offsets-not-from-zero": {"curve_offsets": np.array([1, 2, 4, 5])},
+    "offsets-decrease": {"curve_offsets": np.array([0, 4, 2, 5])},
+    "offsets-end-short": {"curve_offsets": np.array([0, 2, 4, 4])},
+    "offsets-not-integers": {"curve_offsets": np.array([0.0, 2.0, 4.0, 5.0])},
+    "size-zero": {"curve_sizes": np.array([0, 9, 3, 9, 9])},
+    "size-above-node-count": {"curve_sizes": np.array([4, 30, 3, 9, 9])},
+    "ranges-2d": {"critical_ranges": np.array([[1.5], [2.25], [0.75]])},
+}
+
+
+def malformed_frame_payload(variant):
+    return npz_payload(**{**frame_arrays(), **MALFORMED_FRAME_ARRAYS[variant]})
+
+
 class TestCodecs:
     def test_detect_kind(self):
         assert detect_kind(make_sweep()) == "sweep"
-        assert detect_kind(make_step_columns()) == "step_columns"
         assert detect_kind(make_frame_columns()) == "frame_statistics"
         assert detect_kind({"l": 1.0}) == "sweep-row"
         with pytest.raises(ConfigurationError):
@@ -60,8 +96,8 @@ class TestCodecs:
 
     @pytest.mark.parametrize(
         "value",
-        [make_sweep(), make_step_columns(), make_frame_columns(), {"l": 1.0, "r": 2.5}],
-        ids=["sweep", "steps", "frames", "row"],
+        [make_sweep(), make_frame_columns(), {"l": 1.0, "r": 2.5}],
+        ids=["sweep", "frames", "row"],
     )
     def test_round_trip(self, value):
         kind, filename, payload = encode_payload(value)
@@ -85,6 +121,14 @@ class TestCodecs:
         with pytest.raises(ConfigurationError):
             decode_payload("no-such-kind", b"{}")
 
+    def test_the_codec_kinds(self):
+        assert sorted(CODECS) == ["frame_statistics", "sweep", "sweep-row"]
+
+    @pytest.mark.parametrize("variant", sorted(MALFORMED_FRAME_ARRAYS))
+    def test_inconsistent_frame_arrays_are_refused(self, variant):
+        with pytest.raises(ValueError):
+            decode_payload("frame_statistics", malformed_frame_payload(variant))
+
 
 class TestResultStore:
     def test_put_get_contains_evict(self, store):
@@ -103,7 +147,6 @@ class TestResultStore:
     def test_all_artifact_kinds_round_trip(self, store):
         pairs = [
             (cache_key("sweep", {"k": 1}), make_sweep()),
-            (cache_key("steps", {"k": 2}), make_step_columns()),
             (cache_key("frames", {"k": 3}), make_frame_columns()),
             (cache_key("sweep-row", {"k": 4}), {"l": 256.0, "r100": 1.2}),
         ]
@@ -265,6 +308,55 @@ class TestSweepDeadStaging:
         assert store.sweep_dead_staging() == 1
         assert not orphan.exists()
         assert fresh.exists()
+
+
+def plant_entry(store, key, kind, payload):
+    """Write an entry by hand, as an older or foreign writer left it."""
+    directory = store.root / "objects" / key[:2] / key
+    directory.mkdir(parents=True)
+    (directory / "data.npz").write_bytes(payload)
+    (directory / "entry.json").write_text(json.dumps({
+        "kind": kind,
+        "schema_version": 1,
+        "payload_file": "data.npz",
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "metadata": {},
+    }))
+
+
+class TestEntriesTheCodecsRefuse:
+    """Entries whose payload the codecs refuse are corrupt, not crashes:
+    ``get`` raises :class:`StoreIntegrityError`, and the iteration
+    checkpoint quarantines the entry and reports a miss."""
+
+    @staticmethod
+    def iteration_key(store):
+        return StoreIterationCheckpoint(store, {"test": "refused"}, 256.0).key_for(0)
+
+    def assert_quarantined_on_load(self, store, key):
+        with pytest.raises(StoreIntegrityError):
+            store.get(key)
+        checkpoint = StoreIterationCheckpoint(store, {"test": "refused"}, 256.0)
+        assert checkpoint.load(0) is None
+        assert checkpoint.loaded == 0
+        assert not store.contains(key)
+        assert store.quarantined_entries() == [key]
+
+    def test_a_stray_step_columns_entry_of_an_older_store(self, store):
+        key = self.iteration_key(store)
+        plant_entry(store, key, "step_columns", npz_payload(
+            count=np.int64(5),
+            connected_bits=np.packbits(np.array([True, False, True, True, False])),
+            largest_component=np.array([9, 4, 9, 9, 3], dtype=np.uint8),
+        ))
+        self.assert_quarantined_on_load(store, key)
+        assert store.gc().scanned == 0
+
+    @pytest.mark.parametrize("variant", ["sizes-cut-short", "size-above-node-count"])
+    def test_an_inconsistent_frame_statistics_entry(self, store, variant):
+        key = self.iteration_key(store)
+        plant_entry(store, key, "frame_statistics", malformed_frame_payload(variant))
+        self.assert_quarantined_on_load(store, key)
 
 
 class TestStoreSweepCheckpoint:

@@ -87,9 +87,45 @@ class TestPublicApi:
         assert repro.get_experiment("fig2").paper_reference == "Figure 2"
 
 
+#: Names deleted with the fixed-range simulator and the list-of-frames
+#: metric paths: every fixed-range answer is a query on
+#: ``FrameStatisticsColumns``.  ``(module, name)`` pairs.
+REMOVED_NAMES = [
+    ("repro", "run_fixed_range"),
+    ("repro.simulation", "IterationResult"),
+    ("repro.simulation", "MobileRunResult"),
+    ("repro.simulation", "StepColumns"),
+    ("repro.simulation", "StepRecord"),
+    ("repro.simulation", "connectivity_fraction_at"),
+    ("repro.simulation", "largest_component_size_at"),
+    ("repro.simulation", "minimum_largest_fraction_at"),
+    ("repro.simulation", "pool_frame_statistics"),
+    ("repro.simulation", "run_fixed_range"),
+    ("repro.simulation", "simulate_iteration"),
+    ("repro.simulation.engine", "simulate_iteration"),
+    ("repro.simulation.results", "IterationResult"),
+    ("repro.simulation.results", "MobileRunResult"),
+    ("repro.simulation.results", "StepColumns"),
+    ("repro.simulation.results", "StepRecord"),
+    ("repro.simulation.results", "pool_frame_statistics"),
+    ("repro.simulation.runner", "run_fixed_range"),
+    ("repro.simulation.search", "r100_for_parameter"),
+    ("repro.campaigns.runner", "run_campaign"),
+]
+
+
 @pytest.mark.parametrize("name", REMOVED_MODULES)
 def test_removed_modules_are_gone(name):
     assert importlib.util.find_spec(name) is None
+
+
+@pytest.mark.parametrize(
+    "module, name", REMOVED_NAMES, ids=[".".join(pair) for pair in REMOVED_NAMES]
+)
+def test_removed_names_are_gone(module, name):
+    owner = importlib.import_module(module)
+    assert not hasattr(owner, name)
+    assert name not in getattr(owner, "__all__", ())
 
 
 def test_every_repro_import_in_the_package_resolves():
