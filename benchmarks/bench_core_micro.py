@@ -1,10 +1,11 @@
-"""Micro-benchmarks of the hot paths of the simulation engine.
+"""Micro-benchmarks of the per-frame kernels and the point-graph reference.
 
-Every mobility step of every iteration builds a communication graph,
-extracts its components, and (in trace-statistics mode) computes the exact
-critical range and component-growth curve.  These benchmarks time those
-four operations at the paper's largest network size (n = 128 for l = 16K)
-so that performance regressions in the substrate are caught.
+Every mobility frame is reduced to its exact critical range and
+component-growth curve; the point graph (construction, components,
+connectivity check) is the brute-force reference those kernels are tested
+against.  These benchmarks time both at the paper's largest network size
+(n = 128 for l = 16K) so that performance regressions in the substrate
+are caught.
 """
 
 import numpy as np

@@ -43,7 +43,6 @@ from repro.connectivity import (
     critical_range,
     critical_range_for_component_fraction,
     is_placement_connected,
-    largest_component_fraction_of_placement,
     observe_placement,
 )
 from repro.energy import EnergyModel, energy_savings_fraction, savings_table
@@ -56,22 +55,19 @@ from repro.exceptions import (
 )
 from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.experiments import get_experiment, list_experiments
-from repro.geometry import GridIndex, Region
+from repro.geometry import Region
 from repro.graph import (
     CommunicationGraph,
     build_communication_graph,
     connected_components,
     is_connected,
-    largest_component_fraction,
 )
 from repro.mobility import (
     DrunkardModel,
     GaussMarkovModel,
-    MobilityTrace,
     RandomDirectionModel,
     RandomWaypointModel,
     StationaryModel,
-    record_trace,
 )
 from repro.occupancy import (
     classify_domain,
@@ -112,12 +108,10 @@ __all__ = [
     "DrunkardModel",
     "EnergyModel",
     "GaussMarkovModel",
-    "GridIndex",
     "MTRInstance",
     "MTRMInstance",
     "MobilitySpec",
     "MobilityThresholds",
-    "MobilityTrace",
     "NetworkConfig",
     "RandomDirectionModel",
     "RandomWaypointModel",
@@ -150,14 +144,11 @@ __all__ = [
     "has_gap_pattern",
     "is_connected",
     "is_placement_connected",
-    "largest_component_fraction",
-    "largest_component_fraction_of_placement",
     "list_experiments",
     "make_rng",
     "nodes_for_connectivity_1d",
     "observe_placement",
     "range_for_connectivity_1d",
-    "record_trace",
     "savings_table",
     "stationary_critical_range",
     "uniform_placement",

@@ -1,44 +1,28 @@
-"""Connectivity metrics on placements and traces.
+"""Connectivity of placements.
 
 This package sits between the graph substrate and the simulation engine:
-given a placement (or a whole mobility trace) and a transmitting range it
-answers the questions the paper's evaluation revolves around — is the
-network connected, how big is the largest connected component, and what is
-the *exact* critical transmitting range of a given placement.
+given a placement and a transmitting range it answers the questions the
+paper's evaluation revolves around — is the network connected, how big is
+the largest connected component, and what is the *exact* critical
+transmitting range of a given placement.
 """
 
 from repro.connectivity.critical_range import (
     critical_range,
     critical_range_for_component_fraction,
     longest_gap_1d,
-    range_for_k_connectivity,
 )
 from repro.connectivity.metrics import (
     ConnectivityObservation,
-    connectivity_fraction_over_trace,
     is_placement_connected,
-    largest_component_fraction_of_placement,
     observe_placement,
-    observe_trace,
-)
-from repro.connectivity.path import (
-    average_hop_count,
-    network_diameter_hops,
-    reachability_fraction,
 )
 
 __all__ = [
     "ConnectivityObservation",
-    "average_hop_count",
-    "connectivity_fraction_over_trace",
     "critical_range",
     "critical_range_for_component_fraction",
     "is_placement_connected",
-    "largest_component_fraction_of_placement",
     "longest_gap_1d",
-    "network_diameter_hops",
     "observe_placement",
-    "observe_trace",
-    "range_for_k_connectivity",
-    "reachability_fraction",
 ]

@@ -6,9 +6,8 @@ of a Euclidean minimum spanning tree of the points (the "bottleneck" edge).
 This module computes that value directly — via Prim's algorithm over
 squared distances: a dense ``(n, n)`` matrix for one placement, rows
 computed on the fly for a batch of mobility frames — as well as the
-analogous thresholds for partial connectivity (smallest range whose
-largest component reaches a target fraction of ``n``) and for
-k-connectivity (by bisection on candidate ranges).
+analogous threshold for partial connectivity (smallest range whose
+largest component reaches a target fraction of ``n``).
 
 The batch kernel has two bit-identical lanes: the native C one of
 :mod:`repro.connectivity.native`, built on first use when a C compiler
@@ -23,16 +22,13 @@ These exact per-placement values are the building blocks of the
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.connectivity import native
 from repro.exceptions import AnalysisError
-from repro.geometry.distance import pairwise_distances, squared_distance_matrix
-from repro.graph.builder import build_communication_graph
-from repro.graph.components import largest_component_fraction
-from repro.graph.properties import is_k_connected
+from repro.geometry.distance import squared_distance_matrix
 from repro.graph.union_find import UnionFind
 from repro.types import Positions, as_positions
 
@@ -303,57 +299,3 @@ def longest_gap_1d(positions: Positions) -> float:
         return 0.0
     coordinates = np.sort(points[:, 0])
     return float(np.max(np.diff(coordinates)))
-
-
-def range_for_k_connectivity(
-    positions: Positions,
-    k: int,
-    tolerance: float = 1e-6,
-    max_iterations: int = 64,
-) -> Optional[float]:
-    """Smallest range (to ``tolerance``) making the placement k-connected.
-
-    Uses bisection between the 1-connectivity critical range and the
-    placement diameter.  Returns ``None`` when even the complete graph on
-    the placement is not k-connected (i.e. ``n <= k``).
-    """
-    if k <= 0:
-        raise AnalysisError(f"k must be positive, got {k}")
-    points = as_positions(positions)
-    n = points.shape[0]
-    if n <= k:
-        return None
-    low = critical_range(points)
-    distances = pairwise_distances(points)
-    high = float(distances.max())
-    if high == 0.0:
-        return 0.0
-
-    def satisfied(radius: float) -> bool:
-        graph = build_communication_graph(points, radius)
-        return is_k_connected(graph, k)
-
-    if satisfied(low):
-        return low
-    if not satisfied(high):
-        return None
-    for _ in range(max_iterations):
-        mid = 0.5 * (low + high)
-        if satisfied(mid):
-            high = mid
-        else:
-            low = mid
-        if high - low <= tolerance:
-            break
-    return high
-
-
-def sorted_edge_lengths(positions: Positions) -> List[float]:
-    """All pairwise distances sorted ascending (helper for sweeps/tests)."""
-    points = as_positions(positions)
-    n = points.shape[0]
-    if n < 2:
-        return []
-    distances = pairwise_distances(points)
-    rows, cols = np.triu_indices(n, k=1)
-    return np.sort(distances[rows, cols]).tolist()

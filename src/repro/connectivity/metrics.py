@@ -1,16 +1,15 @@
-"""Per-placement and per-trace connectivity observations.
+"""Connectivity observations of one placement at one range.
 
-The simulator reduces every mobility step to a small record — was the
-graph connected, and how large was the largest connected component.  The
-functions here compute those records from raw positions so they can also be
-used standalone (e.g. the examples call them directly on hand-built
-placements).
+Each observation records whether the point graph is connected and how
+large its largest component is.  The simulator reads the same facts off
+its spanning-tree columns (``FrameStatisticsColumns.connected_at`` and
+``largest_component_sizes_at``); the functions here build the point graph
+directly, for the examples and as the tests' per-frame reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
 
 from repro.graph.builder import build_communication_graph
 from repro.graph.components import summarize_components
@@ -53,33 +52,3 @@ def observe_placement(
 def is_placement_connected(positions: Positions, transmitting_range: float) -> bool:
     """``True`` if the point graph of ``positions`` at range ``r`` is connected."""
     return observe_placement(positions, transmitting_range).connected
-
-
-def largest_component_fraction_of_placement(
-    positions: Positions, transmitting_range: float
-) -> float:
-    """Largest-component fraction of the point graph of ``positions``."""
-    return observe_placement(positions, transmitting_range).largest_component_fraction
-
-
-def observe_trace(
-    frames: Iterable[Positions], transmitting_range: float
-) -> List[ConnectivityObservation]:
-    """Observe every frame of a mobility trace at a fixed range."""
-    return [observe_placement(frame, transmitting_range) for frame in frames]
-
-
-def connectivity_fraction_over_trace(
-    frames: Iterable[Positions], transmitting_range: float
-) -> float:
-    """Fraction of frames whose communication graph is connected.
-
-    This is the quantity the MTRM problem constrains: ``r100`` is the least
-    range for which this fraction is 1.0, ``r90`` the least range for which
-    it is at least 0.9, and so on.
-    """
-    observations = observe_trace(frames, transmitting_range)
-    if not observations:
-        return 0.0
-    connected = sum(1 for obs in observations if obs.connected)
-    return connected / len(observations)

@@ -5,8 +5,7 @@ the constants below are read off those figures (and off the explicit
 percentages quoted in the text of Section 4.2), so they are approximate to
 within the precision a reader can extract from the plots.  They exist so
 that experiment output can be compared programmatically against the paper
-(:func:`compare_with_paper`), and so EXPERIMENTS.md has a single source of
-truth for the "paper" column.
+(:func:`compare_with_paper`).
 
 All ratio values are relative to ``rstationary`` unless stated otherwise.
 """
@@ -82,8 +81,8 @@ def compare_with_paper(
 
     The default tolerance is deliberately loose (50 % relative) because the
     absolute levels depend on the run length and on the ``rstationary``
-    definition (see EXPERIMENTS.md); the comparison is about orderings and
-    orders of magnitude.
+    definition (see :func:`repro.simulation.runner.stationary_critical_range`);
+    the comparison is about orderings and orders of magnitude.
     """
     expected = paper_row_for_figure(figure, side)
     measured_subset = {key: measured[key] for key in expected if key in measured}

@@ -101,8 +101,8 @@ def compare_to_paper(
         tolerance: relative deviation above which a row is flagged.
 
     Returns:
-        A table with a ``match`` column (``ok`` / ``off``), used by
-        EXPERIMENTS.md generation and by the benchmark output.
+        A table with a ``match`` column (``ok`` / ``off``); see
+        :func:`repro.experiments.paper_values.compare_with_paper`.
     """
     rows = []
     for key in expected:

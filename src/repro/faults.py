@@ -182,12 +182,6 @@ class FaultPlan:
         state_dir = document.get("state_dir") or default_state_dir
         return cls(faults=tuple(faults), state_dir=str(state_dir))
 
-    def to_document(self) -> Dict:
-        return {
-            "faults": [asdict(spec) for spec in self.faults],
-            "state_dir": self.state_dir,
-        }
-
 
 def write_plan(
     path: Union[str, Path],

@@ -1,10 +1,9 @@
-"""Geometric substrate: deployment regions, distances and spatial indices.
+"""Geometric substrate: deployment regions and distances.
 
 The paper places ``n`` nodes inside the ``d``-dimensional cube ``[0, l]^d``.
-This package models that region (:class:`~repro.geometry.region.Region`),
-provides the distance computations used to decide which nodes can hear each
-other, and offers a uniform-grid neighbour index
-(:class:`~repro.geometry.spatial_index.GridIndex`) used by the graph builder.
+This package models that region (:class:`~repro.geometry.region.Region`)
+and provides the distance computations used to decide which nodes can hear
+each other.
 """
 
 from repro.geometry.distance import (
@@ -14,10 +13,8 @@ from repro.geometry.distance import (
     toroidal_distance_matrix,
 )
 from repro.geometry.region import Region
-from repro.geometry.spatial_index import GridIndex
 
 __all__ = [
-    "GridIndex",
     "Region",
     "pairwise_distances",
     "squared_distance_matrix",

@@ -4,14 +4,15 @@ The paper models a network as a *point graph*: nodes at known positions,
 with an undirected edge whenever two nodes are within the common
 transmitting range ``r`` of each other.  This package provides
 
-* :class:`~repro.graph.adjacency.CommunicationGraph` — an adjacency-list
-  graph that remembers the positions and range that generated it,
-* :func:`~repro.graph.builder.build_communication_graph` — grid-accelerated
-  construction from a placement,
-* connected-component machinery (union-find and BFS based),
-* structural properties used by the analysis (isolated nodes, degrees,
-  articulation points, k-connectivity), and
-* conversion to/from :mod:`networkx` for cross-checking in the tests.
+* :class:`~repro.graph.adjacency.CommunicationGraph` — the node count and
+  edge set of one point graph,
+* :func:`~repro.graph.builder.build_communication_graph` — its brute-force
+  construction from a placement, and
+* union-find connected components.
+
+The simulator answers every connectivity question from minimum spanning
+tree columns instead; this package is the direct reference they are
+tested against.
 """
 
 from repro.graph.adjacency import CommunicationGraph
@@ -21,41 +22,16 @@ from repro.graph.components import (
     connected_components,
     component_sizes,
     is_connected,
-    largest_component_fraction,
-    largest_component_size,
 )
-from repro.graph.properties import (
-    degree_sequence,
-    degree_statistics,
-    has_isolated_node,
-    is_k_connected,
-    isolated_nodes,
-    articulation_points,
-    minimum_degree,
-)
-from repro.graph.traversal import bfs_order, bfs_tree, hop_counts, shortest_hop_path
 from repro.graph.union_find import UnionFind
 
 __all__ = [
     "CommunicationGraph",
     "ComponentSummary",
     "UnionFind",
-    "articulation_points",
-    "bfs_order",
-    "bfs_tree",
     "build_communication_graph",
     "component_sizes",
     "connected_components",
-    "degree_sequence",
-    "degree_statistics",
-    "has_isolated_node",
-    "hop_counts",
     "is_connected",
-    "is_k_connected",
-    "isolated_nodes",
-    "largest_component_fraction",
-    "largest_component_size",
-    "minimum_degree",
     "neighbor_pairs",
-    "shortest_hop_path",
 ]

@@ -3,86 +3,45 @@
 A communication graph is the point graph induced by a placement and a common
 transmitting range: nodes are indexed ``0 .. n-1``, and an undirected edge
 connects two nodes whose Euclidean distance is at most ``r``.  The class
-stores an adjacency list, the edge list, and (optionally) the positions and
-range that generated it so downstream metrics such as "largest connected
-component as a fraction of n" can be computed without re-deriving context.
+holds the node count and the edge set, which is all the component
+reference of :mod:`repro.graph.components` reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Set
 
-import numpy as np
-
-from repro.types import Edge, Positions, as_positions
+from repro.types import Edge
 
 
 class CommunicationGraph:
-    """Undirected graph over nodes ``0 .. n-1`` with optional geometry.
+    """Undirected graph over nodes ``0 .. n-1``.
 
     Args:
         node_count: number of nodes ``n``.
         edges: iterable of ``(u, v)`` pairs; self loops are ignored and
             duplicates are collapsed.
-        positions: optional ``(n, d)`` array of node positions.
-        transmitting_range: optional range ``r`` used to generate the edges.
     """
 
-    def __init__(
-        self,
-        node_count: int,
-        edges: Iterable[Edge] = (),
-        positions: Optional[Positions] = None,
-        transmitting_range: Optional[float] = None,
-    ) -> None:
+    def __init__(self, node_count: int, edges: Iterable[Edge] = ()) -> None:
         if node_count < 0:
             raise ValueError(f"node_count must be non-negative, got {node_count}")
         self._node_count = node_count
-        self._adjacency: List[Set[int]] = [set() for _ in range(node_count)]
         self._edge_set: Set[Edge] = set()
-        self._positions = None if positions is None else as_positions(positions)
-        if self._positions is not None and self._positions.shape[0] != node_count:
-            raise ValueError(
-                f"positions describe {self._positions.shape[0]} nodes, "
-                f"but node_count is {node_count}"
-            )
-        self._transmitting_range = transmitting_range
         for u, v in edges:
             self.add_edge(u, v)
 
-    # ------------------------------------------------------------------ #
-    # Construction and mutation
-    # ------------------------------------------------------------------ #
     def add_edge(self, u: int, v: int) -> None:
         """Add the undirected edge ``(u, v)``; self loops are ignored."""
-        self._check_node(u)
-        self._check_node(v)
-        if u == v:
-            return
-        key = (u, v) if u < v else (v, u)
-        if key in self._edge_set:
-            return
-        self._edge_set.add(key)
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
+        for node in (u, v):
+            if not 0 <= node < self._node_count:
+                raise IndexError(
+                    f"node {node} out of range for a graph with "
+                    f"{self._node_count} nodes"
+                )
+        if u != v:
+            self._edge_set.add((u, v) if u < v else (v, u))
 
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove the undirected edge ``(u, v)`` if present."""
-        key = (u, v) if u < v else (v, u)
-        if key in self._edge_set:
-            self._edge_set.discard(key)
-            self._adjacency[u].discard(v)
-            self._adjacency[v].discard(u)
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self._node_count:
-            raise IndexError(
-                f"node {node} out of range for a graph with {self._node_count} nodes"
-            )
-
-    # ------------------------------------------------------------------ #
-    # Accessors
-    # ------------------------------------------------------------------ #
     @property
     def node_count(self) -> int:
         """Number of nodes ``n``."""
@@ -93,89 +52,6 @@ class CommunicationGraph:
         """Number of undirected edges."""
         return len(self._edge_set)
 
-    @property
-    def positions(self) -> Optional[Positions]:
-        """Node positions used to build the graph, if known."""
-        return self._positions
-
-    @property
-    def transmitting_range(self) -> Optional[float]:
-        """Common transmitting range used to build the graph, if known."""
-        return self._transmitting_range
-
-    def nodes(self) -> range:
-        """Iterable of node indices."""
-        return range(self._node_count)
-
     def edges(self) -> List[Edge]:
         """Sorted list of undirected edges as ``(u, v)`` with ``u < v``."""
         return sorted(self._edge_set)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """``True`` if the undirected edge ``(u, v)`` exists."""
-        if u == v:
-            return False
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_set
-
-    def neighbors(self, node: int) -> Set[int]:
-        """Set of neighbours of ``node`` (a copy; safe to mutate)."""
-        self._check_node(node)
-        return set(self._adjacency[node])
-
-    def degree(self, node: int) -> int:
-        """Number of neighbours of ``node``."""
-        self._check_node(node)
-        return len(self._adjacency[node])
-
-    def degrees(self) -> List[int]:
-        """Degree of every node, indexed by node id."""
-        return [len(adj) for adj in self._adjacency]
-
-    def adjacency_lists(self) -> List[Set[int]]:
-        """Internal adjacency sets (not copied — treat as read only)."""
-        return self._adjacency
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (for small graphs / tests)."""
-        matrix = np.zeros((self._node_count, self._node_count), dtype=bool)
-        for u, v in self._edge_set:
-            matrix[u, v] = True
-            matrix[v, u] = True
-        return matrix
-
-    def subgraph(self, nodes: Sequence[int]) -> "CommunicationGraph":
-        """Induced subgraph on ``nodes`` with node ids relabelled to 0..k-1."""
-        ordered = list(nodes)
-        mapping: Dict[int, int] = {old: new for new, old in enumerate(ordered)}
-        sub_positions = None
-        if self._positions is not None:
-            sub_positions = self._positions[ordered]
-        sub = CommunicationGraph(
-            len(ordered),
-            positions=sub_positions,
-            transmitting_range=self._transmitting_range,
-        )
-        member = set(ordered)
-        for u, v in self._edge_set:
-            if u in member and v in member:
-                sub.add_edge(mapping[u], mapping[v])
-        return sub
-
-    def copy(self) -> "CommunicationGraph":
-        """Deep copy of the graph (positions are shared, edges copied)."""
-        return CommunicationGraph(
-            self._node_count,
-            edges=self._edge_set,
-            positions=self._positions,
-            transmitting_range=self._transmitting_range,
-        )
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._node_count))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"CommunicationGraph(nodes={self._node_count}, "
-            f"edges={self.edge_count}, r={self._transmitting_range!r})"
-        )

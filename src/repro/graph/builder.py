@@ -1,42 +1,32 @@
 """Construction of communication graphs from placements.
 
-Two strategies are provided and selected automatically by node count:
-
-* **brute force** — vectorised all-pairs distance comparison, best for small
-  ``n`` where building a grid index costs more than it saves;
-* **grid** — bucket nodes into cells of side ``r`` and only compare nodes in
-  neighbouring cells (see :class:`repro.geometry.spatial_index.GridIndex`).
-
-Both produce exactly the same edge set; the ablation benchmark
-``bench_ablation_index`` measures the crossover.
+One vectorised all-pairs pass compares every squared distance with
+``r**2``.  The simulator never builds a point graph: its answers come from
+the minimum spanning tree columns of :mod:`repro.simulation.engine`.  This
+builder answers one placement at one range (the examples and
+:func:`repro.connectivity.metrics.observe_placement`), and it is the plain
+reference the spanning-tree kernels are tested against.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.geometry.distance import squared_distance_matrix
-from repro.geometry.spatial_index import GridIndex
 from repro.graph.adjacency import CommunicationGraph
 from repro.types import Edge, Positions, as_positions
 
-#: Below this many nodes the vectorised brute-force pass is faster than
-#: building a grid index; determined empirically, see bench_ablation_index.
-BRUTE_FORCE_THRESHOLD = 192
 
-
-def neighbor_pairs(
-    positions: Positions, transmitting_range: float, method: str = "auto"
-) -> List[Edge]:
+def neighbor_pairs(positions: Positions, transmitting_range: float) -> List[Edge]:
     """All unordered pairs of nodes within ``transmitting_range``.
 
     Args:
         positions: ``(n, d)`` placement.
-        transmitting_range: common range ``r``; must be non-negative.
-        method: ``"auto"``, ``"brute"`` or ``"grid"``.
+        transmitting_range: common range ``r``; must be non-negative.  A
+            pair at distance exactly ``r`` is adjacent.
 
     Returns:
         Sorted list of ``(u, v)`` pairs with ``u < v``.
@@ -46,63 +36,19 @@ def neighbor_pairs(
             f"transmitting range must be non-negative, got {transmitting_range}"
         )
     points = as_positions(positions)
-    n = points.shape[0]
-    if n < 2:
+    if points.shape[0] < 2:
         return []
-    if method == "auto":
-        method = "brute" if n <= BRUTE_FORCE_THRESHOLD else "grid"
-    if transmitting_range == 0.0:
-        # A zero range still connects coincident nodes (distance 0 <= 0);
-        # the grid index cannot be built with a zero cell size, so always
-        # answer this case with the brute-force pass.
-        method = "brute"
-    if method == "brute":
-        return _brute_force_pairs(points, transmitting_range)
-    if method == "grid":
-        index = GridIndex(points, cell_size=transmitting_range)
-        return sorted(index.neighbor_pairs(transmitting_range))
-    raise ConfigurationError(
-        f"unknown builder method {method!r}; expected 'auto', 'brute' or 'grid'"
-    )
-
-
-def _brute_force_pairs(points: np.ndarray, transmitting_range: float) -> List[Edge]:
     squared = squared_distance_matrix(points)
     limit = transmitting_range * transmitting_range
-    upper = np.triu(squared <= limit, k=1)
-    rows, cols = np.nonzero(upper)
+    rows, cols = np.nonzero(np.triu(squared <= limit, k=1))
     return [(int(u), int(v)) for u, v in zip(rows, cols)]
 
 
 def build_communication_graph(
-    positions: Positions,
-    transmitting_range: float,
-    method: str = "auto",
+    positions: Positions, transmitting_range: float
 ) -> CommunicationGraph:
-    """Build the point graph induced by ``positions`` and ``transmitting_range``.
-
-    The returned graph remembers both the positions and the range so that
-    downstream metrics can relate component sizes back to ``n`` and report
-    the generating ``r``.
-    """
+    """Build the point graph induced by ``positions`` and ``transmitting_range``."""
     points = as_positions(positions)
-    edges = neighbor_pairs(points, transmitting_range, method=method)
     return CommunicationGraph(
-        node_count=points.shape[0],
-        edges=edges,
-        positions=points,
-        transmitting_range=transmitting_range,
+        points.shape[0], edges=neighbor_pairs(points, transmitting_range)
     )
-
-
-def adjacency_from_pairs(node_count: int, pairs: List[Edge]) -> List[List[int]]:
-    """Plain adjacency lists from an edge list (helper for hot loops).
-
-    Used by the simulator when only connectivity (not the full graph object)
-    is required at each mobility step.
-    """
-    adjacency: List[List[int]] = [[] for _ in range(node_count)]
-    for u, v in pairs:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return adjacency

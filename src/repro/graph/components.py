@@ -78,16 +78,3 @@ def is_connected(graph: CommunicationGraph) -> bool:
         if structure.component_count == 1:
             return True
     return structure.component_count == 1
-
-
-def largest_component_size(graph: CommunicationGraph) -> int:
-    """Number of nodes in the largest connected component."""
-    sizes = component_sizes(graph)
-    return sizes[0] if sizes else 0
-
-
-def largest_component_fraction(graph: CommunicationGraph) -> float:
-    """Largest component size as a fraction of the total node count."""
-    if graph.node_count == 0:
-        return 0.0
-    return largest_component_size(graph) / graph.node_count

@@ -25,7 +25,6 @@ from repro.mobility.gauss_markov import GaussMarkovModel
 from repro.mobility.group import ReferencePointGroupModel
 from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.stationary import StationaryModel
-from repro.mobility.trace import MobilityTrace, record_trace
 from repro.mobility.waypoint import RandomWaypointModel
 
 __all__ = [
@@ -34,12 +33,10 @@ __all__ = [
     "GaussMarkovModel",
     "MobilityModel",
     "MobilityState",
-    "MobilityTrace",
     "RandomDirectionModel",
     "RandomWaypointModel",
     "ReferencePointGroupModel",
     "StationaryModel",
-    "record_trace",
 ]
 
 

@@ -17,7 +17,8 @@ loop trivial.  A client must send its whole request within
 :data:`_READ_DEADLINE_SECONDS`; one that stalls is answered ``408`` and
 closed, so a silent connection cannot hold a descriptor until shutdown.
 Per-endpoint latency lands in ``query.http.<endpoint>_seconds``
-histograms next to the service's own ``query.*`` metrics.
+histograms next to the service's own ``query.*`` metrics; every other
+path shares ``query.http.unrouted_seconds``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.telemetry import metrics
 from repro.query.normalize import Query, QueryError
 from repro.query.service import QueryService
 
-__all__ = ["QueryHTTPServer", "parse_query_document", "serve_queries"]
+__all__ = ["QueryHTTPServer", "parse_query_document"]
 
 #: Bytes one request may total (line + headers + body); queries are tiny.
 _MAX_REQUEST_BYTES = 64 * 1024
@@ -41,6 +42,9 @@ _MAX_REQUEST_BYTES = 64 * 1024
 _READ_DEADLINE_SECONDS = 10.0
 
 _NUMBER_FIELDS = ("side", "probability", "range")
+
+#: The routed paths; each has its own ``query.http.<name>_seconds``.
+_ROUTES = ("/ask", "/health", "/stats")
 
 
 def parse_query_document(document: Dict[str, Any]) -> Query:
@@ -63,7 +67,7 @@ def parse_query_document(document: Dict[str, Any]) -> Query:
                 fields[name] = float(document[name])
         if document.get("nodes") is not None:
             fields["nodes"] = int(document["nodes"])
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise QueryError(f"malformed query field: {error}") from None
     return Query(**fields)
 
@@ -198,16 +202,9 @@ class QueryHTTPServer:
                 return 200, answer.to_json()
             return 404, {"error": f"no route {route}"}
         finally:
-            endpoint = route.strip("/").replace("/", "_") or "root"
+            # A client picks the path: one histogram per unknown path
+            # would let it grow the registry without bound.
+            endpoint = route[1:] if route in _ROUTES else "unrouted"
             metrics.histogram(f"query.http.{endpoint}_seconds").observe(
                 time.perf_counter() - started
             )
-
-
-async def serve_queries(
-    service: QueryService, host: str = "127.0.0.1", port: int = 0
-) -> QueryHTTPServer:
-    """Start a listening :class:`QueryHTTPServer`; caller owns shutdown."""
-    server = QueryHTTPServer(service)
-    await server.start(host=host, port=port)
-    return server

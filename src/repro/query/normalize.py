@@ -24,6 +24,7 @@ and drives the ``refine=true`` cache-fill path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -69,8 +70,14 @@ class Query:
             raise QueryError("give exactly one of side= or nodes=")
         if (self.probability is None) == (self.range is None):
             raise QueryError("give exactly one of probability= or range=")
+        for name in ("side", "probability", "range"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise QueryError(f"{name} must be finite, got {value}")
         if self.nodes is not None and self.nodes < 2:
             raise QueryError(f"nodes must be >= 2, got {self.nodes}")
+        if self.nodes is not None and self.nodes**2 > sys.float_info.max:
+            raise QueryError(f"nodes {self.nodes} is too large for a side")
         if self.side is not None and not self.side > 0:
             raise QueryError(f"side must be positive, got {self.side}")
         if self.probability is not None and not 0.0 <= self.probability <= 1.0:

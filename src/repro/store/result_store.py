@@ -446,17 +446,6 @@ class ResultStore:
             return False
         return True
 
-    def clear_quarantine(self) -> int:
-        """Drop every poison record and quarantined entry copy."""
-        removed = 0
-        for key in self.poison_keys():
-            if self.clear_poison(key):
-                removed += 1
-        for key in self.quarantined_entries():
-            if self.drop_quarantined_entry(key):
-                removed += 1
-        return removed
-
     # ------------------------------------------------------------------ #
     # Garbage collection
     # ------------------------------------------------------------------ #

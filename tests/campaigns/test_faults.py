@@ -663,6 +663,60 @@ def _fire_once(plan_path: str) -> None:
     faults.fire("measure")
 
 
+class TestMalformedPlansAndPolicies:
+    """Fault plans and retry policies arrive from files and flags; every
+    malformed value is refused with a :class:`ConfigurationError`."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"at": 0}, {"count": -1}, {"seconds": -1.0}],
+        ids=["at-zero", "negative-count", "negative-seconds"],
+    )
+    def test_fault_spec_fields(self, fields):
+        with pytest.raises(ConfigurationError):
+            FaultSpec(site="measure", action="hang", **fields)
+
+    @pytest.mark.parametrize(
+        "document",
+        [[], {"faults": {}}, {"faults": ["measure"]}],
+        ids=["not-an-object", "faults-not-a-list", "entry-not-an-object"],
+    )
+    def test_plan_documents(self, document, tmp_path):
+        with pytest.raises(ConfigurationError):
+            faults.FaultPlan.from_document(document, default_state_dir=str(tmp_path))
+
+    def test_an_unreadable_plan_file(self, tmp_path, monkeypatch):
+        plan = tmp_path / "plan.json"
+        plan.write_text("{not json")
+        monkeypatch.setenv(faults.ENV_VAR, str(plan))
+        with pytest.raises(ConfigurationError, match="cannot load fault plan"):
+            faults.fire("measure")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_retries": -1},
+            {"backoff": -0.5},
+            {"backoff_cap": -1.0},
+            {"task_timeout": 0.0},
+        ],
+        ids=["negative-retries", "negative-backoff", "negative-cap", "zero-timeout"],
+    )
+    def test_retry_policy_fields(self, fields):
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(**fields)
+
+    def test_there_is_no_delay_before_a_first_attempt(self):
+        with pytest.raises(ConfigurationError):
+            RetryPolicy(max_retries=1).delay_for(0)
+
+    def test_a_budget_below_one(self):
+        with pytest.raises(ConfigurationError, match="budget"):
+            run_supervised(
+                [1], budget=0, submit=lambda pool, task: None, on_result=print
+            )
+
+
 class TestSpuriousBreakGrace:
     """Immediate pool re-breaks with no intervening progress respawn free.
 

@@ -113,6 +113,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             CampaignSpec(name="x", experiments=("fig2",), matrix=(("seed", ()),))
 
+    def test_rejects_an_empty_name(self):
+        with pytest.raises(ConfigurationError, match="name"):
+            CampaignSpec(name="", experiments=("fig2",))
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            ["fig2"],
+            {"name": "x", "experiments": "fig2"},
+            {"name": "x", "experiments": ["fig2"], "overrides": ["steps", 10]},
+        ],
+        ids=["not-a-table", "experiments-not-a-list", "overrides-not-a-table"],
+    )
+    def test_rejects_malformed_documents(self, document):
+        with pytest.raises(ConfigurationError):
+            CampaignSpec.from_dict(document)
+
     def test_rejects_unknown_spec_keys(self):
         with pytest.raises(ConfigurationError):
             CampaignSpec.from_dict(

@@ -8,13 +8,8 @@ from repro.connectivity.critical_range import (
     critical_range_for_component_fraction,
     critical_range_toroidal,
     longest_gap_1d,
-    range_for_k_connectivity,
-    sorted_edge_lengths,
 )
-from repro.connectivity.metrics import (
-    is_placement_connected,
-    largest_component_fraction_of_placement,
-)
+from repro.connectivity.metrics import is_placement_connected, observe_placement
 from repro.exceptions import AnalysisError
 
 
@@ -110,11 +105,10 @@ class TestComponentFractionRange:
     def test_is_exact_threshold(self, small_placement):
         target = 0.5
         r_half = critical_range_for_component_fraction(small_placement, target)
-        assert largest_component_fraction_of_placement(small_placement, r_half) >= target
-        assert (
-            largest_component_fraction_of_placement(small_placement, r_half - 1e-9)
-            < target
-        )
+        at = observe_placement(small_placement, r_half)
+        below = observe_placement(small_placement, r_half - 1e-9)
+        assert at.largest_component_fraction >= target
+        assert below.largest_component_fraction < target
 
     def test_monotone_in_fraction(self, small_placement):
         values = [
@@ -148,46 +142,3 @@ class TestLongestGap1d:
     def test_single_point(self):
         assert longest_gap_1d(np.array([[5.0]])) == 0.0
 
-
-class TestKConnectivityRange:
-    def test_k1_matches_critical_range(self, rng):
-        points = rng.uniform(0, 50, size=(12, 2))
-        assert range_for_k_connectivity(points, 1) == pytest.approx(
-            critical_range(points), abs=1e-4
-        )
-
-    def test_k2_at_least_k1(self, rng):
-        points = rng.uniform(0, 50, size=(12, 2))
-        r1 = range_for_k_connectivity(points, 1)
-        r2 = range_for_k_connectivity(points, 2)
-        assert r2 is not None and r1 is not None
-        assert r2 >= r1 - 1e-9
-
-    def test_k2_result_is_2_connected(self, rng):
-        from repro.graph.builder import build_communication_graph
-        from repro.graph.properties import is_k_connected
-
-        points = rng.uniform(0, 50, size=(10, 2))
-        r2 = range_for_k_connectivity(points, 2, tolerance=1e-4)
-        assert r2 is not None
-        assert is_k_connected(build_communication_graph(points, r2), 2)
-
-    def test_too_few_nodes(self):
-        points = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert range_for_k_connectivity(points, 2) is None
-
-    def test_invalid_k(self, small_placement):
-        with pytest.raises(AnalysisError):
-            range_for_k_connectivity(small_placement, 0)
-
-
-class TestSortedEdgeLengths:
-    def test_count_and_order(self, small_placement):
-        lengths = sorted_edge_lengths(small_placement)
-        n = small_placement.shape[0]
-        assert len(lengths) == n * (n - 1) // 2
-        assert lengths == sorted(lengths)
-
-    def test_small_inputs(self):
-        assert sorted_edge_lengths(np.array([[0.0, 0.0]])) == []
-        assert sorted_edge_lengths(np.empty((0, 2))) == []

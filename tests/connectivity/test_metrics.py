@@ -1,15 +1,12 @@
 """Tests for repro.connectivity.metrics."""
 
+import networkx
 import numpy as np
 import pytest
 
-from repro.connectivity.metrics import (
-    connectivity_fraction_over_trace,
-    is_placement_connected,
-    largest_component_fraction_of_placement,
-    observe_placement,
-    observe_trace,
-)
+from repro.connectivity.critical_range import critical_range
+from repro.connectivity.metrics import is_placement_connected, observe_placement
+from repro.simulation.engine import frame_statistics_columns
 
 
 class TestObservePlacement:
@@ -45,8 +42,6 @@ class TestObservePlacement:
 
 class TestPlacementPredicates:
     def test_is_placement_connected_monotone(self, small_placement):
-        from repro.connectivity.critical_range import critical_range
-
         r_star = critical_range(small_placement)
         assert is_placement_connected(small_placement, r_star)
         assert is_placement_connected(small_placement, r_star * 1.5)
@@ -54,26 +49,41 @@ class TestPlacementPredicates:
 
     def test_largest_fraction_increases_with_range(self, small_placement):
         fractions = [
-            largest_component_fraction_of_placement(small_placement, r)
+            observe_placement(small_placement, r).largest_component_fraction
             for r in (0.0, 10.0, 30.0, 200.0)
         ]
         assert fractions == sorted(fractions)
         assert fractions[-1] == 1.0
 
 
-class TestTraceObservation:
-    def test_observe_trace_length(self, small_placement):
-        frames = [small_placement, small_placement + 1.0]
-        observations = observe_trace(frames, 20.0)
-        assert len(observations) == 2
-
-    def test_connectivity_fraction(self):
+class TestFrameColumnsAgainstObservations:
+    def test_connected_share_is_the_mtrm_fraction(self):
+        # The fraction the MTRM problem constrains, read off the columns.
         connected = np.array([[0.0, 0.0], [1.0, 0.0]])
         disconnected = np.array([[0.0, 0.0], [50.0, 0.0]])
-        fraction = connectivity_fraction_over_trace(
-            [connected, disconnected, connected, connected], 2.0
-        )
-        assert fraction == pytest.approx(0.75)
+        frames = [connected, disconnected, connected, connected]
+        columns = frame_statistics_columns(np.stack(frames))
+        flags = columns.connected_at(2.0)
+        assert flags.tolist() == [observe_placement(f, 2.0).connected for f in frames]
+        assert flags.mean() == pytest.approx(0.75)
 
-    def test_empty_trace(self):
-        assert connectivity_fraction_over_trace([], 1.0) == 0.0
+
+class TestObservePlacementAgainstNetworkx:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_observation_equals_the_networkx_graph(self, rng, dimension):
+        points = rng.uniform(0.0, 100.0, size=(40, dimension))
+        r_star = critical_range(points)
+        for radius in (0.3 * r_star, 0.7 * r_star, 1.2 * r_star):
+            reference = networkx.Graph()
+            reference.add_nodes_from(range(40))
+            reference.add_edges_from(
+                (u, v)
+                for u in range(40)
+                for v in range(u + 1, 40)
+                if np.linalg.norm(points[u] - points[v]) <= radius
+            )
+            components = list(networkx.connected_components(reference))
+            observation = observe_placement(points, radius)
+            assert observation.connected == networkx.is_connected(reference)
+            assert observation.component_count == len(components)
+            assert observation.largest_component_size == max(map(len, components))

@@ -39,6 +39,7 @@ from repro.experiments.registry import (
 )
 from repro.faults import FaultSpec, write_plan
 from repro.store import ResultStore, StoreSweepCheckpoint
+from repro.telemetry import metrics
 
 DIST_ID = "dist-test-exp"
 
@@ -505,6 +506,57 @@ class TestLeaseRecovery:
         assert result.computed_values == 6
         assert result.quarantined_tasks == 0
         assert _count(calls_dir) == 6
+
+
+class TestLeaseRenewal:
+    def test_heartbeats_hold_the_lease_of_a_long_task(self, tmp_path):
+        """A task that runs for three lease periods keeps its one lease.
+
+        The worker hangs 3 s at the ``measure`` site under a 1 s lease,
+        so only its heartbeats (``QueueClient.heartbeat``, every third of
+        a lease) keep the task leased.  With no retries allowed, a single
+        expiry would abort the serve.
+        """
+        spec = CampaignSpec.from_dict({
+            "name": "lease-renewal",
+            "experiments": ["fig2"],
+            "scale": "smoke",
+            "overrides": {
+                "sides": [256.0],
+                "steps": 8,
+                "iterations": 1,
+                "stationary_iterations": 5,
+            },
+        })
+        (scenario,) = spec.scenarios()
+        plan_dir = tmp_path / "faultplan"
+        plan_dir.mkdir()
+        plan = write_plan(
+            plan_dir / "plan.json",
+            [FaultSpec(site="measure", action="hang", seconds=3.0)],
+        )
+        workers = []
+        events = []
+        metrics.drain()
+        started = time.monotonic()
+        result = serve_campaign(
+            spec,
+            ResultStore(tmp_path / "store"),
+            lease_seconds=1.0,
+            max_retries=0,
+            telemetry_enabled=False,
+            progress=events.append,
+            on_ready=lambda url: workers.append(
+                start_worker(url, environment={"REPRO_FAULTS": str(plan)})
+            ),
+        )
+        reap(workers, timeout=PROMPT_EXIT)
+        assert time.monotonic() - started >= 3.0  # the hang ran
+        assert result.computed_values == 1
+        assert [e for e in events if isinstance(e, TaskRetried)] == []
+        assert "queue.lease_expiries" not in metrics.drain()
+        reference = get_experiment("fig2").run(scenario.scale)
+        assert result.sweeps[scenario.scenario_id].rows == reference.rows
 
 
 class TestFailureDispositions:

@@ -186,11 +186,12 @@ class TestIntegrity:
             {"curve_offsets": np.array([0, 2, 2])},
             {"curve_offsets": np.array([0.0, 2.0, 3.0])},
             {"critical_ranges": np.array([[1.5], [2.25]])},
+            {"curve_offsets": np.array([0, 3])},
         ],
         ids=[
             "sizes-cut-short", "size-above-node-count", "size-zero",
             "offsets-not-from-zero", "offsets-decrease", "offsets-end-short",
-            "offsets-not-integers", "ranges-2d",
+            "offsets-not-integers", "ranges-2d", "offsets-one-frame-short",
         ],
     )
     def test_server_rejects_inconsistent_frame_statistics(self, served, edit):
@@ -278,9 +279,49 @@ class TestIntegrity:
         with pytest.raises(RemoteStoreError, match=SHA_HEADER):
             remote.get(key)
 
+    @pytest.mark.parametrize("tamper", ["digest", "payload"])
+    def test_client_verifies_what_it_was_sent(self, served, monkeypatch, tamper):
+        # The server's own check passes; the bytes or the digest sideband
+        # change on the way, so only the client's check can catch it.
+        _, remote = served
+        key = key_of(f"tampered-{tamper}")
+        remote.put(key, {"l": 1.0})
+        reply = server_module._Handler._reply
+
+        def tampering(handler, status, payload, content_type="application/json",
+                      headers=None, head_only=False):
+            headers = dict(headers or {})
+            if SHA_HEADER in headers:
+                if tamper == "digest":
+                    headers[SHA_HEADER] = hashlib.sha256(b"other").hexdigest()
+                else:
+                    payload = b"garbage"
+                    headers[SHA_HEADER] = hashlib.sha256(payload).hexdigest()
+            reply(handler, status, payload, content_type, headers, head_only)
+
+        monkeypatch.setattr(server_module._Handler, "_reply", tampering)
+        message = {"digest": "transfer verification", "payload": "could not be decoded"}
+        with pytest.raises(StoreIntegrityError, match=message[tamper]):
+            remote.get(key)
+
     @pytest.mark.parametrize(
-        "metadata", ["[1]", "3", '"c"', "null"],
-        ids=["list", "number", "string", "null"],
+        "answer", [b"\xff\xfe", b"[1, 2]"], ids=["not-utf8-json", "not-an-object"]
+    )
+    def test_client_refuses_json_answers_it_cannot_use(
+        self, served, monkeypatch, answer
+    ):
+        _, remote = served
+
+        def garbled(handler, document, status=200):
+            handler._reply(status, answer)
+
+        monkeypatch.setattr(server_module._Handler, "_reply_json", garbled)
+        with pytest.raises(RemoteStoreError, match="answered"):
+            remote._json("GET", "/health")
+
+    @pytest.mark.parametrize(
+        "metadata", ["[1]", "3", '"c"', "null", "{oops"],
+        ids=["list", "number", "string", "null", "not-json"],
     )
     def test_metadata_must_be_a_json_object(self, served, metadata):
         # The store keeps metadata verbatim; `campaign gc --campaign`

@@ -254,6 +254,53 @@ class TestServerHygiene:
             connection.close()
         assert len(accepted) == 1
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/queue/lease", b"{oops"),
+            ("/queue/lease", b"[1, 2]"),
+            ("/queue/publish", b'{"task": "t", "worker": "w", "result": "no base64!"}'),
+        ],
+        ids=["json-not-parsable", "json-not-an-object", "result-not-base64"],
+    )
+    def test_malformed_queue_requests_are_400s(self, queue_server, path, body):
+        connection = http.client.HTTPConnection(
+            *address_of(queue_server), timeout=5.0
+        )
+        try:
+            connection.request("POST", path, body=body)
+            response = connection.getresponse()
+            assert response.status == 400
+            response.read()
+            connection.request("GET", "/queue/stats")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["total"] == 0
+        finally:
+            connection.close()
+
+    def test_a_handler_bug_is_a_500_and_the_server_keeps_serving(
+        self, queue_server, monkeypatch
+    ):
+        def broken(self):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(WorkQueue, "stats", broken)
+        connection = http.client.HTTPConnection(
+            *address_of(queue_server), timeout=5.0
+        )
+        try:
+            connection.request("GET", "/queue/stats")
+            response = connection.getresponse()
+            assert response.status == 500
+            assert "boom" in json.loads(response.read())["error"]
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+        finally:
+            connection.close()
+
     @pytest.mark.parametrize("length", ["banana", "-5"])
     def test_unknown_body_length_is_refused_and_closed(self, server, length):
         connection = http.client.HTTPConnection(*address_of(server), timeout=5.0)

@@ -84,8 +84,8 @@ class TestCompareWithPaper:
         assert "paper" in report and "measured" in report and "match" in report
 
     def test_loose_tolerance_accepts_reproduction_levels(self):
-        # The default-scale reproduction values for l = 16K (EXPERIMENTS.md)
-        # pass at the documented 50% tolerance.
+        # Default-scale reproduction levels for l = 16K pass at the
+        # documented 50% tolerance.
         measured = {
             "r100/rstationary": 0.96,
             "r90/rstationary": 0.83,

@@ -52,6 +52,16 @@ class TestExperimentScale:
                 name="bad", sides=(), steps=1, iterations=1,
                 stationary_iterations=1, parameter_points=2,
             )
+        with pytest.raises(ConfigurationError, match="stationary_iterations"):
+            ExperimentScale(
+                name="bad", sides=(10.0,), steps=1, iterations=1,
+                stationary_iterations=0, parameter_points=2,
+            )
+        with pytest.raises(ConfigurationError, match="parameter_points"):
+            ExperimentScale(
+                name="bad", sides=(10.0,), steps=1, iterations=1,
+                stationary_iterations=1, parameter_points=1,
+            )
 
 
 class TestSweepWorkersField:

@@ -9,6 +9,7 @@ from repro.geometry.distance import (
     euclidean_distance,
     nearest_neighbor_distances,
     pairwise_distances,
+    squared_distance,
     squared_distance_matrix,
     toroidal_distance,
     toroidal_distance_matrix,
@@ -63,6 +64,9 @@ class TestEuclideanDistance:
         with pytest.raises(ValueError):
             euclidean_distance([0, 0], [1, 2, 3])
 
+    def test_zero_dimensional_pair(self):
+        assert squared_distance([], []) == 0.0
+
 
 class TestToroidal:
     def test_wraps_around(self):
@@ -79,6 +83,10 @@ class TestToroidal:
         euclidean = pairwise_distances(small_placement)
         toroidal = toroidal_distance_matrix(small_placement, side=100.0)
         assert np.all(toroidal <= euclidean + 1e-9)
+
+    def test_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            toroidal_distance([0.0, 0.0], [1.0], side=10.0)
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,30 @@
 """Tests for repro.graph.builder."""
 
+import networkx
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.graph.builder import (
-    adjacency_from_pairs,
-    build_communication_graph,
-    neighbor_pairs,
-)
+from repro.geometry.distance import squared_distance
+from repro.graph.builder import build_communication_graph, neighbor_pairs
+
+
+def double_loop_pairs(points: np.ndarray, radius: float):
+    """Every pair ``u < v`` with ``|p_u - p_v|**2 <= r**2``, one at a time."""
+    n = points.shape[0]
+    return [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if squared_distance(points[u], points[v]) <= radius * radius
+    ]
+
+
+def networkx_pairs(points: np.ndarray, radius: float):
+    n = points.shape[0]
+    positions = {i: tuple(points[i]) for i in range(n)}
+    reference = networkx.random_geometric_graph(n, radius, pos=positions)
+    return sorted(tuple(sorted(edge)) for edge in reference.edges())
 
 
 class TestNeighborPairs:
@@ -28,36 +44,53 @@ class TestNeighborPairs:
     def test_single_node(self):
         assert neighbor_pairs(np.array([[1.0, 1.0]]), 10.0) == []
 
-    def test_brute_and_grid_agree(self, rng):
-        points = rng.uniform(0, 500, size=(250, 2))
-        radius = 40.0
-        brute = neighbor_pairs(points, radius, method="brute")
-        grid = neighbor_pairs(points, radius, method="grid")
-        assert brute == grid
+    def test_empty_placement(self):
+        assert neighbor_pairs(np.empty((0, 2)), 10.0) == []
 
-    def test_brute_and_grid_agree_1d(self, rng):
-        points = rng.uniform(0, 1000, size=(300, 1))
-        radius = 12.0
-        assert neighbor_pairs(points, radius, method="brute") == neighbor_pairs(
-            points, radius, method="grid"
-        )
-
-    def test_unknown_method(self, small_placement):
-        with pytest.raises(ConfigurationError):
-            neighbor_pairs(small_placement, 5.0, method="quadtree")
+    def test_rejects_positions_of_more_than_two_axes(self):
+        with pytest.raises(ValueError):
+            neighbor_pairs(np.zeros((2, 2, 2)), 1.0)
 
     def test_boundary_inclusive(self):
         points = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert neighbor_pairs(points, 5.0) == [(0, 1)]
         assert neighbor_pairs(points, 4.999) == []
 
+    def test_matches_networkx_at_250_nodes(self, rng):
+        points = rng.uniform(0, 500, size=(250, 2))
+        assert neighbor_pairs(points, 40.0) == networkx_pairs(points, 40.0)
+
+    def test_matches_networkx_at_300_nodes_in_1d(self, rng):
+        points = rng.uniform(0, 1000, size=(300, 1))
+        assert neighbor_pairs(points, 12.0) == networkx_pairs(points, 12.0)
+
+
+class TestAgainstDoubleLoop:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_random_placements(self, rng, dimension):
+        points = rng.uniform(0.0, 60.0, size=(40, dimension))
+        for radius in (5.0, 15.0, 40.0):
+            assert neighbor_pairs(points, radius) == double_loop_pairs(points, radius)
+
+    def test_lattice_pairs_exactly_at_the_range(self):
+        # Unit spacing: every row and column neighbour sits at exactly r.
+        points = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+        pairs = neighbor_pairs(points, 1.0)
+        assert pairs == double_loop_pairs(points, 1.0)
+        assert len(pairs) == 2 * 5 * 4
+
+    def test_coincident_nodes(self):
+        points = np.array([[2.0, 2.0], [2.0, 2.0], [7.0, 2.0], [2.0, 2.0]])
+        assert neighbor_pairs(points, 0.0) == [(0, 1), (0, 3), (1, 3)]
+        assert neighbor_pairs(points, 5.0) == double_loop_pairs(points, 5.0)
+        assert len(neighbor_pairs(points, 5.0)) == 6
+
 
 class TestBuildCommunicationGraph:
-    def test_graph_metadata(self, small_placement):
+    def test_graph_holds_the_neighbor_pairs(self, small_placement):
         graph = build_communication_graph(small_placement, 20.0)
         assert graph.node_count == small_placement.shape[0]
-        assert graph.transmitting_range == 20.0
-        assert np.allclose(graph.positions, small_placement)
+        assert graph.edges() == neighbor_pairs(small_placement, 20.0)
 
     def test_larger_range_superset_edges(self, small_placement):
         small = set(build_communication_graph(small_placement, 10.0).edges())
@@ -70,18 +103,6 @@ class TestBuildCommunicationGraph:
         assert graph.edge_count == n * (n - 1) // 2
 
     def test_matches_networkx_random_geometric_semantics(self, rng):
-        networkx = pytest.importorskip("networkx")
         points = rng.uniform(0, 1, size=(40, 2))
-        radius = 0.25
-        graph = build_communication_graph(points, radius)
-        positions = {i: tuple(points[i]) for i in range(40)}
-        reference = networkx.random_geometric_graph(40, radius, pos=positions)
-        assert set(graph.edges()) == {tuple(sorted(e)) for e in reference.edges()}
-
-
-class TestAdjacencyFromPairs:
-    def test_basic(self):
-        adjacency = adjacency_from_pairs(4, [(0, 1), (1, 2)])
-        assert adjacency[0] == [1]
-        assert sorted(adjacency[1]) == [0, 2]
-        assert adjacency[3] == []
+        graph = build_communication_graph(points, 0.25)
+        assert graph.edges() == networkx_pairs(points, 0.25)

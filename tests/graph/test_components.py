@@ -1,5 +1,6 @@
 """Tests for repro.graph.components."""
 
+import networkx
 import pytest
 
 from repro.graph.adjacency import CommunicationGraph
@@ -7,11 +8,8 @@ from repro.graph.components import (
     component_sizes,
     connected_components,
     is_connected,
-    largest_component_fraction,
-    largest_component_size,
     summarize_components,
 )
-from repro.graph.traversal import components_by_bfs
 
 
 def path_graph(n: int) -> CommunicationGraph:
@@ -35,13 +33,16 @@ class TestConnectedComponents:
         assert connected_components(graph) == []
         assert component_sizes(graph) == []
 
-    def test_matches_bfs_oracle(self, small_placement):
+    def test_matches_networkx(self, small_placement):
         from repro.graph.builder import build_communication_graph
 
         graph = build_communication_graph(small_placement, 15.0)
+        reference = networkx.Graph(graph.edges())
+        reference.add_nodes_from(range(graph.node_count))
         union_find_components = sorted(map(tuple, connected_components(graph)))
-        bfs_components = sorted(map(tuple, components_by_bfs(graph)))
-        assert union_find_components == bfs_components
+        assert union_find_components == sorted(
+            tuple(sorted(c)) for c in networkx.connected_components(reference)
+        )
 
 
 class TestIsConnected:
@@ -70,17 +71,17 @@ class TestIsConnected:
 class TestLargestComponent:
     def test_largest_size(self):
         graph = CommunicationGraph(7, edges=[(0, 1), (1, 2), (3, 4)])
-        assert largest_component_size(graph) == 3
+        assert summarize_components(graph).largest_size == 3
 
     def test_fraction(self):
         graph = CommunicationGraph(4, edges=[(0, 1)])
-        assert largest_component_fraction(graph) == pytest.approx(0.5)
+        assert summarize_components(graph).largest_fraction == pytest.approx(0.5)
 
     def test_fraction_empty_graph(self):
-        assert largest_component_fraction(CommunicationGraph(0)) == 0.0
+        assert summarize_components(CommunicationGraph(0)).largest_fraction == 0.0
 
     def test_fraction_connected_is_one(self):
-        assert largest_component_fraction(path_graph(6)) == 1.0
+        assert summarize_components(path_graph(6)).largest_fraction == 1.0
 
 
 class TestSummary:

@@ -18,6 +18,7 @@ frame, bit by bit, including:
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.geometry.region import Region
 from repro.mobility.drunkard import DrunkardModel
 from repro.mobility.gauss_markov import GaussMarkovModel
@@ -158,6 +159,20 @@ def test_trajectory_of_one_step_consumes_nothing(name):
     frames = model_b.trajectory(1, rng_b)
     assert np.array_equal(frames[0], model_a.state.positions)
     assert np.array_equal(rng_a.random(8), rng_b.random(8))
+
+
+# One model of each class: every override checks its own step count.
+@pytest.mark.parametrize(
+    "name",
+    [
+        "waypoint-fast", "drunkard", "random-direction",
+        "gauss-markov", "stationary", "group",
+    ],
+)
+def test_trajectory_of_no_steps_is_refused(name):
+    ((model, rng), _) = build_pair(name, 50.0, 6, 2, 3)
+    with pytest.raises(ConfigurationError, match="steps must be at least 1"):
+        model.trajectory(0, rng)
 
 
 @pytest.mark.parametrize("name", ["waypoint-fast", "drunkard", "random-direction"])

@@ -104,6 +104,13 @@ class TestCornerClusters:
         points = corner_clusters_placement(7, square_region, rng)
         assert points.shape == (7, 2)
 
+    def test_invalid_spread(self, square_region, rng):
+        with pytest.raises(ConfigurationError):
+            corner_clusters_placement(10, square_region, rng, spread=-0.5)
+
+    def test_zero_count(self, square_region, rng):
+        assert corner_clusters_placement(0, square_region, rng).shape == (0, 2)
+
     def test_requires_large_range(self, square_region, rng):
         from repro.connectivity.critical_range import critical_range
 

@@ -9,10 +9,7 @@ from repro.connectivity.critical_range import (
     critical_range_for_component_fraction,
     longest_gap_1d,
 )
-from repro.connectivity.metrics import (
-    is_placement_connected,
-    largest_component_fraction_of_placement,
-)
+from repro.connectivity.metrics import is_placement_connected, observe_placement
 from repro.simulation.engine import frame_statistics
 
 
@@ -81,7 +78,7 @@ class TestCriticalRangeProperties:
     def test_partial_range_achieves_fraction(self, points, fraction):
         radius = critical_range_for_component_fraction(points, fraction)
         assert (
-            largest_component_fraction_of_placement(points, radius)
+            observe_placement(points, radius).largest_component_fraction
             >= fraction - 1e-12
         )
 
@@ -90,8 +87,6 @@ class TestFrameStatisticsProperties:
     @given(placements_2d(), st.floats(min_value=0.0, max_value=150.0))
     @settings(max_examples=50, deadline=None)
     def test_frame_statistics_match_direct_graph(self, points, radius):
-        from repro.connectivity.metrics import observe_placement
-
         stats = frame_statistics(points)
         observation = observe_placement(points, radius)
         assert stats.largest_component_size_at(radius) == observation.largest_component_size

@@ -1,18 +1,19 @@
 """Property-based tests for the graph substrate (hypothesis)."""
 
+import networkx
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geometry.distance import squared_distance
+from repro.graph.adjacency import CommunicationGraph
 from repro.graph.builder import build_communication_graph, neighbor_pairs
 from repro.graph.components import (
     component_sizes,
     connected_components,
     is_connected,
-    largest_component_size,
+    summarize_components,
 )
-from repro.graph.traversal import components_by_bfs
 from repro.graph.union_find import UnionFind
 
 
@@ -48,18 +49,19 @@ def edge_lists(draw, max_nodes=30):
 
 
 class TestBuilderProperties:
-    # Radii are either exactly zero or at least 1e-9: sub-denormal radii make
-    # the two (mathematically equivalent) squared-distance formulas disagree
-    # at the 1e-90 scale, which is far outside the library's supported regime.
     @given(
         placements(),
         st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=150.0)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_grid_and_brute_force_agree(self, points, radius):
-        assert neighbor_pairs(points, radius, method="brute") == neighbor_pairs(
-            points, radius, method="grid"
-        )
+    def test_matches_a_double_loop(self, points, radius):
+        n = points.shape[0]
+        assert neighbor_pairs(points, radius) == [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if squared_distance(points[u], points[v]) <= radius * radius
+        ]
 
     @given(placements(max_nodes=25), st.floats(min_value=0.0, max_value=80.0),
            st.floats(min_value=0.0, max_value=80.0))
@@ -79,25 +81,23 @@ class TestBuilderProperties:
 class TestComponentProperties:
     @given(edge_lists())
     @settings(max_examples=60, deadline=None)
-    def test_union_find_matches_bfs(self, n_and_edges):
+    def test_union_find_matches_networkx(self, n_and_edges):
         n, edges = n_and_edges
-        from repro.graph.adjacency import CommunicationGraph
-
         graph = CommunicationGraph(n, edges=(e for e in edges if e[0] != e[1]))
+        reference = networkx.Graph(graph.edges())
+        reference.add_nodes_from(range(n))
         assert sorted(map(tuple, connected_components(graph))) == sorted(
-            map(tuple, components_by_bfs(graph))
+            tuple(sorted(c)) for c in networkx.connected_components(reference)
         )
 
     @given(edge_lists())
     @settings(max_examples=60, deadline=None)
     def test_component_sizes_partition_nodes(self, n_and_edges):
         n, edges = n_and_edges
-        from repro.graph.adjacency import CommunicationGraph
-
         graph = CommunicationGraph(n, edges=(e for e in edges if e[0] != e[1]))
         sizes = component_sizes(graph)
         assert sum(sizes) == n
-        assert largest_component_size(graph) == (max(sizes) if sizes else 0)
+        assert summarize_components(graph).largest_size == (max(sizes) if sizes else 0)
         assert is_connected(graph) == (len(sizes) <= 1)
 
     @given(st.integers(min_value=1, max_value=50), st.data())

@@ -13,7 +13,7 @@ import asyncio
 import json
 import pickle
 import time
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urlsplit
 
 import pytest
 
@@ -30,6 +30,7 @@ from repro.query.normalize import QueryError
 from repro.store import ResultStore
 from repro.supervision import RetryPolicy
 from repro import telemetry
+from repro.telemetry import metrics
 
 #: Synthetic (but physically shaped) rows for the smoke grid sides.
 ROW_256 = {
@@ -178,6 +179,42 @@ class TestAnswering:
 
         run(with_service(strict, lambda: with_service(lax, body)))
 
+    def test_a_corrupt_row_is_a_miss_not_an_error(self, tmp_path):
+        spec = make_spec()
+        store = warm_store(tmp_path, spec)
+        grid = GridIndex(spec)
+        key = grid.checkpoint_for(grid.scenario_for("waypoint")).key_for(256.0)
+        payload = store.entry(key)["payload_file"]
+        (store.root / "objects" / key[:2] / key / payload).write_bytes(b"garbage")
+        service = QueryService(store, spec)
+        metrics.drain()
+
+        async def body():
+            return await service.ask(Query(side=256.0, probability=0.9))
+
+        answer = run(with_service(service, body))
+        assert answer.source != "exact"
+        assert answer.refine
+        # An exact side is read directly, then as its own bracket.
+        assert metrics.drain()["query.integrity_misses"]["value"] >= 1.0
+
+    def test_a_row_without_thresholds_is_a_miss_not_an_error(self, tmp_path):
+        spec = make_spec()
+        store = ResultStore(tmp_path / "store")
+        grid = GridIndex(spec)
+        checkpoint = grid.checkpoint_for(grid.scenario_for("waypoint"), store=store)
+        checkpoint.save(256.0, {"l": 256.0, "n": 16.0})
+        service = QueryService(store, spec)
+        metrics.drain()
+
+        async def body():
+            return await service.ask(Query(side=256.0, probability=0.9))
+
+        answer = run(with_service(service, body))
+        assert answer.value is None
+        # An exact side is read directly, then as its own bracket.
+        assert metrics.drain()["query.unfittable_rows"]["value"] >= 1.0
+
     def test_hot_cache_is_bounded_lru(self, tmp_path):
         spec = make_spec()
         service = QueryService(warm_store(tmp_path, spec), spec, cache_cells=1)
@@ -244,6 +281,30 @@ class TestRefineRoundTrip:
             grid.scenario_for("waypoint"), store=store
         )
         assert store.get(checkpoint.key_for(16.0)) == row
+
+    def test_a_poisoned_refinement_can_be_requested_again(self, tmp_path):
+        spec = make_spec()
+        queue = WorkQueue(RetryPolicy(max_retries=0), lease_seconds=30.0)
+        queue.seal()
+        service = QueryService(warm_store(tmp_path, spec), spec, queue=queue)
+        ask = Query(side=16.0, probability=0.9)
+        metrics.drain()
+
+        async def body():
+            first = await service.ask(ask)
+            grant = queue.lease("test-worker")
+            queue.publish_error(grant["task"], "test-worker", "worker failed")
+            for _ in range(200):
+                if service.stats()["pending_refines"] == 0:
+                    break
+                await asyncio.sleep(0.05)
+            assert service.stats()["pending_refines"] == 0
+            again = await service.ask(ask)
+            assert again.refine_task not in (None, first.refine_task)
+            assert queue.stats()["total"] == 2
+
+        run(with_service(service, body))
+        assert metrics.drain()["query.refines_poisoned"]["value"] == 1.0
 
     def test_refined_row_survives_a_service_restart(self, tmp_path):
         spec = make_spec()
@@ -392,6 +453,78 @@ class TestHTTPFrontEnd:
 
         self.serve(tmp_path, body)
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "field, other",
+        [("side", "probability"), ("probability", "side"), ("range", "side")],
+    )
+    def test_non_finite_numbers_are_400s(self, tmp_path, field, other, value, method):
+        # Python's json reads and writes the Infinity and NaN literals, so a
+        # POST can carry them as well as a GET.
+        valid = {"side": 256.0, "probability": 0.9}
+        document = {field: float(value), other: valid[other]}
+
+        async def body(url):
+            if method == "GET":
+                return await http_request(url, "GET", "/ask?" + urlencode(document))
+            return await http_request(url, "POST", "/ask", document)
+
+        status, answer = self.serve(tmp_path, body)
+        assert status == 400
+        assert f"{field} must be finite" in answer["error"]
+
+    @pytest.mark.parametrize("nodes", [float("inf"), 10**200], ids=["infinite", "huge"])
+    def test_node_counts_past_any_side_are_400s(self, tmp_path, nodes):
+        async def body(url):
+            return await http_request(
+                url, "POST", "/ask", {"nodes": nodes, "probability": 0.9}
+            )
+
+        status, _ = self.serve(tmp_path, body)
+        assert status == 400
+
+    def test_unknown_paths_share_one_latency_histogram(self, tmp_path):
+        metrics.drain()
+
+        async def body(url):
+            for index in range(20):
+                status, _ = await http_request(url, "GET", f"/nowhere/{index}")
+                assert status == 404
+            await http_request(url, "GET", "/")
+            await http_request(url, "GET", "/health")
+            await http_request(url, "GET", "/ask?side=256&probability=0.9")
+
+        self.serve(tmp_path, body)
+        recorded = {
+            name: snapshot["count"]
+            for name, snapshot in metrics.drain().items()
+            if name.startswith("query.http.")
+        }
+        assert recorded == {
+            "query.http.unrouted_seconds": 21,
+            "query.http.health_seconds": 1,
+            "query.http.ask_seconds": 1,
+        }
+
+    def test_a_handler_bug_is_a_500_and_the_server_keeps_serving(
+        self, tmp_path, monkeypatch
+    ):
+        async def broken(self, query):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(QueryService, "ask", broken)
+
+        async def body(url):
+            status, document = await http_request(
+                url, "GET", "/ask?side=256&probability=0.9"
+            )
+            assert status == 500
+            assert "boom" in document["error"]
+            assert await http_request(url, "GET", "/health") == (200, {"status": "ok"})
+
+        self.serve(tmp_path, body)
+
     def test_stalled_request_is_answered_408_and_closed(
         self, tmp_path, monkeypatch
     ):
@@ -456,6 +589,8 @@ class TestRequestFraming:
             # A valid /ask document, padded past the limit.
             b"POST /ask HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"
             + b'{"side": 256.0, "probability": 0.9}'.ljust(100_000),
+            b"POST /ask HTTP/1.1\r\nContent-Length: 5\r\n\r\nside=",
+            b"POST /ask HTTP/1.1\r\nContent-Length: 2\r\n\r\n[]",
         ],
         ids=[
             "non-integer-length",
@@ -469,10 +604,15 @@ class TestRequestFraming:
             "headers-over-limit",
             "hexadecimal-length",
             "length-over-limit",
+            "ask-body-not-json",
+            "ask-body-not-an-object",
         ],
     )
     def test_malformed_framing_is_a_400(self, tmp_path, raw):
         assert respond_to(tmp_path, raw) == 400
+
+    def test_other_methods_on_ask_are_405s(self, tmp_path):
+        assert respond_to(tmp_path, b"DELETE /ask HTTP/1.1\r\n\r\n") == 405
 
     def test_well_formed_health_request_is_a_200(self, tmp_path):
         raw = b"GET /health HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"

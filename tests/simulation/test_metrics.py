@@ -126,6 +126,10 @@ class TestComponentFractionThresholds:
         r100 = range_for_connectivity_fraction(frames, 1.0)
         assert rl50 <= rl75 <= rl90 <= r100
 
+    def test_zero_node_frames_need_no_range(self):
+        empty = frame_statistics_columns(np.empty((3, 0, 2)))
+        assert range_for_component_fraction(empty, 0.5) == 0.0
+
     def test_tiny_target_is_zero(self, frames):
         # A single node (fraction 1/15) is already achieved at range 0.
         assert range_for_component_fraction(frames, 1 / 15) == 0.0

@@ -167,6 +167,12 @@ class TestVectorizedEngineMatchesReference:
                         points
                     ) == component_growth_curve_reference(points)
 
+    def test_flat_input_is_a_line(self):
+        line = np.array([0.0, 1.0, 3.0, 7.0])
+        expected = ((1.0, 2), (2.0, 3), (4.0, 4))
+        assert component_growth_curve(line) == expected
+        assert component_growth_curve_reference(line) == expected
+
     def test_duplicate_points(self):
         points = np.array([[1.0, 1.0], [1.0, 1.0], [4.0, 1.0], [4.0, 1.0]])
         curve = component_growth_curve(points)

@@ -146,3 +146,31 @@ class TestFrameStatisticsColumns:
             curve_sizes=np.array([-1, 4], dtype=np.int64),
         )
         assert pickle.loads(pickle.dumps(columns)) == columns
+
+    def test_from_frames_rejects_mixed_node_counts(self):
+        with pytest.raises(ValueError, match="constant node count"):
+            FrameStatisticsColumns.from_frames(
+                self._frames() + [FrameStatistics(1.0, ((1.0, 2),), 2)]
+            )
+
+    def test_offsets_must_bound_every_frame(self):
+        with pytest.raises(ValueError, match="curve_offsets"):
+            FrameStatisticsColumns(
+                node_count=4,
+                critical_ranges=np.array([1.0, 2.0]),
+                curve_offsets=np.array([0, 1]),
+                curve_ranges=np.array([1.0]),
+                curve_sizes=np.array([4]),
+            )
+
+    @pytest.mark.parametrize("index", [3, -4])
+    def test_index_past_either_end_raises(self, index):
+        with pytest.raises(IndexError):
+            FrameStatisticsColumns.from_frames(self._frames())[index]
+
+    def test_an_empty_container_pickles(self):
+        empty = FrameStatisticsColumns.from_frames([])
+        assert pickle.loads(pickle.dumps(empty)) == empty
+
+    def test_is_unequal_to_what_is_not_a_sequence(self):
+        assert FrameStatisticsColumns.from_frames(self._frames()) != 3.0

@@ -4,8 +4,10 @@ import pytest
 
 from repro.exceptions import SearchError
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
+from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.runner import collect_frame_statistics
 from repro.simulation.search import (
+    ComponentThresholds,
     average_component_fraction_at_range,
     estimate_component_thresholds,
     estimate_component_thresholds_from_statistics,
@@ -90,6 +92,23 @@ class TestComponentThresholds:
     def test_from_statistics_requires_data(self):
         with pytest.raises(SearchError):
             estimate_component_thresholds_from_statistics([])
+
+    def test_ratios_invalid_reference(self):
+        with pytest.raises(SearchError):
+            ComponentThresholds(rl90=3.0, rl75=2.0, rl50=1.0).ratios_to(0.0)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        estimate_thresholds_from_statistics,
+        estimate_component_thresholds_from_statistics,
+    ],
+)
+def test_estimators_take_exactly_three_fractions(estimate):
+    statistics = [FrameStatisticsColumns.from_frames([])]
+    with pytest.raises(SearchError, match="exactly three"):
+        estimate(statistics, fractions=(0.9, 0.5))
 
 
 class TestAverageComponentFraction:

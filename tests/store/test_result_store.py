@@ -75,6 +75,7 @@ MALFORMED_FRAME_ARRAYS = {
     "offsets-not-from-zero": {"curve_offsets": np.array([1, 2, 4, 5])},
     "offsets-decrease": {"curve_offsets": np.array([0, 4, 2, 5])},
     "offsets-end-short": {"curve_offsets": np.array([0, 2, 4, 4])},
+    "offsets-one-frame-short": {"curve_offsets": np.array([0, 2, 5])},
     "offsets-not-integers": {"curve_offsets": np.array([0.0, 2.0, 4.0, 5.0])},
     "size-zero": {"curve_sizes": np.array([0, 9, 3, 9, 9])},
     "size-above-node-count": {"curve_sizes": np.array([4, 30, 3, 9, 9])},

@@ -12,14 +12,21 @@ import repro
 
 SOURCE = Path(repro.__file__).resolve().parent
 
-#: Modules deleted with the array-backend seam and the extension packages
-#: nothing reached; their names must not come back as stale shims.
+#: Modules deleted with the array-backend seam, the extension packages
+#: and the graph toolkit nothing reached; their names must not come back
+#: as stale shims.
 REMOVED_MODULES = [
     "repro.availability",
     "repro.backend",
+    "repro.connectivity.path",
     "repro.dissemination",
     "repro.distributed.object_cache",
     "repro.geometry.kdtree",
+    "repro.geometry.spatial_index",
+    "repro.graph.convert",
+    "repro.graph.properties",
+    "repro.graph.traversal",
+    "repro.mobility.trace",
     "repro.propagation",
     "repro.stats.series",
     "repro.topology",
@@ -113,6 +120,45 @@ REMOVED_NAMES = [
     ("repro.campaigns.runner", "run_campaign"),
 ]
 
+#: Names deleted with the graph toolkit nothing reached: every
+#: connectivity answer is a query on the spanning-tree columns, and the
+#: point graph stays only as their brute-force reference.
+REMOVED_TOOLKIT_NAMES = [
+    ("repro", "GridIndex"),
+    ("repro", "MobilityTrace"),
+    ("repro", "largest_component_fraction"),
+    ("repro", "largest_component_fraction_of_placement"),
+    ("repro", "record_trace"),
+    ("repro.connectivity", "average_hop_count"),
+    ("repro.connectivity", "connectivity_fraction_over_trace"),
+    ("repro.connectivity", "largest_component_fraction_of_placement"),
+    ("repro.connectivity", "network_diameter_hops"),
+    ("repro.connectivity", "observe_trace"),
+    ("repro.connectivity", "range_for_k_connectivity"),
+    ("repro.connectivity", "reachability_fraction"),
+    ("repro.connectivity.critical_range", "range_for_k_connectivity"),
+    ("repro.connectivity.critical_range", "sorted_edge_lengths"),
+    ("repro.geometry", "GridIndex"),
+    ("repro.graph", "articulation_points"),
+    ("repro.graph", "bfs_order"),
+    ("repro.graph", "bfs_tree"),
+    ("repro.graph", "degree_sequence"),
+    ("repro.graph", "degree_statistics"),
+    ("repro.graph", "has_isolated_node"),
+    ("repro.graph", "hop_counts"),
+    ("repro.graph", "is_k_connected"),
+    ("repro.graph", "isolated_nodes"),
+    ("repro.graph", "largest_component_fraction"),
+    ("repro.graph", "largest_component_size"),
+    ("repro.graph", "minimum_degree"),
+    ("repro.graph", "shortest_hop_path"),
+    ("repro.graph.builder", "BRUTE_FORCE_THRESHOLD"),
+    ("repro.graph.builder", "adjacency_from_pairs"),
+    ("repro.mobility", "MobilityTrace"),
+    ("repro.mobility", "record_trace"),
+    ("repro.query.http", "serve_queries"),
+]
+
 
 @pytest.mark.parametrize("name", REMOVED_MODULES)
 def test_removed_modules_are_gone(name):
@@ -126,6 +172,37 @@ def test_removed_names_are_gone(module, name):
     owner = importlib.import_module(module)
     assert not hasattr(owner, name)
     assert name not in getattr(owner, "__all__", ())
+
+
+def test_removed_toolkit_names_are_gone():
+    present = [
+        f"{module}.{name}"
+        for module, name in REMOVED_TOOLKIT_NAMES
+        if hasattr(importlib.import_module(module), name)
+        or name in getattr(importlib.import_module(module), "__all__", ())
+    ]
+    assert present == []
+
+
+def test_removed_methods_are_gone():
+    from repro.faults import FaultPlan
+    from repro.store.result_store import ResultStore
+
+    assert not hasattr(ResultStore, "clear_quarantine")
+    assert not hasattr(FaultPlan, "to_document")
+
+
+def test_the_point_graph_surface():
+    """The point graph is the components reference and nothing more."""
+    from repro.graph.adjacency import CommunicationGraph
+    from repro.graph.builder import build_communication_graph, neighbor_pairs
+
+    public = {name for name in dir(CommunicationGraph) if not name.startswith("_")}
+    assert public == {"add_edge", "edge_count", "edges", "node_count"}
+    for builder in (neighbor_pairs, build_communication_graph):
+        parameters = list(inspect.signature(builder).parameters)
+        assert parameters == ["positions", "transmitting_range"]
+
 
 
 def test_every_repro_import_in_the_package_resolves():
