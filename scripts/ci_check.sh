@@ -120,7 +120,10 @@
 #    exact answer — the cache-fill loop closes end to end.  The cold
 #    serve runs at --confidence-floor 0.5: one refined side of the
 #    two-side cell clears the floor (the default floor of 1.0 keeps
-#    flagging a half-complete cell, by design).
+#    flagging a half-complete cell, by design).  A question far past the
+#    grid (--nodes 1000000) must answer refine=false: refinement stops at
+#    4x the grid's largest side, so no client can queue a simulation at
+#    n = 10^6 for the worker.
 # 21. The perf-regression gate: the fresh BENCH_*.json summaries are
 #    graded against benchmarks/baseline.json (host-normalized metrics
 #    only, core-count-gated, noise-banded); a regression beyond the band
@@ -550,6 +553,12 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     > "$QUERY_DIR/cold-answer.json"
 grep -q '"refine": true' "$QUERY_DIR/cold-answer.json"
 grep -q '"refine_task": "' "$QUERY_DIR/cold-answer.json"
+# Far past the grid (n = 10^6, side 10^12): answered, never queued for
+# the worker below.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    query ask --url "$QUERY_COLD_URL" --nodes 1000000 --probability 0.9 --json \
+    > "$QUERY_DIR/far-answer.json"
+grep -q '"refine": false' "$QUERY_DIR/far-answer.json"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign work --server "$QUERY_FILL_URL" --quiet
 QUERY_TRIES=0

@@ -15,6 +15,13 @@ cell.  The execution knob (the sweep worker count) is stripped by
 ``scale_payload``'s normalization exactly as it is for the runner, so it
 can never leak into a query key either.
 
+Every key is a pure function of (scenario, grid side), so
+:class:`GridIndex` builds the key table once per grid: for each
+servable model its scenario, sorted sides, every side's row key and one
+checkpoint whose canonical document is rendered once.  :func:`resolve`
+is then a bisection plus lookups; only a side off the grid hashes its
+own key (one sha256, no normalization).
+
 Out-of-grid queries are *flagged*, never silently clamped: the resolver
 still names the nearest edge cells (so the service can extrapolate a
 best-effort answer), but ``out_of_grid=True`` travels with the answer
@@ -25,13 +32,14 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaigns.runner import scenario_payload, scenario_sweep_key
+from repro.campaigns.runner import scenario_payload
 from repro.campaigns.spec import CampaignSpec, Scenario
 from repro.exceptions import ReproError
-from repro.experiments.registry import Experiment, get_experiment
+from repro.experiments.registry import get_experiment
 from repro.store.checkpoints import StoreSweepCheckpoint
 
 __all__ = [
@@ -39,6 +47,7 @@ __all__ = [
     "Query",
     "QueryError",
     "ResolvedQuery",
+    "ServedSweep",
     "resolve",
 ]
 
@@ -101,6 +110,23 @@ class Query:
 
 
 @dataclass(frozen=True)
+class ServedSweep:
+    """One servable model's row of the key table, built once per grid.
+
+    ``sides`` are the scenario's grid sides in ascending order and
+    ``row_keys`` their store keys, index-aligned.  ``checkpoint`` holds
+    the canonical payload and renders its key document once, so a side
+    off the grid costs one sha256; it is bound to no store (see
+    :meth:`~repro.store.checkpoints.StoreSweepCheckpoint.with_store`).
+    """
+
+    scenario: Scenario
+    sides: Tuple[float, ...]
+    row_keys: Tuple[str, ...]
+    checkpoint: StoreSweepCheckpoint = field(repr=False)
+
+
+@dataclass(frozen=True)
 class ResolvedQuery:
     """A query pinned to grid cells and their canonical store keys.
 
@@ -109,16 +135,17 @@ class ResolvedQuery:
     set) or falls outside the grid (nearest edge value, for
     extrapolation), two when it falls between grid points.  ``row_keys``
     are the content addresses of those rows, index-aligned with
-    ``bracket``, produced by the runner's own key chain.
+    ``bracket``; ``side_key`` addresses a row at the queried side itself
+    (a grid row when ``exact`` is set, else a refined one).
     """
 
     query: Query
-    scenario: Scenario
+    sweep: ServedSweep
     side: float
     exact: Optional[float]
     bracket: Tuple[float, ...]
     row_keys: Tuple[str, ...]
-    sweep_key: str
+    side_key: str
     out_of_grid: bool
 
 
@@ -131,11 +158,12 @@ class GridIndex:
     ``model`` field — the system-size sweeps behind Figures 2–6 — are
     servable).  When several scenarios share a model (a matrix campaign
     sweeping seeds), grid order wins: the first scenario is the serving
-    cell, matching every other first-in-grid-order convention.
+    cell, matching every other first-in-grid-order convention.  Each
+    servable model's keys are computed here, once (:class:`ServedSweep`).
     """
 
     spec: CampaignSpec
-    _by_model: Dict[str, Scenario] = field(default_factory=dict, repr=False)
+    _by_model: Dict[str, ServedSweep] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         for scenario in self.spec.scenarios():
@@ -147,13 +175,22 @@ class GridIndex:
                 and isinstance(model, str)
                 and model not in self._by_model
             ):
-                self._by_model[model] = scenario
+                checkpoint = self.checkpoint_for(scenario)
+                sides = tuple(
+                    sorted(float(v) for v in experiment.sweep_values(scenario.scale))
+                )
+                self._by_model[model] = ServedSweep(
+                    scenario=scenario,
+                    sides=sides,
+                    row_keys=tuple(checkpoint.key_for(side) for side in sides),
+                    checkpoint=checkpoint,
+                )
 
     @property
     def models(self) -> List[str]:
         return sorted(self._by_model)
 
-    def scenario_for(self, model: str) -> Scenario:
+    def sweep_for(self, model: str) -> ServedSweep:
         try:
             return self._by_model[model]
         except KeyError:
@@ -161,6 +198,9 @@ class GridIndex:
                 f"no campaign cell serves model {model!r}; "
                 f"available: {self.models or '(none)'}"
             ) from None
+
+    def scenario_for(self, model: str) -> Scenario:
+        return self.sweep_for(model).scenario
 
     def checkpoint_for(
         self, scenario: Scenario, store=None
@@ -184,25 +224,7 @@ class GridIndex:
         )
 
 
-def _bracket(values: List[float], side: float) -> Tuple[Tuple[float, ...], bool]:
-    """The grid sides enclosing ``side``: exact, pair, or flagged edge."""
-    ordered = sorted(values)
-    for value in ordered:
-        if value == side or math.isclose(value, side, rel_tol=0.0, abs_tol=0.0):
-            return (value,), False
-    if side < ordered[0]:
-        return (ordered[0],), True
-    if side > ordered[-1]:
-        return (ordered[-1],), True
-    for low, high in zip(ordered, ordered[1:]):
-        if low < side < high:
-            return (low, high), False
-    raise AssertionError(f"unreachable bracket fall-through for {side}")
-
-
-def resolve(
-    grid: GridIndex, query: Query, store=None
-) -> ResolvedQuery:
+def resolve(grid: GridIndex, query: Query) -> ResolvedQuery:
     """Pin ``query`` to its enclosing grid cell and canonical keys.
 
     Raises :class:`QueryError` when no cell serves the query's model or
@@ -211,23 +233,35 @@ def resolve(
     ``out_of_grid`` — the caller decides whether to extrapolate,
     refine, or refuse.
     """
-    scenario = grid.scenario_for(query.model)
-    experiment = get_experiment(scenario.experiment_id)
-    values = [float(v) for v in experiment.sweep_values(scenario.scale)]
-    if not values:
+    sweep = grid.sweep_for(query.model)
+    sides = sweep.sides
+    if not sides:
         raise QueryError(
-            f"scenario {scenario.scenario_id} sweeps no values"
+            f"scenario {sweep.scenario.scenario_id} sweeps no values"
         )
     side = query.resolved_side
-    bracket, out_of_grid = _bracket(values, side)
-    checkpoint = grid.checkpoint_for(scenario, store=store)
+    index = bisect_left(sides, side)
+    exact: Optional[float] = None
+    out_of_grid = False
+    if index < len(sides) and sides[index] == side:
+        exact = sides[index]
+        picked: Tuple[int, ...] = (index,)
+    elif index == 0:
+        picked, out_of_grid = (0,), True
+    elif index == len(sides):
+        picked, out_of_grid = (index - 1,), True
+    else:
+        picked = (index - 1, index)
+    row_keys = tuple(sweep.row_keys[i] for i in picked)
     return ResolvedQuery(
         query=query,
-        scenario=scenario,
+        sweep=sweep,
         side=side,
-        exact=bracket[0] if len(bracket) == 1 and not out_of_grid else None,
-        bracket=bracket,
-        row_keys=tuple(checkpoint.key_for(value) for value in bracket),
-        sweep_key=scenario_sweep_key(experiment, scenario.scale),
+        exact=exact,
+        bracket=tuple(sides[i] for i in picked),
+        row_keys=row_keys,
+        side_key=(
+            row_keys[0] if exact is not None else sweep.checkpoint.key_for(side)
+        ),
         out_of_grid=out_of_grid,
     )

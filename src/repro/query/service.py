@@ -25,7 +25,9 @@ ResultStore` holding a campaign's results:
   stock ``campaign work`` worker completes it; the service drains the
   queue's result events, persists the new row through the campaign's
   own checkpoint and promotes it straight into the hot cache — the
-  re-asked query is a hot hit.
+  re-asked query is a hot hit.  A side above :data:`REFINE_SPAN` times
+  the grid's largest is extrapolated but never simulated
+  (``refine=false``, counted as ``query.refines_refused``).
 
 Telemetry flows through :mod:`repro.telemetry.metrics` (``query.*``
 counters and latency histograms), so a service wrapped in a telemetry
@@ -51,7 +53,13 @@ from repro.simulation.config import paper_node_count
 from repro.simulation.sweep import measure_row
 from repro.store.result_store import StoreIntegrityError
 from repro.telemetry import metrics
-from repro.query.normalize import GridIndex, Query, ResolvedQuery, resolve
+from repro.query.normalize import (
+    GridIndex,
+    Query,
+    ResolvedQuery,
+    ServedSweep,
+    resolve,
+)
 from repro.query.surrogate import ConnectivityCurve, blend_rows, fit_row
 
 __all__ = ["Answer", "QueryService"]
@@ -64,6 +72,11 @@ DEFAULT_IO_WORKERS = 4
 
 #: Seconds between polls of the work queue's event stream.
 _DRAIN_TICK = 0.05
+
+#: Refinement bound: a side above this multiple of the grid's largest
+#: side is answered by extrapolation alone, so no client can queue a
+#: simulation far beyond the campaign's scale (n = 10**6, say).
+REFINE_SPAN = 4.0
 
 
 @dataclass(frozen=True)
@@ -234,25 +247,23 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Confidence
     # ------------------------------------------------------------------ #
-    def _coverage_sync(self, resolved: ResolvedQuery) -> float:
-        experiment = get_experiment(resolved.scenario.experiment_id)
-        checkpoint = self.grid.checkpoint_for(resolved.scenario)
+    def _coverage_sync(self, sweep: ServedSweep) -> float:
         counts = cell_completeness(
             self.store,
-            checkpoint,
-            [float(v) for v in experiment.sweep_values(resolved.scenario.scale)],
+            sweep.checkpoint,
+            sweep.sides,
             poisoned=frozenset(self.store.poison_keys()),
         )
         return counts.coverage
 
-    async def _coverage_for(self, resolved: ResolvedQuery) -> float:
-        scenario_id = resolved.scenario.scenario_id
+    async def _coverage_for(self, sweep: ServedSweep) -> float:
+        scenario_id = sweep.scenario.scenario_id
         cached = self._coverage.get(scenario_id)
         if cached is not None:
             return cached
         loop = asyncio.get_event_loop()
         coverage = await loop.run_in_executor(
-            self._executor, self._coverage_sync, resolved
+            self._executor, self._coverage_sync, sweep
         )
         self._coverage[scenario_id] = coverage
         return coverage
@@ -268,15 +279,14 @@ class QueryService:
         store, at the query's own side — so completing the task
         materializes exactly the row the re-asked query needs.
         """
-        experiment = get_experiment(resolved.scenario.experiment_id)
-        checkpoint = self.grid.checkpoint_for(
-            resolved.scenario, store=self.fill_store
-        )
+        scenario = resolved.sweep.scenario
+        experiment = get_experiment(scenario.experiment_id)
+        checkpoint = resolved.sweep.checkpoint.with_store(self.fill_store)
         closure = (
             measure_row,
             (
                 experiment.parameter_name,
-                experiment.measure_for(resolved.scenario.scale, checkpoint),
+                experiment.measure_for(scenario.scale, checkpoint),
                 resolved.side,
             ),
             {},
@@ -316,9 +326,7 @@ class QueryService:
             resolved, side_key = pending
             if kind == "result":
                 row = pickle.loads(event[2])
-                checkpoint = self.grid.checkpoint_for(
-                    resolved.scenario, store=self.store
-                )
+                checkpoint = resolved.sweep.checkpoint.with_store(self.store)
                 await loop.run_in_executor(
                     self._executor, checkpoint.save, resolved.side, row
                 )
@@ -332,7 +340,7 @@ class QueryService:
                     self._cache_put(side_key, cell)
                 self._pending.pop(task_id, None)
                 self._refines.pop(side_key, None)
-                self._coverage.pop(resolved.scenario.scenario_id, None)
+                self._coverage.pop(resolved.sweep.scenario.scenario_id, None)
                 metrics.counter("query.refines_completed").add()
             elif kind == "giveup":
                 self._pending.pop(task_id, None)
@@ -354,12 +362,8 @@ class QueryService:
         started = time.perf_counter()
         metrics.counter("query.requests").add()
         resolved = resolve(self.grid, query)
-        checkpoint = self.grid.checkpoint_for(resolved.scenario)
-        side_key = (
-            resolved.row_keys[0]
-            if resolved.exact is not None
-            else checkpoint.key_for(resolved.side)
-        )
+        sweep = resolved.sweep
+        side_key = resolved.side_key
         unit = "range" if query.inverse else "probability"
         nodes = paper_node_count(resolved.side)
 
@@ -367,7 +371,7 @@ class QueryService:
         # previously refined side — answers directly and bit-identically.
         cell, hot = await self._cell_for(side_key, resolved.side)
         if cell is not None:
-            coverage = await self._coverage_for(resolved)
+            coverage = await self._coverage_for(sweep)
             refine = (
                 not resolved.out_of_grid and coverage < self.confidence_floor
             )
@@ -384,21 +388,23 @@ class QueryService:
                 refine=refine,
                 hot=hot,
                 coverage=coverage,
-                scenario_id=resolved.scenario.scenario_id,
+                scenario_id=sweep.scenario.scenario_id,
                 refine_task=task_id,
             )
             self._observe(hot, started, answer)
             return answer
 
-        # No direct row: blend the bracketing grid rows.
+        # No direct row: blend the bracketing grid rows.  An exact side's
+        # bracket is that same missing row, so it is not read again.
         cells = []
         all_hot = True
-        for value, key in zip(resolved.bracket, resolved.row_keys):
-            neighbor, neighbor_hot = await self._cell_for(key, value)
-            all_hot = all_hot and neighbor_hot
-            if neighbor is not None:
-                cells.append(neighbor)
-        coverage = await self._coverage_for(resolved)
+        if resolved.exact is None:
+            for value, key in zip(resolved.bracket, resolved.row_keys):
+                neighbor, neighbor_hot = await self._cell_for(key, value)
+                all_hot = all_hot and neighbor_hot
+                if neighbor is not None:
+                    cells.append(neighbor)
+        coverage = await self._coverage_for(sweep)
         missing_rows = len(cells) < len(resolved.bracket)
         refine = (
             resolved.out_of_grid
@@ -407,6 +413,9 @@ class QueryService:
         )
         if resolved.out_of_grid:
             metrics.counter("query.out_of_grid").add()
+        if refine and resolved.side > REFINE_SPAN * sweep.sides[-1]:
+            refine = False
+            metrics.counter("query.refines_refused").add()
         value: Optional[float]
         if len(cells) >= 2:
             row = blend_rows(
@@ -435,7 +444,7 @@ class QueryService:
             refine=refine,
             hot=all_hot and bool(cells),
             coverage=coverage,
-            scenario_id=resolved.scenario.scenario_id,
+            scenario_id=sweep.scenario.scenario_id,
             refine_task=task_id,
         )
         self._observe(answer.hot, started, answer)

@@ -75,7 +75,13 @@ class ConnectivityCurve:
 
     # ------------------------------------------------------------------ #
     def probability_at(self, range_: float) -> float:
-        """Connectivity probability bought by ``range_`` (forward query)."""
+        """Connectivity probability bought by ``range_`` (forward query).
+
+        Any range is in the domain: below the first knot reads 0 and
+        above the last reads 1.  Strictly between them, ``bisect_left``
+        picks the segment with ``ranges[i - 1] < r <= ranges[i]``, whose
+        ends therefore differ.
+        """
         r = float(range_)
         if r <= self.ranges[0]:
             return self.probabilities[0] if r == self.ranges[0] else 0.0
@@ -84,33 +90,28 @@ class ConnectivityCurve:
         index = bisect_left(self.ranges, r)
         low_r, high_r = self.ranges[index - 1], self.ranges[index]
         low_p, high_p = self.probabilities[index - 1], self.probabilities[index]
-        if high_r == low_r:
-            return high_p
         fraction = (r - low_r) / (high_r - low_r)
         return low_p + fraction * (high_p - low_p)
 
     def range_for(self, probability: float) -> float:
         """Smallest range achieving ``probability`` (inverse query).
 
-        A probability equal to a stored knot returns the stored float
+        The domain is ``[0, 1]`` (what :class:`~repro.query.normalize.
+        Query` admits), spanned by the knots 0, 0.1, 0.9 and 1.0 of
+        :data:`CURVE_POINTS`, which are strictly increasing.  A
+        probability equal to a stored knot returns the stored float
         bit-identically (the raw value, not the isotonic repair).
-        Probabilities strictly between knots interpolate linearly;
-        probabilities in a flat segment resolve to its left edge (the
-        *smallest* sufficient range).
+        Probabilities strictly between knots interpolate linearly, so a
+        segment whose two knots share one range (a flat *range* segment)
+        answers that range, the *smallest* sufficient one.
         """
         p = float(probability)
         for index, knot in enumerate(self.probabilities):
             if p == knot:
                 return self.raw_ranges[index]
-        if p < self.probabilities[0]:
-            return self.ranges[0] * (p / self.probabilities[0]) if self.probabilities[0] > 0 else self.ranges[0]
-        if p > self.probabilities[-1]:
-            return self.ranges[-1]
         index = bisect_left(self.probabilities, p)
         low_p, high_p = self.probabilities[index - 1], self.probabilities[index]
         low_r, high_r = self.ranges[index - 1], self.ranges[index]
-        if high_p == low_p:
-            return low_r
         fraction = (p - low_p) / (high_p - low_p)
         return low_r + fraction * (high_r - low_r)
 

@@ -29,10 +29,14 @@ recomputes them bit-identically, and the row's save evicts them.
 
 from __future__ import annotations
 
+import hashlib
+import math
 import warnings
-from typing import Any, Dict, List, Optional
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.store.keys import ITERATION_KIND, ROW_KIND, cache_key
+from repro.exceptions import ConfigurationError
+from repro.store.keys import ITERATION_KIND, ROW_KIND, cache_key, key_document
 from repro.store.result_store import (
     ResultStore,
     StoreDegradedWarning,
@@ -203,9 +207,39 @@ class StoreSweepCheckpoint(_DegradationState):
         self.metadata = metadata or {}
         self.iterations = iterations
 
+    @cached_property
+    def _row_document(self) -> Tuple[str, str]:
+        """Every row key's canonical document, split where the value goes.
+
+        Rendered once, around a ``None`` placeholder: the document ends
+        ``"value":null},"schema_version":N}``, so its last ``null`` is
+        the value's, whatever the sweep payload holds.
+        """
+        document = key_document(ROW_KIND, {"sweep": self.payload, "value": None})
+        head, _, tail = document.rpartition("null")
+        return head, tail
+
     def key_for(self, value: float) -> str:
-        """The content address of the row at one parameter value."""
-        return cache_key(ROW_KIND, {"sweep": self.payload, "value": float(value)})
+        """The content address of the row at one parameter value.
+
+        Byte-identical to ``cache_key(ROW_KIND, {"sweep": payload,
+        "value": float(value)})``: the value's JSON (the ``repr`` of a
+        finite float) is spliced into the document rendered once per
+        checkpoint, so a key costs one sha256 and no normalization.
+        """
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"cache keys cannot contain non-finite floats, got {value!r}"
+            )
+        head, tail = self._row_document
+        return hashlib.sha256(f"{head}{value!r}{tail}".encode("utf-8")).hexdigest()
+
+    def with_store(self, store: ResultStore) -> "StoreSweepCheckpoint":
+        """This sweep's checkpoint over ``store``: every key is unchanged."""
+        return StoreSweepCheckpoint(
+            store, self.payload, metadata=self.metadata, iterations=self.iterations
+        )
 
     def load(self, value: float) -> Optional[Dict[str, float]]:
         """The checkpointed row at ``value``, or ``None`` to recompute.

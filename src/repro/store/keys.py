@@ -106,14 +106,19 @@ def cache_key(kind: str, payload: Any, schema_version: int | None = None) -> str
             to the current :data:`repro.store.codecs.SCHEMA_VERSION`, so
             every format change invalidates the cache wholesale.
     """
+    document = key_document(kind, payload, schema_version)
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
+def key_document(kind: str, payload: Any, schema_version: int | None = None) -> str:
+    """The canonical JSON document :func:`cache_key` hashes."""
     if schema_version is None:
         from repro.store.codecs import SCHEMA_VERSION
 
         schema_version = SCHEMA_VERSION
-    document = canonical_json(
+    return canonical_json(
         {"kind": kind, "schema_version": schema_version, "payload": payload}
     )
-    return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 
 def scale_payload(scale: Any) -> Dict[str, Any]:

@@ -28,6 +28,7 @@ from repro.query.http import (
 )
 from repro.query.normalize import QueryError
 from repro.store import ResultStore
+from repro.store import keys as store_keys
 from repro.supervision import RetryPolicy
 from repro import telemetry
 from repro.telemetry import metrics
@@ -195,8 +196,8 @@ class TestAnswering:
         answer = run(with_service(service, body))
         assert answer.source != "exact"
         assert answer.refine
-        # An exact side is read directly, then as its own bracket.
-        assert metrics.drain()["query.integrity_misses"]["value"] >= 1.0
+        # An exact side's row is read once: its bracket is the same row.
+        assert metrics.drain()["query.integrity_misses"]["value"] == 1.0
 
     def test_a_row_without_thresholds_is_a_miss_not_an_error(self, tmp_path):
         spec = make_spec()
@@ -212,8 +213,8 @@ class TestAnswering:
 
         answer = run(with_service(service, body))
         assert answer.value is None
-        # An exact side is read directly, then as its own bracket.
-        assert metrics.drain()["query.unfittable_rows"]["value"] >= 1.0
+        # An exact side's row is read once: its bracket is the same row.
+        assert metrics.drain()["query.unfittable_rows"]["value"] == 1.0
 
     def test_hot_cache_is_bounded_lru(self, tmp_path):
         spec = make_spec()
@@ -306,6 +307,32 @@ class TestRefineRoundTrip:
         run(with_service(service, body))
         assert metrics.drain()["query.refines_poisoned"]["value"] == 1.0
 
+    def test_refinement_stops_at_four_times_the_largest_side(self, tmp_path):
+        spec = make_spec()  # smoke sides 256 and 1024: the bound is 4096
+        queue = WorkQueue(RetryPolicy(max_retries=0), lease_seconds=30.0)
+        queue.seal()
+        service = QueryService(warm_store(tmp_path, spec), spec, queue=queue)
+        metrics.drain()
+
+        async def body():
+            huge = await service.ask(Query(nodes=1_000_000, probability=0.9))
+            assert huge.source == "extrapolated"
+            assert huge.value is not None
+            assert not huge.refine
+            assert huge.refine_task is None
+            assert queue.stats()["total"] == 0
+            just_past = await service.ask(Query(side=1025.0, probability=0.9))
+            assert just_past.refine and just_past.refine_task is not None
+            assert queue.stats()["total"] == 1
+            at_bound = await service.ask(Query(side=4096.0, probability=0.9))
+            assert at_bound.refine and at_bound.refine_task is not None
+            above = await service.ask(Query(side=4096.5, probability=0.9))
+            assert not above.refine
+            assert queue.stats()["total"] == 2
+
+        run(with_service(service, body))
+        assert metrics.drain()["query.refines_refused"]["value"] == 2.0
+
     def test_refined_row_survives_a_service_restart(self, tmp_path):
         spec = make_spec()
         store = warm_store(tmp_path, spec)
@@ -328,6 +355,35 @@ class TestRefineRoundTrip:
             assert not answer.refine
 
         run(with_service(service, body))
+
+
+class TestKeyTable:
+    def test_hot_asks_normalize_no_payload(self, tmp_path, monkeypatch):
+        # Every key comes from the grid's key table: once it is built, a
+        # hot question renders no canonical JSON, on any host.
+        spec = make_spec()
+        service = QueryService(warm_store(tmp_path, spec), spec)
+        exact = Query(side=256.0, probability=0.9)
+        midpoint = Query(side=640.0, probability=0.9)
+        calls = []
+        original = store_keys.normalize
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        async def body():
+            await service.ask(exact)  # decode both cells once
+            await service.ask(midpoint)
+            monkeypatch.setattr(store_keys, "normalize", counting)
+            answers = [await service.ask(q) for q in (exact, midpoint) * 3]
+            assert all(answer.hot for answer in answers)
+            assert {answer.source for answer in answers} == {
+                "exact", "interpolated"
+            }
+
+        run(with_service(service, body))
+        assert calls == []
 
 
 class TestTelemetry:
