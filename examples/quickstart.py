@@ -67,7 +67,8 @@ def mobile_demo(rstationary: float) -> None:
 
     side = 1000.0
     # Iterations run serially; to use several cores, run several parameter
-    # values at once (``repro run <figure> --total-workers N``).
+    # values at once as a campaign (``repro campaign run <spec>
+    # --total-workers N``).
     config = repro.SimulationConfig(
         network=repro.NetworkConfig(node_count=50, side=side, dimension=2),
         mobility=repro.MobilitySpec.paper_waypoint(side),

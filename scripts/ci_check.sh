@@ -13,8 +13,7 @@
 # 3. The vectorized frame-reduction smoke benchmark must pass at smoke
 #    scale: the batched MST sweep faster than the dense reference sweep,
 #    with identical curves.
-# 4. The sweep fan-out / columnar payload smoke benchmark must pass at
-#    smoke scale: parallel sweeps exactly equal to serial, and the
+# 4. The columnar payload smoke benchmark must pass at smoke scale: the
 #    frame-statistics payload >= 1.3x smaller pickled than the list of
 #    per-frame objects.
 # 5. The campaign cache benchmark must pass at smoke scale: a warm
@@ -31,7 +30,12 @@
 # 8. A wider smoke through the real CLI (--total-workers 2): cold
 #    concurrent run, then a warm re-run that must report zero computed
 #    values (every budget addresses identical store entries).
-# 9. An iteration-resume smoke: a multi-iteration value killed partway
+# 9. The README's first command against the campaign pool: `repro run
+#    fig7 --scale smoke --output` measures every value in this process,
+#    `campaign run` of a one-experiment fig7 smoke spec with
+#    --total-workers 2 --output-dir runs the same values as tasks in a
+#    pool of two workers, and the two files must hold equal rows.
+# 10. An iteration-resume smoke: a multi-iteration value killed partway
 #    resumes at the first unfinished iteration, recomputes nothing, and
 #    matches the uninterrupted run bit for bit.  Then the same through the
 #    figure path and the real CLI, at the shipped checkpoint threshold: a
@@ -41,9 +45,9 @@
 #    the resumed run's trace must hold exactly one iteration span (the
 #    third), and its row must equal an uninterrupted run's in a fresh
 #    store.
-# 10. A campaign gc smoke through the real CLI: a tight --max-bytes
+# 11. A campaign gc smoke through the real CLI: a tight --max-bytes
 #    budget evicts entries, a second run under the same budget is stable.
-# 11. The kernel lanes: the kernel reference tests run explicitly, each
+# 12. The kernel lanes: the kernel reference tests run explicitly, each
 #    on both lanes, native C and NumPy (every row of the batched MST must
 #    equal the single-frame MST of its frame, its memory must stay linear
 #    in B * n, and the batched frame statistics must equal the per-frame
@@ -51,10 +55,10 @@
 #    fails when the C lane does not load; the NumPy lane's edges equal
 #    the old stacked-matrix kernel's, and the C lane's edges and sweep
 #    columns the NumPy lane's, bit for bit.  The perf-regression gate
-#    (step 21) grades matrix_free_speedup (stacked / NumPy lane, so a
+#    (step 22) grades matrix_free_speedup (stacked / NumPy lane, so a
 #    slower fallback still fails) and native_speedup (NumPy lane / C lane
 #    for Prim plus the growth-curve sweep).
-# 12. The fault-tolerance lane: the supervision-overhead benchmark must
+# 13. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL
 #    <= 1.5x the clean run, results bit-identical), and a chaos smoke
@@ -64,22 +68,22 @@
 #    must report zero computed values (the recovered run addressed the
 #    same store entries a healthy one would), and no stale staging
 #    directories may survive.
-# 13. Every benchmark above writes a BENCH_<name>.json summary into
+# 14. Every benchmark above writes a BENCH_<name>.json summary into
 #    $REPRO_BENCH_OUT; they are collected and printed at the end, so the
 #    perf trajectory is tracked as structured data across PRs.
-# 14. The telemetry-overhead benchmark must pass at smoke scale: tracing
+# 15. The telemetry-overhead benchmark must pass at smoke scale: tracing
 #    a scheduled campaign costs < 2% wall clock over --no-telemetry, and
 #    the traced run's sink must actually contain the campaign's task
 #    spans (cheap because tracing is cheap, not because it didn't run).
-# 15. A telemetry smoke through the real CLI: a traced campaign run,
+# 16. A telemetry smoke through the real CLI: a traced campaign run,
 #    then `campaign report` (text summary and --chrome-trace export);
 #    every line of the per-run trace.jsonl must parse as JSON, the
 #    report must aggregate the run's spans, and the Chrome export must
 #    be loadable trace_event JSON.
-# 16. The distributed fan-out benchmark must pass at smoke scale: two
+# 17. The distributed fan-out benchmark must pass at smoke scale: two
 #    loopback HTTP workers bit-identical to one, and >= 1.4x faster on
 #    hosts with >= 4 cores (serve + two workers need room to overlap).
-# 17. A distributed smoke through the real CLI: `campaign serve` on a
+# 18. A distributed smoke through the real CLI: `campaign serve` on a
 #    loopback port (--url-file announces the picked port), two
 #    `campaign work` processes drain the example grid, all three exit 0,
 #    and each worker must report at least one completed task.  Both
@@ -94,23 +98,23 @@
 #    routine and must stay quiet), and a warm re-serve must report zero
 #    computed values (the distributed run addressed the same store
 #    entries a local one would).
-# 18. A store object over HTTP at iteration granularity, through the real
-#    CLI: step 9's fig2 value (just above the checkpoint threshold) is
+# 19. A store object over HTTP at iteration granularity, through the real
+#    CLI: step 10's fig2 value (just above the checkpoint threshold) is
 #    served with --max-retries 0 to one `campaign work` armed with a
-#    fresh copy of step 9's fault plan (raise at the 3rd iteration), and
+#    fresh copy of step 10's fault plan (raise at the 3rd iteration), and
 #    the serve must fail; `campaign status` must then report 2 of 3
 #    iterations stored, which only the worker's two iteration PUTs can
 #    have written.  A second serve is drained by a worker armed to fail
 #    at its 2nd iteration and must exit 0: the resume read iterations 1-2
 #    over HTTP and simulated only the third.  A local warm `campaign run`
-#    must compute nothing, and its fig2.json must equal step 9's
+#    must compute nothing, and its fig2.json must equal step 10's
 #    uninterrupted output byte for byte.
-# 19. The query-service benchmark must pass at smoke scale: hot answers
+# 20. The query-service benchmark must pass at smoke scale: hot answers
 #    sub-millisecond p50 / single-digit-millisecond p99 and cold misses
 #    under 100 ms p99 on any host, a zipfian stream mostly served from
 #    the LRU, and the event loop never blocked by store IO (1 ms
 #    heartbeat lag stays bounded while cold queries decode cells).
-# 20. A query smoke through the real CLI, both halves of the contract:
+# 21. A query smoke through the real CLI, both halves of the contract:
 #    against a store warmed by `campaign run examples/query_smoke.toml`,
 #    `query serve` + `query ask` answer an in-grid question with
 #    refine=false from exact stored rows; against an EMPTY store the
@@ -124,7 +128,7 @@
 #    grid (--nodes 1000000) must answer refine=false: refinement stops at
 #    4x the grid's largest side, so no client can queue a simulation at
 #    n = 10^6 for the worker.
-# 21. The perf-regression gate: the fresh BENCH_*.json summaries are
+# 22. The perf-regression gate: the fresh BENCH_*.json summaries are
 #    graded against benchmarks/baseline.json (host-normalized metrics
 #    only, core-count-gated, noise-banded); a regression beyond the band
 #    or a missing baselined summary fails the script.  Finally
@@ -176,6 +180,27 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     --total-workers 2 --quiet \
     | grep -q "0 value(s) computed"
 
+RUN_DIR="$(mktemp -d)"
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$RUN_DIR"' EXIT
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    run fig7 --scale smoke --output "$RUN_DIR/run.json" > /dev/null
+printf 'name = "run-equals-campaign"\nexperiments = ["fig7"]\nscale = "smoke"\n' \
+    > "$RUN_DIR/fig7.toml"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
+    campaign run "$RUN_DIR/fig7.toml" --store "$RUN_DIR/store" \
+    --total-workers 2 --quiet --output-dir "$RUN_DIR/campaign" > /dev/null
+RUN_DIR="$RUN_DIR" python - <<'RUN_EQUALS_CAMPAIGN'
+import json
+import os
+from pathlib import Path
+
+root = Path(os.environ["RUN_DIR"])
+run = json.loads((root / "run.json").read_text())["rows"]
+campaign = json.loads((root / "campaign" / "fig7.json").read_text())["rows"]
+assert run and campaign == run, "campaign run rows differ from repro run rows"
+print("run equals campaign: OK")
+RUN_EQUALS_CAMPAIGN
+
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
     tests/connectivity/test_mst_batch.py tests/simulation/test_engine.py -q
 
@@ -183,7 +208,7 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_mst_kernel.py -q
 
 GC_STORE="$(mktemp -d)"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$RUN_DIR" "$GC_STORE"' EXIT
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign run examples/campaign_smoke.toml --store "$GC_STORE" --quiet
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
@@ -242,7 +267,7 @@ print("iteration-resume smoke: OK")
 RESUME_SMOKE
 
 FIGURE_RESUME_DIR="$(mktemp -d)"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$RUN_DIR" "$GC_STORE" "$FIGURE_RESUME_DIR"' EXIT
 FIGURE_RESUME_DIR="$FIGURE_RESUME_DIR" \
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - <<'FIGURE_RESUME_SPEC'
 import json
@@ -309,7 +334,7 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 
 CHAOS_DIR="$(mktemp -d)"
 CHAOS_STORE="$CHAOS_DIR/store"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$RUN_DIR" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR"' EXIT
 cat > "$CHAOS_DIR/faultplan.json" <<'PLAN'
 {"faults": [{"site": "measure", "action": "kill", "at": 1}], "state_dir": ""}
 PLAN
@@ -332,7 +357,7 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 
 TELEMETRY_DIR="$(mktemp -d)"
 TELEMETRY_STORE="$TELEMETRY_DIR/store"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$RUN_DIR" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR"' EXIT
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign run examples/campaign_smoke.toml --store "$TELEMETRY_STORE" \
     --total-workers 2 --quiet
@@ -374,7 +399,7 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 
 DIST_DIR="$(mktemp -d)"
 DIST_STORE="$DIST_DIR/store"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$RUN_DIR" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR"' EXIT
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign serve examples/campaign_smoke.toml --store "$DIST_STORE" \
     --port 0 --url-file "$DIST_DIR/url" --max-retries 2 --quiet \
@@ -431,13 +456,13 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
 echo "distributed smoke: OK"
 
 WIRE_DIR="$(mktemp -d)"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$WIRE_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$RUN_DIR" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$WIRE_DIR"' EXIT
 mkdir "$WIRE_DIR/kill-faults" "$WIRE_DIR/resume-faults"
 cp "$FIGURE_RESUME_DIR/faults/plan.json" "$WIRE_DIR/kill-faults/plan.json"
 cat > "$WIRE_DIR/resume-faults/plan.json" <<'PLAN'
 {"faults": [{"site": "iteration", "action": "raise", "at": 2}]}
 PLAN
-# Serve step 9's fig2 spec from $WIRE_DIR/store with --max-retries 0 to
+# Serve step 10's fig2 spec from $WIRE_DIR/store with --max-retries 0 to
 # one worker armed with the fault plan $1; returns the serve's exit code.
 wire_serve() {
     rm -f "$WIRE_DIR/url"
@@ -493,7 +518,7 @@ REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_query_service.py -q
 
 QUERY_DIR="$(mktemp -d)"
-trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$WIRE_DIR" "$QUERY_DIR"' EXIT
+trap 'rm -rf "$CAMPAIGN_STORE" "$SCHEDULER_STORE" "$RUN_DIR" "$GC_STORE" "$FIGURE_RESUME_DIR" "$CHAOS_DIR" "$TELEMETRY_DIR" "$DIST_DIR" "$WIRE_DIR" "$QUERY_DIR"' EXIT
 
 # Warm half: a served warm store answers in-grid questions exactly.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \

@@ -228,21 +228,16 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------ #
     def _checkpoint_for(
-        self,
-        experiment: Experiment,
-        scenario: Scenario,
-        store: Optional[ResultStore] = None,
+        self, experiment: Experiment, scenario: Scenario
     ) -> StoreSweepCheckpoint:
-        """A scenario's sweep checkpoint, optionally bound to ``store``.
+        """A scenario's sweep checkpoint over the runner's store.
 
-        ``store`` substitutes the backing store without changing any key
-        — the distributed path binds worker-side checkpoints to a
-        :class:`~repro.distributed.remote_store.RemoteResultStore` so
-        iteration sub-entries written inside a leased task land in the
-        same server-side store the scheduler reads.
+        The distributed path rebinds it to the server's own URL
+        (:meth:`~repro.store.checkpoints.StoreSweepCheckpoint.with_store`),
+        which keeps every key.
         """
         return StoreSweepCheckpoint(
-            self.store if store is None else store,
+            self.store,
             scenario_payload(experiment, scenario.scale),
             metadata={
                 "campaign": self.spec.name,
@@ -335,6 +330,8 @@ class CampaignRunner:
 
         Execution is handed to the :class:`~repro.campaigns.scheduler.
         CampaignScheduler` (scenarios concurrent under one budget).
+        ``campaign serve`` drives the same body with the work-queue
+        scheduler instead (:func:`repro.distributed.serve_campaign`).
 
         Args:
             resume: when ``True`` (default), existing store entries are
@@ -350,6 +347,26 @@ class CampaignRunner:
                 :func:`repro.campaigns.progress.as_text` — the CLI passes
                 ``as_text(print)``.
         """
+        return self._drive(
+            CampaignScheduler(self, self.total_workers),
+            resume,
+            progress,
+            total_workers=self.total_workers,
+        )
+
+    def _drive(
+        self,
+        scheduler: CampaignScheduler,
+        resume: bool,
+        progress: Optional[Callable[[ProgressEvent], None]],
+        **span_attributes: Any,
+    ) -> CampaignResult:
+        """Run ``scheduler`` under this run's telemetry and ``campaign`` span.
+
+        The one body of :meth:`run` and of ``campaign serve``;
+        ``span_attributes`` name the executor on the ``campaign`` span
+        (the local budget, or ``distributed=True``).
+        """
         say = progress if progress is not None else (lambda event: None)
         run_handle = self._start_telemetry()
         if run_handle is not None:
@@ -363,11 +380,9 @@ class CampaignRunner:
                 "campaign",
                 campaign=self.spec.name,
                 scenarios=self.spec.scenario_count(),
-                total_workers=self.total_workers,
+                **span_attributes,
             ):
-                result = CampaignScheduler(self, self.total_workers).run(
-                    resume=resume, progress=say
-                )
+                result = scheduler.run(resume=resume, progress=say)
             return result
         finally:
             if run_handle is not None:

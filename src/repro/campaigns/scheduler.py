@@ -455,7 +455,8 @@ class CampaignScheduler:
 
         run_supervised(
             queue,
-            budget=self.total_workers,
+            # A pool never holds more workers than there are tasks.
+            budget=min(self.total_workers, len(queue)),
             submit=submit,
             on_result=on_result,
             policy=policy,

@@ -21,9 +21,10 @@ Specs load from TOML or JSON files::
     iterations = [2, 4]
 
 enumerates ``3 experiments x 3 seeds x 2 iteration counts = 18``
-scenarios.  The execution knob ``sweep_workers`` is deliberately
-rejected: the worker budget belongs to the invocation (a CLI flag), not
-to the campaign's identity, and must never influence cache keys.
+scenarios.  Every overridable field describes the computation; the
+worker budget belongs to the invocation (``campaign run
+--total-workers``), not to the campaign's identity, so no spec field
+sets it.
 """
 
 from __future__ import annotations
@@ -38,19 +39,14 @@ from typing import Any, List, Mapping, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.registry import ExperimentScale, scale_by_name
-from repro.store.keys import EXECUTION_FIELDS
 
 PathLike = Union[str, Path]
 
-#: ``ExperimentScale`` fields a spec may override or sweep.  Execution
-#: knobs are derived from the single source of truth the cache keys use
-#: (:data:`repro.store.keys.EXECUTION_FIELDS`), so a knob added there is
-#: automatically rejected here too: two matrix cells differing only in an
-#: execution knob would collide on one cache key while pretending to be
-#: distinct scenarios.
+#: ``ExperimentScale`` fields a spec may override or sweep: all but the
+#: preset name, which the spec's ``scale`` key picks.
 _SCALE_FIELDS = frozenset(
     f.name for f in dataclasses.fields(ExperimentScale)
-) - ({"name"} | EXECUTION_FIELDS)
+) - {"name"}
 
 
 def _check_scale_fields(assignments: Mapping[str, Any], context: str) -> None:

@@ -5,7 +5,6 @@
     python -m repro list
     python -m repro run fig2 --scale smoke
     python -m repro run fig7 --scale default --output fig7.json
-    python -m repro run fig2 --scale paper --total-workers 4
     python -m repro stationary --side 1024 --nodes 32
     python -m repro campaign run grid.toml --store .repro-store
     python -m repro campaign run grid.toml --total-workers 8
@@ -20,12 +19,13 @@
     python -m repro query ask --url http://127.0.0.1:8800 \\
         --nodes 32 --probability 0.9
 
-``--total-workers W`` is the one width flag of ``run`` and ``campaign
-run``: parameter values run as tasks in one pool of ``W`` worker
-processes, each value's iterations serially inside its worker.  Under
-``campaign run`` the pool is shared by every scenario of the grid (the
-campaign scheduler).  Results are bit-identical to a serial run for
-every ``W``.
+``run`` measures an experiment's parameter values one after another in
+this process: it is the reference every campaign is compared against.
+``campaign run --total-workers W`` is the one width flag: the campaign
+scheduler runs the parameter values of every scenario of the grid as
+tasks in one pool of ``W`` worker processes, each value's iterations
+serially inside its worker, caching every finished value and iteration.
+Results are bit-identical to ``run`` for every ``W``.
 
 ``campaign serve`` + ``campaign work`` are the distributed variant of
 the same grid: the serving process exposes its result store and a
@@ -54,7 +54,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.campaigns import CampaignRunner, CampaignSpec
+from repro.campaigns import CampaignResult, CampaignRunner, CampaignSpec
 from repro.campaigns.progress import as_text as progress_as_text
 from repro.telemetry import report as telemetry_report
 from repro.experiments import (
@@ -96,16 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         help="optional path (.json or .csv) to save the sweep result",
-    )
-    run_parser.add_argument(
-        "--total-workers",
-        type=int,
-        default=None,
-        help=(
-            "parameter values of the sweep measured concurrently, each in "
-            "its own worker process (results are bit-identical for every "
-            "value)"
-        ),
     )
 
     stationary_parser = subparsers.add_parser(
@@ -654,6 +644,59 @@ def _campaign_report_main(arguments: argparse.Namespace) -> int:
     return 0
 
 
+def _print_campaign_result(
+    result: CampaignResult, quiet: bool, output_dir: Optional[str] = None
+) -> int:
+    """Print what ``campaign run`` and ``campaign serve`` report at the end.
+
+    The summary line (with a warning when tasks were quarantined), a
+    "no complete sweep" line per quarantined scenario, and, unless
+    ``quiet``, every scenario's table; ``output_dir`` also saves one
+    ``<scenario>.json`` per complete sweep.  Returns the exit code: 1
+    when tasks were quarantined, else 0.
+    """
+    quarantined = result.quarantined_tasks
+    summary = (
+        f"\nDone: {result.cache_hits} cache hit(s), "
+        f"{result.computed_values} value(s) computed."
+    )
+    if quarantined:
+        summary += (
+            f" WARNING: {quarantined} task(s) quarantined — partial "
+            f"results kept; see 'campaign status', drop the records "
+            f"with 'campaign clean'."
+        )
+    print(summary)
+    for outcome in result.outcomes:
+        if outcome.sweep is None:
+            print(
+                f"\n{outcome.scenario.describe()}: no complete sweep "
+                f"({outcome.quarantined_values} quarantined task(s))"
+            )
+            continue
+        if not quiet:
+            print()
+            print(
+                render_sweep(
+                    outcome.sweep,
+                    title=f"{outcome.scenario.describe()} "
+                    f"({'cached' if outcome.cache_hit else 'computed'})",
+                )
+            )
+        if output_dir:
+            safe_name = outcome.scenario.scenario_id.replace("/", "_")
+            path = save_sweep(
+                outcome.sweep,
+                Path(output_dir) / f"{safe_name}.json",
+                metadata={
+                    "campaign": result.spec.name,
+                    "scenario": outcome.scenario.scenario_id,
+                },
+            )
+            print(f"Saved {outcome.scenario.scenario_id} to {path}")
+    return 1 if quarantined else 0
+
+
 def _campaign_main(arguments: argparse.Namespace) -> int:
     """Dispatch the ``campaign run / status / clean / gc`` subcommands."""
     if arguments.campaign_command == "gc":
@@ -722,35 +765,7 @@ def _campaign_main(arguments: argparse.Namespace) -> int:
             ),
             on_ready=lambda url: print(f"Serving at {url}"),
         )
-        quarantined = result.quarantined_tasks
-        summary = (
-            f"\nDone: {result.cache_hits} cache hit(s), "
-            f"{result.computed_values} value(s) computed."
-        )
-        if quarantined:
-            summary += (
-                f" WARNING: {quarantined} task(s) quarantined — partial "
-                f"results kept; see 'campaign status', drop the records "
-                f"with 'campaign clean'."
-            )
-        print(summary)
-        if not arguments.quiet:
-            for outcome in result.outcomes:
-                if outcome.sweep is None:
-                    print(
-                        f"\n{outcome.scenario.describe()}: no complete sweep "
-                        f"({outcome.quarantined_values} quarantined task(s))"
-                    )
-                    continue
-                print()
-                print(
-                    render_sweep(
-                        outcome.sweep,
-                        title=f"{outcome.scenario.describe()} "
-                        f"({'cached' if outcome.cache_hit else 'computed'})",
-                    )
-                )
-        return 1 if quarantined else 0
+        return _print_campaign_result(result, quiet=arguments.quiet)
 
     runner = CampaignRunner(
         spec,
@@ -770,46 +785,9 @@ def _campaign_main(arguments: argparse.Namespace) -> int:
         result = runner.run(
             resume=arguments.resume, progress=progress_as_text(print)
         )
-        quarantined = result.quarantined_tasks
-        summary = (
-            f"\nDone: {result.cache_hits} cache hit(s), "
-            f"{result.computed_values} value(s) computed."
+        return _print_campaign_result(
+            result, quiet=arguments.quiet, output_dir=arguments.output_dir
         )
-        if quarantined:
-            summary += (
-                f" WARNING: {quarantined} task(s) quarantined — partial "
-                f"results kept; see 'campaign status', drop the records "
-                f"with 'campaign clean'."
-            )
-        print(summary)
-        for outcome in result.outcomes:
-            if outcome.sweep is None:
-                print(
-                    f"\n{outcome.scenario.describe()}: no complete sweep "
-                    f"({outcome.quarantined_values} quarantined task(s))"
-                )
-                continue
-            if not arguments.quiet:
-                print()
-                print(
-                    render_sweep(
-                        outcome.sweep,
-                        title=f"{outcome.scenario.describe()} "
-                        f"({'cached' if outcome.cache_hit else 'computed'})",
-                    )
-                )
-            if arguments.output_dir:
-                safe_name = outcome.scenario.scenario_id.replace("/", "_")
-                path = save_sweep(
-                    outcome.sweep,
-                    Path(arguments.output_dir) / f"{safe_name}.json",
-                    metadata={
-                        "campaign": spec.name,
-                        "scenario": outcome.scenario.scenario_id,
-                    },
-                )
-                print(f"Saved {outcome.scenario.scenario_id} to {path}")
-        return 1 if quarantined else 0
 
     if arguments.campaign_command == "status":
         statuses = runner.status()
@@ -957,10 +935,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         experiment = get_experiment(arguments.experiment)
         print(f"Running {experiment.identifier}: {experiment.title}")
         print(experiment.description)
-        scale = scale_by_name(arguments.scale)
-        if arguments.total_workers is not None:
-            scale = scale.with_sweep_workers(arguments.total_workers)
-        sweep = experiment.run(scale)
+        sweep = experiment.run(scale_by_name(arguments.scale))
         print()
         print(render_sweep(sweep, title=f"{experiment.identifier} ({arguments.scale} scale)"))
         if arguments.output:

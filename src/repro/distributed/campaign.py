@@ -10,11 +10,11 @@ run bit-identical to the single-host scheduler.
 
 Determinism and fault tolerance follow from three rules:
 
-* a task's payload is the pickled ``(measure_row, args, kwargs)``
-  closure the scheduler's ``_submit`` would give its pool, with the
-  measure bound to a checkpoint on the :class:`~repro.distributed.
-  remote_store.RemoteResultStore` so worker-side iteration sub-entries
-  land in the server's store;
+* a task's payload is the value task the scheduler's ``_submit`` would
+  give its pool, encoded by :func:`repro.distributed.worker.encode_task`
+  with the measure bound to a checkpoint on the :class:`~repro.
+  distributed.remote_store.RemoteResultStore` so worker-side iteration
+  sub-entries land in the server's store;
 * results are applied in the serving process by the scheduler's own
   ``_handle_result`` — rows are saved through the *local* checkpoint,
   so the store keys and row bytes are exactly the scheduler's;
@@ -33,18 +33,17 @@ import queue as queue_module
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro import telemetry
 from repro.campaigns.progress import ProgressEvent
 from repro.campaigns.runner import CampaignResult, CampaignRunner
 from repro.campaigns.scheduler import CampaignScheduler, _SweepJob
 from repro.campaigns.spec import CampaignSpec
 from repro.exceptions import ReproError
-from repro.simulation.sweep import measure_row
 from repro.store.result_store import ResultStore
 
 from repro.distributed.queue import WorkQueue
 from repro.distributed.remote_store import RemoteResultStore
 from repro.distributed.server import ResultServer
+from repro.distributed.worker import encode_task
 
 __all__ = ["DistributedCampaign", "RemoteTaskError", "serve_campaign"]
 
@@ -82,26 +81,20 @@ class DistributedCampaign(CampaignScheduler):
 
     # ------------------------------------------------------------------ #
     def _task_payload(self, job: _SweepJob, index: int) -> bytes:
-        """Pickle the closure a worker must run for ``(job, index)``.
+        """The encoded value task a worker must run for ``(job, index)``.
 
         Mirrors the scheduler's ``_submit``, except that the measure's
         checkpoint is bound to the remote store: a worker has no path to
         the server's disk, but the HTTP store addresses the very same
         entries.
         """
-        checkpoint = self.runner._checkpoint_for(
-            job.experiment, job.scenario, store=self.remote_store
+        return encode_task(
+            job.experiment,
+            job.scenario.scale,
+            job.checkpoint.with_store(self.remote_store),
+            job.values[index],
+            parent=self._spans.get(job.key),
         )
-        closure = (
-            telemetry.propagate(measure_row, parent=self._spans.get(job.key)),
-            (
-                job.experiment.parameter_name,
-                job.experiment.measure_for(job.scenario.scale, checkpoint),
-                job.values[index],
-            ),
-            {},
-        )
-        return pickle.dumps(closure)
 
     def _execute(
         self, jobs: list, say: Callable[[ProgressEvent], None]
@@ -175,7 +168,9 @@ def serve_campaign(
     announces the resolved URL (``url_file`` and/or ``on_ready`` — with
     ``port=0`` the OS picks it), then drives the campaign through
     :class:`DistributedCampaign` until every scenario completes, was
-    served from cache, or quarantined.  The server stops when the
+    served from cache, or quarantined.  The drive is the local runner's
+    own (telemetry run, ``campaign`` span marked ``distributed``, run
+    report); only the scheduler differs.  The server stops when the
     campaign does; lingering workers observe the vanished server as a
     finished queue.  Returns the same :class:`CampaignResult` the local
     runner would.
@@ -196,26 +191,9 @@ def serve_campaign(
             Path(url_file).write_text(server.url + "\n", encoding="utf-8")
         if on_ready is not None:
             on_ready(server.url)
-        say = progress if progress is not None else (lambda event: None)
-        run_handle = runner._start_telemetry()
-        if run_handle is not None:
-            say = telemetry.annotated(say)
-        result: Optional[CampaignResult] = None
-        try:
-            with telemetry.span(
-                "campaign",
-                campaign=spec.name,
-                scenarios=spec.scenario_count(),
-                distributed=True,
-            ):
-                result = DistributedCampaign(
-                    runner,
-                    work_queue,
-                    RemoteResultStore(server.url),
-                ).run(resume=resume, progress=say)
-            return result
-        finally:
-            if run_handle is not None:
-                run_handle.finish(result)
+        scheduler = DistributedCampaign(
+            runner, work_queue, RemoteResultStore(server.url)
+        )
+        return runner._drive(scheduler, resume, progress, distributed=True)
     finally:
         server.stop()

@@ -11,9 +11,12 @@ work; every request of a thread reuses one keep-alive connection.
 Tasks arrive as pickled ``(function, args, kwargs)`` closures — exactly
 the callables the in-process campaign scheduler would submit to its
 pool, so executing them here reproduces the scheduler's results
-bit-identically.  Checkpoints bound into those closures write through
-the :class:`~repro.distributed.remote_store.RemoteResultStore`, so
-iteration sub-entries land in the server-side store as the task runs.
+bit-identically.  :func:`encode_task` is the one producer of that wire
+format (the campaign server's tasks and the query service's refinements
+both go through it) and ``_decode_task`` its one reader.  Checkpoints
+bound into those closures write through the :class:`~repro.distributed.
+remote_store.RemoteResultStore`, so iteration sub-entries land in the
+server-side store as the task runs.
 
 Two fault-injection sites bracket each task for chaos tests
 (:mod:`repro.faults`): ``queue.lease`` fires the moment a lease is
@@ -33,10 +36,11 @@ import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro import faults
+from repro import faults, telemetry
 from repro.distributed.remote_store import RemoteResultStore, RemoteStoreError
+from repro.simulation.sweep import measure_row
 
-__all__ = ["QueueClient", "run_worker"]
+__all__ = ["QueueClient", "encode_task", "run_worker"]
 
 #: Seconds a worker keeps retrying its *first* contact before giving up
 #: (the server of a freshly launched campaign may still be binding).
@@ -122,6 +126,34 @@ class _Heartbeat:
     def __exit__(self, *exc_info: Any) -> None:
         self._stop.set()
         self._thread.join(timeout=5.0)
+
+
+def encode_task(
+    experiment: Any,
+    scale: Any,
+    checkpoint: Any,
+    value: float,
+    parent: Any = None,
+) -> bytes:
+    """The wire payload of one value task: a pickled ``measure_row`` call.
+
+    The worker runs ``measure_row(parameter_name, measure, value)`` with
+    ``experiment``'s measure at ``scale`` bound to ``checkpoint`` (which
+    must address a store the worker can reach).  ``parent`` is the span
+    the worker's ``task`` span parents under; with telemetry inactive
+    the function is ``measure_row`` itself.
+    """
+    return pickle.dumps(
+        (
+            telemetry.propagate(measure_row, parent=parent),
+            (
+                experiment.parameter_name,
+                experiment.measure_for(scale, checkpoint),
+                value,
+            ),
+            {},
+        )
+    )
 
 
 def _decode_task(grant: Dict[str, Any]) -> Tuple[str, float, Any, tuple, dict]:

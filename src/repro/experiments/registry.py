@@ -3,19 +3,19 @@
 An :class:`Experiment` couples an identifier (``"fig2"``), a human readable
 description, and the per-value measure of its parameter sweep.  Every
 experiment is a sweep of independent parameter values, so the measure is
-the whole experiment: :meth:`Experiment.run` sweeps it in-process (or over
-``scale.sweep_workers`` processes), and the campaign scheduler runs the
-same measure one value per task.  Experiments are registered at import
-time by the figure modules and looked up by the CLI and the benchmarks.
+the whole experiment: :meth:`Experiment.run` measures every value in
+order, in-process, and the campaign scheduler runs the same measure one
+value per task.  Experiments are registered at import time by the figure
+modules and looked up by the CLI and the benchmarks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.sweep import SweepCheckpoint, SweepResult, sweep_parameter
+from repro.simulation.sweep import SweepCheckpoint, SweepResult, measure_row
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,11 @@ class ExperimentScale:
         parameter_points: number of points in the parameter sweeps of
             Figures 7–9.
         seed: root random seed.
-        sweep_workers: parameter values of a figure sweep measured
-            concurrently, each in its own worker process that runs the
-            value's iterations serially (see :func:`repro.simulation.
-            sweep.sweep_parameter`).  The one execution field: results are
-            bit-identical for every value and it never enters cache keys.
+
+    Every field but ``name`` describes the computation and enters the
+    key payload (:func:`repro.store.keys.scale_payload`).  How many
+    values run at once is the campaign's worker budget (``campaign run
+    --total-workers``), not a field of the scale.
     """
 
     name: str
@@ -46,11 +46,6 @@ class ExperimentScale:
     stationary_iterations: int
     parameter_points: int
     seed: Optional[int] = 20020623  # DSN 2002 conference date.
-    sweep_workers: int = 1
-
-    def with_sweep_workers(self, sweep_workers: int) -> "ExperimentScale":
-        """Copy of this scale with ``sweep_workers`` value-level processes."""
-        return replace(self, sweep_workers=sweep_workers)
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -70,10 +65,6 @@ class ExperimentScale:
             )
         if not self.sides:
             raise ConfigurationError("sides must contain at least one system size")
-        if self.sweep_workers < 1:
-            raise ConfigurationError(
-                f"sweep_workers must be at least 1, got {self.sweep_workers}"
-            )
 
 
 #: The three built-in scale presets.
@@ -128,9 +119,10 @@ class Experiment:
     of the experiment's sweep (see :class:`repro.simulation.sweep.
     Measure`).  Every value is measured independently, with no
     cross-value state, so a value is the unit of work everywhere:
-    :meth:`run` sweeps the measure over ``sweep_values(scale)``, and the
-    campaign scheduler runs one value per task, interleaved with other
-    scenarios under one worker budget.
+    :meth:`run` measures ``sweep_values(scale)`` one after another in
+    this process — the reference every campaign is compared against —
+    and the campaign scheduler runs one value per task, interleaved with
+    other scenarios under one worker budget.
 
     ``sweep_values`` reports the values the sweep visits, which is what
     the campaign layer checkpoints per value and reports progress
@@ -170,12 +162,14 @@ class Experiment:
     )
 
     def run(self, scale: ExperimentScale) -> SweepResult:
-        """Sweep the measure over every value, ``scale.sweep_workers`` at once."""
-        return sweep_parameter(
-            self.parameter_name,
-            self.sweep_values(scale),
-            self.sweep_measure(scale),
-            workers=scale.sweep_workers,
+        """Measure every value of the sweep in order, in this process."""
+        measure = self.sweep_measure(scale)
+        return SweepResult(
+            parameter_name=self.parameter_name,
+            rows=[
+                measure_row(self.parameter_name, measure, value)
+                for value in self.sweep_values(scale)
+            ],
         )
 
     def measure_for(self, scale: ExperimentScale, checkpoint: SweepCheckpoint):

@@ -11,9 +11,7 @@ call chain the campaign runner uses
 (:func:`repro.campaigns.runner.scenario_payload` →
 :meth:`repro.store.checkpoints.StoreSweepCheckpoint.key_for`), so a
 query key is bitwise-equal to the key the runner computes for the same
-cell.  The execution knob (the sweep worker count) is stripped by
-``scale_payload``'s normalization exactly as it is for the runner, so it
-can never leak into a query key either.
+cell.
 
 Every key is a pure function of (scenario, grid side), so
 :class:`GridIndex` builds the key table once per grid: for each

@@ -20,14 +20,15 @@ ResultStore` holding a campaign's results:
   or inside a cell below the confidence floor — return an immediate
   best-effort extrapolation flagged ``refine=true`` *and* enqueue one
   deduplicated refinement task onto the distributed
-  :class:`~repro.distributed.queue.WorkQueue`.  The task is the same
-  pickled ``measure_row`` closure ``campaign serve`` ships, so any
-  stock ``campaign work`` worker completes it; the service drains the
-  queue's result events, persists the new row through the campaign's
-  own checkpoint and promotes it straight into the hot cache — the
-  re-asked query is a hot hit.  A side above :data:`REFINE_SPAN` times
-  the grid's largest is extrapolated but never simulated
-  (``refine=false``, counted as ``query.refines_refused``).
+  :class:`~repro.distributed.queue.WorkQueue`.  The task is encoded by
+  the :func:`~repro.distributed.worker.encode_task` that ``campaign
+  serve`` ships its tasks with, so any stock ``campaign work`` worker
+  completes it; the service drains the queue's result events, persists
+  the new row through the campaign's own checkpoint and promotes it
+  straight into the hot cache — the re-asked query is a hot hit.  A
+  side above :data:`REFINE_SPAN` times the grid's largest is
+  extrapolated but never simulated (``refine=false``, counted as
+  ``query.refines_refused``).
 
 Telemetry flows through :mod:`repro.telemetry.metrics` (``query.*``
 counters and latency histograms), so a service wrapped in a telemetry
@@ -48,9 +49,9 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.campaigns.completeness import cell_completeness
 from repro.campaigns.spec import CampaignSpec
+from repro.distributed.worker import encode_task
 from repro.experiments.registry import get_experiment
 from repro.simulation.config import paper_node_count
-from repro.simulation.sweep import measure_row
 from repro.store.result_store import StoreIntegrityError
 from repro.telemetry import metrics
 from repro.query.normalize import (
@@ -271,32 +272,15 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # The cache-fill path
     # ------------------------------------------------------------------ #
-    def _refine_payload(self, resolved: ResolvedQuery) -> bytes:
-        """The pickled closure a ``campaign work`` worker runs, verbatim.
-
-        Mirrors ``DistributedCampaign._task_payload``: ``measure_row``
-        over the experiment's measure bound to a checkpoint on the fill
-        store, at the query's own side — so completing the task
-        materializes exactly the row the re-asked query needs.
-        """
-        scenario = resolved.sweep.scenario
-        experiment = get_experiment(scenario.experiment_id)
-        checkpoint = resolved.sweep.checkpoint.with_store(self.fill_store)
-        closure = (
-            measure_row,
-            (
-                experiment.parameter_name,
-                experiment.measure_for(scenario.scale, checkpoint),
-                resolved.side,
-            ),
-            {},
-        )
-        return pickle.dumps(closure)
-
     def _enqueue_refine(
         self, resolved: ResolvedQuery, side_key: str
     ) -> Optional[str]:
-        """Enqueue (once) the simulation that fills ``side_key``."""
+        """Enqueue (once) the simulation that fills ``side_key``.
+
+        The task measures the query's own side with the measure bound to
+        a checkpoint on the fill store, so completing it materializes
+        exactly the row the re-asked query needs.
+        """
         if self.queue is None:
             return None
         existing = self._refines.get(side_key)
@@ -304,7 +288,16 @@ class QueryService:
             return existing
         self._refine_serial += 1
         task_id = f"refine.{side_key[:12]}.{self._refine_serial}"
-        self.queue.add(task_id, self._refine_payload(resolved))
+        scenario = resolved.sweep.scenario
+        self.queue.add(
+            task_id,
+            encode_task(
+                get_experiment(scenario.experiment_id),
+                scenario.scale,
+                resolved.sweep.checkpoint.with_store(self.fill_store),
+                resolved.side,
+            ),
+        )
         self._refines[side_key] = task_id
         self._pending[task_id] = (resolved, side_key)
         metrics.counter("query.refines_enqueued").add()

@@ -29,11 +29,11 @@ Main entry points:
 
 Execution is bit-identical to a serial run for the same seed:
 
-* the parameter value is the unit of parallel work —
-  :func:`~repro.simulation.sweep.sweep_parameter` (its ``workers``
-  argument), the campaign scheduler and the distributed work queue each
-  run one value per task, and the value's iterations run serially inside
-  it (each iteration owns child stream ``i`` of the root seed);
+* the parameter value is the unit of parallel work — the campaign
+  scheduler's pool and the distributed work queue each run one value
+  per task (:func:`~repro.simulation.sweep.measure_row`), and the
+  value's iterations run serially inside it (each iteration owns child
+  stream ``i`` of the root seed);
 * the per-frame hot path is vectorized (batched mobility trajectories +
   batched MST reduction into columnar containers, see
   :func:`~repro.simulation.engine.frame_statistics_columns`), and results
@@ -67,7 +67,7 @@ from repro.simulation.search import (
     estimate_component_thresholds,
     estimate_thresholds,
 )
-from repro.simulation.sweep import Measure, SweepResult, sweep_parameter
+from repro.simulation.sweep import Measure, SweepResult
 
 __all__ = [
     "ComponentThresholds",
@@ -91,5 +91,4 @@ __all__ = [
     "range_for_no_connectivity",
     "simulate_frame_statistics",
     "stationary_critical_range",
-    "sweep_parameter",
 ]

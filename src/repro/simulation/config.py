@@ -136,8 +136,8 @@ class SimulationConfig:
     :mod:`repro.simulation.results`).  The iterations of a run execute
     serially, each on its own child random stream derived from ``seed``;
     parallelism lives one level up, where parameter values run as
-    independent tasks (see :func:`repro.simulation.sweep.sweep_parameter`
-    and the campaign scheduler).
+    independent tasks of the campaign scheduler (see
+    :mod:`repro.campaigns.scheduler`).
     """
 
     network: NetworkConfig

@@ -195,21 +195,18 @@ class FrameStatisticsColumns(Sequence[FrameStatistics]):
         breakpoints at or below the range in every frame's curve slice
         (``np.add.reduceat`` over the flattened columns) and read the size
         of the last one, defaulting to 1 (each node is its own component).
+
+        Every frame of two or more nodes owns at least one breakpoint (its
+        curve ends at ``(critical_range, node_count)``), so no slice is
+        empty — ``np.add.reduceat`` would misread one.  The engine builds
+        no other container, and the store's decoder refuses one.
         """
         frame_count = self.critical_ranges.shape[0]
         if frame_count == 0:
             return np.empty(0, dtype=np.int64)
-        if self.node_count <= 1 or self.curve_ranges.shape[0] == 0:
+        if self.node_count <= 1:
             return np.full(frame_count, min(self.node_count, 1), dtype=np.int64)
         starts = self.curve_offsets[:-1]
-        empty = starts == self.curve_offsets[1:]
-        if empty.any():
-            # np.add.reduceat misreads zero-length slices; fall back.
-            return np.fromiter(
-                (frame.largest_component_size_at(transmitting_range) for frame in self),
-                dtype=np.int64,
-                count=frame_count,
-            )
         below = (self.curve_ranges <= transmitting_range).astype(np.int64)
         counts = np.add.reduceat(below, starts)
         last_below = np.maximum(starts + counts - 1, 0)

@@ -2,20 +2,13 @@
 
 Every figure of the paper is a sweep of one parameter (system side ``l``,
 ``pstationary``, ``tpause`` or ``vmax``) against one or more derived
-quantities.  :func:`sweep_parameter` runs such a sweep generically and
-returns a :class:`SweepResult` that the experiment layer renders as a
-table.
-
-Sweep-level fan-out
--------------------
-Parameter values are independent, so a sweep can run them concurrently in
-a process pool (``workers > 1``).  That requires the measure to be
-*picklable*: a module-level callable such as the per-experiment measure
-dataclasses in :mod:`repro.experiments.figures` — see the :class:`Measure`
-protocol.  A value is the unit of parallel work: its measure runs its
-simulation iterations serially inside the worker, so no pool ever starts
-another pool.  Results are bit-identical for every ``workers`` value —
-each measure call is deterministic given the seed it carries.
+quantities, and every parameter value is an independent simulation.
+:func:`measure_row` measures one value into one table row: it is the
+body of one value task in the campaign scheduler's pool and in the
+distributed work queue, and :meth:`repro.experiments.registry.Experiment.
+run` calls it for every value in order, in-process.  A
+:class:`SweepResult` is the resulting table that the experiment layer
+renders.
 
 Checkpointing
 -------------
@@ -35,11 +28,9 @@ protocol so the simulation layer stays free of storage dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 from repro import faults, telemetry
-from repro.exceptions import ConfigurationError
-from repro.supervision import run_supervised
 
 
 class SweepCheckpoint:
@@ -67,9 +58,11 @@ class Measure:
 
     A measure maps one parameter value to a dict of measured series:
     ``measure(value) -> {"series": number, ...}``.  Plain callables
-    (including lambdas) work for serial sweeps; parallel sweeps
-    (``workers > 1``) additionally need the measure to be picklable, i.e.
-    defined at module level — the experiment layer uses frozen dataclasses.
+    (including lambdas) work for the in-process
+    :meth:`~repro.experiments.registry.Experiment.run`; a value task of
+    the campaign scheduler or the work queue additionally needs the
+    measure to be picklable, i.e. defined at module level — the
+    experiment layer uses frozen dataclasses.
 
     A measure that supports iteration-granular checkpointing additionally
     implements ``with_value_checkpoint(checkpoint)`` returning a copy that
@@ -156,9 +149,9 @@ def measure_row(
 ) -> Dict[str, float]:
     """One sweep row: the parameter value plus its measured series.
 
-    Module-level (and pickled by reference) so both this module's sweep
-    pool and the campaign scheduler's shared pool submit it directly as
-    the worker-process body of one parameter value.
+    Module-level (and pickled by reference) so the campaign scheduler's
+    pool and the distributed work queue run it directly as the
+    worker-process body of one parameter value.
     """
     faults.fire("measure", context=f"{parameter_name}={value:g}")
     with telemetry.span("task", parameter=parameter_name, value=float(value)):
@@ -166,57 +159,3 @@ def measure_row(
         row.update(dict(measure(value)))
         return row
 
-
-def sweep_parameter(
-    parameter_name: str,
-    parameter_values: Sequence[float],
-    measure: Callable[[float], Dict[str, float]],
-    workers: int = 1,
-) -> SweepResult:
-    """Run ``measure`` at every parameter value and tabulate the results.
-
-    Args:
-        parameter_name: column name of the swept parameter.
-        parameter_values: values to sweep, in order.
-        measure: callable returning a dict of measured series for one
-            value; must be picklable (module-level, e.g. a
-            :class:`Measure` dataclass) when ``workers > 1``.
-        workers: parameter values measured concurrently.  1 (default) runs
-            the sweep serially in-process; larger values fan the sweep out
-            over a process pool.  Results are bit-identical either way and
-            rows always come back in ``parameter_values`` order.
-
-    The parallel path fails fast: the first task exception or worker
-    crash propagates.  Retries belong to :mod:`repro.campaigns`, whose
-    scheduler carries a retry policy.
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be at least 1, got {workers}")
-    values = list(parameter_values)
-    worker_count = min(workers, len(values)) if values else 1
-    if worker_count <= 1:
-        rows = [measure_row(parameter_name, measure, value) for value in values]
-    else:
-        by_index: Dict[int, Dict[str, float]] = {}
-
-        def submit_value(pool, index):
-            # Carry the ambient span context into the worker; identity
-            # when telemetry is inactive.
-            return pool.submit(
-                telemetry.propagate(measure_row),
-                parameter_name,
-                measure,
-                values[index],
-            )
-
-        def consume(index, row):
-            by_index[index] = row
-
-        run_supervised(
-            range(len(values)),
-            budget=worker_count,
-            submit=submit_value,
-            on_result=consume,
-        )
-        rows = [by_index[index] for index in range(len(values))]
-    return SweepResult(parameter_name=parameter_name, rows=rows)

@@ -16,9 +16,9 @@ version).  This package turns that purity into a cache:
   atomic write-then-rename entries under a store root, ``get / put /
   contains / evict`` with sha256 integrity verification;
 * :mod:`repro.store.checkpoints` — the store-backed sweep checkpoints
-  consumed by :func:`repro.simulation.sweep.sweep_parameter` and the
-  simulation runners, at per-parameter-value *and* per-iteration
-  granularity, which is what makes killed campaigns resumable.
+  consumed by the campaign scheduler (value rows) and, through the
+  figure measures, the simulation runners (iterations), which is what
+  makes killed campaigns resumable.
 """
 
 from repro.store.codecs import SCHEMA_VERSION, decode_payload, detect_kind, encode_payload

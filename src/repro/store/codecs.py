@@ -115,8 +115,12 @@ def _check_frame_columns(node_count: int, arrays: Dict[str, np.ndarray]) -> None
     Every array is 1-D and the offsets and sizes are integers; the offsets
     start at 0, never decrease, have one entry per frame plus one and end
     at the shared length of the curve columns; every size lies in
-    ``[1, node_count]``.  The check runs here, once per stored iteration,
-    and not in the constructor, which the engine calls once per batch.
+    ``[1, node_count]``.  A frame of two or more nodes owns at least one
+    breakpoint, since its curve ends at ``(critical_range, node_count)``:
+    the engine never builds an empty one, and the vectorized readers of
+    :class:`FrameStatisticsColumns` rely on it.  The check runs here,
+    once per stored iteration, and not in the constructor, which the
+    engine calls once per batch.
     """
     critical_ranges = arrays["critical_ranges"]
     offsets = arrays["curve_offsets"]
@@ -142,8 +146,14 @@ def _check_frame_columns(node_count: int, arrays: Dict[str, np.ndarray]) -> None
             f"curve_offsets run from {offsets[0]} to {offsets[-1]}, "
             f"not from 0 to {ranges.shape[0]}"
         )
-    if (np.diff(offsets) < 0).any():
+    steps = np.diff(offsets)
+    if (steps < 0).any():
         raise ValueError("curve_offsets decrease")
+    if node_count >= 2 and (steps == 0).any():
+        raise ValueError(
+            f"frame {int(np.argmax(steps == 0))} of {node_count} nodes has "
+            "no breakpoint"
+        )
     if sizes.size and (sizes.min() < 1 or sizes.max() > node_count):
         raise ValueError(
             f"curve_sizes span [{sizes.min()}, {sizes.max()}], "

@@ -21,11 +21,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-#: ``ExperimentScale`` fields that select the process layout without
-#: affecting results (results are bit-identical for every value); they
-#: never enter a key.
-EXECUTION_FIELDS = frozenset({"sweep_workers"})
-
 #: The artifact kinds of the store's key space, one per granularity.
 #: ``cache_key`` hashes the kind together with the payload, so the three
 #: granularities of the same sweep — the complete sweep, one parameter
@@ -43,17 +38,16 @@ def normalize(value: Any) -> Any:
     """Normalise ``value`` into canonical JSON-serialisable data.
 
     Mappings are key-sorted, sequences become lists, dataclasses become
-    field mappings (execution-only fields dropped), NumPy scalars become
-    Python scalars.  Raises :class:`ConfigurationError` for anything that
-    has no canonical form (sets, arbitrary objects) — silent repr-based
-    fallbacks would make keys unstable across interpreter runs.
+    field mappings, NumPy scalars become Python scalars.  Raises
+    :class:`ConfigurationError` for anything that has no canonical form
+    (sets, arbitrary objects) — silent repr-based fallbacks would make
+    keys unstable across interpreter runs.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return normalize(
             {
                 field.name: getattr(value, field.name)
                 for field in dataclasses.fields(value)
-                if field.name not in EXECUTION_FIELDS
             }
         )
     if isinstance(value, Mapping):
@@ -123,11 +117,10 @@ def key_document(kind: str, payload: Any, schema_version: int | None = None) -> 
 
 def scale_payload(scale: Any) -> Dict[str, Any]:
     """The key payload of an :class:`~repro.experiments.registry.
-    ExperimentScale`: its size knobs and seed, without the preset name and
-    the execution fields.
+    ExperimentScale`: its size knobs and seed, without the preset name.
 
     Two scales that run the same grid from the same seed — whatever they
-    are called and however many processes they use — share a payload.
+    are called — share a payload.
     """
     payload = normalize(scale)
     payload.pop("name", None)

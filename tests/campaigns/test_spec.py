@@ -70,31 +70,16 @@ class TestValidation:
                 name="x", experiments=("fig2",), overrides=(("no_such_field", 1),)
             )
 
-    def test_rejects_execution_knobs(self):
+    def test_rejects_sweep_workers_as_unknown_scale_field(self):
+        """The removed sweep worker count is no scale field: the width is
+        the per-invocation ``campaign run --total-workers`` flag."""
         with pytest.raises(ConfigurationError) as error:
             CampaignSpec(
                 name="x",
                 experiments=("fig2",),
                 matrix=(("sweep_workers", (1, 2)),),
             )
-        assert "sweep_workers" in str(error.value)
-
-    def test_rejects_every_execution_field(self):
-        """All execution-only knobs excluded from cache keys must also be
-        rejected as spec fields — matrix cells differing only in one
-        would collide on a single cache key."""
-        from repro.store.keys import EXECUTION_FIELDS
-
-        assert EXECUTION_FIELDS
-        for knob in sorted(EXECUTION_FIELDS):
-            with pytest.raises(ConfigurationError):
-                CampaignSpec(
-                    name="x", experiments=("fig2",), overrides=((knob, 2),)
-                )
-            with pytest.raises(ConfigurationError):
-                CampaignSpec(
-                    name="x", experiments=("fig2",), matrix=((knob, (2,)),)
-                )
+        assert "unknown scale field(s) ['sweep_workers']" in str(error.value)
 
     def test_rejects_backend_as_unknown_scale_field(self):
         """Scales no longer name an array backend, so a spec naming one

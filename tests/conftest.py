@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.connectivity import native
+from repro.experiments.registry import _REGISTRY, Experiment, scale_by_name
 from repro.geometry.region import Region
 from repro.placement.strategies import uniform_placement
+from repro.store import ResultStore
 
 
 @pytest.fixture
@@ -62,3 +67,66 @@ def kernel_lane(request, monkeypatch):
     else:
         require_native_library()
     return request.param
+
+
+@pytest.fixture
+def sweep_experiment(monkeypatch):
+    """Register throwaway experiments that sweep given values.
+
+    ``sweep_experiment(parameter_name, values, measure)`` returns an
+    :class:`Experiment` whose sweep visits ``values`` with ``measure`` at
+    every scale; it leaves the registry when the test ends.
+    """
+    serial = itertools.count()
+
+    def register(parameter_name, values, measure):
+        experiment = Experiment(
+            identifier=f"test-sweep-{next(serial)}",
+            title="test sweep",
+            description="sweeps the values a test hands it",
+            paper_reference="(test only)",
+            sweep_measure=lambda scale: measure,
+            sweep_values=lambda scale: tuple(values),
+            parameter_name=parameter_name,
+        )
+        monkeypatch.setitem(_REGISTRY, experiment.identifier, experiment)
+        return experiment
+
+    return register
+
+
+@pytest.fixture
+def serial_sweep(sweep_experiment):
+    """``Experiment.run`` of a throwaway sweep: every value in order,
+    in this process — the reference the campaign pool is compared to."""
+
+    def run(parameter_name, values, measure):
+        experiment = sweep_experiment(parameter_name, values, measure)
+        return experiment.run(scale_by_name("smoke"))
+
+    return run
+
+
+@pytest.fixture
+def campaign_sweep(sweep_experiment, tmp_path):
+    """The same sweep as value tasks in the campaign scheduler's pool.
+
+    ``campaign_sweep(parameter_name, values, measure, workers)`` runs a
+    one-scenario campaign at ``total_workers=workers`` into a fresh store
+    and returns its sweep.  The measure must pickle.
+    """
+
+    def run(parameter_name, values, measure, workers):
+        experiment = sweep_experiment(parameter_name, values, measure)
+        spec = CampaignSpec(
+            name="pool", experiments=(experiment.identifier,), scale="smoke"
+        )
+        result = CampaignRunner(
+            spec,
+            ResultStore(tmp_path / experiment.identifier),
+            total_workers=workers,
+            telemetry=False,
+        ).run()
+        return result.sweeps[experiment.identifier]
+
+    return run

@@ -10,6 +10,7 @@ each successful measure execution leaves exactly one marker file, in
 whatever process it ran).
 """
 
+import base64
 import glob
 import multiprocessing
 import os
@@ -28,7 +29,12 @@ from repro.campaigns.runner import scenario_payload
 from repro.distributed import serve_campaign
 from repro.distributed import server as server_module
 from repro.distributed.campaign import RemoteTaskError
-from repro.distributed.worker import QueueClient, run_worker
+from repro.distributed.worker import (
+    QueueClient,
+    _decode_task,
+    encode_task,
+    run_worker,
+)
 from repro.experiments import figures
 from repro.experiments.registry import (
     _REGISTRY,
@@ -38,8 +44,9 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.faults import FaultSpec, write_plan
+from repro.simulation.sweep import measure_row
 from repro.store import ResultStore, StoreSweepCheckpoint
-from repro.telemetry import metrics
+from repro.telemetry import metrics, report
 
 DIST_ID = "dist-test-exp"
 
@@ -233,6 +240,101 @@ class TestLoopbackFanOut:
         assert second.cache_hits == len(first.outcomes) == 2
         assert _count(calls_dir) == markers
         assert_bit_identical(second, first)
+
+
+class TestTaskWireFormat:
+    def test_a_decoded_task_returns_measure_rows_row(self, tmp_path):
+        spec = CampaignSpec.from_dict({
+            "name": "wire",
+            "experiments": ["fig2"],
+            "scale": "smoke",
+            "overrides": {
+                "sides": [256.0],
+                "steps": 8,
+                "iterations": 1,
+                "stationary_iterations": 15,
+            },
+        })
+        (scenario,) = spec.scenarios()
+        experiment = get_experiment("fig2")
+        checkpoint = StoreSweepCheckpoint(
+            ResultStore(tmp_path / "store"),
+            scenario_payload(experiment, scenario.scale),
+        )
+        payload = encode_task(experiment, scenario.scale, checkpoint, 256.0)
+        task_id, lease_seconds, function, args, kwargs = _decode_task({
+            "task": "t-1",
+            "lease_seconds": 7.5,
+            "payload": base64.b64encode(payload).decode("ascii"),
+        })
+        assert (task_id, lease_seconds) == ("t-1", 7.5)
+        assert function is measure_row  # telemetry is off: no span shim
+        expected = measure_row(
+            "l", experiment.sweep_measure(scenario.scale), 256.0
+        )
+        assert function(*args, **kwargs) == expected
+        assert [expected] == experiment.run(scenario.scale).rows
+
+
+class TestServedTelemetry:
+    def test_served_run_reports_worker_task_spans(self, dist_experiment, tmp_path):
+        """``campaign serve`` records one telemetry run, like ``campaign
+        run``: the ``campaign`` span marked distributed, one ``scenario``
+        span per scenario, and the workers' ``task`` spans under them.
+
+        Workers fork once the queue is sealed, when the serving process
+        has armed its run, so they inherit its trace directory.
+        """
+        store = ResultStore(tmp_path / "store")
+        workers = []
+        forked = []
+
+        def fork_when_sealed(url):
+            client = QueueClient(url)
+            deadline = time.monotonic() + 30.0
+            while not client.stats().get("sealed"):
+                assert time.monotonic() < deadline, "the queue never sealed"
+                time.sleep(0.01)
+            workers.extend([start_worker(url), start_worker(url)])
+
+        def on_ready(url):
+            thread = threading.Thread(
+                target=fork_when_sealed, args=(url,), daemon=True
+            )
+            thread.start()
+            forked.append(thread)
+
+        result = serve_campaign(
+            dist_spec(), store, max_retries=2, retry_backoff=0.05,
+            on_ready=on_ready,
+        )
+        for thread in forked:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        reap(workers, timeout=PROMPT_EXIT)
+        assert result.computed_values == 6
+
+        (run_dir,) = report.list_runs(store.root / "telemetry")
+        sealed = report.load_or_build_report(run_dir)
+        counts = {
+            name: bucket["count"]
+            for name, bucket in sealed["spans"]["by_name"].items()
+        }
+        assert counts["campaign"] == 1
+        assert counts["scenario"] == 2
+        assert counts["task"] == 6
+        assert sealed["outcome"]["computed_values"] == 6
+
+        spans = report.read_trace(run_dir)["spans"]
+        by_id = {span["span"]: span for span in spans}
+        (campaign,) = [s for s in spans if s["name"] == "campaign"]
+        assert campaign["parent"] is None
+        assert campaign["attrs"]["distributed"] is True
+        for scenario in [s for s in spans if s["name"] == "scenario"]:
+            assert scenario["parent"] == campaign["span"]
+        tasks = [s for s in spans if s["name"] == "task"]
+        assert {by_id[t["parent"]]["name"] for t in tasks} == {"scenario"}
+        assert campaign["pid"] not in {t["pid"] for t in tasks}
 
 
 class TestRequestsPerTask:

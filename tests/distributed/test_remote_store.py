@@ -187,11 +187,13 @@ class TestIntegrity:
             {"curve_offsets": np.array([0.0, 2.0, 3.0])},
             {"critical_ranges": np.array([[1.5], [2.25]])},
             {"curve_offsets": np.array([0, 3])},
+            {"curve_offsets": np.array([0, 0, 3])},
         ],
         ids=[
             "sizes-cut-short", "size-above-node-count", "size-zero",
             "offsets-not-from-zero", "offsets-decrease", "offsets-end-short",
             "offsets-not-integers", "ranges-2d", "offsets-one-frame-short",
+            "frame-without-breakpoint",
         ],
     )
     def test_server_rejects_inconsistent_frame_statistics(self, served, edit):

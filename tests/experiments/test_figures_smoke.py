@@ -5,11 +5,15 @@ threshold extraction, reporting) end to end; the quantitative checks of the
 paper's claims live in tests/integration/ and in the benchmarks.
 """
 
+from dataclasses import fields
+
 import pytest
 
+from repro.campaigns import CampaignRunner, CampaignSpec
 from repro.experiments.figures import measure_system_size
 from repro.experiments.registry import ExperimentScale, get_experiment
 from repro.simulation.config import paper_node_count
+from repro.store import ResultStore
 
 #: A scale even smaller than the "smoke" preset, for unit-test speed.
 TINY = ExperimentScale(
@@ -92,8 +96,9 @@ def test_figure7_ratio_decreases_with_pstationary():
     assert ratios[-1] <= ratios[0] + 1e-9
 
 
-class TestSweepWorkerEquivalence:
-    """Sweep-level process fan-out must not change any experiment result."""
+class TestCampaignPoolEquivalence:
+    """Value tasks in the campaign scheduler's pool must not change any
+    experiment result."""
 
     SCALE = ExperimentScale(
         name="smoke",
@@ -106,8 +111,20 @@ class TestSweepWorkerEquivalence:
     )
 
     @pytest.mark.parametrize("identifier", ["fig3", "fig7"])
-    def test_parallel_sweep_equals_serial(self, identifier):
+    def test_parallel_sweep_equals_serial(self, identifier, tmp_path):
         experiment = get_experiment(identifier)
         serial = experiment.run(self.SCALE)
-        parallel = experiment.run(self.SCALE.with_sweep_workers(2))
-        assert serial.rows == parallel.rows
+        spec = CampaignSpec(
+            name="pool",
+            experiments=(identifier,),
+            scale="smoke",
+            overrides=tuple(
+                (f.name, getattr(self.SCALE, f.name))
+                for f in fields(ExperimentScale)
+                if f.name != "name"
+            ),
+        )
+        parallel = CampaignRunner(
+            spec, ResultStore(tmp_path), total_workers=2, telemetry=False
+        ).run()
+        assert serial.rows == parallel.sweeps[identifier].rows

@@ -1,6 +1,6 @@
 """Tests for repro.experiments.registry."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional
 
 import pytest
@@ -63,46 +63,43 @@ class TestExperimentScale:
                 stationary_iterations=1, parameter_points=1,
             )
 
+    def test_fields_describe_only_the_computation(self):
+        # No execution field: the worker budget is a campaign run flag.
+        assert [f.name for f in fields(ExperimentScale)] == [
+            "name", "sides", "steps", "iterations", "stationary_iterations",
+            "parameter_points", "seed",
+        ]
 
-class TestSweepWorkersField:
-    """``sweep_workers`` is the scale's one execution field."""
 
-    def test_default_is_serial(self):
-        for name in SCALES:
-            assert scale_by_name(name).sweep_workers == 1
+class TestExperimentRun:
+    """``Experiment.run`` measures every value in order, in this process."""
 
-    def test_rejects_non_positive(self):
-        smoke = scale_by_name("smoke")
-        for count in (0, -2):
-            with pytest.raises(ConfigurationError):
-                smoke.with_sweep_workers(count)
+    def test_rows_and_series(self, serial_sweep):
+        sweep = serial_sweep("x", [1.0, 2.0, 3.0], lambda x: {"square": x * x})
+        assert sweep.parameter_values == [1.0, 2.0, 3.0]
+        assert sweep.series("square") == [1.0, 4.0, 9.0]
+        assert sweep.series_names() == ["square"]
 
-    def test_with_sweep_workers_preserves_everything_else(self):
-        smoke = scale_by_name("smoke")
-        copy = smoke.with_sweep_workers(4)
-        assert copy.sweep_workers == 4
-        assert copy.with_sweep_workers(1) == smoke
+    def test_multiple_series(self, serial_sweep):
+        sweep = serial_sweep("x", [2.0], lambda x: {"double": 2 * x, "half": x / 2})
+        assert set(sweep.series_names()) == {"double", "half"}
+        assert sweep.rows[0]["x"] == 2.0
 
-    def test_execution_fields_name_only_existing_fields(self):
-        from dataclasses import fields
+    def test_measure_called_in_order(self, serial_sweep):
+        calls = []
 
-        from repro.store.keys import EXECUTION_FIELDS
+        def measure(value):
+            calls.append(value)
+            return {"v": value}
 
-        assert EXECUTION_FIELDS == {"sweep_workers"}
-        assert EXECUTION_FIELDS <= {field.name for field in fields(ExperimentScale)}
+        serial_sweep("p", [3, 1, 2], measure)
+        assert calls == [3, 1, 2]
 
-    def test_sweep_workers_never_enters_cache_keys(self):
-        from repro.campaigns.runner import scenario_payload, scenario_sweep_key
-
-        experiment = get_experiment("fig3")
-        scale = scale_by_name("smoke")
-        wide = scale.with_sweep_workers(8)
-        assert scenario_sweep_key(experiment, wide) == scenario_sweep_key(
-            experiment, scale
-        )
-        assert scenario_payload(experiment, wide) == scenario_payload(
-            experiment, scale
-        )
+    def test_empty_sweep(self, serial_sweep):
+        sweep = serial_sweep("x", [], lambda x: {"y": x})
+        assert sweep.rows == []
+        assert sweep.series_names() == []
+        assert sweep.parameter_values == []
 
 
 class TestRegistry:

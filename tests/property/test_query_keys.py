@@ -2,13 +2,9 @@
 
 The query service's one hard invariant is key identity: for any campaign
 grid and any in-grid query, the store keys the resolver emits are
-bitwise-equal to the keys the campaign runner writes — and the
-execution knob (the sweep worker count), which normalize() strips from
-cache payloads, can never leak into a query key.  Out-of-grid
+bitwise-equal to the keys the campaign runner writes.  Out-of-grid
 queries are flagged, never silently clamped onto a grid key.
 """
-
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,30 +58,6 @@ def test_in_grid_keys_equal_the_runners_keys_bitwise(
         assert resolved.exact == side
         assert not resolved.out_of_grid
         assert resolved.row_keys == (checkpoint.key_for(side),)
-
-
-@given(
-    experiment=EXPERIMENTS,
-    sides=SIDES,
-    sweep_workers=st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_execution_knobs_never_change_query_keys(experiment, sides, sweep_workers):
-    spec = spec_with_sides(experiment, sides)
-    grid = GridIndex(spec)
-    scenario = grid.scenario_for(
-        "drunkard" if experiment == "fig3" else "waypoint"
-    )
-    baseline = grid.checkpoint_for(scenario)
-
-    # Rebuild the checkpoint from a scenario whose scale carries every
-    # execution knob; the keys must not move by a single bit.
-    knobbed_scale = scenario.scale.with_sweep_workers(sweep_workers)
-    knobbed = dataclasses.replace(scenario, scale=knobbed_scale)
-    rebuilt = grid.checkpoint_for(knobbed)
-
-    for side in sides:
-        assert rebuilt.key_for(side) == baseline.key_for(side)
 
 
 @given(

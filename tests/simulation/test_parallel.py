@@ -3,11 +3,11 @@ value-level parallelism built on it, and the vectorized engine.
 
 The contract under test: every iteration owns a reproducible child stream
 of the root seed, a checkpointed or resumed run is bit-identical to an
-uninterrupted one, a sweep measuring its parameter values in worker
-processes is bit-identical to the serial sweep (each worker runs its
-value's iterations serially, starting no pool of its own), and the
-vectorized per-frame reduction matches the pre-vectorization reference
-implementation.
+uninterrupted one, a sweep whose parameter values run as tasks in the
+campaign scheduler's pool is bit-identical to ``Experiment.run`` (each
+worker runs its value's iterations serially, starting no pool of its
+own), and the vectorized per-frame reduction matches the
+pre-vectorization reference implementation.
 """
 
 import multiprocessing
@@ -29,7 +29,6 @@ from repro.simulation.runner import (
     collect_frame_statistics,
     stationary_critical_range,
 )
-from repro.simulation.sweep import sweep_parameter
 from repro.stats.rng import RandomSource
 
 
@@ -106,24 +105,29 @@ SIDES = (150.0, 200.0, 250.0, 300.0)
 
 
 class TestValueLevelParallelism:
+    """The campaign scheduler's pool against ``Experiment.run``."""
+
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
         "runner", ["stats-drunkard", "stats-waypoint", "stationary"]
     )
-    def test_parallel_sweep_is_bit_identical_to_serial(self, runner, workers):
+    def test_parallel_sweep_is_bit_identical_to_serial(
+        self, runner, workers, serial_sweep, campaign_sweep
+    ):
         measure = RunnerMeasure(runner)
-        serial = sweep_parameter("l", SIDES, measure)
-        parallel = sweep_parameter("l", SIDES, measure, workers=workers)
+        serial = serial_sweep("l", SIDES, measure)
+        parallel = campaign_sweep("l", SIDES, measure, workers=workers)
         assert parallel.rows == serial.rows
         assert parallel.parameter_values == list(SIDES)
 
-    def test_more_workers_than_values(self):
+    def test_more_workers_than_values(self, serial_sweep, campaign_sweep):
         measure = RunnerMeasure("stats-drunkard")
-        serial = sweep_parameter("l", SIDES[:2], measure)
-        assert sweep_parameter("l", SIDES[:2], measure, workers=32).rows == serial.rows
+        serial = serial_sweep("l", SIDES[:2], measure)
+        parallel = campaign_sweep("l", SIDES[:2], measure, workers=32)
+        assert parallel.rows == serial.rows
 
-    def test_value_tasks_start_no_nested_pool(self):
-        sweep = sweep_parameter("l", SIDES, _nested_pools, workers=2)
+    def test_value_tasks_start_no_nested_pool(self, campaign_sweep):
+        sweep = campaign_sweep("l", SIDES, _nested_pools, workers=2)
         assert sweep.series("pools") == [0.0] * len(SIDES)
         assert sweep.series("children") == [0.0] * len(SIDES)
 

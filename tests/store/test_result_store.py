@@ -68,7 +68,8 @@ def frame_arrays():
 
 #: Frame-statistics payloads whose arrays disagree with each other, each
 #: one edit away from ``make_frame_columns()`` (9 nodes, 3 frames, 5
-#: breakpoints).
+#: breakpoints).  A frame of 9 nodes without a breakpoint is one of them:
+#: every frame of two or more nodes ends at ``(critical_range, n)``.
 MALFORMED_FRAME_ARRAYS = {
     "sizes-cut-short": {"curve_sizes": np.array([4, 9, 3, 9])},
     "sizes-too-long": {"curve_sizes": np.array([4, 9, 3, 9, 9, 9])},
@@ -80,6 +81,9 @@ MALFORMED_FRAME_ARRAYS = {
     "size-zero": {"curve_sizes": np.array([0, 9, 3, 9, 9])},
     "size-above-node-count": {"curve_sizes": np.array([4, 30, 3, 9, 9])},
     "ranges-2d": {"critical_ranges": np.array([[1.5], [2.25], [0.75]])},
+    "first-frame-without-breakpoint": {"curve_offsets": np.array([0, 0, 4, 5])},
+    "middle-frame-without-breakpoint": {"curve_offsets": np.array([0, 2, 2, 5])},
+    "last-frame-without-breakpoint": {"curve_offsets": np.array([0, 2, 5, 5])},
 }
 
 
@@ -97,8 +101,15 @@ class TestCodecs:
 
     @pytest.mark.parametrize(
         "value",
-        [make_sweep(), make_frame_columns(), {"l": 1.0, "r": 2.5}],
-        ids=["sweep", "frames", "row"],
+        [
+            make_sweep(),
+            make_frame_columns(),
+            # A lone node is connected at every range: no frame has a
+            # breakpoint, and that still decodes.
+            FrameStatisticsColumns(1, np.zeros(3), np.zeros(4), [], []),
+            {"l": 1.0, "r": 2.5},
+        ],
+        ids=["sweep", "frames", "one-node-frames", "row"],
     )
     def test_round_trip(self, value):
         kind, filename, payload = encode_payload(value)
@@ -353,7 +364,14 @@ class TestEntriesTheCodecsRefuse:
         self.assert_quarantined_on_load(store, key)
         assert store.gc().scanned == 0
 
-    @pytest.mark.parametrize("variant", ["sizes-cut-short", "size-above-node-count"])
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            "sizes-cut-short",
+            "size-above-node-count",
+            "middle-frame-without-breakpoint",
+        ],
+    )
     def test_an_inconsistent_frame_statistics_entry(self, store, variant):
         key = self.iteration_key(store)
         plant_entry(store, key, "frame_statistics", malformed_frame_payload(variant))

@@ -227,9 +227,61 @@ class TestCampaignCli:
         assert "0/1 scenario(s) complete" in capsys.readouterr().out
 
 
-def _probe_measure(value):
-    """Module-level, so a ``--total-workers`` sweep can pickle it."""
-    return {"y": 2.0}
+class TestCampaignReport:
+    """``campaign run`` and ``campaign serve`` end with one printed report."""
+
+    @staticmethod
+    def quarantined_result():
+        from repro.campaigns.runner import CampaignResult, ScenarioOutcome
+        from repro.campaigns import CampaignSpec
+        from repro.simulation.sweep import SweepResult
+
+        spec = CampaignSpec(name="cli-demo", experiments=("fig2", "fig3"))
+        done, poisoned = spec.scenarios()
+        return CampaignResult(
+            spec=spec,
+            outcomes=[
+                ScenarioOutcome(
+                    scenario=done,
+                    sweep=SweepResult("l", [{"l": 256.0, "r100": 1.5}]),
+                    cache_hit=False,
+                    computed_values=1,
+                ),
+                ScenarioOutcome(
+                    scenario=poisoned,
+                    sweep=None,
+                    cache_hit=False,
+                    quarantined_values=1,
+                ),
+            ],
+        )
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_quiet_still_names_a_quarantined_scenario(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        import repro.distributed
+        from repro.campaigns import CampaignRunner
+
+        result = self.quarantined_result()
+        if command == "run":
+            monkeypatch.setattr(
+                CampaignRunner, "run", lambda runner, **options: result
+            )
+        else:
+            monkeypatch.setattr(
+                repro.distributed,
+                "serve_campaign",
+                lambda *arguments, **options: result,
+            )
+        spec = tmp_path / "demo.toml"
+        spec.write_text(TINY_CAMPAIGN)
+        assert main(["campaign", command, str(spec), "--store",
+                     str(tmp_path / "store"), "--quiet"]) == 1
+        output = capsys.readouterr().out
+        assert "1 value(s) computed. WARNING: 1 task(s) quarantined" in output
+        assert "\nfig3: no complete sweep (1 quarantined task(s))" in output
+        assert "(computed)" not in output  # --quiet prints no table
 
 
 def _tiny_smoke(monkeypatch):
@@ -249,61 +301,41 @@ def _tiny_smoke(monkeypatch):
 
 
 class TestExecutionFlags:
-    """``--total-workers`` is the one width flag of ``run`` and ``campaign
-    run``; the removed per-level flags no longer parse."""
+    """``--total-workers`` is the one width flag, and only ``campaign run``
+    has it; ``run`` is the in-process reference.  The removed per-level
+    flags no longer parse."""
 
     def test_total_workers_flag_parses(self):
         parser = build_parser()
-        assert parser.parse_args(["run", "fig2"]).total_workers is None
-        assert parser.parse_args(
-            ["run", "fig2", "--total-workers", "3"]
-        ).total_workers == 3
+        assert parser.parse_args(["campaign", "run", "spec.toml"]).total_workers == 1
         assert parser.parse_args(
             ["campaign", "run", "spec.toml", "--total-workers", "5"]
         ).total_workers == 5
 
-    @pytest.mark.parametrize("flag,expected", [(None, 1), ("1", 1), ("3", 3)])
-    def test_total_workers_sets_sweep_workers(
-        self, flag, expected, capsys, monkeypatch
-    ):
-        from repro.experiments import registry
-
-        seen = []
-
-        def measure_factory(scale):
-            seen.append(scale)
-            return _probe_measure
-
-        probe = registry.Experiment(
-            identifier="cli-scale-probe",
-            title="probe",
-            description="records the scale the CLI hands it",
-            paper_reference="-",
-            sweep_measure=measure_factory,
-        )
-        monkeypatch.setitem(registry._REGISTRY, probe.identifier, probe)
-        arguments = ["run", probe.identifier, "--scale", "smoke"]
-        if flag is not None:
-            arguments += ["--total-workers", flag]
-        assert main(arguments) == 0
-        capsys.readouterr()
-        assert [scale.sweep_workers for scale in seen] == [expected]
-        assert seen[0].with_sweep_workers(1) == registry.scale_by_name("smoke")
+    def test_run_has_no_width_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig2", "--total-workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--total-workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("identifier", ["fig2", "fig7"])
-    def test_run_with_total_workers_matches_default(
-        self, identifier, capsys, monkeypatch
+    def test_campaign_run_with_total_workers_matches_run(
+        self, identifier, capsys, monkeypatch, tmp_path
     ):
         _tiny_smoke(monkeypatch)
-        assert main(["run", identifier, "--scale", "smoke"]) == 0
-        base_output = capsys.readouterr().out
+        reference = tmp_path / "run.json"
         assert main(["run", identifier, "--scale", "smoke",
-                     "--total-workers", "2"]) == 0
-        wide_output = capsys.readouterr().out
-        # The rendered table (all measured numbers) must be identical.
-        title = f"{identifier} (smoke scale)"
-        table = lambda text: text[text.index(title):]
-        assert table(wide_output) == table(base_output)
+                     "--output", str(reference)]) == 0
+        spec = tmp_path / "wide.toml"
+        spec.write_text(
+            f'name = "wide"\nexperiments = ["{identifier}"]\nscale = "smoke"\n'
+        )
+        assert main(["campaign", "run", str(spec), "--store",
+                     str(tmp_path / "store"), "--total-workers", "2",
+                     "--output-dir", str(tmp_path / "wide")]) == 0
+        capsys.readouterr()
+        wide = json.loads((tmp_path / "wide" / f"{identifier}.json").read_text())
+        assert wide["rows"] == json.loads(reference.read_text())["rows"]
 
     @pytest.mark.parametrize(
         "arguments",

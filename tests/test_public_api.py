@@ -165,8 +165,20 @@ def test_removed_modules_are_gone(name):
     assert importlib.util.find_spec(name) is None
 
 
+#: Names deleted with the sweep pool: value tasks run in the campaign
+#: scheduler's pool or the work queue, and ``Experiment.run`` measures
+#: values in-process.  A scale has no execution field left to filter.
+REMOVED_EXECUTOR_NAMES = [
+    ("repro.simulation", "sweep_parameter"),
+    ("repro.simulation.sweep", "sweep_parameter"),
+    ("repro.store.keys", "EXECUTION_FIELDS"),
+]
+
+
 @pytest.mark.parametrize(
-    "module, name", REMOVED_NAMES, ids=[".".join(pair) for pair in REMOVED_NAMES]
+    "module, name",
+    REMOVED_NAMES + REMOVED_EXECUTOR_NAMES,
+    ids=[".".join(pair) for pair in REMOVED_NAMES + REMOVED_EXECUTOR_NAMES],
 )
 def test_removed_names_are_gone(module, name):
     owner = importlib.import_module(module)
