@@ -2,9 +2,8 @@
 
 The paper's central qualitative finding is that random waypoint and
 drunkard mobility produce nearly identical connectivity statistics.  This
-ablation runs four models (the paper's two plus random direction and
-Gauss-Markov) on identical networks and measures how far apart their r100
-and r90 estimates are.
+ablation runs the paper's two models on identical networks and measures
+how far apart their r100, r90 and r10 estimates are.
 """
 
 import os
@@ -43,14 +42,6 @@ def _all_models(steps, iterations):
     specs = {
         "waypoint": repro.MobilitySpec.paper_waypoint(SIDE),
         "drunkard": repro.MobilitySpec.paper_drunkard(SIDE),
-        "random-direction": repro.MobilitySpec(
-            name="random-direction",
-            parameters={"speed": 0.01 * SIDE, "travel_steps": 50, "tpause": 10},
-        ),
-        "gauss-markov": repro.MobilitySpec(
-            name="gauss-markov",
-            parameters={"mean_speed": 0.01 * SIDE, "alpha": 0.75, "noise_std": 2.0},
-        ),
     }
     return {name: _thresholds_for(spec, steps, iterations) for name, spec in specs.items()}
 
@@ -68,14 +59,10 @@ def test_mobility_model_ablation(benchmark):
     print()
     print(format_table(rows, precision=4))
 
-    # The paper's claim, checked for its own two models: thresholds within a
-    # modest relative band of each other.
+    # The paper's claim: thresholds within a modest relative band of each
+    # other.
     waypoint = results["waypoint"]
     drunkard = results["drunkard"]
     assert waypoint.r100 == pytest.approx(drunkard.r100, rel=0.5)
     assert waypoint.r90 == pytest.approx(drunkard.r90, rel=0.5)
     assert waypoint.r10 == pytest.approx(drunkard.r10, rel=0.5)
-
-    # The extension models stay within a wider but still bounded band.
-    values = [t.r100 for t in results.values()]
-    assert max(values) <= 2.5 * min(values)

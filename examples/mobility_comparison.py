@@ -6,11 +6,10 @@ The paper's "somewhat surprising" finding is that the random waypoint model
 same connectivity statistics: what matters is the *quantity* of mobility
 (how many nodes are stationary), not its precise pattern.
 
-This example compares four mobility models — the paper's two plus the
-random-direction and Gauss–Markov extensions — on identical networks, and
-then sweeps ``pstationary`` to reproduce the Figure 7 threshold phenomenon
-(with about half the nodes stationary, the network behaves as if it were
-fully stationary).
+This example compares the paper's two mobility models on identical
+networks, and then sweeps ``pstationary`` to reproduce the Figure 7
+threshold phenomenon (with about half the nodes stationary, the network
+behaves as if it were fully stationary).
 
 Run with::
 
@@ -31,24 +30,16 @@ SEED = 5
 
 
 def model_specs():
-    """The four mobility models, parameterised comparably."""
+    """The paper's two mobility models with their Section 4.2 parameters."""
     return {
         "random waypoint": repro.MobilitySpec.paper_waypoint(SIDE),
         "drunkard": repro.MobilitySpec.paper_drunkard(SIDE),
-        "random direction": repro.MobilitySpec(
-            name="random-direction",
-            parameters={"speed": 0.01 * SIDE, "travel_steps": 50, "tpause": 10},
-        ),
-        "gauss-markov": repro.MobilitySpec(
-            name="gauss-markov",
-            parameters={"mean_speed": 0.01 * SIDE, "alpha": 0.75, "noise_std": 0.2 * SIDE * 0.01},
-        ),
     }
 
 
 def compare_models() -> None:
     print("=" * 72)
-    print("Connectivity thresholds under four mobility models")
+    print("Connectivity thresholds under the paper's two mobility models")
     print("=" * 72)
     rstationary = repro.stationary_critical_range(
         NODE_COUNT, SIDE, dimension=2, iterations=300, seed=SEED, confidence=0.99
@@ -76,7 +67,7 @@ def compare_models() -> None:
         )
     print()
     print(format_table(rows, precision=3))
-    print("\nAll four rows are close: as the paper concludes, the existence of")
+    print("\nThe two rows are close: as the paper concludes, the existence of")
     print("mobility matters far more than the precise movement pattern.")
 
 

@@ -62,13 +62,7 @@ from repro.graph import (
     connected_components,
     is_connected,
 )
-from repro.mobility import (
-    DrunkardModel,
-    GaussMarkovModel,
-    RandomDirectionModel,
-    RandomWaypointModel,
-    StationaryModel,
-)
+from repro.mobility import DrunkardModel, RandomWaypointModel, StationaryModel
 from repro.occupancy import (
     classify_domain,
     empty_cells_mean,
@@ -77,7 +71,6 @@ from repro.occupancy import (
     has_gap_pattern,
 )
 from repro.placement import (
-    clustered_placement,
     corner_clusters_placement,
     grid_placement,
     uniform_placement,
@@ -107,13 +100,11 @@ __all__ = [
     "ConfigurationError",
     "DrunkardModel",
     "EnergyModel",
-    "GaussMarkovModel",
     "MTRInstance",
     "MTRMInstance",
     "MobilitySpec",
     "MobilityThresholds",
     "NetworkConfig",
-    "RandomDirectionModel",
     "RandomWaypointModel",
     "Region",
     "ReproError",
@@ -125,7 +116,6 @@ __all__ = [
     "__version__",
     "build_communication_graph",
     "classify_domain",
-    "clustered_placement",
     "collect_frame_statistics",
     "connected_components",
     "connectivity_probability_1d_exact",

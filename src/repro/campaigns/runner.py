@@ -73,6 +73,25 @@ def scenario_payload(experiment: Experiment, scale: ExperimentScale) -> Dict[str
     }
 
 
+def scenario_checkpoint(
+    store: Any, campaign: str, experiment: Experiment, scenario: Scenario
+) -> StoreSweepCheckpoint:
+    """A scenario's sweep checkpoint over ``store`` (``None`` for keys only).
+
+    Every row, iteration and query key of the scenario derives from it:
+    the scenario's payload, the ``campaign`` and ``scenario`` metadata
+    and the experiment's checkpointed iteration count.  The runner and
+    the query grid both build theirs here, so they address the same
+    entries.
+    """
+    return StoreSweepCheckpoint(
+        store,
+        scenario_payload(experiment, scenario.scale),
+        metadata={"campaign": campaign, "scenario": scenario.scenario_id},
+        iterations=experiment.checkpoint_iterations(scenario.scale),
+    )
+
+
 def scenario_sweep_key(experiment: Experiment, scale: ExperimentScale) -> str:
     """Content address of the complete sweep of one scenario."""
     return cache_key(SWEEP_KIND, scenario_payload(experiment, scale))
@@ -236,15 +255,7 @@ class CampaignRunner:
         (:meth:`~repro.store.checkpoints.StoreSweepCheckpoint.with_store`),
         which keeps every key.
         """
-        return StoreSweepCheckpoint(
-            self.store,
-            scenario_payload(experiment, scenario.scale),
-            metadata={
-                "campaign": self.spec.name,
-                "scenario": scenario.scenario_id,
-            },
-            iterations=experiment.checkpoint_iterations(scenario.scale),
-        )
+        return scenario_checkpoint(self.store, self.spec.name, experiment, scenario)
 
     def _row_keys(self, experiment: Experiment, scenario: Scenario) -> List[str]:
         checkpoint = self._checkpoint_for(experiment, scenario)

@@ -81,10 +81,6 @@ class Region:
         generator = rng if rng is not None else np.random.default_rng()
         return generator.uniform(0.0, self.side, size=(count, self.dimension))
 
-    def sample_point(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Draw a single uniform point as a 1-D array of length ``dimension``."""
-        return self.sample_uniform(1, rng)[0]
-
     # ------------------------------------------------------------------ #
     # Boundary handling
     # ------------------------------------------------------------------ #
@@ -106,11 +102,6 @@ class Region:
         overshoot = points > self.side
         points[overshoot] = period - points[overshoot]
         return points
-
-    def wrap(self, positions: Positions) -> Positions:
-        """Wrap positions around the boundary (toroidal topology)."""
-        points = self._check_positions(positions)
-        return np.mod(points, self.side)
 
     # ------------------------------------------------------------------ #
     # Internal helpers

@@ -11,31 +11,24 @@ Both include the paper's extra ``pstationary`` parameter: a fraction of
 nodes that never move (sensors stuck in a bush, or a mixed deployment of
 static and mobile devices).
 
-Two further models, random direction and Gauss–Markov, are provided as
-extensions used by the "does the mobility model matter?" ablation.
+A third, :class:`~repro.mobility.stationary.StationaryModel`, never moves
+any node; the stationary critical range binds its placements to it.
 All models share the :class:`~repro.mobility.base.MobilityModel` interface:
 ``initialize(positions, rng)`` followed by repeated ``step(rng)`` calls,
-each returning the new ``(n, d)`` position array.
+each returning the new ``(n, d)`` position array, or one ``trajectory``
+call returning a whole block of frames.
 """
 
 from repro.mobility.base import MobilityModel, MobilityState
-from repro.mobility.boundary import BoundaryPolicy
 from repro.mobility.drunkard import DrunkardModel
-from repro.mobility.gauss_markov import GaussMarkovModel
-from repro.mobility.group import ReferencePointGroupModel
-from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.stationary import StationaryModel
 from repro.mobility.waypoint import RandomWaypointModel
 
 __all__ = [
-    "BoundaryPolicy",
     "DrunkardModel",
-    "GaussMarkovModel",
     "MobilityModel",
     "MobilityState",
-    "RandomDirectionModel",
     "RandomWaypointModel",
-    "ReferencePointGroupModel",
     "StationaryModel",
 ]
 
@@ -43,9 +36,8 @@ __all__ = [
 def model_by_name(name: str, **parameters):
     """Instantiate a mobility model from its short name.
 
-    Recognised names: ``stationary``, ``waypoint``, ``drunkard``,
-    ``random-direction``, ``gauss-markov``, ``rpgm``.  Keyword arguments are
-    passed through to the model constructor.
+    Recognised names: ``stationary``, ``waypoint`` and ``drunkard``.
+    Keyword arguments are passed through to the model constructor.
     """
     from repro.exceptions import ConfigurationError
 
@@ -53,9 +45,6 @@ def model_by_name(name: str, **parameters):
         "stationary": StationaryModel,
         "waypoint": RandomWaypointModel,
         "drunkard": DrunkardModel,
-        "random-direction": RandomDirectionModel,
-        "gauss-markov": GaussMarkovModel,
-        "rpgm": ReferencePointGroupModel,
     }
     try:
         factory = models[name]

@@ -3,9 +3,10 @@
 A mobility model is a stateful object: :meth:`MobilityModel.initialize`
 binds it to a region and an initial placement, and every subsequent call to
 :meth:`MobilityModel.step` advances all nodes by one mobility step and
-returns the new ``(n, d)`` position array.  The simulator treats models as
-black boxes behind this interface, which is what makes the mobility-model
-ablation a one-line change.
+returns the new ``(n, d)`` position array.  The simulator asks a model for
+whole blocks of frames through :meth:`MobilityModel.trajectory`, which every
+model implements for a block of steps at once; :meth:`MobilityModel.step`
+is the per-step reference those blocks are bit-identical to.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ class MobilityState:
 class MobilityModel(abc.ABC):
     """Abstract base class of every mobility model.
 
-    Subclasses implement :meth:`_prepare` (allocate per-node state) and
-    :meth:`_advance` (move the mobile nodes by one step).  The base class
-    handles validation, the shared ``pstationary`` mechanism and bookkeeping.
+    Subclasses implement :meth:`_prepare` (allocate per-node state),
+    :meth:`_advance` (move the mobile nodes by one step) and
+    :meth:`trajectory` (a block of steps at once).  The base class handles
+    validation, the shared ``pstationary`` mechanism and bookkeeping.
     """
 
     def __init__(self, pstationary: float = 0.0) -> None:
@@ -129,10 +131,9 @@ class MobilityModel(abc.ABC):
     def _step_in_place(self, generator: np.random.Generator) -> Positions:
         """Advance one step and return ``state.positions`` *without* copying.
 
-        The batched :meth:`trajectory` / :meth:`run` loops copy the result
-        into their own buffers (or discard it) anyway, so the defensive copy
-        :meth:`step` makes would be pure overhead there.  Callers must not
-        mutate the returned array.
+        :meth:`run` discards every intermediate result, so the defensive
+        copy :meth:`step` makes would be pure overhead there.  Callers must
+        not mutate the returned array.
         """
         state = self.state
         new_positions = self._advance(generator)
@@ -146,30 +147,18 @@ class MobilityModel(abc.ABC):
         state.step_index += 1
         return new_positions
 
+    @abc.abstractmethod
     def trajectory(
         self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
         """The next ``steps`` frames as one ``(steps, n, d)`` array.
 
         Frame 0 is the *current* position array; frames ``1 .. steps - 1``
-        are produced by advancing the model ``steps - 1`` times, consuming
-        exactly the same random draws as that many :meth:`step` calls — so
-        batched and per-step simulation are bit-identical.  Models whose
-        dynamics allow it (e.g. :class:`~repro.mobility.stationary.
-        StationaryModel`) override this with a fully vectorized
-        implementation; the simulation engine consumes trajectories in
-        bounded-size batches, so such models skip the per-step Python
-        overhead entirely.
+        are bit-identical to ``steps - 1`` sequential :meth:`step` calls,
+        and the model state and random stream left behind are those calls'
+        too, so batched and per-step simulation never differ.  Raises
+        :class:`~repro.exceptions.ConfigurationError` when ``steps < 1``.
         """
-        if steps < 1:
-            raise ConfigurationError(f"steps must be at least 1, got {steps}")
-        state = self.state
-        generator = make_rng(rng)
-        frames = np.empty((steps,) + state.positions.shape, dtype=float)
-        frames[0] = state.positions
-        for index in range(1, steps):
-            frames[index] = self._step_in_place(generator)
-        return frames
 
     def run(
         self, steps: int, rng: Optional[np.random.Generator] = None

@@ -11,7 +11,8 @@ The paper's second model represents non-intentional motion:
   every step still moves a node by at most ``m``).
 
 The paper's "moderate but heterogeneous mobility" default is
-``pstationary=0.1, ppause=0.3, m=0.01*l``.
+``pstationary=0.1, ppause=0.3, m=0.01*l``
+(:meth:`repro.simulation.config.MobilitySpec.paper_drunkard`).
 
 Draw protocol
 -------------
@@ -68,13 +69,6 @@ class DrunkardModel(MobilityModel):
             raise ConfigurationError(f"ppause must be in [0, 1], got {ppause}")
         self.step_radius = float(step_radius)
         self.ppause = float(ppause)
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def paper_defaults(cls, side: float) -> "DrunkardModel":
-        """The parameterisation used in Figure 3: ``pstationary=0.1``,
-        ``ppause=0.3``, ``m = 0.01 * l``."""
-        return cls(step_radius=max(0.01 * side, 1e-9), ppause=0.3, pstationary=0.1)
 
     # ------------------------------------------------------------------ #
     def _prepare(self, rng: np.random.Generator) -> None:

@@ -12,7 +12,8 @@ The classical model of Johnson & Maltz [2], as parameterised by the paper:
   the base class).
 
 The paper's "moderate mobility" default is ``pstationary=0, vmin=0.1,
-vmax=0.01*l, tpause=2000``.
+vmax=0.01*l, tpause=2000``
+(:meth:`repro.simulation.config.MobilitySpec.paper_waypoint`).
 
 Leg arithmetic
 --------------
@@ -122,16 +123,6 @@ class RandomWaypointModel(MobilityModel):
         self._leg_elapsed: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def paper_defaults(cls, side: float, pstationary: float = 0.0) -> "RandomWaypointModel":
-        """The parameterisation used throughout Section 4.2 of the paper.
-
-        ``vmin = 0.1``, ``vmax = 0.01 * l``, ``tpause = 2000``.
-        """
-        vmax = max(0.01 * side, 0.1)
-        return cls(vmin=0.1, vmax=vmax, tpause=2000, pstationary=pstationary)
-
-    # ------------------------------------------------------------------ #
     def _prepare(self, rng: np.random.Generator) -> None:
         state = self.state
         n = state.node_count
@@ -164,25 +155,6 @@ class RandomWaypointModel(MobilityModel):
         safe = np.where(lengths > 0.0, lengths, 1.0)
         self._leg_units[indices] = deltas / safe[:, None]
         self._leg_elapsed[indices] = 0
-
-    def steps_until_next_arrival(self) -> int:
-        """Number of further :meth:`step` calls until the first one that draws.
-
-        The next ``k - 1`` steps of this model consume no random draws
-        (pause countdowns and closed-form cruising only); the ``k``-th step
-        hits the earliest arrival and draws the arriving nodes' new
-        destinations and speeds.  Non-mutating — models that nest a
-        waypoint instance (:class:`~repro.mobility.group.
-        ReferencePointGroupModel`) use this to size the draw-free segments
-        their vectorized trajectories can batch through.  An empty model
-        never draws; it reports the :data:`_DISTANT_ARRIVAL` horizon.
-        """
-        if self.state.node_count == 0:
-            return _DISTANT_ARRIVAL
-        horizon = self._pause_remaining + _steps_to_arrival(
-            self._speeds, self._leg_elapsed, self._leg_lengths
-        )
-        return int(horizon.min())
 
     def _advance(self, rng: np.random.Generator) -> Positions:
         state = self.state

@@ -8,19 +8,13 @@ the theory benchmarks can reproduce that comparison.
 """
 
 from repro.placement.strategies import (
-    PlacementStrategy,
-    clustered_placement,
     corner_clusters_placement,
     grid_placement,
-    perturbed_grid_placement,
     uniform_placement,
 )
 
 __all__ = [
-    "PlacementStrategy",
-    "clustered_placement",
     "corner_clusters_placement",
     "grid_placement",
-    "perturbed_grid_placement",
     "uniform_placement",
 ]

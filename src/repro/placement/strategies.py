@@ -1,25 +1,22 @@
 """Concrete node placement strategies.
 
 Every strategy is a function ``(count, region, rng) -> positions`` returning
-an ``(n, d)`` array of points inside the region.  :class:`PlacementStrategy`
-is a tiny protocol-style wrapper that lets the simulator accept any of them
-interchangeably.
+an ``(n, d)`` array of points inside the region.  The simulator draws
+:func:`uniform_placement`; the lattice and the corner clusters are the
+best and worst cases the theory compares it with.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.geometry.region import Region
 from repro.stats.rng import make_rng
-from repro.types import Positions, SeedLike
-
-#: Type of a placement function.
-PlacementStrategy = Callable[[int, Region, Optional[np.random.Generator]], Positions]
+from repro.types import Positions
 
 
 def uniform_placement(
@@ -51,55 +48,6 @@ def grid_placement(
     return lattice[:count]
 
 
-def perturbed_grid_placement(
-    count: int,
-    region: Region,
-    rng: Optional[np.random.Generator] = None,
-    jitter: float = 0.25,
-) -> Positions:
-    """Grid placement with uniform jitter of ``jitter`` cell widths.
-
-    A common "realistic deterministic deployment" model: nodes are intended
-    to sit on a lattice but land slightly off target.
-    """
-    if not 0.0 <= jitter <= 0.5:
-        raise ConfigurationError(f"jitter must be in [0, 0.5], got {jitter}")
-    generator = make_rng(rng)
-    base = grid_placement(count, region, generator)
-    if count == 0:
-        return base
-    per_axis = int(math.ceil(count ** (1.0 / region.dimension)))
-    cell = region.side / per_axis
-    noise = generator.uniform(-jitter * cell, jitter * cell, size=base.shape)
-    return region.clamp(base + noise)
-
-
-def clustered_placement(
-    count: int,
-    region: Region,
-    rng: Optional[np.random.Generator] = None,
-    clusters: int = 4,
-    spread: float = 0.05,
-) -> Positions:
-    """Nodes concentrated around a few random cluster centres.
-
-    Args:
-        clusters: number of cluster centres, drawn uniformly in the region.
-        spread: standard deviation of each cluster, as a fraction of ``l``.
-    """
-    if clusters <= 0:
-        raise ConfigurationError(f"clusters must be positive, got {clusters}")
-    if spread < 0:
-        raise ConfigurationError(f"spread must be non-negative, got {spread}")
-    generator = make_rng(rng)
-    if count == 0:
-        return np.empty((0, region.dimension), dtype=float)
-    centers = region.sample_uniform(clusters, generator)
-    assignment = generator.integers(0, clusters, size=count)
-    offsets = generator.normal(0.0, spread * region.side, size=(count, region.dimension))
-    return region.clamp(centers[assignment] + offsets)
-
-
 def corner_clusters_placement(
     count: int,
     region: Region,
@@ -127,24 +75,3 @@ def corner_clusters_placement(
         0.0, spread * region.side, size=(count - first_half, region.dimension)
     )
     return np.vstack([near_origin, near_far_corner])
-
-
-def placement_by_name(name: str) -> PlacementStrategy:
-    """Look up a placement strategy by its short name.
-
-    Recognised names: ``uniform``, ``grid``, ``perturbed-grid``,
-    ``clustered``, ``corners``.
-    """
-    strategies = {
-        "uniform": uniform_placement,
-        "grid": grid_placement,
-        "perturbed-grid": perturbed_grid_placement,
-        "clustered": clustered_placement,
-        "corners": corner_clusters_placement,
-    }
-    try:
-        return strategies[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown placement strategy {name!r}; expected one of {sorted(strategies)}"
-        ) from None

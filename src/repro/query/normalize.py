@@ -8,7 +8,7 @@ content-address keys derived from the canonical scenario payload plus
 the swept parameter value.  This module is the bridge, and its one hard
 invariant is *key identity*: every key it emits is produced by the very
 call chain the campaign runner uses
-(:func:`repro.campaigns.runner.scenario_payload` →
+(:func:`repro.campaigns.runner.scenario_checkpoint` →
 :meth:`repro.store.checkpoints.StoreSweepCheckpoint.key_for`), so a
 query key is bitwise-equal to the key the runner computes for the same
 cell.
@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.campaigns.runner import scenario_payload
+from repro.campaigns.runner import scenario_checkpoint, scenario_payload
 from repro.campaigns.spec import CampaignSpec, Scenario
 from repro.exceptions import ReproError
 from repro.experiments.registry import get_experiment
@@ -203,22 +203,10 @@ class GridIndex:
     def checkpoint_for(
         self, scenario: Scenario, store=None
     ) -> StoreSweepCheckpoint:
-        """The cell's sweep checkpoint — the runner's key chain, verbatim.
-
-        Mirrors :meth:`repro.campaigns.runner.CampaignRunner.
-        _checkpoint_for` (same payload, same metadata fields, same
-        iteration granularity) so every key derived from it is the key
-        the runner writes.
-        """
-        experiment = get_experiment(scenario.experiment_id)
-        return StoreSweepCheckpoint(
-            store,
-            scenario_payload(experiment, scenario.scale),
-            metadata={
-                "campaign": self.spec.name,
-                "scenario": scenario.scenario_id,
-            },
-            iterations=experiment.checkpoint_iterations(scenario.scale),
+        """The cell's sweep checkpoint: the runner's, so every key derived
+        from it is the key the runner writes."""
+        return scenario_checkpoint(
+            store, self.spec.name, get_experiment(scenario.experiment_id), scenario
         )
 
 

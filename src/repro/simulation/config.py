@@ -2,7 +2,8 @@
 
 A run is described by three pieces:
 
-* :class:`NetworkConfig` — how many nodes, in what region, placed how;
+* :class:`NetworkConfig` — how many nodes, in what region (placed
+  uniformly at random, the model the paper analyses);
 * :class:`MobilitySpec` — which mobility model with which parameters
   (stored by name so configurations serialise to JSON);
 * :class:`SimulationConfig` — the two above plus the number of mobility
@@ -23,7 +24,6 @@ from repro.exceptions import ConfigurationError
 from repro.geometry.region import Region
 from repro.mobility import model_by_name
 from repro.mobility.base import MobilityModel
-from repro.placement.strategies import PlacementStrategy, placement_by_name
 
 
 def paper_node_count(side: float) -> int:
@@ -33,12 +33,11 @@ def paper_node_count(side: float) -> int:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Static description of the network: size, region and placement."""
+    """Static description of the network: size and region."""
 
     node_count: int
     side: float
     dimension: int = 2
-    placement: str = "uniform"
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -51,18 +50,11 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"dimension must be at least 1, got {self.dimension}"
             )
-        # Validate eagerly so configuration errors surface at build time.
-        placement_by_name(self.placement)
 
     @property
     def region(self) -> Region:
         """The deployment region ``[0, side]^dimension``."""
         return Region(side=self.side, dimension=self.dimension)
-
-    @property
-    def placement_strategy(self) -> PlacementStrategy:
-        """The placement function named by :attr:`placement`."""
-        return placement_by_name(self.placement)
 
     @classmethod
     def paper_scaling(cls, side: float, dimension: int = 2) -> "NetworkConfig":

@@ -12,10 +12,9 @@ affordable.
 
 The engine is vectorized end to end: mobility trajectories are produced
 as batched ``(steps, n, d)`` arrays (see :meth:`repro.mobility.base.
-MobilityModel.trajectory` — the paper's waypoint and drunkard models both
-override it, so no paper configuration falls back to the per-step Python
-loop), each batch of frames is reduced through its sorted MST edges
-(:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`),
+MobilityModel.trajectory`, which every model implements for a whole
+block of steps), each batch of frames is reduced through its sorted MST
+edges (:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`),
 so only ``n - 1`` union-find operations — not one per ``O(n^2)``
 candidate edge — run per frame, and the per-frame outputs are
 accumulated into the columnar
@@ -46,6 +45,7 @@ from repro.exceptions import SimulationError
 from repro.geometry.distance import squared_distance_matrix
 from repro.graph.union_find import UnionFind
 from repro.mobility.base import MobilityModel
+from repro.placement.strategies import uniform_placement
 from repro.simulation.config import MobilitySpec, NetworkConfig
 from repro.simulation.results import FrameStatistics, FrameStatisticsColumns
 from repro.types import Positions
@@ -316,13 +316,11 @@ def simulate_frame_statistics(
     paper can then be derived with :mod:`repro.simulation.metrics` without
     re-simulating, and the paper's fixed-range records at a range ``r``
     are ``connected_at(r)`` and ``largest_component_sizes_at(r)`` of the
-    result.  Frames are produced as batched ``(k, n, d)`` trajectory
-    arrays, so models with a vectorized :meth:`~repro.mobility.base.
-    MobilityModel.trajectory` (the stationary, waypoint and drunkard models
-    — every model the paper uses) skip the per-step Python overhead.
+    result.  Frames are produced as batched ``(k, n, d)`` arrays by the
+    model's :meth:`~repro.mobility.base.MobilityModel.trajectory`.
     """
     region = network.region
-    placement = network.placement_strategy(network.node_count, region, rng)
+    placement = uniform_placement(network.node_count, region, rng)
     model = mobility.create()
     model.initialize(placement, region, rng)
     return FrameStatisticsColumns.concatenate([

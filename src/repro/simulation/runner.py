@@ -58,6 +58,7 @@ import numpy as np
 from repro import faults, telemetry
 from repro.exceptions import ConfigurationError
 from repro.mobility.stationary import StationaryModel
+from repro.placement.strategies import uniform_placement
 from repro.simulation.config import NetworkConfig, SimulationConfig
 from repro.simulation.engine import (
     FrameStatisticsColumns,
@@ -131,7 +132,6 @@ def stationary_critical_range(
     iterations: int = 100,
     seed: Optional[int] = None,
     confidence: float = 0.99,
-    placement: str = "uniform",
 ) -> float:
     """Estimate ``rstationary``: the range connecting random static placements.
 
@@ -143,10 +143,10 @@ def stationary_critical_range(
     those values — i.e. the range at which a fraction ``confidence`` of
     random placements is connected.
 
-    Placement ``i`` is drawn on child stream ``i`` of ``seed`` and bound
-    to a :class:`~repro.mobility.stationary.StationaryModel` (which checks
-    its dimension and that it lies in the region), as a one-step
-    simulation would; the placements are then reduced by
+    Placement ``i`` is drawn uniformly on child stream ``i`` of ``seed``
+    and bound to a :class:`~repro.mobility.stationary.StationaryModel`
+    (which checks its dimension and that it lies in the region), as a
+    one-step simulation would; the placements are then reduced by
     :func:`~repro.simulation.engine.frame_statistics_columns` in batches
     of :func:`~repro.simulation.engine.frames_per_batch` frames
     (``_TRAJECTORY_BATCH_ELEMENTS // n``).  The batched kernel treats
@@ -161,16 +161,14 @@ def stationary_critical_range(
         seed: root seed for reproducibility.
         confidence: the quantile of per-placement critical ranges returned;
             1.0 returns the maximum observed.
-        placement: placement strategy name (default ``uniform``).
     """
     if not 0.0 < confidence <= 1.0:
         raise ConfigurationError(f"confidence must be in (0, 1], got {confidence}")
     if iterations < 1:
         raise ConfigurationError(f"iterations must be at least 1, got {iterations}")
-    network = NetworkConfig(
-        node_count=node_count, side=side, dimension=dimension, placement=placement
-    )
-    region = network.region
+    region = NetworkConfig(
+        node_count=node_count, side=side, dimension=dimension
+    ).region
     source = RandomSource(seed)
     batch_size = frames_per_batch(node_count)
     parts: List[FrameStatisticsColumns] = []
@@ -179,7 +177,7 @@ def stationary_critical_range(
             frames = []
             for index in range(start, min(start + batch_size, iterations)):
                 rng = source.child(index)
-                positions = network.placement_strategy(node_count, region, rng)
+                positions = uniform_placement(node_count, region, rng)
                 frames.append(StationaryModel().initialize(positions, region, rng))
             parts.append(frame_statistics_columns(np.stack(frames)))
     pooled = FrameStatisticsColumns.concatenate(parts)

@@ -16,7 +16,7 @@ from repro.stats.distributions import (
     poisson_cdf,
     poisson_pmf,
 )
-from repro.stats.rng import RandomSource, make_rng, spawn_rngs, value_rng
+from repro.stats.rng import RandomSource, make_rng, value_rng
 from repro.stats.summary import (
     SummaryStatistics,
     confidence_interval,
@@ -32,7 +32,6 @@ __all__ = [
     "normal_pdf",
     "poisson_cdf",
     "poisson_pmf",
-    "spawn_rngs",
     "summarize",
     "value_rng",
 ]

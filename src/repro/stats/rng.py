@@ -29,23 +29,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` independent generators from ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning so the derived streams
-    are statistically independent; this is how the multi-iteration runner
-    gives each iteration its own stream while remaining reproducible.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children by drawing fresh seeds from the parent stream.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    sequence = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in sequence.spawn(count)]
-
-
 def value_rng(
     seed: Optional[int], value: float, label: str = ""
 ) -> np.random.Generator:

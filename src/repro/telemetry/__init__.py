@@ -5,7 +5,7 @@ The observability spine of the reproduction.  Four pieces:
 * :mod:`repro.telemetry.tracing` — context-propagating spans over the
   campaign → scenario → task → iteration hierarchy, flushed to
   a crash-tolerant per-run JSONL sink.
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms for the
+* :mod:`repro.telemetry.metrics` — counters and histograms for the
   signals the system already computes (cache hits, retries, store
   latency), drained into the same sink.
 * :mod:`repro.telemetry.report` — folds a run's trace into

@@ -2,18 +2,18 @@
 
 The system already computes the numbers worth watching — cache hits,
 retries, respawns, store latencies — and drops them on the
-floor.  These instruments give them somewhere to land: ``counter``,
-``gauge`` and ``histogram`` are module-level accessors onto one
-per-process registry, cheap enough (a dict lookup and an add) to sit in
-hot paths unconditionally.
+floor.  These instruments give them somewhere to land: ``counter`` and
+``histogram`` are module-level accessors onto one per-process registry,
+cheap enough (a dict lookup and an add) to sit in hot paths
+unconditionally.
 
 Instruments accumulate *deltas*: :func:`drain` snapshots and resets the
 registry, and the tracing layer appends the snapshot to the JSONL sink
 at flush time.  Because every process reports deltas rather than
 absolutes, the report builder can simply merge records — counters sum,
-histograms combine, gauges take the latest value — without caring which
-pool worker reported what.  A pid guard rebuilds the registry after a
-fork so a child never re-reports its parent's accumulation.
+histograms combine — without caring which pool worker reported what.  A
+pid guard rebuilds the registry after a fork so a child never re-reports
+its parent's accumulation.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from typing import Any, Dict, List, Optional
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "counter",
     "drain",
-    "gauge",
     "histogram",
     "merge",
 ]
@@ -44,22 +42,6 @@ class Counter:
 
     def add(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "value": self.value}
-
-
-class Gauge:
-    """A last-write-wins level (e.g. a pool size)."""
-
-    kind = "gauge"
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: Optional[float] = None
-
-    def set(self, value: float) -> None:
-        self.value = value
 
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
@@ -125,10 +107,6 @@ def counter(name: str) -> Counter:
     return _registry().get(name, Counter)
 
 
-def gauge(name: str) -> Gauge:
-    return _registry().get(name, Gauge)
-
-
 def histogram(name: str) -> Histogram:
     return _registry().get(name, Histogram)
 
@@ -136,8 +114,8 @@ def histogram(name: str) -> Histogram:
 def drain() -> Dict[str, Dict[str, Any]]:
     """Snapshot and reset this process's instruments.
 
-    Instruments with nothing to report (zero counters, empty histograms,
-    unset gauges) are omitted so idle flushes stay record-free.
+    Instruments with nothing to report (zero counters, empty histograms)
+    are omitted so idle flushes stay record-free.
     """
     registry = _registry()
     snapshot: Dict[str, Dict[str, Any]] = {}
@@ -145,8 +123,6 @@ def drain() -> Dict[str, Dict[str, Any]]:
         if isinstance(instrument, Counter) and instrument.value == 0:
             continue
         if isinstance(instrument, Histogram) and instrument.count == 0:
-            continue
-        if isinstance(instrument, Gauge) and instrument.value is None:
             continue
         snapshot[name] = instrument.snapshot()
     registry.instruments = {}
@@ -156,8 +132,7 @@ def drain() -> Dict[str, Dict[str, Any]]:
 def merge(snapshots: List[Dict[str, Dict[str, Any]]]) -> Dict[str, Dict[str, Any]]:
     """Fold drained snapshots (any process, any order) into totals.
 
-    Counters sum; histograms combine count/total/min/max; gauges keep
-    the last reported value.
+    Counters sum; histograms combine count/total/min/max.
     """
     merged: Dict[str, Dict[str, Any]] = {}
     for snapshot in snapshots:
@@ -184,6 +159,4 @@ def merge(snapshots: List[Dict[str, Dict[str, Any]]]) -> Dict[str, Dict[str, Any
                         existing[key] = right
                     elif right is not None:
                         existing[key] = pick(left, right)
-            else:  # gauge: last write wins
-                existing["value"] = record.get("value")
     return merged

@@ -68,10 +68,6 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             square_region.sample_uniform(-1, rng)
 
-    def test_sample_point(self, square_region, rng):
-        point = square_region.sample_point(rng)
-        assert point.shape == (2,)
-
     def test_sample_reproducible(self, square_region):
         a = square_region.sample_uniform(10, np.random.default_rng(1))
         b = square_region.sample_uniform(10, np.random.default_rng(1))
@@ -94,11 +90,3 @@ class TestBoundaryHandling:
     def test_reflect_inside_unchanged(self, square_region):
         points = np.array([[10.0, 20.0]])
         assert np.allclose(square_region.reflect(points), points)
-
-    def test_wrap(self, square_region):
-        wrapped = square_region.wrap(np.array([[105.0, -3.0]]))
-        assert np.allclose(wrapped, [[5.0, 97.0]])
-
-    def test_wrap_inside_unchanged(self, square_region):
-        points = np.array([[10.0, 20.0]])
-        assert np.allclose(square_region.wrap(points), points)

@@ -5,6 +5,9 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.geometry.region import Region
+from repro.mobility import model_by_name
+from repro.mobility.base import MobilityModel
+from repro.mobility.drunkard import DrunkardModel
 from repro.mobility.stationary import StationaryModel
 from repro.mobility.waypoint import RandomWaypointModel
 
@@ -107,3 +110,39 @@ class TestPstationaryMechanism:
         assert np.allclose(positions[mask], initial[mask])
         # At least one mobile node must have moved after 20 steps.
         assert not np.allclose(positions[~mask], initial[~mask])
+
+
+class TestModelByName:
+    def test_the_papers_models(self):
+        assert isinstance(model_by_name("stationary"), StationaryModel)
+        assert isinstance(model_by_name("waypoint", vmin=0.5), RandomWaypointModel)
+        assert isinstance(model_by_name("drunkard", ppause=0.3), DrunkardModel)
+
+    def test_parameters_forwarded(self):
+        model = model_by_name("drunkard", step_radius=9.0, ppause=0.4)
+        assert model.step_radius == 9.0
+        assert model.ppause == 0.4
+
+    @pytest.mark.parametrize("name", ["random-direction", "gauss-markov", "rpgm"])
+    def test_no_other_model(self, name):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"expected one of \['drunkard', 'stationary', 'waypoint'\]",
+        ):
+            model_by_name(name)
+
+
+def test_every_model_implements_its_own_trajectory():
+    """No per-step fallback: a model without a vectorized trajectory
+    cannot be instantiated."""
+    assert MobilityModel.__abstractmethods__ == {"_advance", "_prepare", "trajectory"}
+
+    class StepOnly(MobilityModel):
+        def _prepare(self, rng):
+            return None
+
+        def _advance(self, rng):
+            return self.state.positions.copy()
+
+    with pytest.raises(TypeError, match="trajectory"):
+        StepOnly()

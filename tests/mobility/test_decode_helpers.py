@@ -5,12 +5,12 @@ positions with plain NumPy arithmetic, and is checked against its
 definition:
 
 * the waypoint model's :func:`_steps_to_arrival` against a step-by-step
-  search with the per-step arrival test;
+  search with the per-step arrival test, on hand-picked legs, on any leg
+  (hypothesis) and on the legs the figures' waypoint regimes draw;
 * the drunkard model's ``_decode_block``: moves land in the step disk,
   the pause coin decides who moves, and decoding a whole batch of steps
   equals decoding each step alone, bit for bit (what makes its
-  ``trajectory()`` equal to stepping);
-* the random-direction model's ``_random_directions``: unit vectors.
+  ``trajectory()`` equal to stepping).
 """
 
 import numpy as np
@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.geometry.region import Region
 from repro.mobility.drunkard import DrunkardModel
-from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.waypoint import _DISTANT_ARRIVAL, _steps_to_arrival
+from repro.simulation.config import MobilitySpec
 
 
 def arrival_by_stepping(speed, elapsed, length):
@@ -87,6 +87,27 @@ class TestStepsToArrival:
         speeds, elapsed, lengths = zip(*legs)
         check_arrivals(speeds, elapsed, lengths)
 
+    @pytest.mark.parametrize(
+        "side, overrides",
+        [
+            (256.0, {}),
+            (1024.0, {}),
+            (4096.0, {}),
+            (16384.0, {}),
+            (4096.0, {"vmax": 0.5 * 4096.0}),
+        ],
+        ids=["fig2-256", "fig2-1K", "fig2-4K", "fig2-16K", "fig9-fastest"],
+    )
+    def test_equals_stepping_for_the_figures_legs(self, side, overrides):
+        """The first legs a figure's waypoint model draws, mid-walk too."""
+        region = Region.square(side)
+        rng = np.random.default_rng(int(side))
+        model = MobilitySpec.paper_waypoint(side, **overrides).create()
+        model.initialize(region.sample_uniform(24, rng), region, rng)
+        elapsed = rng.integers(0, 40, size=24)
+        check_arrivals(model._speeds, np.zeros(24, dtype=np.int64), model._leg_lengths)
+        check_arrivals(model._speeds, elapsed, model._leg_lengths)
+
     def test_degenerately_slow_legs_are_clamped_beyond_any_horizon(self):
         observed = _steps_to_arrival(
             np.array([1e-300, 1.0]), np.zeros(2, dtype=np.int64), np.array([1.0, 2.5])
@@ -124,15 +145,3 @@ class TestDrunkardDecodeBlock:
             step_moving, step_offsets = model._decode_block(block[step])
             assert np.array_equal(step_moving, moving[step])
             assert step_offsets.tobytes() == offsets[step].tobytes()
-
-
-@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
-def test_random_directions_are_unit_vectors(dimension):
-    directions = RandomDirectionModel._random_directions(
-        200, dimension, np.random.default_rng(dimension)
-    )
-    assert directions.shape == (200, dimension)
-    norms = np.sqrt(np.sum(directions * directions, axis=1))
-    assert np.allclose(norms, 1.0, rtol=0.0, atol=1e-12)
-    if dimension == 1:
-        assert set(directions[:, 0].tolist()) == {-1.0, 1.0}

@@ -16,12 +16,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             DrunkardModel(step_radius=1.0, ppause=-0.1)
 
-    def test_paper_defaults(self):
-        model = DrunkardModel.paper_defaults(side=4096.0)
-        assert model.step_radius == pytest.approx(40.96)
-        assert model.ppause == pytest.approx(0.3)
-        assert model.pstationary == pytest.approx(0.1)
-
     def test_describe(self):
         assert "DrunkardModel" in DrunkardModel(step_radius=2.0).describe()
 

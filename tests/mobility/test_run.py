@@ -4,9 +4,10 @@
 final positions.  Its contract is absolute: afterwards the model's
 positions, step index and generator stream are **bit-identical** to ``k``
 sequential :meth:`step` calls, and every later frame (which depends on the
-model's private per-node state — legs, pauses, velocities, nested centre
-models) continues the sequential walk exactly.  It must also agree with
-the last frame of a batched :meth:`trajectory` over the same horizon.
+model's private per-node state — legs and pauses) continues the
+sequential walk exactly.  It must also agree with the last frame of a
+batched :meth:`trajectory` over the same horizon.  The models run with
+hand-picked parameters and with the Section 4.2 presets the figures use.
 """
 
 import numpy as np
@@ -14,11 +15,9 @@ import pytest
 
 from repro.geometry.region import Region
 from repro.mobility.drunkard import DrunkardModel
-from repro.mobility.gauss_markov import GaussMarkovModel
-from repro.mobility.group import ReferencePointGroupModel
-from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.stationary import StationaryModel
 from repro.mobility.waypoint import RandomWaypointModel
+from repro.simulation.config import MobilitySpec
 
 SIDE = 100.0
 N = 17
@@ -31,16 +30,12 @@ MODEL_FACTORIES = {
     "waypoint": lambda: RandomWaypointModel(
         vmin=0.5, vmax=2.0, tpause=2, pstationary=0.1
     ),
-    "group": lambda: ReferencePointGroupModel(
-        group_count=3, vmin=0.5, vmax=2.0, tpause=1, member_radius=8.0,
-        pstationary=0.1
-    ),
-    "random-direction": lambda: RandomDirectionModel(
-        speed=1.5, travel_steps=5, tpause=2, pstationary=0.1
-    ),
-    "gauss-markov": lambda: GaussMarkovModel(
-        mean_speed=1.5, alpha=0.7, noise_std=0.5, pstationary=0.1
-    ),
+    "waypoint-paper": lambda: MobilitySpec.paper_waypoint(SIDE).create(),
+    "drunkard-paper": lambda: MobilitySpec.paper_drunkard(SIDE).create(),
+    # The last value of Figure 9's sweep: legs end within a few steps.
+    "waypoint-fastest": lambda: MobilitySpec.paper_waypoint(
+        SIDE, vmax=0.5 * SIDE
+    ).create(),
 }
 
 

@@ -12,7 +12,9 @@ frame, bit by bit, including:
   waypoint nodes cruising to corner destinations);
 * the random stream *after* the batch (further draws must match);
 * the model state (positions, step index) left behind;
-* resuming with either API mid-run (trajectory → step → trajectory).
+* resuming with either API mid-run (trajectory → step → trajectory);
+* the regimes the figures run: the Section 4.2 presets and the end
+  values of the Figures 7–9 parameter studies.
 """
 
 import numpy as np
@@ -21,11 +23,9 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.geometry.region import Region
 from repro.mobility.drunkard import DrunkardModel
-from repro.mobility.gauss_markov import GaussMarkovModel
-from repro.mobility.group import ReferencePointGroupModel
-from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.stationary import StationaryModel
 from repro.mobility.waypoint import RandomWaypointModel
+from repro.simulation.config import MobilitySpec
 
 MODEL_BUILDERS = {
     "waypoint-fast": lambda side: RandomWaypointModel(
@@ -45,40 +45,20 @@ MODEL_BUILDERS = {
         # Radius beyond the region side: every move reflects off a wall.
         step_radius=2.0 * side, ppause=0.0
     ),
-    "random-direction": lambda side: RandomDirectionModel(
-        speed=0.03 * side, travel_steps=5, tpause=0
-    ),
-    "random-direction-paused": lambda side: RandomDirectionModel(
-        speed=0.05 * side, travel_steps=3, tpause=6, pstationary=0.4
-    ),
-    "random-direction-boundary": lambda side: RandomDirectionModel(
-        # One step crosses the whole region: every move reflects off a wall.
-        speed=1.5 * side, travel_steps=4, tpause=1
-    ),
-    "gauss-markov": lambda side: GaussMarkovModel(
-        mean_speed=0.02 * side, alpha=0.7, noise_std=0.01 * side
-    ),
-    "gauss-markov-stationary": lambda side: GaussMarkovModel(
-        mean_speed=0.03 * side, alpha=0.5, noise_std=0.02 * side, pstationary=0.4
-    ),
-    "gauss-markov-boundary": lambda side: GaussMarkovModel(
-        # Mean step crosses the whole region: every move reflects off a wall.
-        mean_speed=1.5 * side, alpha=0.9, noise_std=0.2 * side
-    ),
     "stationary": lambda side: StationaryModel(),
-    "group": lambda side: ReferencePointGroupModel(
-        group_count=3, vmin=0.02 * side, vmax=0.2 * side, tpause=2,
-        member_radius=0.1 * side,
-    ),
-    "group-paused": lambda side: ReferencePointGroupModel(
-        group_count=4, vmin=0.1, vmax=0.05 * side, tpause=7,
-        member_radius=0.05 * side, pstationary=0.4,
-    ),
-    "group-single": lambda side: ReferencePointGroupModel(
-        # One fast centre: every arrival event touches every node at once.
-        group_count=1, vmin=0.1 * side, vmax=0.5 * side, tpause=0,
-        member_radius=0.2 * side,
-    ),
+    # The figures' regimes: the Section 4.2 presets (Figures 2-6) and the
+    # last value of each Figure 7-9 parameter study.
+    "waypoint-paper": lambda side: MobilitySpec.paper_waypoint(side).create(),
+    "drunkard-paper": lambda side: MobilitySpec.paper_drunkard(side).create(),
+    "waypoint-all-stationary": lambda side: MobilitySpec.paper_waypoint(
+        side, pstationary=1.0
+    ).create(),
+    "waypoint-long-pause": lambda side: MobilitySpec.paper_waypoint(
+        side, tpause=10000
+    ).create(),
+    "waypoint-fastest": lambda side: MobilitySpec.paper_waypoint(
+        side, vmax=0.5 * side
+    ).create(),
 }
 
 
@@ -122,9 +102,11 @@ def test_trajectory_bit_identical_to_steps(name, seed):
     [
         "waypoint-paused",
         "drunkard-boundary",
-        "random-direction-boundary",
-        "gauss-markov-boundary",
-        "group-paused",
+        "waypoint-paper",
+        "drunkard-paper",
+        "waypoint-all-stationary",
+        "waypoint-long-pause",
+        "waypoint-fastest",
     ],
 )
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -138,7 +120,10 @@ def test_trajectory_bit_identical_across_dimensions(name, dimension):
 
 @pytest.mark.parametrize(
     "name",
-    ["waypoint-paused", "drunkard", "random-direction-paused", "gauss-markov", "group"],
+    [
+        "waypoint-paused", "drunkard", "waypoint-paper", "drunkard-paper",
+        "waypoint-all-stationary", "waypoint-long-pause", "waypoint-fastest",
+    ],
 )
 def test_interleaving_trajectory_and_step(name):
     """trajectory → step → trajectory stays on the sequential stream."""
@@ -161,12 +146,12 @@ def test_trajectory_of_one_step_consumes_nothing(name):
     assert np.array_equal(rng_a.random(8), rng_b.random(8))
 
 
-# One model of each class: every override checks its own step count.
+# Every override checks its own step count.
 @pytest.mark.parametrize(
     "name",
     [
-        "waypoint-fast", "drunkard", "random-direction",
-        "gauss-markov", "stationary", "group",
+        "waypoint-fast", "drunkard", "stationary",
+        "waypoint-paper", "drunkard-paper", "waypoint-all-stationary",
     ],
 )
 def test_trajectory_of_no_steps_is_refused(name):
@@ -175,7 +160,7 @@ def test_trajectory_of_no_steps_is_refused(name):
         model.trajectory(0, rng)
 
 
-@pytest.mark.parametrize("name", ["waypoint-fast", "drunkard", "random-direction"])
+@pytest.mark.parametrize("name", ["waypoint-fast", "drunkard", "waypoint-paper"])
 def test_trajectory_empty_network(name):
     region = Region.square(30.0)
     rng = np.random.default_rng(2)
@@ -231,135 +216,6 @@ def test_waypoint_degenerately_slow_nodes_terminate():
     stepped = sequential_frames(slow1, rng1, 12)
     assert np.array_equal(stepped, slow2.trajectory(12, rng2))
     assert np.array_equal(rng1.random(4), rng2.random(4))
-
-
-def test_random_direction_stationary_nodes_pinned_in_trajectory():
-    region = Region.square(50.0)
-    rng = np.random.default_rng(23)
-    model = RandomDirectionModel(speed=4.0, travel_steps=4, tpause=2, pstationary=0.5)
-    initial = model.initialize(region.sample_uniform(25, rng), region, rng)
-    mask = model.state.stationary_mask
-    frames = model.trajectory(40, rng)
-    assert mask.any()
-    assert np.array_equal(
-        frames[:, mask], np.broadcast_to(initial[mask], (40,) + initial[mask].shape)
-    )
-    moved = np.abs(frames[-1][~mask] - initial[~mask]).max()
-    assert moved > 0.0
-
-
-def test_random_direction_long_pause_spans_trajectory_boundary():
-    """A node pausing across the batch horizon must resume correctly."""
-    side = 60.0
-    (model_a, rng_a), (model_b, rng_b) = build_pair(
-        "random-direction-paused", side, 13, 2, 11
-    )
-    reference = sequential_frames(model_a, rng_a, 30)
-    # Split into many tiny batches so pauses and legs straddle boundaries.
-    chunks = [model_b.trajectory(4, rng_b)]
-    produced = 4
-    while produced < 30:
-        count = min(3, 30 - produced)
-        chunks.append(model_b.trajectory(count + 1, rng_b)[1:])
-        produced += count
-    assert np.array_equal(reference, np.concatenate(chunks))
-    assert np.array_equal(rng_a.random(4), rng_b.random(4))
-
-
-def test_gauss_markov_stationary_nodes_pinned_in_trajectory():
-    region = Region.square(50.0)
-    rng = np.random.default_rng(24)
-    model = GaussMarkovModel(mean_speed=2.0, alpha=0.6, noise_std=1.0, pstationary=0.5)
-    initial = model.initialize(region.sample_uniform(25, rng), region, rng)
-    mask = model.state.stationary_mask
-    frames = model.trajectory(40, rng)
-    assert mask.any()
-    assert np.array_equal(
-        frames[:, mask], np.broadcast_to(initial[mask], (40,) + initial[mask].shape)
-    )
-    moved = np.abs(frames[-1][~mask] - initial[~mask]).max()
-    assert moved > 0.0
-
-
-@pytest.mark.parametrize(
-    "dimension,width", [(1, 2), (2, 2), (3, 5), (4, 5), (5, 7)]
-)
-def test_group_member_block_protocol(dimension, width):
-    """Pin the group model's member-offset draw protocol.
-
-    One ``rng.random((n, width))`` uniform block per step (radius uniform
-    plus direction uniforms), decoded in closed form with the
-    uniform-in-ball radius law ``member_radius * U^(1/d)``.  Trajectory
-    batching relies on this fixed-width layout, so a silent change to the
-    per-step stream consumption must fail here.
-    """
-    region = Region(side=90.0, dimension=dimension)
-    rng = np.random.default_rng(31)
-    model = ReferencePointGroupModel(
-        group_count=2, vmin=0.1, vmax=0.2, tpause=3, member_radius=4.0
-    )
-    model.initialize(region.sample_uniform(8, rng), region, rng)
-    assert model._member_block_width(dimension) == width
-
-    # Decode law: offsets lie on the radius ``member_radius * U^(1/d)``.
-    block = np.random.default_rng(7).random((8, width))
-    offsets = model._decode_member_block(block)
-    assert offsets.shape == (8, dimension)
-    radii = 4.0 * block[:, 0] ** (1.0 / dimension)
-    assert np.allclose(np.sqrt((offsets**2).sum(axis=1)), radii)
-    if dimension == 1:
-        signs = np.where(block[:, 1] < 0.5, -1.0, 1.0)
-        assert np.array_equal(offsets[:, 0], signs * radii)
-    if dimension == 2:
-        assert np.allclose(offsets[:, 0], np.cos(2.0 * np.pi * block[:, 1]) * radii)
-        assert np.allclose(offsets[:, 1], np.sin(2.0 * np.pi * block[:, 1]) * radii)
-
-    # Stream consumption: a step with no centre arrival (slow centres in a
-    # large region) draws exactly one (n, width) uniform block.
-    shadow = np.random.default_rng(0)
-    shadow.bit_generator.state = rng.bit_generator.state
-    model.step(rng)
-    shadow.random((8, width))
-    assert np.array_equal(rng.random(4), shadow.random(4))
-
-
-def test_group_trajectory_empty_network():
-    region = Region.square(30.0)
-    rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
-    model_a = ReferencePointGroupModel()
-    model_b = ReferencePointGroupModel()
-    model_a.initialize(np.empty((0, 2)), region, rng_a)
-    model_b.initialize(np.empty((0, 2)), region, rng_b)
-    stepped = sequential_frames(model_a, rng_a, 10)
-    frames = model_b.trajectory(10, rng_b)
-    assert frames.shape == (10, 0, 2)
-    assert np.array_equal(stepped, frames)
-    assert model_b.state.step_index == 9
-    assert np.array_equal(rng_a.random(4), rng_b.random(4))
-
-
-def test_group_trajectory_matches_nested_center_state():
-    """Batching must leave the nested centre waypoint model bit-identical
-    to sequential stepping — legs, pauses and positions included."""
-    (model_a, rng_a), (model_b, rng_b) = build_pair("group", 100.0, 15, 2, 17)
-    sequential_frames(model_a, rng_a, 45)
-    model_b.trajectory(45, rng_b)
-    center_a = model_a._center_model
-    center_b = model_b._center_model
-    assert np.array_equal(center_a.state.positions, center_b.state.positions)
-    assert center_a.state.step_index == center_b.state.step_index
-    for name in (
-        "_destinations",
-        "_speeds",
-        "_pause_remaining",
-        "_leg_origins",
-        "_leg_units",
-        "_leg_lengths",
-        "_leg_elapsed",
-    ):
-        assert np.array_equal(
-            getattr(center_a, name), getattr(center_b, name)
-        ), name
 
 
 def test_waypoint_stationary_nodes_pinned_in_trajectory():

@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.geometry.region import Region
 from repro.mobility.waypoint import RandomWaypointModel
+from repro.simulation.config import MobilitySpec
 
 
 class TestConstruction:
@@ -20,7 +21,8 @@ class TestConstruction:
             RandomWaypointModel(vmin=0.1, vmax=1.0, tpause=-1)
 
     def test_paper_defaults(self):
-        model = RandomWaypointModel.paper_defaults(side=4096.0)
+        model = MobilitySpec.paper_waypoint(4096.0).create()
+        assert isinstance(model, RandomWaypointModel)
         assert model.vmin == pytest.approx(0.1)
         assert model.vmax == pytest.approx(40.96)
         assert model.tpause == 2000

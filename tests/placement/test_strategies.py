@@ -6,11 +6,8 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.geometry.region import Region
 from repro.placement.strategies import (
-    clustered_placement,
     corner_clusters_placement,
     grid_placement,
-    perturbed_grid_placement,
-    placement_by_name,
     uniform_placement,
 )
 
@@ -56,42 +53,6 @@ class TestGridPlacement:
             grid_placement(-1, square_region)
 
 
-class TestPerturbedGrid:
-    def test_within_region(self, square_region, rng):
-        points = perturbed_grid_placement(25, square_region, rng, jitter=0.4)
-        assert square_region.contains(points)
-
-    def test_zero_jitter_equals_grid(self, square_region, rng):
-        perturbed = perturbed_grid_placement(16, square_region, rng, jitter=0.0)
-        assert np.allclose(perturbed, grid_placement(16, square_region))
-
-    def test_invalid_jitter(self, square_region, rng):
-        with pytest.raises(ConfigurationError):
-            perturbed_grid_placement(4, square_region, rng, jitter=0.9)
-
-
-class TestClusteredPlacement:
-    def test_within_region(self, square_region, rng):
-        points = clustered_placement(60, square_region, rng, clusters=3)
-        assert points.shape == (60, 2)
-        assert square_region.contains(points)
-
-    def test_clusters_concentrate_points(self, square_region):
-        rng = np.random.default_rng(0)
-        points = clustered_placement(200, square_region, rng, clusters=1, spread=0.01)
-        # With one tight cluster the point spread is far below the region side.
-        assert points.std() < square_region.side / 4
-
-    def test_invalid_parameters(self, square_region, rng):
-        with pytest.raises(ConfigurationError):
-            clustered_placement(10, square_region, rng, clusters=0)
-        with pytest.raises(ConfigurationError):
-            clustered_placement(10, square_region, rng, spread=-0.5)
-
-    def test_zero_count(self, square_region, rng):
-        assert clustered_placement(0, square_region, rng).shape == (0, 2)
-
-
 class TestCornerClusters:
     def test_split_between_corners(self, square_region, rng):
         points = corner_clusters_placement(10, square_region, rng, spread=0.01)
@@ -117,13 +78,3 @@ class TestCornerClusters:
         points = corner_clusters_placement(20, square_region, rng, spread=0.01)
         # Connecting the two corner clusters needs a range close to the diagonal.
         assert critical_range(points) > 0.8 * square_region.side
-
-
-class TestPlacementByName:
-    def test_known_names(self):
-        for name in ["uniform", "grid", "perturbed-grid", "clustered", "corners"]:
-            assert callable(placement_by_name(name))
-
-    def test_unknown_name(self):
-        with pytest.raises(ConfigurationError):
-            placement_by_name("hexagonal")

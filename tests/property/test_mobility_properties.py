@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from repro.geometry.region import Region
 from repro.mobility.drunkard import DrunkardModel
-from repro.mobility.gauss_markov import GaussMarkovModel
-from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.waypoint import RandomWaypointModel
+from repro.simulation.config import MobilitySpec
 
 
 def build_model(name, side):
@@ -16,12 +15,17 @@ def build_model(name, side):
         return RandomWaypointModel(vmin=0.1, vmax=max(0.05 * side, 0.2), tpause=3)
     if name == "drunkard":
         return DrunkardModel(step_radius=max(0.05 * side, 0.2), ppause=0.2)
-    if name == "random-direction":
-        return RandomDirectionModel(speed=max(0.02 * side, 0.1), travel_steps=10)
-    return GaussMarkovModel(mean_speed=max(0.02 * side, 0.1), alpha=0.6, noise_std=0.3)
+    if name == "waypoint-paper":
+        return MobilitySpec.paper_waypoint(side).create()
+    if name == "waypoint-fastest":
+        # The last value of Figure 9's sweep.
+        return MobilitySpec.paper_waypoint(side, vmax=0.5 * side).create()
+    return MobilitySpec.paper_drunkard(side).create()
 
 
-MODEL_NAMES = ["waypoint", "drunkard", "random-direction", "gauss-markov"]
+MODEL_NAMES = [
+    "waypoint", "drunkard", "waypoint-paper", "waypoint-fastest", "drunkard-paper",
+]
 
 
 class TestContainmentInvariant:

@@ -17,10 +17,18 @@ from repro.simulation.config import (
 
 
 class TestNetworkConfig:
-    def test_region_and_strategy(self):
+    def test_region(self):
         config = NetworkConfig(node_count=10, side=100.0, dimension=2)
         assert config.region.side == 100.0
-        assert callable(config.placement_strategy)
+        assert config.region.dimension == 2
+
+    def test_fields_are_size_and_region(self):
+        """Nodes are placed uniformly, as the paper analyses: no knob."""
+        assert [field.name for field in dataclasses.fields(NetworkConfig)] == [
+            "node_count", "side", "dimension",
+        ]
+        with pytest.raises(TypeError):
+            NetworkConfig(node_count=5, side=10.0, placement="uniform")
 
     def test_paper_scaling(self):
         config = NetworkConfig.paper_scaling(4096.0)
@@ -44,8 +52,6 @@ class TestNetworkConfig:
             NetworkConfig(node_count=5, side=-1.0)
         with pytest.raises(ConfigurationError):
             NetworkConfig(node_count=5, side=10.0, dimension=0)
-        with pytest.raises(ConfigurationError):
-            NetworkConfig(node_count=5, side=10.0, placement="voronoi")
 
 
 class TestMobilitySpec:

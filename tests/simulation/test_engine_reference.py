@@ -23,6 +23,7 @@ import pytest
 
 from repro.connectivity.critical_range import critical_range
 from repro.connectivity.metrics import observe_placement
+from repro.placement.strategies import uniform_placement
 from repro.simulation.config import MobilitySpec, NetworkConfig
 from repro.simulation.engine import frame_statistics, simulate_frame_statistics
 from repro.simulation.runner import stationary_critical_range
@@ -43,18 +44,12 @@ MOBILITY = {
         name="drunkard",
         parameters={"step_radius": 30.0, "ppause": 0.2, "pstationary": 0.3},
     ),
-    "random-direction": MobilitySpec(
-        name="random-direction",
-        parameters={"speed": 4.0, "travel_steps": 5, "tpause": 2},
-    ),
-    "gauss-markov": MobilitySpec(
-        name="gauss-markov",
-        parameters={"mean_speed": 3.0, "alpha": 0.6, "noise_std": 2.0},
-    ),
-    "rpgm": MobilitySpec(
-        name="rpgm",
-        parameters={"group_count": 3, "member_radius": 8.0, "tpause": 1},
-    ),
+    # The figures' regimes: the Section 4.2 presets, and the last values
+    # of Figures 7 (every node pinned) and 9 (legs a few steps long).
+    "waypoint-paper": MobilitySpec.paper_waypoint(SIDE),
+    "drunkard-paper": MobilitySpec.paper_drunkard(SIDE),
+    "waypoint-all-stationary": MobilitySpec.paper_waypoint(SIDE, pstationary=1.0),
+    "waypoint-fastest": MobilitySpec.paper_waypoint(SIDE, vmax=0.5 * SIDE),
 }
 
 
@@ -65,7 +60,7 @@ def network_of(dimension):
 def trajectory_by_hand(network, mobility, seed):
     """The frames the engine sees for ``seed``, built without the engine."""
     rng = np.random.default_rng(seed)
-    placement = network.placement_strategy(network.node_count, network.region, rng)
+    placement = uniform_placement(network.node_count, network.region, rng)
     model = mobility.create()
     model.initialize(placement, network.region, rng)
     return model.trajectory(STEPS, rng)
@@ -120,7 +115,7 @@ def test_stationary_range_is_the_least_connecting_the_confidence_share(
     for iteration in range(iterations):
         rng = source.child(iteration)
         placements.append(
-            network.placement_strategy(network.node_count, network.region, rng)
+            uniform_placement(network.node_count, network.region, rng)
         )
 
     def share_connected(radius):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.connectivity.metrics import observe_placement
 from repro.exceptions import ConfigurationError
+from repro.placement.strategies import uniform_placement
 from repro.simulation import engine
 from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfig
 from repro.simulation.metrics import range_for_connectivity_fraction
@@ -75,9 +76,7 @@ class TestCollectFrameStatistics:
         network = config.network
         for index, frames in enumerate(statistics):
             rng = source.child(index)
-            placement = network.placement_strategy(
-                network.node_count, network.region, rng
-            )
+            placement = uniform_placement(network.node_count, network.region, rng)
             model = config.mobility.create()
             model.initialize(placement, network.region, rng)
             observations = [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.rng import RandomSource, make_rng, spawn_rngs
+from repro.stats.rng import RandomSource, make_rng
 
 
 class TestMakeRng:
@@ -23,35 +23,6 @@ class TestMakeRng:
     def test_generator_passthrough(self):
         generator = np.random.default_rng(3)
         assert make_rng(generator) is generator
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(7, 4)) == 4
-
-    def test_zero_count(self):
-        assert spawn_rngs(7, 0) == []
-
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(7, -1)
-
-    def test_children_are_independent_streams(self):
-        children = spawn_rngs(7, 2)
-        a = children[0].random(10)
-        b = children[1].random(10)
-        assert not np.allclose(a, b)
-
-    def test_deterministic_for_same_seed(self):
-        first = [g.random(3) for g in spawn_rngs(11, 3)]
-        second = [g.random(3) for g in spawn_rngs(11, 3)]
-        for a, b in zip(first, second):
-            assert np.allclose(a, b)
-
-    def test_spawn_from_generator(self):
-        parent = np.random.default_rng(5)
-        children = spawn_rngs(parent, 3)
-        assert len(children) == 3
 
 
 class TestRandomSource:

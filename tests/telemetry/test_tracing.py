@@ -200,12 +200,10 @@ class TestMetrics:
         metrics.drain()  # clean slate
         metrics.counter("hits").add()
         metrics.counter("hits").add(2.0)
-        metrics.gauge("depth").set(7.0)
         metrics.histogram("lat").observe(0.5)
         metrics.histogram("lat").observe(1.5)
         snapshot = metrics.drain()
         assert snapshot["hits"] == {"kind": "counter", "value": 3.0}
-        assert snapshot["depth"] == {"kind": "gauge", "value": 7.0}
         assert snapshot["lat"] == {
             "kind": "histogram",
             "count": 2,
@@ -237,7 +235,6 @@ class TestMetrics:
                         "min": 0.5,
                         "max": 4.5,
                     },
-                    "depth": {"kind": "gauge", "value": 9.0},
                 },
             ]
         )
@@ -249,7 +246,6 @@ class TestMetrics:
             "min": 0.5,
             "max": 4.5,
         }
-        assert merged["depth"]["value"] == 9.0
 
     def test_flush_writes_metric_deltas(self, run):
         metrics.counter("unit.widgets").add(4.0)

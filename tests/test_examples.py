@@ -1,21 +1,27 @@
-"""Every ``repro`` import in ``examples/`` resolves.
+"""Every example in ``examples/`` runs, and every ``repro`` import resolves.
 
-The examples are not run here (the longer ones take minutes).  Each one
-is parsed instead, and every ``import repro...`` and ``from repro...
-import name`` in it, including imports inside functions, must name a
-module and a name that exist, as must every attribute read off the
-top-level ``repro`` package.  Deleting or renaming something an example
-uses then fails the suite.
+Each example runs to exit 0 in a subprocess, from a temporary working
+directory with ``PYTHONPATH`` at ``src`` (each takes about a second).
+Only a run sees a model or strategy an example names by string.  Each
+example is also parsed, and every ``import repro...`` and ``from
+repro... import name`` in it, including imports inside functions, must
+name a module and a name that exist, as must every attribute read off
+the top-level ``repro`` package; that check names the missing module or
+attribute.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = sorted((Path(__file__).resolve().parents[1] / "examples").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 def module_exists(name):
@@ -69,6 +75,20 @@ def test_there_are_examples():
 def test_repro_imports_resolve(path):
     assert set(repro_references(path)), f"{path.name} takes nothing from repro"
     assert unresolved(path) == []
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+def test_example_runs(path, tmp_path):
+    completed = subprocess.run(
+        [sys.executable, str(path)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout
 
 
 class TestTheCheckItself:

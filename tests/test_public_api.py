@@ -26,6 +26,10 @@ REMOVED_MODULES = [
     "repro.graph.convert",
     "repro.graph.properties",
     "repro.graph.traversal",
+    "repro.mobility.boundary",
+    "repro.mobility.gauss_markov",
+    "repro.mobility.group",
+    "repro.mobility.random_direction",
     "repro.mobility.trace",
     "repro.propagation",
     "repro.stats.series",
@@ -175,10 +179,34 @@ REMOVED_EXECUTOR_NAMES = [
 ]
 
 
+#: Names deleted with the mobility extension models and the knobs and
+#: helpers nothing set or called: the paper's two models, uniform
+#: placement, one stream-derivation scheme, counters and histograms.
+REMOVED_EXTENSION_NAMES = [
+    ("repro", "GaussMarkovModel"),
+    ("repro", "RandomDirectionModel"),
+    ("repro", "clustered_placement"),
+    ("repro.mobility", "BoundaryPolicy"),
+    ("repro.mobility", "GaussMarkovModel"),
+    ("repro.mobility", "RandomDirectionModel"),
+    ("repro.mobility", "ReferencePointGroupModel"),
+    ("repro.placement", "PlacementStrategy"),
+    ("repro.placement", "clustered_placement"),
+    ("repro.placement", "perturbed_grid_placement"),
+    ("repro.placement.strategies", "placement_by_name"),
+    ("repro.stats", "spawn_rngs"),
+    ("repro.telemetry.metrics", "Gauge"),
+    ("repro.telemetry.metrics", "gauge"),
+]
+
+
 @pytest.mark.parametrize(
     "module, name",
-    REMOVED_NAMES + REMOVED_EXECUTOR_NAMES,
-    ids=[".".join(pair) for pair in REMOVED_NAMES + REMOVED_EXECUTOR_NAMES],
+    REMOVED_NAMES + REMOVED_EXECUTOR_NAMES + REMOVED_EXTENSION_NAMES,
+    ids=[
+        ".".join(pair)
+        for pair in REMOVED_NAMES + REMOVED_EXECUTOR_NAMES + REMOVED_EXTENSION_NAMES
+    ],
 )
 def test_removed_names_are_gone(module, name):
     owner = importlib.import_module(module)
@@ -202,6 +230,30 @@ def test_removed_methods_are_gone():
 
     assert not hasattr(ResultStore, "clear_quarantine")
     assert not hasattr(FaultPlan, "to_document")
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("repro.mobility.waypoint.RandomWaypointModel", "paper_defaults"),
+        ("repro.mobility.waypoint.RandomWaypointModel", "steps_until_next_arrival"),
+        ("repro.mobility.drunkard.DrunkardModel", "paper_defaults"),
+        ("repro.geometry.region.Region", "sample_point"),
+        ("repro.geometry.region.Region", "wrap"),
+        ("repro.simulation.config.NetworkConfig", "placement_strategy"),
+    ],
+)
+def test_removed_extension_methods_are_gone(owner, name):
+    """The Section 4.2 parameters live in the ``MobilitySpec`` presets only,
+    and no method is left that only the extension models called."""
+    module, _, cls = owner.rpartition(".")
+    assert not hasattr(getattr(importlib.import_module(module), cls), name)
+
+
+def test_stationary_range_draws_uniform_placements_only():
+    from repro.simulation.runner import stationary_critical_range
+
+    assert "placement" not in inspect.signature(stationary_critical_range).parameters
 
 
 def test_the_point_graph_surface():
