@@ -1,4 +1,4 @@
-"""Speed of the batched MST kernel's two lanes, each against its reference.
+"""Speed of the MST kernel's and the drunkard walk's lanes, each against its reference.
 
 :func:`~repro.connectivity.critical_range.minimum_spanning_edges_batch`
 has a NumPy lane (``_minimum_spanning_edges_batch_numpy``, which computes
@@ -11,7 +11,10 @@ interpreter, and ``benchmarks/baseline.json`` gates both:
   lane, named explicitly, so a slower fallback still fails CI;
 * ``native_speedup`` = the NumPy lane ÷ the C lane for Prim plus the
   growth-curve sweep (``engine._growth_curve_columns_numpy`` against the
-  library's sweep), the work one frame batch costs the engine.
+  library's sweep), the work one frame batch costs the engine;
+* ``native_walk_speedup`` = the NumPy loop ÷ the C walk for a whole
+  :meth:`~repro.mobility.drunkard.DrunkardModel.trajectory` at n = 128
+  (the paper's drunkard preset), draws and decode included.
 
 The benchmark fails outright when the C lane does not load, so CI cannot
 pass on a silent fallback, and it checks that every lane returns the same
@@ -20,12 +23,15 @@ arrays bit for bit.  Timings land in ``BENCH_mst_kernel.json``.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.connectivity import native
 from repro.connectivity.critical_range import _minimum_spanning_edges_batch_numpy
 from repro.geometry.distance import squared_distance_matrix
+from repro.geometry.region import Region
+from repro.simulation.config import MobilitySpec
 from repro.simulation.engine import _growth_curve_columns_numpy
 
 from _helpers import bench_scale_name, write_bench_summary
@@ -39,6 +45,11 @@ _SIZES = {
     "default": (1024, 96),
     "paper": (1024, 128),
 }
+
+#: The drunkard walk timed for ``native_walk_speedup``: n nodes on the
+#: side-n² square of the figures, one trajectory of this many frames.
+_WALK_NODES = 128
+_WALK_STEPS = 1000
 
 #: Paired trials behind each speedup.  Each trial runs both
 #: sides back to back and the metric is the *median of the per-trial
@@ -90,6 +101,18 @@ def _frames() -> np.ndarray:
     batch, n = _SIZES.get(bench_scale_name(), _SIZES["smoke"])
     rng = np.random.default_rng(20020623)
     return rng.random((batch, n, 2)) * 16384.0
+
+
+def _drunkard_trajectory(library):
+    """One seeded paper-preset drunkard trajectory, its walk on ``library``
+    (``None`` is the NumPy loop)."""
+    side = float(_WALK_NODES**2)
+    region = Region.square(side)
+    rng = np.random.default_rng(20020623)
+    model = MobilitySpec.paper_drunkard(side).create()
+    model.initialize(region.sample_uniform(_WALK_NODES, rng), region, rng)
+    with mock.patch.object(native, "load", return_value=library):
+        return model.trajectory(_WALK_STEPS, rng)
 
 
 def _paired_ratio(baseline, variant, trials: int):
@@ -148,11 +171,22 @@ def test_kernel_lanes_against_their_references():
     def native_lane():
         return library.growth_curves(*library.mst_batch(frames), n)
 
+    def numpy_walk():
+        return _drunkard_trajectory(None)
+
+    def native_walk():
+        return _drunkard_trajectory(library)
+
+    assert numpy_walk().tobytes() == native_walk().tobytes()
+
     matrix_free, kernel_seconds, stacked_seconds = _paired_ratio(
         numpy_kernel, stacked, _SPEEDUP_TRIALS
     )
     native_speedup, native_lane_seconds, numpy_lane_seconds = _paired_ratio(
         native_lane, numpy_lane, _SPEEDUP_TRIALS
+    )
+    walk_speedup, native_walk_seconds, numpy_walk_seconds = _paired_ratio(
+        native_walk, numpy_walk, _SPEEDUP_TRIALS
     )
 
     print(f"\nbatched MST kernel (B={batch}, n={n}):")
@@ -163,6 +197,10 @@ def test_kernel_lanes_against_their_references():
     print(f"  NumPy lane   : {numpy_lane_seconds * 1e3:8.2f} ms")
     print(f"  C lane       : {native_lane_seconds * 1e3:8.2f} ms  "
           f"(native speedup {native_speedup:.2f}x)")
+    print(f"drunkard trajectory (n={_WALK_NODES}, {_WALK_STEPS} frames):")
+    print(f"  NumPy loop   : {numpy_walk_seconds * 1e3:8.2f} ms")
+    print(f"  C walk       : {native_walk_seconds * 1e3:8.2f} ms  "
+          f"(native walk speedup {walk_speedup:.2f}x)")
 
     write_bench_summary(
         "mst_kernel",
@@ -175,5 +213,10 @@ def test_kernel_lanes_against_their_references():
             "numpy_lane_seconds": numpy_lane_seconds,
             "native_lane_seconds": native_lane_seconds,
             "native_speedup": native_speedup,
+            "walk_node_count": _WALK_NODES,
+            "walk_steps": _WALK_STEPS,
+            "numpy_walk_seconds": numpy_walk_seconds,
+            "native_walk_seconds": native_walk_seconds,
+            "native_walk_speedup": walk_speedup,
         },
     )

@@ -51,13 +51,17 @@
 #    on both lanes, native C and NumPy (every row of the batched MST must
 #    equal the single-frame MST of its frame, its memory must stay linear
 #    in B * n, and the batched frame statistics must equal the per-frame
-#    ones), and the MST kernel benchmark must pass at smoke scale.  It
-#    fails when the C lane does not load; the NumPy lane's edges equal
-#    the old stacked-matrix kernel's, and the C lane's edges and sweep
-#    columns the NumPy lane's, bit for bit.  The perf-regression gate
-#    (step 22) grades matrix_free_speedup (stacked / NumPy lane, so a
-#    slower fallback still fails) and native_speedup (NumPy lane / C lane
-#    for Prim plus the growth-curve sweep).
+#    ones), and so do the drunkard walk's parity tests (its trajectories
+#    equal per-step step() calls on both lanes, and the C walk equals the
+#    NumPy loop bit for bit), and the MST kernel benchmark must pass at
+#    smoke scale.  It fails when the C lane does not load; the NumPy
+#    lane's edges equal the old stacked-matrix kernel's, and the C lane's
+#    edges, sweep columns and drunkard trajectory the NumPy lane's, bit
+#    for bit.  The perf-regression gate (step 22) grades
+#    matrix_free_speedup (stacked / NumPy lane, so a slower fallback
+#    still fails), native_speedup (NumPy lane / C lane for Prim plus the
+#    growth-curve sweep) and native_walk_speedup (NumPy loop / C walk for
+#    a drunkard trajectory at n = 128).
 # 13. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL
@@ -202,7 +206,8 @@ print("run equals campaign: OK")
 RUN_EQUALS_CAMPAIGN
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
-    tests/connectivity/test_mst_batch.py tests/simulation/test_engine.py -q
+    tests/connectivity/test_mst_batch.py tests/simulation/test_engine.py \
+    tests/mobility/test_trajectory_streams.py tests/mobility/test_drunkard_walk.py -q
 
 REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_mst_kernel.py -q

@@ -1,15 +1,18 @@
 /*
- * Native lane of the batched MST kernel and the growth-curve sweep.
+ * Native lane of the batched MST kernel, the growth-curve sweep and the
+ * drunkard walk.
  *
  * repro.connectivity.native builds this file with the system C compiler
  * (-O2 -ffp-contract=off, never -ffast-math) and loads it with ctypes.
- * Both entry points are bit-identical to the NumPy code they stand in
- * for: repro.connectivity.critical_range._minimum_spanning_edges_batch_numpy
- * and repro.simulation.engine._growth_curve_columns_numpy.  The rules that
- * keep them so are noted where they apply.  Neither keeps global state;
- * the caller allocates every output array.
+ * The three entry points are bit-identical to the NumPy code they stand
+ * in for: repro.connectivity.critical_range._minimum_spanning_edges_batch_numpy,
+ * repro.simulation.engine._growth_curve_columns_numpy and the step loop
+ * of repro.mobility.drunkard.DrunkardModel.trajectory.  The rules that
+ * keep them so are noted where they apply.  None keeps global state; the
+ * caller allocates every output array.
  *
- * Both return 0 on success and 1 when a scratch allocation failed.
+ * The kernel and the sweep return 0 on success and 1 when a scratch
+ * allocation failed; the walk needs no scratch.
  */
 
 #include <math.h>
@@ -275,4 +278,62 @@ int repro_growth_curves(const int64_t *us, const int64_t *vs,
     }
     free(parent);
     return 0;
+}
+
+/*
+ * np.mod(x, period) for a period > 0, rule for rule as NumPy's float
+ * remainder: fmod, plus period when the result is negative, and +0.0 for
+ * a zero result of either sign.  fmod is exact, so libm and NumPy agree.
+ */
+static double python_mod(double x, double period)
+{
+    double mod = fmod(x, period);
+    if (mod != 0.0) {
+        if (mod < 0.0)
+            mod += period;
+    } else {
+        mod = 0.0;
+    }
+    return mod;
+}
+
+/*
+ * The drunkard walk: frames 1 .. steps - 1 of a C-contiguous (steps, n, d)
+ * float64 array from its frame 0, the (steps - 1, n, d) step offsets and
+ * the (steps - 1, n) mask of nodes that move, step by step as the NumPy
+ * loop does.  A node adds its offset where it moves and 0.0 where it does
+ * not (np.where(active, offsets, 0.0), so a -0.0 coordinate of a resting
+ * node becomes +0.0).  A node with any coordinate outside [0, side] then
+ * has every coordinate folded as Region.reflect folds the rows
+ * _reflect_escapees picks: np.mod by 2 * side, then period - x above side.
+ * Region and DrunkardModel refuse a non-finite side or step radius, so
+ * the start and every offset the caller passes are finite.
+ */
+void repro_drunkard_walk(double *frames, int64_t steps, int64_t n, int64_t d,
+                         const double *offsets, const uint8_t *active,
+                         double side)
+{
+    const double period = 2.0 * side;
+    const int64_t stride = n * d;
+    for (int64_t t = 1; t < steps; ++t) {
+        const double *previous = frames + (t - 1) * stride;
+        const double *offset = offsets + (t - 1) * stride;
+        const uint8_t *moves = active + (t - 1) * n;
+        double *current = frames + t * stride;
+        for (int64_t i = 0; i < n; ++i) {
+            const int64_t row = i * d;
+            int escaped = 0;
+            for (int64_t k = 0; k < d; ++k) {
+                double x = previous[row + k] + (moves[i] ? offset[row + k] : 0.0);
+                current[row + k] = x;
+                escaped |= (x < 0.0) | (x > side);
+            }
+            if (!escaped)
+                continue;
+            for (int64_t k = 0; k < d; ++k) {
+                double x = python_mod(current[row + k], period);
+                current[row + k] = x > side ? period - x : x;
+            }
+        }
+    }
 }

@@ -1,13 +1,16 @@
-"""Optional native lane of the batched MST kernel and the growth-curve sweep.
+"""Optional native lane of the MST kernel, the sweep and the drunkard walk.
 
-``native.c`` beside this module holds two entry points that are
+``native.c`` beside this module holds three entry points that are
 bit-identical to the NumPy code they stand in for: Prim plus the stable
 sort of the MST edges of a ``(B, n, d)`` batch
-(:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`)
-and the union-find growth-curve sweep
-(:func:`repro.simulation.engine.frame_statistics_columns`).  Both public
-functions dispatch here; nothing else changes, so no cache key, golden
-key or row digest depends on which lane ran.
+(:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`),
+the union-find growth-curve sweep
+(:func:`repro.simulation.engine.frame_statistics_columns`) and the
+sequential step loop of
+:meth:`repro.mobility.drunkard.DrunkardModel.trajectory`, whose draws
+and decode stay in NumPy.  Those three dispatch here; nothing else
+changes, so no cache key, golden key or row digest depends on which lane
+ran.
 
 On the first :func:`load` in a process, unless a library built from the
 same source is cached already, the system C compiler builds it into
@@ -89,6 +92,11 @@ class NativeLibrary:
             pointer, pointer, pointer, size, size, pointer, pointer, pointer, pointer,
         ]
         self._growth_curves.restype = ctypes.c_int
+        self._drunkard_walk = library.repro_drunkard_walk
+        self._drunkard_walk.argtypes = [
+            pointer, size, size, size, pointer, pointer, ctypes.c_double,
+        ]
+        self._drunkard_walk.restype = None
 
     def mst_batch(
         self, points: np.ndarray
@@ -145,6 +153,37 @@ class NativeLibrary:
             raise MemoryError("native growth-curve sweep could not allocate its scratch")
         total = int(offsets[-1])
         return critical, offsets, ranges[:total].copy(), sizes[:total].copy()
+
+    def drunkard_walk(
+        self, frames: np.ndarray, offsets: np.ndarray, active: np.ndarray,
+        side: float,
+    ) -> None:
+        """Fill frames ``1 ..`` of ``frames`` in place from its frame 0.
+
+        ``frames`` is a C-contiguous float64 ``(steps, n, d)`` array,
+        ``offsets`` the ``(steps - 1, n, d)`` step offsets and ``active``
+        the ``(steps - 1, n)`` mask of nodes that move; escapees reflect
+        off the walls of ``[0, side]^d``.
+        """
+        if not (
+            frames.dtype == np.float64 and frames.ndim == 3
+            and frames.flags.c_contiguous and frames.flags.writeable
+        ):
+            raise ValueError(
+                "frames must be a writeable C-contiguous float64 (steps, n, d) array"
+            )
+        steps, n, dimension = frames.shape
+        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
+        active = np.ascontiguousarray(active, dtype=np.bool_)
+        if offsets.shape != (steps - 1, n, dimension) or active.shape != (steps - 1, n):
+            raise ValueError(
+                f"expected ({steps - 1}, {n}, {dimension}) offsets and "
+                f"({steps - 1}, {n}) active, got {offsets.shape} and {active.shape}"
+            )
+        self._drunkard_walk(
+            _pointer(frames), steps, n, dimension,
+            _pointer(offsets), _pointer(active), float(side),
+        )
 
 
 def takes(points: np.ndarray) -> bool:

@@ -24,7 +24,7 @@ class Region:
     """The cube ``[0, side]^dimension`` in which nodes live.
 
     Attributes:
-        side: length ``l`` of the cube's side; must be positive.
+        side: length ``l`` of the cube's side; must be positive and finite.
         dimension: ``d``; the paper uses 1 (theory) and 2 (simulations) but
             any positive integer is accepted.
     """
@@ -33,8 +33,10 @@ class Region:
     dimension: int = 2
 
     def __post_init__(self) -> None:
-        if self.side <= 0:
-            raise ConfigurationError(f"region side must be positive, got {self.side}")
+        if not (self.side > 0 and math.isfinite(self.side)):
+            raise ConfigurationError(
+                f"region side must be positive and finite, got {self.side}"
+            )
         if self.dimension < 1:
             raise ConfigurationError(
                 f"region dimension must be at least 1, got {self.dimension}"

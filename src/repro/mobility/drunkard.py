@@ -33,10 +33,12 @@ no boundary pile-up.)
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.connectivity import native
 from repro.exceptions import ConfigurationError
 from repro.geometry.region import Region
 from repro.mobility.base import MobilityModel
@@ -49,7 +51,7 @@ class DrunkardModel(MobilityModel):
 
     Args:
         step_radius: the radius ``m`` of the disk from which the next
-            position is drawn.
+            position is drawn; must be positive and finite.
         ppause: probability that a mobile node does not move at a step.
         pstationary: probability that a node never moves.
     """
@@ -61,9 +63,9 @@ class DrunkardModel(MobilityModel):
         pstationary: float = 0.0,
     ) -> None:
         super().__init__(pstationary=pstationary)
-        if step_radius <= 0:
+        if not (step_radius > 0 and math.isfinite(step_radius)):
             raise ConfigurationError(
-                f"step_radius must be positive, got {step_radius}"
+                f"step_radius must be positive and finite, got {step_radius}"
             )
         if not 0.0 <= ppause <= 1.0:
             raise ConfigurationError(f"ppause must be in [0, 1], got {ppause}")
@@ -163,13 +165,16 @@ class DrunkardModel(MobilityModel):
     def trajectory(
         self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        """Vectorized batch: one uniform draw and one Box–Muller transform
-        for the whole block of steps.
+        """Vectorized batch: one uniform draw and one decode for the whole
+        block of steps, then the sequential walk.
 
-        Bit-identical to ``steps - 1`` sequential :meth:`step` calls — the
-        per-step Python work left is a position add and boundary reflection
-        (the walk is sequential through the boundary), with all random draws
-        and the direction/radius arithmetic done once for the whole batch.
+        Bit-identical to ``steps - 1`` sequential :meth:`step` calls.  The
+        walk (add each step's offsets, reflect the escapees) is sequential
+        through the boundary; it runs in C when
+        :mod:`repro.connectivity.native` loads, and otherwise in the NumPy
+        loop below, its fallback and parity reference.  The draws and the
+        ``cos``/``sin``/``sqrt`` decode stay in NumPy, whose SIMD loops
+        may differ from libm in the last bit.
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")
@@ -187,13 +192,17 @@ class DrunkardModel(MobilityModel):
         blocks = generator.random((steps - 1, n, self._block_width(dimension)))
         moving, offsets = self._decode_block(blocks)
         active = moving & ~state.stationary_mask
-        masked_offsets = np.where(active[..., None], offsets, 0.0)
-        positions = state.positions.copy()
-        for index in range(steps - 1):
-            positions += masked_offsets[index]
-            self._reflect_escapees(region, positions)
-            frames[index + 1] = positions
-        state.positions = positions.copy()
+        library = native.load()
+        if library is not None:
+            library.drunkard_walk(frames, offsets, active, region.side)
+        else:
+            masked_offsets = np.where(active[..., None], offsets, 0.0)
+            positions = state.positions.copy()
+            for index in range(steps - 1):
+                positions += masked_offsets[index]
+                self._reflect_escapees(region, positions)
+                frames[index + 1] = positions
+        state.positions = frames[-1].copy()
         state.step_index += steps - 1
         return frames
 

@@ -31,6 +31,7 @@ stream it leaves behind.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -89,8 +90,9 @@ class RandomWaypointModel(MobilityModel):
     """Random waypoint mobility with pauses and stationary nodes.
 
     Args:
-        vmin: minimum speed (distance per step); must be positive.
-        vmax: maximum speed; must be at least ``vmin``.
+        vmin: minimum speed (distance per step); must be positive and
+            finite.
+        vmax: maximum speed; must be finite and at least ``vmin``.
         tpause: number of steps a node rests after reaching its destination.
         pstationary: probability that a node never moves.
     """
@@ -103,8 +105,10 @@ class RandomWaypointModel(MobilityModel):
         pstationary: float = 0.0,
     ) -> None:
         super().__init__(pstationary=pstationary)
-        if vmin <= 0:
-            raise ConfigurationError(f"vmin must be positive, got {vmin}")
+        if not (vmin > 0 and math.isfinite(vmin)):
+            raise ConfigurationError(f"vmin must be positive and finite, got {vmin}")
+        if not math.isfinite(vmax):
+            raise ConfigurationError(f"vmax must be finite, got {vmax}")
         if vmax < vmin:
             raise ConfigurationError(
                 f"vmax ({vmax}) must be at least vmin ({vmin})"

@@ -15,8 +15,9 @@ these functions answer the questions behind Figures 2–6:
 * what is the average largest-component fraction at a given range
   (:func:`average_largest_fraction_at`) — Figures 4 and 5;
 * what is the smallest range at which that average reaches a target
-  (:func:`range_for_component_fraction`) — the paper's ``rl90``, ``rl75``
-  and ``rl50``.
+  (:func:`range_for_component_fraction`, or
+  :func:`ranges_for_component_fractions` for several targets from one
+  sort of the breakpoints) — the paper's ``rl90``, ``rl75`` and ``rl50``.
 
 The fixed-range questions themselves (which frames are connected at
 ``r``, how large is each frame's largest component) are the columns'
@@ -34,6 +35,7 @@ component-curve columns.
 from __future__ import annotations
 
 import math
+from typing import List, Sequence
 
 import numpy as np
 
@@ -95,36 +97,73 @@ def range_for_component_fraction(
     """Smallest range at which the *average* largest-component fraction
     reaches ``target_fraction`` (the paper's ``rl90``, ``rl75``, ``rl50``).
 
-    The average of the per-frame step functions is itself a non-decreasing
-    step function whose breakpoints are the union of the per-frame
-    breakpoints, so the answer is found exactly by a binary search over the
-    sorted breakpoint ranges.
+    The one-target call of :func:`ranges_for_component_fractions`.
     """
-    if not 0.0 < target_fraction <= 1.0:
-        raise SearchError(
-            f"target_fraction must be in (0, 1], got {target_fraction}"
-        )
+    return ranges_for_component_fractions(frames, (target_fraction,))[0]
+
+
+def ranges_for_component_fractions(
+    frames: FrameStatisticsColumns, target_fractions: Sequence[float]
+) -> List[float]:
+    """Smallest range at which the *average* largest-component fraction
+    reaches each of ``target_fractions``, from one sort of the breakpoints.
+
+    0.0 for a target the average already reaches at range 0 (or when there
+    are no breakpoints).  The average is a non-decreasing step function
+    whose steps sit at the union of the per-frame breakpoints, so each
+    answer is the first distinct breakpoint range whose average reaches
+    the target: one ``searchsorted`` per target.
+
+    Each breakpoint raises its frame's largest component by its size minus
+    the previous size in the frame (1 before the frame's first), so the
+    sizes summed over the frames at a range are the frame count plus the
+    increments of the breakpoints at or below it: a cumulative sum over
+    the breakpoints sorted by range, read at the last occurrence of each
+    distinct range.  That sort need not be stable.  The integer sum is
+    exact, and dividing it first by the frame count, then by the node
+    count, is what :func:`average_largest_fraction_at` does to its mean,
+    so every average is bit-identical to its own.  Each frame's
+    breakpoints ascend, as the engine writes them.
+    """
+    for target in target_fractions:
+        if not 0.0 < target <= 1.0:
+            raise SearchError(f"target_fraction must be in (0, 1], got {target}")
     if not len(frames):
         raise SearchError("cannot extract a threshold from zero frames")
-
-    # Quick exits: already above target at range 0, or unreachable even at
-    # the largest breakpoint (cannot happen for target <= 1, but guard).
-    if average_largest_fraction_at(frames, 0.0) >= target_fraction:
-        return 0.0
-    breakpoints = np.unique(frames.curve_ranges)
-    if not len(breakpoints):
-        return 0.0
-    if average_largest_fraction_at(frames, breakpoints[-1]) < target_fraction:
-        raise SearchError(
-            "the average largest-component fraction never reaches "
-            f"{target_fraction}; largest achievable is "
-            f"{average_largest_fraction_at(frames, breakpoints[-1]):.3f}"
+    frame_count, node_count = len(frames), frames.node_count
+    if node_count <= 1:
+        # At every range: no component information (0.0), or one node (1.0).
+        ranges = np.unique(frames.curve_ranges)
+        fractions = np.full(len(ranges), float(node_count))
+        at_zero = float(node_count)
+    else:
+        sizes = frames.curve_sizes
+        increments = np.diff(sizes, prepend=1)
+        starts = frames.curve_offsets[:-1]
+        starts = starts[starts < len(sizes)]
+        increments[starts] = sizes[starts] - 1
+        order = np.argsort(frames.curve_ranges)
+        sorted_ranges = frames.curve_ranges[order]
+        last = np.empty(len(sorted_ranges), dtype=bool)
+        last[:-1] = sorted_ranges[1:] != sorted_ranges[:-1]
+        last[-1:] = True
+        totals = np.cumsum(increments[order])[last] + frame_count
+        ranges = sorted_ranges[last]
+        fractions = (totals / frame_count) / node_count
+        at_or_below_zero = int(np.searchsorted(ranges, 0.0, side="right"))
+        at_zero = (
+            float(fractions[at_or_below_zero - 1]) if at_or_below_zero
+            else 1.0 / node_count
         )
-    low, high = 0, len(breakpoints) - 1
-    while low < high:
-        mid = (low + high) // 2
-        if average_largest_fraction_at(frames, breakpoints[mid]) >= target_fraction:
-            high = mid
-        else:
-            low = mid + 1
-    return float(breakpoints[low])
+    thresholds = []
+    for target in target_fractions:
+        if at_zero >= target or not len(ranges):
+            thresholds.append(0.0)
+            continue
+        if fractions[-1] < target:
+            raise SearchError(
+                "the average largest-component fraction never reaches "
+                f"{target}; largest achievable is {fractions[-1]:.3f}"
+            )
+        thresholds.append(float(ranges[np.searchsorted(fractions, target)]))
+    return thresholds

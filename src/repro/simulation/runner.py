@@ -11,8 +11,9 @@ Iteration ``i`` always consumes the stream ``RandomSource(seed).child(i)``,
 and the root entropy is resolved *once* per run (so even ``seed=None``
 runs hand every iteration the same root).  The iterations of one
 configuration run serially in the calling process: the parallel unit of
-work is the parameter value, which the sweep pool, the campaign scheduler
-and the distributed work queue each run as one task.
+work is the parameter value, which the campaign scheduler's pool and the
+distributed work queue each run as one task
+(:func:`repro.simulation.sweep.measure_row`).
 
 Each iteration comes back as one columnar
 :class:`~repro.simulation.results.FrameStatisticsColumns`, so a

@@ -24,9 +24,9 @@ from repro.exceptions import SearchError
 from repro.simulation.config import SimulationConfig
 from repro.simulation.metrics import (
     average_largest_fraction_at,
-    range_for_component_fraction,
     range_for_connectivity_fraction,
     range_for_no_connectivity,
+    ranges_for_component_fractions,
 )
 from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.runner import collect_frame_statistics
@@ -120,19 +120,21 @@ def estimate_component_thresholds_from_statistics(
     per_iteration: Sequence[FrameStatisticsColumns],
     fractions: Sequence[float] = (0.9, 0.75, 0.5),
 ) -> ComponentThresholds:
-    """Compute ``rl90``, ``rl75``, ``rl50`` from pre-computed statistics."""
+    """Compute ``rl90``, ``rl75``, ``rl50`` from pre-computed statistics.
+
+    Each iteration yields all three from one sort of its breakpoints
+    (:func:`~repro.simulation.metrics.ranges_for_component_fractions`);
+    the estimates returned are their averages across iterations.
+    """
     if not per_iteration:
         raise SearchError("at least one iteration of statistics is required")
     if len(fractions) != 3:
         raise SearchError("fractions must contain exactly three values (90/75/50)")
-    rl_values: List[List[float]] = [[], [], []]
-    for frames in per_iteration:
-        for slot, fraction in enumerate(fractions):
-            rl_values[slot].append(range_for_component_fraction(frames, fraction))
+    rl90, rl75, rl50 = zip(
+        *(ranges_for_component_fractions(frames, fractions) for frames in per_iteration)
+    )
     return ComponentThresholds(
-        rl90=_average(rl_values[0]),
-        rl75=_average(rl_values[1]),
-        rl50=_average(rl_values[2]),
+        rl90=_average(rl90), rl75=_average(rl75), rl50=_average(rl50)
     )
 
 

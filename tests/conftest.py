@@ -57,14 +57,17 @@ def native_library() -> native.NativeLibrary:
 
 @pytest.fixture(params=["native", "numpy"])
 def kernel_lane(request, monkeypatch):
-    """Run a test once per lane of the MST kernel and growth-curve sweep.
+    """Run a test once per lane of the native library's entry points: the
+    MST kernel, the growth-curve sweep and the drunkard walk.
 
     The ``numpy`` case replaces :func:`repro.connectivity.native.load`
-    so both dispatchers take their NumPy fallback.
+    so every dispatcher takes its NumPy fallback.  A test may choose the
+    lane per case by indirect parametrization, where ``None`` leaves the
+    lane alone (a case that reaches no native entry point).
     """
     if request.param == "numpy":
         monkeypatch.setattr(native, "load", lambda: None)
-    else:
+    elif request.param == "native":
         require_native_library()
     return request.param
 

@@ -23,6 +23,15 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             Region(side=-5.0)
 
+    @pytest.mark.parametrize("side", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_side_is_refused(self, side):
+        with pytest.raises(ConfigurationError, match="side must be positive and finite"):
+            Region(side=side)
+
+    @pytest.mark.parametrize("side", [5e-324, 1e-300])
+    def test_tiny_positive_side_is_accepted(self, side):
+        assert Region(side=side).side == side
+
     def test_invalid_dimension(self):
         with pytest.raises(ConfigurationError):
             Region(side=1.0, dimension=0)

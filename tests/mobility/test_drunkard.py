@@ -16,6 +16,16 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             DrunkardModel(step_radius=1.0, ppause=-0.1)
 
+    @pytest.mark.parametrize(
+        "step_radius", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_non_finite_step_radius_is_refused(self, step_radius):
+        with pytest.raises(ConfigurationError, match="step_radius must be positive and"):
+            DrunkardModel(step_radius=step_radius)
+
+    def test_tiny_positive_step_radius_is_accepted(self):
+        assert DrunkardModel(step_radius=5e-324).step_radius == 5e-324
+
     def test_describe(self):
         assert "DrunkardModel" in DrunkardModel(step_radius=2.0).describe()
 

@@ -15,6 +15,11 @@ frame, bit by bit, including:
 * resuming with either API mid-run (trajectory → step → trajectory);
 * the regimes the figures run: the Section 4.2 presets and the end
   values of the Figures 7–9 parameter studies.
+
+The drunkard cases of the parity tests run on both lanes of the walk
+(the ``kernel_lane`` fixture): the C walk of
+:mod:`repro.connectivity.native`, under the case's plain id, and the
+NumPy loop, under ``<name>-numpy``.
 """
 
 import numpy as np
@@ -62,6 +67,21 @@ MODEL_BUILDERS = {
 }
 
 
+def on_walk_lanes(names):
+    """Parametrize ``name`` and the ``kernel_lane`` it runs on: a drunkard
+    model once per lane of its walk, any other model once."""
+    cases = []
+    for name in names:
+        if name.startswith("drunkard"):
+            cases.append(pytest.param(name, "native", id=name))
+            cases.append(pytest.param(name, "numpy", id=f"{name}-numpy"))
+        else:
+            cases.append(pytest.param(name, None, id=name))
+    return pytest.mark.parametrize(
+        ("name", "kernel_lane"), cases, indirect=["kernel_lane"]
+    )
+
+
 def build_pair(name, side, node_count, dimension, seed):
     """Two identically-seeded (model, rng) pairs ready to diverge."""
     region = Region(side=side, dimension=dimension)
@@ -82,9 +102,9 @@ def sequential_frames(model, rng, steps):
     return frames
 
 
-@pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
+@on_walk_lanes(sorted(MODEL_BUILDERS))
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_trajectory_bit_identical_to_steps(name, seed):
+def test_trajectory_bit_identical_to_steps(name, kernel_lane, seed):
     (model_a, rng_a), (model_b, rng_b) = build_pair(name, 120.0, 17, 2, seed)
     steps = 61
     stepped = sequential_frames(model_a, rng_a, steps)
@@ -97,8 +117,7 @@ def test_trajectory_bit_identical_to_steps(name, seed):
     assert model_a.state.step_index == model_b.state.step_index
 
 
-@pytest.mark.parametrize(
-    "name",
+@on_walk_lanes(
     [
         "waypoint-paused",
         "drunkard-boundary",
@@ -107,10 +126,10 @@ def test_trajectory_bit_identical_to_steps(name, seed):
         "waypoint-all-stationary",
         "waypoint-long-pause",
         "waypoint-fastest",
-    ],
+    ]
 )
 @pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_trajectory_bit_identical_across_dimensions(name, dimension):
+def test_trajectory_bit_identical_across_dimensions(name, kernel_lane, dimension):
     (model_a, rng_a), (model_b, rng_b) = build_pair(name, 40.0, 9, dimension, 5)
     stepped = sequential_frames(model_a, rng_a, 33)
     batched = model_b.trajectory(33, rng_b)
@@ -118,14 +137,13 @@ def test_trajectory_bit_identical_across_dimensions(name, dimension):
     assert np.array_equal(rng_a.random(8), rng_b.random(8))
 
 
-@pytest.mark.parametrize(
-    "name",
+@on_walk_lanes(
     [
         "waypoint-paused", "drunkard", "waypoint-paper", "drunkard-paper",
         "waypoint-all-stationary", "waypoint-long-pause", "waypoint-fastest",
-    ],
+    ]
 )
-def test_interleaving_trajectory_and_step(name):
+def test_interleaving_trajectory_and_step(name, kernel_lane):
     """trajectory → step → trajectory stays on the sequential stream."""
     (model_a, rng_a), (model_b, rng_b) = build_pair(name, 80.0, 11, 2, 9)
     reference = sequential_frames(model_a, rng_a, 40)

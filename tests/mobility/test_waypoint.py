@@ -16,6 +16,23 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             RandomWaypointModel(vmin=2.0, vmax=1.0)
 
+    @pytest.mark.parametrize(
+        "speeds, message",
+        [
+            (dict(vmin=float("nan"), vmax=1.0), "vmin must be positive and finite"),
+            (dict(vmin=0.1, vmax=float("inf")), "vmax must be finite"),
+            (dict(vmin=0.1, vmax=float("nan")), "vmax must be finite"),
+        ],
+        ids=["vmin-nan", "vmax-inf", "vmax-nan"],
+    )
+    def test_non_finite_speeds_are_refused(self, speeds, message):
+        with pytest.raises(ConfigurationError, match=message):
+            RandomWaypointModel(**speeds)
+
+    def test_tiny_positive_speeds_are_accepted(self):
+        model = RandomWaypointModel(vmin=5e-324, vmax=5e-324)
+        assert model.vmin == model.vmax == 5e-324
+
     def test_invalid_pause(self):
         with pytest.raises(ConfigurationError):
             RandomWaypointModel(vmin=0.1, vmax=1.0, tpause=-1)
