@@ -68,10 +68,12 @@
 #    <= 1.5x the clean run, results bit-identical), and a chaos smoke
 #    through the real CLI: a campaign with a worker-kill fault plan armed
 #    (REPRO_FAULTS) and --max-retries 2 must complete with exit 0 (the
-#    killed value task is retried on a respawned pool), a warm re-run
-#    must report zero computed values (the recovered run addressed the
-#    same store entries a healthy one would), and no stale staging
-#    directories may survive.
+#    dead worker is replaced and only its value task retried), the
+#    fault's hit counter must read exactly 5 (four value tasks plus the
+#    one killed attempt: no neighbour was charged or re-run), a warm
+#    re-run must report zero computed values (the recovered run
+#    addressed the same store entries a healthy one would), and no stale
+#    staging directories may survive.
 # 14. Every benchmark above writes a BENCH_<name>.json summary into
 #    $REPRO_BENCH_OUT; they are collected and printed at the end, so the
 #    perf trajectory is tracked as structured data across PRs.
@@ -347,6 +349,10 @@ REPRO_FAULTS="$CHAOS_DIR/faultplan.json" \
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign run examples/campaign_smoke.toml --store "$CHAOS_STORE" \
     --total-workers 2 --max-retries 2 --quiet
+if [ "$(cat "$CHAOS_DIR/hits-0")" != 5 ]; then
+    echo "the chaos smoke's kill fault counted $(cat "$CHAOS_DIR/hits-0") measure hits, not 5" >&2
+    exit 1
+fi
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro \
     campaign run examples/campaign_smoke.toml --store "$CHAOS_STORE" \
     --total-workers 2 --quiet \

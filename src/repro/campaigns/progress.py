@@ -109,8 +109,9 @@ class TaskFailed:
         scenario_id: the scenario the task belongs to.
         value: the parameter value the task measured.
         attempt: 1-based attempt number that failed.
-        error: the failure, rendered (``BrokenProcessPool``, the task's
-            exception, or a :class:`repro.supervision.TaskTimeoutError`).
+        error: the failure, rendered (the task's exception, a dead
+            worker's exit code, or a
+            :class:`repro.supervision.TaskTimeoutError`).
     """
 
     scenario_id: str

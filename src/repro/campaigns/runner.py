@@ -202,8 +202,8 @@ class CampaignRunner:
         max_retries: failed attempts a value task may accumulate beyond
             its first before it is quarantined as a poison task
             (0/``None`` = fail fast).
-        task_timeout: seconds one value task may run before its pool is
-            presumed wedged and SIGKILLed.
+        task_timeout: seconds one value task may run before its worker
+            is presumed wedged, SIGKILLed and replaced.
         retry_backoff: base of the capped exponential backoff between
             attempts (seconds; default 0.5).
         telemetry: record the run's spans/metrics under

@@ -31,7 +31,6 @@ first unfinished iteration.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -288,19 +287,17 @@ class CampaignScheduler:
                 return queue
             depth += 1
 
-    def _submit(self, pool: ProcessPoolExecutor, job: _SweepJob, index: int):
-        """Submit one value task to ``pool``; returns its future.
+    def _submit(self, job: _SweepJob, index: int):
+        """The ``(fn, args)`` call a pool worker runs for one value task.
 
-        The submitted callable is wrapped with the job's scenario span
+        ``fn`` is ``measure_row`` wrapped with the job's scenario span
         context (:func:`repro.telemetry.propagate`): the worker-side task
         span then parents under this scenario across the process
         boundary.  With telemetry inactive the wrap is identity.
         """
-        return pool.submit(
+        return (
             telemetry.propagate(measure_row, parent=self._spans.get(job.key)),
-            job.experiment.parameter_name,
-            job.measure,
-            job.values[index],
+            (job.experiment.parameter_name, job.measure, job.values[index]),
         )
 
     def _task_event(self, job: _SweepJob, index: int) -> TaskCompleted:
@@ -417,10 +414,11 @@ class CampaignScheduler:
         Runs through :func:`repro.supervision.run_supervised`: with the
         runner's default policy the first failure aborts the run, and
         with ``max_retries`` / ``task_timeout`` opted in a crashed
-        worker, task exception or hung task is retried with
-        backoff on a respawned pool (dead writers' staging directories
-        swept in between) and quarantined as a poison task once its
-        retries are exhausted — the campaign finishes around it.
+        worker, task exception or hung task is retried with backoff
+        (a dead or killed worker is replaced, and dead writers' staging
+        directories swept, before its task is charged) and quarantined
+        as a poison task once its retries are exhausted — the campaign
+        finishes around it.
 
         Every finished task emits one progress event (scenario, value,
         coverage counts) the moment it completes; scenario-level summary
@@ -434,9 +432,9 @@ class CampaignScheduler:
         policy = self.runner.retry_policy
         store = self.runner.store
 
-        def submit(pool: ProcessPoolExecutor, task):
+        def call(task):
             job, index = task
-            return self._submit(pool, job, index)
+            return self._submit(job, index)
 
         def on_result(task, result) -> None:
             self._handle_result(task, result, say)
@@ -457,7 +455,7 @@ class CampaignScheduler:
             queue,
             # A pool never holds more workers than there are tasks.
             budget=min(self.total_workers, len(queue)),
-            submit=submit,
+            call=call,
             on_result=on_result,
             policy=policy,
             on_retry=on_retry,

@@ -165,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
             "before it is quarantined as a poison task and the campaign "
             "continues without it (default: 0 — the first failure aborts "
             "the run); crashed workers, task exceptions and timed-out "
-            "tasks are retried per value with backoff on a respawned "
-            "pool, bit-identically when the retry succeeds"
+            "tasks are retried per value with backoff on a replacement "
+            "worker, bit-identically when the retry succeeds"
         ),
     )
     campaign_run.add_argument(
@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "seconds one value task may run before its pool is presumed "
-            "hung and terminated (default: no limit)"
+            "seconds one value task may run before its worker is presumed "
+            "hung and killed (default: no limit)"
         ),
     )
     campaign_run.add_argument(

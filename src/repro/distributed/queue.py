@@ -19,17 +19,17 @@ deterministic.
 
 Failure semantics are the campaign's existing ones, not new ones: a
 failed attempt (published error or expired lease) is charged against the
-task exactly like :func:`repro.supervision.run_supervised` charges a
-crashed pool task — re-enqueued with ``policy.delay_for(attempts)``
+task exactly like :func:`repro.supervision.run_supervised` charges the
+task of a dead pool worker — re-enqueued with ``policy.delay_for(attempts)``
 capped exponential backoff while attempts remain, given up once
 ``max_retries`` is exhausted.  Dispositions leave the queue as events
 (``retried`` / ``giveup`` / ``result``) drained by the driving
 :class:`~repro.distributed.campaign.DistributedCampaign`, which applies
 the scheduler's own row saving, poison recording and progress reporting.
 
-A result published *after* the lease expired is still harvested (once):
+A result published *after* the lease expired is still accepted (once):
 finished work is never thrown away just because the worker looked dead —
-the same survivor-harvesting rule the supervised pool gather follows.
+as the supervised pool reads a result a worker sent before it died.
 Content addressing makes a racing duplicate write of the same key a
 no-op, and the first published result wins the event; later publishes of
 a done task are acknowledged and dropped.

@@ -30,9 +30,10 @@ from repro.simulation.config import (
     SimulationConfig,
     paper_node_count,
 )
+from repro.simulation.metrics import average_largest_fraction_at
+from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.runner import collect_frame_statistics, stationary_critical_range
 from repro.simulation.search import (
-    average_component_fraction_at_range,
     estimate_component_thresholds_from_statistics,
     estimate_thresholds_from_statistics,
 )
@@ -134,10 +135,9 @@ def measure_system_size(
     }
     for label in ("r100", "r90", "r10", "r0", "rl90", "rl75", "rl50"):
         row[f"{label}/rstationary"] = row[label] / rstationary if rstationary > 0 else 0.0
+    pooled = FrameStatisticsColumns.concatenate(statistics)
     for label in ("r90", "r10", "r0"):
-        row[f"lcc_fraction@{label}"] = average_component_fraction_at_range(
-            statistics, row[label]
-        )
+        row[f"lcc_fraction@{label}"] = average_largest_fraction_at(pooled, row[label])
     return row
 
 

@@ -261,21 +261,24 @@ def _next_ordinal(state_dir: str, spec_index: int) -> int:
     lock serialises read-modify-write so each ordinal is observed exactly
     once.  A process killed mid-critical-section releases the lock with
     its file descriptor, so a ``kill`` fault cannot wedge the counter.
+    The new value is one ``pwrite`` over the old, with no truncate:
+    ordinals only grow, so the new digits always cover the old ones, and
+    a writer killed at any point leaves either count in the file.
     """
     import fcntl
 
     directory = Path(state_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"hits-{spec_index}"
-    with open(path, "a+") as handle:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        handle.seek(0)
-        raw = handle.read().strip()
+    descriptor = os.open(
+        directory / f"hits-{spec_index}", os.O_RDWR | os.O_CREAT, 0o644
+    )
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX)
+        raw = os.pread(descriptor, 32, 0).strip()
         ordinal = (int(raw) if raw else 0) + 1
-        handle.seek(0)
-        handle.truncate()
-        handle.write(str(ordinal))
-        handle.flush()
+        os.pwrite(descriptor, str(ordinal).encode(), 0)
+    finally:
+        os.close(descriptor)
     return ordinal
 
 

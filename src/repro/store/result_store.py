@@ -627,9 +627,9 @@ class ResultStore:
         whose pid no longer exists belongs to a crashed writer and its
         half-written entry can never be renamed into place.  Unlike the
         age-based :meth:`clear_staging`, this is safe to call *mid-run*
-        — the supervised gathers call it after terminating a broken pool
-        and before respawning it, so a crash-looping campaign cannot
-        accumulate orphaned staging directories.
+        — the supervised pool calls it after joining a dead or killed
+        worker and before retrying its task, so a crash-looping campaign
+        cannot accumulate orphaned staging directories.
 
         A live pid is *not* proof of a live writer: pids recycle, so a
         crashed writer's pid can belong to an unrelated long-lived

@@ -1,55 +1,48 @@
-"""Supervised process-pool execution: retries, backoff, timeouts, respawn.
+"""Supervised worker pool: retries, backoff, timeouts, respawn.
 
-Every parallel gather in this codebase used to share one failure mode: a
-worker crash (``BrokenProcessPool``), a hung task, or a task exception
-aborted the whole run, no matter how many tasks had already finished.
-:func:`run_supervised` is the shared gather loop that makes those
-failures *recoverable*:
+:func:`run_supervised` runs tasks on a pool it owns: ``budget``
+:mod:`multiprocessing` processes, each with its own pipe.  The loop waits
+on the busy workers' pipes and process sentinels together, so every
+failure names its culprit:
 
 * a task that raises is re-enqueued with capped exponential backoff and
   retried up to ``max_retries`` times (:class:`RetryPolicy`);
-* a broken pool is respawned: results of tasks that finished before the
-  break are **harvested** first (handed to ``on_result`` exactly as if
-  they had been gathered normally — checkpoint saves included, so no
-  finished work is lost), the in-flight tasks are re-enqueued, and a
-  fresh pool takes over;
-* a task exceeding ``task_timeout`` has its (presumed wedged) pool
-  terminated with SIGKILL — a hung worker cannot be cancelled through
-  ``concurrent.futures`` — and is re-enqueued like a crash; tasks that
-  were merely collateral in-flight neighbours are re-enqueued without
-  consuming one of their retries;
+* a worker that dies is joined and replaced on its own, and only the task
+  it held is charged.  A reply it sent before it died is read like any
+  other;
+* a task exceeding ``task_timeout`` has its worker SIGKILLed and replaced
+  and is charged like a crash; the other workers run on untouched;
 * a task that exhausts its retries is offered to ``on_giveup``
   (the campaign layer quarantines it and keeps going); without a
-  handler the last error propagates, preserving the legacy
-  fail-fast contract — the **default** policy retries nothing, so
-  un-opted-in callers see byte-for-byte the old behaviour.
+  handler the last error propagates, preserving the fail-fast
+  contract — the **default** policy retries nothing.
 
 Every task occupies one worker, and at most ``budget`` tasks are in
-flight — so every submitted task holds a real worker immediately and
-timeout deadlines measure execution, not queue wait.  On a clean run with no timeout the loop performs exactly one
-``wait`` per completion batch, same as the unsupervised gathers it
-replaced — supervision costs nothing until something fails.
+flight — so timeout deadlines measure execution, not queue wait.  On a
+clean run with no timeout the loop blocks in exactly one ``wait`` per
+batch of replies — supervision costs nothing until something fails.
+
+Workers start from the default :mod:`multiprocessing` context (fork on
+Linux), so they inherit the parent's module state: instrumentation
+patched in before the run and the ``REPRO_TRACE`` / ``REPRO_FAULTS``
+environment reach them unchanged.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Hashable, Optional, Sequence, Tuple
+from multiprocessing.connection import Connection, wait
+from multiprocessing.pool import ExceptionWithTraceback
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError, ReproError
 
-__all__ = [
-    "RetryPolicy",
-    "TaskTimeoutError",
-    "is_broken_pool",
-    "run_supervised",
-    "terminate_workers",
-]
+__all__ = ["RetryPolicy", "TaskTimeoutError", "run_supervised"]
 
 
 class TaskTimeoutError(ReproError):
@@ -71,8 +64,8 @@ class RetryPolicy:
             ``backoff * 2**(n-1)`` seconds, capped at ``backoff_cap``.
             Unrelated tasks keep running during the wait.
         backoff_cap: upper bound of the exponential delay.
-        task_timeout: seconds one task attempt may run before its pool is
-            presumed wedged and terminated (``None`` disables the lease;
+        task_timeout: seconds one task attempt may run before its worker
+            is presumed wedged and SIGKILLed (``None`` disables the lease;
             clean runs then never poll).
     """
 
@@ -111,90 +104,112 @@ class RetryPolicy:
         return min(self.backoff * (2.0 ** (attempt - 1)), self.backoff_cap)
 
 
-def is_broken_pool(error: BaseException) -> bool:
-    """``True`` for failures that condemn the whole executor.
+def _serve(connection: Connection, parent_end: Connection) -> None:
+    """A worker's loop: run each ``(fn, args)`` received, reply ``(ok, value)``.
 
-    ``BrokenProcessPool`` subclasses ``BrokenExecutor``; submitting to an
-    already-broken pool raises the same family.
+    ``None`` ends the loop.  An exception arrives with the worker's
+    traceback as its ``__cause__``; a result or exception that fails to
+    pickle is replaced by a :class:`ReproError` carrying its repr.  The
+    worker closes its inherited copy of the parent's end, so it reads
+    end-of-file, and exits, if the parent dies.
     """
-    return isinstance(error, BrokenExecutor)
-
-
-def terminate_workers(pool: ProcessPoolExecutor) -> None:
-    """SIGKILL a pool's worker processes and reap the executor.
-
-    Used when a worker is presumed hung: ``shutdown`` alone would block
-    on the wedged task forever, and ``concurrent.futures`` offers no way
-    to cancel a *running* future.  Killing the workers first makes the
-    subsequent blocking shutdown return promptly.  Safe on an
-    already-broken pool (its processes are reaped or dying).
-    """
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    parent_end.close()
+    while True:
         try:
-            process.kill()
+            job = connection.recv()
+        except EOFError:
+            return
+        if job is None:
+            return
+        fn, args = job
+        try:
+            ok, value = True, fn(*args)
+        except Exception as error:
+            ok, value = False, error
+        reply = value if ok else ExceptionWithTraceback(value, value.__traceback__)
+        try:
+            connection.send((ok, reply))
+        except OSError:
+            return  # the parent is gone
         except Exception:
-            pass  # already dead or never started
-    try:
-        pool.shutdown(wait=True, cancel_futures=True)
-    except Exception:
-        pass
+            kind = "result" if ok else "error"
+            connection.send(
+                (False, ReproError(f"the task's {kind} failed to pickle: {value!r}"))
+            )
 
 
-#: Uncharged pool respawns allowed after the first break of a progress
-#: epoch (see the ``breaks_since_progress`` comment in
-#: :func:`run_supervised`).
-_BREAK_GRACE = 3
+class _Worker:
+    """One pool process and the parent's end of its pipe."""
 
+    def __init__(self, context: Any) -> None:
+        self.connection, child = context.Pipe()
+        self.process = context.Process(target=_serve, args=(child, self.connection))
+        self.process.start()
+        child.close()
 
-@dataclass
-class _Flight:
-    """Book-keeping of one in-flight future."""
+    def receive(self, timeout: Optional[float] = 0.0) -> Optional[Tuple[bool, Any]]:
+        """The worker's next reply, or ``None`` once it died without one.
 
-    task: Hashable
-    deadline: Optional[float]
+        ``timeout=None`` blocks until a reply arrives or the worker exits.
+        """
+        try:
+            if self.connection.poll(timeout):
+                return self.connection.recv()
+        except (EOFError, OSError):
+            pass
+        return None
 
-
-def _drain(pool: ProcessPoolExecutor, kill: bool = False) -> None:
-    """Failure-path cleanup: settle the pool before the error propagates.
-
-    The pool shuts down exactly as the legacy ``with`` blocks did
-    (in-flight and queued tasks run to completion, so their worker-side
-    checkpoint writes still land).  With ``kill`` (a timeout policy is
-    active, so a worker may be wedged) the workers are SIGKILLed instead
-    of awaited.  Finished results are *not* handed to ``on_result`` here —
-    this path runs when the gather is already failing, and replaying side
-    effects (checkpoint saves) during teardown would change observable
-    state on an error path.  Every failure is swallowed; the original
-    error is being propagated by the caller.
-    """
-    try:
+    def close(self, kill: bool = False) -> None:
+        """Join the process (SIGKILLed first with ``kill``); close the pipe."""
         if kill:
-            terminate_workers(pool)
-        else:
-            pool.shutdown(wait=True)
-    except Exception:
-        pass
+            self.process.kill()
+        self.process.join()
+        self.connection.close()
+
+
+def _stop(workers: Sequence[_Worker], kill: bool) -> None:
+    """End and join ``workers``, so no child outlives the gather.
+
+    Each worker is sent ``None`` and ends after its current task — on the
+    failure path in-flight tasks finish, so their worker-side checkpoint
+    writes still land.  With ``kill`` (a timeout policy is active, so a
+    worker may be wedged) they are SIGKILLed instead.  Late replies are
+    read, so no worker blocks on a full pipe, and dropped: replaying
+    their side effects would change observable state on an error path.
+    """
+    for worker in workers:
+        if kill:
+            worker.process.kill()
+            continue
+        try:
+            worker.connection.send(None)
+        except OSError:
+            pass  # already dead
+    for worker in workers:
+        while worker.receive(timeout=None) is not None:
+            pass
+        worker.close()
 
 
 def run_supervised(
     tasks: Sequence[Hashable],
     *,
     budget: int,
-    submit: Callable[[ProcessPoolExecutor, Any], Future],
+    call: Callable[[Any], Tuple[Callable[..., Any], tuple]],
     on_result: Callable[[Any, Any], None],
     policy: Optional[RetryPolicy] = None,
     on_retry: Optional[Callable[[Any, BaseException, int, float], None]] = None,
     on_giveup: Optional[Callable[[Any, BaseException, int], bool]] = None,
     on_respawn: Optional[Callable[[], None]] = None,
 ) -> None:
-    """Run ``tasks`` through a supervised process pool until all resolve.
+    """Run ``tasks`` on a supervised worker pool until all resolve.
 
     Args:
-        tasks: hashable task descriptors, in submission order.
-        budget: tasks that may be in flight at once; also the pool's
-            ``max_workers``.
-        submit: ``(pool, task) -> future`` — submits one task.
+        tasks: hashable task descriptors, in dispatch order.
+        budget: tasks that may be in flight at once; also the most
+            workers the pool holds.
+        call: ``task -> (fn, args)`` — the picklable call a worker runs
+            for one task.
         on_result: ``(task, result)`` — consumes one successful result
             (checkpoint save, assembly).  An exception here is a
             *parent-side* failure and always propagates.
@@ -205,40 +220,28 @@ def run_supervised(
             exhausts its retries; returning ``True`` absorbs the failure
             (quarantine) and the gather continues.  Without a handler —
             or when it returns falsy — the error propagates.
-        on_respawn: called after a pool is condemned and its survivors
-            harvested, before the replacement pool spawns (the store
-            layer sweeps dead writers' staging directories here).
+        on_respawn: called after a dead or overdue worker is joined and
+            before its task is charged (the store layer sweeps dead
+            writers' staging directories here; a zombie's pid would
+            still look alive).
 
     Raises:
         Whatever the first unrecoverable failure raised: the task's own
-        exception, ``BrokenProcessPool`` / :class:`TaskTimeoutError` when
-        retries are exhausted (or not configured), or any ``on_result``
-        failure.
+        exception, a :class:`ReproError` for a dead worker or a
+        :class:`TaskTimeoutError` when retries are exhausted (or not
+        configured), or any ``on_result`` failure.
     """
     policy = policy or RetryPolicy()
     if budget < 1:
         raise ConfigurationError(f"budget must be at least 1, got {budget}")
-    pending: Deque[Tuple[Hashable, float]] = deque(
-        (task, 0.0) for task in tasks
-    )
+    pending: Deque[Tuple[Hashable, float]] = deque((task, 0.0) for task in tasks)
     if not pending:
         return
+    lease = math.inf if policy.task_timeout is None else policy.task_timeout
     attempts: Dict[Hashable, int] = {}
-    futures: Dict[Future, _Flight] = {}
-    # Pool breaks observed since the last successfully delivered result.
-    # A freshly respawned executor is occasionally condemned by a CPython
-    # teardown race (the manager thread sees a worker sentinel ready while
-    # every worker is demonstrably alive; reproduces under both the fork
-    # and spawn start methods, always with a ``None`` cause).  Such a
-    # re-break names no culprit and charging every in-flight task a retry
-    # for it burns the budget of innocent tasks, so after the first break
-    # of a progress epoch a few immediate re-breaks respawn for free.
-    # The grace is bounded: a genuinely poisonous task that kills its
-    # worker on every attempt still accumulates charges — just across
-    # ``_BREAK_GRACE + 1`` times as many respawns — so give-up remains
-    # guaranteed.
-    breaks_since_progress = 0
-    pool = ProcessPoolExecutor(max_workers=budget)
+    context = multiprocessing.get_context()
+    idle: List[_Worker] = []
+    busy: Dict[_Worker, Tuple[Hashable, float]] = {}  # -> (task, deadline)
 
     def charge(task: Hashable, error: BaseException) -> None:
         """Consume one retry of ``task``; re-enqueue, quarantine or raise."""
@@ -256,129 +259,65 @@ def run_supervised(
             return
         raise error
 
-    def recover(error: BaseException, charged: Optional[set]) -> None:
-        """Pool-death path: harvest survivors, re-enqueue the rest, respawn.
+    def replace(worker: _Worker) -> Hashable:
+        """Kill and join a dead or overdue worker; return the task it held.
 
-        ``charged`` limits which re-enqueued tasks consume a retry (the
-        overdue tasks of a timeout); ``None`` charges every one (a broken
-        pool cannot name its culprit) — except during the bounded
-        spurious-break grace, when an immediate re-break with no result
-        delivered since the previous break re-enqueues without charging.
-        Tasks whose futures settled successfully before the death are
-        harvested through ``on_result`` — their work, including pending
-        checkpoint saves, survives the crash.
+        Its replacement starts when the next task is dispatched.
         """
-        nonlocal pool, breaks_since_progress
-        survivors: list = []
-        requeue: list = []
-        for future, flight in futures.items():
-            result = None
-            harvested = False
-            if future.done() and not future.cancelled():
-                try:
-                    result = future.result()
-                    harvested = True
-                except BaseException:
-                    harvested = False
-            if harvested:
-                survivors.append((flight, result))
-            else:
-                requeue.append(flight.task)
-        for flight, result in survivors:
-            on_result(flight.task, result)
-        if survivors:
-            breaks_since_progress = 0
-        breaks_since_progress += 1
-        spurious = (
-            charged is None
-            and breaks_since_progress > 1
-            and breaks_since_progress <= 1 + _BREAK_GRACE
-        )
-        futures.clear()
-        # A straggler that slipped its result in between the harvest pass
-        # and the kill is re-enqueued anyway; its checkpoint save never ran.
-        terminate_workers(pool)
+        task, _ = busy.pop(worker)
+        worker.close(kill=True)
         telemetry.metrics.counter("supervision.respawns").add(1)
         if on_respawn is not None:
             on_respawn()
-        pool = ProcessPoolExecutor(max_workers=budget)
-        for task in requeue:
-            if spurious:
-                pending.append((task, time.monotonic()))
-            elif charged is None or task in charged:
-                charge(task, error)
-            else:
-                pending.append((task, time.monotonic()))
+        return task
 
     try:
-        while pending or futures:
+        while pending or busy:
             now = time.monotonic()
-            while pending and len(futures) < budget and pending[0][1] <= now:
+            while pending and len(busy) < budget and pending[0][1] <= now:
                 task, _ = pending.popleft()
+                payload = call(task)
+                worker = idle.pop() if idle else _Worker(context)
+                busy[worker] = (task, now + lease)
                 try:
-                    future = submit(pool, task)
-                except BrokenExecutor as error:
-                    pending.appendleft((task, now))
-                    recover(error, charged=None)
-                    break
-                futures[future] = _Flight(task, None if policy.task_timeout is None else now + policy.task_timeout)
-            if not futures:
-                if pending:
-                    # Everything runnable is backing off; sleep to the
-                    # earliest ready time.
-                    wake = min(ready for _, ready in pending)
-                    time.sleep(max(0.0, wake - time.monotonic()))
+                    worker.connection.send(payload)
+                except OSError:
+                    # The worker died idle: it held no task, so none is
+                    # charged.
+                    pending.appendleft((replace(worker), now))
+            if not busy:
+                # Everything runnable is backing off; dispatch is in
+                # order, so sleep to the first task's ready time.
+                time.sleep(max(0.0, pending[0][1] - time.monotonic()))
                 continue
-            timeout = None
-            bounds = [
-                flight.deadline
-                for flight in futures.values()
-                if flight.deadline is not None
-            ]
-            if pending and len(futures) < budget:
-                bounds.append(min(ready for _, ready in pending))
-            if bounds:
-                timeout = max(0.0, min(bounds) - time.monotonic())
-            done, _ = wait(set(futures), timeout=timeout, return_when=FIRST_COMPLETED)
-            broken: Optional[BaseException] = None
-            for future in done:
-                flight = futures[future]
-                try:
-                    result = future.result()
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as error:
-                    if is_broken_pool(error):
-                        broken = error
-                        break
-                    futures.pop(future)
-                    charge(flight.task, error)
+            wake = min(deadline for _, deadline in busy.values())
+            if pending and len(busy) < budget:
+                wake = min(wake, pending[0][1])
+            timeout = None if wake == math.inf else max(0.0, wake - time.monotonic())
+            owners = {worker.connection: worker for worker in busy}
+            owners.update((worker.process.sentinel, worker) for worker in busy)
+            ready = wait(list(owners), timeout)
+            for worker in dict.fromkeys(owners[handle] for handle in ready):
+                reply = worker.receive()
+                if reply is None:
+                    task = replace(worker)
+                    code = worker.process.exitcode
+                    charge(task, ReproError(f"its worker died (exit code {code})"))
                     continue
-                futures.pop(future)
-                on_result(flight.task, result)
-                breaks_since_progress = 0
-            if broken is not None:
-                recover(broken, charged=None)
-                continue
-            if policy.task_timeout is not None:
-                now = time.monotonic()
-                overdue = {
-                    flight.task
-                    for future, flight in futures.items()
-                    if flight.deadline is not None
-                    and flight.deadline <= now
-                    and not future.done()
-                }
-                if overdue:
-                    recover(
-                        TaskTimeoutError(
-                            f"{len(overdue)} task(s) exceeded the "
-                            f"{policy.task_timeout:g}s task timeout"
-                        ),
-                        charged=overdue,
-                    )
+                task, _ = busy.pop(worker)
+                idle.append(worker)
+                ok, value = reply
+                if ok:
+                    on_result(task, value)
+                else:
+                    charge(task, value)
+            now = time.monotonic()
+            for worker, (_, deadline) in list(busy.items()):
+                # A reply that landed since the wait is read next pass.
+                if deadline <= now and not worker.connection.poll():
+                    error = TaskTimeoutError(f"exceeded the {lease:g}s task timeout")
+                    charge(replace(worker), error)
     except BaseException:
-        _drain(pool, kill=policy.task_timeout is not None)
+        _stop([*idle, *busy], kill=lease < math.inf)
         raise
-    finally:
-        pool.shutdown(wait=True)
+    _stop(idle, kill=False)

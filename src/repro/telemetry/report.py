@@ -336,7 +336,7 @@ def render_report(report: Dict[str, Any], limit: int = 10) -> str:
     respawns = _metric_value(metrics, "supervision.respawns")
     if retries or giveups or respawns:
         lines.append(
-            f"Supervision: {retries:g} retry(ies), {respawns:g} pool "
+            f"Supervision: {retries:g} retry(ies), {respawns:g} worker "
             f"respawn(s), {giveups:g} quarantine(s)"
         )
 

@@ -16,17 +16,20 @@ into a real campaign under budgets 1, 2 and 4, and every cell asserts
 
 Below the matrix: quarantine semantics (poison tasks surface in
 ``campaign status``, ``campaign clean`` drops them, the CLI exits
-non-zero), store-level transient-IO retries, graceful degradation and
-the fault-injection primitives themselves.
+non-zero), store-level transient-IO retries, graceful degradation, the
+fault-injection primitives themselves, and the supervised pool's own
+contract: a dead or overdue worker charges only the task it held.
 """
 
 import glob
 import json
+import multiprocessing
 import os
+import random
+import signal
 import time
 import uuid
 import warnings
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict
 
@@ -42,7 +45,7 @@ from repro.campaigns.progress import (
     TaskRetried,
 )
 from repro.campaigns.runner import scenario_sweep_key
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.faults import FaultSpec, InjectedFault
 from repro.experiments.registry import (
     _REGISTRY,
@@ -226,20 +229,14 @@ class TestChaosMatrix:
 
         assert result.quarantined_tasks == 0
         assert_bit_identical(result, reference)
-        # Zero recomputation of checkpointed work.  For faults that leave
-        # the pool intact every value's measure executes exactly once
-        # across all attempts (failed attempts die before the marker).
-        # A kill / lease-expiry tears down the whole pool, so up to
-        # ``budget - 1`` sibling tasks can lose finished-but-unreturned
-        # (hence never-checkpointed) results and re-measure once.
-        executed = _count(calls_dir)
-        if kind in ("kill", "hang"):
-            assert reference_calls <= executed <= reference_calls + budget - 1
-        else:
-            assert executed == reference_calls
+        # Zero recomputation of checkpointed work: every value's measure
+        # executes exactly once across all attempts (failed attempts die
+        # before the marker, and a dead or overdue worker costs its
+        # neighbours nothing).
+        assert _count(calls_dir) == reference_calls
 
         # No stale staging directories survive the run — dead writers'
-        # leftovers are swept before each pool respawn, live writers
+        # leftovers are swept when their worker is replaced, live writers
         # finish their renames.
         staging = store.root / "staging"
         assert not staging.is_dir() or list(staging.iterdir()) == []
@@ -657,10 +654,33 @@ class TestFaultPrimitives:
         counter = (tmp_path / "faultstate" / "hits-0").read_text()
         assert int(counter) == 32
 
+    def test_a_killed_increment_never_loses_the_counter(self, tmp_path):
+        """A writer SIGKILLed at a random point of an increment leaves a
+        counter that parses and never goes backwards, so a ``count=1``
+        fault cannot fire again after a worker is killed."""
+        state_dir = str(tmp_path)
+        last = faults._next_ordinal(state_dir, 0)
+        context = multiprocessing.get_context("fork")
+        rng = random.Random(20020623)
+        for _ in range(20):
+            writer = context.Process(target=_increment_forever, args=(state_dir,))
+            writer.start()
+            time.sleep(rng.uniform(0.002, 0.010))
+            writer.kill()
+            writer.join()
+            counter = int((tmp_path / "hits-0").read_text())
+            assert counter >= last
+            last = counter
+
 
 def _fire_once(plan_path: str) -> None:
     os.environ[faults.ENV_VAR] = plan_path
     faults.fire("measure")
+
+
+def _increment_forever(state_dir: str) -> None:
+    while True:
+        faults._next_ordinal(state_dir, 0)
 
 
 class TestMalformedPlansAndPolicies:
@@ -713,118 +733,8 @@ class TestMalformedPlansAndPolicies:
     def test_a_budget_below_one(self):
         with pytest.raises(ConfigurationError, match="budget"):
             run_supervised(
-                [1], budget=0, submit=lambda pool, task: None, on_result=print
+                [1], budget=0, call=lambda task: None, on_result=print
             )
-
-
-class TestSpuriousBreakGrace:
-    """Immediate pool re-breaks with no intervening progress respawn free.
-
-    A freshly respawned ``ProcessPoolExecutor`` is occasionally condemned
-    by a CPython teardown race: the manager thread reports a worker
-    sentinel ready (``BrokenProcessPool`` with no cause) while every
-    worker of the new pool is demonstrably alive — reproducible under
-    both the fork and spawn start methods, roughly once per several
-    respawns.  Such a break names no culprit, so charging every
-    re-enqueued task a retry burns innocent tasks' budgets and can flake
-    an otherwise-convergent recovery.  The supervision loop therefore
-    grants a bounded number of *uncharged* respawns after the first
-    break of a progress epoch; these tests pin both the grace and its
-    bound with deterministic fake breaks.
-    """
-
-    @staticmethod
-    def _broken_future():
-        from concurrent.futures.process import BrokenProcessPool
-
-        future = Future()
-        future.set_exception(
-            BrokenProcessPool("simulated spurious executor condemnation")
-        )
-        return future
-
-    def test_consecutive_breaks_within_grace_are_not_charged(self):
-        calls = []
-        retried = []
-
-        def submit(pool, task):
-            calls.append(task)
-            if len(calls) <= 4:
-                return self._broken_future()
-            future = Future()
-            future.set_result(task * 10)
-            return future
-
-        results = []
-        run_supervised(
-            [1],
-            budget=1,
-            submit=submit,
-            on_result=lambda task, result: results.append(result),
-            policy=RetryPolicy(max_retries=1, backoff=0.01),
-            on_retry=lambda task, error, attempt, delay: retried.append(attempt),
-        )
-        # Break 1 charges the task's single retry; breaks 2-4 fall inside
-        # the grace window and requeue for free; attempt 5 succeeds.  The
-        # legacy accounting (every break charges) would have given up
-        # after break 2.
-        assert results == [10]
-        assert calls == [1, 1, 1, 1, 1]
-        assert retried == [1]
-
-    def test_grace_is_bounded_for_perpetually_broken_pools(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        calls = []
-
-        def submit(pool, task):
-            calls.append(task)
-            return self._broken_future()
-
-        with pytest.raises(BrokenProcessPool):
-            run_supervised(
-                [1],
-                budget=1,
-                submit=submit,
-                on_result=lambda task, result: None,
-                policy=RetryPolicy(max_retries=1, backoff=0.01),
-            )
-        # Charge, three free respawns, charge-and-give-up: a pool that is
-        # genuinely poisoned still fails after a bounded number of
-        # respawns instead of looping forever.
-        assert calls == [1, 1, 1, 1, 1]
-
-    def test_progress_resets_the_grace_epoch(self):
-        calls = []
-        retried = []
-
-        def submit(pool, task):
-            calls.append(task)
-            # Breaks at calls 1, 2 and 4: break 1 opens an epoch and is
-            # charged, break 2 is an immediate re-break (free), call 3
-            # delivers a result, and break 4 — *after* progress — must
-            # open a fresh epoch and be charged again, not ride the
-            # previous epoch's grace.
-            if len(calls) in (1, 2, 4):
-                return self._broken_future()
-            future = Future()
-            future.set_result(task * 10)
-            return future
-
-        results = []
-        run_supervised(
-            [1, 2, 3],
-            budget=1,
-            submit=submit,
-            on_result=lambda task, result: results.append(result),
-            policy=RetryPolicy(max_retries=2, backoff=0.01),
-            on_retry=lambda task, error, attempt, delay: retried.append((task, attempt)),
-        )
-        assert sorted(results) == [10, 20, 30]
-        assert calls == [1, 2, 3, 1, 2, 1]
-        # Task 1 was charged for break 1 (epoch 1) and break 4 (epoch 2,
-        # opened by task 3's result); task 2's break rode the grace.
-        assert retried == [(1, 1), (1, 2)]
 
 
 def _pause_and_echo(task):
@@ -833,8 +743,9 @@ def _pause_and_echo(task):
 
 
 class TestInFlightBudget:
-    """Every task occupies one worker: ``submit(pool, task)`` returns a
-    plain future, and at most ``budget`` of them are in flight at once."""
+    """Every task occupies one worker: ``call(task)`` returns the
+    ``(fn, args)`` one worker runs, and at most ``budget`` of them are in
+    flight at once."""
 
     @pytest.mark.parametrize("budget", [1, 2, 3])
     def test_in_flight_tasks_never_exceed_the_budget(self, budget):
@@ -842,19 +753,110 @@ class TestInFlightBudget:
         peaks = []
         results = {}
 
-        def submit(pool, task):
+        def call(task):
             in_flight.append(task)
             peaks.append(len(in_flight))
-            return pool.submit(_pause_and_echo, task)
+            return _pause_and_echo, (task,)
 
         def on_result(task, result):
             in_flight.remove(task)
             results[task] = result
 
         run_supervised(
-            list(range(7)), budget=budget, submit=submit, on_result=on_result
+            list(range(7)), budget=budget, call=call, on_result=on_result
         )
         assert results == {task: task for task in range(7)}
         # The first wave fills the budget exactly; later waves refill it.
         assert max(peaks) == budget
         assert not in_flight
+
+
+def _culprit(marks_dir: str, task: int, fault: str, seconds: float) -> int:
+    """One task of the culprit tests: leave a start marker, then on the
+    first attempt apply ``fault`` (``kill`` its worker, ``hang`` or
+    ``raise``), then sleep ``seconds``."""
+    first = _count(marks_dir, f"start-{task}") == 0
+    _mark(marks_dir, f"start-{task}")
+    if first and fault == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if first and fault == "hang":
+        time.sleep(60.0)
+    if first and fault == "raise":
+        raise InjectedFault(f"task {task} raised")
+    time.sleep(seconds)
+    return task
+
+
+def _run_culprits(tmp_path, plan, policy):
+    """Run ``plan`` (task -> (fault, seconds)) at budget 2; return the
+    ``(task, attempt)`` retries and each task's start count."""
+    marks_dir = str(tmp_path)
+    retried = []
+    results = {}
+    try:
+        run_supervised(
+            list(plan),
+            budget=2,
+            call=lambda task: (_culprit, (marks_dir, task, *plan[task])),
+            on_result=results.__setitem__,
+            policy=policy,
+            on_retry=lambda task, error, attempt, delay: retried.append(
+                (task, attempt)
+            ),
+        )
+    finally:
+        assert multiprocessing.active_children() == []
+    assert results == {task: task for task in plan}
+    starts = {task: _count(marks_dir, f"start-{task}") for task in plan}
+    return retried, starts
+
+
+class TestOnlyTheCulpritIsCharged:
+    """A worker that dies or overruns its timeout charges only the task it
+    held: its neighbours run on, each started once, and no process
+    outlives the gather."""
+
+    def test_a_dead_worker_charges_only_its_task(self, tmp_path):
+        retried, starts = _run_culprits(
+            tmp_path,
+            {0: ("kill", 0.0), 1: ("", 0.5)},
+            RetryPolicy(max_retries=1, backoff=0.01),
+        )
+        assert retried == [(0, 1)]
+        assert starts == {0: 2, 1: 1}
+
+    def test_a_timeout_kills_only_the_overdue_worker(self, tmp_path):
+        # Task 2 runs from about 1.0 s to 2.5 s on the other worker, so it
+        # is in flight when task 0's 2 s lease expires.
+        retried, starts = _run_culprits(
+            tmp_path,
+            {0: ("hang", 0.0), 1: ("", 1.0), 2: ("", 1.5)},
+            RetryPolicy(max_retries=1, backoff=0.01, task_timeout=2.0),
+        )
+        assert retried == [(0, 1)]
+        assert starts == {0: 2, 1: 1, 2: 1}
+
+    def test_a_fail_fast_raise_leaves_no_process(self, tmp_path):
+        with pytest.raises(ReproError, match="died"):
+            _run_culprits(tmp_path, {0: ("kill", 0.0), 1: ("", 0.2)}, None)
+
+
+def _unpicklable_result() -> object:
+    return lambda: None
+
+
+class TestWorkerReplies:
+    def test_a_task_error_carries_the_worker_traceback(self, tmp_path):
+        with pytest.raises(InjectedFault) as caught:
+            _run_culprits(tmp_path, {0: ("raise", 0.0)}, None)
+        assert "in _culprit" in str(caught.value.__cause__)
+
+    def test_an_unpicklable_result_fails_its_task(self):
+        with pytest.raises(ReproError, match="result failed to pickle"):
+            run_supervised(
+                [0],
+                budget=1,
+                call=lambda task: (_unpicklable_result, ()),
+                on_result=print,
+            )
+        assert multiprocessing.active_children() == []

@@ -700,9 +700,9 @@ class TestSchedulerQueueOrder:
         submitted = []
         original = CampaignScheduler._submit
 
-        def spy(self, pool, job, index):
+        def spy(self, job, index):
             submitted.append((job.scenario.scenario_id, job.values[index]))
-            return original(self, pool, job, index)
+            return original(self, job, index)
 
         monkeypatch.setattr(CampaignScheduler, "_submit", spy)
         CampaignRunner(matrix_spec(), store, total_workers=1).run()

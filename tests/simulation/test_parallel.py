@@ -11,8 +11,8 @@ pre-vectorization reference implementation.
 """
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
@@ -81,20 +81,20 @@ class RunnerMeasure:
 
 
 def _nested_pools(side):
-    """Process pools one value task starts while running every runner."""
+    """Processes one value task starts while running every runner."""
     started = []
-    original = ProcessPoolExecutor.__init__
+    original = BaseProcess.start
 
-    def recording_init(self, *args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        original(self, *args, **kwargs)
+    def recording_start(self):
+        started.append(self.name)
+        original(self)
 
-    ProcessPoolExecutor.__init__ = recording_init
+    BaseProcess.start = recording_start
     try:
         RunnerMeasure("stats-waypoint")(side)
         RunnerMeasure("stationary")(side)
     finally:
-        ProcessPoolExecutor.__init__ = original
+        BaseProcess.start = original
     return {
         "pools": float(len(started)),
         "children": float(len(multiprocessing.active_children())),

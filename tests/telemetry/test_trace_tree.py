@@ -228,6 +228,6 @@ class TestCrashTolerance:
         assert sorted(built["outcome"]["scenarios"]) == sorted(
             result.sweeps
         )
-        # Supervision metrics recorded the pool respawn and the retry.
+        # Supervision metrics recorded the worker respawn and the retry.
         merged = built["metrics"]
         assert merged.get("supervision.retries", {}).get("value", 0) >= 1
