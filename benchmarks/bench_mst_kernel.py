@@ -18,10 +18,20 @@ interpreter, and ``benchmarks/baseline.json`` gates both:
 
 The benchmark fails outright when the C lane does not load, so CI cannot
 pass on a silent fallback, and it checks that every lane returns the same
-arrays bit for bit.  Timings land in ``BENCH_mst_kernel.json``.
+arrays bit for bit.  The C kernel runs 8 frames per Prim pass on a CPU
+with AVX-512F and AVX-512DQ; the smoke batch (341 = 42 * 8 + 5 frames)
+runs both its passes, and the summary records the library's lane count.
+
+Two throughput figures are reported and not graded: the C lane's
+frames/s (Prim plus sweep, from the ``native_speedup`` trials) and
+``native_frames_per_calibration``, the frames it serves in the CPU time
+of one calibration loop shaped like perfbench's ``calibrate()``, a
+candidate host-normalized throughput.  Timings land in
+``BENCH_mst_kernel.json``.
 """
 
 import math
+import statistics
 import time
 from unittest import mock
 
@@ -115,6 +125,23 @@ def _drunkard_trajectory(library):
         return model.trajectory(_WALK_STEPS, rng)
 
 
+def _calibration_seconds() -> float:
+    """Median CPU seconds of perfbench's calibration loop, a fixed NumPy
+    plus pure-Python workload, timed in this interpreter."""
+    points = np.random.default_rng(0).random((32, 128, 2))
+    timings = []
+    for _ in range(3):
+        started = time.thread_time()
+        for _ in range(10):
+            squared = ((points[:, :, None, :] - points[:, None, :, :]) ** 2).sum(-1)
+            squared.argmin(axis=-1)
+        total = 0
+        for value in range(300_000):
+            total += value * value % 7
+        timings.append(time.thread_time() - started)
+    return statistics.median(timings)
+
+
 def _paired_ratio(baseline, variant, trials: int):
     """Median over ``trials`` of ``variant`` ÷ ``baseline`` CPU seconds.
 
@@ -188,15 +215,20 @@ def test_kernel_lanes_against_their_references():
     walk_speedup, native_walk_seconds, numpy_walk_seconds = _paired_ratio(
         native_walk, numpy_walk, _SPEEDUP_TRIALS
     )
+    native_frames_per_s = batch / native_lane_seconds
+    calibration_seconds = _calibration_seconds()
 
     print(f"\nbatched MST kernel (B={batch}, n={n}):")
     print(f"  NumPy lane   : {kernel_seconds * 1e3:8.2f} ms")
     print(f"  stacked      : {stacked_seconds * 1e3:8.2f} ms  "
           f"(matrix-free speedup {matrix_free:.2f}x)")
-    print("kernel plus sweep:")
+    print(f"kernel plus sweep ({library.lanes} lanes):")
     print(f"  NumPy lane   : {numpy_lane_seconds * 1e3:8.2f} ms")
     print(f"  C lane       : {native_lane_seconds * 1e3:8.2f} ms  "
           f"(native speedup {native_speedup:.2f}x)")
+    print(f"  C lane       : {native_frames_per_s:10,.0f} frames/s, "
+          f"{native_frames_per_s * calibration_seconds:,.0f} per "
+          f"{calibration_seconds * 1e3:.0f} ms calibration loop")
     print(f"drunkard trajectory (n={_WALK_NODES}, {_WALK_STEPS} frames):")
     print(f"  NumPy loop   : {numpy_walk_seconds * 1e3:8.2f} ms")
     print(f"  C walk       : {native_walk_seconds * 1e3:8.2f} ms  "
@@ -207,12 +239,16 @@ def test_kernel_lanes_against_their_references():
         {
             "batch": batch,
             "node_count": n,
+            "lanes": library.lanes,
             "kernel_seconds": kernel_seconds,
             "stacked_seconds": stacked_seconds,
             "matrix_free_speedup": matrix_free,
             "numpy_lane_seconds": numpy_lane_seconds,
             "native_lane_seconds": native_lane_seconds,
             "native_speedup": native_speedup,
+            "native_frames_per_s": native_frames_per_s,
+            "calibration_seconds": calibration_seconds,
+            "native_frames_per_calibration": native_frames_per_s * calibration_seconds,
             "walk_node_count": _WALK_NODES,
             "walk_steps": _WALK_STEPS,
             "numpy_walk_seconds": numpy_walk_seconds,

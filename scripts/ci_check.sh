@@ -53,15 +53,22 @@
 #    in B * n, and the batched frame statistics must equal the per-frame
 #    ones), and so do the drunkard walk's parity tests (its trajectories
 #    equal per-step step() calls on both lanes, and the C walk equals the
-#    NumPy loop bit for bit), and the MST kernel benchmark must pass at
-#    smoke scale.  It fails when the C lane does not load; the NumPy
-#    lane's edges equal the old stacked-matrix kernel's, and the C lane's
-#    edges, sweep columns and drunkard trajectory the NumPy lane's, bit
-#    for bit.  The perf-regression gate (step 22) grades
-#    matrix_free_speedup (stacked / NumPy lane, so a slower fallback
-#    still fails), native_speedup (NumPy lane / C lane for Prim plus the
-#    growth-curve sweep) and native_walk_speedup (NumPy loop / C walk for
-#    a drunkard trajectory at n = 128).
+#    NumPy loop bit for bit) and the native lane's own tests (both C
+#    Prim passes, the 8-frame AVX-512 one and the one-frame compacted
+#    one, equal the NumPy lane bit for bit, on batches of full groups of
+#    8 frames, remainders and both, and full groups take the 8-frame
+#    pass where the library reports 8 lanes).  The MST kernel benchmark
+#    must pass at smoke scale; its batch of 341 = 42 * 8 + 5 frames runs
+#    both passes, and it prints the lane count.  It fails when the C lane
+#    does not load; the NumPy lane's edges equal the old stacked-matrix
+#    kernel's, and the C lane's edges, sweep columns and drunkard
+#    trajectory the NumPy lane's, bit for bit.  The perf-regression gate
+#    (step 22) grades matrix_free_speedup (stacked / NumPy lane, so a
+#    slower fallback still fails), native_speedup (NumPy lane / C lane
+#    for Prim plus the growth-curve sweep, baselined on a CPU with
+#    AVX-512, so a silent fallback to the one-frame pass there regresses
+#    it) and native_walk_speedup (NumPy loop / C walk for a drunkard
+#    trajectory at n = 128).
 # 13. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL
@@ -208,8 +215,9 @@ print("run equals campaign: OK")
 RUN_EQUALS_CAMPAIGN
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
-    tests/connectivity/test_mst_batch.py tests/simulation/test_engine.py \
-    tests/mobility/test_trajectory_streams.py tests/mobility/test_drunkard_walk.py -q
+    tests/connectivity/test_mst_batch.py tests/connectivity/test_native.py \
+    tests/simulation/test_engine.py tests/mobility/test_trajectory_streams.py \
+    tests/mobility/test_drunkard_walk.py -q
 
 REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_mst_kernel.py -q

@@ -12,6 +12,16 @@ and decode stay in NumPy.  Those three dispatch here; nothing else
 changes, so no cache key, golden key or row digest depends on which lane
 ran.
 
+The kernel has two Prim passes with the same edges.  On a CPU with
+AVX-512F and AVX-512DQ it runs each full group of 8 frames of 1 to 3
+dimensions in one frame-parallel pass, one frame per vector lane; the
+last ``B mod 8`` frames, other dimensions and other CPUs take the
+compacted one-frame pass.  The library asks the CPU at run time, and
+:attr:`NativeLibrary.lanes` reports the answer (8 or 1).  :data:`FLAGS`
+carries no ``-march``: only the frame-parallel functions are compiled
+for AVX-512, since the library's cache name records the machine type
+but not the CPU's features.
+
 On the first :func:`load` in a process, unless a library built from the
 same source is cached already, the system C compiler builds it into
 ``$XDG_CACHE_HOME/repro/native/`` (``~/.cache/repro/native/`` when the
@@ -53,7 +63,7 @@ SOURCE = Path(__file__).with_name("native.c")
 #: Compilers tried in order; the first one on ``PATH`` builds the library.
 COMPILERS = ("cc", "gcc", "clang")
 #: Bit-identical IEEE arithmetic: no fused multiply-adds, no -ffast-math,
-#: no -march=native.
+#: no -march (the AVX-512 pass is chosen at run time, see above).
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 #: The C lane takes only coordinates of smaller magnitude, so that every
 #: squared distance is finite (NumPy's argmin returns the first NaN, and a
@@ -77,12 +87,20 @@ def _pointer(array: np.ndarray) -> int:
 
 
 class NativeLibrary:
-    """The loaded shared library, with NumPy-shaped calls."""
+    """The loaded shared library, with NumPy-shaped calls.
+
+    ``lanes`` is the number of frames one Prim pass of :meth:`mst_batch`
+    serves on this CPU: 8 where the frame-parallel pass runs, else 1.
+    """
 
     def __init__(self, path: Path) -> None:
         import ctypes
 
         library = ctypes.CDLL(str(path))
+        lanes = library.repro_mst_lanes
+        lanes.argtypes = []
+        lanes.restype = ctypes.c_int
+        self.lanes: int = lanes()
         pointer, size = ctypes.c_void_p, ctypes.c_int64
         self._mst_batch = library.repro_mst_batch
         self._mst_batch.argtypes = [pointer, size, size, size, pointer, pointer, pointer]
@@ -104,7 +122,9 @@ class NativeLibrary:
         """Sorted MST edges ``(us, vs, squared_lengths)``, ``(B, n - 1)`` each.
 
         ``points`` is a ``(B, n, d)`` batch with ``B >= 1`` and ``n >= 2``
-        whose coordinates :func:`takes` accepted.
+        whose coordinates :func:`takes` accepted.  With 8 :attr:`lanes`
+        and ``d`` from 1 to 3, the first ``B - B mod 8`` frames take the
+        frame-parallel pass.
         """
         points = np.ascontiguousarray(points, dtype=np.float64)
         batch, n, dimension = points.shape

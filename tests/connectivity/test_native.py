@@ -3,8 +3,15 @@
 :mod:`repro.connectivity.native` must be an execution detail:
 
 * each entry point returns exactly the NumPy lane's arrays, bit for bit
-  and dtype for dtype, on uniform and tie-heavy integer-grid frames,
-  float32, integer and non-contiguous inputs;
+  and dtype for dtype, on uniform, tie-heavy integer-grid, all-coincident
+  and near-limit frames, float32, integer and non-contiguous inputs, and
+  on batch sizes that give the MST kernel full groups of 8 frames (its
+  frame-parallel pass, on a CPU with AVX-512), a remainder (its compacted
+  pass), or both;
+* the kernel sends exactly the full groups of 8 frames of 1 to 3
+  dimensions to the frame-parallel pass when the library reports 8
+  lanes, and it reports 8 lanes exactly when the CPU has AVX-512F and
+  AVX-512DQ;
 * a batch with a coordinate that is not finite, or of magnitude at least
   ``COORDINATE_LIMIT``, never reaches the C code and gives exactly the
   NumPy lane's output;
@@ -22,6 +29,7 @@ The build tests point ``XDG_CACHE_HOME`` at a temporary directory.
 from __future__ import annotations
 
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -65,21 +73,34 @@ seed = 5
 """
 
 
+#: The near-limit family's coordinates lie in (-NEAR_LIMIT, NEAR_LIMIT),
+#: a tenth of ``native.COORDINATE_LIMIT``: squared distances near 1e298.
+NEAR_LIMIT = 1e149
+
+
 @st.composite
 def frame_batches(draw):
-    """``(B, n, d)`` frames of every shape, dtype and layout the lanes take."""
+    """``(B, n, d)`` frames of every shape, dtype and layout the lanes take.
+
+    B is drawn so that the MST kernel runs only full groups of 8 frames
+    (8, 16), only a remainder (1, 7) or both (9, 13, 17).
+    """
     n = draw(st.integers(min_value=2, max_value=128))
-    dimension = draw(st.integers(min_value=0, max_value=3))
-    batch = draw(st.sampled_from([1, 2, 5, 16]))
+    dimension = draw(st.integers(min_value=0, max_value=4))
+    batch = draw(st.sampled_from([1, 7, 8, 9, 13, 16, 17]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     shape = (batch, n, dimension)
-    grid_side = draw(st.sampled_from([None, 2, 3, 6]))
-    if grid_side is None:
+    family = draw(st.sampled_from(["uniform", "grid", "coincident", "near-limit"]))
+    if family == "uniform":
         frames = rng.random(shape) * 100.0
-    else:  # coincident nodes and tied edge lengths
-        frames = rng.integers(0, grid_side, size=shape).astype(float)
-    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
-    frames = frames.astype(dtype)
+    elif family == "grid":  # coincident nodes and tied edge lengths
+        frames = rng.integers(0, draw(st.sampled_from([2, 3, 6])), size=shape).astype(float)
+    elif family == "coincident":  # every edge of a frame has length 0
+        frames = np.broadcast_to(rng.random((batch, 1, dimension)) * 100.0, shape)
+    else:
+        frames = (rng.random(shape) * 2.0 - 1.0) * NEAR_LIMIT
+    if family != "near-limit":  # float32 and int64 cannot hold 1e149
+        frames = frames.astype(draw(st.sampled_from([np.float64, np.float32, np.int64])))
     layout = draw(st.sampled_from(["contiguous", "reversed", "fortran"]))
     if layout == "reversed":
         frames = frames[:, ::-1]
@@ -145,6 +166,25 @@ class TestParity:
         assert observed.node_count == n
         assert_same_arrays(column_arrays(observed), expected)
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch", [1, 7, 8, 9, 16, 17])
+    def test_full_groups_take_the_frame_parallel_pass(
+        self, native_library, batch, dimension
+    ):
+        """Which pass served each frame, seen through a probe outside the
+        kernel's contract: node 0 at -1e200 and node 1 at +1e200 on every
+        axis, so their squared distance overflows to inf.  The compacted
+        pass still picks node 1 (length inf); the frame-parallel pass,
+        whose pick starts at inf with a strict "<", keeps node 0's NaN.
+        ``takes`` refuses such coordinates, so no caller meets this."""
+        frames = np.zeros((batch, 2, dimension))
+        frames[:, 0], frames[:, 1] = -1e200, 1e200
+        wide = 0
+        if native_library.lanes == 8 and dimension <= 3:
+            wide = batch - batch % 8
+        _, _, lengths = native_library.mst_batch(frames)
+        assert np.isnan(lengths[:, 0]).tolist() == [row < wide for row in range(batch)]
+
     def test_the_public_functions_take_the_native_lane(self, native_library):
         frames = np.random.default_rng(7).random((4, 30, 2)) * 100.0
         with mock.patch.object(
@@ -170,6 +210,19 @@ class TestLibraryChecks:
     def test_a_frame_of_one_node_is_refused(self, native_library):
         with pytest.raises(ValueError, match="at least two nodes"):
             native_library.mst_batch(np.zeros((3, 1, 2)))
+
+    @pytest.mark.skipif(
+        not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
+        reason="reads the CPU flags from /proc/cpuinfo",
+    )
+    def test_the_library_reports_8_lanes_exactly_on_avx512(self, native_library):
+        flags = set()
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("flags"):
+                flags = set(line.split(":", 1)[1].split())
+                break
+        wide = {"avx512f", "avx512dq"} <= flags
+        assert native_library.lanes == (8 if wide else 1)
 
     def test_edge_arrays_of_the_wrong_shape_are_refused(self, native_library):
         us, vs, lengths = native_library.mst_batch(np.random.default_rng(1).random((3, 6, 2)))
