@@ -6,9 +6,11 @@ The library answers the paper's two questions:
 1. **Stationary networks** (Section 3) — how large must the common
    transmitting range ``r`` be so that ``n`` uniformly placed nodes in
    ``[0, l]^d`` form a connected communication graph?  For ``d = 1`` the
-   answer is ``r n = Theta(l log l)`` (Theorem 5), implemented analytically
-   in :mod:`repro.analysis` on top of the occupancy theory in
-   :mod:`repro.occupancy`.
+   answer is ``r n = Theta(l log l)`` (Theorem 5): :mod:`repro.analysis`
+   holds the threshold, the exact finite-``n`` connectivity probability
+   and the gap-event estimates the ``theorem5-1d`` experiment compares
+   with simulation, on top of the occupancy theory in
+   :mod:`repro.occupancy` that the ``occupancy-domains`` experiment checks.
 2. **Mobile networks** (Section 4) — how much larger must ``r`` be to keep
    the network connected during a fraction of the operational time while
    nodes move?  Answered by simulation: mobility models in
@@ -36,12 +38,9 @@ from repro.analysis.bounds_1d import (
     connectivity_probability_1d_exact,
     critical_product_1d,
     nodes_for_connectivity_1d,
-    range_for_connectivity_1d,
 )
-from repro.analysis.mtr import MTRInstance, MTRMInstance
 from repro.connectivity import (
     critical_range,
-    critical_range_for_component_fraction,
     is_placement_connected,
     observe_placement,
 )
@@ -100,8 +99,6 @@ __all__ = [
     "ConfigurationError",
     "DrunkardModel",
     "EnergyModel",
-    "MTRInstance",
-    "MTRMInstance",
     "MobilitySpec",
     "MobilityThresholds",
     "NetworkConfig",
@@ -122,7 +119,6 @@ __all__ = [
     "corner_clusters_placement",
     "critical_product_1d",
     "critical_range",
-    "critical_range_for_component_fraction",
     "empty_cells_mean",
     "empty_cells_pmf",
     "empty_cells_variance",
@@ -138,7 +134,6 @@ __all__ = [
     "make_rng",
     "nodes_for_connectivity_1d",
     "observe_placement",
-    "range_for_connectivity_1d",
     "savings_table",
     "stationary_critical_range",
     "uniform_placement",

@@ -7,27 +7,33 @@ module turn that characterisation into usable predictors:
 
 * :func:`critical_product_1d` — the threshold value ``l log l`` of the
   product ``r n``;
-* :func:`range_for_connectivity_1d` — the predicted critical range for a
-  given ``n`` (with an adjustable constant ``c``);
-* :func:`nodes_for_connectivity_1d` — the dual: nodes needed for a given
-  fixed transmitter range (the "dimensioning" formulation of Section 2);
-* :func:`range_upper_bound_1d` / :func:`range_lower_bound_1d` — the two
-  sides of the Theorem 5 sandwich, exposed separately so the benchmark can
-  show empirical critical ranges landing between them.
+* :func:`nodes_for_connectivity_1d` — nodes needed for a given fixed
+  transmitter range (the "dimensioning" formulation of Section 2).
 
 There is also an exact finite-``n`` reference: the probability that a
 uniform 1-D placement is connected at range ``r`` has a closed form
 (the classical uniform-spacings result),
 ``P(connected) = sum_{k} (-1)^k binom(n-1, k) (1 - k r / l)_+^{n}`` over
 ``k <= l / r``, implemented in :func:`connectivity_probability_1d_exact`
-and used by the tests to validate both the simulator and the asymptotics.
+and inverted by :func:`range_for_connectivity_probability_1d`, the exact
+``r99`` of the ``theorem5-1d`` experiment.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 
 from repro.exceptions import AnalysisError
+from repro.occupancy.exact import log_binomial
+
+#: Largest rounding error the float inclusion–exclusion sum may carry,
+#: bounded by ``terms * max|term| * 2**-53``; a sum past it is evaluated
+#: in :mod:`decimal` instead.
+FLOAT_SUM_ERROR = 1e-12
+
+#: Decimal digits kept beyond the largest term's magnitude.
+GUARD_DIGITS = 30
 
 
 def critical_product_1d(side: float) -> float:
@@ -40,22 +46,6 @@ def critical_product_1d(side: float) -> float:
     if side <= 0:
         raise AnalysisError(f"side must be positive, got {side}")
     return side * max(math.log(side), 0.0)
-
-
-def range_for_connectivity_1d(node_count: int, side: float, constant: float = 1.0) -> float:
-    """Predicted critical range ``r ≈ c · l log l / n`` from Theorem 5.
-
-    Args:
-        node_count: number of nodes ``n``.
-        side: line length ``l``.
-        constant: the multiplicative constant hidden in the Theta; empirical
-            calibration (and the simulations in [1, 11]) put it close to 1.
-    """
-    if node_count < 1:
-        raise AnalysisError(f"node_count must be at least 1, got {node_count}")
-    if constant <= 0:
-        raise AnalysisError(f"constant must be positive, got {constant}")
-    return constant * critical_product_1d(side) / node_count
 
 
 def nodes_for_connectivity_1d(
@@ -79,26 +69,6 @@ def nodes_for_connectivity_1d(
     return int(math.ceil(constant * product / transmitting_range))
 
 
-def range_upper_bound_1d(node_count: int, side: float, constant: float = 2.0) -> float:
-    """A range guaranteeing a.a.s. connectivity (Theorem 3 direction).
-
-    Any ``r`` with ``r n >= c · l log l`` for a sufficiently large constant
-    is enough; the default constant 2 is comfortably above the empirical
-    threshold.
-    """
-    return range_for_connectivity_1d(node_count, side, constant=constant)
-
-
-def range_lower_bound_1d(node_count: int, side: float, constant: float = 0.25) -> float:
-    """A range at which connectivity a.a.s. *fails* (Theorem 4 direction).
-
-    Any ``r`` with ``l << r n << l log l`` gives a non-vanishing probability
-    of disconnection; the default constant 0.25 of the threshold product is
-    well inside that window for the sizes used in the benchmarks.
-    """
-    return range_for_connectivity_1d(node_count, side, constant=constant)
-
-
 def connectivity_probability_1d_exact(
     node_count: int, side: float, transmitting_range: float
 ) -> float:
@@ -112,8 +82,16 @@ def connectivity_probability_1d_exact(
 
         P = sum_{k=0}^{min(n-1, floor(l/r))} (-1)^k binom(n-1, k) (1 - k r / l)^n
 
-    This finite-``n`` formula is used as an oracle in tests and to draw the
-    "exact" curve in the Theorem 5 benchmark.
+    The terms alternate in sign and, at small ``r / l``, grow far beyond
+    the result (``10**40`` and more for a few hundred nodes), so a float
+    sum would cancel to noise.  The float sum is kept while its rounding
+    error bound ``terms * max|term| * 2**-53`` stays within
+    :data:`FLOAT_SUM_ERROR`; otherwise the same sum runs in
+    :mod:`decimal` with :data:`GUARD_DIGITS` digits beyond the largest
+    term's magnitude.  That bound leaves out the rounding of each term's
+    ``lgamma`` log-binomial, a relative error that grows like
+    ``lgamma(n) * 2**-53``: against an exact rational sum, float results
+    near the switch err by up to about ``3e-12`` (``n = 48``).
     """
     if node_count < 1:
         raise AnalysisError(f"node_count must be at least 1, got {node_count}")
@@ -131,16 +109,46 @@ def connectivity_probability_1d_exact(
         return 1.0
     n = node_count
     ratio = transmitting_range / side
-    total = 0.0
+    log_terms = []
     for k in range(n):
         base = 1.0 - k * ratio
         if base <= 0.0:
             # (1 - k r / l)_+ vanishes for every larger k as well.
             break
-        log_term = _log_binomial(n - 1, k) + n * math.log(base)
-        term = math.exp(log_term)
-        total += term if k % 2 == 0 else -term
+        log_terms.append(log_binomial(n - 1, k) + n * math.log(base))
+    largest = max(log_terms)
+    log_error = math.log(len(log_terms)) + largest - 53 * math.log(2)
+    if log_error <= math.log(FLOAT_SUM_ERROR):
+        total = 0.0
+        for k, log_term in enumerate(log_terms):
+            term = math.exp(log_term)
+            total += term if k % 2 == 0 else -term
+    else:
+        total = _decimal_sum(n, transmitting_range, side, len(log_terms), largest)
     return min(max(total, 0.0), 1.0)
+
+
+def _decimal_sum(
+    n: int, transmitting_range: float, side: float, terms: int, largest: float
+) -> float:
+    """The inclusion–exclusion sum's first ``terms`` terms, in :mod:`decimal`.
+
+    ``largest`` is the natural log of the largest term's magnitude; the
+    binomials are exact integers and ``r / l`` is the exact quotient of
+    the two floats.
+    """
+    digits = max(math.ceil(largest / math.log(10)), 0) + GUARD_DIGITS
+    with decimal.localcontext() as context:
+        context.prec = digits
+        ratio = decimal.Decimal(transmitting_range) / decimal.Decimal(side)
+        total = decimal.Decimal(0)
+        for k in range(terms):
+            base = 1 - k * ratio
+            if base <= 0:
+                break
+            term = math.comb(n - 1, k) * base**n
+            total += term if k % 2 == 0 else -term
+        return float(total)
 
 
 def range_for_connectivity_probability_1d(
@@ -167,7 +175,3 @@ def range_for_connectivity_probability_1d(
         if high - low <= tolerance:
             break
     return high
-
-
-def _log_binomial(a: int, b: int) -> float:
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)

@@ -7,26 +7,20 @@ graph is disconnected (Lemma 1); condition on the number of empty cells
 ``mu(n, C)`` and show that for ``l << r n << l log l`` the term at
 ``k = E[mu]`` contributes a non-vanishing probability.
 
-The estimators here implement each ingredient of that argument so that the
-benchmark can plot the predicted disconnection probability against the
-measured one:
+Two estimators feed the ``theorem5-1d`` experiment:
 
 * :func:`gap_event_probability_estimate` — ``P(E^{10*1})`` estimated via the
   conditional decomposition of Equation (1);
 * :func:`isolated_node_probability_1d` — the weaker "isolated node" bound
-  used by the earlier work [11] the paper improves on;
-* :func:`disconnection_probability_estimate_1d` — the exact complement of
-  the closed-form connectivity probability, for reference.
+  used by the earlier work [11] the paper improves on.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.analysis.bounds_1d import connectivity_probability_1d_exact
 from repro.exceptions import AnalysisError
-from repro.occupancy.exact import empty_cells_pmf
-from repro.occupancy.limits import limit_law
+from repro.occupancy.exact import empty_cells_pmf, log_binomial
 
 
 def _conditional_gap_probability(k: int, cells: int) -> float:
@@ -44,10 +38,7 @@ def _conditional_gap_probability(k: int, cells: int) -> float:
         raise AnalysisError(f"k must be in [0, C], got k={k}, C={cells}")
     if k == 0 or k == cells:
         return 0.0
-    log_choose = (
-        math.lgamma(cells + 1) - math.lgamma(k + 1) - math.lgamma(cells - k + 1)
-    )
-    log_no_gap = math.log(k + 1) - log_choose
+    log_no_gap = math.log(k + 1) - log_binomial(cells, k)
     no_gap = math.exp(log_no_gap) if log_no_gap < 0 else 1.0
     return max(0.0, 1.0 - min(no_gap, 1.0))
 
@@ -78,19 +69,6 @@ def gap_event_probability_estimate(n: int, cells: int) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def gap_event_probability_at_mean(n: int, cells: int) -> float:
-    """The single term of Equation (1) at ``k = E[mu]`` used by Theorem 4.
-
-    The proof of Theorem 4 lower-bounds ``P(E^{10*1})`` by the contribution
-    of ``k = floor(E[mu(n, C)])`` alone, evaluating ``P(mu = k)`` with the
-    RHID normal limit law.  This function reproduces that bound.
-    """
-    law = limit_law(n, cells)
-    k = int(math.floor(law.mean))
-    conditional = _conditional_gap_probability(min(max(k, 0), cells), cells)
-    return conditional * law.pmf(k)
-
-
 def isolated_node_probability_1d(n: int, side: float, transmitting_range: float) -> float:
     """Probability that at least one node is isolated (union-bound style).
 
@@ -113,15 +91,3 @@ def isolated_node_probability_1d(n: int, side: float, transmitting_range: float)
     interior = max(1.0 - 2.0 * transmitting_range / side, 0.0) ** (n - 1)
     estimate = n * interior
     return min(estimate, 1.0)
-
-
-def disconnection_probability_estimate_1d(
-    n: int, side: float, transmitting_range: float
-) -> float:
-    """Exact disconnection probability of a uniform 1-D placement.
-
-    Simply ``1 - P(connected)`` with the closed-form connectivity
-    probability; serves as the ground truth the occupancy-based estimates
-    are compared against in the Theorem 5 benchmark.
-    """
-    return 1.0 - connectivity_probability_1d_exact(n, side, transmitting_range)

@@ -37,32 +37,3 @@ def gupta_kumar_critical_range(
     if side <= 0:
         raise AnalysisError(f"side must be positive, got {side}")
     return side * math.sqrt((math.log(node_count) + constant) / (math.pi * node_count))
-
-
-def gupta_kumar_node_count(
-    transmitting_range: float, side: float = 1.0, constant: float = 0.0
-) -> int:
-    """Approximate node count needed for connectivity at a fixed range.
-
-    Numerically inverts :func:`gupta_kumar_critical_range` (the relation
-    ``pi r^2 n = l^2 (log n + c)`` has no closed form in ``n``); uses a
-    simple fixed-point iteration that converges quickly for realistic
-    parameters.
-    """
-    if transmitting_range <= 0:
-        raise AnalysisError(
-            f"transmitting_range must be positive, got {transmitting_range}"
-        )
-    if side <= 0:
-        raise AnalysisError(f"side must be positive, got {side}")
-    ratio = (side / transmitting_range) ** 2 / math.pi
-    # n = ratio * (log n + c); iterate from a sensible starting point.
-    n = max(2.0, ratio)
-    for _ in range(100):
-        updated = ratio * (math.log(n) + constant)
-        updated = max(updated, 2.0)
-        if abs(updated - n) < 1e-9:
-            n = updated
-            break
-        n = updated
-    return int(math.ceil(n))

@@ -10,7 +10,9 @@ extremes when ``n`` is linear in ``l``:
   ``l / n`` (1-D) or the lattice spacing ``l / ceil(n^{1/d})`` (d-D).
 
 Random placement sits in between, needing ``Theta(log l)`` when
-``n = Theta(l)``.
+``n = Theta(l)``.  The ``stationary-critical-range`` experiment tabulates
+the two 2-D extremes (:func:`best_case_range_2d`, :func:`worst_case_range`)
+beside the simulated range.
 """
 
 from __future__ import annotations
@@ -34,22 +36,6 @@ def worst_case_range(side: float, dimension: int = 1) -> float:
     return side * math.sqrt(dimension)
 
 
-def best_case_range_1d(node_count: int, side: float) -> float:
-    """Range required by the best (equally spaced) 1-D placement.
-
-    ``n`` nodes equally spaced on ``[0, l]`` at positions
-    ``l/(2n), 3l/(2n), ...`` have consecutive spacing ``l / n``; that
-    spacing is exactly the critical range.
-    """
-    if node_count < 1:
-        raise AnalysisError(f"node_count must be at least 1, got {node_count}")
-    if side <= 0:
-        raise AnalysisError(f"side must be positive, got {side}")
-    if node_count == 1:
-        return 0.0
-    return side / node_count
-
-
 def best_case_range_2d(node_count: int, side: float) -> float:
     """Range required by a square-lattice placement in 2-D.
 
@@ -65,18 +51,3 @@ def best_case_range_2d(node_count: int, side: float) -> float:
         return 0.0
     per_axis = int(math.ceil(math.sqrt(node_count)))
     return side / per_axis
-
-
-def random_placement_range_order_1d(node_count: int, side: float) -> float:
-    """Order-of-magnitude range for random 1-D placement with ``n = Theta(l)``.
-
-    When ``n`` is proportional to ``l`` the Theorem 5 product ``l log l``
-    divided by ``n`` gives a range of order ``log l``; this helper returns
-    exactly ``log l`` scaled by ``l / n`` so the three regimes (worst, random,
-    best) can be tabulated side by side in the benchmark.
-    """
-    if node_count < 1:
-        raise AnalysisError(f"node_count must be at least 1, got {node_count}")
-    if side <= 0:
-        raise AnalysisError(f"side must be positive, got {side}")
-    return (side / node_count) * max(math.log(side), 1.0)

@@ -7,11 +7,7 @@ the largest connected component, and what is the *exact* critical
 transmitting range of a given placement.
 """
 
-from repro.connectivity.critical_range import (
-    critical_range,
-    critical_range_for_component_fraction,
-    longest_gap_1d,
-)
+from repro.connectivity.critical_range import critical_range, longest_gap_1d
 from repro.connectivity.metrics import (
     ConnectivityObservation,
     is_placement_connected,
@@ -21,7 +17,6 @@ from repro.connectivity.metrics import (
 __all__ = [
     "ConnectivityObservation",
     "critical_range",
-    "critical_range_for_component_fraction",
     "is_placement_connected",
     "longest_gap_1d",
     "observe_placement",

@@ -5,9 +5,7 @@ the minimum range making the point graph connected equals the longest edge
 of a Euclidean minimum spanning tree of the points (the "bottleneck" edge).
 This module computes that value directly — via Prim's algorithm over
 squared distances: a dense ``(n, n)`` matrix for one placement, rows
-computed on the fly for a batch of mobility frames — as well as the
-analogous threshold for partial connectivity (smallest range whose
-largest component reaches a target fraction of ``n``).
+computed on the fly for a batch of mobility frames.
 
 The batch kernel has two bit-identical lanes: the native C one of
 :mod:`repro.connectivity.native`, built on first use when a C compiler
@@ -29,7 +27,6 @@ import numpy as np
 from repro.connectivity import native
 from repro.exceptions import AnalysisError
 from repro.geometry.distance import squared_distance_matrix
-from repro.graph.union_find import UnionFind
 from repro.types import Positions, as_positions
 
 
@@ -70,19 +67,7 @@ def minimum_spanning_edges(
     range ``r``), which is what makes the per-frame reductions in
     :mod:`repro.simulation.engine` cheap.
     """
-    points = as_positions(positions)
-    return minimum_spanning_edges_from_squared(squared_distance_matrix(points))
-
-
-def minimum_spanning_edges_from_squared(
-    squared: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`minimum_spanning_edges` over a precomputed squared-distance matrix.
-
-    This is the reusable Prim core: metrics other than plain Euclidean
-    (e.g. toroidal wrap-around) pass their own ``(n, n)`` squared-distance
-    matrix and get the same sorted MST edges back.
-    """
+    squared = squared_distance_matrix(positions)
     n = squared.shape[0]
     empty = (
         np.empty(0, dtype=np.intp),
@@ -226,60 +211,6 @@ def critical_range(positions: Positions) -> float:
     if lengths.size == 0:
         return 0.0
     return range_reaching(float(lengths[-1]))
-
-
-def critical_range_toroidal(positions: Positions, side: float) -> float:
-    """Minimum transmitting range connecting ``positions`` on a torus.
-
-    Identical to :func:`critical_range` but with wrap-around (toroidal)
-    distances on the cube of side ``side``.  Useful for comparing against
-    asymptotic results (e.g. the Penrose limit law in
-    :mod:`repro.analysis.bounds_2d`) that are stated without boundary
-    effects.  Like its Euclidean sibling, the returned radius is rounded up
-    with :func:`range_reaching` so it really reaches the bottleneck pair.
-    """
-    from repro.geometry.distance import toroidal_squared_distance_matrix
-
-    points = as_positions(positions)
-    if points.shape[0] <= 1:
-        return 0.0
-    _, _, lengths = minimum_spanning_edges_from_squared(
-        toroidal_squared_distance_matrix(points, side)
-    )
-    return range_reaching(float(lengths[-1]))
-
-
-def critical_range_for_component_fraction(
-    positions: Positions, fraction: float
-) -> float:
-    """Smallest range whose largest connected component has ``>= fraction * n`` nodes.
-
-    Implemented with a Kruskal-style sweep over the sorted MST edges from
-    :func:`minimum_spanning_edges` — the component partition at every
-    length threshold is fully determined by the MST, so only ``n - 1``
-    union operations run in Python instead of one per candidate edge.
-
-    Args:
-        fraction: target fraction of nodes in the largest component, in
-            ``(0, 1]``; a value of 1.0 reproduces :func:`critical_range`.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise AnalysisError(f"fraction must be in (0, 1], got {fraction}")
-    points = as_positions(positions)
-    n = points.shape[0]
-    if n == 0:
-        return 0.0
-    target = max(1, int(math.ceil(fraction * n)))
-    if target <= 1:
-        return 0.0
-    us, vs, lengths = minimum_spanning_edges(points)
-    structure = UnionFind(n)
-    for u, v, squared_length in zip(us.tolist(), vs.tolist(), lengths.tolist()):
-        structure.union(u, v)
-        if structure.set_size(u) >= target:
-            return range_reaching(squared_length)
-    # Unreachable for fraction <= 1, but keep a defensive return.
-    return range_reaching(float(lengths[-1])) if lengths.size else 0.0
 
 
 def longest_gap_1d(positions: Positions) -> float:

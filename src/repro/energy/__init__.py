@@ -14,20 +14,13 @@ from repro.energy.model import (
     TWO_RAY_GROUND_EXPONENT,
     transmission_power,
 )
-from repro.energy.savings import (
-    energy_savings_fraction,
-    network_energy,
-    range_reduction_for_savings,
-    savings_table,
-)
+from repro.energy.savings import energy_savings_fraction, savings_table
 
 __all__ = [
     "EnergyModel",
     "FREE_SPACE_EXPONENT",
     "TWO_RAY_GROUND_EXPONENT",
     "energy_savings_fraction",
-    "network_energy",
-    "range_reduction_for_savings",
     "savings_table",
     "transmission_power",
 ]

@@ -5,8 +5,8 @@ distance ``r`` is proportional to ``r ** alpha`` where the path-loss
 exponent ``alpha`` is 2 in free space and up to 4 or more in cluttered
 environments ("proportional to the square (or, depending on environmental
 conditions, to a higher power) of the transmitting range" — Section 1).
-An optional constant electronics term models the distance-independent cost
-of running the transceiver circuitry.
+Only ratios of powers enter the savings the paper quotes, so the
+proportionality constant is 1.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ TWO_RAY_GROUND_EXPONENT = 4.0
 def transmission_power(
     transmitting_range: float,
     path_loss_exponent: float = FREE_SPACE_EXPONENT,
-    coefficient: float = 1.0,
 ) -> float:
-    """Power needed to cover ``transmitting_range``: ``coefficient * r**alpha``."""
+    """Power needed to cover ``transmitting_range``: ``r**alpha``."""
     if transmitting_range < 0:
         raise ConfigurationError(
             f"transmitting_range must be non-negative, got {transmitting_range}"
@@ -36,9 +35,7 @@ def transmission_power(
         raise ConfigurationError(
             f"path_loss_exponent must be at least 1, got {path_loss_exponent}"
         )
-    if coefficient <= 0:
-        raise ConfigurationError(f"coefficient must be positive, got {coefficient}")
-    return coefficient * transmitting_range**path_loss_exponent
+    return transmitting_range**path_loss_exponent
 
 
 @dataclass(frozen=True)
@@ -47,46 +44,18 @@ class EnergyModel:
 
     Attributes:
         path_loss_exponent: exponent ``alpha`` of the distance term.
-        amplifier_coefficient: multiplier of the ``r**alpha`` term.
-        electronics_power: distance-independent power drawn while
-            transmitting (circuitry, baseband processing).
     """
 
     path_loss_exponent: float = FREE_SPACE_EXPONENT
-    amplifier_coefficient: float = 1.0
-    electronics_power: float = 0.0
 
     def __post_init__(self) -> None:
         if self.path_loss_exponent < 1:
             raise ConfigurationError(
                 f"path_loss_exponent must be at least 1, got {self.path_loss_exponent}"
             )
-        if self.amplifier_coefficient <= 0:
-            raise ConfigurationError(
-                f"amplifier_coefficient must be positive, got {self.amplifier_coefficient}"
-            )
-        if self.electronics_power < 0:
-            raise ConfigurationError(
-                f"electronics_power must be non-negative, got {self.electronics_power}"
-            )
 
     def node_power(self, transmitting_range: float) -> float:
         """Power drawn by one node transmitting at ``transmitting_range``."""
-        return self.electronics_power + transmission_power(
-            transmitting_range,
-            path_loss_exponent=self.path_loss_exponent,
-            coefficient=self.amplifier_coefficient,
+        return transmission_power(
+            transmitting_range, path_loss_exponent=self.path_loss_exponent
         )
-
-    def power_ratio(self, range_a: float, range_b: float) -> float:
-        """Ratio ``power(range_a) / power(range_b)``.
-
-        Raises:
-            ConfigurationError: if the denominator power is zero.
-        """
-        denominator = self.node_power(range_b)
-        if denominator == 0:
-            raise ConfigurationError(
-                "cannot form a power ratio against a zero-power configuration"
-            )
-        return self.node_power(range_a) / denominator

@@ -4,8 +4,7 @@ Section 4.2 argues that accepting brief disconnections (using ``r90``
 instead of ``r100``) or partial connectivity (``rl50`` instead of
 ``rstationary``) buys large energy savings because power scales like
 ``r**alpha``.  These helpers turn range ratios into the savings figures the
-paper quotes, and invert the relation (what range reduction is needed for a
-target saving).
+paper quotes.
 """
 
 from __future__ import annotations
@@ -15,15 +14,6 @@ from typing import Dict, Mapping
 
 from repro.energy.model import EnergyModel
 from repro.exceptions import ConfigurationError
-
-
-def network_energy(
-    node_count: int, transmitting_range: float, model: EnergyModel = EnergyModel()
-) -> float:
-    """Total transmission power of ``node_count`` nodes at a common range."""
-    if node_count < 0:
-        raise ConfigurationError(f"node_count must be non-negative, got {node_count}")
-    return node_count * model.node_power(transmitting_range)
 
 
 def energy_savings_fraction(
@@ -49,27 +39,6 @@ def energy_savings_fraction(
     return 1.0 - model.node_power(reduced_range) / reference_power
 
 
-def range_reduction_for_savings(
-    target_savings: float, model: EnergyModel = EnergyModel()
-) -> float:
-    """Range ratio ``r_reduced / r_reference`` achieving ``target_savings``.
-
-    Only meaningful for a pure path-loss model (zero electronics power);
-    with a constant term the relation depends on the absolute ranges and
-    callers should invert :func:`energy_savings_fraction` numerically.
-    """
-    if not 0.0 <= target_savings < 1.0:
-        raise ConfigurationError(
-            f"target_savings must be in [0, 1), got {target_savings}"
-        )
-    if model.electronics_power != 0:
-        raise ConfigurationError(
-            "range_reduction_for_savings assumes a pure path-loss model "
-            "(electronics_power == 0)"
-        )
-    return (1.0 - target_savings) ** (1.0 / model.path_loss_exponent)
-
-
 def savings_table(
     range_ratios: Mapping[str, float], model: EnergyModel = EnergyModel()
 ) -> Dict[str, float]:
@@ -91,12 +60,7 @@ def savings_table(
     for label, ratio in range_ratios.items():
         if ratio < 0:
             raise ConfigurationError(f"ratio for {label!r} must be non-negative")
-        if model.electronics_power == 0:
-            savings[label] = 1.0 - ratio**model.path_loss_exponent
-        else:
-            # With a constant term the ratio alone does not determine the
-            # saving; normalise against a unit reference range.
-            savings[label] = energy_savings_fraction(ratio, 1.0, model)
+        savings[label] = 1.0 - ratio**model.path_loss_exponent
     return savings
 
 

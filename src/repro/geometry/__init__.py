@@ -6,18 +6,10 @@ and provides the distance computations used to decide which nodes can hear
 each other.
 """
 
-from repro.geometry.distance import (
-    pairwise_distances,
-    squared_distance_matrix,
-    toroidal_distance,
-    toroidal_distance_matrix,
-)
+from repro.geometry.distance import squared_distance_matrix
 from repro.geometry.region import Region
 
 __all__ = [
     "Region",
-    "pairwise_distances",
     "squared_distance_matrix",
-    "toroidal_distance",
-    "toroidal_distance_matrix",
 ]

@@ -3,8 +3,8 @@
 The paper restricts node positions to the ``d``-dimensional cube of side
 ``l``.  :class:`Region` encapsulates that cube: it validates parameters,
 samples uniform points, clamps or reflects points that mobility pushes past
-the boundary, and answers simple geometric questions (diagonal length, area,
-containment) that the analysis layer needs.
+the boundary, and answers simple geometric questions (volume,
+containment).
 """
 
 from __future__ import annotations
@@ -49,16 +49,6 @@ class Region:
     def volume(self) -> float:
         """``side ** dimension`` — length, area or volume of the region."""
         return float(self.side) ** self.dimension
-
-    @property
-    def diagonal(self) -> float:
-        """Length of the main diagonal, ``l * sqrt(d)``.
-
-        This is the transmitting range that guarantees connectivity for
-        *every* placement (the worst case mentioned in Section 2 of the
-        paper).
-        """
-        return self.side * math.sqrt(self.dimension)
 
     def contains(self, positions: Positions, tolerance: float = 1e-9) -> bool:
         """``True`` if every position lies inside the region.

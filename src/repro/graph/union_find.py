@@ -8,7 +8,7 @@ halving, giving effectively constant amortised cost per operation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
 
 class UnionFind:
@@ -63,23 +63,9 @@ class UnionFind:
         """Size of the set containing ``item``."""
         return self._size[self.find(item)]
 
-    def largest_set_size(self) -> int:
-        """Size of the largest set (0 for an empty structure)."""
-        if not self._parent:
-            return 0
-        return max(self._size[self.find(i)] for i in range(len(self._parent)))
-
     def groups(self) -> List[List[int]]:
         """All sets as lists of member indices (each sorted ascending)."""
         buckets: Dict[int, List[int]] = {}
         for item in range(len(self._parent)):
             buckets.setdefault(self.find(item), []).append(item)
         return [sorted(members) for members in buckets.values()]
-
-    @classmethod
-    def from_edges(cls, size: int, edges: Iterable[Tuple[int, int]]) -> "UnionFind":
-        """Build a union-find over ``size`` items, merged along ``edges``."""
-        structure = cls(size)
-        for a, b in edges:
-            structure.union(a, b)
-        return structure

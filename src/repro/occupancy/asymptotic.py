@@ -27,12 +27,6 @@ def _validate(n: float, cells: float) -> float:
     return n / cells
 
 
-def empty_cells_mean_upper_bound(n: float, cells: float) -> float:
-    """The universal bound ``E[mu(n, C)] <= C e^{-n/C}`` of Theorem 1."""
-    alpha = _validate(n, cells)
-    return cells * math.exp(-alpha)
-
-
 def asymptotic_empty_cells_mean(n: float, cells: float) -> float:
     """Leading-order asymptotic of ``E[mu(n, C)]``:
     ``C e^{-alpha} - alpha e^{-alpha}``."""
@@ -50,18 +44,3 @@ def asymptotic_empty_cells_variance(n: float, cells: float) -> float:
     alpha = _validate(n, cells)
     value = cells * math.exp(-alpha) * (1.0 - (1.0 + alpha) * math.exp(-alpha))
     return max(value, 0.0)
-
-
-def expected_empty_cells_for_range(n: int, length: float, radius: float) -> float:
-    """Expected empty cells when ``[0, length]`` is cut into cells of ``radius``.
-
-    Convenience wrapper used by the 1-D analysis: ``C = length / radius`` and
-    ``alpha = n / C = n * radius / length``.  ``C`` is treated as a real
-    number (the paper does the same in its asymptotic manipulations).
-    """
-    if radius <= 0:
-        raise AnalysisError(f"radius must be positive, got {radius}")
-    if length <= 0:
-        raise AnalysisError(f"length must be positive, got {length}")
-    cells = length / radius
-    return asymptotic_empty_cells_mean(n, cells)

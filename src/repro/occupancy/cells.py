@@ -106,16 +106,6 @@ def cell_occupancy_from_positions(
     )
 
 
-def occupancy_bitstring(counts: Sequence[int]) -> str:
-    """Convert per-cell node counts into the bit string ``B`` of Lemma 1."""
-    return "".join("1" if count > 0 else "0" for count in counts)
-
-
-def empty_cell_count(counts: Sequence[int]) -> int:
-    """The realised value of ``mu(n, C)`` for the given per-cell counts."""
-    return sum(1 for count in counts if count == 0)
-
-
 def has_gap_pattern(bitstring: str) -> bool:
     """``True`` if ``bitstring`` contains a substring of the form ``1 0+ 1``.
 
@@ -132,27 +122,6 @@ def has_gap_pattern(bitstring: str) -> bool:
     last_one = bitstring.rfind("1")
     interior = bitstring[first_one:last_one + 1]
     return "0" in interior
-
-
-def gap_widths(bitstring: str) -> List[int]:
-    """Widths of the interior runs of zeros (each run is one ``{10*1}`` gap)."""
-    if not all(ch in "01" for ch in bitstring):
-        raise AnalysisError("bitstring must contain only '0' and '1' characters")
-    first_one = bitstring.find("1")
-    if first_one == -1:
-        return []
-    last_one = bitstring.rfind("1")
-    interior = bitstring[first_one:last_one + 1]
-    widths: List[int] = []
-    run = 0
-    for ch in interior:
-        if ch == "0":
-            run += 1
-        else:
-            if run:
-                widths.append(run)
-            run = 0
-    return widths
 
 
 def simulate_empty_cells(

@@ -82,25 +82,3 @@ def classify_domain(n: float, cells: float, tolerance: float = 4.0) -> Occupancy
         return OccupancyDomain.LEFT_INTERMEDIATE
     # Below sqrt(C): the left-hand domain is the closest description.
     return OccupancyDomain.LEFT_HAND
-
-
-def domain_for_line_network(
-    n: int, length: float, radius: float, tolerance: float = 4.0
-) -> OccupancyDomain:
-    """Domain of the occupancy problem induced by a 1-D network.
-
-    The line ``[0, length]`` is divided into ``C = length / radius`` cells;
-    the paper's Theorem 4 observes that ``l << r n << l log l`` is exactly
-    the RHID of this occupancy problem.
-    """
-    if radius <= 0:
-        raise AnalysisError(f"radius must be positive, got {radius}")
-    if length <= 0:
-        raise AnalysisError(f"length must be positive, got {length}")
-    cells = length / radius
-    if cells < 2:
-        raise AnalysisError(
-            "the radius is at least half the region length; the cell "
-            "subdivision of Section 3 does not apply"
-        )
-    return classify_domain(n, cells, tolerance=tolerance)

@@ -16,7 +16,6 @@ specified cells are empty and the rest are all occupied.
 from __future__ import annotations
 
 import math
-from typing import List
 
 from repro.exceptions import AnalysisError
 
@@ -50,7 +49,7 @@ def empty_cells_variance(n: int, cells: int) -> float:
     return max(variance, 0.0)
 
 
-def _log_binomial(a: int, b: int) -> float:
+def log_binomial(a: int, b: int) -> float:
     """``log binom(a, b)`` via lgamma (valid for 0 <= b <= a)."""
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
@@ -70,7 +69,7 @@ def probability_all_cells_occupied(n: int, cells: int) -> float:
         if fraction == 0.0:
             # (1 - C/C)^n is zero unless n == 0 (handled by n < cells above).
             continue
-        log_term = _log_binomial(cells, i) + n * math.log(fraction)
+        log_term = log_binomial(cells, i) + n * math.log(fraction)
         term = math.exp(log_term)
         total += term if i % 2 == 0 else -term
     return min(max(total, 0.0), 1.0)
@@ -94,19 +93,10 @@ def empty_cells_pmf(n: int, cells: int, k: int) -> float:
     occupied = cells - k
     if n < occupied:
         return 0.0
-    log_choose = _log_binomial(cells, k)
+    log_choose = log_binomial(cells, k)
     log_land = n * math.log(occupied / cells)
     cover = probability_all_cells_occupied(n, occupied)
     if cover == 0.0:
         return 0.0
     value = math.exp(log_choose + log_land + math.log(cover))
     return min(max(value, 0.0), 1.0)
-
-
-def empty_cells_distribution(n: int, cells: int) -> List[float]:
-    """The full pmf ``[P(mu = 0), ..., P(mu = C)]``.
-
-    The entries sum to 1 up to floating point error; tests assert this.
-    """
-    _validate(n, cells)
-    return [empty_cells_pmf(n, cells, k) for k in range(cells + 1)]

@@ -6,9 +6,13 @@ ResultStore` holding a campaign's results:
 
 * a bounded in-memory LRU **hot cache** maps row content-addresses to
   their decoded rows and fitted :class:`~repro.query.surrogate.
-  ConnectivityCurve`, so repeated and near-neighbor queries never touch
-  disk — hot answers are dictionary lookups plus a handful of float
-  operations;
+  ConnectivityCurve`, so a repeated question at a grid side is a
+  dictionary lookup plus a handful of float operations.  A question
+  between grid sides first asks for a row at its own side, in case a
+  refinement stored one; unless that row is cached, this is a store read
+  through the IO pool, and it misses whenever no refinement landed
+  there.  Only then does it blend the bracketing rows, which the cache
+  does hold once read;
 * every store read (``contains`` probes, codec decodes) runs in a small
   thread pool through ``run_in_executor`` — the **event loop never
   blocks** on IO, which the benchmark asserts with a loop-lag probe;

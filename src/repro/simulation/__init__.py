@@ -52,7 +52,6 @@ from repro.simulation.engine import (
 )
 from repro.simulation.metrics import (
     average_largest_fraction_at,
-    range_for_component_fraction,
     range_for_connectivity_fraction,
     range_for_no_connectivity,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "estimate_thresholds",
     "frame_statistics",
     "frame_statistics_columns",
-    "range_for_component_fraction",
     "range_for_connectivity_fraction",
     "range_for_no_connectivity",
     "simulate_frame_statistics",

@@ -14,10 +14,9 @@ these functions answer the questions behind Figures 2–6:
   (:func:`range_for_no_connectivity`) — the paper's ``r0``;
 * what is the average largest-component fraction at a given range
   (:func:`average_largest_fraction_at`) — Figures 4 and 5;
-* what is the smallest range at which that average reaches a target
-  (:func:`range_for_component_fraction`, or
-  :func:`ranges_for_component_fractions` for several targets from one
-  sort of the breakpoints) — the paper's ``rl90``, ``rl75`` and ``rl50``.
+* what is the smallest range at which that average reaches each of
+  several targets (:func:`ranges_for_component_fractions`, from one sort
+  of the breakpoints) — the paper's ``rl90``, ``rl75`` and ``rl50``.
 
 The fixed-range questions themselves (which frames are connected at
 ``r``, how large is each frame's largest component) are the columns'
@@ -89,17 +88,6 @@ def range_for_no_connectivity(frames: FrameStatisticsColumns) -> float:
     if not len(frames):
         raise SearchError("cannot extract a threshold from zero frames")
     return float(frames.critical_ranges.min())
-
-
-def range_for_component_fraction(
-    frames: FrameStatisticsColumns, target_fraction: float
-) -> float:
-    """Smallest range at which the *average* largest-component fraction
-    reaches ``target_fraction`` (the paper's ``rl90``, ``rl75``, ``rl50``).
-
-    The one-target call of :func:`ranges_for_component_fractions`.
-    """
-    return ranges_for_component_fractions(frames, (target_fraction,))[0]
 
 
 def ranges_for_component_fractions(

@@ -18,7 +18,7 @@ Figures 7–9 parameter studies run through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.exceptions import SearchError
 from repro.simulation.config import SimulationConfig
@@ -45,17 +45,6 @@ class MobilityThresholds:
     r10: float
     r0: float
 
-    def ratios_to(self, reference: float) -> Dict[str, float]:
-        """The ratios ``r_x / reference`` plotted in Figures 2 and 3."""
-        if reference <= 0:
-            raise SearchError(f"reference range must be positive, got {reference}")
-        return {
-            "r100": self.r100 / reference,
-            "r90": self.r90 / reference,
-            "r10": self.r10 / reference,
-            "r0": self.r0 / reference,
-        }
-
 
 @dataclass(frozen=True)
 class ComponentThresholds:
@@ -64,16 +53,6 @@ class ComponentThresholds:
     rl90: float
     rl75: float
     rl50: float
-
-    def ratios_to(self, reference: float) -> Dict[str, float]:
-        """The ratios ``rl_x / reference`` plotted in Figure 6."""
-        if reference <= 0:
-            raise SearchError(f"reference range must be positive, got {reference}")
-        return {
-            "rl90": self.rl90 / reference,
-            "rl75": self.rl75 / reference,
-            "rl50": self.rl50 / reference,
-        }
 
 
 def _average(values: Sequence[float]) -> float:

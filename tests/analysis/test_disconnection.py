@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.analysis.bounds_1d import connectivity_probability_1d_exact
 from repro.analysis.disconnection import (
-    disconnection_probability_estimate_1d,
-    gap_event_probability_at_mean,
     gap_event_probability_estimate,
     isolated_node_probability_1d,
 )
@@ -53,20 +52,6 @@ class TestGapEventProbability:
             gap_event_probability_estimate(5, 0)
 
 
-class TestGapEventAtMean:
-    def test_is_lower_bound_of_full_estimate(self):
-        for n, cells in [(30, 20), (60, 20), (100, 40)]:
-            single_term = gap_event_probability_at_mean(n, cells)
-            full = gap_event_probability_estimate(n, cells)
-            assert single_term <= full + 1e-9
-
-    def test_positive_in_rhid_regime(self):
-        # l << rn << l log l translates to C << n << C log C.
-        cells = 200
-        n = int(cells * 2.5)
-        assert gap_event_probability_at_mean(n, cells) > 0.0
-
-
 class TestIsolatedNodeProbability:
     def test_bounds(self):
         assert 0.0 <= isolated_node_probability_1d(50, 1000.0, 10.0) <= 1.0
@@ -85,20 +70,12 @@ class TestIsolatedNodeProbability:
         # (when below 1) should not exceed the exact disconnection probability.
         n, side, r = 40, 1000.0, 40.0
         isolated = isolated_node_probability_1d(n, side, r)
-        disconnected = disconnection_probability_estimate_1d(n, side, r)
+        disconnected = 1.0 - connectivity_probability_1d_exact(n, side, r)
         if isolated < 1.0:
             assert isolated <= disconnected + 0.05
 
 
 class TestDisconnectionProbability:
-    def test_complements_connectivity(self):
-        from repro.analysis.bounds_1d import connectivity_probability_1d_exact
-
-        n, side, r = 25, 500.0, 30.0
-        assert disconnection_probability_estimate_1d(n, side, r) == pytest.approx(
-            1.0 - connectivity_probability_1d_exact(n, side, r)
-        )
-
     def test_gap_estimate_lower_bounds_disconnection(self):
         # Lemma 1: the gap event is a sufficient condition for disconnection,
         # so its probability must not exceed the disconnection probability.
@@ -106,5 +83,5 @@ class TestDisconnectionProbability:
         for r in (5.0, 10.0, 20.0):
             cells = int(side / r)
             gap = gap_event_probability_estimate(n, cells)
-            disconnected = disconnection_probability_estimate_1d(n, side, r)
+            disconnected = 1.0 - connectivity_probability_1d_exact(n, side, r)
             assert gap <= disconnected + 0.02

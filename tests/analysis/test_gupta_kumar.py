@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.gupta_kumar import gupta_kumar_critical_range, gupta_kumar_node_count
+from repro.analysis.gupta_kumar import gupta_kumar_critical_range
 from repro.exceptions import AnalysisError
 
 
@@ -46,22 +46,3 @@ class TestCriticalRange:
         )
         analytical = gupta_kumar_critical_range(n, side)
         assert 0.5 * analytical < simulated < 3.0 * analytical
-
-
-class TestNodeCount:
-    def test_inverts_range(self):
-        n = 500
-        r = gupta_kumar_critical_range(n, side=100.0)
-        recovered = gupta_kumar_node_count(r, side=100.0)
-        assert recovered == pytest.approx(n, rel=0.05)
-
-    def test_smaller_range_needs_more_nodes(self):
-        assert gupta_kumar_node_count(1.0, side=100.0) > gupta_kumar_node_count(
-            5.0, side=100.0
-        )
-
-    def test_invalid(self):
-        with pytest.raises(AnalysisError):
-            gupta_kumar_node_count(0.0)
-        with pytest.raises(AnalysisError):
-            gupta_kumar_node_count(1.0, side=-2.0)

@@ -5,16 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.worst_best_case import (
-    best_case_range_1d,
-    best_case_range_2d,
-    random_placement_range_order_1d,
-    worst_case_range,
-)
+from repro.analysis.worst_best_case import best_case_range_2d, worst_case_range
 from repro.connectivity.critical_range import critical_range
 from repro.exceptions import AnalysisError
 from repro.geometry.region import Region
-from repro.placement.strategies import grid_placement
+from repro.placement.strategies import grid_placement, uniform_placement
 
 
 class TestWorstCase:
@@ -39,14 +34,11 @@ class TestWorstCase:
 
 
 class TestBestCase:
-    def test_1d_value(self):
-        assert best_case_range_1d(10, 100.0) == pytest.approx(10.0)
-        assert best_case_range_1d(1, 100.0) == 0.0
-
     def test_1d_matches_grid_placement(self):
+        # Equal spacing: n nodes on [0, l] sit l / n apart.
         region = Region.line(100.0)
         points = grid_placement(10, region)
-        assert critical_range(points) == pytest.approx(best_case_range_1d(10, 100.0))
+        assert critical_range(points) == pytest.approx(100.0 / 10)
 
     def test_2d_value(self):
         assert best_case_range_2d(16, 100.0) == pytest.approx(25.0)
@@ -60,20 +52,19 @@ class TestBestCase:
 
     def test_invalid(self):
         with pytest.raises(AnalysisError):
-            best_case_range_1d(0, 10.0)
+            best_case_range_2d(0, 10.0)
         with pytest.raises(AnalysisError):
             best_case_range_2d(5, 0.0)
 
 
 class TestOrderComparison:
-    def test_random_between_best_and_worst(self):
+    def test_random_between_best_and_worst(self, rng):
         side = 1000.0
         n = int(side)  # n linear in l, the paper's comparison regime.
-        best = best_case_range_1d(n, side)
-        random_order = random_placement_range_order_1d(n, side)
+        region = Region.line(side)
+        best = critical_range(grid_placement(n, region))
+        random_range = critical_range(uniform_placement(n, region, rng))
         worst = worst_case_range(side, 1)
-        assert best < random_order < worst
-
-    def test_invalid(self):
-        with pytest.raises(AnalysisError):
-            random_placement_range_order_1d(0, 10.0)
+        assert best < random_range < worst
+        # Theorem 5: a random placement needs a range of order l log l / n.
+        assert 0.5 < random_range / (side * math.log(side) / n) < 2.0

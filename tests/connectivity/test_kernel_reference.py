@@ -9,7 +9,8 @@ here against an independent computation:
 * Prim's sorted edge lengths against networkx's minimum spanning tree of
   the same matrix (every minimum spanning tree of a graph has the same
   multiset of edge weights), and its edges for spanning the placement;
-* the critical ranges against a Kruskal sweep over every pair;
+* the critical ranges, and the one-frame component-fraction ranges,
+  against a Kruskal sweep over every pair;
 * the batched reduction against the single-frame one, and its readings
   at a range against the communication graph built at that range.
 
@@ -25,20 +26,16 @@ import pytest
 
 from repro.connectivity.critical_range import (
     critical_range,
-    critical_range_for_component_fraction,
+    minimum_spanning_edges,
     minimum_spanning_edges_batch,
-    minimum_spanning_edges_from_squared,
     range_reaching,
 )
 from repro.connectivity.metrics import observe_placement
 from repro.exceptions import AnalysisError, SimulationError
-from repro.geometry.distance import (
-    squared_distance,
-    squared_distance_matrix,
-    toroidal_squared_distance_matrix,
-)
+from repro.geometry.distance import squared_distance, squared_distance_matrix
 from repro.graph.union_find import UnionFind
 from repro.simulation.engine import frame_statistics, frame_statistics_columns
+from repro.simulation.metrics import ranges_for_component_fractions
 
 pytestmark = pytest.mark.usefixtures("kernel_lane")
 
@@ -122,19 +119,11 @@ class TestPrimAgainstNetworkx:
     def test_sorted_lengths_equal_the_networkx_tree(self, dimension, seed):
         points = random_points(23, dimension, seed)
         squared = squared_distance_matrix(points)
-        us, vs, lengths = minimum_spanning_edges_from_squared(squared)
+        us, vs, lengths = minimum_spanning_edges(points)
         assert lengths.tolist() == networkx_tree_lengths(squared)
         # Each length is its own edge's matrix entry, and the edges span.
         assert np.array_equal(lengths, squared[us, vs])
         assert spans(23, us, vs)
-
-    @pytest.mark.parametrize("dimension", [1, 2, 3])
-    def test_toroidal_matrix_tree_equals_the_networkx_tree(self, dimension):
-        points = random_points(19, dimension, seed=7 + dimension)
-        squared = toroidal_squared_distance_matrix(points, 100.0)
-        us, vs, lengths = minimum_spanning_edges_from_squared(squared)
-        assert lengths.tolist() == networkx_tree_lengths(squared)
-        assert spans(19, us, vs)
 
     @pytest.mark.parametrize("grid_side", [2, 3])
     @pytest.mark.parametrize("dimension", [1, 2])
@@ -147,13 +136,13 @@ class TestPrimAgainstNetworkx:
             .astype(float)
         )
         squared = squared_distance_matrix(points)
-        us, vs, lengths = minimum_spanning_edges_from_squared(squared)
+        us, vs, lengths = minimum_spanning_edges(points)
         assert lengths.tolist() == networkx_tree_lengths(squared)
         assert spans(15, us, vs)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_nodes_have_no_edges(self, n):
-        us, vs, lengths = minimum_spanning_edges_from_squared(np.zeros((n, n)))
+        us, vs, lengths = minimum_spanning_edges(np.zeros((n, 2)))
         assert us.size == vs.size == lengths.size == 0
         assert us.dtype == vs.dtype == np.intp
         assert lengths.dtype == np.float64
@@ -209,9 +198,13 @@ class TestCriticalRangesAgainstKruskal:
 
     @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75, 1.0])
     def test_component_fraction_range_equals_the_pairwise_sweep(self, fraction):
+        # One frame's average largest-component fraction is its own, so the
+        # one-pass search over its growth curve answers the single-placement
+        # question.
         points = random_points(20, 2, seed=11)
         target = math.ceil(fraction * 20)
-        value = critical_range_for_component_fraction(points, fraction)
+        frames = frame_statistics_columns(points[None])
+        (value,) = ranges_for_component_fractions(frames, (fraction,))
         assert value == kruskal_range(points, target)
         assert observe_placement(points, value).largest_component_size >= target
         below = observe_placement(points, math.nextafter(value, 0.0))

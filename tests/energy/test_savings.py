@@ -4,27 +4,12 @@ import math
 
 import pytest
 
-from repro.energy.model import EnergyModel
 from repro.energy.savings import (
     energy_savings_fraction,
     equivalent_lifetime_factor,
-    network_energy,
-    range_reduction_for_savings,
     savings_table,
 )
 from repro.exceptions import ConfigurationError
-
-
-class TestNetworkEnergy:
-    def test_scales_with_nodes(self):
-        assert network_energy(10, 2.0) == pytest.approx(10 * 4.0)
-
-    def test_zero_nodes(self):
-        assert network_energy(0, 5.0) == 0.0
-
-    def test_invalid_node_count(self):
-        with pytest.raises(ConfigurationError):
-            network_energy(-1, 5.0)
 
 
 class TestSavingsFraction:
@@ -48,33 +33,6 @@ class TestSavingsFraction:
         with pytest.raises(ConfigurationError):
             energy_savings_fraction(0.5, 0.0)
 
-    def test_electronics_power_dampens_savings(self):
-        pure = energy_savings_fraction(0.5, 1.0, EnergyModel())
-        with_overhead = energy_savings_fraction(
-            0.5, 1.0, EnergyModel(electronics_power=1.0)
-        )
-        assert with_overhead < pure
-
-
-class TestRangeReduction:
-    def test_inverts_savings(self):
-        ratio = range_reduction_for_savings(0.75)
-        assert ratio == pytest.approx(0.5)
-        assert energy_savings_fraction(ratio, 1.0) == pytest.approx(0.75)
-
-    def test_higher_exponent_needs_smaller_reduction(self):
-        alpha2 = range_reduction_for_savings(0.5, EnergyModel(path_loss_exponent=2.0))
-        alpha4 = range_reduction_for_savings(0.5, EnergyModel(path_loss_exponent=4.0))
-        assert alpha4 > alpha2
-
-    def test_invalid_target(self):
-        with pytest.raises(ConfigurationError):
-            range_reduction_for_savings(1.0)
-
-    def test_rejects_electronics_term(self):
-        with pytest.raises(ConfigurationError):
-            range_reduction_for_savings(0.5, EnergyModel(electronics_power=1.0))
-
 
 class TestSavingsTable:
     def test_pure_path_loss(self):
@@ -88,10 +46,6 @@ class TestSavingsTable:
     def test_invalid_ratio(self):
         with pytest.raises(ConfigurationError):
             savings_table({"bad": -0.5})
-
-    def test_with_electronics_term(self):
-        table = savings_table({"r90": 0.5}, EnergyModel(electronics_power=1.0))
-        assert 0.0 < table["r90"] < 0.75
 
 
 class TestLifetimeFactor:

@@ -39,10 +39,6 @@ class TestConstruction:
     def test_volume(self):
         assert Region(side=4.0, dimension=3).volume == pytest.approx(64.0)
 
-    def test_diagonal(self):
-        assert Region.square(1.0).diagonal == pytest.approx(np.sqrt(2.0))
-        assert Region.line(7.0).diagonal == pytest.approx(7.0)
-
 
 class TestContains:
     def test_inside(self, square_region):

@@ -20,7 +20,6 @@ class TestBasics:
     def test_empty(self):
         uf = UnionFind(0)
         assert uf.component_count == 0
-        assert uf.largest_set_size() == 0
         assert uf.groups() == []
 
 
@@ -57,14 +56,16 @@ class TestUnion:
         uf.union(0, 1)
         uf.union(2, 3)
         uf.union(3, 4)
-        assert uf.largest_set_size() == 3
+        largest = max(uf.groups(), key=len)
+        assert largest == [2, 3, 4]
+        assert uf.set_size(largest[0]) == 3
 
     def test_all_merged(self):
         uf = UnionFind(10)
         for i in range(9):
             uf.union(i, i + 1)
         assert uf.component_count == 1
-        assert uf.largest_set_size() == 10
+        assert uf.set_size(0) == 10
 
 
 class TestGroups:
@@ -84,12 +85,3 @@ class TestGroups:
         for group in uf.groups():
             for member in group[1:]:
                 assert uf.connected(group[0], member)
-
-
-class TestFromEdges:
-    def test_from_edges(self):
-        uf = UnionFind.from_edges(5, [(0, 1), (2, 3)])
-        assert uf.component_count == 3
-        assert uf.connected(0, 1)
-        assert uf.connected(2, 3)
-        assert not uf.connected(0, 2)

@@ -1,13 +1,13 @@
 """Tests for repro.occupancy.asymptotic (Theorem 1)."""
 
+import math
+
 import pytest
 
 from repro.exceptions import AnalysisError
 from repro.occupancy.asymptotic import (
     asymptotic_empty_cells_mean,
     asymptotic_empty_cells_variance,
-    empty_cells_mean_upper_bound,
-    expected_empty_cells_for_range,
 )
 from repro.occupancy.exact import empty_cells_mean, empty_cells_variance
 
@@ -17,15 +17,14 @@ class TestUpperBound:
         # Theorem 1: E[mu] <= C e^{-alpha} for *every* n, C.
         for n in (0, 1, 10, 100, 1000):
             for cells in (2, 10, 100):
-                assert empty_cells_mean(n, cells) <= empty_cells_mean_upper_bound(
-                    n, cells
-                ) + 1e-12
+                bound = cells * math.exp(-n / cells)
+                assert empty_cells_mean(n, cells) <= bound + 1e-12
 
     def test_invalid_inputs(self):
         with pytest.raises(AnalysisError):
-            empty_cells_mean_upper_bound(-1, 10)
+            asymptotic_empty_cells_mean(-1, 10)
         with pytest.raises(AnalysisError):
-            empty_cells_mean_upper_bound(5, 0)
+            asymptotic_empty_cells_mean(5, 0)
 
 
 class TestAsymptoticMean:
@@ -56,15 +55,3 @@ class TestAsymptoticVariance:
     def test_non_negative(self):
         for n in (0, 1, 10, 1000):
             assert asymptotic_empty_cells_variance(n, 100) >= 0.0
-
-
-class TestRangeWrapper:
-    def test_consistent_with_direct_call(self):
-        value = expected_empty_cells_for_range(100, length=1000.0, radius=10.0)
-        assert value == pytest.approx(asymptotic_empty_cells_mean(100, 100))
-
-    def test_invalid_inputs(self):
-        with pytest.raises(AnalysisError):
-            expected_empty_cells_for_range(10, length=0.0, radius=1.0)
-        with pytest.raises(AnalysisError):
-            expected_empty_cells_for_range(10, length=10.0, radius=0.0)

@@ -5,12 +5,10 @@ import pytest
 
 from repro.exceptions import AnalysisError
 from repro.occupancy.cells import (
+    CellOccupancy,
     cell_counts,
     cell_occupancy_from_positions,
-    empty_cell_count,
-    gap_widths,
     has_gap_pattern,
-    occupancy_bitstring,
     simulate_empty_cells,
 )
 
@@ -50,10 +48,12 @@ class TestCellCounts:
 
 class TestBitstringAndGaps:
     def test_bitstring(self):
-        assert occupancy_bitstring([2, 0, 1, 0]) == "1010"
+        occupancy = CellOccupancy(counts=(2, 0, 1, 0), cell_length=1.0, line_length=4.0)
+        assert occupancy.bitstring == "1010"
 
     def test_empty_cell_count(self):
-        assert empty_cell_count([2, 0, 1, 0]) == 2
+        occupancy = CellOccupancy(counts=(2, 0, 1, 0), cell_length=1.0, line_length=4.0)
+        assert occupancy.empty_cells == 2
 
     def test_gap_pattern_detection(self):
         assert has_gap_pattern("101")
@@ -70,11 +70,6 @@ class TestBitstringAndGaps:
     def test_invalid_characters(self):
         with pytest.raises(AnalysisError):
             has_gap_pattern("10x1")
-
-    def test_gap_widths(self):
-        assert gap_widths("1001011") == [2, 1]
-        assert gap_widths("1111") == []
-        assert gap_widths("0000") == []
 
 
 class TestCellOccupancy:

@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import AnalysisError
-from repro.occupancy.domains import (
-    OccupancyDomain,
-    classify_domain,
-    domain_for_line_network,
-)
+from repro.occupancy.domains import OccupancyDomain, classify_domain
 
 
 class TestClassifyDomain:
@@ -64,15 +60,6 @@ class TestLineNetworkDomain:
         n = 10000
         # Choose r so that r n = l * sqrt(log l) (strictly between l and l log l).
         r = side * math.sqrt(math.log(side)) / n
-        domain = domain_for_line_network(n, side, r, tolerance=1.5)
+        # The line cut into cells of length r: C = l / r.
+        domain = classify_domain(n, side / r, tolerance=1.5)
         assert domain == OccupancyDomain.RIGHT_INTERMEDIATE
-
-    def test_requires_at_least_two_cells(self):
-        with pytest.raises(AnalysisError):
-            domain_for_line_network(10, side := 100.0, radius=side)
-
-    def test_invalid_geometry(self):
-        with pytest.raises(AnalysisError):
-            domain_for_line_network(10, 0.0, 1.0)
-        with pytest.raises(AnalysisError):
-            domain_for_line_network(10, 10.0, 0.0)

@@ -1,17 +1,32 @@
 """Tests for repro.occupancy.exact."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.exceptions import AnalysisError
 from repro.occupancy.cells import simulate_empty_cells
 from repro.occupancy.exact import (
-    empty_cells_distribution,
     empty_cells_mean,
     empty_cells_pmf,
     empty_cells_variance,
+    log_binomial,
     probability_all_cells_occupied,
 )
+
+
+class TestLogBinomial:
+    """The one log-binomial the occupancy and 1-D connectivity sums share."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0, 0), (1, 0), (1, 1), (10, 3), (63, 31), (200, 7), (4095, 2047)],
+    )
+    def test_matches_the_exact_binomial(self, a, b):
+        assert log_binomial(a, b) == pytest.approx(
+            math.log(math.comb(a, b)), rel=1e-12, abs=1e-12
+        )
 
 
 class TestMean:
@@ -75,10 +90,15 @@ class TestAllOccupied:
         assert probability_all_cells_occupied(1, 1) == 1.0
 
 
+def _pmf(n, cells):
+    """``[P(mu = 0), ..., P(mu = C)]``."""
+    return [empty_cells_pmf(n, cells, k) for k in range(cells + 1)]
+
+
 class TestPmf:
     def test_sums_to_one(self):
         for n, cells in [(5, 4), (10, 6), (20, 8)]:
-            distribution = empty_cells_distribution(n, cells)
+            distribution = _pmf(n, cells)
             assert sum(distribution) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_balls_all_empty(self):
@@ -91,13 +111,13 @@ class TestPmf:
 
     def test_mean_consistency(self):
         n, cells = 12, 6
-        distribution = empty_cells_distribution(n, cells)
+        distribution = _pmf(n, cells)
         mean_from_pmf = sum(k * p for k, p in enumerate(distribution))
         assert mean_from_pmf == pytest.approx(empty_cells_mean(n, cells), abs=1e-9)
 
     def test_variance_consistency(self):
         n, cells = 12, 6
-        distribution = empty_cells_distribution(n, cells)
+        distribution = _pmf(n, cells)
         mean = sum(k * p for k, p in enumerate(distribution))
         second_moment = sum(k * k * p for k, p in enumerate(distribution))
         assert second_moment - mean**2 == pytest.approx(
@@ -109,5 +129,5 @@ class TestPmf:
         n, cells = 8, 5
         samples = simulate_empty_cells(n, cells, 20000, rng)
         histogram = np.bincount(samples, minlength=cells + 1) / len(samples)
-        expected = empty_cells_distribution(n, cells)
+        expected = _pmf(n, cells)
         assert np.allclose(histogram, expected, atol=0.02)

@@ -4,13 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connectivity.critical_range import (
-    critical_range,
-    critical_range_for_component_fraction,
-    longest_gap_1d,
-)
+from repro.connectivity.critical_range import critical_range, longest_gap_1d
 from repro.connectivity.metrics import is_placement_connected, observe_placement
-from repro.simulation.engine import frame_statistics
+from repro.simulation.engine import frame_statistics, frame_statistics_columns
+from repro.simulation.metrics import ranges_for_component_fractions
 
 
 @st.composite
@@ -37,6 +34,13 @@ def placements_1d(draw, min_nodes=2, max_nodes=40, side=1000.0):
         )
     )
     return np.asarray(values, dtype=float).reshape(n, 1)
+
+
+def component_fraction_range(points, fraction):
+    """Smallest range at which one placement's largest component holds
+    ``fraction`` of its nodes: the one-frame case of the engine's search."""
+    frames = frame_statistics_columns(points[None])
+    return ranges_for_component_fractions(frames, (fraction,))[0]
 
 
 class TestCriticalRangeProperties:
@@ -70,13 +74,13 @@ class TestCriticalRangeProperties:
     @given(placements_2d(), st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_partial_range_below_full_range(self, points, fraction):
-        partial = critical_range_for_component_fraction(points, fraction)
+        partial = component_fraction_range(points, fraction)
         assert partial <= critical_range(points) + 1e-9
 
     @given(placements_2d(), st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_partial_range_achieves_fraction(self, points, fraction):
-        radius = critical_range_for_component_fraction(points, fraction)
+        radius = component_fraction_range(points, fraction)
         assert (
             observe_placement(points, radius).largest_component_fraction
             >= fraction - 1e-12

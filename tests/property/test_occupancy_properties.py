@@ -1,5 +1,7 @@
 """Property-based tests for the occupancy machinery (hypothesis)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.bounds_1d import connectivity_probability_1d_exact
 from repro.analysis.disconnection import gap_event_probability_estimate
-from repro.occupancy.asymptotic import empty_cells_mean_upper_bound
 from repro.occupancy.cells import (
+    CellOccupancy,
     cell_occupancy_from_positions,
     has_gap_pattern,
-    occupancy_bitstring,
 )
 from repro.occupancy.exact import (
-    empty_cells_distribution,
     empty_cells_mean,
+    empty_cells_pmf,
     empty_cells_variance,
 )
 
@@ -24,7 +25,7 @@ class TestExactOccupancyProperties:
     @given(st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=12))
     @settings(max_examples=80, deadline=None)
     def test_distribution_sums_to_one(self, n, cells):
-        distribution = empty_cells_distribution(n, cells)
+        distribution = [empty_cells_pmf(n, cells, k) for k in range(cells + 1)]
         assert sum(distribution) == pytest.approx(1.0, abs=1e-8)
         assert all(0.0 <= p <= 1.0 for p in distribution)
 
@@ -33,7 +34,8 @@ class TestExactOccupancyProperties:
     def test_mean_bounds(self, n, cells):
         mean = empty_cells_mean(n, cells)
         assert 0.0 <= mean <= cells
-        assert mean <= empty_cells_mean_upper_bound(n, cells) + 1e-9
+        # Theorem 1: E[mu(n, C)] <= C e^{-n/C}.
+        assert mean <= cells * math.exp(-n / cells) + 1e-9
 
     @given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=100))
     @settings(max_examples=100, deadline=None)
@@ -50,17 +52,23 @@ class TestBitstringProperties:
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_bitstring_length_and_alphabet(self, counts):
-        bits = occupancy_bitstring(counts)
+        bits = _occupancy(counts).bitstring
         assert len(bits) == len(counts)
         assert set(bits) <= {"0", "1"}
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_gap_requires_an_empty_and_two_occupied(self, counts):
-        bits = occupancy_bitstring(counts)
+        bits = _occupancy(counts).bitstring
         if has_gap_pattern(bits):
             assert bits.count("1") >= 2
             assert bits.count("0") >= 1
+
+
+def _occupancy(counts):
+    return CellOccupancy(
+        counts=tuple(counts), cell_length=1.0, line_length=float(len(counts))
+    )
 
 
 class TestLemma1Property:

@@ -11,7 +11,6 @@ from repro.exceptions import SearchError
 from repro.simulation.engine import frame_statistics, frame_statistics_columns
 from repro.simulation.metrics import (
     average_largest_fraction_at,
-    range_for_component_fraction,
     range_for_connectivity_fraction,
     range_for_no_connectivity,
     ranges_for_component_fractions,
@@ -120,30 +119,28 @@ class TestConnectivityThresholds:
 class TestComponentFractionThresholds:
     def test_threshold_achieves_target(self, frames):
         for target in (0.9, 0.75, 0.5):
-            threshold = range_for_component_fraction(frames, target)
+            threshold = ranges_for_component_fractions(frames, (target,))[0]
             assert average_largest_fraction_at(frames, threshold) >= target
             assert average_largest_fraction_at(frames, threshold * 0.999) < target
 
     def test_ordering_matches_paper(self, frames):
-        rl50 = range_for_component_fraction(frames, 0.5)
-        rl75 = range_for_component_fraction(frames, 0.75)
-        rl90 = range_for_component_fraction(frames, 0.9)
+        rl50, rl75, rl90 = ranges_for_component_fractions(frames, (0.5, 0.75, 0.9))
         r100 = range_for_connectivity_fraction(frames, 1.0)
         assert rl50 <= rl75 <= rl90 <= r100
 
     def test_zero_node_frames_need_no_range(self):
         empty = frame_statistics_columns(np.empty((3, 0, 2)))
-        assert range_for_component_fraction(empty, 0.5) == 0.0
+        assert ranges_for_component_fractions(empty, (0.5,))[0] == 0.0
 
     def test_tiny_target_is_zero(self, frames):
         # A single node (fraction 1/15) is already achieved at range 0.
-        assert range_for_component_fraction(frames, 1 / 15) == 0.0
+        assert ranges_for_component_fractions(frames, (1 / 15,))[0] == 0.0
 
     def test_invalid_target(self, frames):
         with pytest.raises(SearchError):
-            range_for_component_fraction(frames, 0.0)
+            ranges_for_component_fractions(frames, (0.0,))
         with pytest.raises(SearchError):
-            range_for_component_fraction(NO_FRAMES, 0.5)
+            ranges_for_component_fractions(NO_FRAMES, (0.5,))
 
 
 def binary_search_reference(frames, target_fraction):
@@ -244,14 +241,15 @@ class TestOnePassComponentSearch:
         observed = ranges_for_component_fractions(frames, targets)
         assert [bits(v) for v in observed] == [bits(v) for v in expected]
         for target, value in zip(targets, expected):
-            assert bits(range_for_component_fraction(frames, target)) == bits(value)
+            (alone,) = ranges_for_component_fractions(frames, (target,))
+            assert bits(alone) == bits(value)
 
     def test_a_target_hit_exactly_stops_at_its_range(self):
         # Two frames of four nodes: the average is exactly 0.5 from 1.0 on.
         frames = columns(4, [[(1.0, 2), (3.0, 4)], [(1.0, 2), (2.0, 4)]])
         assert average_largest_fraction_at(frames, 1.0) == 0.5
-        assert range_for_component_fraction(frames, 0.5) == 1.0
-        assert range_for_component_fraction(frames, 0.5 + 1e-12) == 2.0
+        assert ranges_for_component_fractions(frames, (0.5,))[0] == 1.0
+        assert ranges_for_component_fractions(frames, (0.5 + 1e-12,))[0] == 2.0
         assert binary_search_reference(frames, 0.5) == 1.0
 
     def test_equal_ranges_across_frames_are_one_step(self):
@@ -277,7 +275,7 @@ class TestOnePassComponentSearch:
         with pytest.raises(SearchError, match="target_fraction must be in"):
             ranges_for_component_fractions(frames, [0.5, target])
         with pytest.raises(SearchError, match="target_fraction must be in"):
-            range_for_component_fraction(frames, target)
+            ranges_for_component_fractions(frames, (target,))
 
     def test_refuses_zero_frames(self):
         with pytest.raises(SearchError, match="zero frames"):
@@ -287,7 +285,7 @@ class TestOnePassComponentSearch:
         # Hand-built curves that stop short of the node count.
         frames = columns(4, [[(1.0, 2)], [(2.0, 3)]])
         with pytest.raises(SearchError, match="largest achievable is 0.625"):
-            range_for_component_fraction(frames, 0.7)
+            ranges_for_component_fractions(frames, (0.7,))
         empty_frames_with_breakpoints = columns(0, [[(1.0, 1)]])
         with pytest.raises(SearchError, match="largest achievable is 0.000"):
-            range_for_component_fraction(empty_frames_with_breakpoints, 0.5)
+            ranges_for_component_fractions(empty_frames_with_breakpoints, (0.5,))

@@ -7,7 +7,6 @@ from repro.simulation.config import MobilitySpec, NetworkConfig, SimulationConfi
 from repro.simulation.results import FrameStatisticsColumns
 from repro.simulation.runner import collect_frame_statistics
 from repro.simulation.search import (
-    ComponentThresholds,
     average_component_fraction_at_range,
     estimate_component_thresholds,
     estimate_component_thresholds_from_statistics,
@@ -35,17 +34,6 @@ class TestEstimateThresholds:
         a = estimate_thresholds(mobile_config(seed=9))
         b = estimate_thresholds(mobile_config(seed=9))
         assert a == b
-
-    def test_ratios(self):
-        thresholds = estimate_thresholds(mobile_config())
-        ratios = thresholds.ratios_to(100.0)
-        assert set(ratios) == {"r100", "r90", "r10", "r0"}
-        assert ratios["r100"] == pytest.approx(thresholds.r100 / 100.0)
-
-    def test_ratios_invalid_reference(self):
-        thresholds = estimate_thresholds(mobile_config())
-        with pytest.raises(SearchError):
-            thresholds.ratios_to(0.0)
 
     def test_from_statistics_requires_data(self):
         with pytest.raises(SearchError):
@@ -84,18 +72,9 @@ class TestComponentThresholds:
         components = estimate_component_thresholds_from_statistics(statistics)
         assert components.rl90 <= connectivity.r100 + 1e-9
 
-    def test_ratios(self):
-        thresholds = estimate_component_thresholds(mobile_config())
-        ratios = thresholds.ratios_to(50.0)
-        assert set(ratios) == {"rl90", "rl75", "rl50"}
-
     def test_from_statistics_requires_data(self):
         with pytest.raises(SearchError):
             estimate_component_thresholds_from_statistics([])
-
-    def test_ratios_invalid_reference(self):
-        with pytest.raises(SearchError):
-            ComponentThresholds(rl90=3.0, rl75=2.0, rl50=1.0).ratios_to(0.0)
 
 
 @pytest.mark.parametrize(

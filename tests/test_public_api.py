@@ -12,10 +12,12 @@ import repro
 
 SOURCE = Path(repro.__file__).resolve().parent
 
-#: Modules deleted with the array-backend seam, the extension packages
-#: and the graph toolkit nothing reached; their names must not come back
-#: as stale shims.
+#: Modules deleted with the array-backend seam, the extension packages,
+#: the graph toolkit and the Section 3 theory nothing reached; their names
+#: must not come back as stale shims.
 REMOVED_MODULES = [
+    "repro.analysis.bounds_2d",
+    "repro.analysis.mtr",
     "repro.availability",
     "repro.backend",
     "repro.connectivity.path",
@@ -31,8 +33,11 @@ REMOVED_MODULES = [
     "repro.mobility.group",
     "repro.mobility.random_direction",
     "repro.mobility.trace",
+    "repro.occupancy.limits",
     "repro.propagation",
+    "repro.stats.distributions",
     "repro.stats.series",
+    "repro.stats.summary",
     "repro.topology",
     "repro.visualization",
 ]
@@ -200,13 +205,81 @@ REMOVED_EXTENSION_NAMES = [
 ]
 
 
+#: Names deleted with the Section 3 theory, the toroidal metric and the
+#: statistics helpers that no experiment, example or benchmark reached.
+REMOVED_THEORY_NAMES = [
+    ("repro", "MTRInstance"),
+    ("repro", "MTRMInstance"),
+    ("repro", "critical_range_for_component_fraction"),
+    ("repro", "range_for_connectivity_1d"),
+    ("repro.analysis", "MTRInstance"),
+    ("repro.analysis", "MTRMInstance"),
+    ("repro.analysis", "best_case_range_1d"),
+    ("repro.analysis", "disconnection_probability_estimate_1d"),
+    ("repro.analysis", "range_for_connectivity_1d"),
+    ("repro.analysis", "range_lower_bound_1d"),
+    ("repro.analysis", "range_upper_bound_1d"),
+    ("repro.analysis.bounds_1d", "range_for_connectivity_1d"),
+    ("repro.analysis.bounds_1d", "range_lower_bound_1d"),
+    ("repro.analysis.bounds_1d", "range_upper_bound_1d"),
+    ("repro.analysis.disconnection", "disconnection_probability_estimate_1d"),
+    ("repro.analysis.disconnection", "gap_event_probability_at_mean"),
+    ("repro.analysis.gupta_kumar", "gupta_kumar_node_count"),
+    ("repro.analysis.worst_best_case", "best_case_range_1d"),
+    ("repro.analysis.worst_best_case", "random_placement_range_order_1d"),
+    ("repro.connectivity", "critical_range_for_component_fraction"),
+    ("repro.connectivity.critical_range", "critical_range_for_component_fraction"),
+    ("repro.connectivity.critical_range", "critical_range_toroidal"),
+    ("repro.connectivity.critical_range", "minimum_spanning_edges_from_squared"),
+    ("repro.energy", "network_energy"),
+    ("repro.energy", "range_reduction_for_savings"),
+    ("repro.energy.savings", "network_energy"),
+    ("repro.energy.savings", "range_reduction_for_savings"),
+    ("repro.geometry", "pairwise_distances"),
+    ("repro.geometry", "toroidal_distance"),
+    ("repro.geometry", "toroidal_distance_matrix"),
+    ("repro.geometry.distance", "euclidean_distance"),
+    ("repro.geometry.distance", "nearest_neighbor_distances"),
+    ("repro.geometry.distance", "pairwise_distances"),
+    ("repro.geometry.distance", "toroidal_distance"),
+    ("repro.geometry.distance", "toroidal_distance_matrix"),
+    ("repro.geometry.distance", "toroidal_squared_distance_matrix"),
+    ("repro.occupancy", "LimitLaw"),
+    ("repro.occupancy", "empty_cell_count"),
+    ("repro.occupancy", "empty_cells_distribution"),
+    ("repro.occupancy", "empty_cells_mean_upper_bound"),
+    ("repro.occupancy", "limit_law"),
+    ("repro.occupancy", "occupancy_bitstring"),
+    ("repro.occupancy", "rhd_poisson_rate"),
+    ("repro.occupancy.asymptotic", "empty_cells_mean_upper_bound"),
+    ("repro.occupancy.asymptotic", "expected_empty_cells_for_range"),
+    ("repro.occupancy.cells", "empty_cell_count"),
+    ("repro.occupancy.cells", "gap_widths"),
+    ("repro.occupancy.cells", "occupancy_bitstring"),
+    ("repro.occupancy.domains", "domain_for_line_network"),
+    ("repro.occupancy.exact", "empty_cells_distribution"),
+    ("repro.simulation", "range_for_component_fraction"),
+    ("repro.simulation.metrics", "range_for_component_fraction"),
+    ("repro.stats", "SummaryStatistics"),
+    ("repro.stats", "confidence_interval"),
+    ("repro.stats", "normal_cdf"),
+    ("repro.stats", "normal_pdf"),
+    ("repro.stats", "poisson_cdf"),
+    ("repro.stats", "poisson_pmf"),
+    ("repro.stats", "summarize"),
+]
+
+
+REMOVED = (
+    REMOVED_NAMES
+    + REMOVED_EXECUTOR_NAMES
+    + REMOVED_EXTENSION_NAMES
+    + REMOVED_THEORY_NAMES
+)
+
+
 @pytest.mark.parametrize(
-    "module, name",
-    REMOVED_NAMES + REMOVED_EXECUTOR_NAMES + REMOVED_EXTENSION_NAMES,
-    ids=[
-        ".".join(pair)
-        for pair in REMOVED_NAMES + REMOVED_EXECUTOR_NAMES + REMOVED_EXTENSION_NAMES
-    ],
+    "module, name", REMOVED, ids=[".".join(pair) for pair in REMOVED]
 )
 def test_removed_names_are_gone(module, name):
     owner = importlib.import_module(module)
@@ -241,11 +314,18 @@ def test_removed_methods_are_gone():
         ("repro.geometry.region.Region", "sample_point"),
         ("repro.geometry.region.Region", "wrap"),
         ("repro.simulation.config.NetworkConfig", "placement_strategy"),
+        ("repro.energy.model.EnergyModel", "power_ratio"),
+        ("repro.geometry.region.Region", "diagonal"),
+        ("repro.graph.union_find.UnionFind", "from_edges"),
+        ("repro.graph.union_find.UnionFind", "largest_set_size"),
+        ("repro.simulation.search.ComponentThresholds", "ratios_to"),
+        ("repro.simulation.search.MobilityThresholds", "ratios_to"),
     ],
 )
 def test_removed_extension_methods_are_gone(owner, name):
     """The Section 4.2 parameters live in the ``MobilitySpec`` presets only,
-    and no method is left that only the extension models called."""
+    and no method is left that only the extension models, or only tests,
+    called."""
     module, _, cls = owner.rpartition(".")
     assert not hasattr(getattr(importlib.import_module(module), cls), name)
 
