@@ -1,4 +1,4 @@
-"""Speed of the MST kernel's and the drunkard walk's lanes, each against its reference.
+"""Speed of the MST kernel's and the mobility models' lanes, each against its reference.
 
 :func:`~repro.connectivity.critical_range.minimum_spanning_edges_batch`
 has a NumPy lane (``_minimum_spanning_edges_batch_numpy``, which computes
@@ -12,13 +12,17 @@ interpreter, and ``benchmarks/baseline.json`` gates both:
 * ``native_speedup`` = the NumPy lane ÷ the C lane for Prim plus the
   growth-curve sweep (``engine._growth_curve_columns_numpy`` against the
   library's sweep), the work one frame batch costs the engine;
-* ``native_walk_speedup`` = the NumPy loop ÷ the C walk for a whole
+* ``native_walk_speedup`` = the NumPy decode and loop ÷ the C walk,
+  which decodes the uniform block itself, for a whole
   :meth:`~repro.mobility.drunkard.DrunkardModel.trajectory` at n = 128
-  (the paper's drunkard preset), draws and decode included.
+  (the paper's drunkard preset), the one NumPy draw included;
+* ``native_waypoint_speedup`` = the Python event loop ÷ the C one for a
+  whole :meth:`~repro.mobility.waypoint.RandomWaypointModel.trajectory`
+  at n = 128 (the paper's waypoint preset), draws included.
 
 The benchmark fails outright when the C lane does not load, so CI cannot
 pass on a silent fallback, and it checks that every lane returns the same
-arrays bit for bit.  The C kernel runs 8 frames per Prim pass on a CPU
+arrays bit for bit (each trajectory's frames too).  The C kernel runs 8 frames per Prim pass on a CPU
 with AVX-512F and AVX-512DQ; the smoke batch (341 = 42 * 8 + 5 frames)
 runs both its passes, and the summary records the library's lane count.
 
@@ -56,8 +60,9 @@ _SIZES = {
     "paper": (1024, 128),
 }
 
-#: The drunkard walk timed for ``native_walk_speedup``: n nodes on the
-#: side-n² square of the figures, one trajectory of this many frames.
+#: The trajectories timed for ``native_walk_speedup`` and
+#: ``native_waypoint_speedup``: n nodes on the side-n² square of the
+#: figures, one trajectory of this many frames.
 _WALK_NODES = 128
 _WALK_STEPS = 1000
 
@@ -113,13 +118,14 @@ def _frames() -> np.ndarray:
     return rng.random((batch, n, 2)) * 16384.0
 
 
-def _drunkard_trajectory(library):
-    """One seeded paper-preset drunkard trajectory, its walk on ``library``
-    (``None`` is the NumPy loop)."""
+def _paper_trajectory(preset, library):
+    """One seeded trajectory of the ``preset`` model
+    (``MobilitySpec.paper_drunkard`` or ``paper_waypoint``) on
+    ``library``'s lane (``None`` is the NumPy one)."""
     side = float(_WALK_NODES**2)
     region = Region.square(side)
     rng = np.random.default_rng(20020623)
-    model = MobilitySpec.paper_drunkard(side).create()
+    model = preset(side).create()
     model.initialize(region.sample_uniform(_WALK_NODES, rng), region, rng)
     with mock.patch.object(native, "load", return_value=library):
         return model.trajectory(_WALK_STEPS, rng)
@@ -199,12 +205,19 @@ def test_kernel_lanes_against_their_references():
         return library.growth_curves(*library.mst_batch(frames), n)
 
     def numpy_walk():
-        return _drunkard_trajectory(None)
+        return _paper_trajectory(MobilitySpec.paper_drunkard, None)
 
     def native_walk():
-        return _drunkard_trajectory(library)
+        return _paper_trajectory(MobilitySpec.paper_drunkard, library)
+
+    def python_waypoint():
+        return _paper_trajectory(MobilitySpec.paper_waypoint, None)
+
+    def native_waypoint():
+        return _paper_trajectory(MobilitySpec.paper_waypoint, library)
 
     assert numpy_walk().tobytes() == native_walk().tobytes()
+    assert python_waypoint().tobytes() == native_waypoint().tobytes()
 
     matrix_free, kernel_seconds, stacked_seconds = _paired_ratio(
         numpy_kernel, stacked, _SPEEDUP_TRIALS
@@ -214,6 +227,9 @@ def test_kernel_lanes_against_their_references():
     )
     walk_speedup, native_walk_seconds, numpy_walk_seconds = _paired_ratio(
         native_walk, numpy_walk, _SPEEDUP_TRIALS
+    )
+    waypoint_speedup, native_waypoint_seconds, python_waypoint_seconds = _paired_ratio(
+        native_waypoint, python_waypoint, _SPEEDUP_TRIALS
     )
     native_frames_per_s = batch / native_lane_seconds
     calibration_seconds = _calibration_seconds()
@@ -233,6 +249,10 @@ def test_kernel_lanes_against_their_references():
     print(f"  NumPy loop   : {numpy_walk_seconds * 1e3:8.2f} ms")
     print(f"  C walk       : {native_walk_seconds * 1e3:8.2f} ms  "
           f"(native walk speedup {walk_speedup:.2f}x)")
+    print(f"waypoint trajectory (n={_WALK_NODES}, {_WALK_STEPS} frames):")
+    print(f"  Python loop  : {python_waypoint_seconds * 1e3:8.2f} ms")
+    print(f"  C loop       : {native_waypoint_seconds * 1e3:8.2f} ms  "
+          f"(native waypoint speedup {waypoint_speedup:.2f}x)")
 
     write_bench_summary(
         "mst_kernel",
@@ -254,5 +274,8 @@ def test_kernel_lanes_against_their_references():
             "numpy_walk_seconds": numpy_walk_seconds,
             "native_walk_seconds": native_walk_seconds,
             "native_walk_speedup": walk_speedup,
+            "python_waypoint_seconds": python_waypoint_seconds,
+            "native_waypoint_seconds": native_waypoint_seconds,
+            "native_waypoint_speedup": waypoint_speedup,
         },
     )

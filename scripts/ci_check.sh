@@ -51,24 +51,28 @@
 #    on both lanes, native C and NumPy (every row of the batched MST must
 #    equal the single-frame MST of its frame, its memory must stay linear
 #    in B * n, and the batched frame statistics must equal the per-frame
-#    ones), and so do the drunkard walk's parity tests (its trajectories
-#    equal per-step step() calls on both lanes, and the C walk equals the
-#    NumPy loop bit for bit) and the native lane's own tests (both C
-#    Prim passes, the 8-frame AVX-512 one and the one-frame compacted
-#    one, equal the NumPy lane bit for bit, on batches of full groups of
-#    8 frames, remainders and both, and full groups take the 8-frame
-#    pass where the library reports 8 lanes).  The MST kernel benchmark
-#    must pass at smoke scale; its batch of 341 = 42 * 8 + 5 frames runs
-#    both passes, and it prints the lane count.  It fails when the C lane
-#    does not load; the NumPy lane's edges equal the old stacked-matrix
-#    kernel's, and the C lane's edges, sweep columns and drunkard
+#    ones), and so do the mobility lanes' parity tests (waypoint and
+#    drunkard trajectories equal per-step step() calls on both lanes, the
+#    C walk equals the NumPy decode and loop, and the C waypoint event
+#    loop the Python one, frames, per-node state and random stream, bit
+#    for bit) and the native lane's own tests (both C Prim passes, the
+#    8-frame AVX-512 one with its sorting network and the one-frame
+#    compacted one with its merge sort, equal the NumPy lane bit for
+#    bit, on batches of full groups of 8 frames, remainders and both,
+#    and full groups take the 8-frame pass where the library reports 8
+#    lanes).  The MST kernel benchmark must pass at smoke scale; its
+#    batch of 341 = 42 * 8 + 5 frames runs both passes, and it prints
+#    the lane count.  It fails when the C lane does not load; the NumPy
+#    lane's edges equal the old stacked-matrix kernel's, and the C
+#    lane's edges, sweep columns, drunkard trajectory and waypoint
 #    trajectory the NumPy lane's, bit for bit.  The perf-regression gate
 #    (step 22) grades matrix_free_speedup (stacked / NumPy lane, so a
 #    slower fallback still fails), native_speedup (NumPy lane / C lane
 #    for Prim plus the growth-curve sweep, baselined on a CPU with
 #    AVX-512, so a silent fallback to the one-frame pass there regresses
-#    it) and native_walk_speedup (NumPy loop / C walk for a drunkard
-#    trajectory at n = 128).
+#    it), native_walk_speedup (NumPy decode and loop / C walk for a
+#    drunkard trajectory at n = 128) and native_waypoint_speedup (Python
+#    event loop / C event loop for a waypoint trajectory at n = 128).
 # 13. The fault-tolerance lane: the supervision-overhead benchmark must
 #    pass at smoke scale (armed retries/lease < 3% over the unsupervised
 #    gather on a clean run; recovering from one injected worker SIGKILL
@@ -217,7 +221,7 @@ RUN_EQUALS_CAMPAIGN
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
     tests/connectivity/test_mst_batch.py tests/connectivity/test_native.py \
     tests/simulation/test_engine.py tests/mobility/test_trajectory_streams.py \
-    tests/mobility/test_drunkard_walk.py -q
+    tests/mobility/test_drunkard_walk.py tests/mobility/test_waypoint_trajectory.py -q
 
 REPRO_BENCH_SCALE=smoke PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest benchmarks/bench_mst_kernel.py -q

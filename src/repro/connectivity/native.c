@@ -1,36 +1,57 @@
 /*
  * Native lane of the batched MST kernel, the growth-curve sweep and the
- * drunkard walk.
+ * two mobility models' trajectories.
  *
  * repro.connectivity.native builds this file with the system C compiler
  * (-O2 -ffp-contract=off, never -ffast-math) and loads it with ctypes.
- * Its three computing entry points are bit-identical to the NumPy code
- * they stand in for: repro.connectivity.critical_range._minimum_spanning_edges_batch_numpy,
- * repro.simulation.engine._growth_curve_columns_numpy and the step loop
- * of repro.mobility.drunkard.DrunkardModel.trajectory.  The rules that
- * keep them so are noted where they apply.  None keeps global state; the
- * caller allocates every output array.
+ * Its four computing entry points are bit-identical to the NumPy code
+ * they stand in for:
  *
- * The kernel and the sweep return 0 on success and 1 when a scratch
- * allocation failed; the walk needs no scratch.
+ *   repro_mst_batch             critical_range._minimum_spanning_edges_batch_numpy
+ *   repro_growth_curves         engine._growth_curve_columns_numpy
+ *   repro_drunkard_walk         DrunkardModel.trajectory's decode and step
+ *                               loop, in one and two dimensions
+ *   repro_waypoint_trajectory   RandomWaypointModel._fill_frames, the
+ *                               event loop, in one to three dimensions
+ *
+ * The rules that keep them so are noted where they apply.  Three hold
+ * throughout: every operation rounds on its own (no fused multiply-add);
+ * sqrt, sin and cos are glibc's, whose bits NumPy 2.4's float64 np.sqrt,
+ * np.sin and np.cos share (np.log does not, so the drunkard's Box-Muller
+ * decode above two dimensions stays in NumPy); and the waypoint model
+ * draws through NumPy's public bitgen_t, as Generator.uniform does.  None
+ * keeps global state; the caller allocates every output array.
+ *
+ * The kernel, the sweep and the waypoint trajectory return 0 on success
+ * and 1 when a scratch allocation failed; the walk needs no scratch.
  *
  * The kernel has two Prim passes with the same edges.  The compacted
- * pass runs one frame at a time over the nodes still outside the tree.
- * The frame-parallel pass runs 8 frames at once, one per lane of a
- * 512-bit vector, over every node in index order.  It serves each full
- * group of 8 frames of 1 to 3 dimensions when the CPU has AVX-512F and
- * AVX-512DQ; the compacted pass serves everything else and is its
- * parity reference.  The CPU is asked at run time by repro_mst_lanes,
- * the fourth entry point, which returns 8 or 1 frames per pass.  Only the
- * frame-parallel functions are compiled for AVX-512, through target
- * attributes: the build flags carry no -march, because the cached
- * library's name does not record CPU features and a cache shared between
- * hosts must load on a CPU without AVX-512.
+ * pass runs one frame at a time over the nodes still outside the tree,
+ * then merge-sorts the frame's edges.  The frame-parallel pass runs 8
+ * frames at once, one per lane of a 512-bit vector, over every node in
+ * index order, then sorts the 8 frames' edges with one sorting network.
+ * It serves each full group of 8 frames of 1 to 3 dimensions when the
+ * CPU has AVX-512F and AVX-512DQ; the compacted pass serves everything
+ * else and is its parity reference.  The CPU is asked at run time by
+ * repro_mst_lanes, the fifth entry point, which returns 8 or 1 frames per
+ * pass.  Only the frame-parallel functions are compiled for AVX-512,
+ * through target attributes: the build flags carry no -march, because
+ * the cached library's name does not record CPU features and a cache
+ * shared between hosts must load on a CPU without AVX-512.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* NumPy's bit generator interface, numpy/random/bitgen.h. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
 
 /* Runs at most this long are insertion-sorted before merging. */
 #define SORT_RUN 32
@@ -272,13 +293,15 @@ static inline __attribute__((always_inline)) WIDE __m512i wide_pass(
 }
 
 /*
- * Prim on 8 consecutive (n, d) frames, d from 1 to 3, writing lane l's
- * n - 1 edges in Prim order to edges + l * (n - 1).  The scratch is
- * wide_pass's; chosen_point needs d entries.
+ * Prim on 8 consecutive (n, d) frames, d from 1 to 3.  Lane l's edge
+ * number e in Prim order lands in lane l of entry e of length, u and v,
+ * 8 values per entry like the scratch.  The scratch is wide_pass's;
+ * chosen_point needs d entries.
  */
 static WIDE void wide_group(const double *frames, int64_t n, int64_t d,
                             double *x, double *best, int64_t *parent,
-                            double *chosen_point, edge_t *edges)
+                            double *chosen_point, double *length, int64_t *u,
+                            int64_t *v)
 {
     for (int64_t lane = 0; lane < WIDE_LANES; ++lane)
         for (int64_t i = 0; i < n * d; ++i)
@@ -303,12 +326,11 @@ static WIDE void wide_group(const double *frames, int64_t n, int64_t d,
             chosen = wide_pass(n, 3, x, best, parent, chosen_point, chosen);
         }
         _mm512_store_si512(picks, chosen);
+        _mm512_store_si512(v + step * WIDE_LANES, chosen);
         for (int64_t lane = 0; lane < WIDE_LANES; ++lane) {
             int64_t pick = picks[lane], at = pick * WIDE_LANES + lane;
-            edge_t *edge = edges + lane * (n - 1) + step;
-            edge->length = best[at];
-            edge->u = parent[at];
-            edge->v = pick;
+            length[step * WIDE_LANES + lane] = best[at];
+            u[step * WIDE_LANES + lane] = parent[at];
             best[at] = NAN;
             for (int64_t k = 0; k < d; ++k)
                 chosen_point[k * WIDE_LANES + lane] = x[(pick * d + k) * WIDE_LANES + lane];
@@ -316,34 +338,90 @@ static WIDE void wide_group(const double *frames, int64_t n, int64_t d,
     }
 }
 
-/* Frame-parallel passes over groups * 8 frames, d from 1 to 3. */
+/*
+ * One comparator of the sorting network, in every lane at once: entry i
+ * keeps the smaller (length, position) key and entry j the larger.
+ */
+static inline __attribute__((always_inline)) WIDE void wide_exchange(
+    double *length, int64_t *position, int64_t i, int64_t j)
+{
+    __m512d a = _mm512_load_pd(length + i * WIDE_LANES);
+    __m512d b = _mm512_load_pd(length + j * WIDE_LANES);
+    __m512i p = _mm512_load_si512(position + i * WIDE_LANES);
+    __m512i q = _mm512_load_si512(position + j * WIDE_LANES);
+    __mmask8 swap = _mm512_cmp_pd_mask(b, a, _CMP_LT_OQ)
+        | (_mm512_cmp_pd_mask(b, a, _CMP_EQ_OQ) & _mm512_cmplt_epi64_mask(q, p));
+    _mm512_store_pd(length + i * WIDE_LANES, _mm512_mask_mov_pd(a, swap, b));
+    _mm512_store_pd(length + j * WIDE_LANES, _mm512_mask_mov_pd(b, swap, a));
+    _mm512_store_si512(position + i * WIDE_LANES, _mm512_mask_mov_epi64(p, swap, q));
+    _mm512_store_si512(position + j * WIDE_LANES, _mm512_mask_mov_epi64(q, swap, p));
+}
+
+/*
+ * Sort entries 0 .. size - 1 of every lane by (length, position), size a
+ * power of two, with a bitonic sorting network: the same comparators in
+ * every lane, so the lanes never branch apart.  Each lane's positions are
+ * distinct, so its keys are, and the sorted order is the only one: the
+ * order of stable_sort, which breaks ties of length by Prim position.
+ */
+static WIDE void wide_sort(double *length, int64_t *position, int64_t size)
+{
+    for (int64_t block = 2; block <= size; block *= 2) {
+        for (int64_t i = 0; i < size; ++i)
+            if ((i & (block / 2)) == 0)
+                wide_exchange(length, position, i, i ^ (block - 1));
+        for (int64_t stride = block / 4; stride > 0; stride /= 2)
+            for (int64_t i = 0; i < size; ++i)
+                if ((i & stride) == 0)
+                    wide_exchange(length, position, i, i | stride);
+    }
+}
+
+/*
+ * Frame-parallel passes over groups * 8 frames, d from 1 to 3.  The n - 1
+ * edges of each lane are padded to a power of two with +inf lengths, which
+ * sort after every finite one, before the network sorts them.
+ */
 static WIDE int mst_wide(const double *points, int64_t groups, int64_t n,
                          int64_t d, int64_t *us, int64_t *vs, double *lengths)
 {
+    const int64_t edges = n - 1;
+    int64_t size = 1;
+    while (size < edges)
+        size *= 2;
     const size_t vector = sizeof(double) * WIDE_LANES;
-    double *x = aligned_alloc(64, vector * (size_t)(d * n + n + d));
-    int64_t *parent = aligned_alloc(64, vector * (size_t)n);
-    edge_t *edges = malloc(sizeof(edge_t) * (size_t)((WIDE_LANES + 1) * (n - 1)));
-    if (x == NULL || parent == NULL || edges == NULL) {
+    double *x = aligned_alloc(64, vector * (size_t)(d * n + n + d + size));
+    int64_t *parent = aligned_alloc(64, vector * (size_t)(n + size + 2 * edges));
+    if (x == NULL || parent == NULL) {
         free(x);
         free(parent);
-        free(edges);
         return 1;
     }
     double *best = x + d * n * WIDE_LANES, *chosen_point = best + n * WIDE_LANES;
-    edge_t *spare = edges + WIDE_LANES * (n - 1);
+    double *length = chosen_point + d * WIDE_LANES;
+    int64_t *position = parent + n * WIDE_LANES, *u = position + size * WIDE_LANES;
+    int64_t *v = u + edges * WIDE_LANES;
     for (int64_t group = 0; group < groups; ++group) {
         wide_group(points + group * WIDE_LANES * n * d, n, d, x, best, parent,
-                   chosen_point, edges);
+                   chosen_point, length, u, v);
+        for (int64_t e = 0; e < size; ++e) {
+            if (e >= edges)
+                _mm512_store_pd(length + e * WIDE_LANES, _mm512_set1_pd(INFINITY));
+            _mm512_store_si512(position + e * WIDE_LANES, _mm512_set1_epi64(e));
+        }
+        wide_sort(length, position, size);
         for (int64_t lane = 0; lane < WIDE_LANES; ++lane) {
-            int64_t row = (group * WIDE_LANES + lane) * (n - 1);
-            write_sorted(edges + lane * (n - 1), spare, n - 1,
-                         us + row, vs + row, lengths + row);
+            int64_t row = (group * WIDE_LANES + lane) * edges;
+            for (int64_t e = 0; e < edges; ++e) {
+                int64_t at = position[e * WIDE_LANES + lane] * WIDE_LANES + lane;
+                us[row + e] = u[at];
+                vs[row + e] = v[at];
+                lengths[row + e] = length[e * WIDE_LANES + lane];
+            }
         }
     }
     free(x);
     free(parent);
-    free(edges);
     return 0;
 }
 #endif
@@ -482,33 +560,47 @@ static double python_mod(double x, double period)
 }
 
 /*
- * The drunkard walk: frames 1 .. steps - 1 of a C-contiguous (steps, n, d)
- * float64 array from its frame 0, the (steps - 1, n, d) step offsets and
- * the (steps - 1, n) mask of nodes that move, step by step as the NumPy
- * loop does.  A node adds its offset where it moves and 0.0 where it does
- * not (np.where(active, offsets, 0.0), so a -0.0 coordinate of a resting
- * node becomes +0.0).  A node with any coordinate outside [0, side] then
- * has every coordinate folded as Region.reflect folds the rows
- * _reflect_escapees picks: np.mod by 2 * side, then period - x above side.
- * Region and DrunkardModel refuse a non-finite side or step radius, so
- * the start and every offset the caller passes are finite.
+ * The drunkard walk in d = 1 or 2 dimensions: frames 1 .. steps - 1 of a
+ * C-contiguous (steps, n, d) float64 array from its frame 0 and the
+ * (steps - 1, n, 3) uniform block of DrunkardModel.trajectory, step by
+ * step as its NumPy decode and loop do.  A node moves when it is not
+ * stationary and its pause coin u0 >= ppause; its offset is then
+ * _decode_block's: (u2 < 0.5 ? -1 : 1) * (radius * u1) in one dimension,
+ * (cos(a) * r, sin(a) * r) with r = radius * sqrt(u1) and
+ * a = (2 * pi) * u2 in two.  A node adds its offset where it moves and
+ * 0.0 where it does not (np.where(active, offsets, 0.0), so a -0.0
+ * coordinate of a resting node becomes +0.0).  A node with any coordinate
+ * outside [0, side] then has every coordinate folded as Region.reflect
+ * folds the rows _reflect_escapees picks: np.mod by 2 * side, then
+ * period - x above side.  Region and DrunkardModel refuse a non-finite
+ * side or step radius, so every coordinate stays finite.
  */
 void repro_drunkard_walk(double *frames, int64_t steps, int64_t n, int64_t d,
-                         const double *offsets, const uint8_t *active,
-                         double side)
+                         const double *uniforms, const uint8_t *stationary,
+                         double ppause, double radius, double side)
 {
-    const double period = 2.0 * side;
+    const double period = 2.0 * side, turn = 2.0 * M_PI;
     const int64_t stride = n * d;
     for (int64_t t = 1; t < steps; ++t) {
         const double *previous = frames + (t - 1) * stride;
-        const double *offset = offsets + (t - 1) * stride;
-        const uint8_t *moves = active + (t - 1) * n;
+        const double *block = uniforms + (t - 1) * n * 3;
         double *current = frames + t * stride;
         for (int64_t i = 0; i < n; ++i) {
+            const double *u = block + i * 3;
+            double offset[2] = {0.0, 0.0};
+            if (!stationary[i] && u[0] >= ppause) {
+                if (d == 1) {
+                    offset[0] = (u[2] < 0.5 ? -1.0 : 1.0) * (radius * u[1]);
+                } else {
+                    double r = radius * sqrt(u[1]), angle = turn * u[2];
+                    offset[0] = cos(angle) * r;
+                    offset[1] = sin(angle) * r;
+                }
+            }
             const int64_t row = i * d;
             int escaped = 0;
             for (int64_t k = 0; k < d; ++k) {
-                double x = previous[row + k] + (moves[i] ? offset[row + k] : 0.0);
+                double x = previous[row + k] + offset[k];
                 current[row + k] = x;
                 escaped |= (x < 0.0) | (x > side);
             }
@@ -520,4 +612,159 @@ void repro_drunkard_walk(double *frames, int64_t steps, int64_t n, int64_t d,
             }
         }
     }
+}
+
+/* Arrivals this many steps away or more lie beyond any horizon. */
+#define DISTANT_ARRIVAL ((int64_t)1 << 60)
+/* Region.contains's tolerance, which the per-step clamp tests. */
+#define CONTAINMENT_TOLERANCE 1e-9
+
+/* Generator.uniform(low, high): low + (high - low) * next_double. */
+static double uniform(bitgen_t *bitgen, double low, double high)
+{
+    return low + (high - low) * bitgen->next_double(bitgen->state);
+}
+
+/*
+ * waypoint._steps_to_arrival for one leg: the smallest j >= 1 with
+ * speed * (elapsed + j) >= length, from the estimate
+ * ceil(length / speed) - elapsed corrected against that predicate, or
+ * DISTANT_ARRIVAL, uncorrected, for an estimate that far away.
+ */
+static int64_t steps_to_arrival(double speed, int64_t elapsed, double length)
+{
+    double estimate = ceil(length / speed) - (double)elapsed;
+    if (!(estimate < (double)DISTANT_ARRIVAL))
+        return DISTANT_ARRIVAL;
+    int64_t attempts = (int64_t)(estimate > 1.0 ? estimate : 1.0);
+    while (attempts > 1 && speed * (double)(elapsed + attempts - 1) >= length)
+        --attempts;
+    while (speed * (double)(elapsed + attempts) < length)
+        ++attempts;
+    return attempts;
+}
+
+/*
+ * The fill_node closure of RandomWaypointModel._fill_frames: frames
+ * filled[i] + 1 .. until of node i, first what is left of its pause
+ * (frame filled[i] repeated), then its cruise, each position the closed
+ * form origin + unit * (speed * elapsed) of step().
+ */
+static void fill_node(double *frames, int64_t stride, int64_t d, int64_t i,
+                      int64_t until, int64_t *filled, int64_t *pause,
+                      int64_t *elapsed, const double *speeds,
+                      const double *origins, const double *units)
+{
+    int64_t start = filled[i] + 1;
+    if (start > until)
+        return;
+    int64_t span = until - start + 1;
+    int64_t resting = pause[i] < span ? pause[i] : span;
+    const double *held = frames + filled[i] * stride + i * d;
+    double *out = frames + start * stride + i * d;
+    for (int64_t t = 0; t < resting; ++t, out += stride)
+        for (int64_t k = 0; k < d; ++k)
+            out[k] = held[k];
+    pause[i] -= resting;
+    const double *origin = origins + i * d, *unit = units + i * d;
+    for (int64_t e = elapsed[i] + 1; e <= elapsed[i] + span - resting; ++e, out += stride) {
+        double travelled = speeds[i] * (double)e;
+        for (int64_t k = 0; k < d; ++k)
+            out[k] = origin[k] + unit[k] * travelled;
+    }
+    elapsed[i] += span - resting;
+    filled[i] = until;
+}
+
+/*
+ * RandomWaypointModel._fill_frames: frames 1 .. steps - 1 of a
+ * C-contiguous (steps, n, d) float64 array from its frame 0, d from 1 to
+ * 3, advancing the model's seven per-node arrays in place (destinations,
+ * speeds, pause, origins, units, lengths and elapsed, the model's
+ * _destinations ... _leg_elapsed).  Event by event as the Python loop: at
+ * each step where nodes arrive, every arriving node (in index order) is
+ * filled up to it and snaps to its destination, then Region.sample_uniform
+ * draws all of their new destinations and Generator.uniform their speeds,
+ * and _begin_leg starts their legs (the length a sum of squares over
+ * ascending k, as np.sum adds d < 8 terms).  Then every node is filled to
+ * the end, the stationary nodes are pinned to frame 0, and every frame
+ * with a coordinate outside the containment tolerance is clipped to
+ * [0, side] as np.clip does (-0.0 stays -0.0).  The caller holds the bit
+ * generator's lock.
+ */
+int repro_waypoint_trajectory(double *frames, int64_t steps, int64_t n,
+                              int64_t d, double *destinations, double *speeds,
+                              int64_t *pause, double *origins, double *units,
+                              double *lengths, int64_t *elapsed,
+                              const uint8_t *stationary, double side,
+                              double vmin, double vmax, int64_t tpause,
+                              bitgen_t *bitgen)
+{
+    int64_t *next_arrival = malloc(sizeof(int64_t) * (size_t)(3 * n));
+    if (next_arrival == NULL)
+        return 1;
+    int64_t *filled = next_arrival + n, *arriving = filled + n;
+    const int64_t last = steps - 1, stride = n * d;
+    for (int64_t i = 0; i < n; ++i) {
+        next_arrival[i] = pause[i] + steps_to_arrival(speeds[i], elapsed[i], lengths[i]);
+        filled[i] = 0;
+    }
+    for (;;) {
+        int64_t event = INT64_MAX, count = 0;
+        for (int64_t i = 0; i < n; ++i)
+            event = next_arrival[i] < event ? next_arrival[i] : event;
+        if (event > last)
+            break;
+        for (int64_t i = 0; i < n; ++i)
+            if (next_arrival[i] == event)
+                arriving[count++] = i;
+        for (int64_t a = 0; a < count; ++a) {
+            const int64_t i = arriving[a];
+            fill_node(frames, stride, d, i, event - 1, filled, pause, elapsed,
+                      speeds, origins, units);
+            for (int64_t k = 0; k < d; ++k)
+                frames[event * stride + i * d + k] = origins[i * d + k] = destinations[i * d + k];
+            filled[i] = event;
+            pause[i] = tpause;
+        }
+        for (int64_t a = 0; a < count; ++a)
+            for (int64_t k = 0; k < d; ++k)
+                destinations[arriving[a] * d + k] = uniform(bitgen, 0.0, side);
+        for (int64_t a = 0; a < count; ++a)
+            speeds[arriving[a]] = uniform(bitgen, vmin, vmax);
+        for (int64_t a = 0; a < count; ++a) {
+            const int64_t i = arriving[a];
+            double delta[3], squared = 0.0;
+            for (int64_t k = 0; k < d; ++k) {
+                delta[k] = destinations[i * d + k] - origins[i * d + k];
+                squared += delta[k] * delta[k];
+            }
+            lengths[i] = sqrt(squared);
+            const double safe = lengths[i] > 0.0 ? lengths[i] : 1.0;
+            for (int64_t k = 0; k < d; ++k)
+                units[i * d + k] = delta[k] / safe;
+            elapsed[i] = 0;
+            next_arrival[i] = event + tpause + steps_to_arrival(speeds[i], 0, lengths[i]);
+        }
+    }
+    for (int64_t i = 0; i < n; ++i)
+        fill_node(frames, stride, d, i, last, filled, pause, elapsed, speeds,
+                  origins, units);
+    for (int64_t i = 0; i < n; ++i)
+        if (stationary[i])
+            for (int64_t t = 1; t <= last; ++t)
+                for (int64_t k = 0; k < d; ++k)
+                    frames[t * stride + i * d + k] = frames[i * d + k];
+    const double low = -CONTAINMENT_TOLERANCE, high = side + CONTAINMENT_TOLERANCE;
+    for (int64_t t = 0; t <= last; ++t) {
+        double *frame = frames + t * stride;
+        int outside = 0;
+        for (int64_t j = 0; j < stride; ++j)
+            outside |= !((frame[j] >= low) & (frame[j] <= high));
+        if (outside)
+            for (int64_t j = 0; j < stride; ++j)
+                frame[j] = frame[j] < 0.0 ? 0.0 : (frame[j] > side ? side : frame[j]);
+    }
+    free(next_arrival);
+    return 0;
 }

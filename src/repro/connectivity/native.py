@@ -1,22 +1,40 @@
-"""Optional native lane of the MST kernel, the sweep and the drunkard walk.
+"""Optional native lane of the MST kernel, the sweep and both mobility models.
 
-``native.c`` beside this module holds three entry points that are
-bit-identical to the NumPy code they stand in for: Prim plus the stable
-sort of the MST edges of a ``(B, n, d)`` batch
-(:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`),
-the union-find growth-curve sweep
-(:func:`repro.simulation.engine.frame_statistics_columns`) and the
-sequential step loop of
-:meth:`repro.mobility.drunkard.DrunkardModel.trajectory`, whose draws
-and decode stay in NumPy.  Those three dispatch here; nothing else
-changes, so no cache key, golden key or row digest depends on which lane
-ran.
+``native.c`` beside this module holds four entry points that are
+bit-identical to the NumPy code they stand in for, each a method of
+:class:`NativeLibrary`:
+
+* :meth:`~NativeLibrary.mst_batch`, Prim plus the stable sort of the MST
+  edges of a ``(B, n, d)`` batch
+  (:func:`repro.connectivity.critical_range.minimum_spanning_edges_batch`);
+* :meth:`~NativeLibrary.growth_curves`, the union-find growth-curve sweep
+  (:func:`repro.simulation.engine.frame_statistics_columns`);
+* :meth:`~NativeLibrary.drunkard_walk`, the decode of the uniform block
+  and the step loop of
+  :meth:`repro.mobility.drunkard.DrunkardModel.trajectory` in one and two
+  dimensions (the draw itself stays one NumPy call);
+* :meth:`~NativeLibrary.waypoint_trajectory`, the whole event loop of
+  :meth:`repro.mobility.waypoint.RandomWaypointModel.trajectory` in one
+  to three dimensions, drawing destinations and speeds from the caller's
+  generator through NumPy's public ``bitgen_t`` exactly as
+  ``Generator.uniform`` does, under the bit generator's lock.
+
+Those four dispatch here; nothing else changes, so no cache key, golden
+key or row digest depends on which lane ran.  The drunkard decode calls
+glibc's ``sqrt``, ``sin`` and ``cos``, which return the same bits as
+NumPy 2.4's float64 ``np.sqrt``, ``np.sin`` and ``np.cos`` (no difference
+in 20 000 000 angles ``2 * pi * u``); were a later NumPy to change those,
+the golden row digests of the NumPy lane would move.  NumPy's ``np.log``,
+which the Box-Muller decode above two dimensions needs, differs from
+glibc's in the last bit of about 0.4% of uniforms, so that decode stays
+in NumPy.
 
 The kernel has two Prim passes with the same edges.  On a CPU with
 AVX-512F and AVX-512DQ it runs each full group of 8 frames of 1 to 3
-dimensions in one frame-parallel pass, one frame per vector lane; the
-last ``B mod 8`` frames, other dimensions and other CPUs take the
-compacted one-frame pass.  The library asks the CPU at run time, and
+dimensions in one frame-parallel pass, one frame per vector lane, and
+sorts the 8 frames' edges with one sorting network; the last ``B mod 8``
+frames, other dimensions and other CPUs take the compacted one-frame
+pass and its merge sort.  The library asks the CPU at run time, and
 :attr:`NativeLibrary.lanes` reports the answer (8 or 1).  :data:`FLAGS`
 carries no ``-march``: only the frame-parallel functions are compiled
 for AVX-512, since the library's cache name records the machine type
@@ -86,6 +104,24 @@ def _pointer(array: np.ndarray) -> int:
     return array.__array_interface__["data"][0]
 
 
+def _in_place(name: str, array: np.ndarray, dtype: Any, shape: Tuple[int, ...]) -> int:
+    """The address of ``array``, which the library writes in place.
+
+    Refuses an array that is not writeable, C-contiguous, of ``dtype``
+    and of ``shape``: the library could not fill it, and a copy would
+    leave the caller's array as it was.
+    """
+    if not (
+        array.dtype == dtype and array.shape == shape
+        and array.flags.c_contiguous and array.flags.writeable
+    ):
+        raise ValueError(
+            f"{name} must be a writeable C-contiguous {np.dtype(dtype).name} "
+            f"array of shape {shape}"
+        )
+    return _pointer(array)
+
+
 class NativeLibrary:
     """The loaded shared library, with NumPy-shaped calls.
 
@@ -110,11 +146,17 @@ class NativeLibrary:
             pointer, pointer, pointer, size, size, pointer, pointer, pointer, pointer,
         ]
         self._growth_curves.restype = ctypes.c_int
+        real = ctypes.c_double
         self._drunkard_walk = library.repro_drunkard_walk
         self._drunkard_walk.argtypes = [
-            pointer, size, size, size, pointer, pointer, ctypes.c_double,
+            pointer, size, size, size, pointer, pointer, real, real, real,
         ]
         self._drunkard_walk.restype = None
+        self._waypoint_trajectory = library.repro_waypoint_trajectory
+        self._waypoint_trajectory.argtypes = [
+            pointer, size, size, size, *[pointer] * 8, real, real, real, size, pointer,
+        ]
+        self._waypoint_trajectory.restype = ctypes.c_int
 
     def mst_batch(
         self, points: np.ndarray
@@ -175,35 +217,78 @@ class NativeLibrary:
         return critical, offsets, ranges[:total].copy(), sizes[:total].copy()
 
     def drunkard_walk(
-        self, frames: np.ndarray, offsets: np.ndarray, active: np.ndarray,
-        side: float,
+        self, frames: np.ndarray, uniforms: np.ndarray, stationary: np.ndarray,
+        ppause: float, step_radius: float, side: float,
     ) -> None:
         """Fill frames ``1 ..`` of ``frames`` in place from its frame 0.
 
-        ``frames`` is a C-contiguous float64 ``(steps, n, d)`` array,
-        ``offsets`` the ``(steps - 1, n, d)`` step offsets and ``active``
-        the ``(steps - 1, n)`` mask of nodes that move; escapees reflect
-        off the walls of ``[0, side]^d``.
+        ``frames`` is a C-contiguous float64 ``(steps, n, d)`` array with
+        ``d`` 1 or 2, ``uniforms`` the ``(steps - 1, n, 3)`` block of pause
+        coins, radius and direction uniforms and ``stationary`` the nodes
+        that never move; escapees reflect off the walls of ``[0, side]^d``.
         """
-        if not (
-            frames.dtype == np.float64 and frames.ndim == 3
-            and frames.flags.c_contiguous and frames.flags.writeable
-        ):
-            raise ValueError(
-                "frames must be a writeable C-contiguous float64 (steps, n, d) array"
-            )
+        if frames.ndim != 3 or frames.shape[2] not in (1, 2):
+            raise ValueError(f"expected (steps, n, 1 or 2) frames, got {frames.shape}")
         steps, n, dimension = frames.shape
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        active = np.ascontiguousarray(active, dtype=np.bool_)
-        if offsets.shape != (steps - 1, n, dimension) or active.shape != (steps - 1, n):
+        uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+        stationary = np.ascontiguousarray(stationary, dtype=np.bool_)
+        if uniforms.shape != (steps - 1, n, 3) or stationary.shape != (n,):
             raise ValueError(
-                f"expected ({steps - 1}, {n}, {dimension}) offsets and "
-                f"({steps - 1}, {n}) active, got {offsets.shape} and {active.shape}"
+                f"expected ({steps - 1}, {n}, 3) uniforms and ({n},) stationary, "
+                f"got {uniforms.shape} and {stationary.shape}"
             )
         self._drunkard_walk(
-            _pointer(frames), steps, n, dimension,
-            _pointer(offsets), _pointer(active), float(side),
+            _in_place("frames", frames, np.float64, frames.shape), steps, n,
+            dimension, _pointer(uniforms), _pointer(stationary),
+            float(ppause), float(step_radius), float(side),
         )
+
+    def waypoint_trajectory(
+        self, frames: np.ndarray, legs: Tuple[np.ndarray, ...],
+        stationary: np.ndarray, side: float, vmin: float, vmax: float,
+        tpause: int, generator: np.random.Generator,
+    ) -> None:
+        """Fill frames ``1 ..`` of ``frames`` in place from its frame 0.
+
+        ``frames`` is a C-contiguous float64 ``(steps, n, d)`` array with
+        ``d`` from 1 to 3.  ``legs`` holds the model's per-node arrays,
+        advanced in place: destinations ``(n, d)``, speeds ``(n,)``, pause
+        steps left ``(n,)`` int64, leg origins and units ``(n, d)``, leg
+        lengths ``(n,)`` and elapsed steps ``(n,)`` int64.  Destinations
+        are drawn in ``[0, side]^d`` and speeds in ``[vmin, vmax]`` from
+        ``generator``, whose bit generator is locked meanwhile.
+        """
+        if frames.ndim != 3 or not 1 <= frames.shape[2] <= 3:
+            raise ValueError(f"expected (steps, n, 1 to 3) frames, got {frames.shape}")
+        steps, n, dimension = frames.shape
+        expected = [
+            ("destinations", np.float64, (n, dimension)),
+            ("speeds", np.float64, (n,)),
+            ("pause", np.int64, (n,)),
+            ("origins", np.float64, (n, dimension)),
+            ("units", np.float64, (n, dimension)),
+            ("lengths", np.float64, (n,)),
+            ("elapsed", np.int64, (n,)),
+        ]
+        if len(legs) != len(expected):
+            raise ValueError(f"expected {len(expected)} per-node arrays, got {len(legs)}")
+        pointers = [
+            _in_place(name, array, dtype, shape)
+            for (name, dtype, shape), array in zip(expected, legs)
+        ]
+        stationary = np.ascontiguousarray(stationary, dtype=np.bool_)
+        if stationary.shape != (n,):
+            raise ValueError(f"expected ({n},) stationary, got {stationary.shape}")
+        bit_generator = generator.bit_generator
+        with bit_generator.lock:
+            status = self._waypoint_trajectory(
+                _in_place("frames", frames, np.float64, frames.shape), steps, n,
+                dimension, *pointers, _pointer(stationary), float(side),
+                float(vmin), float(vmax), int(tpause),
+                bit_generator.ctypes.bit_generator.value,
+            )
+        if status:
+            raise MemoryError("native waypoint trajectory could not allocate its scratch")
 
 
 def takes(points: np.ndarray) -> bool:

@@ -165,16 +165,17 @@ class DrunkardModel(MobilityModel):
     def trajectory(
         self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        """Vectorized batch: one uniform draw and one decode for the whole
-        block of steps, then the sequential walk.
+        """One uniform draw for the whole block of steps, then the decode
+        and the sequential walk.
 
         Bit-identical to ``steps - 1`` sequential :meth:`step` calls.  The
         walk (add each step's offsets, reflect the escapees) is sequential
-        through the boundary; it runs in C when
-        :mod:`repro.connectivity.native` loads, and otherwise in the NumPy
-        loop below, its fallback and parity reference.  The draws and the
-        ``cos``/``sin``/``sqrt`` decode stay in NumPy, whose SIMD loops
-        may differ from libm in the last bit.
+        through the boundary.  In one and two dimensions the decode and the
+        walk run in C when :mod:`repro.connectivity.native` loads, whose
+        libm ``sqrt``, ``cos`` and ``sin`` return NumPy's bits; otherwise,
+        and always above two dimensions (the Box–Muller decode takes
+        NumPy's own ``log``, which libm's does not match), :meth:`_decode_block`
+        and the NumPy loop below run, the fallback and parity reference.
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")
@@ -190,12 +191,15 @@ class DrunkardModel(MobilityModel):
 
         region = state.region
         blocks = generator.random((steps - 1, n, self._block_width(dimension)))
-        moving, offsets = self._decode_block(blocks)
-        active = moving & ~state.stationary_mask
-        library = native.load()
+        library = native.load() if dimension <= 2 else None
         if library is not None:
-            library.drunkard_walk(frames, offsets, active, region.side)
+            library.drunkard_walk(
+                frames, blocks, state.stationary_mask, self.ppause,
+                self.step_radius, region.side,
+            )
         else:
+            moving, offsets = self._decode_block(blocks)
+            active = moving & ~state.stationary_mask
             masked_offsets = np.where(active[..., None], offsets, 0.0)
             positions = state.positions.copy()
             for index in range(steps - 1):

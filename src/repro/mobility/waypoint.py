@@ -21,12 +21,20 @@ A node's walk is a sequence of *legs*.  Each leg stores its origin, unit
 direction, length and an elapsed-step counter, and every cruise position is
 the closed form ``origin + unit * (speed * elapsed)``; a node arrives when
 ``speed * (elapsed + 1) >= length``.  Because per-step and whole-trajectory
-execution evaluate exactly the same expressions, the vectorized
+execution evaluate exactly the same expressions, the
 :meth:`RandomWaypointModel.trajectory` override (which fills each node's
 frames one leg segment at a time and batches the destination/speed draws at
 each arrival event) is bit-identical to ``steps - 1`` sequential
 :meth:`~repro.mobility.base.MobilityModel.step` calls — including the random
 stream it leaves behind.
+
+That event loop has two lanes with the same frames, per-node arrays and
+stream: ``repro_waypoint_trajectory`` in ``connectivity/native.c``, which
+runs in one to three dimensions whenever :mod:`repro.connectivity.native`
+loads and draws through the generator's bit generator as
+:meth:`numpy.random.Generator.uniform` does (``low + (high - low) *
+next_double``), and :meth:`RandomWaypointModel._fill_frames` in NumPy, the
+fallback and parity reference.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.connectivity import native
 from repro.exceptions import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.stats.rng import make_rng
@@ -213,15 +222,17 @@ class RandomWaypointModel(MobilityModel):
     def trajectory(
         self, steps: int, rng: Optional[np.random.Generator] = None
     ) -> np.ndarray:
-        """Vectorized batch: whole legs at a time, draws batched per arrival.
+        """Whole legs at a time, draws batched per arrival.
 
         Bit-identical to ``steps - 1`` sequential :meth:`step` calls (frames,
         final model state and random stream): positions use the same
         closed-form leg arithmetic, and destination/speed draws happen at
         exactly the arrival steps the sequential execution would hit, for
-        the same node sets in the same order.  The Python loop runs per
-        *arrival event* — a handful of times per node per run — while every
-        pause/cruise segment in between is filled with one slice assignment.
+        the same node sets in the same order.  In one to three dimensions
+        the event loop runs in C when :mod:`repro.connectivity.native`
+        loads, drawing from ``rng``'s bit generator as
+        :meth:`numpy.random.Generator.uniform` does; otherwise
+        :meth:`_fill_frames` runs it, the fallback and parity reference.
         """
         if steps < 1:
             raise ConfigurationError(f"steps must be at least 1, got {steps}")
@@ -235,8 +246,36 @@ class RandomWaypointModel(MobilityModel):
             state.step_index += steps - 1
             return frames
 
+        library = native.load() if dimension <= 3 else None
+        if library is not None:
+            library.waypoint_trajectory(
+                frames,
+                (
+                    self._destinations, self._speeds, self._pause_remaining,
+                    self._leg_origins, self._leg_units, self._leg_lengths,
+                    self._leg_elapsed,
+                ),
+                state.stationary_mask, state.region.side,
+                self.vmin, self.vmax, self.tpause, generator,
+            )
+        else:
+            self._fill_frames(frames, generator)
+        state.positions = frames[-1].copy()
+        state.step_index += steps - 1
+        return frames
+
+    def _fill_frames(self, frames: np.ndarray, generator: np.random.Generator) -> None:
+        """Fill frames ``1 ..`` of ``frames`` from its frame 0, in NumPy.
+
+        The Python loop runs per *arrival event* — a handful of times per
+        node per run — while every pause/cruise segment in between is
+        filled with one slice assignment.  Then the stationary nodes are
+        pinned and the frames clamped as :meth:`step` clamps them.
+        """
+        state = self.state
+        n = frames.shape[1]
         region = state.region
-        last = steps - 1
+        last = frames.shape[0] - 1
         pause = self._pause_remaining
         elapsed = self._leg_elapsed
         # Next arrival step of every node, as an absolute frame index.
@@ -300,9 +339,6 @@ class RandomWaypointModel(MobilityModel):
         if mask.any():
             frames[:, mask] = state.positions[mask]
         self._clamp_frames_like_step(frames)
-        state.positions = frames[last].copy()
-        state.step_index += last
-        return frames
 
     def _clamp_frames_like_step(self, frames: np.ndarray) -> None:
         """Apply the per-step containment check of the base class per frame."""

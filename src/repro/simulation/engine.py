@@ -209,9 +209,13 @@ def frame_statistics_columns(frames: np.ndarray) -> FrameStatisticsColumns:
 
     The sweep has two lanes with the same output, as the kernel does: the
     native one (:mod:`repro.connectivity.native`) whenever its library
-    loads and the coordinates are finite and below
-    ``native.COORDINATE_LIMIT``, otherwise
-    :func:`_growth_curve_columns_numpy`.
+    loads and every MST edge is finite, otherwise
+    :func:`_growth_curve_columns_numpy`.  It reads each sorted row's
+    longest edge, not the coordinates the kernel has already scanned.
+    Every edge of the C kernel is finite; an edge of length inf comes from
+    coordinates only the NumPy kernel takes, which can then pick a tree
+    node again, and component sizes grown that way can pass the C
+    sweep's int64, never the Python sweep's unbounded ints.
     """
     points = np.asarray(frames, dtype=float)
     if points.ndim != 3:
@@ -229,7 +233,7 @@ def frame_statistics_columns(frames: np.ndarray) -> FrameStatisticsColumns:
         )
     all_us, all_vs, all_lengths = minimum_spanning_edges_batch(points)
     library = native.load()
-    if library is not None and batch and native.takes(points):
+    if library is not None and batch and np.isfinite(all_lengths[:, -1]).all():
         columns = library.growth_curves(all_us, all_vs, all_lengths, n)
     else:
         columns = _growth_curve_columns_numpy(all_us, all_vs, all_lengths, n)

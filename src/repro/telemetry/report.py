@@ -264,8 +264,9 @@ def list_runs(telemetry_root: Union[str, Path]) -> List[Path]:
 def latest_run_dir(telemetry_root: Union[str, Path]) -> Optional[Path]:
     """The newest run directory, or ``None`` when no run exists.
 
-    Run ids sort chronologically (UTC timestamp prefix), so the newest
-    run is the lexicographically last directory name.
+    Run ids sort chronologically (a UTC timestamp prefix to the
+    microsecond), so the newest run is the lexicographically last
+    directory name.
     """
     runs = list_runs(telemetry_root)
     return runs[-1] if runs else None

@@ -562,9 +562,14 @@ def start_run(
     :meth:`TelemetryRun.finish` (in a ``finally``) to disarm.
     """
     root = Path(directory)
-    started = time.time()
-    run_id = "{}-{}".format(
-        time.strftime("%Y%m%d-%H%M%S", time.gmtime(started)),
+    started_ns = time.time_ns()
+    started = started_ns / 1e9
+    seconds, nanoseconds = divmod(started_ns, 10**9)
+    # UTC second, then microsecond, then a random suffix: names sort by
+    # start time even for runs started within one second.
+    run_id = "{}-{:06d}-{}".format(
+        time.strftime("%Y%m%d-%H%M%S", time.gmtime(seconds)),
+        nanoseconds // 1000,
         uuid.uuid4().hex[:8],
     )
     run_dir = root / run_id

@@ -58,7 +58,8 @@ def native_library() -> native.NativeLibrary:
 @pytest.fixture(params=["native", "numpy"])
 def kernel_lane(request, monkeypatch):
     """Run a test once per lane of the native library's entry points: the
-    MST kernel, the growth-curve sweep and the drunkard walk.
+    MST kernel, the growth-curve sweep, the drunkard walk and the waypoint
+    trajectory.
 
     The ``numpy`` case replaces :func:`repro.connectivity.native.load`
     so every dispatcher takes its NumPy fallback.  A test may choose the

@@ -12,9 +12,15 @@
   dimensions to the frame-parallel pass when the library reports 8
   lanes, and it reports 8 lanes exactly when the CPU has AVX-512F and
   AVX-512DQ;
+* the frame-parallel pass sorts each group's edges with one sorting
+  network across the 8 frames, which orders them as the compacted pass's
+  stable merge sort does, ties of length by Prim position: on every n
+  from 2 to 129 (sizes on both sides of each power of two) and on
+  tie-heavy integer grids and all-coincident frames;
 * a batch with a coordinate that is not finite, or of magnitude at least
-  ``COORDINATE_LIMIT``, never reaches the C code and gives exactly the
-  NumPy lane's output;
+  ``COORDINATE_LIMIT``, never reaches the C kernel and gives exactly the
+  NumPy lane's output; the sweep reads no coordinate, and takes the C
+  lane exactly when every edge it is handed is finite;
 * without a compiler, or with a cache that fails to build, load or pass
   the ownership check, the process warns once, counts one
   ``native.fallbacks`` (which reaches ``campaign report``) and keeps the
@@ -265,17 +271,77 @@ class TestInputsTheCLaneRefuses:
         with np.errstate(over="ignore", invalid="ignore"):
             expected_edges = _minimum_spanning_edges_batch_numpy(frames)
             expected_columns = numpy_lane_columns(frames)
-            with mock.patch.object(native.NativeLibrary, "mst_batch", refuse), \
-                    mock.patch.object(native.NativeLibrary, "growth_curves", refuse):
+            with mock.patch.object(native.NativeLibrary, "mst_batch", refuse):
                 edges = minimum_spanning_edges_batch(frames)
-                columns = frame_statistics_columns(frames)
+                if value == native.COORDINATE_LIMIT:
+                    # 1e150 squares to a finite 1e300: every edge is
+                    # finite, so the C sweep may take them.
+                    columns = frame_statistics_columns(frames)
+                else:
+                    # A NaN, an infinity or a square that overflows gives
+                    # edges that are not finite: the C sweep never sees them.
+                    with mock.patch.object(
+                        native.NativeLibrary, "growth_curves", refuse
+                    ):
+                        columns = frame_statistics_columns(frames)
         assert_same_arrays(edges, expected_edges)
         assert_same_arrays(column_arrays(columns), column_arrays(expected_columns))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+limit", "-limit"])
+    @pytest.mark.parametrize("with_nan", [False, True], ids=["finite", "nan"])
+    def test_the_sweep_takes_the_c_lane_exactly_for_finite_edges(
+        self, native_library, sign, with_nan
+    ):
+        """One coordinate at +-1e150 (and one NaN in another frame): the
+        NumPy kernel serves the batch.  With every edge finite the C
+        sweep takes its edges; a NaN edge keeps the Python sweep.  Each
+        way, the columns are the NumPy lane's, from one coordinate scan."""
+        frames = np.random.default_rng(4).random((9, 20, 2)) * 100.0
+        frames[1, 3, 0] = sign * native.COORDINATE_LIMIT
+        if with_nan:
+            frames[6, 11, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            expected = numpy_lane_columns(frames)
+            with mock.patch.object(
+                native, "takes", autospec=True, side_effect=native.takes
+            ) as scans, mock.patch.object(
+                native.NativeLibrary, "growth_curves", autospec=True,
+                side_effect=native.NativeLibrary.growth_curves,
+            ) as sweep:
+                columns = frame_statistics_columns(frames)
+        assert scans.call_count == 1
+        assert sweep.call_count == (0 if with_nan else 1)
+        assert_same_arrays(column_arrays(columns), column_arrays(expected))
 
     def test_the_largest_coordinate_below_the_limit_is_taken(self):
         frames = np.zeros((1, 3, 2))
         frames[0, 1, 0] = -np.nextafter(native.COORDINATE_LIMIT, 0.0)
         assert native.takes(frames)
+
+
+class TestSortingNetwork:
+    """The frame-parallel pass's sort against the NumPy lane's stable
+    argsort, at every size class the network pads to a power of two."""
+
+    @pytest.mark.parametrize("family", ["uniform", "grid", "coincident"])
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 96, 128, 129]
+    )
+    @pytest.mark.parametrize("batch", [8, 9, 16, 17])
+    def test_the_edges_come_out_as_the_stable_sort_orders_them(
+        self, native_library, batch, n, family
+    ):
+        rng = np.random.default_rng(batch * 1000 + n)
+        dimension = 1 + n % 3
+        shape = (batch, n, dimension)
+        if family == "uniform":
+            frames = rng.random(shape) * 100.0
+        elif family == "grid":  # many tied lengths, broken by Prim position
+            frames = rng.integers(0, 3, size=shape).astype(float)
+        else:  # every length 0
+            frames = np.broadcast_to(rng.random((batch, 1, dimension)), shape).copy()
+        expected = _minimum_spanning_edges_batch_numpy(frames)
+        assert_same_arrays(native_library.mst_batch(frames), expected)
 
 
 class TestBuildAndFallback:

@@ -1,15 +1,18 @@
 """The drunkard walk's two lanes agree bit for bit.
 
-:meth:`repro.mobility.drunkard.DrunkardModel.trajectory` walks in C
-(``repro_drunkard_walk`` in ``connectivity/native.c``) when the native
-library loads, and otherwise in its NumPy loop, the parity reference.
+:meth:`repro.mobility.drunkard.DrunkardModel.trajectory` decodes its
+uniform block and walks in C (``repro_drunkard_walk`` in
+``connectivity/native.c``) when the native library loads and the
+network has one or two dimensions, and otherwise in ``_decode_block``
+and its NumPy loop, the parity reference; three dimensions always take
+the NumPy lane, whose Box–Muller decode needs NumPy's own ``log``.
 Both lanes must leave the same frames, final positions and random
 stream, bit for bit, over every regime the walk can meet: one to three
-dimensions, sides from 1e-3 to 1e6 and near 1e300, step radii up to five
-sides (so one step can fold several times), pauses and stationary nodes
-at 0, 0.3 and 1, and starts exactly on the walls.  A spy on the NumPy
-loop's reflection keeps the property from passing vacuously: across the
-examples, reflections fire, multi-fold ones among them.
+dimensions, sides from 1e-300 to 1e6 and near 1e300, step radii up to
+five sides (so one step can fold several times), pauses and stationary
+nodes at 0, 0.3 and 1, and starts exactly on the walls.  A spy on the
+NumPy loop's reflection keeps the property from passing vacuously:
+across the examples, reflections fire, multi-fold ones among them.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ def walks(draw) -> Walk:
         side=draw(
             st.one_of(
                 st.floats(min_value=1e-3, max_value=1e6),
+                st.floats(min_value=1e-300, max_value=1e-290),
                 st.floats(min_value=1e299, max_value=1e300),
             )
         ),
@@ -120,18 +124,31 @@ def test_the_c_walk_equals_the_numpy_loop(native_library):
     assert any(reflections), "no example folded a node more than once"
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_the_c_walk_serves_one_and_two_dimensions(native_library, dimension):
+    case = Walk(dimension, 50.0, 0.1, 0.3, 0.3, 6, 9, 4, (None,) * 6 * dimension)
+    with mock.patch.object(
+        native.NativeLibrary, "drunkard_walk", autospec=True,
+        side_effect=native.NativeLibrary.drunkard_walk,
+    ) as spy:
+        walk(case, native_library)
+    assert spy.call_count == (1 if dimension <= 2 else 0)
+
+
 @pytest.mark.parametrize(
-    "frames, message",
+    "frames, uniforms, message",
     [
-        (np.zeros((3, 2, 4)).transpose(0, 2, 1), "C-contiguous float64"),
-        (np.zeros((3, 4, 2), dtype=np.float32), "C-contiguous float64"),
-        (np.zeros((4, 4, 2)), "offsets"),
+        (np.zeros((3, 2, 4)).transpose(0, 2, 1), np.zeros((2, 4, 3)), "C-contiguous float64"),
+        (np.zeros((3, 4, 2), dtype=np.float32), np.zeros((2, 4, 3)), "C-contiguous float64"),
+        (np.zeros((4, 4, 2)), np.zeros((2, 4, 3)), "uniforms"),
+        (np.zeros((3, 4, 2)), np.zeros((2, 4, 4)), "uniforms"),
+        (np.zeros((3, 4, 3)), np.zeros((2, 4, 3)), "1 or 2"),
     ],
-    ids=["strided", "float32", "too-many-frames"],
+    ids=["strided", "float32", "too-many-frames", "too-wide-block", "three-dimensions"],
 )
-def test_the_walk_refuses_arrays_it_cannot_fill(native_library, frames, message):
+def test_the_walk_refuses_arrays_it_cannot_fill(native_library, frames, uniforms, message):
     """The C walk writes ``frames`` in place, so it takes no copy of them."""
     with pytest.raises(ValueError, match=message):
         native_library.drunkard_walk(
-            frames, np.zeros((2, 4, 2)), np.ones((2, 4), dtype=bool), 1.0
+            frames, uniforms, np.zeros(4, dtype=bool), 0.3, 0.1, 1.0
         )

@@ -16,10 +16,10 @@ frame, bit by bit, including:
 * the regimes the figures run: the Section 4.2 presets and the end
   values of the Figures 7–9 parameter studies.
 
-The drunkard cases of the parity tests run on both lanes of the walk
-(the ``kernel_lane`` fixture): the C walk of
+The waypoint and drunkard cases of the parity tests run on both lanes
+of their trajectories (the ``kernel_lane`` fixture): the C lane of
 :mod:`repro.connectivity.native`, under the case's plain id, and the
-NumPy loop, under ``<name>-numpy``.
+NumPy one, under ``<name>-numpy``.
 """
 
 import numpy as np
@@ -68,11 +68,12 @@ MODEL_BUILDERS = {
 
 
 def on_walk_lanes(names):
-    """Parametrize ``name`` and the ``kernel_lane`` it runs on: a drunkard
-    model once per lane of its walk, any other model once."""
+    """Parametrize ``name`` and the ``kernel_lane`` it runs on: a waypoint
+    or drunkard model once per lane of its trajectory, the stationary
+    model once."""
     cases = []
     for name in names:
-        if name.startswith("drunkard"):
+        if name.startswith(("waypoint", "drunkard")):
             cases.append(pytest.param(name, "native", id=name))
             cases.append(pytest.param(name, "numpy", id=f"{name}-numpy"))
         else:

@@ -11,14 +11,16 @@ sink fails (via the ``telemetry.flush`` fault site).
 import json
 import os
 import pickle
+import uuid
 import warnings
+from unittest import mock
 
 import pytest
 
 from repro import faults, telemetry
 from repro.campaigns.progress import CacheHit
 from repro.faults import FaultSpec
-from repro.telemetry import metrics, report
+from repro.telemetry import metrics, report, tracing
 from repro.telemetry.tracing import ENV_VAR, TRACE_FILE, _BUFFER_LIMIT
 
 
@@ -193,6 +195,28 @@ class TestRunLifecycle:
         runs = report.list_runs(tmp_path / "telemetry")
         assert [r.name for r in runs] == sorted(r.name for r in runs)
         assert report.latest_run_dir(tmp_path / "telemetry") == runs[-1]
+
+    def test_runs_started_in_one_second_sort_by_start_time(self, tmp_path, disarmed):
+        """Two runs 1 ms apart within one UTC second, the later one with
+        the smaller random suffix: the later run still sorts last."""
+        second = 1_800_000_000 * 10**9
+        # start_run draws the run id's suffix, then the trace id.
+        draws = iter(uuid.UUID(int=value) for value in (2**128 - 1, 1, 0, 2))
+        started = []
+        with mock.patch.object(tracing.uuid, "uuid4", lambda: next(draws)):
+            for offset in (100_000, 1_100_000):
+                with mock.patch.object(tracing.time, "time_ns", lambda: second + offset):
+                    handle = telemetry.start_run(tmp_path / "telemetry")
+                handle.finish()
+                started.append(handle)
+        first, later = started
+        assert first.run_id[:15] == later.run_id[:15]  # the same second
+        assert first.run_id[-8:] > later.run_id[-8:]
+        assert first.started < later.started
+        assert report.latest_run_dir(tmp_path / "telemetry") == later.directory
+        assert [r.name for r in report.list_runs(tmp_path / "telemetry")] == [
+            first.run_id, later.run_id,
+        ]
 
 
 class TestMetrics:
